@@ -1,14 +1,13 @@
 //! Micro-benchmarks of the sharded serving engine: the two-level pipeline
-//! across shard counts, batch throughput across thread counts, and the
-//! rank-swap cache fast path.
+//! across shard counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fairnn_bench::figures::paper_lsh_params;
 use fairnn_bench::{SetWorkload, WorkloadKind};
 use fairnn_core::SimilarityAtLeast;
-use fairnn_engine::{EngineConfig, QueryEngine, ShardedIndex, ShardedIndexConfig};
+use fairnn_engine::{ShardedIndex, ShardedIndexConfig};
 use fairnn_lsh::OneBitMinHash;
-use fairnn_space::{Jaccard, SparseSet};
+use fairnn_space::Jaccard;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -46,61 +45,5 @@ fn bench_two_level_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_throughput(c: &mut Criterion) {
-    let w = workload();
-    let params = paper_lsh_params(w.dataset.len(), R);
-    let near = SimilarityAtLeast::new(Jaccard, R);
-    let batch: Vec<SparseSet> = (0..256)
-        .map(|i| w.dataset.points()[i % w.dataset.len()].clone())
-        .collect();
-    let mut group = c.benchmark_group("engine_run_batch_256");
-    group.sample_size(10);
-    for threads in [1usize, 2, 4] {
-        let mut engine = QueryEngine::build(
-            &OneBitMinHash,
-            params,
-            &w.dataset,
-            near,
-            EngineConfig::default()
-                .with_threads(threads)
-                .with_shards(4)
-                .with_seed(7)
-                .with_cache_capacity(0),
-        );
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &(), |b, ()| {
-            b.iter(|| black_box(engine.run_batch(black_box(&batch))))
-        });
-    }
-    group.finish();
-}
-
-fn bench_cache_fast_path(c: &mut Criterion) {
-    let w = workload();
-    let params = paper_lsh_params(w.dataset.len(), R);
-    let near = SimilarityAtLeast::new(Jaccard, R);
-    let hot: Vec<SparseSet> = (0..256)
-        .map(|i| w.dataset.points()[i % 4].clone())
-        .collect();
-    let mut engine = QueryEngine::build(
-        &OneBitMinHash,
-        params,
-        &w.dataset,
-        near,
-        EngineConfig::default().with_shards(4).with_seed(11),
-    );
-    let _ = engine.run_batch(&hot); // warm the cache
-    let mut group = c.benchmark_group("engine_rank_swap_fast_path_256");
-    group.sample_size(20);
-    group.bench_function("hot_batch", |b| {
-        b.iter(|| black_box(engine.run_batch(black_box(&hot))))
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_two_level_pipeline,
-    bench_batch_throughput,
-    bench_cache_fast_path
-);
+criterion_group!(benches, bench_two_level_pipeline);
 criterion_main!(benches);

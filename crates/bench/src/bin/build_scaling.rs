@@ -5,7 +5,7 @@
 //! build at 7–10× a snapshot load). This binary measures how construction
 //! scales on the `fairnn-parallel` build workers: for each of three dataset
 //! scales it builds the two heaviest structures — the Section 4
-//! [`FairNnis`] sampler and the full serving [`QueryEngine`] — at a sweep
+//! [`FairNnis`] sampler and the engine's [`ShardedIndex`] — at a sweep
 //! of thread counts, verifying at every step that the parallel build is
 //! **bit-for-bit identical** to the serial one (the binary aborts
 //! otherwise, so CI catches determinism drift).
@@ -14,7 +14,7 @@
 //! bench gate tracks (`points_per_s` against `BENCH_baseline.json`), so a
 //! serial build regression fails the gate even on a 1-core runner; rows
 //! with more threads than cores are annotated `hardware_limited` and
-//! skipped by the gate, exactly like the engine pipeline rows.
+//! skipped by the gate, exactly like the engine churn row.
 //!
 //! Usage: `cargo run --release -p fairnn-bench --bin build_scaling --
 //!         [--scale 0.1] [--seed 42] [--threads 4] [--shards 4]
@@ -22,10 +22,10 @@
 //! (three scales are exercised: ½×, 1× and 2× the `--scale` value, clamped
 //! to the valid range; thread counts swept are 1, 2 and `--threads`.)
 
-use fairnn_bench::figures::paper_lsh_params;
+use fairnn_bench::figures::{paper_lsh_params, SetShardedIndex};
 use fairnn_bench::{CommonArgs, SetWorkload, WorkloadKind};
 use fairnn_core::{FairNnis, SimilarityAtLeast};
-use fairnn_engine::{EngineConfig, QueryEngine};
+use fairnn_engine::{ShardedIndex, ShardedIndexConfig};
 use fairnn_lsh::{ConcatenatedHasher, OneBitMinHash, OneBitMinHasher};
 use fairnn_snapshot::{to_bytes, SnapshotKind};
 use fairnn_space::{Jaccard, SparseSet};
@@ -37,8 +37,6 @@ use std::time::Instant;
 const R: f64 = 0.2;
 
 type SetNnis = FairNnis<SparseSet, ConcatenatedHasher<OneBitMinHasher>, SimilarityAtLeast<Jaccard>>;
-type SetEngine =
-    QueryEngine<SparseSet, ConcatenatedHasher<OneBitMinHasher>, SimilarityAtLeast<Jaccard>>;
 
 /// One measured build.
 struct BuildRow {
@@ -140,18 +138,16 @@ fn main() {
             });
         }
 
-        // Full serving engine (shards build concurrently too).
+        // The engine's sharded index (shards build concurrently too).
         let mut serial_image: Option<Vec<u8>> = None;
         let mut serial_s = 0.0;
         for &threads in &thread_counts {
             fairnn_parallel::set_build_threads(threads);
-            let config = EngineConfig::default()
-                .with_shards(args.shards)
-                .with_seed(args.seed);
-            let (engine, build_s) = timed_best(|| -> SetEngine {
-                QueryEngine::build(&OneBitMinHash, params, dataset, near, config)
+            let config = ShardedIndexConfig::with_shards(args.shards).seeded(args.seed);
+            let (index, build_s) = timed_best(|| -> SetShardedIndex {
+                ShardedIndex::build(&OneBitMinHash, params, dataset, near, config)
             });
-            let image = to_bytes(SnapshotKind::QueryEngine, &engine);
+            let image = to_bytes(SnapshotKind::ShardedIndex, &index);
             match &serial_image {
                 None => {
                     serial_image = Some(image);
@@ -159,12 +155,12 @@ fn main() {
                 }
                 Some(reference) => assert_eq!(
                     &image, reference,
-                    "{threads}-thread engine build diverged from the serial build"
+                    "{threads}-thread sharded-index build diverged from the serial build"
                 ),
             }
             rows.push(BuildRow {
                 scale,
-                structure: "query-engine",
+                structure: "sharded-index",
                 dataset_points: dataset.len(),
                 threads,
                 build_s,

@@ -1,25 +1,23 @@
 //! Serving throughput of the sharded, concurrent query engine.
 //!
-//! Three measurements on the Last.FM-like workload:
+//! Four measurements on the Last.FM-like workload:
 //!
 //! 1. **Baselines** — single-thread queries/sec of the unsharded fair
 //!    samplers and the sharded sampler, all driven through the object-safe
-//!    `FairSampler` trait (the interface the engine dispatches over);
-//! 2. **Pipeline scaling** — batch throughput of the engine at 1 thread vs
-//!    `--threads` threads with the result cache disabled (every query runs
-//!    the full two-level pipeline), including a bit-for-bit determinism
-//!    check: identical seeds must yield identical answers across thread
-//!    counts;
-//! 3. **Rank-swap fast path** — batch throughput on a repeated-query
-//!    workload with the cache enabled (Theorem 5 path);
-//! 4. **Observability overhead** — the cache-disabled pipeline with
-//!    `fairnn-obs` metrics and span tracing fully enabled vs fully
-//!    disabled. The CI gate requires the instrumented engine to stay
-//!    within 3 % of the uninstrumented one, and the answers are asserted
-//!    bit-identical (instrumentation must not perturb RNG streams or
-//!    commit order). `--metrics-json <path>` additionally dumps the full
-//!    metrics registry collected during the instrumented runs;
-//! 5. **Concurrent churn** — `--threads` reader threads pin epochs and
+//!    `FairSampler` trait;
+//! 2. **Pipeline** — batch throughput of the one batch executor
+//!    (`ShardedIndex::run_batch`, the loop every route serves through),
+//!    including a bit-for-bit determinism check: `--threads` threads
+//!    answering the same request concurrently must return identical
+//!    answers;
+//! 3. **Observability overhead** — the same executor with `fairnn-obs`
+//!    metrics and span tracing fully enabled vs fully disabled. The CI
+//!    gate requires the instrumented engine to stay within 3 % of the
+//!    uninstrumented one, and the answers are asserted bit-identical
+//!    (instrumentation must not perturb RNG streams). `--metrics-json
+//!    <path>` additionally dumps the full metrics registry collected
+//!    during the instrumented runs;
+//! 4. **Concurrent churn** — `--threads` reader threads pin epochs and
 //!    run batches through `EngineReader` while the main thread commits
 //!    generational `WriteBatch`es through `EngineWriter` (WAL append,
 //!    fsync, publish). Reports sustained reader queries/sec under churn
@@ -31,12 +29,10 @@
 //!         [--threads 8] [--shards 4]`
 //! (`--repetitions` is reused as the batch size.)
 
-use fairnn_bench::figures::{paper_lsh_params, SetShardedSampler};
+use fairnn_bench::figures::{paper_lsh_params, SetShardedIndex, SetShardedSampler};
 use fairnn_bench::{json_fixed, CommonArgs, SetWorkload, WorkloadKind};
 use fairnn_core::{FairNnis, FairNns, FairSampler, NaiveFairLsh, SimilarityAtLeast};
-use fairnn_engine::{
-    EngineConfig, EngineWriter, QueryEngine, QueryRequest, ShardedIndexConfig, WriteBatch,
-};
+use fairnn_engine::{EngineWriter, QueryRequest, ShardedIndexConfig, WriteBatch};
 use fairnn_lsh::{LshHasher, LshIndex, OneBitMinHash, QueryScratch};
 use fairnn_space::{Jaccard, SparseSet};
 use fairnn_stats::{table::fmt_f64, TextTable};
@@ -83,7 +79,7 @@ fn main() {
         .unwrap_or(1);
     if cores < args.threads {
         println!(
-            "note: only {cores} hardware thread(s) available; speedup at {} threads will be bounded by the hardware\n",
+            "note: only {cores} hardware thread(s) available; the {}-reader churn row will be bounded by the hardware\n",
             args.threads
         );
     }
@@ -167,123 +163,51 @@ fn main() {
     }
     println!("{table}");
 
-    // 2. Engine pipeline scaling, cache disabled, determinism check.
-    let engine_config = |threads: usize| {
-        EngineConfig::default()
-            .with_threads(threads)
-            .with_shards(args.shards)
-            .with_seed(args.seed)
-            .with_cache_capacity(0)
-    };
-    let mut serial = QueryEngine::build(&OneBitMinHash, params, dataset, near, engine_config(1));
-    let mut threaded = QueryEngine::build(
+    // 2. The batch executor every route serves through, plus a determinism
+    //    check: `--threads` threads answering the same request concurrently
+    //    must reproduce the serial answers bit for bit.
+    let index = SetShardedIndex::build(
         &OneBitMinHash,
         params,
         dataset,
         near,
-        engine_config(args.threads),
+        ShardedIndexConfig::with_shards(args.shards).seeded(args.seed),
     );
-
-    // Warm both engines (allocator, page faults, pool spin-up) off the clock.
-    let warmup: Vec<SparseSet> = batch.iter().take(64).cloned().collect();
-    let _ = serial.run_batch(&warmup);
-    let _ = threaded.run_batch(&warmup);
+    let request = QueryRequest::new(batch.clone());
+    // Warm the index (allocator, page faults) off the clock.
+    let warmup = QueryRequest::new(batch.iter().take(64).cloned().collect());
+    let _ = index.run_batch(&warmup);
 
     let start = Instant::now();
-    let serial_answers = serial.run_batch(&batch);
-    let serial_secs = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let threaded_answers = threaded.run_batch(&batch);
-    let threaded_secs = start.elapsed().as_secs_f64();
-    let serial_qps = batch.len() as f64 / serial_secs;
-    let threaded_qps = batch.len() as f64 / threaded_secs;
-
-    // On a runner with fewer cores than requested threads the multi-thread
-    // row measures the same serial execution plus scheduling noise; mark it
-    // so downstream tooling (the CI bench gate) knows to skip it.
-    let hardware_limited = cores < args.threads;
-    let mut table = TextTable::new(
-        "engine pipeline (cache disabled)",
-        &["threads", "queries/sec", "speedup", "note"],
-    );
-    table.add_row(vec![
-        "1".to_string(),
-        fmt_f64(serial_qps, 0),
-        "1.0".to_string(),
-        String::new(),
-    ]);
-    table.add_row(vec![
-        args.threads.to_string(),
-        fmt_f64(threaded_qps, 0),
-        fmt_f64(threaded_qps / serial_qps, 2),
-        if hardware_limited {
-            format!("hardware-limited ({cores} core(s))")
-        } else {
-            String::new()
-        },
-    ]);
-    println!("{table}");
-    assert_eq!(
-        serial_answers, threaded_answers,
-        "determinism violated: identical seeds must yield identical answers across thread counts"
-    );
+    let serial_answers = index.run_batch(&request);
+    let serial_qps = batch.len() as f64 / start.elapsed().as_secs_f64();
     println!(
-        "determinism check: {} answers identical across thread counts (seed {})\n",
+        "engine pipeline (one batch executor): {} queries/sec",
+        fmt_f64(serial_qps, 0)
+    );
+    fairnn_parallel::set_build_threads(args.threads);
+    let replays = fairnn_parallel::map_indexed(args.threads, |_| index.run_batch(&request));
+    fairnn_parallel::set_build_threads(0);
+    for replay in replays {
+        assert_eq!(
+            replay, serial_answers,
+            "determinism violated: identical requests must yield identical answers on every thread"
+        );
+    }
+    println!(
+        "determinism check: {} answers identical across {} concurrent thread(s) (seed {})\n",
         serial_answers.len(),
+        args.threads,
         args.seed
     );
 
-    // 3. The rank-swap fast path on a repeated-query workload.
-    let mut cached = QueryEngine::build(
-        &OneBitMinHash,
-        params,
-        dataset,
-        near,
-        EngineConfig::default()
-            .with_threads(args.threads)
-            .with_shards(args.shards)
-            .with_seed(args.seed),
-    );
-    let hot: Vec<SparseSet> = (0..batch_size)
-        .map(|i| dataset.points()[i % 4].clone())
-        .collect();
-    let _ = cached.run_batch(&hot); // warm the cache
-    let start = Instant::now();
-    let answers = cached.run_batch(&hot);
-    let hot_secs = start.elapsed().as_secs_f64();
-    let (hits, misses) = cached.cache_stats();
-    let rank_swap_qps = hot.len() as f64 / hot_secs;
-    println!(
-        "rank-swap fast path: {} queries/sec on a 4-hot-query batch ({} cache hits, {} misses, {} via cache)",
-        fmt_f64(rank_swap_qps, 0),
-        hits,
-        misses,
-        answers.iter().filter(|a| a.via_cache).count()
-    );
-
-    // 4. Observability overhead: two fresh cache-disabled engines driven
-    //    through identical call sequences, one with fairnn-obs fully off,
-    //    one with metrics + span tracing fully on. Identical seeds and call
-    //    order mean the answers must match bit for bit; best-of-rounds
-    //    throughput feeds the CI gate's 3 % overhead budget.
-    let mut plain_engine = QueryEngine::build(
-        &OneBitMinHash,
-        params,
-        dataset,
-        near,
-        engine_config(args.threads),
-    );
-    let mut instr_engine = QueryEngine::build(
-        &OneBitMinHash,
-        params,
-        dataset,
-        near,
-        engine_config(args.threads),
-    );
-    let _ = plain_engine.run_batch(&warmup);
+    // 3. Observability overhead: the same request answered with fairnn-obs
+    //    fully off and with metrics + span tracing fully on. The executor
+    //    keeps no state between batches, so the answers must match bit for
+    //    bit; best-of-rounds throughput feeds the CI gate's 3 % budget.
     fairnn_obs::set_enabled(true);
     fairnn_obs::set_tracing_enabled(true);
-    let _ = instr_engine.run_batch(&warmup);
+    let _ = index.run_batch(&warmup);
     fairnn_obs::set_enabled(false);
     fairnn_obs::set_tracing_enabled(false);
 
@@ -293,13 +217,13 @@ fn main() {
     let mut obs_measured_s = 0.0f64;
     for _ in 0..OBS_ROUNDS {
         let start = Instant::now();
-        let plain_answers = plain_engine.run_batch(&batch);
+        let plain_answers = index.run_batch(&request);
         let plain_secs = start.elapsed().as_secs_f64();
 
         fairnn_obs::set_enabled(true);
         fairnn_obs::set_tracing_enabled(true);
         let start = Instant::now();
-        let instr_answers = instr_engine.run_batch(&batch);
+        let instr_answers = index.run_batch(&request);
         let instr_secs = start.elapsed().as_secs_f64();
         fairnn_obs::set_enabled(false);
         fairnn_obs::set_tracing_enabled(false);
@@ -315,14 +239,14 @@ fn main() {
     }
     let obs_overhead_pct = (1.0 - instr_best_qps / plain_best_qps) * 100.0;
     println!(
-        "\nobservability overhead (metrics + tracing on): uninstrumented {} q/s, \
+        "observability overhead (metrics + tracing on): uninstrumented {} q/s, \
          instrumented {} q/s, overhead {}% (answers bit-identical over {OBS_ROUNDS} rounds)",
         fmt_f64(plain_best_qps, 0),
         fmt_f64(instr_best_qps, 0),
         fmt_f64(obs_overhead_pct, 2),
     );
 
-    // 5. Concurrent churn: reader threads pin epochs and run batches while
+    // 4. Concurrent churn: reader threads pin epochs and run batches while
     //    the main thread commits write batches (WAL append + fsync +
     //    generation publish). The readers never block on the writer — each
     //    iteration pins whatever generation is current — so this measures
@@ -436,7 +360,7 @@ fn main() {
             })
             .collect();
         let json = format!(
-            "{{\n  \"bench\": \"engine_throughput\",\n  \"scale\": {},\n  \"batch\": {},\n  \"seed\": {},\n  \"shards\": {},\n  \"threads\": {},\n  \"available_parallelism\": {cores},\n  \"dataset_points\": {},\n  \"k\": {},\n  \"l\": {},\n  \"hash_ns_per_point\": {{\"batched\": {}, \"per_row\": {}}},\n  \"baselines_qps\": [\n{}\n  ],\n  \"pipeline_qps\": [\n    {{\"threads\": 1, \"qps\": {}, \"hardware_limited\": false}},\n    {{\"threads\": {}, \"qps\": {}, \"hardware_limited\": {}}}\n  ],\n  \"rank_swap_qps\": {},\n  \"churn\": {{\"reader_threads\": {}, \"commits\": {}, \"qps\": {}, \"publish_ms\": {}, \"hardware_limited\": {}}},\n  \"obs_overhead\": {{\"uninstrumented_qps\": {}, \"instrumented_qps\": {}, \"overhead_pct\": {}, \"measured_s\": {}}}\n}}\n",
+            "{{\n  \"bench\": \"engine_throughput\",\n  \"scale\": {},\n  \"batch\": {},\n  \"seed\": {},\n  \"shards\": {},\n  \"threads\": {},\n  \"available_parallelism\": {cores},\n  \"dataset_points\": {},\n  \"k\": {},\n  \"l\": {},\n  \"hash_ns_per_point\": {{\"batched\": {}, \"per_row\": {}}},\n  \"baselines_qps\": [\n{}\n  ],\n  \"pipeline_qps\": [\n    {{\"threads\": 1, \"qps\": {}, \"hardware_limited\": false}}\n  ],\n  \"churn\": {{\"reader_threads\": {}, \"commits\": {}, \"qps\": {}, \"publish_ms\": {}, \"hardware_limited\": {}}},\n  \"obs_overhead\": {{\"uninstrumented_qps\": {}, \"instrumented_qps\": {}, \"overhead_pct\": {}, \"measured_s\": {}}}\n}}\n",
             args.scale,
             batch_size,
             args.seed,
@@ -449,10 +373,6 @@ fn main() {
             json_fixed(hash_per_row_ns, 1),
             baselines_json.join(",\n"),
             json_fixed(serial_qps, 1),
-            args.threads,
-            json_fixed(threaded_qps, 1),
-            hardware_limited,
-            json_fixed(rank_swap_qps, 1),
             reader_threads,
             commits,
             json_fixed(churn_qps, 1),

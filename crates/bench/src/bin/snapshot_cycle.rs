@@ -2,7 +2,8 @@
 //!
 //! For each of several dataset scales, this binary builds the two heaviest
 //! structures of the workspace — the Section 4 [`FairNnis`] sampler and the
-//! full serving [`QueryEngine`] — then measures the snapshot cycle:
+//! engine [`Checkpoint`] a restarting server loads — then measures the
+//! snapshot cycle:
 //!
 //! 1. **build** — wall time to construct the structure from raw points;
 //! 2. **save** — wall time to write the versioned snapshot, plus its size;
@@ -24,9 +25,9 @@
 use fairnn_bench::figures::paper_lsh_params;
 use fairnn_bench::{json_fixed, CommonArgs, SetWorkload, WorkloadKind};
 use fairnn_core::{FairNnis, NeighborSampler, SimilarityAtLeast};
-use fairnn_engine::{EngineConfig, QueryEngine};
+use fairnn_engine::{Checkpoint, QueryRequest, ShardedIndex, ShardedIndexConfig};
 use fairnn_lsh::{ConcatenatedHasher, OneBitMinHash, OneBitMinHasher};
-use fairnn_snapshot::CountingAlloc;
+use fairnn_snapshot::{CountingAlloc, SnapshotKind};
 use fairnn_space::{Jaccard, SparseSet};
 use fairnn_stats::{table::fmt_f64, TextTable};
 use rand::rngs::StdRng;
@@ -42,8 +43,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const R: f64 = 0.2;
 
 type SetNnis = FairNnis<SparseSet, ConcatenatedHasher<OneBitMinHasher>, SimilarityAtLeast<Jaccard>>;
-type SetEngine =
-    QueryEngine<SparseSet, ConcatenatedHasher<OneBitMinHasher>, SimilarityAtLeast<Jaccard>>;
+type SetCheckpoint =
+    Checkpoint<SparseSet, ConcatenatedHasher<OneBitMinHasher>, SimilarityAtLeast<Jaccard>>;
 
 /// One measured build → save → load → verify cycle.
 struct Cycle {
@@ -125,47 +126,47 @@ fn cycle_fair_nnis(workload: &SetWorkload, scale: f64, seed: u64) -> Cycle {
     }
 }
 
-/// One cycle for the serving engine: the verification runs the same batch
-/// through the original and the restored engine and requires identical
-/// answers (the engine's own determinism contract, now across a snapshot).
-fn cycle_engine(workload: &SetWorkload, scale: f64, args: &CommonArgs) -> Cycle {
+/// One cycle for the engine checkpoint — the image `EngineWriter::open`
+/// loads on restart: the verification runs the same batches through the
+/// built and the restored index and requires identical answers (the
+/// executor's determinism contract, now across a snapshot).
+fn cycle_checkpoint(workload: &SetWorkload, scale: f64, args: &CommonArgs) -> Cycle {
     let dataset = &workload.dataset;
     let params = paper_lsh_params(dataset.len(), R);
     let near = SimilarityAtLeast::new(Jaccard, R);
-    let config = EngineConfig::default()
-        .with_threads(args.threads)
-        .with_shards(args.shards)
-        .with_seed(args.seed);
-    let (mut engine, build_s) = timed(|| -> SetEngine {
-        QueryEngine::build(&OneBitMinHash, params, dataset, near, config)
+    let config = ShardedIndexConfig::with_shards(args.shards).seeded(args.seed);
+    let (index, build_s) =
+        timed(|| ShardedIndex::build(&OneBitMinHash, params, dataset, near, config));
+    let checkpoint = Checkpoint { seq: 0, index };
+
+    let path = snapshot_path("checkpoint", scale);
+    let ((), save_s) = timed(|| {
+        fairnn_snapshot::save(SnapshotKind::Checkpoint, &checkpoint, &path)
+            .expect("save checkpoint snapshot")
     });
-
-    // Warm the cache so the snapshot covers serving state, not just the
-    // freshly built index.
-    let batch: Vec<SparseSet> = (0..256)
-        .map(|i| dataset.points()[i % dataset.len()].clone())
-        .collect();
-    let _ = engine.run_batch(&batch);
-
-    let path = snapshot_path("query-engine", scale);
-    let ((), save_s) = timed(|| engine.save(&path).expect("save engine snapshot"));
     let snapshot_bytes = std::fs::metadata(&path).expect("stat snapshot").len();
     CountingAlloc::reset();
-    let (mut loaded, load_s) = timed(|| SetEngine::load(&path).expect("load engine snapshot"));
+    let (loaded, load_s) = timed(|| -> SetCheckpoint {
+        fairnn_snapshot::load(SnapshotKind::Checkpoint, &path).expect("load checkpoint snapshot")
+    });
     let load_large_allocs = CountingAlloc::large_allocs();
     let _ = std::fs::remove_file(&path);
 
-    for _ in 0..2 {
+    let batch: Vec<SparseSet> = (0..256)
+        .map(|i| dataset.points()[i % dataset.len()].clone())
+        .collect();
+    for b in 0..2u64 {
+        let request = QueryRequest::new(batch.clone()).with_batch(b);
         assert_eq!(
-            engine.run_batch(&batch),
-            loaded.run_batch(&batch),
-            "restored engine diverged from the saved engine"
+            checkpoint.index.run_batch(&request),
+            loaded.index.run_batch(&request),
+            "restored checkpoint diverged from the saved index"
         );
     }
 
     Cycle {
         scale,
-        structure: "query-engine",
+        structure: "checkpoint",
         dataset_points: dataset.len(),
         build_s,
         save_s,
@@ -206,7 +207,7 @@ fn main() {
             workload.dataset.len()
         );
         cycles.push(cycle_fair_nnis(&workload, scale, args.seed));
-        cycles.push(cycle_engine(&workload, scale, &args));
+        cycles.push(cycle_checkpoint(&workload, scale, &args));
     }
 
     let mut table = TextTable::new(

@@ -82,7 +82,6 @@ impl fairnn_snapshot::Codec for Answer {
         enc.write_u64(self.stats.distance_computations as u64);
         enc.write_u64(self.stats.buckets_inspected as u64);
         enc.write_u64(self.stats.rounds as u64);
-        enc.write_u8(self.via_cache as u8);
     }
 
     fn decode(
@@ -103,20 +102,7 @@ impl fairnn_snapshot::Codec for Answer {
             buckets_inspected: counter()?,
             rounds: counter()?,
         };
-        let via_cache = match dec.read_u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(fairnn_snapshot::SnapshotError::Corrupt(format!(
-                    "via_cache flag must be 0 or 1, found {other}"
-                )))
-            }
-        };
-        Ok(Self {
-            id,
-            stats,
-            via_cache,
-        })
+        Ok(Self { id, stats })
     }
 }
 
@@ -426,12 +412,10 @@ mod tests {
                         buckets_inspected: 2,
                         rounds: 1,
                     },
-                    via_cache: false,
                 },
                 Answer {
                     id: None,
                     stats: fairnn_core::QueryStats::default(),
-                    via_cache: true,
                 },
             ],
             generation: 7,
@@ -450,24 +434,6 @@ mod tests {
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
         assert_eq!(QueryRequest::<u64>::decode(&mut dec).unwrap(), request);
-    }
-
-    #[test]
-    fn bad_via_cache_flag_is_corrupt() {
-        let answer = Answer {
-            id: None,
-            stats: fairnn_core::QueryStats::default(),
-            via_cache: false,
-        };
-        let mut enc = Encoder::new();
-        answer.encode(&mut enc);
-        let mut bytes = enc.into_bytes();
-        *bytes.last_mut().unwrap() = 7; // corrupt the trailing bool tag
-        let mut dec = Decoder::new(&bytes);
-        assert!(matches!(
-            Answer::decode(&mut dec),
-            Err(SnapshotError::Corrupt(msg)) if msg.contains("via_cache")
-        ));
     }
 
     #[test]

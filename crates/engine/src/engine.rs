@@ -1,111 +1,34 @@
-//! The batched, concurrent query engine.
+//! The batch executor: the one way a batch of queries is answered.
 //!
-//! [`QueryEngine`] wraps a [`ShardedIndex`] behind a fixed worker pool and a
-//! rank-swap [`ResultCache`]. A batch submitted through
-//! [`QueryEngine::run_batch`] is answered as follows:
-//!
-//! 1. queries are grouped by identity (exact match) in batch order;
-//! 2. each group is one unit of work: the first occurrence runs the full
-//!    two-level pipeline, further occurrences are served from the group's
-//!    neighborhood by the Theorem 5 rank-swap step (see [`crate::cache`]);
-//! 3. groups are dispatched to the pool; each answer draws from its own RNG
-//!    stream split off the root seed by `(batch, position)`, so the result
-//!    of a batch is a pure function of the seed, the index contents and the
-//!    batch — **identical across thread counts and scheduling orders**;
-//! 4. freshly computed neighborhoods are committed to the cache after the
-//!    batch, in group order, keeping the cache state (and therefore future
-//!    hit/miss patterns and evictions) deterministic too.
-//!
-//! The engine serves a fixed index state. Live updates go through the
-//! generational reader/writer API instead ([`crate::EngineWriter`] /
-//! [`crate::EngineReader`]): a writer stages mutations, write-ahead-logs
-//! them and atomically publishes a fresh frozen generation, while readers
-//! pin an epoch and keep serving the previous one.
+//! [`ShardedIndex::run_batch_within`] walks a [`QueryRequest`] position by
+//! position. Each position draws from its own RNG stream split off the root
+//! seed by `(request.batch, position)`, so a response is a pure function of
+//! the index contents, the root seed and the request — independent of
+//! which thread runs it, of what ran before it, and of how many positions
+//! precede it. Every route serves through this loop: [`crate::EpochPin`]
+//! (and so the network server) only adds the generation stamp, and tests
+//! and benches holding a bare index call it directly.
 
-use crate::cache::{CacheEntry, ResultCache};
+use crate::api_types::{DeadlineBudget, EngineError, QueryRequest};
 use crate::seed::{split_seed, stream_rng};
-use crate::sharded::{ShardedIndex, ShardedIndexConfig};
+use crate::sharded::ShardedIndex;
 use fairnn_core::predicate::Nearness;
-use fairnn_core::{NeighborSampler, QueryStats};
-use fairnn_lsh::{ConcatenatedHasher, LshFamily, LshHasher, LshParams};
-use fairnn_obs::{LazyCounter, LazyGauge, LazyHistogram, Timer};
-use fairnn_parallel::ThreadPool;
-use fairnn_space::{Dataset, PointId};
-use rand::Rng;
-use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use fairnn_core::QueryStats;
+use fairnn_lsh::LshHasher;
+use fairnn_obs::{LazyCounter, LazyHistogram, Timer};
+use fairnn_space::PointId;
 
-/// Wall time of one [`QueryEngine::run_batch`] call, grouping, dispatch and
-/// cache commit included.
+/// Wall time of one batch, deadline-rejected batches included.
 static BATCH_NS: LazyHistogram = LazyHistogram::new(
     "engine_batch_ns",
     "wall time of one run_batch call in nanoseconds",
 );
 
-/// Queries served across all batches (batch sizes are `count` of the batch
-/// histogram away).
+/// Queries answered across all completed batches.
 static QUERIES_TOTAL: LazyCounter = LazyCounter::new(
     "engine_queries_total",
     "queries answered by run_batch across all batches",
 );
-
-/// Group chunks dispatched to the pool and not yet completed: the engine's
-/// view of its per-batch backlog (the pool's own queue depth is
-/// `parallel_pool_queue_depth`).
-static INFLIGHT_CHUNKS: LazyGauge = LazyGauge::new(
-    "engine_inflight_chunks",
-    "group chunks dispatched to the serving pool and not yet completed",
-);
-
-/// Configuration of a [`QueryEngine`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineConfig {
-    /// Worker threads of the fixed pool (1 = run batches inline).
-    pub threads: usize,
-    /// Result-cache capacity in distinct queries (0 disables the cache and
-    /// with it the duplicate grouping of step 2).
-    pub cache_capacity: usize,
-    /// The sharded-index configuration (shard count, root seed, κ, …).
-    pub index: ShardedIndexConfig,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            threads: 1,
-            cache_capacity: 1024,
-            index: ShardedIndexConfig::default(),
-        }
-    }
-}
-
-impl EngineConfig {
-    /// Sets the worker count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "need at least one thread");
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.index.shards = shards;
-        self
-    }
-
-    /// Sets the root seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.index.seed = seed;
-        self
-    }
-
-    /// Sets the result-cache capacity (0 disables).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-}
 
 /// One answered query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,535 +36,72 @@ pub struct Answer {
     /// The sampled neighbor, or `None` (the paper's `⊥`) for an empty
     /// neighborhood.
     pub id: Option<PointId>,
-    /// Pipeline work performed for this answer (zero for answers served by
-    /// the rank-swap fast path, whose cost is one swap).
+    /// Pipeline work performed for this answer.
     pub stats: QueryStats,
-    /// Whether the answer came from the rank-swap fast path rather than the
-    /// full two-level pipeline.
-    pub via_cache: bool,
 }
 
 /// RNG stream tag for batches (domain-separated from the index streams).
-/// Shared with the generational reader ([`crate::EpochPin::run_batch`]),
-/// which derives batch seeds by exactly the same scheme.
 pub(crate) const STREAM_BATCH_BASE: u64 = 3 << 32;
 
-/// One unit of work: a distinct query and the batch positions asking it.
-struct Group<P> {
-    query: P,
-    positions: Vec<usize>,
-}
-
-/// Result of answering one group: per-position answers plus the cache commit
-/// the coordinating thread applies after the batch.
-type GroupResult<P> = (Vec<(usize, Answer)>, Option<(P, CacheEntry)>);
-
-/// The serving engine: sharded index + worker pool + result cache.
-pub struct QueryEngine<P, H, N> {
-    index: Arc<RwLock<ShardedIndex<P, H, N>>>,
-    cache: Arc<Mutex<ResultCache<P>>>,
-    pool: Option<ThreadPool>,
-    config: EngineConfig,
-    batches: u64,
-    last_stats: QueryStats,
-}
-
-impl<P: Clone + Send + Sync, BH, N> QueryEngine<P, ConcatenatedHasher<BH>, N>
+impl<P, H, N> ShardedIndex<P, H, N>
 where
-    BH: LshHasher<P> + Send + Sync,
-    P: Hash + Eq,
+    H: LshHasher<P>,
     N: Nearness<P>,
 {
-    /// Builds the index and the worker pool: the shards build concurrently
-    /// on the build workers (see [`ShardedIndex::build`]), with output
-    /// bit-identical at any thread count. Deterministic given
-    /// `config.index.seed`.
-    pub fn build<F>(
-        family: &F,
-        params: LshParams,
-        dataset: &Dataset<P>,
-        near: N,
-        config: EngineConfig,
-    ) -> Self
-    where
-        F: LshFamily<P, Hasher = BH> + Sync,
-        N: Clone + Send + Sync,
-    {
-        Self::from_index(
-            ShardedIndex::build(family, params, dataset, near, config.index),
-            config,
-        )
-    }
-}
-
-impl<P, H, N> QueryEngine<P, H, N>
-where
-    P: Hash + Eq + Clone,
-{
-    /// Wraps an existing index.
-    pub fn from_index(index: ShardedIndex<P, H, N>, config: EngineConfig) -> Self {
-        assert!(config.threads >= 1, "need at least one thread");
-        let pool = (config.threads > 1).then(|| ThreadPool::new(config.threads));
-        Self {
-            index: Arc::new(RwLock::new(index)),
-            cache: Arc::new(Mutex::new(ResultCache::new(config.cache_capacity))),
-            pool,
-            config,
-            batches: 0,
-            last_stats: QueryStats::default(),
+    /// Answers a batch with no deadline (see
+    /// [`ShardedIndex::run_batch_within`]); `answers[i]` corresponds to
+    /// `request.queries[i]`.
+    pub fn run_batch(&self, request: &QueryRequest<P>) -> Vec<Answer> {
+        match self.run_batch_within(request, &DeadlineBudget::unlimited()) {
+            Ok(answers) => answers,
+            // Unreachable: an unlimited budget never expires, and the
+            // budget check is the only failure path.
+            Err(err) => unreachable!("unlimited budget failed: {err}"),
         }
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> EngineConfig {
-        self.config
-    }
-
-    /// Number of live points.
-    pub fn len(&self) -> usize {
-        self.index.read().expect("index lock poisoned").len()
-    }
-
-    /// Whether no live point remains.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.index.read().expect("index lock poisoned").num_shards()
-    }
-
-    /// `(hits, misses)` of the result cache in its current generation.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.lock().expect("cache lock poisoned").stats()
-    }
-}
-
-impl<P, H, N> QueryEngine<P, H, N>
-where
-    P: Hash + Eq + Clone,
-    H: LshHasher<P>,
-{
-    /// Global mergeable-sketch estimate of the colliding-point count.
-    pub fn estimate_colliding(&self, query: &P) -> f64 {
-        self.index
-            .read()
-            .expect("index lock poisoned")
-            .estimate_colliding(query)
-    }
-}
-
-impl fairnn_snapshot::Codec for EngineConfig {
-    fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
-        enc.write_u64(self.threads as u64);
-        enc.write_u64(self.cache_capacity as u64);
-        self.index.encode(enc);
-    }
-
-    fn decode(
-        dec: &mut fairnn_snapshot::Decoder<'_>,
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        let threads = usize::decode(dec)?;
-        let cache_capacity = usize::decode(dec)?;
-        let index = crate::sharded::ShardedIndexConfig::decode(dec)?;
-        // Loading respawns the worker pool from this field, so it must be
-        // range-checked like every other decoded parameter: a corrupt value
-        // would otherwise spawn OS threads until `thread::spawn` panics.
-        // 1024 is far above any sane pool (the pool is compute-bound) and
-        // far below any spawn limit.
-        const MAX_THREADS: usize = 1024;
-        if !(1..=MAX_THREADS).contains(&threads) {
-            return Err(fairnn_snapshot::SnapshotError::Corrupt(format!(
-                "engine thread count must be in 1..={MAX_THREADS}, found {threads}"
-            )));
-        }
-        Ok(Self {
-            threads,
-            cache_capacity,
-            index,
-        })
-    }
-}
-
-impl<P, H, N> fairnn_snapshot::Codec for QueryEngine<P, H, N>
-where
-    P: Hash + Eq + Clone + fairnn_snapshot::Codec + Send + Sync,
-    H: fairnn_lsh::HasherBankCodec + Send + Sync,
-    N: fairnn_snapshot::Codec + Send + Sync + Nearness<P>,
-{
-    /// Persists the engine's complete serving state: configuration (thread
-    /// count, cache capacity, index topology and root seed), the batch
-    /// counter that seeds per-batch RNG streams, the sharded index, and the
-    /// rank-swap result cache with its entries' current permutations — so a
-    /// restored engine's next `run_batch` is bit-for-bit the batch the saved
-    /// engine would have answered. The worker pool is transient and is
-    /// respawned from the configuration on load.
-    fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
-        self.config.encode(enc);
-        enc.write_u64(self.batches);
-        self.index.read().expect("index lock poisoned").encode(enc);
-        self.cache.lock().expect("cache lock poisoned").encode(enc);
-    }
-
-    fn decode(
-        dec: &mut fairnn_snapshot::Decoder<'_>,
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        let config = EngineConfig::decode(dec)?;
-        let batches = dec.read_u64()?;
-        let index = ShardedIndex::<P, H, N>::decode(dec)?;
-        let cache = ResultCache::<P>::decode(dec)?;
-        Self::assemble(config, batches, index, cache)
-    }
-
-    /// Sectioned container image: a head section (configuration, batch
-    /// counter, result cache) followed by the index's own sections — one
-    /// per shard — so engine snapshots encode and decode shard-parallel
-    /// exactly like bare [`ShardedIndex`] snapshots.
-    fn encode_sections(&self) -> Vec<Vec<u8>> {
-        let mut head = fairnn_snapshot::Encoder::new();
-        self.config.encode(&mut head);
-        head.write_u64(self.batches);
-        self.cache
-            .lock()
-            .expect("cache lock poisoned")
-            .encode(&mut head);
-        let mut sections = vec![head.into_bytes()];
-        sections.extend(
-            self.index
-                .read()
-                .expect("index lock poisoned")
-                .encode_sections(),
-        );
-        sections
-    }
-
-    fn decode_sections(
-        sections: &[fairnn_snapshot::Section<'_>],
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        use fairnn_snapshot::SnapshotError;
-        let Some((head, index_sections)) = sections.split_first() else {
-            return Err(SnapshotError::Corrupt(
-                "engine snapshot has no head section".into(),
-            ));
-        };
-        let mut dec = head.decoder();
-        let config = EngineConfig::decode(&mut dec)?;
-        let batches = dec.read_u64()?;
-        let cache = ResultCache::<P>::decode(&mut dec)?;
-        dec.finish()?;
-        let index = ShardedIndex::<P, H, N>::decode_sections(index_sections)?;
-        // All cross-field invariants live in the shared `assemble` tail.
-        Self::assemble(config, batches, index, cache)
-    }
-}
-
-impl<P, H, N> QueryEngine<P, H, N>
-where
-    P: Hash + Eq + Clone,
-{
-    /// Shared tail of the inline and sectioned decoders: every cross-field
-    /// invariant of the wire format lives here, exactly once, so the two
-    /// container forms cannot drift apart in what they accept. Respawns the
-    /// transient worker pool from the configuration.
-    fn assemble(
-        config: EngineConfig,
-        batches: u64,
-        index: ShardedIndex<P, H, N>,
-        cache: ResultCache<P>,
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        if cache.capacity() != config.cache_capacity {
-            return Err(fairnn_snapshot::SnapshotError::Corrupt(format!(
-                "cache snapshot has capacity {}, engine config says {}",
-                cache.capacity(),
-                config.cache_capacity
-            )));
-        }
-        let pool = (config.threads > 1).then(|| ThreadPool::new(config.threads));
-        Ok(Self {
-            index: Arc::new(RwLock::new(index)),
-            cache: Arc::new(Mutex::new(cache)),
-            pool,
-            config,
-            batches,
-            last_stats: QueryStats::default(),
-        })
-    }
-}
-
-impl<P, H, N> QueryEngine<P, H, N>
-where
-    P: Hash + Eq + Clone + fairnn_snapshot::Codec + Send + Sync,
-    H: fairnn_lsh::HasherBankCodec + Send + Sync,
-    N: fairnn_snapshot::Codec + Send + Sync + Nearness<P>,
-{
-    /// Writes the engine as a versioned, checksummed snapshot file — the
-    /// build-once/serve-many handoff: one process builds and saves, any
-    /// number of serving processes `load` and start answering batches with
-    /// zero rebuild work.
-    pub fn save<Q: AsRef<std::path::Path>>(
+    /// Answers a batch, checking the deadline budget between queries and
+    /// failing fast with [`EngineError::DeadlineExceeded`] once it expires.
+    ///
+    /// The check sits *between* positions, so an accepted response is
+    /// always complete and bit-identical to the unbudgeted run. A rejected
+    /// batch returns no partial answers — the deterministic serving
+    /// contract is all-or-nothing.
+    pub fn run_batch_within(
         &self,
-        path: Q,
-    ) -> Result<(), fairnn_snapshot::SnapshotError> {
-        fairnn_snapshot::save(fairnn_snapshot::SnapshotKind::QueryEngine, self, path)
-    }
-
-    /// Restores an engine written by [`QueryEngine::save`]; batches answered
-    /// by the restored engine are bit-for-bit identical to what the saved
-    /// engine would have produced.
-    pub fn load<Q: AsRef<std::path::Path>>(
-        path: Q,
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        fairnn_snapshot::load(fairnn_snapshot::SnapshotKind::QueryEngine, path)
-    }
-}
-
-/// Answers one group: cache hit → rank-swap draws; miss → pipeline for the
-/// first position, rank-swap over the freshly collected neighborhood for the
-/// rest. Returns the per-position answers plus the cache commit (applied by
-/// the caller after the batch, in group order, for determinism).
-fn process_group<P, H, N>(
-    index: &ShardedIndex<P, H, N>,
-    cache: &Mutex<ResultCache<P>>,
-    cache_enabled: bool,
-    group: &Group<P>,
-    batch_seed: u64,
-) -> GroupResult<P>
-where
-    P: Hash + Eq + Clone,
-    H: LshHasher<P>,
-    N: Nearness<P>,
-{
-    let mut answers = Vec::with_capacity(group.positions.len());
-    if cache_enabled {
-        // Take the entry out under a short lock and draw outside it, so
-        // concurrent groups hitting *different* cached queries do not
-        // serialize on the one cache mutex. Groups are unique per query
-        // within a batch, so no other worker can take the same entry, and
-        // eviction only runs in the post-batch commit.
-        let taken = cache
-            .lock()
-            .expect("cache lock poisoned")
-            .take(&group.query);
-        if let Some(mut entry) = taken {
-            for &pos in &group.positions {
-                let mut rng = stream_rng(batch_seed, pos as u64);
-                let id = entry.sample(&mut rng);
-                answers.push((
-                    pos,
-                    Answer {
-                        id,
-                        stats: QueryStats::default(),
-                        via_cache: true,
-                    },
-                ));
-            }
-            cache
-                .lock()
-                .expect("cache lock poisoned")
-                .restore(group.query.clone(), entry);
-            return (answers, None);
-        }
-    }
-
-    let lead = group.positions[0];
-    let mut rng = stream_rng(batch_seed, lead as u64);
-    let (id, stats) = index.sample(&group.query, &mut rng);
-    answers.push((
-        lead,
-        Answer {
-            id,
-            stats,
-            via_cache: false,
-        },
-    ));
-    if !cache_enabled {
-        debug_assert_eq!(group.positions.len(), 1, "grouping requires the cache");
-        return (answers, None);
-    }
-
-    // Collect the neighborhood once; duplicates in this batch and repeats in
-    // future batches ride the rank-swap fast path.
-    let members = index.neighborhood(&group.query);
-    let mut entry = CacheEntry::new(members, &mut rng);
-    for &pos in &group.positions[1..] {
-        let mut rng = stream_rng(batch_seed, pos as u64);
-        let id = entry.sample(&mut rng);
-        answers.push((
-            pos,
-            Answer {
-                id,
-                stats: QueryStats::default(),
-                via_cache: true,
-            },
-        ));
-    }
-    (answers, Some((group.query.clone(), entry)))
-}
-
-impl<P, H, N> QueryEngine<P, H, N>
-where
-    P: Hash + Eq + Clone + Send + Sync + 'static,
-    H: LshHasher<P> + Send + Sync + 'static,
-    N: Nearness<P> + Send + Sync + 'static,
-{
-    /// Answers a batch of queries. `answers[i]` corresponds to
-    /// `queries[i]`; for a fixed engine seed and index state the result is
-    /// identical for every thread count.
-    pub fn run_batch(&mut self, queries: &[P]) -> Vec<Answer> {
+        request: &QueryRequest<P>,
+        budget: &DeadlineBudget,
+    ) -> Result<Vec<Answer>, EngineError> {
         let _timer = Timer::start(&BATCH_NS);
-        QUERIES_TOTAL.add(queries.len() as u64);
         let batch_seed = split_seed(
-            self.config.index.seed,
-            STREAM_BATCH_BASE.wrapping_add(self.batches),
+            self.config().seed,
+            STREAM_BATCH_BASE.wrapping_add(request.batch),
         );
-        self.batches += 1;
-
-        let cache_enabled = self.cache.lock().expect("cache lock poisoned").enabled();
-        let groups = Self::group_queries(queries, cache_enabled);
-
-        let mut answers: Vec<Option<Answer>> = vec![None; queries.len()];
-        let mut commits: Vec<Option<(P, CacheEntry)>> = Vec::new();
-        match &self.pool {
-            None => {
-                let index = self.index.read().expect("index lock poisoned");
-                for group in &groups {
-                    let (group_answers, commit) =
-                        process_group(&index, &self.cache, cache_enabled, group, batch_seed);
-                    for (pos, answer) in group_answers {
-                        answers[pos] = Some(answer);
-                    }
-                    commits.push(commit);
-                }
+        let total = request.queries.len();
+        let mut answers = Vec::with_capacity(total);
+        for (pos, query) in request.queries.iter().enumerate() {
+            if budget.expired() {
+                return Err(EngineError::DeadlineExceeded {
+                    completed: pos,
+                    total,
+                });
             }
-            Some(pool) => {
-                // One work item per chunk of groups (not per group): with
-                // thousands of distinct queries the channel and Arc-clone
-                // overhead would otherwise dominate the per-query pipeline
-                // cost. A few chunks per worker keep the load balanced.
-                let num_groups = groups.len();
-                let chunk_size = num_groups.div_ceil(self.config.threads * 4).max(1);
-                let (tx, rx) = mpsc::channel();
-                let mut num_chunks = 0usize;
-                let mut groups = groups.into_iter().enumerate();
-                loop {
-                    let chunk: Vec<(usize, Group<P>)> = groups.by_ref().take(chunk_size).collect();
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    num_chunks += 1;
-                    let index = Arc::clone(&self.index);
-                    let cache = Arc::clone(&self.cache);
-                    let tx = tx.clone();
-                    INFLIGHT_CHUNKS.add(1);
-                    pool.execute(move || {
-                        let index = index.read().expect("index lock poisoned");
-                        let results: Vec<_> = chunk
-                            .iter()
-                            .map(|(gi, group)| {
-                                (
-                                    *gi,
-                                    process_group(&index, &cache, cache_enabled, group, batch_seed),
-                                )
-                            })
-                            .collect();
-                        INFLIGHT_CHUNKS.add(-1);
-                        tx.send(results).expect("batch receiver alive");
-                    });
-                }
-                drop(tx);
-                commits.resize_with(num_groups, || None);
-                for _ in 0..num_chunks {
-                    for (gi, (group_answers, commit)) in
-                        rx.recv().expect("all chunk jobs report back")
-                    {
-                        for (pos, answer) in group_answers {
-                            answers[pos] = Some(answer);
-                        }
-                        commits[gi] = commit;
-                    }
-                }
-            }
+            let mut rng = stream_rng(batch_seed, pos as u64);
+            let (id, stats) = self.sample(query, &mut rng);
+            answers.push(Answer { id, stats });
         }
-
-        // Commit fresh neighborhoods in group order (deterministic cache
-        // contents and eviction order).
-        let mut cache = self.cache.lock().expect("cache lock poisoned");
-        for commit in commits.into_iter().flatten() {
-            let (query, entry) = commit;
-            cache.insert(query, entry);
-        }
-        drop(cache);
-
-        answers
-            .into_iter()
-            .map(|a| a.expect("every position answered"))
-            .collect()
-    }
-
-    /// Groups batch positions by query identity (first occurrence leads).
-    /// Without the cache every position is its own group, which maximizes
-    /// parallelism for duplicate-free workloads.
-    fn group_queries(queries: &[P], cache_enabled: bool) -> Vec<Group<P>> {
-        let mut groups: Vec<Group<P>> = Vec::new();
-        if cache_enabled {
-            let mut group_of: HashMap<&P, usize> = HashMap::new();
-            for (i, query) in queries.iter().enumerate() {
-                match group_of.get(query) {
-                    Some(&g) => groups[g].positions.push(i),
-                    None => {
-                        group_of.insert(query, groups.len());
-                        groups.push(Group {
-                            query: query.clone(),
-                            positions: vec![i],
-                        });
-                    }
-                }
-            }
-        } else {
-            groups.extend(queries.iter().enumerate().map(|(i, query)| Group {
-                query: query.clone(),
-                positions: vec![i],
-            }));
-        }
-        groups
-    }
-}
-
-impl<P, H, N> NeighborSampler<P> for QueryEngine<P, H, N>
-where
-    P: Hash + Eq + Clone,
-    H: LshHasher<P>,
-    N: Nearness<P>,
-{
-    /// Single-query interface: one two-level pipeline draw using the
-    /// caller's RNG (the batch determinism contract and the result cache
-    /// only apply to [`QueryEngine::run_batch`]).
-    fn sample<R: Rng + ?Sized>(&mut self, query: &P, rng: &mut R) -> Option<PointId> {
-        let (id, stats) = self
-            .index
-            .read()
-            .expect("index lock poisoned")
-            .sample(query, rng);
-        self.last_stats = stats;
-        id
-    }
-
-    fn last_query_stats(&self) -> QueryStats {
-        self.last_stats
-    }
-
-    fn name(&self) -> &'static str {
-        "query-engine"
+        QUERIES_TOTAL.add(total as u64);
+        Ok(answers)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharded::ShardedIndexConfig;
     use fairnn_core::{ExactSampler, SimilarityAtLeast};
-    use fairnn_lsh::{MinHash, ParamsBuilder};
-    use fairnn_space::{Jaccard, SparseSet};
+    use fairnn_lsh::{ConcatenatedHasher, MinHash, MinHasher, ParamsBuilder};
+    use fairnn_space::{Dataset, Jaccard, SparseSet};
 
     fn clustered_dataset() -> Dataset<SparseSet> {
         let mut sets = Vec::new();
@@ -659,18 +119,14 @@ mod tests {
         Dataset::new(sets)
     }
 
-    type Engine = QueryEngine<
-        SparseSet,
-        ConcatenatedHasher<fairnn_lsh::MinHasher>,
-        SimilarityAtLeast<Jaccard>,
-    >;
+    type Index = ShardedIndex<SparseSet, ConcatenatedHasher<MinHasher>, SimilarityAtLeast<Jaccard>>;
 
-    fn build(config: EngineConfig) -> (Dataset<SparseSet>, Engine) {
+    fn build(config: ShardedIndexConfig) -> (Dataset<SparseSet>, Index) {
         let data = clustered_dataset();
         let params = ParamsBuilder::new(data.len(), 0.5, 0.05).empirical(&MinHash);
         let near = SimilarityAtLeast::new(Jaccard, 0.5);
-        let engine = QueryEngine::build(&MinHash, params, &data, near, config);
-        (data, engine)
+        let index = ShardedIndex::build(&MinHash, params, &data, near, config);
+        (data, index)
     }
 
     fn mixed_batch(data: &Dataset<SparseSet>) -> Vec<SparseSet> {
@@ -689,135 +145,71 @@ mod tests {
 
     #[test]
     fn batch_answers_line_up_with_queries() {
-        let (data, mut engine) = build(EngineConfig::default().with_seed(21).with_shards(3));
+        let (data, index) = build(ShardedIndexConfig::with_shards(3).seeded(21));
         let near = SimilarityAtLeast::new(Jaccard, 0.5);
         let exact = ExactSampler::new(&data, near);
         let batch = mixed_batch(&data);
-        let answers = engine.run_batch(&batch);
+        let answers = index.run_batch(&QueryRequest::new(batch.clone()));
         assert_eq!(answers.len(), batch.len());
         for (query, answer) in batch.iter().zip(&answers) {
             let neighborhood = exact.neighborhood(query);
             let id = answer.id.expect("cluster queries have neighbors");
             assert!(neighborhood.contains(&id));
+            // Every position runs the full pipeline, duplicates included.
+            assert!(answer.stats.rounds >= 1);
         }
-        // Duplicates in the batch ride the fast path.
-        assert!(answers.iter().any(|a| a.via_cache));
-        assert!(answers.iter().any(|a| !a.via_cache));
+        // Duplicate positions draw from their own streams.
+        let repeats: Vec<_> = batch
+            .iter()
+            .zip(&answers)
+            .filter(|(q, _)| **q == batch[0])
+            .map(|(_, a)| a.id)
+            .collect();
+        assert!(repeats.len() > 3);
+        assert!(repeats.iter().any(|&id| id != repeats[0]));
     }
 
     #[test]
     fn identical_seeds_give_identical_answers_across_thread_counts() {
-        // The determinism regression: an 8-thread engine must reproduce the
-        // 1-thread engine bit for bit, across several batches (so the cache
-        // generation logic is covered too).
-        let (data, mut serial) = build(EngineConfig::default().with_seed(33).with_shards(4));
-        let (_, mut parallel) = build(
-            EngineConfig::default()
-                .with_seed(33)
-                .with_shards(4)
-                .with_threads(8),
-        );
-        for _ in 0..3 {
-            let batch = mixed_batch(&data);
-            let a = serial.run_batch(&batch);
-            let b = parallel.run_batch(&batch);
-            assert_eq!(a, b, "thread count changed the answers");
-        }
-        assert_eq!(serial.cache_stats(), parallel.cache_stats());
-    }
-
-    #[test]
-    fn second_batch_hits_the_cache() {
-        let (data, mut engine) = build(EngineConfig::default().with_seed(5));
-        let batch: Vec<SparseSet> = (0..5u32).map(|i| data.point(PointId(i)).clone()).collect();
-        let first = engine.run_batch(&batch);
-        assert!(first.iter().all(|a| !a.via_cache));
-        let second = engine.run_batch(&batch);
-        assert!(second.iter().all(|a| a.via_cache));
-        let (hits, misses) = engine.cache_stats();
-        assert_eq!((hits, misses), (5, 5));
-        // Fast-path answers still come from the neighborhood.
-        let near = SimilarityAtLeast::new(Jaccard, 0.5);
-        let exact = ExactSampler::new(&data, near);
-        for (query, answer) in batch.iter().zip(&second) {
-            assert!(exact.neighborhood(query).contains(&answer.id.unwrap()));
-        }
-    }
-
-    #[test]
-    fn cache_fast_path_remains_uniform() {
-        let (data, mut engine) = build(EngineConfig::default().with_seed(6));
-        let near = SimilarityAtLeast::new(Jaccard, 0.5);
-        let exact = ExactSampler::new(&data, near);
-        let query = data.point(PointId(0)).clone();
-        let neighborhood = exact.neighborhood(&query);
-        assert_eq!(neighborhood.len(), 10);
-        let batch = vec![query; 400];
-        let mut counts = vec![0usize; data.len()];
-        for _ in 0..30 {
-            for answer in engine.run_batch(&batch) {
-                counts[answer.id.unwrap().index()] += 1;
-            }
-        }
-        let total: usize = counts.iter().sum();
-        for &id in &neighborhood {
-            let rate = counts[id.index()] as f64 / total as f64;
-            assert!(
-                (rate - 0.1).abs() < 0.02,
-                "member {id} rate {rate} off uniform"
-            );
-        }
-    }
-
-    #[test]
-    fn disabling_the_cache_disables_grouping_but_not_answers() {
-        let (data, mut engine) = build(EngineConfig::default().with_seed(7).with_cache_capacity(0));
-        let query = data.point(PointId(0)).clone();
-        let answers = engine.run_batch(&vec![query; 10]);
-        assert_eq!(answers.len(), 10);
-        assert!(answers.iter().all(|a| !a.via_cache));
-        assert_eq!(engine.cache_stats(), (0, 0));
-    }
-
-    #[test]
-    fn engine_is_a_neighbor_sampler_too() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let (data, mut engine) = build(EngineConfig::default().with_seed(9));
-        let mut rng = StdRng::seed_from_u64(1);
-        let query = data.point(PointId(2)).clone();
-        assert!(engine.sample(&query, &mut rng).is_some());
-        assert!(engine.last_query_stats().rounds >= 1);
-        assert_eq!(engine.name(), "query-engine");
-        assert_eq!(engine.num_shards(), 4);
-        assert!(!engine.is_empty());
-        assert!(engine.estimate_colliding(&query) > 0.0);
+        // The determinism regression: one thread per batch number, all
+        // answering concurrently over one shared index, must reproduce the
+        // serial answers bit for bit.
+        let (data, index) = build(ShardedIndexConfig::with_shards(4).seeded(33));
+        let requests: Vec<QueryRequest<SparseSet>> = (0..8u64)
+            .map(|b| QueryRequest::new(mixed_batch(&data)).with_batch(b))
+            .collect();
+        let serial: Vec<Vec<Answer>> = requests.iter().map(|r| index.run_batch(r)).collect();
+        let parallel: Vec<Vec<Answer>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = requests
+                .iter()
+                .map(|r| scope.spawn(|| index.run_batch(r)))
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(serial, parallel, "thread count changed the answers");
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        let (_, mut engine) = build(EngineConfig::default());
-        assert!(engine.run_batch(&[]).is_empty());
+        let (_, index) = build(ShardedIndexConfig::default());
+        assert!(index.run_batch(&QueryRequest::new(Vec::new())).is_empty());
     }
 
     #[test]
     fn snapshot_mid_serving_continues_bit_for_bit() {
         use fairnn_snapshot::{from_bytes, to_bytes, SnapshotKind};
-        let (data, mut engine) = build(EngineConfig::default().with_seed(31).with_shards(3));
+        let (data, index) = build(ShardedIndexConfig::with_shards(3).seeded(31));
         let batch = mixed_batch(&data);
-        // Warm the engine: batch counter advances, the cache fills, entries
-        // get swapped by fast-path draws.
-        let _ = engine.run_batch(&batch);
-        let _ = engine.run_batch(&batch);
+        let _ = index.run_batch(&QueryRequest::new(batch.clone()));
+        let _ = index.run_batch(&QueryRequest::new(batch.clone()).with_batch(1));
 
-        let bytes = to_bytes(SnapshotKind::QueryEngine, &engine);
-        let mut restored: Engine = from_bytes(SnapshotKind::QueryEngine, &bytes).expect("load");
-        assert_eq!(restored.cache_stats(), engine.cache_stats());
-
-        // The restored engine must answer the *next* batches exactly like
-        // the saved one — batch seeds, cache hits and swap states included.
-        for _ in 0..2 {
-            assert_eq!(restored.run_batch(&batch), engine.run_batch(&batch));
+        // Serving leaves no state behind, so a snapshot taken mid-serving
+        // answers the *next* batches exactly like the live index.
+        let bytes = to_bytes(SnapshotKind::ShardedIndex, &index);
+        let restored: Index = from_bytes(SnapshotKind::ShardedIndex, &bytes).expect("load");
+        for b in 2..4u64 {
+            let request = QueryRequest::new(batch.clone()).with_batch(b);
+            assert_eq!(restored.run_batch(&request), index.run_batch(&request));
         }
     }
 }

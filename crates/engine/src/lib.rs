@@ -20,24 +20,22 @@
 //! * [`sharded`] — [`ShardedIndex`]: the partition, the rejection-corrected
 //!   two-level sampler (with its uniformity argument), and the
 //!   [`ShardedSampler`] adapter into the `fairnn-core` sampler traits;
-//! * [`engine`] — [`QueryEngine`]: a fixed thread pool, batched query
-//!   submission, per-answer RNG streams split from a root seed (identical
-//!   results for every thread count), and the Theorem 5 rank-swap result
-//!   cache for repeated identical queries;
-//! * [`cache`] — that cache;
+//! * [`engine`] — the batch executor [`ShardedIndex::run_batch_within`]:
+//!   per-position RNG streams split from the root seed, so an [`Answer`]
+//!   list is a pure function of the index, the seed and the request;
 //! * [`seed`] — the deterministic stream-splitting helpers;
 //! * [`api_types`] / [`reader`] / [`writer`] / [`generation`] — the live-
 //!   update layer: an [`EngineWriter`] stages [`WriteBatch`] mutations,
 //!   write-ahead-logs them and atomically publishes immutable
 //!   generations, while cheap-to-clone [`EngineReader`]s pin an epoch
-//!   ([`EpochPin`]) and keep serving it — queries never observe a thaw,
-//!   and crash recovery (checkpoint + WAL replay) is bit-identical to the
-//!   live path.
+//!   ([`EpochPin`]) and answer batches on it through the executor —
+//!   queries never observe a thaw, and crash recovery (checkpoint + WAL
+//!   replay) is bit-identical to the live path.
 //!
 //! # Quick example
 //!
 //! ```
-//! use fairnn_engine::{EngineConfig, QueryEngine};
+//! use fairnn_engine::{EngineWriter, QueryRequest, ShardedIndexConfig, WriteBatch};
 //! use fairnn_core::SimilarityAtLeast;
 //! use fairnn_lsh::{MinHash, ParamsBuilder};
 //! use fairnn_space::{Dataset, Jaccard, SparseSet};
@@ -50,27 +48,40 @@
 //!     SparseSet::from_items(vec![100, 200, 300]),
 //! ].into_iter().collect();
 //!
+//! // The engine directory holds the checkpoint and the write-ahead log.
+//! let dir = std::env::temp_dir().join(format!("fairnn-doc-{}", std::process::id()));
 //! let params = ParamsBuilder::new(data.len(), 0.5, 0.1).empirical(&MinHash);
-//! let mut engine = QueryEngine::build(
+//! let mut writer = EngineWriter::bootstrap(
 //!     &MinHash,
 //!     params,
 //!     &data,
 //!     SimilarityAtLeast::new(Jaccard, 0.5),
-//!     EngineConfig::default().with_shards(2).with_threads(2),
-//! );
+//!     ShardedIndexConfig::with_shards(2).seeded(7),
+//!     &dir,
+//! )?;
+//! let reader = writer.reader();
 //!
 //! let query = SparseSet::from_items(vec![1, 2, 3, 4]);
-//! let answers = engine.run_batch(&[query.clone(), query.clone()]);
-//! assert_eq!(answers.len(), 2);
-//! assert!(answers[0].id.is_some());
-//! assert!(answers[1].via_cache, "repeat rides the rank-swap fast path");
+//! let request = QueryRequest::new(vec![query.clone(), query.clone()]).with_batch(1);
+//! let response = reader.pin().run_batch(&request);
+//! assert_eq!(response.answers.len(), 2);
+//! assert!(response.answers[0].id.is_some());
+//!
+//! // A commit publishes a new generation; the same request replays
+//! // bit-for-bit on any pin of the same generation.
+//! let receipt = writer.commit(WriteBatch::new().insert(query))?;
+//! let pin = reader.pin();
+//! assert_eq!(pin.generation(), receipt.generation);
+//! assert_eq!(pin.run_batch(&request), reader.pin().run_batch(&request));
+//! # drop(writer);
+//! # std::fs::remove_dir_all(&dir).ok();
+//! # Ok::<(), fairnn_engine::EngineError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api_types;
-pub mod cache;
 pub mod engine;
 pub mod generation;
 pub mod reader;
@@ -82,8 +93,7 @@ pub mod writer;
 pub use api_types::{
     BatchResponse, CommitReceipt, DeadlineBudget, EngineError, QueryRequest, WriteBatch, WriteOp,
 };
-pub use cache::{CacheEntry, ResultCache};
-pub use engine::{Answer, EngineConfig, QueryEngine};
+pub use engine::Answer;
 pub use generation::Generation;
 pub use reader::{EngineReader, EpochPin};
 pub use shard::{Shard, ShardConfig};

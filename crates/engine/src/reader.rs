@@ -12,9 +12,7 @@
 //! publish keeps answering from the old generation until it re-pins.
 
 use crate::api_types::{BatchResponse, DeadlineBudget, EngineError, QueryRequest};
-use crate::engine::{Answer, STREAM_BATCH_BASE};
 use crate::generation::{Generation, Shared};
-use crate::seed::{split_seed, stream_rng};
 use crate::sharded::{PreparedQuery, ShardedIndex};
 use fairnn_core::predicate::Nearness;
 use fairnn_lsh::LshHasher;
@@ -127,61 +125,27 @@ where
     /// Answers a batch of queries against the pinned generation.
     ///
     /// Deterministic serving contract: the response is a pure function of
-    /// `(engine seed, pinned generation, request)`. Every position draws
-    /// from its own RNG stream split off the root seed by
-    /// `(request.batch, position)` — the same scheme as
-    /// [`crate::QueryEngine::run_batch`] — so a generational reader and a
-    /// fixed-index engine serving the same index state return
-    /// bit-identical answers for the same batch number.
+    /// `(engine seed, pinned generation, request)` — the answers are
+    /// [`ShardedIndex::run_batch`] over the pinned index, stamped with the
+    /// generation number.
     pub fn run_batch(&self, request: &QueryRequest<P>) -> BatchResponse {
-        match self.run_batch_within(request, &DeadlineBudget::unlimited()) {
-            Ok(response) => response,
-            // Unreachable: an unlimited budget never expires, and the
-            // budget check is the only failure path.
-            Err(err) => unreachable!("unlimited budget failed: {err}"),
+        BatchResponse {
+            answers: self.generation.index.run_batch(request),
+            generation: self.generation.number,
         }
     }
 
     /// Answers a batch like [`EpochPin::run_batch`], but checks the
     /// deadline budget between queries and fails fast with
-    /// [`EngineError::DeadlineExceeded`] once it expires.
-    ///
-    /// The check sits *between* positions, so an accepted response is
-    /// always complete and bit-identical to the unbudgeted run: each
-    /// position draws from its own RNG stream split by
-    /// `(request.batch, position)`, independent of how many positions
-    /// came before it under what budget. A rejected batch returns no
-    /// partial answers — the deterministic serving contract is
-    /// all-or-nothing.
+    /// [`EngineError::DeadlineExceeded`] once it expires (see
+    /// [`ShardedIndex::run_batch_within`]).
     pub fn run_batch_within(
         &self,
         request: &QueryRequest<P>,
         budget: &DeadlineBudget,
     ) -> Result<BatchResponse, EngineError> {
-        let index = &self.generation.index;
-        let batch_seed = split_seed(
-            index.config().seed,
-            STREAM_BATCH_BASE.wrapping_add(request.batch),
-        );
-        let total = request.queries.len();
-        let mut answers = Vec::with_capacity(total);
-        for (pos, query) in request.queries.iter().enumerate() {
-            if budget.expired() {
-                return Err(EngineError::DeadlineExceeded {
-                    completed: pos,
-                    total,
-                });
-            }
-            let mut rng = stream_rng(batch_seed, pos as u64);
-            let (id, stats) = index.sample(query, &mut rng);
-            answers.push(Answer {
-                id,
-                stats,
-                via_cache: false,
-            });
-        }
         Ok(BatchResponse {
-            answers,
+            answers: self.generation.index.run_batch_within(request, budget)?,
             generation: self.generation.number,
         })
     }

@@ -1,12 +1,11 @@
 //! A minimal fixed-size thread pool (std-only; the workspace has no
 //! dependency budget for an executor).
 //!
-//! Hoisted from the serving engine so every layer shares one threading
-//! substrate: the engine dispatches query batches on a [`ThreadPool`], the
-//! build path uses the scoped fork/join helpers of the crate root. Jobs are
-//! executed in submission order per worker but with no cross-worker ordering
-//! guarantee — callers that need deterministic output tag jobs and reorder
-//! results, exactly as `QueryEngine::run_batch` does.
+//! Every layer shares one threading substrate: the network server runs its
+//! connection workers on a [`ThreadPool`], the build path uses the scoped
+//! fork/join helpers of the crate root. Jobs are executed in submission
+//! order per worker but with no cross-worker ordering guarantee — callers
+//! that need deterministic output must tag jobs and reorder the results.
 
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;

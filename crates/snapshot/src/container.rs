@@ -126,8 +126,7 @@ pub enum SnapshotKind {
     Shard = 5,
     /// A `fairnn_engine::ShardedIndex` (all shards + partition map).
     ShardedIndex = 6,
-    /// A full `fairnn_engine::QueryEngine` (index + cache + batch counter).
-    QueryEngine = 7,
+    // Tag 7 stays unassigned: old engine images fail with `KindMismatch`.
     /// A `fairnn_engine::Checkpoint`: a WAL sequence number plus the
     /// sharded index it was cut at (the durable base the write-ahead log
     /// tail replays on top of).
@@ -674,10 +673,10 @@ mod tests {
     fn kind_mismatch_rejected() {
         let bytes = to_bytes(SnapshotKind::FairNns, &7u64);
         assert!(matches!(
-            from_bytes::<u64>(SnapshotKind::QueryEngine, &bytes),
+            from_bytes::<u64>(SnapshotKind::Checkpoint, &bytes),
             Err(SnapshotError::KindMismatch { found, expected })
                 if found == SnapshotKind::FairNns.tag()
-                    && expected == SnapshotKind::QueryEngine.tag()
+                    && expected == SnapshotKind::Checkpoint.tag()
         ));
     }
 

@@ -1,19 +1,14 @@
-//! Serving demo: the sharded, concurrent, batched query engine end to end —
-//! build, batch queries, the rank-swap cache fast path, incremental updates,
-//! and a small timed comparison against the single-shot sampler.
+//! Serving demo: the sharded, generational query engine end to end —
+//! bootstrap, batch queries on a pinned generation, incremental updates,
+//! deterministic replay, and a small timed batch.
 //!
 //! Run with: `cargo run --release --example engine_throughput`
 
-use fairnn_core::{NeighborSampler, SimilarityAtLeast};
+use fairnn_core::SimilarityAtLeast;
 use fairnn_data::setdata::small_test_config;
-use fairnn_engine::{
-    EngineConfig, EngineWriter, QueryEngine, QueryRequest, ShardedIndexConfig, ShardedSampler,
-    WriteBatch,
-};
+use fairnn_engine::{EngineWriter, QueryRequest, ShardedIndexConfig, WriteBatch};
 use fairnn_lsh::{OneBitMinHash, ParamsBuilder};
 use fairnn_space::{Jaccard, PointId, Similarity};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Instant;
 
 fn main() {
@@ -29,53 +24,8 @@ fn main() {
         params.l
     );
 
-    // 2. Build the serving engine: 4 shards, 2 worker threads, result cache.
-    let mut engine = QueryEngine::build(
-        &OneBitMinHash,
-        params,
-        &dataset,
-        near,
-        EngineConfig::default()
-            .with_shards(4)
-            .with_threads(2)
-            .with_seed(7),
-    );
-    println!(
-        "engine: {} shards, {} live points",
-        engine.num_shards(),
-        engine.len()
-    );
-
-    // 3. A batch of queries, including deliberate repeats: the first
-    //    occurrence runs the two-level pipeline, repeats ride the Theorem 5
-    //    rank-swap fast path.
-    let query = dataset.point(PointId(0)).clone();
-    let mut batch = Vec::new();
-    for i in 0..6u32 {
-        batch.push(dataset.point(PointId(i)).clone());
-    }
-    batch.push(query.clone());
-    batch.push(query.clone());
-    let answers = engine.run_batch(&batch);
-    println!("\nbatch of {} queries:", batch.len());
-    for (i, answer) in answers.iter().enumerate() {
-        match answer.id {
-            Some(id) => {
-                let sim = Jaccard.similarity(&batch[i], dataset.point(id));
-                println!(
-                    "  query {i}: user {id} (similarity {sim:.3}){}",
-                    if answer.via_cache { " [cache]" } else { "" }
-                );
-            }
-            None => println!("  query {i}: ⊥"),
-        }
-    }
-    let (hits, misses) = engine.cache_stats();
-    println!("cache: {hits} hits, {misses} misses");
-
-    // 4. Incremental updates go through the generational writer: commits
-    //    are write-ahead-logged, then published as a new immutable
-    //    generation; readers pin an epoch and never observe a thaw.
+    // 2. Bootstrap the engine: 4 shards, a checkpoint and a write-ahead log
+    //    in a fresh directory. Readers pin the published generation.
     let dir = std::env::temp_dir().join(format!("fairnn-example-engine-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut writer = EngineWriter::bootstrap(
@@ -88,54 +38,75 @@ fn main() {
     )
     .expect("bootstrap engine directory");
     let reader = writer.reader();
+    let pin = reader.pin();
+    println!(
+        "engine: {} shards, {} live points, generation {}",
+        pin.index().num_shards(),
+        pin.index().len(),
+        pin.generation()
+    );
+
+    // 3. A batch of queries, including deliberate repeats: every position
+    //    runs the two-level pipeline on its own RNG stream, so repeats are
+    //    independent draws.
+    let query = dataset.point(PointId(0)).clone();
+    let mut batch: Vec<_> = (0..6u32)
+        .map(|i| dataset.point(PointId(i)).clone())
+        .collect();
+    batch.push(query.clone());
+    batch.push(query.clone());
+    let request = QueryRequest::new(batch);
+    let response = pin.run_batch(&request);
+    println!("\nbatch of {} queries:", request.queries.len());
+    for (i, answer) in response.answers.iter().enumerate() {
+        match answer.id {
+            Some(id) => {
+                let sim = Jaccard.similarity(&request.queries[i], dataset.point(id));
+                println!("  query {i}: user {id} (similarity {sim:.3})");
+            }
+            None => println!("  query {i}: ⊥"),
+        }
+    }
+
+    // 4. Incremental updates go through the writer: commits are
+    //    write-ahead-logged, then published as a new immutable generation;
+    //    readers pin an epoch and never observe a thaw.
     let receipt = writer
         .commit(WriteBatch::new().insert(query.clone()))
         .expect("insert commit");
     let id = receipt.assigned[0];
-    let pin = reader.pin();
+    let fresh = reader.pin();
     println!(
         "\ninserted twin as {id} (generation {}, WAL seq {}); pinned index has {} points",
         receipt.generation,
         receipt.seq,
-        pin.index().len()
+        fresh.index().len()
     );
-    let response = pin.run_batch(&QueryRequest::new(vec![query.clone()]));
-    assert_eq!(response.generation, receipt.generation);
     writer
         .commit(WriteBatch::new().delete(id))
         .expect("delete commit");
     println!(
         "deleted {id} again; fresh pin back to {} points (old pin still serves {})",
         reader.pin().index().len(),
-        pin.index().len()
+        fresh.index().len()
     );
-    let _ = std::fs::remove_dir_all(&dir);
 
-    // 5. Throughput: repeated hot queries through the cache fast path vs the
-    //    single-shot sharded sampler.
-    let hot = vec![query.clone(); 20_000];
-    let start = Instant::now();
-    let answers = engine.run_batch(&hot);
-    let engine_qps = hot.len() as f64 / start.elapsed().as_secs_f64();
-    assert!(answers.iter().all(|a| a.id.is_some()));
-
-    let mut single = ShardedSampler::build(
-        &OneBitMinHash,
-        params,
-        &dataset,
-        near,
-        ShardedIndexConfig::with_shards(4).seeded(7),
-    );
-    let mut rng = StdRng::seed_from_u64(1);
-    let start = Instant::now();
-    for _ in 0..2_000 {
-        let _ = single.sample(&query, &mut rng);
-    }
-    let single_qps = 2_000.0 / start.elapsed().as_secs_f64();
+    // 5. Deterministic replay: the old pin still answers generation 0, and
+    //    the same request on it returns the same answers bit for bit.
+    assert_eq!(pin.run_batch(&request), response);
     println!(
-        "\nhot-query throughput: engine fast path {:.0} q/s vs single-shot pipeline {:.0} q/s ({:.0}x)",
-        engine_qps,
-        single_qps,
-        engine_qps / single_qps
+        "replayed batch {} on generation {}: identical answers",
+        request.batch,
+        pin.generation()
     );
+
+    // 6. Throughput of the batch executor on a hot-query batch.
+    let hot = QueryRequest::new(vec![query; 2_000]).with_batch(1);
+    let start = Instant::now();
+    let answers = reader.pin().run_batch(&hot).answers;
+    let qps = answers.len() as f64 / start.elapsed().as_secs_f64();
+    assert!(answers.iter().all(|a| a.id.is_some()));
+    println!("\nhot-query batch throughput: {qps:.0} q/s");
+    drop(writer);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,7 +15,6 @@
 //!   *skipping* rows either side marked `"hardware_limited": true` (on a
 //!   runner with fewer cores than threads the row measures scheduling
 //!   noise, not the engine);
-//! * the `rank_swap_qps` fast-path figure;
 //! * the `churn` row (concurrent reader throughput and commit→publish
 //!   latency while the generational writer commits): `qps` gates directly
 //!   and `publish_ms` gates as a rate (`1e3 / ms`, lower-is-better), both
@@ -680,14 +679,6 @@ fn compare_reports(fresh: &Json, baseline: &Json) -> Vec<Comparison> {
         }
     }
 
-    if let Some(base_qps) = baseline.get("rank_swap_qps").and_then(Json::as_f64) {
-        comparisons.push(Comparison {
-            name: "rank-swap-fast-path".to_string(),
-            baseline_qps: base_qps,
-            fresh_qps: fresh.get("rank_swap_qps").and_then(Json::as_f64),
-        });
-    }
-
     // Concurrent churn: like the pipeline rows, only co-measured figures
     // gate — a fresh run marked hardware_limited (1-core PR runner) or an
     // older baseline without the row skips rather than fails.
@@ -888,7 +879,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn report(naive: f64, nns: f64, one_thread: f64, limited_two: bool, rank_swap: f64) -> Json {
+    fn report(naive: f64, nns: f64, one_thread: f64, limited_two: bool) -> Json {
         let text = format!(
             r#"{{
               "baselines_qps": [
@@ -898,8 +889,7 @@ mod tests {
               "pipeline_qps": [
                 {{"threads": 1, "qps": {one_thread}, "hardware_limited": false}},
                 {{"threads": 2, "qps": 11.0, "hardware_limited": {limited_two}}}
-              ],
-              "rank_swap_qps": {rank_swap}
+              ]
             }}"#
         );
         Parser::parse(&text).expect("valid report")
@@ -907,8 +897,7 @@ mod tests {
 
     #[test]
     fn parser_handles_the_report_shape() {
-        let json = report(100.0, 200.0, 50.0, true, 1e6);
-        assert_eq!(json.get("rank_swap_qps").and_then(Json::as_f64), Some(1e6));
+        let json = report(100.0, 200.0, 50.0, true);
         assert_eq!(sampler_qps(&json).len(), 2);
         // The hardware-limited 2-thread row is dropped.
         assert_eq!(pipeline_qps(&json).len(), 1);
@@ -940,17 +929,17 @@ mod tests {
 
     #[test]
     fn within_budget_passes() {
-        let baseline = report(100.0, 200.0, 50.0, false, 1000.0);
-        let fresh = report(80.0, 190.0, 40.0, false, 900.0); // worst: -20%
+        let baseline = report(100.0, 200.0, 50.0, false);
+        let fresh = report(80.0, 190.0, 40.0, false); // worst: -20%
         let comparisons = compare_reports(&fresh, &baseline);
-        assert_eq!(comparisons.len(), 5); // 2 samplers + 2 pipeline rows + rank swap
+        assert_eq!(comparisons.len(), 4); // 2 samplers + 2 pipeline rows
         assert!(gate(&comparisons, 0.35).is_empty());
     }
 
     #[test]
     fn deep_regression_fails() {
-        let baseline = report(100.0, 200.0, 50.0, false, 1000.0);
-        let fresh = report(60.0, 190.0, 48.0, false, 990.0); // naive: -40%
+        let baseline = report(100.0, 200.0, 50.0, false);
+        let fresh = report(60.0, 190.0, 48.0, false); // naive: -40%
         let comparisons = compare_reports(&fresh, &baseline);
         let failures = gate(&comparisons, 0.35);
         assert_eq!(failures.len(), 1);
@@ -960,10 +949,10 @@ mod tests {
 
     #[test]
     fn missing_sampler_fails() {
-        let baseline = report(100.0, 200.0, 50.0, false, 1000.0);
+        let baseline = report(100.0, 200.0, 50.0, false);
         let fresh = Parser::parse(
             r#"{"baselines_qps": [{"sampler": "fair-nns", "qps": 210.0}],
-                "pipeline_qps": [], "rank_swap_qps": 1000.0}"#,
+                "pipeline_qps": []}"#,
         )
         .unwrap();
         let comparisons = compare_reports(&fresh, &baseline);
@@ -975,10 +964,10 @@ mod tests {
 
     #[test]
     fn hardware_limited_rows_do_not_gate() {
-        let baseline = report(100.0, 200.0, 50.0, false, 1000.0);
+        let baseline = report(100.0, 200.0, 50.0, false);
         // Fresh run on a 1-core box: 2-thread row is marked limited and its
         // (terrible) number must not fail the gate.
-        let fresh = report(100.0, 200.0, 50.0, true, 1000.0);
+        let fresh = report(100.0, 200.0, 50.0, true);
         let comparisons = compare_reports(&fresh, &baseline);
         assert!(comparisons.iter().all(|c| c.name != "pipeline/2-thread"));
         assert!(gate(&comparisons, 0.35).is_empty());
@@ -1039,9 +1028,9 @@ mod tests {
     fn merged_fresh_reports_cover_engine_and_build_figures() {
         // The CI invocation: engine and build reports as separate fresh
         // files, one combined baseline.
-        let mut fresh = report(100.0, 200.0, 50.0, true, 1000.0);
+        let mut fresh = report(100.0, 200.0, 50.0, true);
         merge_reports(&mut fresh, build_report(10_000.0, true));
-        let mut baseline = report(100.0, 200.0, 50.0, true, 1000.0);
+        let mut baseline = report(100.0, 200.0, 50.0, true);
         merge_reports(&mut baseline, build_report(10_000.0, true));
         let comparisons = compare_reports(&fresh, &baseline);
         assert!(comparisons.iter().any(|c| c.name.starts_with("sampler/")));
@@ -1097,7 +1086,7 @@ mod tests {
             r#"{{
               "bench": "snapshot_cycle",
               "cycles": [
-                {{"scale": 0.2, "structure": "query-engine", "dataset_points": 4000,
+                {{"scale": 0.2, "structure": "checkpoint", "dataset_points": 4000,
                   "threads": 1, "build_s": 0.5, "save_s": 0.01, "load_s": {load_s},
                   "load_ns": {load_ns}, "load_large_allocs": {allocs},
                   "snapshot_bytes": 1000000, "build_over_load": 10.0,
@@ -1118,7 +1107,7 @@ mod tests {
         let slow_comparisons = compare_reports(&slow, &baseline);
         let failures = gate(&slow_comparisons, 0.35);
         assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].name, "snapshot-load/query-engine/scale-0.2/1t");
+        assert_eq!(failures[0].name, "snapshot-load/checkpoint/scale-0.2/1t");
     }
 
     #[test]
@@ -1150,7 +1139,7 @@ mod tests {
         let copies = snapshot_report(10e6, 0.01, 12.0, false);
         let failures = check_snapshot_allocs(&copies, &baseline);
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("query-engine/scale-0.2/1t"));
+        assert!(failures[0].contains("checkpoint/scale-0.2/1t"));
     }
 
     fn churn_report(qps: f64, publish_ms: f64, limited: bool) -> Json {
@@ -1270,8 +1259,8 @@ mod tests {
 
     #[test]
     fn faster_is_never_a_failure() {
-        let baseline = report(100.0, 200.0, 50.0, false, 1000.0);
-        let fresh = report(500.0, 900.0, 200.0, false, 9000.0);
+        let baseline = report(100.0, 200.0, 50.0, false);
+        let fresh = report(500.0, 900.0, 200.0, false);
         let comparisons = compare_reports(&fresh, &baseline);
         assert!(gate(&comparisons, 0.0).is_empty());
     }

@@ -2,8 +2,8 @@
 //!
 //! The build path — LSH hashing, per-table CSR freezes, rank-table sorts,
 //! bucket sketches, shard construction and snapshot encode/decode — runs on
-//! the `fairnn-parallel` build workers. The contract is the one the engine's
-//! `run_batch` established for queries: **output is a pure function of the
+//! the `fairnn-parallel` build workers. The contract is the one the batch
+//! executor holds for queries: **output is a pure function of the
 //! inputs, identical at every thread count**. This suite pins it end to end:
 //!
 //! * the canonical snapshot image (`to_bytes`) of every structure built at
@@ -19,9 +19,7 @@
 //! counts it names.
 
 use fairnn_core::{FairNnis, NeighborSampler, SimilarityAtLeast};
-use fairnn_engine::{
-    EngineConfig, EngineWriter, QueryEngine, ShardedIndex, ShardedIndexConfig, WriteBatch,
-};
+use fairnn_engine::{EngineWriter, QueryRequest, ShardedIndex, ShardedIndexConfig, WriteBatch};
 use fairnn_integration_tests::{golden_dataset, golden_params as params};
 use fairnn_lsh::{ConcatenatedHasher, LshIndex, MinHash, MinHasher};
 use fairnn_snapshot::{from_bytes, to_bytes, SnapshotKind};
@@ -35,7 +33,6 @@ type Hasher = ConcatenatedHasher<MinHasher>;
 type Near = SimilarityAtLeast<Jaccard>;
 type SetNnis = FairNnis<SparseSet, Hasher, Near>;
 type SetSharded = ShardedIndex<SparseSet, Hasher, Near>;
-type SetEngine = QueryEngine<SparseSet, Hasher, Near>;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -152,27 +149,40 @@ fn sharded_index_builds_identically_at_every_thread_count() {
 
 #[test]
 fn query_engine_builds_and_answers_identically_at_every_thread_count() {
+    // The served engine: an `EngineWriter` bootstrapped at each thread count
+    // publishes the same generation, and batches answered through a reader's
+    // `EpochPin` agree bit for bit, over two batch numbers.
     let data = golden_dataset();
-    let engines: Vec<SetEngine> = sweep(|| {
-        QueryEngine::build(
+    let batch: Vec<SparseSet> = (0..10u32).map(|i| data.point(PointId(i)).clone()).collect();
+    let mut round = 0u32;
+    let served = sweep(|| {
+        round += 1;
+        let dir = std::env::temp_dir().join(format!(
+            "fairnn-engine-sweep-{round}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let writer: EngineWriter<SparseSet, Hasher, Near> = EngineWriter::bootstrap(
             &MinHash,
             params(data.len()),
             &data,
             near(),
-            EngineConfig::default().with_seed(23).with_shards(4),
+            ShardedIndexConfig::with_shards(4).seeded(23),
+            &dir,
         )
+        .expect("bootstrap");
+        let image = to_bytes(SnapshotKind::ShardedIndex, writer.staging());
+        let pin = writer.reader().pin();
+        let answers: Vec<_> = (0..2u64)
+            .map(|b| pin.run_batch(&QueryRequest::new(batch.clone()).with_batch(b)))
+            .collect();
+        drop(pin);
+        drop(writer);
+        let _ = std::fs::remove_dir_all(dir);
+        (image, answers)
     });
-    let images: Vec<Vec<u8>> = engines
-        .iter()
-        .map(|e| to_bytes(SnapshotKind::QueryEngine, e))
-        .collect();
-    assert!(images.windows(2).all(|w| w[0] == w[1]));
-    let batch: Vec<SparseSet> = (0..10u32).map(|i| data.point(PointId(i)).clone()).collect();
-    let answers: Vec<_> = engines
-        .into_iter()
-        .map(|mut e| (e.run_batch(&batch), e.run_batch(&batch)))
-        .collect();
-    assert!(answers.windows(2).all(|w| w[0] == w[1]));
+    assert!(served.windows(2).all(|w| w[0].0 == w[1].0));
+    assert!(served.windows(2).all(|w| w[0].1 == w[1].1));
 }
 
 #[test]

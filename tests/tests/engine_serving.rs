@@ -1,13 +1,12 @@
 //! Integration tests of the `fairnn-engine` serving subsystem: the sharded
 //! two-level sampler against the same uniformity battery the unsharded
-//! samplers face, the thread-count determinism contract, and the serving
-//! lifecycle (batching, cache, incremental updates) on the shared workload
-//! fixtures.
+//! samplers face (statically and through the batch executor), the
+//! thread-count determinism contract, and the serving lifecycle (batching,
+//! incremental updates) on the shared workload fixtures.
 
 use fairnn_core::{ExactSampler, NeighborSampler, SimilarityAtLeast};
 use fairnn_engine::{
-    EngineConfig, EngineWriter, QueryEngine, QueryRequest, ShardedIndex, ShardedIndexConfig,
-    ShardedSampler, WriteBatch,
+    EngineWriter, QueryRequest, ShardedIndex, ShardedIndexConfig, ShardedSampler, WriteBatch,
 };
 use fairnn_integration_tests::{test_dataset, test_params};
 use fairnn_lsh::OneBitMinHash;
@@ -153,76 +152,129 @@ fn sharded_neighborhood_preserves_recall() {
 }
 
 #[test]
-fn eight_thread_run_reproduces_one_thread_run_bit_for_bit() {
-    // The determinism regression test: same root seed, same batches, 1 vs 8
-    // worker threads — every answer (id, stats, cache flag) must match.
-    let dataset = test_dataset(1);
-    let params = test_params(dataset.len(), R);
+fn executor_answers_pass_the_uniformity_battery_across_batches() {
+    // The battery above runs on a static sampler; this one runs it on the
+    // batch executor every route serves through. One query, one position
+    // per request, a fresh batch number per draw: the answers must be
+    // uniform over the neighbourhood, and answers of consecutive batch
+    // numbers must be independent (their pairs uniform over support²).
+    let (dataset, index) = build_index(4, 21);
     let near = SimilarityAtLeast::new(Jaccard, R);
-    let config = EngineConfig::default().with_shards(4).with_seed(77);
-    let mut one = QueryEngine::build(&OneBitMinHash, params, &dataset, near, config);
-    let mut eight = QueryEngine::build(
-        &OneBitMinHash,
-        params,
-        &dataset,
-        near,
-        config.with_threads(8),
+    let exact = ExactSampler::new(&dataset, near);
+    let qid = interesting_queries(&dataset)[0];
+    let query = dataset.point(qid).clone();
+    let support = exact.neighborhood(&query);
+    let batches = (1500 * support.len()).max(1000) as u64;
+
+    let draws: Vec<Option<PointId>> = (0..batches)
+        .map(|b| {
+            let request = QueryRequest::new(vec![query.clone()]).with_batch(b);
+            index.run_batch(&request)[0].id
+        })
+        .collect();
+    let mut hist = FrequencyHistogram::new();
+    for &id in &draws {
+        hist.record(id);
+    }
+    let report = UniformityReport::from_histogram(&hist, &support);
+    assert_eq!(
+        report.out_of_support, 0.0,
+        "executor left the neighbourhood"
+    );
+    assert!(
+        report.is_consistent_with_uniform(0.001),
+        "marginal: chi2 = {}, p = {}, TV = {}",
+        report.chi_square,
+        report.chi_square_p_value(),
+        report.total_variation
     );
 
-    // Batches with distinct queries, duplicates, and repeats across batches
-    // (so pipeline, fast path and cache-generation logic are all covered).
-    let queries = interesting_queries(&dataset);
-    for round in 0..3u32 {
-        let mut batch = Vec::new();
-        for (i, &qid) in queries.iter().enumerate() {
-            let point = dataset.point(qid).clone();
-            batch.push(point.clone());
-            if i as u32 % 2 == round % 2 {
-                batch.push(point);
-            }
-        }
-        batch.push(SparseSet::from_items(vec![900_000, 900_001])); // ⊥ query
-        let a = one.run_batch(&batch);
-        let b = eight.run_batch(&batch);
-        assert_eq!(a, b, "round {round}: thread count changed the answers");
-        assert!(a.last().unwrap().id.is_none(), "⊥ query must answer None");
+    // Disjoint pairs (2k, 2k + 1), each encoded as one id over support².
+    let n = dataset.len() as u32;
+    let pair_id = |a: PointId, b: PointId| PointId(a.0 * n + b.0);
+    let mut pairs = FrequencyHistogram::new();
+    for pair in draws.chunks_exact(2) {
+        pairs.record_id(pair_id(pair[0].unwrap(), pair[1].unwrap()));
     }
-    assert_eq!(one.cache_stats(), eight.cache_stats());
+    let pair_support: Vec<PointId> = support
+        .iter()
+        .flat_map(|&a| support.iter().map(move |&b| pair_id(a, b)))
+        .collect();
+    let report = UniformityReport::from_histogram(&pairs, &pair_support);
+    assert!(
+        report.is_consistent_with_uniform(0.001),
+        "pairs: chi2 = {}, p = {}, TV = {}",
+        report.chi_square,
+        report.chi_square_p_value(),
+        report.total_variation
+    );
 }
 
 #[test]
-fn serving_lifecycle_batch_cache_insert_delete() {
+fn eight_thread_run_reproduces_one_thread_run_bit_for_bit() {
+    // The determinism regression test: same root seed, same requests, one
+    // reader thread vs eight concurrent reader threads pinning the same
+    // generation — every answer (id and stats) must match.
     let dataset = test_dataset(1);
-    let params = test_params(dataset.len(), R);
     let near = SimilarityAtLeast::new(Jaccard, R);
-    let mut engine = QueryEngine::build(
+    let dir = std::env::temp_dir().join(format!("fairnn-serving-threads-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let writer = EngineWriter::bootstrap(
         &OneBitMinHash,
-        params,
+        test_params(dataset.len(), R),
         &dataset,
         near,
-        EngineConfig::default()
-            .with_shards(3)
-            .with_seed(5)
-            .with_threads(2),
-    );
+        ShardedIndexConfig::with_shards(4).seeded(77),
+        &dir,
+    )
+    .expect("bootstrap");
+    let reader = writer.reader();
+
+    // Requests with distinct queries, duplicates and a ⊥ query.
+    let queries = interesting_queries(&dataset);
+    let requests: Vec<QueryRequest<SparseSet>> = (0..8u64)
+        .map(|round| {
+            let mut batch = Vec::new();
+            for (i, &qid) in queries.iter().enumerate() {
+                let point = dataset.point(qid).clone();
+                batch.push(point.clone());
+                if i as u64 % 2 == round % 2 {
+                    batch.push(point);
+                }
+            }
+            batch.push(SparseSet::from_items(vec![900_000, 900_001]));
+            QueryRequest::new(batch).with_batch(round)
+        })
+        .collect();
+    let one: Vec<_> = requests.iter().map(|r| reader.pin().run_batch(r)).collect();
+    let eight: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = requests
+            .iter()
+            .map(|r| {
+                let reader = reader.clone();
+                scope.spawn(move || reader.pin().run_batch(r))
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    assert_eq!(one, eight, "thread count changed the answers");
+    for response in &one {
+        let last = response.answers.last().unwrap();
+        assert!(last.id.is_none(), "⊥ query must answer None");
+    }
+    drop(writer);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn serving_lifecycle_batch_insert_delete() {
+    let dataset = test_dataset(1);
+    let near = SimilarityAtLeast::new(Jaccard, R);
     let exact = ExactSampler::new(&dataset, near);
     let qid = interesting_queries(&dataset)[0];
     let query = dataset.point(qid).clone();
     let support = exact.neighborhood(&query);
 
-    // Batch answers stay in the neighbourhood; repeats ride the cache.
-    let batch = vec![query.clone(); 30];
-    let first = engine.run_batch(&batch);
-    assert!(support.contains(&first[0].id.unwrap()));
-    assert!(first.iter().skip(1).all(|a| a.via_cache));
-    let again = engine.run_batch(&batch);
-    assert!(again.iter().all(|a| a.via_cache));
-    for a in &again {
-        assert!(support.contains(&a.id.unwrap()));
-    }
-
-    // Live updates go through the generational writer: insert a twin of
-    // the query and make sure a fresh pin serves it.
     let dir = std::env::temp_dir().join(format!("fairnn-serving-lifecycle-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut writer = EngineWriter::bootstrap(
@@ -235,6 +287,19 @@ fn serving_lifecycle_batch_cache_insert_delete() {
     )
     .expect("bootstrap");
     let reader = writer.reader();
+
+    // Batch answers stay in the neighbourhood; repeats of one query are
+    // independent draws, not copies of the first answer.
+    let batch = vec![query.clone(); 30];
+    let first = reader.pin().run_batch(&QueryRequest::new(batch.clone()));
+    assert!(first
+        .answers
+        .iter()
+        .all(|a| support.contains(&a.id.unwrap())));
+    assert!(first.answers.iter().any(|a| a.id != first.answers[0].id));
+
+    // Live updates go through the generational writer: insert a twin of
+    // the query and make sure a fresh pin serves it.
     let receipt = writer
         .commit(WriteBatch::new().insert(query.clone()))
         .expect("insert commit");

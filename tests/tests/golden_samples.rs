@@ -12,10 +12,10 @@
 //! constants.
 
 use fairnn_core::{FairNnis, FairNns, NeighborSampler, RankSwapSampler, SimilarityAtLeast};
-use fairnn_engine::{EngineConfig, QueryEngine, ShardedIndex, ShardedIndexConfig};
+use fairnn_engine::{EngineWriter, QueryRequest, ShardedIndex, ShardedIndexConfig};
 use fairnn_integration_tests::{
     golden_dataset, golden_ids as ids, golden_params as params, GOLDEN_ENGINE_FIRST,
-    GOLDEN_ENGINE_SECOND, GOLDEN_FAIR_NNIS, GOLDEN_FAIR_NNS, GOLDEN_RANK_SWAP, GOLDEN_SHARDED,
+    GOLDEN_FAIR_NNIS, GOLDEN_FAIR_NNS, GOLDEN_RANK_SWAP, GOLDEN_SHARDED,
 };
 use fairnn_lsh::MinHash;
 use fairnn_space::{Jaccard, PointId, SparseSet};
@@ -85,22 +85,26 @@ fn sharded_index_golden() {
 
 #[test]
 fn engine_batch_golden() {
+    // Pinned through the served path: a bootstrapped engine directory, a
+    // reader pin and the one batch executor.
     let data = golden_dataset();
     let near = SimilarityAtLeast::new(Jaccard, 0.5);
-    let mut engine = QueryEngine::build(
+    let dir = std::env::temp_dir().join(format!("fairnn-golden-engine-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let writer = EngineWriter::bootstrap(
         &MinHash,
         params(data.len()),
         &data,
         near,
-        EngineConfig::default().with_seed(23).with_shards(4),
-    );
-    // Two batches over the same queries: the second one rides the rank-swap
-    // cache, so both the pipeline and the fast path are pinned.
+        ShardedIndexConfig::with_shards(4).seeded(23),
+        &dir,
+    )
+    .expect("bootstrap");
     let batch: Vec<SparseSet> = (0..10u32).map(|i| data.point(PointId(i)).clone()).collect();
-    let first: Vec<Option<PointId>> = engine.run_batch(&batch).iter().map(|a| a.id).collect();
-    let second: Vec<Option<PointId>> = engine.run_batch(&batch).iter().map(|a| a.id).collect();
-    println!("engine_batch_golden first: {:?}", ids(&first));
-    println!("engine_batch_golden second: {:?}", ids(&second));
+    let response = writer.reader().pin().run_batch(&QueryRequest::new(batch));
+    let first: Vec<Option<PointId>> = response.answers.iter().map(|a| a.id).collect();
+    println!("engine_batch_golden: {:?}", ids(&first));
     assert_eq!(ids(&first), GOLDEN_ENGINE_FIRST);
-    assert_eq!(ids(&second), GOLDEN_ENGINE_SECOND);
+    drop(writer);
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -1,5 +1,6 @@
-//! The zero-copy acceptance criterion: a warm [`QueryEngine`] load through
-//! [`SnapshotImage`] performs **O(1) large allocations** — the number of
+//! The zero-copy acceptance criterion: a warm load of the engine
+//! [`Checkpoint`] — the image `EngineWriter::open` reads on restart —
+//! through [`SnapshotImage`] performs **O(1) large allocations** — the number of
 //! ≥ 64 KiB allocations must not grow with the dataset, because every
 //! fixed-width column borrows the one verified image buffer instead of
 //! being copied out per section.
@@ -9,7 +10,7 @@
 //! `snapshot_cycle` bench reports through `BENCH_snapshot.json`.
 
 use fairnn_core::SimilarityAtLeast;
-use fairnn_engine::{EngineConfig, QueryEngine};
+use fairnn_engine::{Checkpoint, QueryRequest, ShardedIndex, ShardedIndexConfig};
 use fairnn_integration_tests::test_dataset;
 use fairnn_lsh::{ConcatenatedHasher, OneBitMinHash, OneBitMinHasher};
 use fairnn_snapshot::{CountingAlloc, SnapshotImage, SnapshotKind};
@@ -19,8 +20,8 @@ use std::path::PathBuf;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-type SetEngine =
-    QueryEngine<SparseSet, ConcatenatedHasher<OneBitMinHasher>, SimilarityAtLeast<Jaccard>>;
+type SetCheckpoint =
+    Checkpoint<SparseSet, ConcatenatedHasher<OneBitMinHasher>, SimilarityAtLeast<Jaccard>>;
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -29,7 +30,7 @@ fn temp_path(name: &str) -> PathBuf {
     ))
 }
 
-/// Builds an engine over `data`, saves it, and counts the large
+/// Builds a checkpoint over `data`, saves it, and counts the large
 /// allocations of the image-open + decode path. Returns the count and the
 /// snapshot size so callers can confirm the workload actually scaled.
 fn large_allocs_for_load(data: &Dataset<SparseSet>, name: &str) -> (u64, u64) {
@@ -37,30 +38,35 @@ fn large_allocs_for_load(data: &Dataset<SparseSet>, name: &str) -> (u64, u64) {
     let params = fairnn_lsh::ParamsBuilder::new(data.len(), 0.3, 0.05)
         .with_recall(0.9)
         .empirical(&OneBitMinHash);
-    let mut engine: SetEngine = QueryEngine::build(
-        &OneBitMinHash,
-        params,
-        data,
-        near,
-        EngineConfig::default().with_seed(7).with_shards(2),
-    );
-    // Warm the rank-swap cache so the snapshot carries serving state.
-    let batch: Vec<SparseSet> = data.points().iter().take(8).cloned().collect();
-    let _ = engine.run_batch(&batch);
+    let checkpoint: SetCheckpoint = Checkpoint {
+        seq: 0,
+        index: ShardedIndex::build(
+            &OneBitMinHash,
+            params,
+            data,
+            near,
+            ShardedIndexConfig::with_shards(2).seeded(7),
+        ),
+    };
 
     let path = temp_path(name);
-    engine.save(&path).expect("save engine snapshot");
+    fairnn_snapshot::save(SnapshotKind::Checkpoint, &checkpoint, &path)
+        .expect("save checkpoint snapshot");
     let snapshot_bytes = std::fs::metadata(&path).expect("stat snapshot").len();
 
     CountingAlloc::reset();
     let image = SnapshotImage::open(&path).expect("open snapshot image");
-    let mut loaded: SetEngine = image.decode(SnapshotKind::QueryEngine).expect("decode");
+    let loaded: SetCheckpoint = image.decode(SnapshotKind::Checkpoint).expect("decode");
     let count = CountingAlloc::large_allocs();
     let _ = std::fs::remove_file(&path);
 
-    // The loaded engine must actually serve (the count would be
+    // The loaded index must actually serve (the count would be
     // meaningless for a lazily-decoded husk).
-    assert_eq!(engine.run_batch(&batch), loaded.run_batch(&batch));
+    let request = QueryRequest::new(data.points().iter().take(8).cloned().collect());
+    assert_eq!(
+        checkpoint.index.run_batch(&request),
+        loaded.index.run_batch(&request)
+    );
     (count, snapshot_bytes)
 }
 

@@ -3,22 +3,21 @@
 //! `build_determinism.rs` pins that the *structures* built on 1, 2 and 8
 //! threads are byte-identical; this suite pins the same contract for the
 //! *metrics* the instrumented pipeline emits. Every value metric — counters
-//! (queries, cache hits/misses, exhaustive fallbacks), value histograms
+//! (queries, exhaustive fallbacks), value histograms
 //! (rejection rounds per draw, bucket sizes at freeze) and end-of-batch
 //! gauges — is a commutative sum of per-item contributions, so its total
 //! must be a pure function of the work done, not of how the work was split
 //! across threads or the order per-thread shards merged back.
 //!
 //! Timing histograms (`*_ns`) are excluded: wall time is genuinely
-//! nondeterministic, and the chunk count itself varies with the thread
-//! knob. The split is exactly the one the exporters document — values are
+//! nondeterministic. The split is exactly the one the exporters document — values are
 //! comparable across runs, timings are not.
 //!
 //! Kept as its own integration-test binary: the enable switch and the
 //! registry are process-global.
 
 use fairnn_core::SimilarityAtLeast;
-use fairnn_engine::{EngineConfig, QueryEngine};
+use fairnn_engine::{QueryRequest, ShardedIndex, ShardedIndexConfig};
 use fairnn_integration_tests::{golden_dataset, golden_params as params};
 use fairnn_lsh::{LshIndex, MinHash};
 use fairnn_space::Jaccard;
@@ -46,8 +45,7 @@ fn value_metrics() -> ValueMetrics {
 }
 
 /// A lazy handle only registers its metric on first touch, so a code path
-/// taken at one thread count but not another (e.g. the 1-thread serial
-/// dispatch never touches the pool gauges) leaves the metric absent rather
+/// taken at one thread count but not another leaves the metric absent rather
 /// than zero. Absent ≡ all-zero for comparison purposes: pad every sweep
 /// with zero rows for the union of registered names, so a metric that is
 /// *non-zero* on one sweep and missing on another still fails loudly.
@@ -74,20 +72,18 @@ fn engine_pipeline_metrics_are_identical_at_1_2_8_threads() {
     for &threads in &THREAD_COUNTS {
         fairnn_parallel::set_build_threads(threads);
         fairnn_obs::global().reset();
-        let mut engine = QueryEngine::build(
+        let index = ShardedIndex::build(
             &MinHash,
             params(data.len()),
             &data,
             near,
-            EngineConfig::default()
-                .with_seed(23)
-                .with_shards(4)
-                .with_threads(threads),
+            ShardedIndexConfig::with_shards(4).seeded(23),
         );
-        // First batch runs the full two-level pipeline, second rides the
-        // rank-swap cache — both paths contribute to the counters.
-        let _ = engine.run_batch(&batch);
-        let _ = engine.run_batch(&batch);
+        // Two batches through the one executor: the build ran on
+        // `threads` workers, the answers and their counters must not care.
+        for b in 0..2u64 {
+            let _ = index.run_batch(&QueryRequest::new(batch.clone()).with_batch(b));
+        }
         sweeps.push(value_metrics());
     }
     fairnn_parallel::set_build_threads(0);

@@ -104,7 +104,7 @@ fn engine_throughput_runs_at_tiny_scale() {
         "unexpected engine_throughput output:\n{out}"
     );
     assert!(
-        out.contains("rank-swap fast path"),
+        out.contains("observability overhead"),
         "unexpected engine_throughput output:\n{out}"
     );
 }

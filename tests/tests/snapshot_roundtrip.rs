@@ -5,8 +5,8 @@
 //! 1. **Golden identity** — a structure restored via `load()` reproduces
 //!    the exact seed-pinned sample sequences of `golden_samples.rs`
 //!    (same constants, same RNG streams), for every persisted structure:
-//!    `FairNns`, `FairNnis`, `RankSwapSampler`, `ShardedIndex`,
-//!    `QueryEngine`.
+//!    `FairNns`, `FairNnis`, `RankSwapSampler`, `ShardedIndex`, and the
+//!    engine `Checkpoint` a restart loads.
 //! 2. **Canonical encoding** — `save → load → save` is byte-identical.
 //! 3. **Rejection, not panic** — corrupted, truncated and version-bumped
 //!    snapshots fail with the matching typed [`SnapshotError`] variant;
@@ -16,12 +16,12 @@
 
 use fairnn_core::{FairNnis, FairNns, NeighborSampler, RankSwapSampler, SimilarityAtLeast};
 use fairnn_engine::{
-    EngineConfig, EngineWriter, QueryEngine, QueryRequest, ShardedIndex, ShardedIndexConfig,
-    WriteBatch, CHECKPOINT_FILE, WAL_FILE,
+    Checkpoint, EngineWriter, QueryRequest, ShardedIndex, ShardedIndexConfig, WriteBatch,
+    CHECKPOINT_FILE, WAL_FILE,
 };
 use fairnn_integration_tests::{
     golden_dataset, golden_ids as ids, golden_params as params, GOLDEN_ENGINE_FIRST,
-    GOLDEN_ENGINE_SECOND, GOLDEN_FAIR_NNIS, GOLDEN_FAIR_NNS, GOLDEN_RANK_SWAP, GOLDEN_SHARDED,
+    GOLDEN_FAIR_NNIS, GOLDEN_FAIR_NNS, GOLDEN_RANK_SWAP, GOLDEN_SHARDED,
 };
 use fairnn_lsh::{ConcatenatedHasher, MinHash, MinHasher};
 use fairnn_snapshot::{
@@ -39,7 +39,7 @@ type SetNns = FairNns<SparseSet, Hasher, Near>;
 type SetNnis = FairNnis<SparseSet, Hasher, Near>;
 type SetRankSwap = RankSwapSampler<SparseSet, Hasher, Near>;
 type SetSharded = ShardedIndex<SparseSet, Hasher, Near>;
-type SetEngine = QueryEngine<SparseSet, Hasher, Near>;
+type SetCheckpoint = Checkpoint<SparseSet, Hasher, Near>;
 type SetWriter = EngineWriter<SparseSet, Hasher, Near>;
 
 fn near() -> Near {
@@ -168,29 +168,30 @@ fn loaded_sharded_index_reproduces_the_golden_sequence() {
 }
 
 #[test]
-fn loaded_query_engine_reproduces_the_golden_batches() {
-    // The acceptance criterion of the snapshot subsystem: an engine restored
-    // from disk answers the pinned batches bit-for-bit — including the
-    // second batch, which rides the rank-swap cache.
+fn reopened_engine_reproduces_the_golden_batch() {
+    // The acceptance criterion of the snapshot subsystem: an engine
+    // restarted from its directory (checkpoint load + empty WAL replay)
+    // answers the pinned batch bit-for-bit through a reader pin.
     let data = golden_dataset();
-    let engine: SetEngine = QueryEngine::build(
+    let dir = std::env::temp_dir().join(format!("fairnn-roundtrip-{}-engine", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let writer: SetWriter = EngineWriter::bootstrap(
         &MinHash,
         params(data.len()),
         &data,
         near(),
-        EngineConfig::default().with_seed(23).with_shards(4),
-    );
-    let mut loaded = file_roundtrip(
-        &engine,
-        "engine",
-        |s, p| s.save(p).expect("save"),
-        |p| SetEngine::load(p).expect("load"),
-    );
+        ShardedIndexConfig::with_shards(4).seeded(23),
+        &dir,
+    )
+    .expect("bootstrap");
+    drop(writer);
+    let reopened = SetWriter::open(&dir).expect("reopen");
     let batch: Vec<SparseSet> = (0..10u32).map(|i| data.point(PointId(i)).clone()).collect();
-    let first: Vec<Option<PointId>> = loaded.run_batch(&batch).iter().map(|a| a.id).collect();
-    let second: Vec<Option<PointId>> = loaded.run_batch(&batch).iter().map(|a| a.id).collect();
+    let response = reopened.reader().pin().run_batch(&QueryRequest::new(batch));
+    let first: Vec<Option<PointId>> = response.answers.iter().map(|a| a.id).collect();
     assert_eq!(ids(&first), GOLDEN_ENGINE_FIRST);
-    assert_eq!(ids(&second), GOLDEN_ENGINE_SECOND);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// Saves via the structure's own `save`, reopens through the explicit
@@ -212,7 +213,7 @@ where
 fn snapshot_image_decoded_structures_replay_every_golden_sequence() {
     // The explicit zero-copy path — `SnapshotImage::open` → `decode`, all
     // columns borrowing the one image buffer — must replay all four
-    // seed-pinned golden sequences and both engine batches byte-identically
+    // seed-pinned golden sequences and the engine batch byte-identically
     // to the live structures. (`load()` routes through the same image, but
     // this pins the public API an embedding process would use to share one
     // page-cache-resident image across consumers.)
@@ -271,24 +272,30 @@ fn snapshot_image_decoded_structures_replay_every_golden_sequence() {
         .collect();
     assert_eq!(ids(&got), GOLDEN_SHARDED);
 
-    let engine: SetEngine = QueryEngine::build(
-        &MinHash,
-        p,
-        &data,
-        near(),
-        EngineConfig::default().with_seed(23).with_shards(4),
-    );
-    let mut engine = via_image(
-        &engine,
-        "image-engine",
-        SnapshotKind::QueryEngine,
-        |s, path| s.save(path).expect("save"),
+    let checkpoint = SetCheckpoint {
+        seq: 0,
+        index: ShardedIndex::build(
+            &MinHash,
+            p,
+            &data,
+            near(),
+            ShardedIndexConfig::with_shards(4).seeded(23),
+        ),
+    };
+    let checkpoint = via_image(
+        &checkpoint,
+        "image-checkpoint",
+        SnapshotKind::Checkpoint,
+        |s, path| fairnn_snapshot::save(SnapshotKind::Checkpoint, s, path).expect("save"),
     );
     let batch: Vec<SparseSet> = (0..10u32).map(|i| data.point(PointId(i)).clone()).collect();
-    let first: Vec<Option<PointId>> = engine.run_batch(&batch).iter().map(|a| a.id).collect();
-    let second: Vec<Option<PointId>> = engine.run_batch(&batch).iter().map(|a| a.id).collect();
+    let first: Vec<Option<PointId>> = checkpoint
+        .index
+        .run_batch(&QueryRequest::new(batch))
+        .iter()
+        .map(|a| a.id)
+        .collect();
     assert_eq!(ids(&first), GOLDEN_ENGINE_FIRST);
-    assert_eq!(ids(&second), GOLDEN_ENGINE_SECOND);
 }
 
 #[test]
@@ -329,23 +336,16 @@ fn save_load_save_is_byte_identical_for_every_structure() {
         "ShardedIndex"
     );
 
-    let mut engine: SetEngine = QueryEngine::build(
-        &MinHash,
-        p,
-        &data,
-        near(),
-        EngineConfig::default().with_seed(23).with_shards(4),
-    );
-    // Warm the cache so the canonical-encoding claim covers a non-trivial
-    // cache state too.
-    let batch: Vec<SparseSet> = (0..10u32).map(|i| data.point(PointId(i)).clone()).collect();
-    let _ = engine.run_batch(&batch);
-    let bytes = to_bytes(SnapshotKind::QueryEngine, &engine);
-    let back: SetEngine = from_bytes(SnapshotKind::QueryEngine, &bytes).expect("load");
+    let checkpoint = SetCheckpoint {
+        seq: 5,
+        index: sharded,
+    };
+    let bytes = to_bytes(SnapshotKind::Checkpoint, &checkpoint);
+    let back: SetCheckpoint = from_bytes(SnapshotKind::Checkpoint, &bytes).expect("load");
     assert_eq!(
-        to_bytes(SnapshotKind::QueryEngine, &back),
+        to_bytes(SnapshotKind::Checkpoint, &back),
         bytes,
-        "QueryEngine"
+        "Checkpoint"
     );
 }
 
