@@ -218,7 +218,7 @@ mod tests {
             "fairnn-snapshot"
         );
         assert_eq!(crate_name_of("src/lib.rs"), "fairnn");
-        assert_eq!(crate_name_of("scripts/bench_gate.rs"), "fairnn");
+        assert_eq!(crate_name_of("scripts/fairnn_audit.rs"), "fairnn");
     }
 
     #[test]

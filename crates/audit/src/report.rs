@@ -1,6 +1,6 @@
 //! Report rendering: human `file:line:col` diagnostics and the
-//! machine-readable JSON document (same hand-rolled style as the
-//! `BENCH_*.json` emitters — no serializer dependency).
+//! machine-readable JSON document (hand-rolled — no serializer
+//! dependency).
 
 use crate::rules::{Finding, Severity, RULES};
 use std::fmt::Write as _;

@@ -20,14 +20,6 @@ pub struct CommonArgs {
     /// Shards for the serving-engine paths (1 = the historical monolithic
     /// index).
     pub shards: usize,
-    /// When set, the binary additionally writes a machine-readable JSON
-    /// report to this path (`--json <path>`); used by CI to track the
-    /// performance trajectory as build artifacts.
-    pub json: Option<String>,
-    /// When set, the binary dumps the full `fairnn-obs` metrics registry
-    /// (counters, gauges, histogram buckets) as JSON to this path after
-    /// its instrumented runs (`--metrics-json <path>`).
-    pub metrics_json: Option<String>,
 }
 
 impl Default for CommonArgs {
@@ -39,8 +31,6 @@ impl Default for CommonArgs {
             seed: 42,
             threads: 1,
             shards: 1,
-            json: None,
-            metrics_json: None,
         }
     }
 }
@@ -83,12 +73,6 @@ impl CommonArgs {
                     if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
                         out.shards = v;
                     }
-                }
-                "--json" => {
-                    out.json = iter.next();
-                }
-                "--metrics-json" => {
-                    out.metrics_json = iter.next();
                 }
                 "--paper-scale" => {
                     out.scale = 1.0;
@@ -186,19 +170,6 @@ mod tests {
     fn ignores_unknown_flags() {
         let a = CommonArgs::parse(to_args(&["--unknown", "3", "--queries", "4"]));
         assert_eq!(a.queries, 4);
-    }
-
-    #[test]
-    fn parses_report_paths() {
-        let a = CommonArgs::parse(to_args(&[
-            "--json",
-            "BENCH.json",
-            "--metrics-json",
-            "METRICS.json",
-        ]));
-        assert_eq!(a.json.as_deref(), Some("BENCH.json"));
-        assert_eq!(a.metrics_json.as_deref(), Some("METRICS.json"));
-        assert_eq!(CommonArgs::default().metrics_json, None);
     }
 
     #[test]

@@ -1,24 +1,17 @@
 //! Deterministic parallel build: wall time vs build threads.
 //!
-//! PR 3/PR 4 made the *query* path fast; the *build* path dominates every
-//! cold start, reshard and compaction (`snapshot_cycle` measures a cold
-//! build at 7–10× a snapshot load). This binary measures how construction
-//! scales on the `fairnn-parallel` build workers: for each of three dataset
-//! scales it builds the two heaviest structures — the Section 4
-//! [`FairNnis`] sampler and the engine's [`ShardedIndex`] — at a sweep
-//! of thread counts, verifying at every step that the parallel build is
-//! **bit-for-bit identical** to the serial one (the binary aborts
-//! otherwise, so CI catches determinism drift).
-//!
-//! The single-thread rows double as the build-throughput figures the CI
-//! bench gate tracks (`points_per_s` against `BENCH_baseline.json`), so a
-//! serial build regression fails the gate even on a 1-core runner; rows
-//! with more threads than cores are annotated `hardware_limited` and
-//! skipped by the gate, exactly like the engine churn row.
+//! The build path dominates every cold start, reshard and compaction. This
+//! binary measures how construction scales on the `fairnn-parallel` build
+//! workers: for each of three dataset scales it builds the two heaviest
+//! structures — the Section 4 [`FairNnis`] sampler and the engine's
+//! [`ShardedIndex`] — at a sweep of thread counts, verifying at every step
+//! that the parallel build is **bit-for-bit identical** to the serial one
+//! (the binary aborts otherwise, so CI catches determinism drift). Rows with
+//! more threads than cores are annotated `hardware-limited`: they document
+//! the overhead, not a speedup.
 //!
 //! Usage: `cargo run --release -p fairnn-bench --bin build_scaling --
-//!         [--scale 0.1] [--seed 42] [--threads 4] [--shards 4]
-//!         [--json BENCH_build.json]`
+//!         [--scale 0.1] [--seed 42] [--threads 4] [--shards 4]`
 //! (three scales are exercised: ½×, 1× and 2× the `--scale` value, clamped
 //! to the valid range; thread counts swept are 1, 2 and `--threads`.)
 
@@ -61,7 +54,7 @@ impl BuildRow {
 
 /// Builds per timed measurement: the reported wall time is the best of
 /// these runs (the first doubles as warm-up), which keeps the smoke-scale
-/// rows stable enough for the 35 % CI gate on shared runners.
+/// rows stable on shared runners.
 const RUNS_PER_ROW: usize = 3;
 
 /// Runs `f` [`RUNS_PER_ROW`] times; returns the last value and the minimum
@@ -201,33 +194,4 @@ fn main() {
         ]);
     }
     println!("{table}");
-
-    if let Some(path) = &args.json {
-        let build_rows: Vec<String> = rows
-            .iter()
-            .map(|row| {
-                format!(
-                    "    {{\"scale\": {}, \"structure\": \"{}\", \"dataset_points\": {}, \"threads\": {}, \"build_s\": {:.6}, \"points_per_s\": {:.1}, \"speedup_vs_serial\": {:.2}, \"hardware_limited\": {}}}",
-                    row.scale,
-                    row.structure,
-                    row.dataset_points,
-                    row.threads,
-                    row.build_s,
-                    row.points_per_s(),
-                    row.speedup_vs_serial,
-                    row.hardware_limited,
-                )
-            })
-            .collect();
-        let json = format!(
-            "{{\n  \"bench\": \"build_scaling\",\n  \"base_scale\": {},\n  \"seed\": {},\n  \"shards\": {},\n  \"threads\": {},\n  \"available_parallelism\": {cores},\n  \"builds\": [\n{}\n  ]\n}}\n",
-            args.scale,
-            args.seed,
-            args.shards,
-            args.threads,
-            build_rows.join(",\n"),
-        );
-        std::fs::write(path, json).expect("write JSON report");
-        println!("wrote machine-readable report to {path}");
-    }
 }

@@ -12,17 +12,21 @@
 //!
 //! The binaries accept `--scale` (fraction of the paper-sized dataset),
 //! `--repetitions` and `--seed` flags so that both a quick smoke run and a
-//! paper-scale run are possible; see `EXPERIMENTS.md` at the workspace root
-//! for the recorded results.
+//! paper-scale run are possible; the workspace README's "Reproduce the
+//! paper's figures" section lists the invocations.
+//!
+//! Two more binaries check engine properties rather than paper figures:
+//! `build_scaling` (parallel builds are bit-for-bit the serial build) and
+//! `obs_overhead` (the 3 % budget of `fairnn-obs` instrumentation).
+//! Performance of the served path is measured by the stand-alone
+//! `servebench/` package, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;
 pub mod figures;
-pub mod report;
 pub mod workload;
 
 pub use args::CommonArgs;
-pub use report::json_fixed;
 pub use workload::{SetWorkload, WorkloadKind};

@@ -96,6 +96,6 @@ pub use api_types::{
 pub use engine::Answer;
 pub use generation::Generation;
 pub use reader::{EngineReader, EpochPin};
-pub use shard::{Shard, ShardConfig};
+pub use shard::Shard;
 pub use sharded::{PreparedQuery, ShardedIndex, ShardedIndexConfig, ShardedSampler};
 pub use writer::{Checkpoint, EngineWriter, CHECKPOINT_FILE, WAL_FILE};

@@ -16,9 +16,9 @@
 //! bucket lists. A KMV sketch cannot *unlearn* an element, so after deletes
 //! the bucket sketches over-estimate — harmless for the rejection-corrected
 //! sampler (see `sharded.rs`), and bounded by compaction: once tombstones
-//! exceed a configurable fraction of the live points the shard rebuilds
-//! itself locally (same hashers, compacted ids, fresh sketches). No update
-//! ever requires touching another shard, let alone a global rebuild.
+//! exceed half the live points the shard rebuilds itself locally (same
+//! hashers, compacted ids, fresh sketches). No update ever requires
+//! touching another shard, let alone a global rebuild.
 
 use fairnn_core::predicate::{build_screen_rows, Nearness};
 use fairnn_core::QueryStats;
@@ -37,56 +37,18 @@ thread_local! {
     static SHARD_SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::new());
 }
 
-/// Tuning knobs of a [`Shard`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardConfig {
-    /// `k` of the per-bucket KMV sketches (exact below `k` distinct ids,
-    /// ~`1/√k` relative error above).
-    pub sketch_k: usize,
-    /// Buckets with at least this many entries pre-compute their sketch;
-    /// smaller buckets are folded into estimates by direct insertion at
-    /// query time (the space-saving rule of Section 4).
-    pub sketch_threshold: usize,
-    /// The shard compacts itself when tombstones exceed this fraction of
-    /// the live point count.
-    pub rebuild_fraction: f64,
-}
+/// `k` of the per-bucket KMV sketches (exact below `k` distinct ids,
+/// ~`1/√k` relative error above).
+const SKETCH_K: usize = 64;
 
-impl Default for ShardConfig {
-    fn default() -> Self {
-        Self {
-            sketch_k: 64,
-            sketch_threshold: 32,
-            rebuild_fraction: 0.5,
-        }
-    }
-}
+/// Buckets with at least this many entries pre-compute their sketch;
+/// smaller buckets are folded into estimates by direct insertion at query
+/// time (the space-saving rule of Section 4).
+const SKETCH_THRESHOLD: usize = 32;
 
-impl fairnn_snapshot::Codec for ShardConfig {
-    fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
-        enc.write_u64(self.sketch_k as u64);
-        enc.write_u64(self.sketch_threshold as u64);
-        enc.write_f64(self.rebuild_fraction);
-    }
-
-    fn decode(
-        dec: &mut fairnn_snapshot::Decoder<'_>,
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        let sketch_k = usize::decode(dec)?;
-        let sketch_threshold = usize::decode(dec)?;
-        let rebuild_fraction = dec.read_f64()?;
-        if sketch_k < 2 {
-            return Err(fairnn_snapshot::SnapshotError::Corrupt(format!(
-                "shard sketch_k must be at least 2, found {sketch_k}"
-            )));
-        }
-        Ok(Self {
-            sketch_k,
-            sketch_threshold,
-            rebuild_fraction,
-        })
-    }
-}
+/// The shard compacts itself when tombstones exceed this fraction of the
+/// live point count.
+const REBUILD_FRACTION: f64 = 0.5;
 
 /// A shard of the sharded index. Local point ids are dense `0..points.len()`
 /// (with tombstoned holes between compactions); every public method speaks
@@ -110,7 +72,6 @@ pub struct Shard<P, H, N> {
     /// different shards merge into estimates over the whole dataset.
     sketches: Vec<HashMap<u64, BottomKSketch>>,
     sketch_seed: u64,
-    config: ShardConfig,
 }
 
 impl<P: Clone + Sync, BH, N> Shard<P, ConcatenatedHasher<BH>, N>
@@ -121,7 +82,6 @@ where
     /// Builds a shard over `points` (with their global ids) from the shared
     /// parameters; the hashers are drawn from `rng`, which the sharded index
     /// derives from its root seed per shard.
-    #[allow(clippy::too_many_arguments)]
     pub fn build<F, R>(
         family: &F,
         params: LshParams,
@@ -129,7 +89,6 @@ where
         global_ids: Vec<PointId>,
         near: N,
         sketch_seed: u64,
-        config: ShardConfig,
         rng: &mut R,
     ) -> Self
     where
@@ -153,7 +112,6 @@ where
             screens,
             sketches: Vec::new(),
             sketch_seed,
-            config,
             points,
             global_ids,
         };
@@ -224,9 +182,9 @@ impl<P, H, N> Shard<P, H, N> {
     }
 
     /// An empty sketch compatible with every bucket sketch of every shard
-    /// sharing this seed and configuration (the merge accumulator).
+    /// sharing this seed (the merge accumulator).
     pub fn empty_sketch(&self) -> BottomKSketch {
-        BottomKSketch::new(self.sketch_seed, self.config.sketch_k)
+        BottomKSketch::new(self.sketch_seed, SKETCH_K)
     }
 
     /// Freezes the shard's tables back into their read-optimized CSR form
@@ -249,17 +207,15 @@ impl<P, H, N> Shard<P, H, N> {
     /// concurrently on the build workers; sketch contents depend only on
     /// bucket contents, so the result is thread-count independent.
     fn rebuild_sketches(&mut self) {
-        let threshold = self.config.sketch_threshold;
         let sketch_seed = self.sketch_seed;
-        let sketch_k = self.config.sketch_k;
         let tables = self.index.tables();
         let global_ids = &self.global_ids;
         let sketches = fairnn_parallel::map_indexed(tables.len(), |t| {
             tables[t]
                 .buckets()
-                .filter(|(_, ids)| ids.len() >= threshold)
+                .filter(|(_, ids)| ids.len() >= SKETCH_THRESHOLD)
                 .map(|(key, ids)| {
-                    let mut sketch = BottomKSketch::new(sketch_seed, sketch_k);
+                    let mut sketch = BottomKSketch::new(sketch_seed, SKETCH_K);
                     for &lid in ids {
                         sketch.insert(global_ids[lid.index()].0 as u64);
                     }
@@ -416,17 +372,16 @@ where
                 None => self.screens = None,
             }
         }
-        let assigned = self.index.insert_point(&self.points[lid as usize]);
+        let (assigned, keys) = self.index.insert_point(&self.points[lid as usize]);
         assert_eq!(assigned.index(), lid as usize, "local ids must stay dense");
 
-        let keys = self.index.query_keys(&self.points[lid as usize]);
         for (i, key) in keys.into_iter().enumerate() {
             if let Some(sketch) = self.sketches[i].get_mut(&key) {
                 sketch.insert(global.0 as u64);
-            } else if self.index.table(i).bucket(key).len() >= self.config.sketch_threshold {
+            } else if self.index.table(i).bucket(key).len() >= SKETCH_THRESHOLD {
                 // The bucket just crossed the threshold: sketch it. Bucket
                 // lists contain live points only, so the sketch is fresh.
-                let mut sketch = BottomKSketch::new(self.sketch_seed, self.config.sketch_k);
+                let mut sketch = BottomKSketch::new(self.sketch_seed, SKETCH_K);
                 for &l in self.index.table(i).bucket(key) {
                     sketch.insert(self.global_ids[l.index()].0 as u64);
                 }
@@ -451,7 +406,7 @@ where
         // Bucket sketches keep the deleted id (KMV cannot unlearn); the
         // resulting over-estimate is corrected by rejection at query time
         // and reclaimed below once it grows too large.
-        if self.tombstones as f64 > self.config.rebuild_fraction * self.live.max(1) as f64 {
+        if self.tombstones as f64 > REBUILD_FRACTION * self.live.max(1) as f64 {
             self.compact();
         }
         self.debug_assert_occupancy_invariants();
@@ -464,7 +419,7 @@ where
     /// per-table id remap of the already-recorded bucket keys, so no point
     /// is re-run through the hasher bank — which is bit-identical to the
     /// old rebuild-based compaction at a fraction of the cost.
-    /// Compacts immediately regardless of the `rebuild_fraction` trigger
+    /// Compacts immediately regardless of the [`REBUILD_FRACTION`] trigger
     /// (the writer's explicit `WriteOp::Compact` path).
     pub(crate) fn force_compact(&mut self) {
         self.compact();
@@ -528,7 +483,6 @@ where
             }
         }
         enc.write_u64(self.sketch_seed);
-        self.config.encode(enc);
     }
 
     fn decode(
@@ -580,11 +534,10 @@ where
             sketches.push(table);
         }
         let sketch_seed = dec.read_u64()?;
-        let config = ShardConfig::decode(dec)?;
         // Every bucket sketch must merge with the accumulator built from
-        // this shard's seed and `k`; a mismatch would otherwise panic
-        // inside `merge` at query time instead of failing the load.
-        let reference = BottomKSketch::new(sketch_seed, config.sketch_k);
+        // this shard's seed and [`SKETCH_K`]; a mismatch would otherwise
+        // panic inside `merge` at query time instead of failing the load.
+        let reference = BottomKSketch::new(sketch_seed, SKETCH_K);
         // fairnn-audit: allow(unordered-iter) — validation only; acceptance is order-independent
         for sketch in sketches.iter().flat_map(HashMap::values) {
             if !reference.mergeable_with(sketch) {
@@ -619,7 +572,6 @@ where
             screens,
             sketches,
             sketch_seed,
-            config,
         };
         shard.debug_assert_occupancy_invariants();
         Ok(shard)
@@ -658,9 +610,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn clustered_sets() -> Vec<SparseSet> {
+    /// A tight cluster of `cluster` near-duplicates of `sets[0]`, then 8
+    /// mutually far singletons.
+    fn clustered_sets_of(cluster: u32) -> Vec<SparseSet> {
         let mut sets = Vec::new();
-        for j in 0..8u32 {
+        for j in 0..cluster {
             let mut items: Vec<u32> = (0..24).collect();
             items.push(100 + j);
             sets.push(SparseSet::from_items(items));
@@ -671,6 +625,10 @@ mod tests {
             ));
         }
         sets
+    }
+
+    fn clustered_sets() -> Vec<SparseSet> {
+        clustered_sets_of(8)
     }
 
     type TestShard =
@@ -689,10 +647,6 @@ mod tests {
             globals,
             SimilarityAtLeast::new(Jaccard, 0.5),
             77,
-            ShardConfig {
-                sketch_threshold: 2,
-                ..ShardConfig::default()
-            },
             &mut rng,
         )
     }
@@ -712,17 +666,18 @@ mod tests {
 
     #[test]
     fn estimate_tracks_colliding_count_and_sketches_exist() {
-        let sets = clustered_sets();
+        // A 40-member cluster fills buckets past the sketch threshold.
+        let sets = clustered_sets_of(40);
         let shard = build_shard(sets.clone(), 0);
         assert!(
             shard.sketched_buckets() > 0,
-            "threshold 2 must sketch the cluster buckets"
+            "a 40-member cluster must sketch its buckets"
         );
         let mut stats = QueryStats::default();
         let est = shard.estimate_colliding(&sets[0], &mut stats);
-        // The 8-member cluster collides almost surely; KMV is exact at this size.
-        assert!(est >= 7.0, "estimate {est}");
-        assert!(est <= 17.0, "estimate {est}");
+        // The cluster collides almost surely; KMV is exact below k = 64.
+        assert!(est >= 39.0, "estimate {est}");
+        assert!(est <= 48.0, "estimate {est}");
     }
 
     #[test]

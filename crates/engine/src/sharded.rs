@@ -36,7 +36,7 @@
 //! battery checks.
 
 use crate::seed::{split_seed, stream_rng};
-use crate::shard::{Shard, ShardConfig};
+use crate::shard::Shard;
 use fairnn_core::predicate::Nearness;
 use fairnn_core::{NeighborSampler, QueryStats};
 use fairnn_data::partition;
@@ -63,21 +63,21 @@ static FALLBACK_EXHAUSTIVE: LazyCounter = LazyCounter::new(
     "draws that fell back to the exhaustive uniform scan",
 );
 
+/// Rejection margin κ: proposals are accepted with probability
+/// `|A_i| / (κ · ŝ_i)`. Must keep the ratio ≤ 1, so κ ≥ the worst-case
+/// over-count factor of the estimates (KMV error + deletion staleness).
+const KAPPA: f64 = 4.0;
+
+/// Round budget of one draw before the exhaustive fallback kicks in.
+const MAX_ROUNDS: usize = 64;
+
 /// Configuration of a [`ShardedIndex`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardedIndexConfig {
     /// Number of shards `N ≥ 1`.
     pub shards: usize,
     /// Root seed: determines every hasher and sketch seed of the structure.
     pub seed: u64,
-    /// Rejection margin κ: proposals are accepted with probability
-    /// `|A_i| / (κ · ŝ_i)`. Must keep the ratio ≤ 1, so κ ≥ the worst-case
-    /// over-count factor of the estimates (KMV error + deletion staleness).
-    pub kappa: f64,
-    /// Round budget before the exhaustive fallback kicks in.
-    pub max_rounds: usize,
-    /// Per-shard tuning.
-    pub shard: ShardConfig,
 }
 
 impl Default for ShardedIndexConfig {
@@ -85,15 +85,12 @@ impl Default for ShardedIndexConfig {
         Self {
             shards: 4,
             seed: 0x5EED,
-            kappa: 4.0,
-            max_rounds: 64,
-            shard: ShardConfig::default(),
         }
     }
 }
 
 impl ShardedIndexConfig {
-    /// A config with the given shard count (other fields default).
+    /// A config with the given shard count (default seed).
     pub fn with_shards(shards: usize) -> Self {
         Self {
             shards,
@@ -112,9 +109,6 @@ impl fairnn_snapshot::Codec for ShardedIndexConfig {
     fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
         enc.write_u64(self.shards as u64);
         enc.write_u64(self.seed);
-        enc.write_f64(self.kappa);
-        enc.write_u64(self.max_rounds as u64);
-        self.shard.encode(enc);
     }
 
     fn decode(
@@ -122,26 +116,12 @@ impl fairnn_snapshot::Codec for ShardedIndexConfig {
     ) -> Result<Self, fairnn_snapshot::SnapshotError> {
         let shards = usize::decode(dec)?;
         let seed = dec.read_u64()?;
-        let kappa = dec.read_f64()?;
-        let max_rounds = usize::decode(dec)?;
-        let shard = ShardConfig::decode(dec)?;
         if shards < 1 {
             return Err(fairnn_snapshot::SnapshotError::Corrupt(
                 "sharded index needs at least one shard".into(),
             ));
         }
-        if !kappa.is_finite() || kappa < 1.0 {
-            return Err(fairnn_snapshot::SnapshotError::Corrupt(format!(
-                "rejection margin kappa must be at least 1, found {kappa}"
-            )));
-        }
-        Ok(Self {
-            shards,
-            seed,
-            kappa,
-            max_rounds,
-            shard,
-        })
+        Ok(Self { shards, seed })
     }
 }
 
@@ -191,7 +171,6 @@ where
         N: Clone + Send + Sync,
     {
         assert!(config.shards >= 1, "need at least one shard");
-        assert!(config.kappa >= 1.0, "kappa must be at least 1");
         let sketch_seed = split_seed(config.seed, STREAM_SKETCH);
         let assignment = partition::round_robin(dataset.len(), config.shards);
         let mut shard_of = vec![UNASSIGNED; dataset.len()];
@@ -215,7 +194,6 @@ where
                 globals,
                 near.clone(),
                 sketch_seed,
-                config.shard,
                 &mut rng,
             ))
         });
@@ -396,8 +374,8 @@ where
 {
     /// Persists the full topology: every shard (each with its own hasher
     /// bank, frozen tables and sketches), the global id → shard partition
-    /// map, the shared LSH parameters, and the configuration (shard count,
-    /// root seed, rejection margin).
+    /// map, the shared LSH parameters, and the configuration (shard count
+    /// and root seed).
     fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
         self.shards.encode(enc);
         self.shard_of.encode(enc);
@@ -610,8 +588,7 @@ where
             return None;
         }
         let num_shards = self.index.shards.len();
-        let kappa = self.index.config.kappa;
-        for _ in 0..self.index.config.max_rounds.max(1) {
+        for _ in 0..MAX_ROUNDS {
             self.stats.rounds += 1;
             let mut u = rng.random::<f64>() * self.total;
             let mut pick = num_shards - 1;
@@ -627,7 +604,7 @@ where
             if near_points.is_empty() {
                 continue; // acceptance probability 0
             }
-            let accept = near_points.len() as f64 / (kappa * estimate);
+            let accept = near_points.len() as f64 / (KAPPA * estimate);
             if accept > 1.0 {
                 // The sketch under-estimated below |A_i|/κ — an
                 // exp(−Θ(k))-probability KMV failure. Clamping would bias
@@ -707,7 +684,7 @@ where
 
     /// Force-compacts every shard that carries tombstones (drops them,
     /// re-densifies local ids, refreshes sketches), without waiting for
-    /// the `rebuild_fraction` trigger. Crate-private: reachable through
+    /// the shard's tombstone-fraction trigger. Crate-private: reachable through
     /// `WriteOp::Compact` on the writer, which runs it on the staging
     /// generation — never on a published one.
     pub(crate) fn compact(&mut self) {

@@ -423,7 +423,8 @@ impl<H> LshIndex<H> {
     }
 
     /// Appends one point to every table, assigning it the next dense id.
-    /// Returns the assigned id.
+    /// Returns the assigned id and the point's per-table bucket keys (one
+    /// hash pass, so callers keeping per-bucket state need not re-hash).
     ///
     /// This is the incremental half of the sharded serving layer: a shard
     /// can grow without rebuilding its tables, because each table is just a
@@ -436,7 +437,7 @@ impl<H> LshIndex<H> {
     /// bypasses durability and thaws tables readers may be serving (the
     /// `thaw-outside-writer` audit rule rejects new call sites).
     #[doc(hidden)]
-    pub fn insert_point<P>(&mut self, point: &P) -> PointId
+    pub fn insert_point<P>(&mut self, point: &P) -> (PointId, Vec<u64>)
     where
         H: LshHasher<P>,
     {
@@ -446,7 +447,7 @@ impl<H> LshIndex<H> {
             table.insert(key, id);
         }
         self.num_points += 1;
-        id
+        (id, keys)
     }
 
     /// Removes `id` from every table (the caller supplies the point so its
@@ -938,8 +939,9 @@ mod tests {
         };
         // Appending the tail must reproduce the index built over everything.
         for p in tail {
-            let id = index.insert_point(p);
+            let (id, keys) = index.insert_point(p);
             assert_eq!(id.index() + 1, index.num_points());
+            assert_eq!(keys, index.query_keys(p));
             assert!(index.colliding_ids(p).contains(&id));
         }
         assert_eq!(index.total_entries(), sets.len() * index.num_tables());
@@ -1023,7 +1025,7 @@ mod tests {
         // Thaw a table via an insert/remove pair: contents are unchanged but
         // the representation is now the staging HashMap.
         let extra = SparseSet::from_items(vec![1, 2, 3]);
-        let id = index.insert_point(&extra);
+        let (id, _) = index.insert_point(&extra);
         index.remove_point(&extra, id);
         assert!(!index.is_frozen());
         let staged = index.clone();

@@ -238,7 +238,7 @@ proptest! {
         prop_assert!(frozen.is_frozen());
         let mut staged = frozen.clone();
         let probe = sets[0].clone();
-        let id = staged.insert_point(&probe);
+        let (id, _) = staged.insert_point(&probe);
         staged.remove_point(&probe, id);
         prop_assert!(!staged.is_frozen());
         for s in &sets {

@@ -29,8 +29,8 @@
 //!
 //! Everything is gated on a single process-global switch ([`set_enabled`]):
 //! disabled (the default), every instrument is one relaxed `AtomicBool`
-//! load — measured well below the 3% overhead budget the bench gate
-//! enforces even when *enabled*.
+//! load — measured well below the 3% overhead budget the `obs_overhead`
+//! bench binary enforces even when *enabled*.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,8 @@
 //! The on-disk container: header, section directory, checksums, and the
 //! save/load entry points.
 //!
-//! Layout of format version 3 (all integers little-endian):
+//! Layout of format version 4 (the aligned layout of version 3; all
+//! integers little-endian):
 //!
 //! ```text
 //! offset  size  field
@@ -98,8 +99,11 @@ pub const MAGIC: [u8; 8] = *b"FAIRNNSS";
 /// Version history: 1 = flat single-checksum payload; 2 = sectioned payload
 /// with a per-section checksum directory (parallel encode/decode); 3 =
 /// sections placed at 64-byte-aligned image offsets with aligned
-/// little-endian array columns (zero-copy [`SnapshotImage`] loads).
-pub const FORMAT_VERSION: u32 = 3;
+/// little-endian array columns (zero-copy [`SnapshotImage`] loads); 4 =
+/// the same layout without the engine's tuning knobs (rejection margin,
+/// round budget, shard sketch size/threshold, compaction fraction), which
+/// became constants of the code.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Byte-order marker: written little-endian, so a conforming file always
 /// reads back as this value.

@@ -1,19 +1,30 @@
 //! Integration tests of the `fairnn-engine` serving subsystem: the sharded
 //! two-level sampler against the same uniformity battery the unsharded
-//! samplers face (statically and through the batch executor), the
+//! samplers face (statically, through the batch executor, and through
+//! `POST /v1/query` before and after churn and WAL recovery), the
 //! thread-count determinism contract, and the serving lifecycle (batching,
 //! incremental updates) on the shared workload fixtures.
 
+use fairnn_core::predicate::Nearness;
 use fairnn_core::{ExactSampler, NeighborSampler, SimilarityAtLeast};
 use fairnn_engine::{
-    EngineWriter, QueryRequest, ShardedIndex, ShardedIndexConfig, ShardedSampler, WriteBatch,
+    BatchResponse, EngineWriter, QueryRequest, ShardedIndex, ShardedIndexConfig, ShardedSampler,
+    WriteBatch,
 };
 use fairnn_integration_tests::{test_dataset, test_params};
-use fairnn_lsh::OneBitMinHash;
+use fairnn_lsh::{ConcatenatedHasher, OneBitMinHash, OneBitMinHasher};
+use fairnn_server::{read_response, serve, ClientResponse, ServerConfig, ServerHandle};
+use fairnn_snapshot::{Codec, Decoder, Encoder};
 use fairnn_space::{Jaccard, PointId, SparseSet};
 use fairnn_stats::{FrequencyHistogram, UniformityReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write;
+use std::net::TcpStream;
+use std::time::Duration;
+
+type Hasher = ConcatenatedHasher<OneBitMinHasher>;
+type Near = SimilarityAtLeast<Jaccard>;
 
 const R: f64 = 0.3;
 
@@ -22,11 +33,7 @@ fn build_index(
     seed: u64,
 ) -> (
     fairnn_space::Dataset<SparseSet>,
-    ShardedIndex<
-        SparseSet,
-        fairnn_lsh::ConcatenatedHasher<fairnn_lsh::OneBitMinHasher>,
-        SimilarityAtLeast<Jaccard>,
-    >,
+    ShardedIndex<SparseSet, Hasher, Near>,
 ) {
     let dataset = test_dataset(1);
     let params = test_params(dataset.len(), R);
@@ -151,46 +158,45 @@ fn sharded_neighborhood_preserves_recall() {
     }
 }
 
-#[test]
-fn executor_answers_pass_the_uniformity_battery_across_batches() {
-    // The battery above runs on a static sampler; this one runs it on the
-    // batch executor every route serves through. One query, one position
-    // per request, a fresh batch number per draw: the answers must be
-    // uniform over the neighbourhood, and answers of consecutive batch
-    // numbers must be independent (their pairs uniform over support²).
-    let (dataset, index) = build_index(4, 21);
-    let near = SimilarityAtLeast::new(Jaccard, R);
-    let exact = ExactSampler::new(&dataset, near);
-    let qid = interesting_queries(&dataset)[0];
-    let query = dataset.point(qid).clone();
-    let support = exact.neighborhood(&query);
+/// The uniformity battery across batch numbers. `draw(b)` answers the
+/// query once with batch number `b`, one position per request; the batch
+/// numbers run from `first_batch` over `1500 · |support|` (at least 1 000)
+/// consecutive values, enough for the pair test over support². The
+/// answers must stay inside `support` and be uniform over it, and answers
+/// of consecutive batch numbers must be independent: the disjoint pairs
+/// `(2k, 2k + 1)` must be uniform over support².
+fn assert_uniform_across_batches(
+    label: &str,
+    support: &[PointId],
+    first_batch: u64,
+    draw: impl FnMut(u64) -> Option<PointId>,
+) {
     let batches = (1500 * support.len()).max(1000) as u64;
-
-    let draws: Vec<Option<PointId>> = (0..batches)
-        .map(|b| {
-            let request = QueryRequest::new(vec![query.clone()]).with_batch(b);
-            index.run_batch(&request)[0].id
-        })
-        .collect();
+    let draws: Vec<Option<PointId>> = (first_batch..first_batch + batches).map(draw).collect();
     let mut hist = FrequencyHistogram::new();
     for &id in &draws {
         hist.record(id);
     }
-    let report = UniformityReport::from_histogram(&hist, &support);
+    let report = UniformityReport::from_histogram(&hist, support);
     assert_eq!(
         report.out_of_support, 0.0,
-        "executor left the neighbourhood"
+        "{label}: answers left the neighbourhood"
     );
     assert!(
         report.is_consistent_with_uniform(0.001),
-        "marginal: chi2 = {}, p = {}, TV = {}",
+        "{label} marginal: chi2 = {}, p = {}, TV = {}",
         report.chi_square,
         report.chi_square_p_value(),
         report.total_variation
     );
 
     // Disjoint pairs (2k, 2k + 1), each encoded as one id over support².
-    let n = dataset.len() as u32;
+    let n = support
+        .iter()
+        .map(|id| id.0)
+        .max()
+        .expect("non-empty support")
+        + 1;
     let pair_id = |a: PointId, b: PointId| PointId(a.0 * n + b.0);
     let mut pairs = FrequencyHistogram::new();
     for pair in draws.chunks_exact(2) {
@@ -203,11 +209,150 @@ fn executor_answers_pass_the_uniformity_battery_across_batches() {
     let report = UniformityReport::from_histogram(&pairs, &pair_support);
     assert!(
         report.is_consistent_with_uniform(0.001),
-        "pairs: chi2 = {}, p = {}, TV = {}",
+        "{label} pairs: chi2 = {}, p = {}, TV = {}",
         report.chi_square,
         report.chi_square_p_value(),
         report.total_variation
     );
+}
+
+#[test]
+fn executor_answers_pass_the_uniformity_battery_across_batches() {
+    // The battery above runs on a static sampler; this one runs it on the
+    // batch executor every route serves through.
+    let (dataset, index) = build_index(4, 21);
+    let near = SimilarityAtLeast::new(Jaccard, R);
+    let exact = ExactSampler::new(&dataset, near);
+    let qid = interesting_queries(&dataset)[0];
+    let query = dataset.point(qid).clone();
+    let support = exact.neighborhood(&query);
+    assert_uniform_across_batches("executor", &support, 0, |b| {
+        let request = QueryRequest::new(vec![query.clone()]).with_batch(b);
+        index.run_batch(&request)[0].id
+    });
+}
+
+/// One keep-alive client of a loopback `fairnn-server`.
+struct WireClient(TcpStream);
+
+impl WireClient {
+    fn connect(handle: &ServerHandle) -> Self {
+        let stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("client read timeout");
+        Self(stream)
+    }
+
+    fn post<T: Codec>(&mut self, path: &str, body: &T) -> ClientResponse {
+        let mut enc = Encoder::new();
+        body.encode(&mut enc);
+        let body = enc.into_bytes();
+        let mut wire = format!(
+            "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        wire.extend_from_slice(&body);
+        self.0.write_all(&wire).expect("send request");
+        let response = read_response(&mut self.0).expect("read response");
+        assert_eq!(response.status, 200, "{path} answered {}", response.status);
+        response
+    }
+
+    /// `POST /v1/query` with one query at batch number `batch`.
+    fn draw(&mut self, query: &SparseSet, batch: u64) -> Option<PointId> {
+        let request = QueryRequest::new(vec![query.clone()]).with_batch(batch);
+        let response = self.post("/v1/query", &request);
+        let decoded = BatchResponse::decode(&mut Decoder::new(&response.body)).expect("decode");
+        decoded.answers[0].id
+    }
+}
+
+#[test]
+fn served_answers_pass_the_uniformity_battery_through_churn_and_recovery() {
+    // The executor battery again, but every draw is a `POST /v1/query` on a
+    // loopback server: on the bootstrapped engine, after a commit that
+    // inserts, deletes and compacts, and after drain → reopen (WAL
+    // replay) → serve. Each phase uses its own batch numbers.
+    let dataset = test_dataset(1);
+    let near = SimilarityAtLeast::new(Jaccard, R);
+    let qid = interesting_queries(&dataset)[0];
+    let query = dataset.point(qid).clone();
+    let dir = std::env::temp_dir().join(format!("fairnn-serving-wire-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let writer = EngineWriter::bootstrap(
+        &OneBitMinHash,
+        test_params(dataset.len(), R),
+        &dataset,
+        near,
+        ShardedIndexConfig::with_shards(4).seeded(21),
+        &dir,
+    )
+    .expect("bootstrap");
+
+    // Live points by global id: the exact neighbourhood is the support.
+    let mut live: Vec<Option<SparseSet>> = dataset.points().iter().cloned().map(Some).collect();
+    let support_of = |live: &[Option<SparseSet>]| -> Vec<PointId> {
+        live.iter()
+            .enumerate()
+            .filter(|(_, p)| p.as_ref().is_some_and(|p| near.is_near(&query, p)))
+            .map(|(i, _)| PointId(i as u32))
+            .collect()
+    };
+
+    let handle = serve(writer, ServerConfig::default(), ("127.0.0.1", 0)).expect("serve");
+    let mut client = WireClient::connect(&handle);
+    let support = support_of(&live);
+    assert_uniform_across_batches("served", &support, 0, |b| client.draw(&query, b));
+
+    // Churn: two copies of the query join (identical points collide in
+    // every table of any shard), two other neighbours leave, and every
+    // shard with tombstones compacts.
+    let leaving: Vec<PointId> = support
+        .iter()
+        .copied()
+        .filter(|&id| id != qid)
+        .take(2)
+        .collect();
+    let mut batch = WriteBatch::new()
+        .insert(query.clone())
+        .insert(query.clone());
+    for &id in &leaving {
+        batch = batch.delete(id);
+    }
+    let receipt = client.post("/v1/commit", &batch.compact());
+    let receipt = String::from_utf8(receipt.body).expect("utf-8 receipt");
+    let assigned = receipt
+        .split("\"assigned\":[")
+        .nth(1)
+        .and_then(|rest| rest.split(']').next())
+        .expect("receipt lists assigned ids");
+    for id in assigned.split(',') {
+        let id: usize = id.parse().expect("numeric id");
+        live.resize(live.len().max(id + 1), None);
+        live[id] = Some(query.clone());
+    }
+    for id in &leaving {
+        live[id.index()] = None;
+    }
+    let support = support_of(&live);
+    assert_uniform_across_batches("served after churn", &support, 1_000_000, |b| {
+        client.draw(&query, b)
+    });
+    drop(client);
+    assert!(handle.join().completed_within_deadline);
+
+    // Recovery: reopen replays the commit from the WAL, then serve again.
+    let reopened = EngineWriter::<SparseSet, Hasher, Near>::open(&dir).expect("reopen");
+    let handle = serve(reopened, ServerConfig::default(), ("127.0.0.1", 0)).expect("serve");
+    let mut client = WireClient::connect(&handle);
+    assert_uniform_across_batches("served after recovery", &support, 2_000_000, |b| {
+        client.draw(&query, b)
+    });
+    drop(client);
+    assert!(handle.join().completed_within_deadline);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

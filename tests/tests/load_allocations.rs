@@ -6,8 +6,7 @@
 //! being copied out per section.
 //!
 //! This test lives in its own integration binary because it installs the
-//! [`CountingAlloc`] global allocator (one per binary), the same meter the
-//! `snapshot_cycle` bench reports through `BENCH_snapshot.json`.
+//! [`CountingAlloc`] global allocator (one per binary).
 
 use fairnn_core::SimilarityAtLeast;
 use fairnn_engine::{Checkpoint, QueryRequest, ShardedIndex, ShardedIndexConfig};

@@ -97,14 +97,17 @@ fn fig1_fairness_reports_the_sharded_engine_when_sharded() {
 }
 
 #[test]
-fn engine_throughput_runs_at_tiny_scale() {
-    let out = run_experiment("engine_throughput", &["--threads", "2", "--shards", "3"]);
-    assert!(
-        out.contains("determinism check"),
-        "unexpected engine_throughput output:\n{out}"
+fn obs_overhead_runs_at_tiny_scale() {
+    // A batch of 8 keeps the measured rounds far below the 50 ms the budget
+    // needs, so this checks that the binary runs and that instrumented
+    // answers stay bit-identical; the timing budget itself is a CI step.
+    let out = run_experiment(
+        "obs_overhead",
+        &["--threads", "2", "--shards", "3", "--repetitions", "8"],
     );
     assert!(
         out.contains("observability overhead"),
-        "unexpected engine_throughput output:\n{out}"
+        "unexpected obs_overhead output:\n{out}"
     );
+    assert!(out.contains("budget"), "no budget verdict:\n{out}");
 }

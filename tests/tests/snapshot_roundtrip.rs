@@ -528,11 +528,11 @@ fn corrupted_truncated_and_version_bumped_snapshots_fail_typed() {
             if found == FORMAT_VERSION + 1 && supported == FORMAT_VERSION
     ));
 
-    // Old-version files — the flat v1 layout and the unaligned v2 sections
-    // — get the same typed rejection (no migration shims), and the message
-    // tells the operator how to move forward: re-save with a current
-    // binary to produce the aligned v3 image.
-    for found in [1u32, 2] {
+    // Old-version files — the flat v1 layout, the unaligned v2 sections
+    // and v3 images still carrying the engine's tuning knobs — get the same
+    // typed rejection (no migration shims), and the message tells the
+    // operator how to move forward: re-save with a current binary.
+    for found in [1u32, 2, 3] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&found.to_le_bytes());
         let err = load_small(&old).expect_err("an old-version file must not load");
