@@ -14,10 +14,11 @@
 //!
 //! The pieces:
 //!
-//! * [`shard`] — one shard: shard-local LSH tables built from the shared
-//!   parameters, mergeable per-bucket KMV sketches over global point ids,
+//! * [`shard`] — one shard: shard-local LSH tables keyed by the index-wide
+//!   hasher bank, mergeable per-bucket KMV sketches over global point ids,
 //!   incremental insert/delete with shard-local compaction;
-//! * [`sharded`] — [`ShardedIndex`]: the partition, the rejection-corrected
+//! * [`sharded`] — [`ShardedIndex`]: the partition, the one shared hasher
+//!   bank (each query is hashed once for all shards), the rejection-corrected
 //!   two-level sampler (with its uniformity argument), and the
 //!   [`ShardedSampler`] adapter into the `fairnn-core` sampler traits;
 //! * [`engine`] — the batch executor [`ShardedIndex::run_batch_within`]:

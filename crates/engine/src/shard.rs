@@ -2,14 +2,15 @@
 //! per-bucket sketches.
 //!
 //! A shard owns a subset of the points, indexes them in shard-local LSH
-//! tables built from the *shared* [`LshParams`] (each shard draws its own
-//! hashers from the family, from its own deterministic RNG stream), and
-//! attaches a KMV ([`BottomKSketch`]) count-distinct sketch to every large
-//! bucket. All sketches — across buckets, tables *and shards* — share one
-//! seed and `k`, so any group of them can be merged: the per-shard colliding
-//! sketches combine into a global neighborhood-size estimate exactly as the
-//! Section 4 construction merges per-bucket sketches, which is what makes
-//! the structure shardable in the first place.
+//! tables keyed by the index-wide [`HasherBank`] (one bank, shared by every
+//! shard through an `Arc`, so a query is hashed once and its keys are
+//! looked up in every shard), and attaches a KMV ([`BottomKSketch`])
+//! count-distinct sketch to every large bucket. All sketches — across
+//! buckets, tables *and shards* — share one seed and `k`, so any group of
+//! them can be merged: the per-shard colliding sketches combine into a
+//! global neighborhood-size estimate exactly as the Section 4 construction
+//! merges per-bucket sketches, which is what makes the structure shardable
+//! in the first place.
 //!
 //! Updates are incremental: inserts append to the local tables and feed the
 //! bucket sketches; deletes tombstone the point and remove it from the
@@ -17,23 +18,22 @@
 //! the bucket sketches over-estimate — harmless for the rejection-corrected
 //! sampler (see `sharded.rs`), and bounded by compaction: once tombstones
 //! exceed half the live points the shard rebuilds itself locally (same
-//! hashers, compacted ids, fresh sketches). No update ever requires
+//! bank, compacted ids, fresh sketches). No update ever requires
 //! touching another shard, let alone a global rebuild.
 
 use fairnn_core::predicate::{build_screen_rows, Nearness};
 use fairnn_core::QueryStats;
-use fairnn_lsh::{ConcatenatedHasher, LshFamily, LshHasher, LshIndex, LshParams, QueryScratch};
+use fairnn_lsh::{HasherBank, LshHasher, LshTables, QueryScratch};
 use fairnn_sketch::{BottomKSketch, CardinalityEstimator};
 use fairnn_space::{PointId, ScreenRow};
-use rand::Rng;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
 thread_local! {
     /// Per-worker-thread query scratch. Shard query methods take `&self`
-    /// (they run under the engine's shared read lock from many threads), so
-    /// the reusable buffers — batched bucket keys and the epoch-stamped
-    /// visited set — live in thread-local storage rather than in the shard.
+    /// (they run on shared generations from many threads), so the reusable
+    /// epoch-stamped visited set lives in thread-local storage rather than
+    /// in the shard.
     static SHARD_SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::new());
 }
 
@@ -55,7 +55,10 @@ const REBUILD_FRACTION: f64 = 0.5;
 /// global [`PointId`]s.
 #[derive(Debug, Clone)]
 pub struct Shard<P, H, N> {
-    index: LshIndex<H>,
+    /// The index-wide hasher bank (a shared handle, never serialized with
+    /// the shard).
+    bank: HasherBank<H>,
+    tables: LshTables,
     points: Vec<P>,
     global_ids: Vec<PointId>,
     alive: Vec<bool>,
@@ -74,32 +77,27 @@ pub struct Shard<P, H, N> {
     sketch_seed: u64,
 }
 
-impl<P: Clone + Sync, BH, N> Shard<P, ConcatenatedHasher<BH>, N>
+impl<P: Sync, H, N> Shard<P, H, N>
 where
-    BH: LshHasher<P> + Send + Sync,
+    H: LshHasher<P> + Sync,
     N: Nearness<P>,
 {
-    /// Builds a shard over `points` (with their global ids) from the shared
-    /// parameters; the hashers are drawn from `rng`, which the sharded index
-    /// derives from its root seed per shard.
-    pub fn build<F, R>(
-        family: &F,
-        params: LshParams,
+    /// Builds a shard over `points` (with their global ids), keying its
+    /// tables by the index-wide `bank`.
+    pub fn build(
+        bank: HasherBank<H>,
         points: Vec<P>,
         global_ids: Vec<PointId>,
         near: N,
         sketch_seed: u64,
-        rng: &mut R,
-    ) -> Self
-    where
-        F: LshFamily<P, Hasher = BH>,
-        R: Rng + ?Sized,
-    {
+    ) -> Self {
         assert_eq!(points.len(), global_ids.len());
-        let index = LshIndex::build(family, params, &points, rng);
+        let keys = bank.all_point_keys(&points);
+        let tables = LshTables::build(&keys, bank.num_tables(), points.len());
         let screens = build_screen_rows(&near, &points);
         let mut shard = Self {
-            index,
+            bank,
+            tables,
             alive: vec![true; points.len()],
             local_of: global_ids
                 .iter()
@@ -168,7 +166,7 @@ impl<P, H, N> Shard<P, H, N> {
 
     /// Number of LSH tables.
     pub fn num_tables(&self) -> usize {
-        self.index.num_tables()
+        self.tables.num_tables()
     }
 
     /// Number of buckets carrying a pre-computed sketch.
@@ -193,12 +191,12 @@ impl<P, H, N> Shard<P, H, N> {
     /// shards after an update burst so a published generation is always
     /// fully frozen (crate-private — queries never observe a thaw).
     pub(crate) fn freeze(&mut self) {
-        self.index.freeze();
+        self.tables.freeze();
     }
 
     /// Whether every table of this shard is in its frozen form.
     pub fn is_frozen(&self) -> bool {
-        self.index.is_frozen()
+        self.tables.is_frozen()
     }
 
     /// Rebuilds the per-bucket sketches from the current tables (called at
@@ -208,7 +206,7 @@ impl<P, H, N> Shard<P, H, N> {
     /// bucket contents, so the result is thread-count independent.
     fn rebuild_sketches(&mut self) {
         let sketch_seed = self.sketch_seed;
-        let tables = self.index.tables();
+        let tables = self.tables.tables();
         let global_ids = &self.global_ids;
         let sketches = fairnn_parallel::map_indexed(tables.len(), |t| {
             tables[t]
@@ -231,28 +229,20 @@ impl<P, H, N> Shard<P, H, N>
 where
     H: LshHasher<P>,
 {
-    /// Writes the query's per-table bucket keys for *this shard's* hashers
-    /// into `keys` — one batched `hash_all` pass over all `K × L` rows.
-    /// The two-level sampler computes these once per (query, shard) and
-    /// feeds them to both the sketch merge and the near-point collection.
+    /// Writes the query's per-table bucket keys into `keys` — one batched
+    /// `hash_all` pass over all `K × L` rows of the bank. Every shard of an
+    /// index holds the same bank, so these keys serve all of them: the
+    /// sharded index hashes each query once and hands the keys to the
+    /// sketch merge and the near-point collection of every shard.
     pub fn query_keys_into(&self, query: &P, keys: &mut Vec<u64>) {
-        self.index.query_keys_into(query, keys);
+        self.bank.query_keys_into(query, keys);
     }
+}
 
-    /// Merges the sketches of the buckets `query` collides with into `acc`.
-    /// Small (unsketched) buckets are folded in by direct insertion, which
-    /// keeps their contribution exact. The query is hashed once (all rows in
-    /// one batched pass into the thread-local scratch).
-    pub fn merge_colliding_into(&self, query: &P, acc: &mut BottomKSketch, stats: &mut QueryStats) {
-        SHARD_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            self.index.query_keys_into(query, &mut scratch.keys);
-            self.merge_colliding_with_keys(&scratch.keys, acc, stats);
-        });
-    }
-
-    /// Keys-taking form of [`Shard::merge_colliding_into`] for callers that
-    /// already hold this shard's bucket keys of the query.
+impl<P, H, N> Shard<P, H, N> {
+    /// Merges the sketches of the buckets with the given per-table keys
+    /// into `acc`. Small (unsketched) buckets are folded in by direct
+    /// insertion, which keeps their contribution exact.
     pub fn merge_colliding_with_keys(
         &self,
         keys: &[u64],
@@ -265,7 +255,7 @@ where
                 debug_assert!(acc.mergeable_with(sketch));
                 acc.merge(sketch);
             } else {
-                for &lid in self.index.table(i).bucket(key) {
+                for &lid in self.tables.table(i).bucket(key) {
                     if self.alive[lid.index()] {
                         acc.insert(self.global_ids[lid.index()].0 as u64);
                     }
@@ -273,37 +263,17 @@ where
             }
         }
     }
-
-    /// Estimated number of distinct points of this shard colliding with
-    /// `query` (an upper-bias estimate after deletes, see the module docs).
-    pub fn estimate_colliding(&self, query: &P, stats: &mut QueryStats) -> f64 {
-        let mut acc = self.empty_sketch();
-        self.merge_colliding_into(query, &mut acc, stats);
-        acc.estimate()
-    }
 }
 
 impl<P, H, N> Shard<P, H, N>
 where
-    H: LshHasher<P>,
     N: Nearness<P>,
 {
-    /// The distinct live near points of this shard colliding with `query`,
-    /// as global ids (the set the two-level sampler samples within). One
-    /// batched hash pass per call; deduplication uses the thread-local
-    /// epoch-stamped visited buffer, so only the returned vector allocates.
-    pub fn colliding_near_points(&self, query: &P, stats: &mut QueryStats) -> Vec<PointId> {
-        // Take the keys buffer out of the thread-local scratch before the
-        // keys-taking call re-borrows it for the visited set.
-        let mut keys = SHARD_SCRATCH.with(|cell| std::mem::take(&mut cell.borrow_mut().keys));
-        self.index.query_keys_into(query, &mut keys);
-        let found = self.colliding_near_points_with_keys(query, &keys, stats);
-        SHARD_SCRATCH.with(|cell| cell.borrow_mut().keys = keys);
-        found
-    }
-
-    /// Keys-taking form of [`Shard::colliding_near_points`] for callers that
-    /// already hold this shard's bucket keys of the query.
+    /// The distinct live near points of this shard colliding with `query`
+    /// in the buckets of the given per-table keys, as global ids (the set
+    /// `A_i` the two-level sampler samples within). Deduplication uses the
+    /// thread-local epoch-stamped visited buffer, so only the returned
+    /// vector allocates.
     pub fn colliding_near_points_with_keys(
         &self,
         query: &P,
@@ -320,7 +290,7 @@ where
             let mut found = Vec::new();
             for (i, &key) in keys.iter().enumerate() {
                 stats.buckets_inspected += 1;
-                let bucket = self.index.table(i).bucket(key);
+                let bucket = self.tables.table(i).bucket(key);
                 for (pos, &lid) in bucket.iter().enumerate() {
                     stats.entries_scanned += 1;
                     let l = lid.index();
@@ -372,17 +342,18 @@ where
                 None => self.screens = None,
             }
         }
-        let (assigned, keys) = self.index.insert_point(&self.points[lid as usize]);
+        let keys = self.bank.point_keys(&self.points[lid as usize]);
+        let assigned = self.tables.insert_point(&keys);
         assert_eq!(assigned.index(), lid as usize, "local ids must stay dense");
 
         for (i, key) in keys.into_iter().enumerate() {
             if let Some(sketch) = self.sketches[i].get_mut(&key) {
                 sketch.insert(global.0 as u64);
-            } else if self.index.table(i).bucket(key).len() >= SKETCH_THRESHOLD {
+            } else if self.tables.table(i).bucket(key).len() >= SKETCH_THRESHOLD {
                 // The bucket just crossed the threshold: sketch it. Bucket
                 // lists contain live points only, so the sketch is fresh.
                 let mut sketch = BottomKSketch::new(self.sketch_seed, SKETCH_K);
-                for &l in self.index.table(i).bucket(key) {
+                for &l in self.tables.table(i).bucket(key) {
                     sketch.insert(self.global_ids[l.index()].0 as u64);
                 }
                 self.sketches[i].insert(key, sketch);
@@ -402,7 +373,8 @@ where
         self.alive[l] = false;
         self.live -= 1;
         self.tombstones += 1;
-        self.index.remove_point(&self.points[l], PointId(lid));
+        let keys = self.bank.point_keys(&self.points[l]);
+        self.tables.remove_point(&keys, PointId(lid));
         // Bucket sketches keep the deleted id (KMV cannot unlearn); the
         // resulting over-estimate is corrected by rejection at query time
         // and reclaimed below once it grows too large.
@@ -415,10 +387,10 @@ where
 
     /// Drops tombstoned points, re-densifies local ids, compacts the tables
     /// and refreshes every bucket sketch. Strictly shard-local. The tables
-    /// are compacted by [`fairnn_lsh::LshIndex::compact_retain`] — a pure
+    /// are compacted by [`fairnn_lsh::LshTables::compact_retain`] — a pure
     /// per-table id remap of the already-recorded bucket keys, so no point
-    /// is re-run through the hasher bank — which is bit-identical to the
-    /// old rebuild-based compaction at a fraction of the cost.
+    /// is re-run through the hasher bank — which is bit-identical to a
+    /// rebuild over the surviving points at a fraction of the cost.
     /// Compacts immediately regardless of the [`REBUILD_FRACTION`] trigger
     /// (the writer's explicit `WriteOp::Compact` path).
     pub(crate) fn force_compact(&mut self) {
@@ -446,27 +418,28 @@ where
             .map(|(i, &g)| (g, i as u32))
             .collect();
         self.tombstones = 0;
-        self.index.compact_retain(&new_id_of, self.points.len());
+        self.tables.compact_retain(&new_id_of, self.points.len());
         self.screens = build_screen_rows(&self.near, &self.points);
         self.rebuild_sketches();
         self.debug_assert_occupancy_invariants();
     }
 }
 
-impl<P, H, N> fairnn_snapshot::Codec for Shard<P, H, N>
+impl<P, H, N> Shard<P, H, N>
 where
     P: fairnn_snapshot::Codec,
-    H: fairnn_lsh::HasherBankCodec,
     N: fairnn_snapshot::Codec + Nearness<P>,
 {
-    /// Persists the shard's LSH index, its points with their global ids and
-    /// tombstone flags, and — because a KMV sketch cannot be rebuilt after
-    /// deletes (it may legitimately remember tombstoned ids) — every
+    /// Persists the shard's LSH tables, its points with their global ids
+    /// and tombstone flags, and — because a KMV sketch cannot be rebuilt
+    /// after deletes (it may legitimately remember tombstoned ids) — every
     /// per-bucket sketch verbatim, in sorted key order so the encoding is
-    /// canonical. The `global → local` map and the live/tombstone counters
+    /// canonical. The hasher bank is the index's, written once in its own
+    /// section; the `global → local` map and the live/tombstone counters
     /// are derived state, rebuilt on load.
-    fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
-        self.index.encode(enc);
+    pub(crate) fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
+        use fairnn_snapshot::Codec;
+        self.tables.encode(enc);
         self.points.encode(enc);
         self.global_ids.encode(enc);
         self.alive.encode(enc);
@@ -485,11 +458,23 @@ where
         enc.write_u64(self.sketch_seed);
     }
 
-    fn decode(
+    /// Restores a shard written by [`Shard::encode`], keyed by the index's
+    /// already-decoded `bank`. Fails with `Corrupt` when the shard's table
+    /// count differs from the bank's, which would otherwise index past the
+    /// tables at query time.
+    pub(crate) fn decode(
         dec: &mut fairnn_snapshot::Decoder<'_>,
+        bank: HasherBank<H>,
     ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        use fairnn_snapshot::SnapshotError;
-        let index = LshIndex::<H>::decode(dec)?;
+        use fairnn_snapshot::{Codec, SnapshotError};
+        let tables = LshTables::decode(dec)?;
+        if tables.num_tables() != bank.num_tables() {
+            return Err(SnapshotError::Corrupt(format!(
+                "shard stores {} tables, the hasher bank keys {}",
+                tables.num_tables(),
+                bank.num_tables()
+            )));
+        }
         let points = Vec::<P>::decode(dec)?;
         let global_ids = Vec::<PointId>::decode(dec)?;
         let alive = Vec::<bool>::decode(dec)?;
@@ -502,18 +487,18 @@ where
                 alive.len()
             )));
         }
-        if index.num_points() != points.len() {
+        if tables.num_points() != points.len() {
             return Err(SnapshotError::Corrupt(format!(
-                "shard index covers {} local ids for {} stored points",
-                index.num_points(),
+                "shard tables cover {} local ids for {} stored points",
+                tables.num_points(),
                 points.len()
             )));
         }
         let num_sketch_tables = dec.read_len()?;
-        if num_sketch_tables != index.num_tables() {
+        if num_sketch_tables != tables.num_tables() {
             return Err(SnapshotError::Corrupt(format!(
-                "shard stores sketch maps for {num_sketch_tables} tables, index has {}",
-                index.num_tables()
+                "shard stores sketch maps for {num_sketch_tables} tables, it has {}",
+                tables.num_tables()
             )));
         }
         let mut sketches = Vec::with_capacity(num_sketch_tables);
@@ -561,7 +546,8 @@ where
         let tombstones = points.len() - live;
         let screens = build_screen_rows(&near, &points);
         let shard = Self {
-            index,
+            bank,
+            tables,
             points,
             global_ids,
             alive,
@@ -578,34 +564,11 @@ where
     }
 }
 
-impl<P, H, N> Shard<P, H, N>
-where
-    P: fairnn_snapshot::Codec,
-    H: fairnn_lsh::HasherBankCodec,
-    N: fairnn_snapshot::Codec + Nearness<P>,
-{
-    /// Writes this shard alone as a snapshot file (the sharded index and
-    /// engine snapshots embed the same encoding per shard).
-    pub fn save<Q: AsRef<std::path::Path>>(
-        &self,
-        path: Q,
-    ) -> Result<(), fairnn_snapshot::SnapshotError> {
-        fairnn_snapshot::save(fairnn_snapshot::SnapshotKind::Shard, self, path)
-    }
-
-    /// Restores a shard written by [`Shard::save`].
-    pub fn load<Q: AsRef<std::path::Path>>(
-        path: Q,
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        fairnn_snapshot::load(fairnn_snapshot::SnapshotKind::Shard, path)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fairnn_core::SimilarityAtLeast;
-    use fairnn_lsh::{MinHash, ParamsBuilder};
+    use fairnn_lsh::{ConcatenatedHasher, MinHash, ParamsBuilder};
     use fairnn_space::{Dataset, Jaccard, SparseSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -639,16 +602,34 @@ mod tests {
         let globals: Vec<PointId> = (0..sets.len() as u32)
             .map(|i| PointId(first_global + i))
             .collect();
-        let mut rng = StdRng::seed_from_u64(3);
+        let bank = HasherBank::sample(&MinHash, params, &mut StdRng::seed_from_u64(3));
         Shard::build(
-            &MinHash,
-            params,
+            bank,
             sets,
             globals,
             SimilarityAtLeast::new(Jaccard, 0.5),
             77,
-            &mut rng,
         )
+    }
+
+    fn keys(shard: &TestShard, query: &SparseSet) -> Vec<u64> {
+        let mut keys = Vec::new();
+        shard.query_keys_into(query, &mut keys);
+        keys
+    }
+
+    fn colliding_near(
+        shard: &TestShard,
+        query: &SparseSet,
+        stats: &mut QueryStats,
+    ) -> Vec<PointId> {
+        shard.colliding_near_points_with_keys(query, &keys(shard, query), stats)
+    }
+
+    fn estimate(shard: &TestShard, query: &SparseSet, stats: &mut QueryStats) -> f64 {
+        let mut acc = shard.empty_sketch();
+        shard.merge_colliding_with_keys(&keys(shard, query), &mut acc, stats);
+        acc.estimate()
     }
 
     #[test]
@@ -656,7 +637,7 @@ mod tests {
         let sets = clustered_sets();
         let shard = build_shard(sets.clone(), 1000);
         let mut stats = QueryStats::default();
-        let near = shard.colliding_near_points(&sets[0], &mut stats);
+        let near = colliding_near(&shard, &sets[0], &mut stats);
         assert!(near.len() >= 7, "cluster members missing: {near:?}");
         for id in &near {
             assert!((1000..1016).contains(&id.0), "non-global id {id}");
@@ -674,7 +655,7 @@ mod tests {
             "a 40-member cluster must sketch its buckets"
         );
         let mut stats = QueryStats::default();
-        let est = shard.estimate_colliding(&sets[0], &mut stats);
+        let est = estimate(&shard, &sets[0], &mut stats);
         // The cluster collides almost surely; KMV is exact below k = 64.
         assert!(est >= 39.0, "estimate {est}");
         assert!(est <= 48.0, "estimate {est}");
@@ -691,9 +672,9 @@ mod tests {
         assert_eq!(shard.live_points(), 17);
         assert!(shard.contains(PointId(90)));
         let mut stats = QueryStats::default();
-        let near = shard.colliding_near_points(&query, &mut stats);
+        let near = colliding_near(&shard, &query, &mut stats);
         assert!(near.contains(&PointId(90)), "inserted twin not found");
-        let est = shard.estimate_colliding(&query, &mut stats);
+        let est = estimate(&shard, &query, &mut stats);
         assert!(est >= 8.0, "sketches not updated on insert: {est}");
     }
 
@@ -709,7 +690,7 @@ mod tests {
             assert!(!shard.contains(PointId(j)));
         }
         let mut stats = QueryStats::default();
-        let near = shard.colliding_near_points(&query, &mut stats);
+        let near = colliding_near(&shard, &query, &mut stats);
         assert_eq!(near, vec![PointId(0)], "only the query's own point remains");
         assert_eq!(shard.live_points(), 9);
         assert!(
@@ -718,7 +699,7 @@ mod tests {
             shard.tombstones()
         );
         // After compaction the sketches are fresh: the estimate drops.
-        let est = shard.estimate_colliding(&query, &mut stats);
+        let est = estimate(&shard, &query, &mut stats);
         assert!(est <= 3.0, "stale sketches after compaction: {est}");
     }
 
@@ -731,10 +712,10 @@ mod tests {
         let query = sets[0].clone();
         let mut stats = QueryStats::default();
         let mut acc = shard_a.empty_sketch();
-        shard_a.merge_colliding_into(&query, &mut acc, &mut stats);
-        shard_b.merge_colliding_into(&query, &mut acc, &mut stats);
+        shard_a.merge_colliding_with_keys(&keys(&shard_a, &query), &mut acc, &mut stats);
+        shard_b.merge_colliding_with_keys(&keys(&shard_b, &query), &mut acc, &mut stats);
         let global = acc.estimate();
-        let local = shard_a.estimate_colliding(&query, &mut stats);
+        let local = estimate(&shard_a, &query, &mut stats);
         assert!(global >= local, "merge lost mass: {global} < {local}");
     }
 
@@ -756,7 +737,7 @@ mod tests {
         let mut stats = QueryStats::default();
         for qi in 0..8u32 {
             let query = data.point(PointId(qi)).clone();
-            let mut got = shard.colliding_near_points(&query, &mut stats);
+            let mut got = colliding_near(&shard, &query, &mut stats);
             got.sort();
             assert_eq!(got, data.similar_indices(&Jaccard, &query, 0.5));
         }

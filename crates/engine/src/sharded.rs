@@ -4,10 +4,11 @@
 //! robin, so shard sizes differ by at most one). A query runs the two-level
 //! protocol:
 //!
-//! 1. ask every shard for its mergeable-sketch estimate `ŝ_i` of the number
-//!    of distinct colliding points (the per-shard restriction of the
-//!    Section 4 step-1 estimate — this is exactly where mergeability makes
-//!    the structure shardable);
+//! 1. hash the query once with the hasher bank every shard shares, and ask
+//!    every shard for its mergeable-sketch estimate `ŝ_i` of the number of
+//!    distinct colliding points under those keys (the per-shard
+//!    restriction of the Section 4 step-1 estimate — this is exactly where
+//!    mergeability makes the structure shardable);
 //! 2. propose shard `i` with probability `ŝ_i / Σ_j ŝ_j`;
 //! 3. collect that shard's colliding near points `A_i` and **accept** the
 //!    proposal with probability `|A_i| / (κ · ŝ_i)`;
@@ -21,7 +22,9 @@
 //! acceptance ratio is at most 1*. κ = 4 guarantees that up to a KMV
 //! failure: the ratio exceeds 1 only if the sketch under-estimates its
 //! shard's colliding count (a superset of `A_i`) by more than κ, an event of
-//! probability `exp(−Θ(k))` in the sketch size `k`. Two guard rails keep
+//! probability `exp(−Θ(k))` in the sketch size `k`. Because all shards
+//! share one bank, `∪_i A_i` is exactly the colliding near set of the
+//! paper's single `L`-table structure over all points. Two guard rails keep
 //! the structure total. A round-budget overrun falls back to an exhaustive
 //! uniform draw over all shards, which is *exactly* uniform: every earlier
 //! round returned each point with the same constant probability, so
@@ -30,7 +33,9 @@
 //! one place where exact uniformity can slip — rounds before the detection
 //! could only return points of healthy shards — but it is reachable only
 //! with the `exp(−Θ(k))`-probability KMV failure above, and the output is
-//! still always a true member of `∪_i A_i`. Fresh query randomness on every
+//! still always a true member of `∪_i A_i`. Both causes count in
+//! `engine_fallback_exhaustive_total`; sketch failures alone also count in
+//! `engine_fallback_sketch_failure_total`. Fresh query randomness on every
 //! call makes repeated queries independent, so the sharded sampler solves
 //! r-NNIS over the colliding near points — the property the uniformity
 //! battery checks.
@@ -40,7 +45,7 @@ use crate::shard::Shard;
 use fairnn_core::predicate::Nearness;
 use fairnn_core::{NeighborSampler, QueryStats};
 use fairnn_data::partition;
-use fairnn_lsh::{ConcatenatedHasher, LshFamily, LshHasher, LshParams};
+use fairnn_lsh::{ConcatenatedHasher, HasherBank, LshFamily, LshHasher, LshParams};
 use fairnn_obs::{LazyCounter, LazyHistogram};
 use fairnn_sketch::CardinalityEstimator;
 use fairnn_space::{Dataset, PointId};
@@ -56,11 +61,19 @@ static REJECTION_ROUNDS: LazyHistogram = LazyHistogram::new(
     "rejection-sampling rounds spent per draw of the two-level protocol",
 );
 
-/// Draws that exhausted the round budget or detected a sketch failure and
-/// took the exhaustive uniform fallback.
+/// Draws that took the exhaustive uniform fallback, for either cause:
+/// round-budget overrun (exactly uniform) or a detected sketch failure.
 static FALLBACK_EXHAUSTIVE: LazyCounter = LazyCounter::new(
     "engine_fallback_exhaustive_total",
     "draws that fell back to the exhaustive uniform scan",
+);
+
+/// The subset of [`FALLBACK_EXHAUSTIVE`] caused by a detected sketch
+/// failure (acceptance ratio above 1) — the one fallback path that can bias
+/// the output.
+static FALLBACK_SKETCH_FAILURE: LazyCounter = LazyCounter::new(
+    "engine_fallback_sketch_failure_total",
+    "exhaustive fallbacks caused by a sketch under-estimate (accept ratio > 1)",
 );
 
 /// Rejection margin κ: proposals are accepted with probability
@@ -130,9 +143,16 @@ const UNASSIGNED: u32 = u32::MAX;
 
 /// RNG stream tags (domain separation for [`split_seed`]).
 const STREAM_SKETCH: u64 = 1 << 32;
-const STREAM_SHARD_BASE: u64 = 2 << 32;
+/// The hasher bank's stream. It is the stream shard 0 drew its own bank
+/// from when every shard had one, so a seed keeps shard 0's hashers.
+const STREAM_BANK: u64 = 2 << 32;
 
 /// A dataset partitioned across shards with a uniform two-level sampler.
+///
+/// One `K × L` [`HasherBank`] keys the tables of every shard, so a query is
+/// hashed once and the same `L` keys are looked up in each shard: the
+/// union of the shards' colliding sets is exactly the colliding set of the
+/// paper's single `L`-table structure over all points.
 ///
 /// Shards are held behind [`Arc`]s: cloning the index (what the
 /// generational writer does to stage the next generation) shares every
@@ -141,6 +161,8 @@ const STREAM_SHARD_BASE: u64 = 2 << 32;
 /// original frozen shards untouched.
 #[derive(Debug, Clone)]
 pub struct ShardedIndex<P, H, N> {
+    /// The hasher bank shared by every shard.
+    bank: HasherBank<H>,
     shards: Vec<Arc<Shard<P, H, N>>>,
     /// Global id → owning shard (dense; [`UNASSIGNED`] for deleted ids).
     shard_of: Vec<u32>,
@@ -153,11 +175,11 @@ where
     BH: LshHasher<P> + Send + Sync,
     N: Nearness<P>,
 {
-    /// Partitions `dataset` round-robin across `config.shards` shards and
-    /// builds each shard's tables from the shared `params`. Shards are
-    /// independent work items — each draws its hashers from its own RNG
-    /// stream split off the root seed — so they build concurrently on the
-    /// build workers, and the result is bit-for-bit the serial build at any
+    /// Partitions `dataset` round-robin across `config.shards` shards, draws
+    /// the one `K × L` hasher bank from an RNG stream split off the root
+    /// seed, and builds each shard's tables keyed by that bank. Shards are
+    /// independent work items, so they build concurrently on the build
+    /// workers, and the result is bit-for-bit the serial build at any
     /// thread count. Fully deterministic given `config.seed`.
     pub fn build<F>(
         family: &F,
@@ -172,6 +194,7 @@ where
     {
         assert!(config.shards >= 1, "need at least one shard");
         let sketch_seed = split_seed(config.seed, STREAM_SKETCH);
+        let bank = HasherBank::sample(family, params, &mut stream_rng(config.seed, STREAM_BANK));
         let assignment = partition::round_robin(dataset.len(), config.shards);
         let mut shard_of = vec![UNASSIGNED; dataset.len()];
         for (s, indices) in assignment.iter().enumerate() {
@@ -186,18 +209,16 @@ where
                 .map(|&i| dataset.points()[i].clone())
                 .collect();
             let globals: Vec<PointId> = indices.iter().map(|&i| PointId::from_index(i)).collect();
-            let mut rng = stream_rng(config.seed, STREAM_SHARD_BASE + s as u64);
             Arc::new(Shard::build(
-                family,
-                params,
+                bank.clone(),
                 points,
                 globals,
                 near.clone(),
                 sketch_seed,
-                &mut rng,
             ))
         });
         Self {
+            bank,
             shards,
             shard_of,
             params,
@@ -230,6 +251,11 @@ impl<P, H, N> ShardedIndex<P, H, N> {
     /// The configuration the index was built with.
     pub fn config(&self) -> ShardedIndexConfig {
         self.config
+    }
+
+    /// The hasher bank shared by every shard.
+    pub fn bank(&self) -> &HasherBank<H> {
+        &self.bank
     }
 
     /// The shards themselves (read-only; for accounting, tests, and the
@@ -273,14 +299,23 @@ impl<P, H, N> ShardedIndex<P, H, N>
 where
     H: LshHasher<P>,
 {
+    /// The query's `L` bucket keys: one batched pass over the shared bank,
+    /// valid in every shard.
+    fn query_keys(&self, query: &P) -> Vec<u64> {
+        let mut keys = Vec::with_capacity(self.bank.num_tables());
+        self.bank.query_keys_into(query, &mut keys);
+        keys
+    }
+
     /// Global estimate of the number of distinct colliding points: the
     /// per-shard sketches merged into one, demonstrating end-to-end
     /// mergeability (shard → table → bucket).
     pub fn estimate_colliding(&self, query: &P) -> f64 {
         let mut stats = QueryStats::default();
+        let keys = self.query_keys(query);
         let mut acc = self.shards[0].empty_sketch();
         for shard in &self.shards {
-            shard.merge_colliding_into(query, &mut acc, &mut stats);
+            shard.merge_colliding_with_keys(&keys, &mut acc, &mut stats);
         }
         acc.estimate()
     }
@@ -292,19 +327,17 @@ where
     N: Nearness<P>,
 {
     /// The distinct colliding near points over all shards, sorted by id
-    /// (shards are disjoint, so this is a plain concatenation).
+    /// (shards are disjoint, so this is a plain concatenation): exactly the
+    /// near points colliding with `query` in one unsharded `L`-table index
+    /// keyed by [`ShardedIndex::bank`].
     pub fn neighborhood(&self, query: &P) -> Vec<PointId> {
         let mut stats = QueryStats::default();
-        let mut all = self.collect_all(query, &mut stats);
-        all.sort_unstable();
-        all
-    }
-
-    fn collect_all(&self, query: &P, stats: &mut QueryStats) -> Vec<PointId> {
+        let keys = self.query_keys(query);
         let mut all = Vec::new();
         for shard in &self.shards {
-            all.extend(shard.colliding_near_points(query, stats));
+            all.extend(shard.colliding_near_points_with_keys(query, &keys, &mut stats));
         }
+        all.sort_unstable();
         all
     }
 
@@ -317,18 +350,10 @@ where
     /// because the sketch merges are not redone per draw.
     pub fn prepare<'a>(&'a self, query: &'a P) -> PreparedQuery<'a, P, H, N> {
         let mut stats = QueryStats::default();
-        // Hash the query once per shard (one batched all-rows pass each);
-        // the keys feed both the sketch estimates here and the lazy
-        // neighborhood collections later. All shards share one `LshParams`,
-        // so the keys pack into a single flat shard-major buffer.
-        let stride = self.params.l;
-        let mut keys = Vec::with_capacity(self.shards.len() * stride);
-        let mut shard_keys = Vec::new();
-        for shard in &self.shards {
-            shard.query_keys_into(query, &mut shard_keys);
-            debug_assert_eq!(shard_keys.len(), stride, "shards share L");
-            keys.extend_from_slice(&shard_keys);
-        }
+        // Hash the query once (one batched all-rows pass over the shared
+        // bank); the same keys feed every shard's sketch estimate here and
+        // its lazy neighborhood collection later.
+        let keys = self.query_keys(query);
         // One accumulator, cleared between shards: every shard's sketches
         // share the seed and `k`, so the same instance is mergeable with all
         // of them.
@@ -336,10 +361,9 @@ where
         let estimates: Vec<f64> = self
             .shards
             .iter()
-            .zip(keys.chunks_exact(stride))
-            .map(|(s, shard_keys)| {
+            .map(|s| {
                 acc.clear();
-                s.merge_colliding_with_keys(shard_keys, &mut acc, &mut stats);
+                s.merge_colliding_with_keys(&keys, &mut acc, &mut stats);
                 acc.estimate()
             })
             .collect();
@@ -348,7 +372,6 @@ where
             index: self,
             query,
             keys,
-            key_stride: stride,
             estimates,
             total,
             cached: vec![None; self.shards.len()],
@@ -372,35 +395,47 @@ where
     H: fairnn_lsh::HasherBankCodec + Send + Sync,
     N: fairnn_snapshot::Codec + Send + Sync + Nearness<P>,
 {
-    /// Persists the full topology: every shard (each with its own hasher
-    /// bank, frozen tables and sketches), the global id → shard partition
-    /// map, the shared LSH parameters, and the configuration (shard count
-    /// and root seed).
+    /// Persists the full topology: the global id → shard partition map,
+    /// the shared LSH parameters, the configuration (shard count and root
+    /// seed), the one hasher bank, then every shard (frozen tables,
+    /// points and sketches) — the same fields, in the same order, as the
+    /// sectioned image.
     fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
-        self.shards.encode(enc);
         self.shard_of.encode(enc);
         self.params.encode(enc);
         self.config.encode(enc);
+        self.bank.encode(enc);
+        enc.write_len(self.shards.len());
+        for shard in &self.shards {
+            shard.encode(enc);
+        }
     }
 
     fn decode(
         dec: &mut fairnn_snapshot::Decoder<'_>,
     ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        let shards = Vec::<Arc<Shard<P, H, N>>>::decode(dec)?;
         let shard_of = Vec::<u32>::decode(dec)?;
         let params = LshParams::decode(dec)?;
         let config = ShardedIndexConfig::decode(dec)?;
-        Self::assemble(shards, shard_of, params, config)
+        let bank = Self::decode_bank(dec, params)?;
+        let num_shards = dec.read_len()?;
+        let mut shards = Vec::with_capacity(num_shards);
+        for _ in 0..num_shards {
+            shards.push(Arc::new(Shard::decode(dec, bank.clone())?));
+        }
+        Self::assemble(bank, shards, shard_of, params, config)
     }
 
     /// Sectioned container image: a head section (partition map, shared
-    /// parameters, configuration), then one section per shard — encode,
-    /// per-section checksums and the per-shard decodes (each rebuilding its
-    /// CSR key indexes and re-verifying its sketches) all run on parallel
-    /// build workers. Bytes are identical at every thread count.
+    /// parameters, configuration), the hasher bank section, then one
+    /// section per shard — encode, per-section checksums and the per-shard
+    /// decodes (each rebuilding its CSR key indexes and re-verifying its
+    /// sketches) all run on parallel build workers. Bytes are identical at
+    /// every thread count.
     fn encode_sections(&self) -> Vec<Vec<u8>> {
-        let mut sections = Vec::with_capacity(self.shards.len() + 1);
+        let mut sections = Vec::with_capacity(self.shards.len() + 2);
         sections.push(self.head_section());
+        sections.push(self.bank_section());
         sections.extend(fairnn_parallel::map_indexed(self.shards.len(), |s| {
             self.shard_section(s)
         }));
@@ -411,9 +446,9 @@ where
         sections: &[fairnn_snapshot::Section<'_>],
     ) -> Result<Self, fairnn_snapshot::SnapshotError> {
         use fairnn_snapshot::SnapshotError;
-        let Some((head, shard_sections)) = sections.split_first() else {
+        let [head, bank_section, shard_sections @ ..] = sections else {
             return Err(SnapshotError::Corrupt(
-                "sharded index snapshot has no head section".into(),
+                "sharded index snapshot needs a head and a hasher bank section".into(),
             ));
         };
         let mut dec = head.decoder();
@@ -431,9 +466,12 @@ where
                 shard_sections.len()
             )));
         }
+        let mut dec = bank_section.decoder();
+        let bank = Self::decode_bank(&mut dec, params)?;
+        dec.finish()?;
         let decoded = fairnn_parallel::map_indexed(shard_sections.len(), |s| {
             let mut dec = shard_sections[s].decoder();
-            let shard = Shard::<P, H, N>::decode(&mut dec)?;
+            let shard = Shard::<P, H, N>::decode(&mut dec, bank.clone())?;
             dec.finish()?;
             Ok::<Arc<Shard<P, H, N>>, SnapshotError>(Arc::new(shard))
         });
@@ -441,14 +479,16 @@ where
         for shard in decoded {
             shards.push(shard?);
         }
-        Self::assemble(shards, shard_of, params, config)
+        Self::assemble(bank, shards, shard_of, params, config)
     }
 }
 
 impl<P, H, N> ShardedIndex<P, H, N> {
     /// Shared tail of the inline and sectioned decoders: cross-shard
-    /// validation and assembly.
+    /// validation and assembly. (Each shard's table count was checked
+    /// against the bank, and the bank against `params`, as they decoded.)
     fn assemble(
+        bank: HasherBank<H>,
         shards: Vec<Arc<Shard<P, H, N>>>,
         shard_of: Vec<u32>,
         params: LshParams,
@@ -470,6 +510,7 @@ impl<P, H, N> ShardedIndex<P, H, N> {
             )));
         }
         Ok(Self {
+            bank,
             shards,
             shard_of,
             params,
@@ -484,6 +525,19 @@ where
     H: fairnn_lsh::HasherBankCodec + Send + Sync,
     N: fairnn_snapshot::Codec + Send + Sync + Nearness<P>,
 {
+    /// Decodes the hasher bank and checks it against the stored
+    /// parameters: exactly `L` tables and `K × L` rows, or a query would
+    /// index past the shards' tables.
+    fn decode_bank(
+        dec: &mut fairnn_snapshot::Decoder<'_>,
+        params: LshParams,
+    ) -> Result<HasherBank<H>, fairnn_snapshot::SnapshotError> {
+        use fairnn_snapshot::Codec;
+        let bank = HasherBank::<H>::decode(dec)?;
+        bank.check_shape(params)?;
+        Ok(bank)
+    }
+
     /// The head section of the sectioned image: partition map, shared
     /// parameters, configuration, shard count. Split out so the engine's
     /// incremental checkpointer can re-encode it without re-encoding
@@ -498,10 +552,18 @@ where
         head.into_bytes()
     }
 
+    /// Section bytes of the shared hasher bank (written once per image;
+    /// the checkpointer reuses them while the bank is unchanged).
+    pub(crate) fn bank_section(&self) -> Vec<u8> {
+        use fairnn_snapshot::Codec;
+        let mut enc = fairnn_snapshot::Encoder::new();
+        self.bank.encode(&mut enc);
+        enc.into_bytes()
+    }
+
     /// Section bytes of shard `s` (one entry of
     /// [`fairnn_snapshot::Codec::encode_sections`]).
     pub(crate) fn shard_section(&self, s: usize) -> Vec<u8> {
-        use fairnn_snapshot::Codec;
         let mut enc = fairnn_snapshot::Encoder::new();
         self.shards[s].encode(&mut enc);
         enc.into_bytes()
@@ -531,11 +593,9 @@ where
 pub struct PreparedQuery<'a, P, H, N> {
     index: &'a ShardedIndex<P, H, N>,
     query: &'a P,
-    /// Per-shard bucket keys of the query, packed shard-major with stride
-    /// `key_stride` (computed once — each shard's `K × L` rows are hashed
-    /// in a single batched pass at prepare time).
+    /// The query's `L` bucket keys under the shared bank (hashed once, at
+    /// prepare time), valid in every shard.
     keys: Vec<u64>,
-    key_stride: usize,
     /// Per-shard mergeable-sketch estimates (step 1, computed once).
     estimates: Vec<f64>,
     total: f64,
@@ -563,10 +623,9 @@ where
     fn shard_neighborhood(&mut self, shard: usize) -> &Vec<PointId> {
         if self.cached[shard].is_none() {
             let _span = fairnn_obs::span!("shard.sample", shard = shard);
-            let keys = &self.keys[shard * self.key_stride..(shard + 1) * self.key_stride];
             self.cached[shard] = Some(self.index.shards[shard].colliding_near_points_with_keys(
                 self.query,
-                keys,
+                &self.keys,
                 &mut self.stats,
             ));
         }
@@ -588,6 +647,7 @@ where
             return None;
         }
         let num_shards = self.index.shards.len();
+        let mut sketch_failure = false;
         for _ in 0..MAX_ROUNDS {
             self.stats.rounds += 1;
             let mut u = rng.random::<f64>() * self.total;
@@ -610,6 +670,7 @@ where
                 // exp(−Θ(k))-probability KMV failure. Clamping would bias
                 // the output; bail out to the exhaustive fallback (see the
                 // module docs for the residual bias of this rare path).
+                sketch_failure = true;
                 break;
             }
             if rng.random::<f64>() < accept {
@@ -623,6 +684,9 @@ where
         // same constant per-point return probability); after a detected
         // sketch failure it is the best available draw (module docs).
         FALLBACK_EXHAUSTIVE.inc();
+        // Recorded on every fallback (adding 0 on a budget overrun), so the
+        // two counters appear in the registry together.
+        FALLBACK_SKETCH_FAILURE.add(u64::from(sketch_failure));
         for shard in 0..num_shards {
             self.shard_neighborhood(shard);
         }

@@ -26,9 +26,10 @@
 //! checksum, dropped, and physically truncated away on resume.
 //!
 //! [`EngineWriter::checkpoint`] cuts a fresh checkpoint *incrementally*:
-//! shard sections whose `Arc` is unchanged since the last checkpoint are
-//! reused byte-for-byte instead of re-encoded, so checkpoint cost scales
-//! with the number of shards touched since the last cut, not index size.
+//! the hasher bank section and every shard section whose `Arc` is
+//! unchanged since the last checkpoint are reused byte-for-byte instead of
+//! re-encoded, so checkpoint cost scales with the number of shards touched
+//! since the last cut, not index size.
 
 use crate::api_types::{CommitReceipt, EngineError, WriteBatch, WriteOp};
 use crate::generation::{Generation, Shared};
@@ -36,7 +37,9 @@ use crate::reader::EngineReader;
 use crate::shard::Shard;
 use crate::sharded::{ShardedIndex, ShardedIndexConfig};
 use fairnn_core::predicate::Nearness;
-use fairnn_lsh::{ConcatenatedHasher, HasherBankCodec, LshFamily, LshHasher, LshParams};
+use fairnn_lsh::{
+    ConcatenatedHasher, HasherBank, HasherBankCodec, LshFamily, LshHasher, LshParams,
+};
 use fairnn_obs::{LazyHistogram, Timer};
 use fairnn_snapshot::{
     image_from_sections, read_wal, save_image, Codec, Decoder, Encoder, SnapshotError,
@@ -90,8 +93,8 @@ where
     }
 
     /// The sequence number gets its own leading section, so the index's
-    /// shard sections keep their 64-byte image alignment — and so the
-    /// incremental checkpointer can reuse unchanged shard sections
+    /// bank and shard sections keep their 64-byte image alignment — and so
+    /// the incremental checkpointer can reuse unchanged sections
     /// byte-for-byte.
     fn encode_sections(&self) -> Vec<Vec<u8>> {
         let mut head = Encoder::new();
@@ -138,6 +141,10 @@ pub struct EngineWriter<P, H, N> {
     /// The encoded shard sections of the last checkpoint, index-aligned
     /// with `last_ckpt_shards`.
     last_ckpt_sections: Vec<Vec<u8>>,
+    /// The hasher bank as of the last checkpoint and its encoded section,
+    /// reused while [`HasherBank::ptr_eq`] holds (the bank never changes
+    /// after the build, so in practice it is encoded once per process).
+    last_ckpt_bank: Option<(HasherBank<H>, Vec<u8>)>,
 }
 
 /// Applies a batch to an index and re-freezes it, returning the global
@@ -210,12 +217,14 @@ where
         let shared = Arc::new(Shared::new(Arc::new(Generation::now(0, index.clone()))));
         // Prime the incremental-checkpoint cache from the sections just
         // written: sections[0] is the checkpoint head, sections[1] the
-        // index head, shard sections follow.
-        let last_ckpt_sections = sections.into_iter().skip(2).collect();
+        // index head, sections[2] the hasher bank, shard sections follow.
+        let mut sections = sections.into_iter().skip(2);
+        let last_ckpt_bank = sections.next().map(|bytes| (index.bank().clone(), bytes));
         Ok(Self {
             shared,
             last_ckpt_shards: index.shards().to_vec(),
-            last_ckpt_sections,
+            last_ckpt_sections: sections.collect(),
+            last_ckpt_bank,
             staging: index,
             generation: 0,
             next_seq: 0,
@@ -276,9 +285,11 @@ where
             wal,
             dir,
             // Left empty: the first checkpoint after a recovery re-encodes
-            // every shard (the on-disk sections were not read back).
+            // the bank and every shard (the on-disk sections were not read
+            // back).
             last_ckpt_shards: Vec::new(),
             last_ckpt_sections: Vec::new(),
+            last_ckpt_bank: None,
         })
     }
 
@@ -326,9 +337,10 @@ where
 
     /// Cuts a durable checkpoint at the current state and resets the WAL.
     ///
-    /// Incremental: shard sections unchanged since the last checkpoint
-    /// (same `Arc`, detected by [`Arc::ptr_eq`]) are written back from the
-    /// cached bytes instead of re-encoded. Crash-safe at every step — the
+    /// Incremental: the hasher bank section and the shard sections
+    /// unchanged since the last checkpoint (same `Arc`, detected by
+    /// [`Arc::ptr_eq`]) are written back from the cached bytes instead of
+    /// re-encoded. Crash-safe at every step — the
     /// checkpoint replaces the old one atomically (write-to-temp +
     /// rename), and until the WAL reset lands, replay simply skips the
     /// pre-checkpoint records.
@@ -338,9 +350,15 @@ where
 
         let mut head = Encoder::new();
         head.write_u64(seq);
-        let mut sections = Vec::with_capacity(shards.len() + 2);
+        let mut sections = Vec::with_capacity(shards.len() + 3);
         sections.push(head.into_bytes());
         sections.push(self.staging.head_section());
+        let bank = self.staging.bank();
+        let bank_bytes = match &self.last_ckpt_bank {
+            Some((old, bytes)) if old.ptr_eq(bank) => bytes.clone(),
+            _ => self.staging.bank_section(),
+        };
+        sections.push(bank_bytes.clone());
         for (s, shard) in shards.iter().enumerate() {
             let cached = self
                 .last_ckpt_shards
@@ -354,7 +372,8 @@ where
         }
 
         self.last_ckpt_shards = shards.to_vec();
-        self.last_ckpt_sections = sections[2..].to_vec();
+        self.last_ckpt_sections = sections[3..].to_vec();
+        self.last_ckpt_bank = Some((bank.clone(), bank_bytes));
 
         let image = image_from_sections(SnapshotKind::Checkpoint, sections);
         save_image(&image, self.dir.join(CHECKPOINT_FILE))?;

@@ -191,6 +191,10 @@ impl<H: crate::snapshot::RowCodec> crate::snapshot::HasherBankCodec for Concaten
         }
     }
 
+    fn bank_rows(tables: &[Self]) -> usize {
+        tables.iter().map(|t| t.arity).sum()
+    }
+
     fn decode_bank(
         dec: &mut fairnn_snapshot::Decoder<'_>,
     ) -> Result<Vec<Self>, fairnn_snapshot::SnapshotError> {

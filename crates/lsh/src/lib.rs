@@ -25,7 +25,9 @@
 //! * the multi-table index ([`table::LshIndex`]) that stores the dataset
 //!   once per repetition and answers collision queries, with a frozen CSR
 //!   bucket layout ([`frozen::FrozenTable`]) for reads and the `HashMap`
-//!   staging form for incremental updates;
+//!   staging form for incremental updates; its two halves also stand
+//!   alone, so several table sets ([`table::LshTables`]) can share one
+//!   [`bank::HasherBank`] and a query is hashed once for all of them;
 //! * reusable per-query scratch ([`scratch::QueryScratch`]) so the query
 //!   hot path is allocation-free in the steady state;
 //! * parameter selection helpers ([`params`]) mirroring the choices of
@@ -34,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bank;
 pub mod concat;
 pub mod family;
 pub mod frozen;
@@ -46,6 +49,7 @@ pub mod simhash;
 pub mod snapshot;
 pub mod table;
 
+pub use bank::HasherBank;
 pub use concat::{ConcatenatedFamily, ConcatenatedHasher};
 pub use family::{CollisionModel, LshFamily, LshHasher};
 pub use frozen::FrozenTable;
@@ -55,4 +59,4 @@ pub use pstable::{PStableHasher, PStableLsh};
 pub use scratch::{DistanceMemo, QueryScratch, VisitedSet};
 pub use simhash::{SimHash, SimHasher};
 pub use snapshot::HasherBankCodec;
-pub use table::{LshIndex, LshTable};
+pub use table::{LshIndex, LshTable, LshTables};

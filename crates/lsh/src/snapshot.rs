@@ -27,6 +27,11 @@ pub trait HasherBankCodec: Sized {
     /// Decodes a slice written by [`HasherBankCodec::encode_bank`],
     /// reconstructing the shared bank layout when one was written.
     fn decode_bank(dec: &mut Decoder<'_>) -> Result<Vec<Self>, SnapshotError>;
+
+    /// Total number of base hash functions across the per-table hashers
+    /// (`K × L` for a standard bank), so a loader can check a decoded bank
+    /// against the stored [`crate::LshParams`].
+    fn bank_rows(hashers: &[Self]) -> usize;
 }
 
 /// Row-level bulk serialization inside a shared hasher bank.

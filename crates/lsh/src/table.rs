@@ -11,12 +11,13 @@
 //! bucket. To support this, the index exposes its tables, buckets and
 //! per-table query keys rather than only a flat "candidates" list.
 
+use crate::bank::{compute_point_keys, hash_query_into};
 use crate::concat::ConcatenatedHasher;
 use crate::family::{LshFamily, LshHasher};
 use crate::frozen::FrozenTable;
 use crate::params::LshParams;
 use crate::scratch::QueryScratch;
-use fairnn_obs::{HistogramShard, LazyHistogram, Timer};
+use fairnn_obs::{HistogramShard, LazyHistogram};
 use fairnn_space::PointId;
 use rand::Rng;
 use std::cell::RefCell;
@@ -28,14 +29,6 @@ use std::collections::HashMap;
 static BUCKET_SIZE: LazyHistogram = LazyHistogram::new(
     "lsh_bucket_size",
     "bucket sizes observed when tables freeze (entries per non-empty bucket)",
-);
-
-/// Wall time of one batched `K x L` hash-bank evaluation — one observation
-/// per hashed point, so mean(= sum/count) is the hash-bank ns/point figure
-/// the benches track.
-static HASH_BANK_NS: LazyHistogram = LazyHistogram::new(
-    "lsh_hash_bank_ns",
-    "batched K x L hash-bank evaluation time per point in nanoseconds",
 );
 
 thread_local! {
@@ -243,40 +236,55 @@ impl fairnn_snapshot::Codec for LshTable {
     }
 }
 
-/// The `L`-table LSH index.
+/// The `L` tables of an LSH structure over dense point ids
+/// `0..num_points`, without the hash functions that key them.
 ///
-/// Generic over the hasher type `H`; the usual instantiation is
-/// `LshIndex<ConcatenatedHasher<F::Hasher>>` produced by [`LshIndex::build`].
-#[derive(Debug, Clone)]
-pub struct LshIndex<H> {
-    hashers: Vec<H>,
+/// [`LshIndex`] pairs one of these with its own hashers. The sharded engine
+/// pairs one per shard with a single shared [`crate::HasherBank`], so the
+/// per-table query keys are computed once and looked up in every shard.
+#[derive(Debug, Clone, Default)]
+pub struct LshTables {
     tables: Vec<LshTable>,
     num_points: usize,
-    params: LshParams,
 }
 
-impl<H> LshIndex<H> {
+impl LshTables {
+    /// Builds the `num_tables` frozen tables from a point-major key buffer
+    /// (`keys[i * num_tables + t]` is point `i`'s key in table `t`; see
+    /// [`crate::HasherBank::all_point_keys`]). Each table is filled by
+    /// inserting the points **in point order** — the exact order the serial
+    /// build used — so per-bucket entry order is preserved bit-for-bit;
+    /// tables are disjoint work items, so they build and freeze
+    /// concurrently.
+    pub fn build(keys: &[u64], num_tables: usize, num_points: usize) -> Self {
+        assert_eq!(
+            keys.len(),
+            num_tables * num_points,
+            "one key per table per point"
+        );
+        let tables = fairnn_parallel::map_indexed(num_tables, |t| {
+            let mut table = LshTable::new();
+            for i in 0..num_points {
+                table.insert(keys[i * num_tables + t], PointId::from_index(i));
+            }
+            table.freeze();
+            table
+        });
+        Self { tables, num_points }
+    }
+
     /// Number of tables `L`.
     pub fn num_tables(&self) -> usize {
         self.tables.len()
     }
 
-    /// Number of indexed points `n`.
+    /// Number of indexed point ids `n` (tombstoned ids included until
+    /// compaction).
     pub fn num_points(&self) -> usize {
         self.num_points
     }
 
-    /// The parameters the index was built with.
-    pub fn params(&self) -> LshParams {
-        self.params
-    }
-
-    /// The per-table hashers.
-    pub fn hashers(&self) -> &[H] {
-        &self.hashers
-    }
-
-    /// The tables themselves (index `i` corresponds to hasher `i`).
+    /// The tables themselves (index `t` is keyed by hasher `t`).
     pub fn tables(&self) -> &[LshTable] {
         &self.tables
     }
@@ -292,85 +300,8 @@ impl<H> LshIndex<H> {
         self.tables.iter().map(LshTable::num_entries).sum()
     }
 
-    /// Decomposes the index into its hashers and tables. Used by the fair
-    /// samplers in `fairnn-core`, which re-organise the bucket contents
-    /// (e.g. sort them by rank) while keeping the same hash functions.
-    pub fn into_parts(self) -> (Vec<H>, Vec<LshTable>) {
-        (self.hashers, self.tables)
-    }
-}
-
-/// Computes every point's `L` bucket keys into one point-major buffer
-/// (`keys[i * L + t]` is point `i`'s key in table `t`): one batched
-/// [`LshHasher::hash_all`] evaluation per point, with disjoint point chunks
-/// hashed on parallel build workers. Chunks are concatenated in point
-/// order, so the buffer is bit-identical at every thread count.
-fn compute_point_keys<P, H>(hashers: &[H], points: &[P]) -> Vec<u64>
-where
-    H: LshHasher<P> + Sync,
-    P: Sync,
-{
-    let l = hashers.len();
-    let chunks = fairnn_parallel::map_slices(points, 32, |_, chunk| {
-        let mut keys = vec![0u64; chunk.len() * l];
-        for (i, p) in chunk.iter().enumerate() {
-            H::hash_all(hashers, p, &mut keys[i * l..(i + 1) * l]);
-        }
-        keys
-    });
-    let mut keys = Vec::with_capacity(points.len() * l);
-    for chunk in chunks {
-        keys.extend(chunk);
-    }
-    keys
-}
-
-/// Builds the `L` frozen tables from a precomputed point-major key buffer.
-/// Each table is filled by inserting the points **in point order** — the
-/// exact order the serial build used — so per-bucket entry order is
-/// preserved bit-for-bit; tables are disjoint work items, so they build and
-/// freeze concurrently.
-fn build_tables(keys: &[u64], num_tables: usize, num_points: usize) -> Vec<LshTable> {
-    debug_assert_eq!(keys.len(), num_tables * num_points);
-    fairnn_parallel::map_indexed(num_tables, |t| {
-        let mut table = LshTable::new();
-        for i in 0..num_points {
-            table.insert(keys[i * num_tables + t], PointId::from_index(i));
-        }
-        table.freeze();
-        table
-    })
-}
-
-impl<H> LshIndex<H> {
-    /// Builds an index from pre-sampled hashers (used by the filter-style
-    /// structures and by tests that need full control over the hashers).
-    /// Every point's `L` bucket keys are computed with one batched
-    /// [`LshHasher::hash_all`] evaluation — point chunks hashed and the
-    /// per-table CSR freezes run on parallel build workers (see
-    /// [`fairnn_parallel`]), with output bit-identical to the serial build
-    /// at any thread count — and the tables come out frozen into their
-    /// read-optimized form.
-    pub fn from_hashers<P>(hashers: Vec<H>, points: &[P], params: LshParams) -> Self
-    where
-        H: LshHasher<P> + Sync,
-        P: Sync,
-    {
-        assert!(!hashers.is_empty(), "index needs at least one hasher");
-        let keys = compute_point_keys(&hashers, points);
-        let tables = build_tables(&keys, hashers.len(), points.len());
-        Self {
-            hashers,
-            tables,
-            num_points: points.len(),
-            params,
-        }
-    }
-
     /// Freezes every table into its read-optimized form (see
-    /// [`LshTable::freeze`]), tables in parallel on the build workers. Call
-    /// after a burst of incremental updates to restore the contiguous
-    /// bucket layout; build and [`LshIndex::rebuild`] freeze automatically.
+    /// [`LshTable::freeze`]), tables in parallel on the build workers.
     pub fn freeze(&mut self) {
         fairnn_parallel::for_each_mut(&mut self.tables, |_, table| table.freeze());
     }
@@ -380,131 +311,49 @@ impl<H> LshIndex<H> {
         self.tables.iter().all(LshTable::is_frozen)
     }
 
-    /// Per-table bucket keys of a query point.
-    pub fn query_keys<P>(&self, query: &P) -> Vec<u64>
-    where
-        H: LshHasher<P>,
-    {
-        let mut keys = vec![0u64; self.hashers.len()];
-        H::hash_all(&self.hashers, query, &mut keys);
-        keys
-    }
-
-    /// Writes the per-table bucket keys of `query` into `keys` (resized to
-    /// `L`), computing all `K × L` row hashes in one batched pass. This is
-    /// the allocation-free form of [`LshIndex::query_keys`] for callers
-    /// holding a reusable buffer.
-    pub fn query_keys_into<P>(&self, query: &P, keys: &mut Vec<u64>)
-    where
-        H: LshHasher<P>,
-    {
-        let _timer = Timer::start(&HASH_BANK_NS);
-        keys.clear();
-        keys.resize(self.hashers.len(), 0);
-        H::hash_all(&self.hashers, query, keys);
-    }
-
-    /// The buckets a query collides with, one (possibly empty) slice per
-    /// table, in table order.
-    pub fn query_buckets<P>(&self, query: &P) -> Vec<&[PointId]>
-    where
-        H: LshHasher<P>,
-    {
-        INDEX_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            self.query_keys_into(query, &mut scratch.keys);
-            scratch
-                .keys
-                .iter()
-                .zip(self.tables.iter())
-                .map(|(&key, t)| t.bucket(key))
-                .collect()
-        })
-    }
-
-    /// Appends one point to every table, assigning it the next dense id.
-    /// Returns the assigned id and the point's per-table bucket keys (one
-    /// hash pass, so callers keeping per-bucket state need not re-hash).
+    /// Appends one point, given its per-table bucket keys, to every table
+    /// under the next dense id, and returns that id.
     ///
-    /// This is the incremental half of the sharded serving layer: a shard
-    /// can grow without rebuilding its tables, because each table is just a
-    /// key → ids map and the hashers are fixed at construction time.
-    ///
-    /// Hidden: an engine-internal entry point, not part of the public
-    /// mutation API. Applications mutate through
-    /// `fairnn_engine::EngineWriter::commit`, which write-ahead-logs the
-    /// change and publishes a fresh generation; calling this directly
-    /// bypasses durability and thaws tables readers may be serving (the
-    /// `thaw-outside-writer` audit rule rejects new call sites).
+    /// Hidden: engine-internal, like [`LshIndex::insert_point`].
     #[doc(hidden)]
-    pub fn insert_point<P>(&mut self, point: &P) -> (PointId, Vec<u64>)
-    where
-        H: LshHasher<P>,
-    {
+    pub fn insert_point(&mut self, keys: &[u64]) -> PointId {
+        assert_eq!(keys.len(), self.tables.len(), "one key per table");
         let id = PointId::from_index(self.num_points);
-        let keys = self.query_keys(point);
-        for (table, &key) in self.tables.iter_mut().zip(keys.iter()) {
+        for (table, &key) in self.tables.iter_mut().zip(keys) {
             table.insert(key, id);
         }
         self.num_points += 1;
-        (id, keys)
+        id
     }
 
-    /// Removes `id` from every table (the caller supplies the point so its
-    /// bucket keys can be recomputed). Returns `true` when at least one
-    /// table contained the id. `num_points` is *not* decremented: ids stay
-    /// dense and the vacated id is simply never handed out again until
-    /// [`LshIndex::rebuild`] compacts the index.
+    /// Removes `id` from every table, given the point's per-table bucket
+    /// keys. Returns `true` when at least one table contained the id;
+    /// `num_points` is *not* decremented (see [`LshIndex::remove_point`]).
     ///
-    /// Hidden: engine-internal, like [`LshIndex::insert_point`] — mutate
-    /// through `fairnn_engine::EngineWriter::commit` instead.
+    /// Hidden: engine-internal, like [`LshIndex::insert_point`].
     #[doc(hidden)]
-    pub fn remove_point<P>(&mut self, point: &P, id: PointId) -> bool
-    where
-        H: LshHasher<P>,
-    {
-        let keys = self.query_keys(point);
+    pub fn remove_point(&mut self, keys: &[u64], id: PointId) -> bool {
         let mut removed = false;
-        for (table, &key) in self.tables.iter_mut().zip(keys.iter()) {
+        for (table, &key) in self.tables.iter_mut().zip(keys) {
             removed |= table.remove(key, id);
         }
         removed
     }
 
-    /// Rebuilds every table over `points` (point `i` gets id `PointId(i)`)
-    /// while keeping the existing hashers, so the rebuild is a pure
-    /// compaction: deterministic and local to this index. Shards use it to
-    /// reclaim tombstoned entries without any global coordination. The
-    /// rebuilt tables come out frozen. Runs the same parallel two-phase
-    /// build as [`LshIndex::from_hashers`]. When the surviving points are a
-    /// subset of the currently indexed ones, prefer
-    /// [`LshIndex::compact_retain`], which skips the re-hash entirely.
-    pub fn rebuild<P>(&mut self, points: &[P])
-    where
-        H: LshHasher<P> + Sync,
-        P: Sync,
-    {
-        let keys = compute_point_keys(&self.hashers, points);
-        self.tables = build_tables(&keys, self.hashers.len(), points.len());
-        self.num_points = points.len();
-    }
-
-    /// Compacts the index to the points that survive the `new_id_of` remap
+    /// Compacts the tables to the ids that survive the `new_id_of` remap
     /// (old id → new dense id; [`u32::MAX`] marks ids that are gone)
-    /// **without re-running the hasher bank**: every surviving entry's
-    /// bucket key is already recorded in the tables, so compaction is a
-    /// pure per-table remap — the fix for the redundant re-hash the old
-    /// rebuild-based compaction paid on every shard compaction. Requires
-    /// the tables to contain surviving ids only (callers remove deleted
-    /// points first, as [`crate::LshIndex::remove_point`] does).
+    /// **without re-running any hasher**: every surviving entry's bucket
+    /// key is already recorded in the tables, so compaction is a pure
+    /// per-table remap. Requires the tables to contain surviving ids only
+    /// (callers remove deleted points first, as
+    /// [`LshTables::remove_point`] does).
     ///
-    /// The result is bit-identical to `rebuild` over the surviving points
-    /// in new-id order: per-bucket entries are re-sorted by their new ids,
-    /// which is exactly the order a fresh point-order build would insert
-    /// them in. Tables remap and freeze concurrently.
+    /// The result is bit-identical to a fresh build over the surviving
+    /// points in new-id order: per-bucket entries are re-sorted by their
+    /// new ids, which is exactly the order a point-order build inserts them
+    /// in. Tables remap and freeze concurrently.
     ///
-    /// Hidden: engine-internal, like [`LshIndex::insert_point`] — request
-    /// compaction through `WriteOp::Compact` on the engine writer instead.
+    /// Hidden: engine-internal, like [`LshIndex::insert_point`].
     #[doc(hidden)]
     pub fn compact_retain(&mut self, new_id_of: &[u32], new_num_points: usize) {
         assert!(
@@ -541,6 +390,242 @@ impl<H> LshIndex<H> {
         self.num_points = new_num_points;
     }
 
+    /// Shared tail of every decoder holding tables: every bucket entry must
+    /// name an indexed point.
+    fn assemble(
+        tables: Vec<LshTable>,
+        num_points: usize,
+    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
+        for table in &tables {
+            for (_, bucket) in table.buckets() {
+                if let Some(&id) = bucket.iter().find(|id| id.index() >= num_points) {
+                    return Err(fairnn_snapshot::SnapshotError::Corrupt(format!(
+                        "bucket entry {id} out of range for {num_points} points"
+                    )));
+                }
+            }
+        }
+        Ok(Self { tables, num_points })
+    }
+}
+
+impl fairnn_snapshot::Codec for LshTables {
+    /// Every table in its frozen wire form, then the point count.
+    fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
+        self.tables.encode(enc);
+        enc.write_u64(self.num_points as u64);
+    }
+
+    fn decode(
+        dec: &mut fairnn_snapshot::Decoder<'_>,
+    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
+        let tables = Vec::<LshTable>::decode(dec)?;
+        let num_points = usize::decode(dec)?;
+        Self::assemble(tables, num_points)
+    }
+}
+
+/// The `L`-table LSH index.
+///
+/// Generic over the hasher type `H`; the usual instantiation is
+/// `LshIndex<ConcatenatedHasher<F::Hasher>>` produced by [`LshIndex::build`].
+#[derive(Debug, Clone)]
+pub struct LshIndex<H> {
+    hashers: Vec<H>,
+    tables: LshTables,
+    params: LshParams,
+}
+
+impl<H> LshIndex<H> {
+    /// Number of tables `L`.
+    pub fn num_tables(&self) -> usize {
+        self.tables.num_tables()
+    }
+
+    /// Number of indexed points `n`.
+    pub fn num_points(&self) -> usize {
+        self.tables.num_points()
+    }
+
+    /// The parameters the index was built with.
+    pub fn params(&self) -> LshParams {
+        self.params
+    }
+
+    /// The per-table hashers.
+    pub fn hashers(&self) -> &[H] {
+        &self.hashers
+    }
+
+    /// The tables themselves (index `i` corresponds to hasher `i`).
+    pub fn tables(&self) -> &[LshTable] {
+        self.tables.tables()
+    }
+
+    /// One table.
+    pub fn table(&self, i: usize) -> &LshTable {
+        self.tables.table(i)
+    }
+
+    /// Total number of point references stored across all tables — the
+    /// `Θ(n L)` space term of Theorem 1.
+    pub fn total_entries(&self) -> usize {
+        self.tables.total_entries()
+    }
+
+    /// Decomposes the index into its hashers and tables. Used by the fair
+    /// samplers in `fairnn-core`, which re-organise the bucket contents
+    /// (e.g. sort them by rank) while keeping the same hash functions.
+    pub fn into_parts(self) -> (Vec<H>, Vec<LshTable>) {
+        (self.hashers, self.tables.tables)
+    }
+}
+
+impl<H> LshIndex<H> {
+    /// Builds an index from pre-sampled hashers (used by the filter-style
+    /// structures and by tests that need full control over the hashers).
+    /// Every point's `L` bucket keys are computed with one batched
+    /// [`LshHasher::hash_all`] evaluation — point chunks hashed and the
+    /// per-table CSR freezes run on parallel build workers (see
+    /// [`fairnn_parallel`]), with output bit-identical to the serial build
+    /// at any thread count — and the tables come out frozen into their
+    /// read-optimized form.
+    pub fn from_hashers<P>(hashers: Vec<H>, points: &[P], params: LshParams) -> Self
+    where
+        H: LshHasher<P> + Sync,
+        P: Sync,
+    {
+        assert!(!hashers.is_empty(), "index needs at least one hasher");
+        let keys = compute_point_keys(&hashers, points);
+        let tables = LshTables::build(&keys, hashers.len(), points.len());
+        Self {
+            hashers,
+            tables,
+            params,
+        }
+    }
+
+    /// Freezes every table into its read-optimized form (see
+    /// [`LshTable::freeze`]), tables in parallel on the build workers. Call
+    /// after a burst of incremental updates to restore the contiguous
+    /// bucket layout; build and [`LshIndex::rebuild`] freeze automatically.
+    pub fn freeze(&mut self) {
+        self.tables.freeze();
+    }
+
+    /// Whether every table is currently frozen.
+    pub fn is_frozen(&self) -> bool {
+        self.tables.is_frozen()
+    }
+
+    /// Per-table bucket keys of a query point.
+    pub fn query_keys<P>(&self, query: &P) -> Vec<u64>
+    where
+        H: LshHasher<P>,
+    {
+        let mut keys = vec![0u64; self.hashers.len()];
+        H::hash_all(&self.hashers, query, &mut keys);
+        keys
+    }
+
+    /// Writes the per-table bucket keys of `query` into `keys` (resized to
+    /// `L`), computing all `K × L` row hashes in one batched pass. This is
+    /// the allocation-free form of [`LshIndex::query_keys`] for callers
+    /// holding a reusable buffer.
+    pub fn query_keys_into<P>(&self, query: &P, keys: &mut Vec<u64>)
+    where
+        H: LshHasher<P>,
+    {
+        hash_query_into(&self.hashers, query, keys);
+    }
+
+    /// The buckets a query collides with, one (possibly empty) slice per
+    /// table, in table order.
+    pub fn query_buckets<P>(&self, query: &P) -> Vec<&[PointId]>
+    where
+        H: LshHasher<P>,
+    {
+        INDEX_SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            self.query_keys_into(query, &mut scratch.keys);
+            scratch
+                .keys
+                .iter()
+                .zip(self.tables())
+                .map(|(&key, t)| t.bucket(key))
+                .collect()
+        })
+    }
+
+    /// Appends one point to every table, assigning it the next dense id.
+    /// Returns the assigned id and the point's per-table bucket keys (one
+    /// hash pass, so callers keeping per-bucket state need not re-hash).
+    ///
+    /// An index can grow without rebuilding its tables, because each table
+    /// is just a key → ids map and the hashers are fixed at construction
+    /// time.
+    ///
+    /// Hidden: an engine-internal entry point, not part of the public
+    /// mutation API. Applications mutate through
+    /// `fairnn_engine::EngineWriter::commit`, which write-ahead-logs the
+    /// change and publishes a fresh generation; calling this directly
+    /// bypasses durability and thaws tables readers may be serving (the
+    /// `thaw-outside-writer` audit rule rejects new call sites).
+    #[doc(hidden)]
+    pub fn insert_point<P>(&mut self, point: &P) -> (PointId, Vec<u64>)
+    where
+        H: LshHasher<P>,
+    {
+        let keys = self.query_keys(point);
+        let id = self.tables.insert_point(&keys);
+        (id, keys)
+    }
+
+    /// Removes `id` from every table (the caller supplies the point so its
+    /// bucket keys can be recomputed). Returns `true` when at least one
+    /// table contained the id. `num_points` is *not* decremented: ids stay
+    /// dense and the vacated id is simply never handed out again until
+    /// [`LshIndex::rebuild`] compacts the index.
+    ///
+    /// Hidden: engine-internal, like [`LshIndex::insert_point`] — mutate
+    /// through `fairnn_engine::EngineWriter::commit` instead.
+    #[doc(hidden)]
+    pub fn remove_point<P>(&mut self, point: &P, id: PointId) -> bool
+    where
+        H: LshHasher<P>,
+    {
+        let keys = self.query_keys(point);
+        self.tables.remove_point(&keys, id)
+    }
+
+    /// Rebuilds every table over `points` (point `i` gets id `PointId(i)`)
+    /// while keeping the existing hashers, so the rebuild is a pure
+    /// compaction: deterministic and local to this index. The rebuilt
+    /// tables come out frozen. Runs the same parallel two-phase build as
+    /// [`LshIndex::from_hashers`]. When the surviving points are a subset
+    /// of the currently indexed ones, prefer [`LshIndex::compact_retain`],
+    /// which skips the re-hash entirely.
+    pub fn rebuild<P>(&mut self, points: &[P])
+    where
+        H: LshHasher<P> + Sync,
+        P: Sync,
+    {
+        let keys = compute_point_keys(&self.hashers, points);
+        self.tables = LshTables::build(&keys, self.hashers.len(), points.len());
+    }
+
+    /// Compacts the index to the points that survive the `new_id_of` remap
+    /// **without re-running the hasher bank** (see
+    /// [`LshTables::compact_retain`]); bit-identical to `rebuild` over the
+    /// surviving points in new-id order.
+    ///
+    /// Hidden: engine-internal, like [`LshIndex::insert_point`] — request
+    /// compaction through `WriteOp::Compact` on the engine writer instead.
+    #[doc(hidden)]
+    pub fn compact_retain(&mut self, new_id_of: &[u32], new_num_points: usize) {
+        self.tables.compact_retain(new_id_of, new_num_points);
+    }
+
     /// All ids colliding with the query in at least one table, deduplicated
     /// (the set `S_q = ∪_i S_{i, ℓ_i(q)}` of the paper). Uses a per-thread
     /// scratch; callers that own a [`QueryScratch`] should prefer
@@ -573,9 +658,9 @@ impl<H> LshIndex<H> {
             ..
         } = scratch;
         self.query_keys_into(query, keys);
-        visited.reset(self.num_points);
+        visited.reset(self.num_points());
         candidates.clear();
-        for (table, &key) in self.tables.iter().zip(keys.iter()) {
+        for (table, &key) in self.tables().iter().zip(keys.iter()) {
             for &id in table.bucket(key) {
                 if visited.insert(id.index()) {
                     candidates.push(id);
@@ -596,7 +681,7 @@ impl<H> LshIndex<H> {
             scratch
                 .keys
                 .iter()
-                .zip(self.tables.iter())
+                .zip(self.tables())
                 .map(|(&key, t)| t.bucket(key).len())
                 .sum()
         })
@@ -605,12 +690,12 @@ impl<H> LshIndex<H> {
 
 impl<H> LshIndex<H> {
     /// Shared tail of the inline and sectioned decoders: every cross-field
-    /// invariant of the wire format lives here, exactly once, so the two
-    /// container forms cannot drift apart in what they accept.
+    /// invariant of the wire format lives here (and in
+    /// [`LshTables::assemble`]), exactly once, so the two container forms
+    /// cannot drift apart in what they accept.
     fn assemble(
         hashers: Vec<H>,
-        tables: Vec<LshTable>,
-        num_points: usize,
+        tables: LshTables,
         params: LshParams,
     ) -> Result<Self, fairnn_snapshot::SnapshotError> {
         use fairnn_snapshot::SnapshotError;
@@ -619,26 +704,16 @@ impl<H> LshIndex<H> {
                 "an LSH index needs at least one hasher".into(),
             ));
         }
-        if tables.len() != hashers.len() {
+        if tables.num_tables() != hashers.len() {
             return Err(SnapshotError::Corrupt(format!(
                 "index stores {} tables for {} hashers",
-                tables.len(),
+                tables.num_tables(),
                 hashers.len()
             )));
-        }
-        for table in &tables {
-            for (_, bucket) in table.buckets() {
-                if let Some(&id) = bucket.iter().find(|id| id.index() >= num_points) {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "bucket entry {id} out of range for {num_points} points"
-                    )));
-                }
-            }
         }
         Ok(Self {
             hashers,
             tables,
-            num_points,
             params,
         })
     }
@@ -648,7 +723,6 @@ impl<H: crate::snapshot::HasherBankCodec> fairnn_snapshot::Codec for LshIndex<H>
     fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
         H::encode_bank(&self.hashers, enc);
         self.tables.encode(enc);
-        enc.write_u64(self.num_points as u64);
         self.params.encode(enc);
     }
 
@@ -656,10 +730,9 @@ impl<H: crate::snapshot::HasherBankCodec> fairnn_snapshot::Codec for LshIndex<H>
         dec: &mut fairnn_snapshot::Decoder<'_>,
     ) -> Result<Self, fairnn_snapshot::SnapshotError> {
         let hashers = H::decode_bank(dec)?;
-        let tables = Vec::<LshTable>::decode(dec)?;
-        let num_points = usize::decode(dec)?;
+        let tables = LshTables::decode(dec)?;
         let params = LshParams::decode(dec)?;
-        Self::assemble(hashers, tables, num_points, params)
+        Self::assemble(hashers, tables, params)
     }
 
     /// Sectioned container image: section 0 holds the hasher bank and the
@@ -670,14 +743,14 @@ impl<H: crate::snapshot::HasherBankCodec> fairnn_snapshot::Codec for LshIndex<H>
     fn encode_sections(&self) -> Vec<Vec<u8>> {
         let mut head = fairnn_snapshot::Encoder::new();
         H::encode_bank(&self.hashers, &mut head);
-        head.write_u64(self.num_points as u64);
+        head.write_u64(self.num_points() as u64);
         self.params.encode(&mut head);
-        head.write_u64(self.tables.len() as u64);
-        let mut sections = Vec::with_capacity(self.tables.len() + 1);
+        head.write_u64(self.num_tables() as u64);
+        let mut sections = Vec::with_capacity(self.num_tables() + 1);
         sections.push(head.into_bytes());
         // Capture only the tables (not `self`), so the parallel encode
         // needs no `Sync` bound on the hasher type.
-        let tables = &self.tables;
+        let tables = self.tables();
         sections.extend(fairnn_parallel::map_indexed(tables.len(), |t| {
             let mut enc = fairnn_snapshot::Encoder::new();
             tables[t].encode(&mut enc);
@@ -720,8 +793,8 @@ impl<H: crate::snapshot::HasherBankCodec> fairnn_snapshot::Codec for LshIndex<H>
         for table in decoded {
             tables.push(table?);
         }
-        // All structural invariants live in the shared `assemble` tail.
-        Self::assemble(hashers, tables, num_points, params)
+        // All structural invariants live in the shared `assemble` tails.
+        Self::assemble(hashers, LshTables::assemble(tables, num_points)?, params)
     }
 }
 

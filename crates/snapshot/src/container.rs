@@ -1,7 +1,7 @@
 //! The on-disk container: header, section directory, checksums, and the
 //! save/load entry points.
 //!
-//! Layout of format version 4 (the aligned layout of version 3; all
+//! Layout of format version 5 (the aligned layout of version 3; all
 //! integers little-endian):
 //!
 //! ```text
@@ -102,8 +102,9 @@ pub const MAGIC: [u8; 8] = *b"FAIRNNSS";
 /// little-endian array columns (zero-copy [`SnapshotImage`] loads); 4 =
 /// the same layout without the engine's tuning knobs (rejection margin,
 /// round budget, shard sketch size/threshold, compaction fraction), which
-/// became constants of the code.
-pub const FORMAT_VERSION: u32 = 4;
+/// became constants of the code; 5 = one hasher bank per sharded index, in
+/// its own section, instead of one inside every shard section.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Byte-order marker: written little-endian, so a conforming file always
 /// reads back as this value.
@@ -126,7 +127,9 @@ pub enum SnapshotKind {
     FairNnis = 3,
     /// The Appendix A `fairnn_core::RankSwapSampler`.
     RankSwap = 4,
-    /// A single `fairnn_engine::Shard`.
+    /// A single shard. The engine no longer writes shards on their own (a
+    /// shard is keyed by its index's shared hasher bank); the tag stays
+    /// assigned for the container's own tests.
     Shard = 5,
     /// A `fairnn_engine::ShardedIndex` (all shards + partition map).
     ShardedIndex = 6,

@@ -11,11 +11,14 @@ use fairnn_engine::{
     BatchResponse, EngineWriter, QueryRequest, ShardedIndex, ShardedIndexConfig, ShardedSampler,
     WriteBatch,
 };
-use fairnn_integration_tests::{test_dataset, test_params};
-use fairnn_lsh::{ConcatenatedHasher, OneBitMinHash, OneBitMinHasher};
+use fairnn_integration_tests::{golden_dataset, golden_params, test_dataset, test_params};
+use fairnn_lsh::{
+    ConcatenatedHasher, HasherBankCodec, LshFamily, LshHasher, LshIndex, LshParams, MinHash,
+    OneBitMinHash, OneBitMinHasher,
+};
 use fairnn_server::{read_response, serve, ClientResponse, ServerConfig, ServerHandle};
 use fairnn_snapshot::{Codec, Decoder, Encoder};
-use fairnn_space::{Jaccard, PointId, SparseSet};
+use fairnn_space::{Dataset, Jaccard, PointId, SparseSet};
 use fairnn_stats::{FrequencyHistogram, UniformityReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -156,6 +159,120 @@ fn sharded_neighborhood_preserves_recall() {
             );
         }
     }
+}
+
+/// The paper-fidelity contract of the shared hasher bank: for every
+/// query, the sharded neighbourhood `∪ A_i` equals the near points
+/// colliding with it in *one* unsharded `L`-table index keyed by the same
+/// bank over all live points (`live[i]` is a global id and its point).
+fn assert_matches_one_unsharded_structure<H>(
+    label: &str,
+    index: &ShardedIndex<SparseSet, H, Near>,
+    live: &[(PointId, SparseSet)],
+    near: &Near,
+    queries: &[SparseSet],
+) where
+    H: LshHasher<SparseSet> + Clone + Sync,
+{
+    let points: Vec<SparseSet> = live.iter().map(|(_, p)| p.clone()).collect();
+    let unsharded =
+        LshIndex::from_hashers(index.bank().hashers().to_vec(), &points, index.params());
+    for (qi, query) in queries.iter().enumerate() {
+        let mut expected: Vec<PointId> = unsharded
+            .colliding_ids(query)
+            .into_iter()
+            .filter(|id| near.is_near(query, &points[id.index()]))
+            .map(|id| live[id.index()].0)
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(index.neighborhood(query), expected, "{label}: query {qi}");
+    }
+}
+
+/// Bootstraps a 4-shard engine over `dataset`, checks fidelity with every
+/// dataset point as a query, then commits inserts (near twins of the
+/// first points), deletes and a compaction, and checks again.
+fn assert_fidelity_through_churn<F, BH>(
+    label: &str,
+    family: &F,
+    params: LshParams,
+    dataset: &Dataset<SparseSet>,
+    r: f64,
+) where
+    F: LshFamily<SparseSet, Hasher = BH> + Sync,
+    BH: LshHasher<SparseSet> + Send + Sync,
+    ConcatenatedHasher<BH>: HasherBankCodec + LshHasher<SparseSet> + Clone + Send + Sync,
+{
+    let near = SimilarityAtLeast::new(Jaccard, r);
+    let queries = dataset.points().to_vec();
+    let dir = std::env::temp_dir().join(format!("fairnn-fidelity-{label}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut writer = EngineWriter::bootstrap(
+        family,
+        params,
+        dataset,
+        near,
+        ShardedIndexConfig::with_shards(4).seeded(41),
+        &dir,
+    )
+    .expect("bootstrap");
+    let reader = writer.reader();
+    let mut live: Vec<(PointId, SparseSet)> = dataset
+        .ids()
+        .map(|id| (id, dataset.point(id).clone()))
+        .collect();
+    let pin = reader.pin();
+    assert_matches_one_unsharded_structure(label, pin.index(), &live, &near, &queries);
+
+    let twins: Vec<SparseSet> = (0..3u32)
+        .map(|i| {
+            let mut items = dataset.point(PointId(i)).items().to_vec();
+            items.push(1_000_000 + i);
+            SparseSet::from_items(items)
+        })
+        .collect();
+    let deleted = [PointId(1), PointId(4), PointId(5), PointId(9)];
+    let mut batch = WriteBatch::new();
+    for twin in &twins {
+        batch = batch.insert(twin.clone());
+    }
+    for &id in &deleted {
+        batch = batch.delete(id);
+    }
+    let receipt = writer.commit(batch.compact()).expect("churn commit");
+    live.retain(|(id, _)| !deleted.contains(id));
+    live.extend(receipt.assigned.iter().copied().zip(twins));
+    let pin = reader.pin();
+    assert!(pin.index().shards().iter().all(|s| s.tombstones() == 0));
+    assert_matches_one_unsharded_structure(
+        &format!("{label} after churn"),
+        pin.index(),
+        &live,
+        &near,
+        &queries,
+    );
+    drop(writer);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn sharded_neighborhood_is_the_colliding_near_set_of_one_unsharded_structure() {
+    let golden = golden_dataset();
+    assert_fidelity_through_churn(
+        "golden",
+        &MinHash,
+        golden_params(golden.len()),
+        &golden,
+        0.5,
+    );
+    let fixture = test_dataset(1);
+    assert_fidelity_through_churn(
+        "fixture",
+        &OneBitMinHash,
+        test_params(fixture.len(), R),
+        &fixture,
+        R,
+    );
 }
 
 /// The uniformity battery across batch numbers. `draw(b)` answers the

@@ -176,18 +176,35 @@ fn serves_queries_commits_and_health_over_the_wire() {
     let mut dec = Decoder::new(&got.body);
     assert_eq!(BatchResponse::decode(&mut dec).unwrap().generation, 1);
 
-    // /metrics renders the server's own instrumentation.
+    // A query that collides with the cluster (Jaccard ≈ 0.46 with every
+    // member) but is near none of it: every rejection round finds an empty
+    // A_i, so the draw takes the exhaustive fallback and answers ⊥.
+    let mut items: Vec<u32> = (0..18).collect();
+    items.extend(5000..5012);
+    let far = QueryRequest::new(vec![SparseSet::from_items(items)]).with_batch(4);
+    let got = roundtrip(addr, "POST", "/v1/query", &[], &encode(&far));
+    assert_eq!(got.status, 200);
+    let mut dec = Decoder::new(&got.body);
+    let response = BatchResponse::decode(&mut dec).expect("decode response");
+    assert_eq!(response.answers[0].id, None);
+    assert!(response.answers[0].stats.rounds > 1, "query never collided");
+
+    // /metrics renders the server's own instrumentation and the engine's
+    // fallback counters: the total and its sketch-failure share.
     let metrics = roundtrip(addr, "GET", "/metrics", &[], b"");
     assert_eq!(metrics.status, 200);
     let metrics_text = String::from_utf8(metrics.body).unwrap();
-    assert!(
-        metrics_text.contains("server_requests_total"),
-        "{metrics_text}"
-    );
-    assert!(
-        metrics_text.contains("server_active_connections"),
-        "{metrics_text}"
-    );
+    for name in [
+        "server_requests_total",
+        "server_active_connections",
+        "engine_fallback_exhaustive_total",
+        "engine_fallback_sketch_failure_total",
+    ] {
+        assert!(
+            metrics_text.contains(name),
+            "{name} missing:\n{metrics_text}"
+        );
+    }
 
     // Unknown routes and wrong methods are typed, not closures.
     assert_eq!(roundtrip(addr, "GET", "/nope", &[], b"").status, 404);

@@ -23,9 +23,10 @@ use fairnn_integration_tests::{
     golden_dataset, golden_ids as ids, golden_params as params, GOLDEN_ENGINE_FIRST,
     GOLDEN_FAIR_NNIS, GOLDEN_FAIR_NNS, GOLDEN_RANK_SWAP, GOLDEN_SHARDED,
 };
-use fairnn_lsh::{ConcatenatedHasher, MinHash, MinHasher};
+use fairnn_lsh::{ConcatenatedHasher, LshParams, MinHash, MinHasher};
 use fairnn_snapshot::{
-    from_bytes, to_bytes, SnapshotError, SnapshotImage, SnapshotKind, FORMAT_VERSION, HEADER_LEN,
+    from_bytes, image_from_sections, to_bytes, Codec, SnapshotError, SnapshotImage, SnapshotKind,
+    FORMAT_VERSION, HEADER_LEN,
 };
 use fairnn_space::{Jaccard, PointId, SparseSet};
 use proptest::prelude::*;
@@ -528,11 +529,12 @@ fn corrupted_truncated_and_version_bumped_snapshots_fail_typed() {
             if found == FORMAT_VERSION + 1 && supported == FORMAT_VERSION
     ));
 
-    // Old-version files — the flat v1 layout, the unaligned v2 sections
-    // and v3 images still carrying the engine's tuning knobs — get the same
-    // typed rejection (no migration shims), and the message tells the
-    // operator how to move forward: re-save with a current binary.
-    for found in [1u32, 2, 3] {
+    // Old-version files — the flat v1 layout, the unaligned v2 sections,
+    // v3 images still carrying the engine's tuning knobs and v4 images with
+    // a hasher bank inside every shard section — get the same typed
+    // rejection (no migration shims), and the message tells the operator
+    // how to move forward: re-save with a current binary.
+    for found in [1u32, 2, 3, 4] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&found.to_le_bytes());
         let err = load_small(&old).expect_err("an old-version file must not load");
@@ -573,6 +575,61 @@ fn corrupted_truncated_and_version_bumped_snapshots_fail_typed() {
 
     // The pristine image still loads.
     assert!(load_small(&bytes).is_ok());
+}
+
+/// The sections of a 3-shard golden index built with `params`:
+/// `[head, hasher bank, shard 0, shard 1, shard 2]`.
+fn sharded_sections(params: LshParams) -> Vec<Vec<u8>> {
+    let index: SetSharded = ShardedIndex::build(
+        &MinHash,
+        params,
+        &golden_dataset(),
+        near(),
+        ShardedIndexConfig::with_shards(3).seeded(17),
+    );
+    index.encode_sections()
+}
+
+/// Loads a sharded image assembled from `sections`.
+fn load_sections(sections: Vec<Vec<u8>>) -> Result<SetSharded, SnapshotError> {
+    let image = image_from_sections(SnapshotKind::ShardedIndex, sections);
+    from_bytes(SnapshotKind::ShardedIndex, &image)
+}
+
+#[test]
+fn hasher_bank_that_does_not_fit_the_stored_parameters_fails_the_load() {
+    // A bank of (K + 1) x L rows under a head declaring K x L: well-formed
+    // section by section, so only the cross-check can catch it before a
+    // query hashes with the wrong functions.
+    let base = params(golden_dataset().len());
+    let mut spliced = sharded_sections(base);
+    assert!(load_sections(spliced.clone()).is_ok());
+    spliced[1] = sharded_sections(LshParams {
+        k: base.k + 1,
+        ..base
+    })[1]
+        .clone();
+    assert!(matches!(
+        load_sections(spliced),
+        Err(SnapshotError::Corrupt(_))
+    ));
+}
+
+#[test]
+fn shard_whose_table_count_is_not_l_fails_the_load() {
+    // Shard 1 taken from an index with L + 1 tables: its extra table would
+    // never be keyed, and a query would index past the bank's keys.
+    let base = params(golden_dataset().len());
+    let mut spliced = sharded_sections(base);
+    spliced[3] = sharded_sections(LshParams {
+        l: base.l + 1,
+        ..base
+    })[3]
+        .clone();
+    assert!(matches!(
+        load_sections(spliced),
+        Err(SnapshotError::Corrupt(_))
+    ));
 }
 
 proptest! {
