@@ -1,9 +1,9 @@
 //! Partitioning helpers for sharded serving.
 //!
 //! The sharded engine splits a dataset across shards, each of which owns its
-//! own LSH tables and mergeable sketches. Because the fair samplers only
-//! need the shards to be *disjoint and exhaustive* (the two-level sampler is
-//! rejection-corrected, so balance affects speed, not correctness), the
+//! own LSH tables. Because the fair samplers only need the shards to be
+//! *disjoint and exhaustive* (the two-level sampler weighs each shard by its
+//! own bucket lengths, so balance affects speed, not correctness), the
 //! helpers here are deliberately simple deterministic assignments over
 //! `0..n`; the engine maps the returned indices to whatever point storage it
 //! uses.

@@ -3,24 +3,24 @@
 //!
 //! The paper's samplers are single-shot data structures: one monolithic
 //! index, one query at a time, one core. This crate turns them into a
-//! serving layer. The load-bearing observation is that the Section 4
-//! construction already rests on *mergeable* count-distinct sketches, and
-//! mergeability is exactly what makes the structures shardable: per-shard
-//! estimates of `|B_S(q, r) ∩ shard|` combine into a global one, so a
-//! two-level sampler — pick a shard proportionally to its estimate, then
-//! sample fairly within it, with a rejection correction that cancels the
-//! estimation error — stays exactly uniform (up to an `exp(−Θ(k))`-
-//! probability sketch failure; see the `sharded` module docs).
+//! serving layer. The load-bearing observation is that a shard needs no
+//! estimate to be sampled fairly: the summed lengths `b_i` of its `L`
+//! query buckets never undercount its colliding near points `A_i`, so a
+//! two-level sampler that proposes shards by `b_i`, collects a shard on
+//! first use and from then on weighs it by `|A_i|` returns every point of
+//! `∪_i A_i` with the same probability in every round. It is exactly
+//! uniform and ends within `N + 1` rounds for `N` shards (see the `sharded`
+//! module docs).
 //!
 //! The pieces:
 //!
 //! * [`shard`] — one shard: shard-local LSH tables keyed by the index-wide
-//!   hasher bank, mergeable per-bucket KMV sketches over global point ids,
-//!   incremental insert/delete with shard-local compaction;
+//!   hasher bank, the bucket-length bound and the colliding near set of a
+//!   query, incremental insert/delete with shard-local compaction;
 //! * [`sharded`] — [`ShardedIndex`]: the partition, the one shared hasher
-//!   bank (each query is hashed once for all shards), the rejection-corrected
-//!   two-level sampler (with its uniformity argument), and the
-//!   [`ShardedSampler`] adapter into the `fairnn-core` sampler traits;
+//!   bank (each query is hashed once for all shards), the exactly uniform
+//!   two-level sampler (with its uniformity argument and round bound), and
+//!   the [`ShardedSampler`] adapter into the `fairnn-core` sampler traits;
 //! * [`engine`] — the batch executor [`ShardedIndex::run_batch_within`]:
 //!   per-position RNG streams split from the root seed, so an [`Answer`]
 //!   list is a pure function of the index, the seed and the request;

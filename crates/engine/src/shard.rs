@@ -1,25 +1,21 @@
-//! One shard: a slice of the dataset with its own LSH tables and mergeable
-//! per-bucket sketches.
+//! One shard: a slice of the dataset with its own LSH tables.
 //!
-//! A shard owns a subset of the points, indexes them in shard-local LSH
+//! A shard owns a subset of the points and indexes them in shard-local LSH
 //! tables keyed by the index-wide [`HasherBank`] (one bank, shared by every
 //! shard through an `Arc`, so a query is hashed once and its keys are
-//! looked up in every shard), and attaches a KMV ([`BottomKSketch`])
-//! count-distinct sketch to every large bucket. All sketches — across
-//! buckets, tables *and shards* — share one seed and `k`, so any group of
-//! them can be merged: the per-shard colliding sketches combine into a
-//! global neighborhood-size estimate exactly as the Section 4 construction
-//! merges per-bucket sketches, which is what makes the structure shardable
-//! in the first place.
+//! looked up in every shard). For the sampler it answers two questions
+//! about a query's `L` keys: the bucket-length bound
+//! `b_i = Σ_t |B_t(q)|` ([`Shard::colliding_bound_with_keys`], read from
+//! the bucket offsets without walking an entry), and the colliding near set
+//! `A_i` itself ([`Shard::colliding_near_points_with_keys`]). Every member of
+//! `A_i` sits in at least one of those buckets, so `b_i ≥ |A_i|` always —
+//! the one fact the sampler in `sharded.rs` relies on.
 //!
-//! Updates are incremental: inserts append to the local tables and feed the
-//! bucket sketches; deletes tombstone the point and remove it from the
-//! bucket lists. A KMV sketch cannot *unlearn* an element, so after deletes
-//! the bucket sketches over-estimate — harmless for the rejection-corrected
-//! sampler (see `sharded.rs`), and bounded by compaction: once tombstones
-//! exceed half the live points the shard rebuilds itself locally (same
-//! bank, compacted ids, fresh sketches). No update ever requires
-//! touching another shard, let alone a global rebuild.
+//! Updates are incremental: inserts append to the local tables; deletes
+//! tombstone the point and remove it from the bucket lists. Once tombstones
+//! exceed half the live points the shard compacts itself locally (same
+//! bank, compacted ids). No update ever requires touching another shard,
+//! let alone a global rebuild.
 
 use fairnn_core::predicate::{build_screen_rows, Nearness};
 use fairnn_core::QueryStats;
@@ -37,14 +33,13 @@ thread_local! {
     static SHARD_SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::new());
 }
 
-/// `k` of the per-bucket KMV sketches (exact below `k` distinct ids,
-/// ~`1/√k` relative error above).
+/// `k` of the KMV sketch [`Shard::empty_sketch`] hands out (exact below
+/// `k` distinct ids, ~`1/√k` relative error above).
 const SKETCH_K: usize = 64;
 
-/// Buckets with at least this many entries pre-compute their sketch;
-/// smaller buckets are folded into estimates by direct insertion at query
-/// time (the space-saving rule of Section 4).
-const SKETCH_THRESHOLD: usize = 32;
+/// Seed of that sketch. A constant, so the accumulator of any shard merges
+/// the folds of every other.
+const SKETCH_SEED: u64 = 0x5EED_5CE7;
 
 /// The shard compacts itself when tombstones exceed this fraction of the
 /// live point count.
@@ -70,11 +65,6 @@ pub struct Shard<P, H, N> {
     /// (tombstoned slots keep a stale row that is never consulted). Derived
     /// state: rebuilt on load and after compaction, extended on insert.
     screens: Option<Vec<ScreenRow>>,
-    /// Per-table map from bucket key to the bucket's sketch (large buckets
-    /// only). Sketch elements are **global** point ids so sketches from
-    /// different shards merge into estimates over the whole dataset.
-    sketches: Vec<HashMap<u64, BottomKSketch>>,
-    sketch_seed: u64,
 }
 
 impl<P: Sync, H, N> Shard<P, H, N>
@@ -84,18 +74,12 @@ where
 {
     /// Builds a shard over `points` (with their global ids), keying its
     /// tables by the index-wide `bank`.
-    pub fn build(
-        bank: HasherBank<H>,
-        points: Vec<P>,
-        global_ids: Vec<PointId>,
-        near: N,
-        sketch_seed: u64,
-    ) -> Self {
+    pub fn build(bank: HasherBank<H>, points: Vec<P>, global_ids: Vec<PointId>, near: N) -> Self {
         assert_eq!(points.len(), global_ids.len());
         let keys = bank.all_point_keys(&points);
         let tables = LshTables::build(&keys, bank.num_tables(), points.len());
         let screens = build_screen_rows(&near, &points);
-        let mut shard = Self {
+        let shard = Self {
             bank,
             tables,
             alive: vec![true; points.len()],
@@ -108,12 +92,9 @@ where
             tombstones: 0,
             near,
             screens,
-            sketches: Vec::new(),
-            sketch_seed,
             points,
             global_ids,
         };
-        shard.rebuild_sketches();
         shard.debug_assert_occupancy_invariants();
         shard
     }
@@ -169,20 +150,16 @@ impl<P, H, N> Shard<P, H, N> {
         self.tables.num_tables()
     }
 
-    /// Number of buckets carrying a pre-computed sketch.
-    pub fn sketched_buckets(&self) -> usize {
-        self.sketches.iter().map(HashMap::len).sum()
-    }
-
     /// Whether this shard owns the (live) point with the given global id.
     pub fn contains(&self, global: PointId) -> bool {
         self.local_of.contains_key(&global)
     }
 
-    /// An empty sketch compatible with every bucket sketch of every shard
-    /// sharing this seed (the merge accumulator).
+    /// An empty KMV sketch for [`Shard::merge_colliding_with_keys`]. Every
+    /// shard hands out the same seed and `k`, so one accumulator folds any
+    /// number of shards.
     pub fn empty_sketch(&self) -> BottomKSketch {
-        BottomKSketch::new(self.sketch_seed, SKETCH_K)
+        BottomKSketch::new(SKETCH_SEED, SKETCH_K)
     }
 
     /// Freezes the shard's tables back into their read-optimized CSR form
@@ -198,31 +175,6 @@ impl<P, H, N> Shard<P, H, N> {
     pub fn is_frozen(&self) -> bool {
         self.tables.is_frozen()
     }
-
-    /// Rebuilds the per-bucket sketches from the current tables (called at
-    /// construction and after compaction, when buckets contain live points
-    /// only). Tables are disjoint work items, so their sketch maps build
-    /// concurrently on the build workers; sketch contents depend only on
-    /// bucket contents, so the result is thread-count independent.
-    fn rebuild_sketches(&mut self) {
-        let sketch_seed = self.sketch_seed;
-        let tables = self.tables.tables();
-        let global_ids = &self.global_ids;
-        let sketches = fairnn_parallel::map_indexed(tables.len(), |t| {
-            tables[t]
-                .buckets()
-                .filter(|(_, ids)| ids.len() >= SKETCH_THRESHOLD)
-                .map(|(key, ids)| {
-                    let mut sketch = BottomKSketch::new(sketch_seed, SKETCH_K);
-                    for &lid in ids {
-                        sketch.insert(global_ids[lid.index()].0 as u64);
-                    }
-                    (key, sketch)
-                })
-                .collect()
-        });
-        self.sketches = sketches;
-    }
 }
 
 impl<P, H, N> Shard<P, H, N>
@@ -233,16 +185,32 @@ where
     /// `hash_all` pass over all `K × L` rows of the bank. Every shard of an
     /// index holds the same bank, so these keys serve all of them: the
     /// sharded index hashes each query once and hands the keys to the
-    /// sketch merge and the near-point collection of every shard.
+    /// bucket bound and the near-point collection of every shard.
     pub fn query_keys_into(&self, query: &P, keys: &mut Vec<u64>) {
         self.bank.query_keys_into(query, keys);
     }
 }
 
 impl<P, H, N> Shard<P, H, N> {
-    /// Merges the sketches of the buckets with the given per-table keys
-    /// into `acc`. Small (unsketched) buckets are folded in by direct
-    /// insertion, which keeps their contribution exact.
+    /// The bucket-length bound `b_i = Σ_t |B_t(q)|` of the buckets with the
+    /// given per-table keys: the sum of their lengths, read from the bucket
+    /// offsets without walking an entry. It counts a point once per table
+    /// it collides in, so it is never below the number of distinct
+    /// colliding points, let alone the near ones `|A_i|` — the sampler's
+    /// proposal weight for a shard it has not collected yet.
+    pub fn colliding_bound_with_keys(&self, keys: &[u64], stats: &mut QueryStats) -> usize {
+        stats.buckets_inspected += keys.len();
+        keys.iter()
+            .enumerate()
+            .map(|(i, &key)| self.tables.table(i).bucket(key).len())
+            .sum()
+    }
+
+    /// Folds every live entry of the buckets with the given per-table keys
+    /// into `acc` (start from [`Shard::empty_sketch`]): a KMV estimate of the
+    /// distinct colliding points. Off the sampling path — the sampler
+    /// proposes shards by [`Shard::colliding_bound_with_keys`] — and kept
+    /// for tools that want the count-distinct estimate.
     pub fn merge_colliding_with_keys(
         &self,
         keys: &[u64],
@@ -251,14 +219,9 @@ impl<P, H, N> Shard<P, H, N> {
     ) {
         for (i, &key) in keys.iter().enumerate() {
             stats.buckets_inspected += 1;
-            if let Some(sketch) = self.sketches[i].get(&key) {
-                debug_assert!(acc.mergeable_with(sketch));
-                acc.merge(sketch);
-            } else {
-                for &lid in self.tables.table(i).bucket(key) {
-                    if self.alive[lid.index()] {
-                        acc.insert(self.global_ids[lid.index()].0 as u64);
-                    }
+            for &lid in self.tables.table(i).bucket(key) {
+                if self.alive[lid.index()] {
+                    acc.insert(self.global_ids[lid.index()].0 as u64);
                 }
             }
         }
@@ -321,10 +284,9 @@ where
     H: LshHasher<P>,
     N: Nearness<P>,
 {
-    /// Inserts a new point with the given global id: appends it to the
-    /// local tables and feeds every affected bucket sketch (promoting
-    /// buckets that cross the size threshold). Crate-private: mutations
-    /// enter through the engine writer's `WriteBatch`.
+    /// Inserts a new point with the given global id and appends it to the
+    /// local tables. Crate-private: mutations enter through the engine
+    /// writer's `WriteBatch`.
     pub(crate) fn insert(&mut self, global: PointId, point: P) {
         assert!(
             !self.local_of.contains_key(&global),
@@ -345,20 +307,6 @@ where
         let keys = self.bank.point_keys(&self.points[lid as usize]);
         let assigned = self.tables.insert_point(&keys);
         assert_eq!(assigned.index(), lid as usize, "local ids must stay dense");
-
-        for (i, key) in keys.into_iter().enumerate() {
-            if let Some(sketch) = self.sketches[i].get_mut(&key) {
-                sketch.insert(global.0 as u64);
-            } else if self.tables.table(i).bucket(key).len() >= SKETCH_THRESHOLD {
-                // The bucket just crossed the threshold: sketch it. Bucket
-                // lists contain live points only, so the sketch is fresh.
-                let mut sketch = BottomKSketch::new(self.sketch_seed, SKETCH_K);
-                for &l in self.tables.table(i).bucket(key) {
-                    sketch.insert(self.global_ids[l.index()].0 as u64);
-                }
-                self.sketches[i].insert(key, sketch);
-            }
-        }
         self.debug_assert_occupancy_invariants();
     }
 
@@ -375,9 +323,6 @@ where
         self.tombstones += 1;
         let keys = self.bank.point_keys(&self.points[l]);
         self.tables.remove_point(&keys, PointId(lid));
-        // Bucket sketches keep the deleted id (KMV cannot unlearn); the
-        // resulting over-estimate is corrected by rejection at query time
-        // and reclaimed below once it grows too large.
         if self.tombstones as f64 > REBUILD_FRACTION * self.live.max(1) as f64 {
             self.compact();
         }
@@ -385,8 +330,8 @@ where
         true
     }
 
-    /// Drops tombstoned points, re-densifies local ids, compacts the tables
-    /// and refreshes every bucket sketch. Strictly shard-local. The tables
+    /// Drops tombstoned points, re-densifies local ids and compacts the
+    /// tables. Strictly shard-local. The tables
     /// are compacted by [`fairnn_lsh::LshTables::compact_retain`] — a pure
     /// per-table id remap of the already-recorded bucket keys, so no point
     /// is re-run through the hasher bank — which is bit-identical to a
@@ -420,7 +365,6 @@ where
         self.tombstones = 0;
         self.tables.compact_retain(&new_id_of, self.points.len());
         self.screens = build_screen_rows(&self.near, &self.points);
-        self.rebuild_sketches();
         self.debug_assert_occupancy_invariants();
     }
 }
@@ -430,13 +374,10 @@ where
     P: fairnn_snapshot::Codec,
     N: fairnn_snapshot::Codec + Nearness<P>,
 {
-    /// Persists the shard's LSH tables, its points with their global ids
-    /// and tombstone flags, and — because a KMV sketch cannot be rebuilt
-    /// after deletes (it may legitimately remember tombstoned ids) — every
-    /// per-bucket sketch verbatim, in sorted key order so the encoding is
-    /// canonical. The hasher bank is the index's, written once in its own
-    /// section; the `global → local` map and the live/tombstone counters
-    /// are derived state, rebuilt on load.
+    /// Persists the shard's LSH tables and its points with their global ids
+    /// and tombstone flags. The hasher bank is the index's, written once in
+    /// its own section; the `global → local` map and the live/tombstone
+    /// counters are derived state, rebuilt on load.
     pub(crate) fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
         use fairnn_snapshot::Codec;
         self.tables.encode(enc);
@@ -444,18 +385,6 @@ where
         self.global_ids.encode(enc);
         self.alive.encode(enc);
         self.near.encode(enc);
-        enc.write_len(self.sketches.len());
-        for table in &self.sketches {
-            // fairnn-audit: allow(unordered-iter) — collected and key-sorted below
-            let mut entries: Vec<(&u64, &BottomKSketch)> = table.iter().collect();
-            entries.sort_unstable_by_key(|(key, _)| **key);
-            enc.write_len(entries.len());
-            for (key, sketch) in entries {
-                enc.write_u64(*key);
-                sketch.encode(enc);
-            }
-        }
-        enc.write_u64(self.sketch_seed);
     }
 
     /// Restores a shard written by [`Shard::encode`], keyed by the index's
@@ -494,43 +423,6 @@ where
                 points.len()
             )));
         }
-        let num_sketch_tables = dec.read_len()?;
-        if num_sketch_tables != tables.num_tables() {
-            return Err(SnapshotError::Corrupt(format!(
-                "shard stores sketch maps for {num_sketch_tables} tables, it has {}",
-                tables.num_tables()
-            )));
-        }
-        let mut sketches = Vec::with_capacity(num_sketch_tables);
-        for _ in 0..num_sketch_tables {
-            let len = dec.read_len()?;
-            let mut table = HashMap::with_capacity(len);
-            let mut previous: Option<u64> = None;
-            for _ in 0..len {
-                let key = dec.read_u64()?;
-                if previous.is_some_and(|p| p >= key) {
-                    return Err(SnapshotError::Corrupt(
-                        "shard sketch keys are not strictly increasing".into(),
-                    ));
-                }
-                previous = Some(key);
-                table.insert(key, BottomKSketch::decode(dec)?);
-            }
-            sketches.push(table);
-        }
-        let sketch_seed = dec.read_u64()?;
-        // Every bucket sketch must merge with the accumulator built from
-        // this shard's seed and [`SKETCH_K`]; a mismatch would otherwise
-        // panic inside `merge` at query time instead of failing the load.
-        let reference = BottomKSketch::new(sketch_seed, SKETCH_K);
-        // fairnn-audit: allow(unordered-iter) — validation only; acceptance is order-independent
-        for sketch in sketches.iter().flat_map(HashMap::values) {
-            if !reference.mergeable_with(sketch) {
-                return Err(SnapshotError::Corrupt(
-                    "bucket sketch seed/k do not match the shard's".into(),
-                ));
-            }
-        }
         let mut local_of = HashMap::with_capacity(points.len());
         let mut live = 0usize;
         for (i, (&global, &is_alive)) in global_ids.iter().zip(alive.iter()).enumerate() {
@@ -556,8 +448,6 @@ where
             tombstones,
             near,
             screens,
-            sketches,
-            sketch_seed,
         };
         shard.debug_assert_occupancy_invariants();
         Ok(shard)
@@ -603,13 +493,7 @@ mod tests {
             .map(|i| PointId(first_global + i))
             .collect();
         let bank = HasherBank::sample(&MinHash, params, &mut StdRng::seed_from_u64(3));
-        Shard::build(
-            bank,
-            sets,
-            globals,
-            SimilarityAtLeast::new(Jaccard, 0.5),
-            77,
-        )
+        Shard::build(bank, sets, globals, SimilarityAtLeast::new(Jaccard, 0.5))
     }
 
     fn keys(shard: &TestShard, query: &SparseSet) -> Vec<u64> {
@@ -646,19 +530,54 @@ mod tests {
     }
 
     #[test]
-    fn estimate_tracks_colliding_count_and_sketches_exist() {
-        // A 40-member cluster fills buckets past the sketch threshold.
+    fn bucket_bound_covers_the_colliding_near_set() {
+        // b_i ≥ (distinct colliding points) ≥ |A_i| for every query: on the
+        // built shard, after inserts and deletes (thawed tables), after a
+        // compaction and after a freeze. The KMV fold is exact below k = 64
+        // distinct ids, so it is the true distinct colliding count here.
         let sets = clustered_sets_of(40);
-        let shard = build_shard(sets.clone(), 0);
-        assert!(
-            shard.sketched_buckets() > 0,
-            "a 40-member cluster must sketch its buckets"
-        );
+        let mut queries = sets.clone();
+        let isolated = SparseSet::from_items(vec![88_000, 88_001]);
+        queries.push(isolated.clone());
+        let check = |shard: &TestShard, label: &str| {
+            for (qi, query) in queries.iter().enumerate() {
+                let keys = keys(shard, query);
+                let mut stats = QueryStats::default();
+                let bound = shard.colliding_bound_with_keys(&keys, &mut stats);
+                let near = shard
+                    .colliding_near_points_with_keys(query, &keys, &mut stats)
+                    .len();
+                let mut acc = shard.empty_sketch();
+                shard.merge_colliding_with_keys(&keys, &mut acc, &mut stats);
+                let colliding = acc.estimate();
+                assert!(
+                    bound as f64 >= colliding && colliding >= near as f64,
+                    "{label}, query {qi}: b {bound}, colliding {colliding}, |A| {near}"
+                );
+            }
+        };
+        let mut shard = build_shard(sets, 0);
+        check(&shard, "built");
         let mut stats = QueryStats::default();
-        let est = estimate(&shard, &sets[0], &mut stats);
-        // The cluster collides almost surely; KMV is exact below k = 64.
-        assert!(est >= 39.0, "estimate {est}");
-        assert!(est <= 48.0, "estimate {est}");
+        assert_eq!(
+            shard.colliding_bound_with_keys(&keys(&shard, &isolated), &mut stats),
+            0,
+            "a query that collides with nothing has bound 0"
+        );
+        for j in 0..3u32 {
+            let mut items: Vec<u32> = (0..24).collect();
+            items.push(700 + j);
+            shard.insert(PointId(90 + j), SparseSet::from_items(items));
+        }
+        for j in [1u32, 2, 5, 41] {
+            assert!(shard.delete(PointId(j)));
+        }
+        assert!(!shard.is_frozen() && shard.tombstones() > 0);
+        check(&shard, "after churn");
+        shard.force_compact();
+        check(&shard, "after compaction");
+        shard.freeze();
+        check(&shard, "after freeze");
     }
 
     #[test]
@@ -674,8 +593,14 @@ mod tests {
         let mut stats = QueryStats::default();
         let near = colliding_near(&shard, &query, &mut stats);
         assert!(near.contains(&PointId(90)), "inserted twin not found");
+        let bound = shard.colliding_bound_with_keys(&keys(&shard, &query), &mut stats);
+        assert!(
+            bound >= near.len(),
+            "bound {bound} below |A| {}",
+            near.len()
+        );
         let est = estimate(&shard, &query, &mut stats);
-        assert!(est >= 8.0, "sketches not updated on insert: {est}");
+        assert!(est >= 8.0, "fold misses the inserted twin: {est}");
     }
 
     #[test]
@@ -698,9 +623,14 @@ mod tests {
             "compaction never ran: {} tombstones",
             shard.tombstones()
         );
-        // After compaction the sketches are fresh: the estimate drops.
+        // Deleted points leave the buckets: the bound and the fold drop.
+        let bound = shard.colliding_bound_with_keys(&keys(&shard, &query), &mut stats);
+        assert!(
+            bound <= 3 * shard.num_tables(),
+            "stale buckets: bound {bound}"
+        );
         let est = estimate(&shard, &query, &mut stats);
-        assert!(est <= 3.0, "stale sketches after compaction: {est}");
+        assert!(est <= 3.0, "fold counts deleted points: {est}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The on-disk container: header, section directory, checksums, and the
 //! save/load entry points.
 //!
-//! Layout of format version 5 (the aligned layout of version 3; all
+//! Layout of format version 6 (the aligned layout of version 3; all
 //! integers little-endian):
 //!
 //! ```text
@@ -103,8 +103,9 @@ pub const MAGIC: [u8; 8] = *b"FAIRNNSS";
 /// the same layout without the engine's tuning knobs (rejection margin,
 /// round budget, shard sketch size/threshold, compaction fraction), which
 /// became constants of the code; 5 = one hasher bank per sharded index, in
-/// its own section, instead of one inside every shard section.
-pub const FORMAT_VERSION: u32 = 5;
+/// its own section, instead of one inside every shard section; 6 = shard
+/// sections without the per-bucket KMV sketch maps and their seed.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Byte-order marker: written little-endian, so a conforming file always
 /// reads back as this value.

@@ -1,12 +1,13 @@
 //! Integration tests of the `fairnn-engine` serving subsystem: the sharded
 //! two-level sampler against the same uniformity battery the unsharded
 //! samplers face (statically, through the batch executor, and through
-//! `POST /v1/query` before and after churn and WAL recovery), the
+//! `POST /v1/query` before and after churn and WAL recovery), its
+//! `N + 1` round bound and the bucket-length bound it proposes by, the
 //! thread-count determinism contract, and the serving lifecycle (batching,
 //! incremental updates) on the shared workload fixtures.
 
 use fairnn_core::predicate::Nearness;
-use fairnn_core::{ExactSampler, NeighborSampler, SimilarityAtLeast};
+use fairnn_core::{ExactSampler, NeighborSampler, QueryStats, SimilarityAtLeast};
 use fairnn_engine::{
     BatchResponse, EngineWriter, QueryRequest, ShardedIndex, ShardedIndexConfig, ShardedSampler,
     WriteBatch,
@@ -189,15 +190,23 @@ fn assert_matches_one_unsharded_structure<H>(
     }
 }
 
-/// Bootstraps a 4-shard engine over `dataset`, checks fidelity with every
-/// dataset point as a query, then commits inserts (near twins of the
-/// first points), deletes and a compaction, and checks again.
-fn assert_fidelity_through_churn<F, BH>(
+/// Runs `check` on a 4-shard engine bootstrapped over `dataset`, again
+/// after one commit that inserts near twins of the first points, deletes
+/// and compacts, and again after the engine directory is reopened (WAL
+/// replay). `check` gets the stage label, the index, the live
+/// `(global id, point)` pairs and every dataset point as a query.
+fn check_through_churn_and_reopen<F, BH>(
     label: &str,
     family: &F,
     params: LshParams,
     dataset: &Dataset<SparseSet>,
     r: f64,
+    check: impl Fn(
+        &str,
+        &ShardedIndex<SparseSet, ConcatenatedHasher<BH>, Near>,
+        &[(PointId, SparseSet)],
+        &[SparseSet],
+    ),
 ) where
     F: LshFamily<SparseSet, Hasher = BH> + Sync,
     BH: LshHasher<SparseSet> + Send + Sync,
@@ -205,7 +214,7 @@ fn assert_fidelity_through_churn<F, BH>(
 {
     let near = SimilarityAtLeast::new(Jaccard, r);
     let queries = dataset.points().to_vec();
-    let dir = std::env::temp_dir().join(format!("fairnn-fidelity-{label}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("fairnn-churn-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut writer = EngineWriter::bootstrap(
         family,
@@ -221,8 +230,7 @@ fn assert_fidelity_through_churn<F, BH>(
         .ids()
         .map(|id| (id, dataset.point(id).clone()))
         .collect();
-    let pin = reader.pin();
-    assert_matches_one_unsharded_structure(label, pin.index(), &live, &near, &queries);
+    check(label, reader.pin().index(), &live, &queries);
 
     let twins: Vec<SparseSet> = (0..3u32)
         .map(|i| {
@@ -244,35 +252,211 @@ fn assert_fidelity_through_churn<F, BH>(
     live.extend(receipt.assigned.iter().copied().zip(twins));
     let pin = reader.pin();
     assert!(pin.index().shards().iter().all(|s| s.tombstones() == 0));
-    assert_matches_one_unsharded_structure(
+    check(
         &format!("{label} after churn"),
         pin.index(),
         &live,
-        &near,
         &queries,
     );
+    drop(pin);
+    drop(reader);
     drop(writer);
+
+    let reopened =
+        EngineWriter::<SparseSet, ConcatenatedHasher<BH>, Near>::open(&dir).expect("reopen");
+    check(
+        &format!("{label} after reopen"),
+        reopened.reader().pin().index(),
+        &live,
+        &queries,
+    );
+    drop(reopened);
     let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
 fn sharded_neighborhood_is_the_colliding_near_set_of_one_unsharded_structure() {
     let golden = golden_dataset();
-    assert_fidelity_through_churn(
+    let near = SimilarityAtLeast::new(Jaccard, 0.5);
+    check_through_churn_and_reopen(
         "golden",
         &MinHash,
         golden_params(golden.len()),
         &golden,
         0.5,
+        |label, index, live, queries| {
+            assert_matches_one_unsharded_structure(label, index, live, &near, queries)
+        },
     );
     let fixture = test_dataset(1);
-    assert_fidelity_through_churn(
+    let near = SimilarityAtLeast::new(Jaccard, R);
+    check_through_churn_and_reopen(
         "fixture",
         &OneBitMinHash,
         test_params(fixture.len(), R),
         &fixture,
         R,
+        |label, index, live, queries| {
+            assert_matches_one_unsharded_structure(label, index, live, &near, queries)
+        },
     );
+}
+
+/// `b_i ≥ |A_i|`: every shard's bucket-length bound covers its colliding
+/// near set, for every query — the one fact exact uniformity rests on.
+fn assert_bucket_bound_covers_every_shard<H: LshHasher<SparseSet>>(
+    label: &str,
+    index: &ShardedIndex<SparseSet, H, Near>,
+    queries: &[SparseSet],
+) {
+    let mut keys = Vec::new();
+    for (qi, query) in queries.iter().enumerate() {
+        index.bank().query_keys_into(query, &mut keys);
+        for (s, shard) in index.shards().iter().enumerate() {
+            let mut stats = QueryStats::default();
+            let bound = shard.colliding_bound_with_keys(&keys, &mut stats);
+            let near = shard
+                .colliding_near_points_with_keys(query, &keys, &mut stats)
+                .len();
+            assert!(
+                bound >= near,
+                "{label}: query {qi}, shard {s}: b = {bound} < |A| = {near}"
+            );
+        }
+    }
+}
+
+#[test]
+fn bucket_bound_covers_the_colliding_near_set_through_churn_and_reopen() {
+    let golden = golden_dataset();
+    check_through_churn_and_reopen(
+        "bound-golden",
+        &MinHash,
+        golden_params(golden.len()),
+        &golden,
+        0.5,
+        |label, index, _, queries| assert_bucket_bound_covers_every_shard(label, index, queries),
+    );
+    let fixture = test_dataset(1);
+    check_through_churn_and_reopen(
+        "bound-fixture",
+        &OneBitMinHash,
+        test_params(fixture.len(), R),
+        &fixture,
+        R,
+        |label, index, _, queries| assert_bucket_bound_covers_every_shard(label, index, queries),
+    );
+}
+
+/// Draws `draws` samples of `query` from one prepared cursor and checks
+/// the round bound: a draw takes at most `N + 1` rounds (at most `N` when
+/// it answers `None`, 0 when nothing collides), and the cursor collects
+/// each shard at most once — collecting shard `i` scans its `b_i` bucket
+/// entries, so the cursor's scans never exceed `Σ_i b_i`. Returns the
+/// answers.
+fn assert_round_bound<H: LshHasher<SparseSet>>(
+    label: &str,
+    index: &ShardedIndex<SparseSet, H, Near>,
+    query: &SparseSet,
+    draws: usize,
+    rng: &mut StdRng,
+) -> Vec<Option<PointId>> {
+    let shards = index.num_shards();
+    let mut keys = Vec::new();
+    index.bank().query_keys_into(query, &mut keys);
+    let mut scratch = QueryStats::default();
+    let bound: usize = index
+        .shards()
+        .iter()
+        .map(|s| s.colliding_bound_with_keys(&keys, &mut scratch))
+        .sum();
+    let mut prepared = index.prepare(query);
+    let answers: Vec<Option<PointId>> = (0..draws)
+        .map(|d| {
+            let before = prepared.stats().rounds;
+            let id = prepared.sample(rng);
+            let rounds = prepared.stats().rounds - before;
+            let limit = if id.is_some() { shards + 1 } else { shards };
+            assert!(
+                rounds <= limit,
+                "{label}, draw {d}: {rounds} rounds > {limit} ({shards} shards, answer {id:?})"
+            );
+            if bound == 0 {
+                assert_eq!(rounds, 0, "{label}: nothing collides, yet {rounds} rounds");
+            }
+            id
+        })
+        .collect();
+    let stats = prepared.stats();
+    assert!(
+        stats.entries_scanned <= bound,
+        "{label}: scanned {} entries, more than Σ b_i = {bound}: a shard was collected twice",
+        stats.entries_scanned
+    );
+    let l = index.params().l;
+    assert!(
+        stats.buckets_inspected <= 2 * shards * l,
+        "{label}: {} buckets inspected, over N·L for the bounds plus N·L for collection",
+        stats.buckets_inspected
+    );
+    answers
+}
+
+#[test]
+fn every_draw_takes_at_most_shards_plus_one_rounds_and_collects_each_shard_once() {
+    let golden = golden_dataset();
+    let fixture = test_dataset(1);
+    for shards in [1, 2, 4] {
+        let config = ShardedIndexConfig::with_shards(shards).seeded(43);
+        let golden_index = ShardedIndex::build(
+            &MinHash,
+            golden_params(golden.len()),
+            &golden,
+            SimilarityAtLeast::new(Jaccard, 0.5),
+            config,
+        );
+        let fixture_index = ShardedIndex::build(
+            &OneBitMinHash,
+            test_params(fixture.len(), R),
+            &fixture,
+            SimilarityAtLeast::new(Jaccard, R),
+            config,
+        );
+        let mut rng = StdRng::seed_from_u64(shards as u64);
+        for (qi, query) in golden.points().iter().enumerate() {
+            let label = format!("golden, {shards} shards, query {qi}");
+            let answers = assert_round_bound(&label, &golden_index, query, 20, &mut rng);
+            let neighborhood = golden_index.neighborhood(query);
+            for id in answers {
+                assert_eq!(id.is_some(), !neighborhood.is_empty(), "{label}");
+            }
+        }
+        for (qi, query) in fixture.points().iter().enumerate() {
+            let label = format!("fixture, {shards} shards, query {qi}");
+            assert_round_bound(&label, &fixture_index, query, 20, &mut rng);
+        }
+
+        // Collides with the golden cluster (Jaccard ≈ 0.46 with every
+        // member) but is near none of it: ⊥ after 1..=N rounds.
+        let mut items: Vec<u32> = (0..18).collect();
+        items.extend(5000..5012);
+        let far = SparseSet::from_items(items);
+        assert!(golden_index.neighborhood(&far).is_empty());
+        let (id, stats) = golden_index.sample(&far, &mut rng);
+        assert_eq!(id, None);
+        assert!(
+            (1..=shards).contains(&stats.rounds),
+            "{shards} shards: colliding ⊥ draw took {} rounds",
+            stats.rounds
+        );
+        assert_round_bound("far", &golden_index, &far, 20, &mut rng);
+
+        // Collides with nothing: ⊥ in 0 rounds.
+        let isolated = SparseSet::from_items(vec![88_000, 88_001]);
+        let (id, stats) = golden_index.sample(&isolated, &mut rng);
+        assert_eq!((id, stats.rounds), (None, 0), "{shards} shards");
+        assert_round_bound("isolated", &golden_index, &isolated, 5, &mut rng);
+    }
 }
 
 /// The uniformity battery across batch numbers. `draw(b)` answers the

@@ -16,7 +16,7 @@
 //!    bytes at 1, 2 and 8 build threads.
 //!
 //! "Bit-identical" is always asserted on the canonical snapshot encoding
-//! (`to_bytes` of the staging index), which covers every table, sketch and
+//! (`to_bytes` of the staging index), which covers every table, point and
 //! routing entry.
 
 use fairnn_core::SimilarityAtLeast;

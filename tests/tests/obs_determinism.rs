@@ -3,7 +3,7 @@
 //! `build_determinism.rs` pins that the *structures* built on 1, 2 and 8
 //! threads are byte-identical; this suite pins the same contract for the
 //! *metrics* the instrumented pipeline emits. Every value metric — counters
-//! (queries, exhaustive fallbacks), value histograms
+//! (queries), value histograms
 //! (rejection rounds per draw, bucket sizes at freeze) and end-of-batch
 //! gauges — is a commutative sum of per-item contributions, so its total
 //! must be a pure function of the work done, not of how the work was split

@@ -456,7 +456,7 @@ fn small_nnis_snapshot() -> Vec<u8> {
         .clone()
 }
 
-/// A ShardedIndex snapshot image (per-shard KMV sketches + partition map).
+/// A ShardedIndex snapshot image (partition map, hasher bank, shard tables).
 fn small_sharded_snapshot() -> Vec<u8> {
     static IMAGE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
     IMAGE
@@ -530,11 +530,12 @@ fn corrupted_truncated_and_version_bumped_snapshots_fail_typed() {
     ));
 
     // Old-version files — the flat v1 layout, the unaligned v2 sections,
-    // v3 images still carrying the engine's tuning knobs and v4 images with
-    // a hasher bank inside every shard section — get the same typed
+    // v3 images still carrying the engine's tuning knobs, v4 images with a
+    // hasher bank inside every shard section and v5 images with per-bucket
+    // KMV sketch maps inside every shard section — get the same typed
     // rejection (no migration shims), and the message tells the operator
     // how to move forward: re-save with a current binary.
-    for found in [1u32, 2, 3, 4] {
+    for found in [1u32, 2, 3, 4, 5] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&found.to_le_bytes());
         let err = load_small(&old).expect_err("an old-version file must not load");
@@ -696,7 +697,7 @@ proptest! {
         offset in 0usize..1 << 20,
         flip in 1u8..=255,
     ) {
-        // Same property for the shard-level KMV sketches.
+        // Same property for the sharded index's bank and shard tables.
         let mutated = flip_and_repair(&small_sharded_snapshot(), offset, flip);
         if let Ok(loaded) = from_bytes::<SetSharded>(SnapshotKind::ShardedIndex, &mutated) {
             let data = golden_dataset();
