@@ -258,8 +258,6 @@ fn check_through_churn_and_reopen<F, BH>(
         &live,
         &queries,
     );
-    drop(pin);
-    drop(reader);
     drop(writer);
 
     let reopened =
