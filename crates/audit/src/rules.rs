@@ -100,16 +100,15 @@ const SUBSTRATE_CALLS: &[&str] = &["map_ranges", "map_slices", "map_indexed", "f
 pub const ZERO_COPY_BLESSED_PATH: &str = "crates/snapshot/src/bytes.rs";
 
 /// The only files allowed to call the sealed index-mutation entry points
-/// (`insert_point`/`remove_point`/`compact_retain`/`thaw`): the LSH table
-/// module that defines them and the engine shard that wraps them. Every
-/// other call site must mutate through `fairnn_engine::EngineWriter`,
-/// whose commits are write-ahead-logged and published as immutable
-/// generations — a direct call would thaw structures readers may be
-/// serving and leave no WAL record to replay.
+/// (`LshTables::appended`/`LshTables::compacted`): the LSH table module
+/// that defines them and the engine shard that wraps them. Every other
+/// call site must mutate through `fairnn_engine::EngineWriter`, whose
+/// commits are write-ahead-logged and published as immutable generations —
+/// tables built by a direct call leave no WAL record to replay.
 pub const THAW_BLESSED_PATHS: &[&str] = &["crates/lsh/src/table.rs", "crates/engine/src/shard.rs"];
 
 /// The sealed mutation entry points the `thaw-outside-writer` rule watches.
-const THAW_SEALED_CALLS: &[&str] = &["insert_point", "remove_point", "compact_retain", "thaw"];
+const THAW_SEALED_CALLS: &[&str] = &["appended", "compacted"];
 
 /// The only place allowed to touch `std::net`: the server crate, the
 /// workspace's single network boundary — every socket behind it carries
@@ -177,8 +176,8 @@ pub const RULES: &[(&str, Severity, &str)] = &[
     (
         "thaw-outside-writer",
         Severity::Deny,
-        "no direct index mutation (insert_point/remove_point/compact_retain/thaw) outside \
-         the LSH table module and the engine shard: mutate through EngineWriter::commit",
+        "no direct index mutation (LshTables::appended/compacted) outside the LSH table \
+         module and the engine shard: mutate through EngineWriter::commit",
     ),
     (
         "net-outside-server",
@@ -656,9 +655,8 @@ fn check_thaw_outside_writer(fc: &FileContext<'_>, out: &mut Vec<Raw>) {
                 Severity::Deny,
                 t,
                 format!(
-                    "`{}` mutates frozen index structures directly, thawing tables readers \
-                     may be serving and bypassing the write-ahead log; route the mutation \
-                     through `fairnn_engine::EngineWriter::commit`",
+                    "`{}` builds index tables directly, bypassing the write-ahead log; \
+                     route the mutation through `fairnn_engine::EngineWriter::commit`",
                     t.text
                 ),
             ));
@@ -1077,18 +1075,16 @@ mod tests {
 
     #[test]
     fn thaw_outside_writer_flags_sealed_calls_in_every_crate() {
-        let src = "fn f(index: &mut fairnn_lsh::LshIndex<H>, p: &P) {\n\
-                       let id = index.insert_point(p);\n\
-                       index.remove_point(p, id);\n\
-                       index.compact_retain(&[0], 1);\n\
-                       LshIndex::thaw(index);\n\
+        let src = "fn f(tables: &fairnn_lsh::LshTables, keys: &[u64]) {\n\
+                       let grown = tables.appended(keys, 1);\n\
+                       let _ = LshTables::compacted(&grown, &[0], 1);\n\
                    }\n";
         let fs = findings(ENGINE, src);
-        assert_eq!(unwaived(&fs, "thaw-outside-writer").len(), 4, "{fs:?}");
+        assert_eq!(unwaived(&fs, "thaw-outside-writer").len(), 2, "{fs:?}");
         // The rule has no crate exemption — only blessed paths.
         assert_eq!(
             unwaived(&findings(BENCH, src), "thaw-outside-writer").len(),
-            4
+            2
         );
         assert_eq!(
             unwaived(
@@ -1096,14 +1092,14 @@ mod tests {
                 "thaw-outside-writer"
             )
             .len(),
-            4
+            2
         );
     }
 
     #[test]
     fn thaw_outside_writer_blesses_the_table_and_shard_modules() {
-        let src = "fn f(index: &mut LshIndex<H>, p: &P) {\n\
-                       index.insert_point(p);\n\
+        let src = "fn f(tables: &LshTables, keys: &[u64]) {\n\
+                       tables.appended(keys, 1);\n\
                    }\n";
         for blessed in THAW_BLESSED_PATHS {
             let fs = findings(blessed, src);
@@ -1116,20 +1112,20 @@ mod tests {
 
     #[test]
     fn thaw_outside_writer_ignores_definitions_tests_and_lookalikes() {
-        // Definitions (generic or not), test modules, comments and strings
-        // are out of scope; so is an unrelated `thaw` identifier that is
-        // not a call.
-        let src = "pub fn insert_point<P>(p: &P) -> u32 { 0 }\n\
-                   pub fn compact_retain(ids: &[u32], n: usize) {}\n\
+        // Definitions, test modules, comments and strings are out of
+        // scope; so is an unrelated `compacted` identifier that is not a
+        // call.
+        let src = "pub fn appended(&self, keys: &[u64], count: usize) -> Self { todo!() }\n\
+                   pub fn compacted(&self, ids: &[u32], n: usize) -> Self { todo!() }\n\
                    fn g() {\n\
-                       // index.insert_point(p) in a comment is fine\n\
-                       let s = \"index.remove_point(p, id)\";\n\
-                       let thaw = 3;\n\
-                       let _ = (s, thaw);\n\
+                       // tables.appended(keys, 1) in a comment is fine\n\
+                       let s = \"tables.compacted(&ids, n)\";\n\
+                       let compacted = 3;\n\
+                       let _ = (s, compacted);\n\
                    }\n\
                    #[cfg(test)]\n\
                    mod tests {\n\
-                       fn h(index: &mut LshIndex<H>, p: &P) { index.insert_point(p); }\n\
+                       fn h(tables: &LshTables, keys: &[u64]) { tables.appended(keys, 1); }\n\
                    }\n";
         let fs = findings(ENGINE, src);
         assert!(unwaived(&fs, "thaw-outside-writer").is_empty(), "{fs:?}");
@@ -1137,9 +1133,9 @@ mod tests {
 
     #[test]
     fn thaw_outside_writer_honors_waivers() {
-        let src = "fn f(index: &mut LshIndex<H>, p: &P) {\n\
+        let src = "fn f(tables: &LshTables, keys: &[u64]) {\n\
                        // fairnn-audit: allow(thaw-outside-writer) — migration shim, tracked\n\
-                       index.insert_point(p);\n\
+                       tables.appended(keys, 1);\n\
                    }\n";
         let fs = findings(ENGINE, src);
         assert!(unwaived(&fs, "thaw-outside-writer").is_empty(), "{fs:?}");

@@ -34,7 +34,7 @@ use rand::Rng;
 /// sorted by rank, so the first-near scan reads ranks inline instead of
 /// chasing the permutation array. The structure is static after
 /// construction (only the Appendix A rank swap rearranges bucket *contents*
-/// in place), so it never needs the staging `HashMap` form, and each query
+/// in place), so it is built once from the index's tables, and each query
 /// reuses an owned [`QueryScratch`] — including a per-query distance memo
 /// that caps predicate evaluations at one per distinct candidate — so the
 /// steady-state query performs no heap allocation.

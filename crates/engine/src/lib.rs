@@ -30,8 +30,8 @@
 //!   write-ahead-logs them and atomically publishes immutable
 //!   generations, while cheap-to-clone [`EngineReader`]s pin an epoch
 //!   ([`EpochPin`]) and answer batches on it through the executor —
-//!   queries never observe a thaw, and crash recovery (checkpoint + WAL
-//!   replay) is bit-identical to the live path.
+//!   a commit never modifies a published generation, and crash recovery
+//!   (checkpoint + WAL replay) is bit-identical to the live path.
 //!
 //! # Quick example
 //!

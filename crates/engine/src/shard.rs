@@ -11,11 +11,16 @@
 //! `A_i` sits in at least one of those buckets, so `b_i ≥ |A_i|` always —
 //! the one fact the sampler in `sharded.rs` relies on.
 //!
-//! Updates are incremental: inserts append to the local tables; deletes
-//! tombstone the point and remove it from the bucket lists. Once tombstones
-//! exceed half the live points the shard compacts itself locally (same
-//! bank, compacted ids). No update ever requires touching another shard,
-//! let alone a global rebuild.
+//! Updates are incremental and never touch a table in place. A delete only
+//! tombstones the point: it stays in its buckets, where the collection
+//! skips it, and `b_i` keeps counting it (still an upper bound). Inserts
+//! build the shard's next tables from the current ones in one linear merge
+//! per table. Once tombstones exceed half the live points the shard
+//! compacts itself locally in one more linear pass (same bank, compacted
+//! ids). The tables sit behind an `Arc`, so a shard copied for the next
+//! generation shares them until an insert or a compaction replaces them.
+//! No update ever requires touching another shard, let alone a global
+//! rebuild.
 
 use fairnn_core::predicate::{build_screen_rows, Nearness};
 use fairnn_core::QueryStats;
@@ -24,6 +29,7 @@ use fairnn_sketch::{BottomKSketch, CardinalityEstimator};
 use fairnn_space::{PointId, ScreenRow};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 thread_local! {
     /// Per-worker-thread query scratch. Shard query methods take `&self`
@@ -53,7 +59,9 @@ pub struct Shard<P, H, N> {
     /// The index-wide hasher bank (a shared handle, never serialized with
     /// the shard).
     bank: HasherBank<H>,
-    tables: LshTables,
+    /// The shard's tables, shared with every generation that has not
+    /// inserted into or compacted this shard since.
+    tables: Arc<LshTables>,
     points: Vec<P>,
     global_ids: Vec<PointId>,
     alive: Vec<bool>,
@@ -77,7 +85,7 @@ where
     pub fn build(bank: HasherBank<H>, points: Vec<P>, global_ids: Vec<PointId>, near: N) -> Self {
         assert_eq!(points.len(), global_ids.len());
         let keys = bank.all_point_keys(&points);
-        let tables = LshTables::build(&keys, bank.num_tables(), points.len());
+        let tables = Arc::new(LshTables::build(&keys, bank.num_tables(), points.len()));
         let screens = build_screen_rows(&near, &points);
         let shard = Self {
             bank,
@@ -162,18 +170,11 @@ impl<P, H, N> Shard<P, H, N> {
         BottomKSketch::new(SKETCH_SEED, SKETCH_K)
     }
 
-    /// Freezes the shard's tables back into their read-optimized CSR form
-    /// (see [`fairnn_lsh::LshTable::freeze`]). Builds and compactions
-    /// freeze automatically; the engine writer calls this on staged
-    /// shards after an update burst so a published generation is always
-    /// fully frozen (crate-private — queries never observe a thaw).
-    pub(crate) fn freeze(&mut self) {
-        self.tables.freeze();
-    }
-
-    /// Whether every table of this shard is in its frozen form.
-    pub fn is_frozen(&self) -> bool {
-        self.tables.is_frozen()
+    /// The shard's tables (pointer-compare two generations' shards with
+    /// [`Arc::ptr_eq`] to see whether a commit rebuilt them).
+    #[cfg(test)]
+    pub(crate) fn tables(&self) -> &Arc<LshTables> {
+        &self.tables
     }
 }
 
@@ -201,8 +202,8 @@ impl<P, H, N> Shard<P, H, N> {
     pub fn colliding_bound_with_keys(&self, keys: &[u64], stats: &mut QueryStats) -> usize {
         stats.buckets_inspected += keys.len();
         keys.iter()
-            .enumerate()
-            .map(|(i, &key)| self.tables.table(i).bucket(key).len())
+            .zip(self.tables.tables())
+            .map(|(&key, table)| table.bucket(key).len())
             .sum()
     }
 
@@ -217,9 +218,9 @@ impl<P, H, N> Shard<P, H, N> {
         acc: &mut BottomKSketch,
         stats: &mut QueryStats,
     ) {
-        for (i, &key) in keys.iter().enumerate() {
+        for (&key, table) in keys.iter().zip(self.tables.tables()) {
             stats.buckets_inspected += 1;
-            for &lid in self.tables.table(i).bucket(key) {
+            for &lid in table.bucket(key) {
                 if self.alive[lid.index()] {
                     acc.insert(self.global_ids[lid.index()].0 as u64);
                 }
@@ -251,9 +252,9 @@ where
             let scratch = &mut *cell.borrow_mut();
             scratch.visited.reset(self.points.len());
             let mut found = Vec::new();
-            for (i, &key) in keys.iter().enumerate() {
+            for (&key, table) in keys.iter().zip(self.tables.tables()) {
                 stats.buckets_inspected += 1;
-                let bucket = self.tables.table(i).bucket(key);
+                let bucket = table.bucket(key);
                 for (pos, &lid) in bucket.iter().enumerate() {
                     stats.entries_scanned += 1;
                     let l = lid.index();
@@ -284,45 +285,47 @@ where
     H: LshHasher<P>,
     N: Nearness<P>,
 {
-    /// Inserts a new point with the given global id and appends it to the
-    /// local tables. Crate-private: mutations enter through the engine
-    /// writer's `WriteBatch`.
-    pub(crate) fn insert(&mut self, global: PointId, point: P) {
-        assert!(
-            !self.local_of.contains_key(&global),
-            "global id {global} already present in shard"
-        );
-        let lid = self.points.len() as u32;
-        self.points.push(point);
-        self.global_ids.push(global);
-        self.alive.push(true);
-        self.local_of.insert(global, lid);
-        self.live += 1;
-        if self.screens.is_some() {
-            match self.near.screen_row(&self.points[lid as usize]) {
-                Some(row) => self.screens.as_mut().expect("checked above").push(row),
-                None => self.screens = None,
+    /// Inserts new points with their global ids, then builds the shard's
+    /// next tables from the current ones with the points appended: one
+    /// linear merge per table, however many points arrive. Crate-private:
+    /// mutations enter through the engine writer's `WriteBatch`.
+    pub(crate) fn insert(&mut self, new: Vec<(PointId, P)>) {
+        let first = self.points.len();
+        let mut keys = Vec::with_capacity(new.len() * self.num_tables());
+        for (global, point) in new {
+            let lid = self.points.len() as u32;
+            assert!(
+                self.local_of.insert(global, lid).is_none(),
+                "global id {global} already present in shard"
+            );
+            if self.screens.is_some() {
+                match self.near.screen_row(&point) {
+                    Some(row) => self.screens.as_mut().expect("checked above").push(row),
+                    None => self.screens = None,
+                }
             }
+            keys.extend(self.bank.point_keys(&point));
+            self.points.push(point);
+            self.global_ids.push(global);
+            self.alive.push(true);
+            self.live += 1;
         }
-        let keys = self.bank.point_keys(&self.points[lid as usize]);
-        let assigned = self.tables.insert_point(&keys);
-        assert_eq!(assigned.index(), lid as usize, "local ids must stay dense");
+        let count = self.points.len() - first;
+        self.tables = Arc::new(self.tables.appended(&keys, count));
         self.debug_assert_occupancy_invariants();
     }
 
-    /// Deletes the point with the given global id. Returns `false` when the
-    /// shard does not own it. May trigger a local compaction.
+    /// Deletes the point with the given global id by tombstoning it; its
+    /// bucket entries stay until the next compaction. Returns `false` when
+    /// the shard does not own it. May trigger a local compaction.
     /// Crate-private like [`Shard::insert`].
     pub(crate) fn delete(&mut self, global: PointId) -> bool {
         let Some(lid) = self.local_of.remove(&global) else {
             return false;
         };
-        let l = lid as usize;
-        self.alive[l] = false;
+        self.alive[lid as usize] = false;
         self.live -= 1;
         self.tombstones += 1;
-        let keys = self.bank.point_keys(&self.points[l]);
-        self.tables.remove_point(&keys, PointId(lid));
         if self.tombstones as f64 > REBUILD_FRACTION * self.live.max(1) as f64 {
             self.compact();
         }
@@ -332,10 +335,11 @@ where
 
     /// Drops tombstoned points, re-densifies local ids and compacts the
     /// tables. Strictly shard-local. The tables
-    /// are compacted by [`fairnn_lsh::LshTables::compact_retain`] — a pure
-    /// per-table id remap of the already-recorded bucket keys, so no point
-    /// is re-run through the hasher bank — which is bit-identical to a
-    /// rebuild over the surviving points at a fraction of the cost.
+    /// are compacted by [`fairnn_lsh::LshTables::compacted`] — one linear
+    /// pass per table that drops the tombstoned entries and renames the
+    /// rest, so no point is re-run through the hasher bank — which is
+    /// bit-identical to a rebuild over the surviving points at a fraction
+    /// of the cost.
     /// Compacts immediately regardless of the [`REBUILD_FRACTION`] trigger
     /// (the writer's explicit `WriteOp::Compact` path).
     pub(crate) fn force_compact(&mut self) {
@@ -363,7 +367,7 @@ where
             .map(|(i, &g)| (g, i as u32))
             .collect();
         self.tombstones = 0;
-        self.tables.compact_retain(&new_id_of, self.points.len());
+        self.tables = Arc::new(self.tables.compacted(&new_id_of, self.points.len()));
         self.screens = build_screen_rows(&self.near, &self.points);
         self.debug_assert_occupancy_invariants();
     }
@@ -396,7 +400,7 @@ where
         bank: HasherBank<H>,
     ) -> Result<Self, fairnn_snapshot::SnapshotError> {
         use fairnn_snapshot::{Codec, SnapshotError};
-        let tables = LshTables::decode(dec)?;
+        let tables = Arc::new(LshTables::decode(dec)?);
         if tables.num_tables() != bank.num_tables() {
             return Err(SnapshotError::Corrupt(format!(
                 "shard stores {} tables, the hasher bank keys {}",
@@ -532,9 +536,10 @@ mod tests {
     #[test]
     fn bucket_bound_covers_the_colliding_near_set() {
         // b_i ≥ (distinct colliding points) ≥ |A_i| for every query: on the
-        // built shard, after inserts and deletes (thawed tables), after a
-        // compaction and after a freeze. The KMV fold is exact below k = 64
-        // distinct ids, so it is the true distinct colliding count here.
+        // built shard, after inserts and deletes (tombstoned ids still in
+        // their buckets) and after a compaction. The KMV fold is exact
+        // below k = 64 distinct ids, so it is the true distinct live
+        // colliding count here.
         let sets = clustered_sets_of(40);
         let mut queries = sets.clone();
         let isolated = SparseSet::from_items(vec![88_000, 88_001]);
@@ -564,20 +569,19 @@ mod tests {
             0,
             "a query that collides with nothing has bound 0"
         );
-        for j in 0..3u32 {
+        let twins = (0..3u32).map(|j| {
             let mut items: Vec<u32> = (0..24).collect();
             items.push(700 + j);
-            shard.insert(PointId(90 + j), SparseSet::from_items(items));
-        }
+            (PointId(90 + j), SparseSet::from_items(items))
+        });
+        shard.insert(twins.collect());
         for j in [1u32, 2, 5, 41] {
             assert!(shard.delete(PointId(j)));
         }
-        assert!(!shard.is_frozen() && shard.tombstones() > 0);
+        assert_eq!(shard.tombstones(), 4);
         check(&shard, "after churn");
         shard.force_compact();
         check(&shard, "after compaction");
-        shard.freeze();
-        check(&shard, "after freeze");
     }
 
     #[test]
@@ -587,7 +591,7 @@ mod tests {
         let mut shard = build_shard(sets, 0);
         let mut twin_items: Vec<u32> = (0..24).collect();
         twin_items.push(500);
-        shard.insert(PointId(90), SparseSet::from_items(twin_items));
+        shard.insert(vec![(PointId(90), SparseSet::from_items(twin_items))]);
         assert_eq!(shard.live_points(), 17);
         assert!(shard.contains(PointId(90)));
         let mut stats = QueryStats::default();
@@ -609,8 +613,23 @@ mod tests {
         let query = sets[0].clone();
         let mut shard = build_shard(sets, 0);
         assert!(!shard.delete(PointId(99)), "unknown id must report false");
-        // Delete the whole cluster one by one; compaction triggers on the way.
-        for j in 1..8u32 {
+        // A delete only tombstones: the point stays in its buckets, so the
+        // bound still counts it while the collection and the fold skip it.
+        let mut stats = QueryStats::default();
+        let tables = Arc::clone(shard.tables());
+        let bound_before = shard.colliding_bound_with_keys(&keys(&shard, &query), &mut stats);
+        assert!(shard.delete(PointId(1)));
+        assert!(
+            Arc::ptr_eq(&tables, shard.tables()),
+            "a delete rebuilt the tables"
+        );
+        assert_eq!(
+            shard.colliding_bound_with_keys(&keys(&shard, &query), &mut stats),
+            bound_before
+        );
+        assert!(!colliding_near(&shard, &query, &mut stats).contains(&PointId(1)));
+        // Delete the rest of the cluster; compaction triggers on the way.
+        for j in 2..8u32 {
             assert!(shard.delete(PointId(j)));
             assert!(!shard.contains(PointId(j)));
         }
@@ -623,7 +642,8 @@ mod tests {
             "compaction never ran: {} tombstones",
             shard.tombstones()
         );
-        // Deleted points leave the buckets: the bound and the fold drop.
+        // Compaction dropped the deleted points from the buckets: only the
+        // query's own point and the one tombstone since (id 7) remain.
         let bound = shard.colliding_bound_with_keys(&keys(&shard, &query), &mut stats);
         assert!(
             bound <= 3 * shard.num_tables(),
@@ -654,7 +674,7 @@ mod tests {
     fn duplicate_global_id_rejected() {
         let sets = clustered_sets();
         let mut shard = build_shard(sets, 0);
-        shard.insert(PointId(3), SparseSet::from_items(vec![1, 2, 3]));
+        shard.insert(vec![(PointId(3), SparseSet::from_items(vec![1, 2, 3]))]);
     }
 
     #[test]

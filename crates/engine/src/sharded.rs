@@ -130,7 +130,7 @@ const STREAM_BANK: u64 = 2 << 32;
 /// generational writer does to stage the next generation) shares every
 /// shard, and a mutation copies only the one shard it touches
 /// ([`Arc::make_mut`]) — readers pinned on an older generation keep their
-/// original frozen shards untouched.
+/// original shards untouched.
 #[derive(Debug, Clone)]
 pub struct ShardedIndex<P, H, N> {
     /// The hasher bank shared by every shard.
@@ -234,29 +234,6 @@ impl<P, H, N> ShardedIndex<P, H, N> {
         self.shard_of
             .get(id.index())
             .is_some_and(|&s| s != UNASSIGNED)
-    }
-
-    /// Freezes every shard's tables into their read-optimized CSR form
-    /// (inserts thaw the affected tables to the mutable staging form; see
-    /// [`Shard::freeze`]). Crate-private: the engine writer freezes the
-    /// staging generation before publishing, so a published generation is
-    /// always fully frozen and readers never observe a thaw.
-    pub(crate) fn freeze(&mut self)
-    where
-        P: Clone,
-        H: Clone,
-        N: Clone,
-    {
-        for shard in &mut self.shards {
-            if !shard.is_frozen() {
-                Arc::make_mut(shard).freeze();
-            }
-        }
-    }
-
-    /// Whether every shard is fully frozen.
-    pub fn is_frozen(&self) -> bool {
-        self.shards.iter().all(|s| s.is_frozen())
     }
 }
 
@@ -609,24 +586,40 @@ where
     H: LshHasher<P>,
     N: Nearness<P>,
 {
-    /// Inserts a new point into the least-loaded shard (ties broken toward
-    /// the lowest shard index, so routing is deterministic) and returns its
-    /// freshly assigned global id. Crate-private: external callers go
-    /// through the engine writer's `WriteBatch`, which write-ahead-logs
-    /// the mutation and publishes a fresh generation.
-    pub(crate) fn insert(&mut self, point: P) -> PointId {
-        let id = PointId::from_index(self.shard_of.len());
-        let target = (0..self.shards.len())
-            .min_by_key(|&s| self.shards[s].live_points())
-            .expect("at least one shard");
-        self.shard_of.push(target as u32);
-        Arc::make_mut(&mut self.shards[target]).insert(id, point);
-        id
+    /// Inserts new points, each into the shard that is least loaded once
+    /// the points before it are placed (ties broken toward the lowest
+    /// shard index, so routing is deterministic), and returns their freshly
+    /// assigned global ids in order. Each shard that receives points
+    /// rebuilds its tables once, whatever their number; the other shards
+    /// stay shared with the previous generation. Crate-private: external
+    /// callers go through the engine writer's `WriteBatch`, which
+    /// write-ahead-logs the mutation and publishes a fresh generation.
+    pub(crate) fn insert(&mut self, points: impl IntoIterator<Item = P>) -> Vec<PointId> {
+        let mut loads: Vec<usize> = self.shards.iter().map(|s| s.live_points()).collect();
+        let mut routed: Vec<Vec<(PointId, P)>> = self.shards.iter().map(|_| Vec::new()).collect();
+        let mut assigned = Vec::new();
+        for point in points {
+            let id = PointId::from_index(self.shard_of.len());
+            let target = (0..loads.len())
+                .min_by_key(|&s| loads[s])
+                .expect("at least one shard");
+            loads[target] += 1;
+            self.shard_of.push(target as u32);
+            routed[target].push((id, point));
+            assigned.push(id);
+        }
+        for (shard, new) in self.shards.iter_mut().zip(routed) {
+            if !new.is_empty() {
+                Arc::make_mut(shard).insert(new);
+            }
+        }
+        assigned
     }
 
     /// Deletes a point by global id; returns `false` for unknown or already
-    /// deleted ids. Purely shard-local (may trigger that shard's
-    /// compaction). Crate-private like [`ShardedIndex::insert`].
+    /// deleted ids. Purely shard-local: the owning shard tombstones the
+    /// point and keeps sharing its tables, unless the delete triggers that
+    /// shard's compaction. Crate-private like [`ShardedIndex::insert`].
     pub(crate) fn delete(&mut self, id: PointId) -> bool {
         let Some(&s) = self.shard_of.get(id.index()) else {
             return false;
@@ -878,8 +871,9 @@ mod tests {
         let mut items: Vec<u32> = (0..25).collect();
         items.push(100); // joins the cluster of query 0
         items.push(777);
-        let id = index.insert(SparseSet::from_items(items));
-        assert_eq!(id.index(), data.len());
+        let ids = index.insert([SparseSet::from_items(items)]);
+        assert_eq!(ids, vec![PointId::from_index(data.len())]);
+        let id = ids[0];
         assert!(index.contains(id));
         assert_eq!(index.len(), data.len() + 1);
         assert!(

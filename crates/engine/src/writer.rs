@@ -12,8 +12,11 @@
 //! 2. **log** — the batch is encoded (prefixed with its sequence number)
 //!    and appended to the WAL as one checksummed, fsynced record;
 //! 3. **apply** — the ops run against the private staging index (copy-on-
-//!    write at shard granularity: only touched shards are copied), which
-//!    is then re-frozen;
+//!    write at shard granularity: only touched shards are copied). A
+//!    delete only tombstones its point, so the shard keeps sharing its
+//!    tables with the published generation; the inserts of a batch are
+//!    routed first and each receiving shard then builds its next tables
+//!    from the current ones in one linear merge per table;
 //! 4. **publish** — a clone of the staging index (an `Arc`-pointer copy
 //!    per shard plus one routing-table memcpy) becomes the next
 //!    [`Generation`], swapped into the shared cell for readers.
@@ -49,11 +52,12 @@ use fairnn_space::{Dataset, PointId};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Wall time of one generation publish: staging apply + freeze + clone +
-/// shared-cell swap (the WAL fsync is `snapshot_wal_fsync_ns`).
+/// Wall time of one generation publish: staging apply (table merges
+/// included) + clone + shared-cell swap (the WAL fsync is
+/// `snapshot_wal_fsync_ns`).
 static PUBLISH_NS: LazyHistogram = LazyHistogram::new(
     "engine_generation_publish_ns",
-    "apply+freeze+publish time of one commit in nanoseconds",
+    "apply+publish time of one commit in nanoseconds",
 );
 
 /// File name of the checkpoint inside an engine directory.
@@ -147,8 +151,14 @@ pub struct EngineWriter<P, H, N> {
     last_ckpt_bank: Option<(HasherBank<H>, Vec<u8>)>,
 }
 
-/// Applies a batch to an index and re-freezes it, returning the global
-/// ids assigned to the batch's `Insert` ops in op order.
+/// Applies a batch to an index, returning the global ids assigned to the
+/// batch's `Insert` ops in op order.
+///
+/// Ops apply in order. A `Delete` tombstones its point and touches no
+/// table. Each run of consecutive `Insert`s is routed as a whole and costs
+/// every shard it reaches one linear merge per table (one run, and so one
+/// merge, per batch unless the batch interleaves inserts with other ops).
+/// A `Compact` rebuilds the tables of the shards carrying tombstones.
 ///
 /// This is the **one** mutation path of the engine: the live commit and
 /// WAL replay both call it, which is what makes a replayed index
@@ -163,16 +173,20 @@ where
     N: Nearness<P> + Clone,
 {
     let mut assigned = Vec::new();
-    for op in batch.ops() {
-        match op {
-            WriteOp::Insert(point) => assigned.push(index.insert(point.clone())),
-            WriteOp::Delete(id) => {
+    let both_inserts =
+        |a: &WriteOp<P>, b: &WriteOp<P>| matches!((a, b), (WriteOp::Insert(_), WriteOp::Insert(_)));
+    for run in batch.ops().chunk_by(both_inserts) {
+        match run {
+            [WriteOp::Delete(id)] => {
                 index.delete(*id);
             }
-            WriteOp::Compact => index.compact(),
+            [WriteOp::Compact] => index.compact(),
+            inserts => assigned.extend(index.insert(inserts.iter().filter_map(|op| match op {
+                WriteOp::Insert(point) => Some(point.clone()),
+                _ => None,
+            }))),
         }
     }
-    index.freeze();
     assigned
 }
 
@@ -201,7 +215,6 @@ where
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(SnapshotError::Io)?;
         let index = ShardedIndex::build(family, params, dataset, near, config);
-        debug_assert!(index.is_frozen(), "a fresh build is fully frozen");
 
         // Durable before visible: checkpoint first, then the WAL, then
         // publish generation 0.
@@ -557,6 +570,77 @@ mod tests {
         let response = pin.run_batch(&QueryRequest::new(vec![query.clone(); 50]).with_batch(7));
         assert!(response.answers.iter().all(|a| a.id != Some(id)));
 
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn publish_shares_the_tables_a_commit_did_not_change() {
+        let (data, mut writer, dir) = bootstrap("share", 12);
+        let reader = writer.reader();
+        let query = data.point(PointId(0)).clone();
+        let request = QueryRequest::new(vec![query.clone(); 40]).with_batch(3);
+        let base = reader.pin();
+        let before = base.run_batch(&request);
+        let tables = |pin: &crate::EpochPin<_, _, _>| -> Vec<Arc<fairnn_lsh::LshTables>> {
+            let shards = pin.index().shards();
+            shards.iter().map(|s| Arc::clone(s.tables())).collect()
+        };
+
+        // A delete-only commit tombstones: every shard's tables carry over.
+        writer
+            .commit(WriteBatch::new().delete(PointId(3)))
+            .expect("delete commit");
+        let deleted = reader.pin();
+        for (s, (old, new)) in tables(&base).iter().zip(tables(&deleted)).enumerate() {
+            assert!(
+                Arc::ptr_eq(old, &new),
+                "shard {s}: a delete rebuilt its tables"
+            );
+        }
+        assert_eq!(
+            deleted
+                .index()
+                .shards()
+                .iter()
+                .map(|s| s.tombstones())
+                .sum::<usize>(),
+            1
+        );
+
+        // An insert rebuilds the tables of the shard it lands in and shares
+        // every other shard whole.
+        let receipt = writer
+            .commit(WriteBatch::new().insert(twin(&data, 500)))
+            .expect("insert commit");
+        let inserted = reader.pin();
+        let id = receipt.assigned[0];
+        for (s, (old, new)) in deleted
+            .index()
+            .shards()
+            .iter()
+            .zip(inserted.index().shards())
+            .enumerate()
+        {
+            if new.contains(id) {
+                assert!(!Arc::ptr_eq(old.tables(), new.tables()), "shard {s}");
+                assert_eq!(new.tables().num_points(), old.tables().num_points() + 1);
+            } else {
+                assert!(Arc::ptr_eq(old, new), "shard {s} was copied");
+            }
+        }
+        assert_eq!(
+            inserted
+                .index()
+                .shards()
+                .iter()
+                .filter(|s| s.contains(id))
+                .count(),
+            1
+        );
+
+        // The pin on generation 0 still answers bit for bit.
+        assert_eq!(base.run_batch(&request), before);
+        drop((base, deleted, inserted));
         let _ = std::fs::remove_dir_all(dir);
     }
 

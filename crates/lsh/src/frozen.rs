@@ -1,27 +1,29 @@
 //! Read-optimized, frozen bucket storage.
 //!
-//! The mutable form of an LSH table is a `HashMap<u64, Vec<PointId>>`: ideal
-//! for building and for incremental updates, but every bucket is its own
-//! heap allocation and every lookup chases map metadata — exactly the wrong
-//! layout for the query hot path, which does nothing but "find bucket, scan
-//! bucket" `L` times per query. [`FrozenTable`] is the read-optimized
-//! counterpart: a sorted key array, a CSR-style offset array, and one
-//! contiguous entry array. Lookups are a binary search over a dense `u64`
-//! array (cache-friendly, no hashing) and a bucket is a contiguous slice of
-//! one allocation.
+//! [`FrozenTable`] is the one representation of an LSH table: a sorted key
+//! array, a CSR-style offset array, and one contiguous entry array. Lookups
+//! are a probe of a flat key index over a dense `u64` array (cache-friendly,
+//! no map metadata) and a bucket is a contiguous slice of one allocation —
+//! the right layout for the query hot path, which does nothing but "find
+//! bucket, scan bucket" `L` times per query.
 //!
-//! Freezing preserves the *per-bucket entry order* of the staging form
-//! bit-for-bit. Every fair-sampling guarantee in this workspace is defined
-//! over bucket contents and their order (rank-sorted buckets, first-near
-//! scans), so the freeze must be — and is — invisible to samplers; the
-//! golden tests in `fairnn-integration` pin this.
+//! A frozen table is never mutated in place. Updates build the next table
+//! from the current one in one linear pass: [`FrozenTable::merged`] appends
+//! a sorted batch of entries to their buckets (the engine's inserts), and
+//! [`FrozenTable::retain_map`] drops and renames entries (compaction). Both
+//! preserve the order of the entries they keep and produce exactly the
+//! table [`FrozenTable::from_buckets`] would build from the same bucket
+//! contents, so a table's bytes depend only on what it holds, never on the
+//! history of updates that produced it. Every fair-sampling guarantee in
+//! this workspace is defined over bucket contents and their order
+//! (rank-sorted buckets, first-near scans); the golden tests in
+//! `fairnn-integration` pin this.
 //!
 //! The entry type is generic: the plain index stores [`fairnn_space::PointId`]
 //! entries, the Section 4 structure stores `(rank, id)` pairs with a
 //! parallel sketch array.
 
 use fairnn_snapshot::{ArcSlice, SliceCodec};
-use std::collections::HashMap;
 
 /// Sentinel for an empty slot of the open-addressing key index.
 const EMPTY_SLOT: u32 = u32::MAX;
@@ -70,6 +72,12 @@ fn first_slot(key: u64, shift: u32) -> usize {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
 }
 
+/// An entry count as a CSR offset.
+#[inline]
+fn entry_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("table exceeds u32 entries")
+}
+
 /// Capacity of the open-addressing slot array for `num_keys` buckets
 /// (load factor ≤ 1/2, minimum 4).
 #[inline]
@@ -78,10 +86,10 @@ fn slot_capacity(num_keys: usize) -> usize {
 }
 
 /// Builds the open-addressing key index of a sorted, distinct key array.
-/// Deterministic in the keys alone; both the freeze path and the staging
-/// snapshot writer (`LshTable`'s canonical wire form) use this, which is
-/// what keeps the two encodings byte-identical.
-pub(crate) fn build_slots(keys: &[u64]) -> (Vec<u32>, u32) {
+/// Deterministic in the keys alone, so every construction path — fresh
+/// build, merge, compaction — yields the same slot array for the same keys,
+/// which is what keeps the encoding canonical.
+fn build_slots(keys: &[u64]) -> (Vec<u32>, u32) {
     let capacity = slot_capacity(keys.len());
     let slot_shift = 64 - capacity.trailing_zeros();
     let mut slots = vec![EMPTY_SLOT; capacity];
@@ -119,27 +127,18 @@ impl<E> FrozenTable<E> {
         for (key, bucket) in pairs {
             keys.push(key);
             entries.extend(bucket);
-            offsets.push(u32::try_from(entries.len()).expect("table exceeds u32 entries"));
+            offsets.push(entry_offset(entries.len()));
         }
-        let (slots, slot_shift) = build_slots(&keys);
-        let table = Self {
-            keys: keys.into(),
-            offsets: offsets.into(),
-            entries: entries.into(),
-            slots: slots.into(),
-            slot_shift,
-        };
-        table.debug_assert_csr_invariants();
-        table
+        Self::from_parts(keys, offsets, entries, None)
     }
 
     /// Debug-only check of the CSR structural invariants every lookup
     /// relies on: strictly increasing keys, `offsets` one longer than
     /// `keys`, starting at 0, non-decreasing, and ending exactly at
-    /// `entries.len()`. Compiled away in release builds; both construction
-    /// paths ([`FrozenTable::from_buckets`] and the snapshot decoder) call
-    /// it so a violated invariant fails at the build site, not at some
-    /// later query.
+    /// `entries.len()`. Compiled away in release builds; every construction
+    /// path (build, merge, compaction and the snapshot decoder) calls it so
+    /// a violated invariant fails at the build site, not at some later
+    /// query.
     fn debug_assert_csr_invariants(&self) {
         debug_assert_eq!(
             self.offsets.len(),
@@ -166,17 +165,131 @@ impl<E> FrozenTable<E> {
         );
     }
 
-    /// Thaws the table back into its staging (`HashMap`) form, preserving
-    /// per-bucket entry order.
-    pub fn into_buckets(self) -> HashMap<u64, Vec<E>>
+    /// Assembles a table from its CSR arrays. `same_keys` is a table known
+    /// to hold exactly `keys`: its key array and slot index are shared
+    /// (a copy when owned, a reference-count bump when borrowed from an
+    /// image) instead of rebuilt.
+    fn from_parts(
+        keys: Vec<u64>,
+        offsets: Vec<u32>,
+        entries: Vec<E>,
+        same_keys: Option<&Self>,
+    ) -> Self {
+        let (keys, slots, slot_shift) = match same_keys {
+            Some(source) => {
+                debug_assert_eq!(&source.keys[..], &keys[..]);
+                (source.keys.clone(), source.slots.clone(), source.slot_shift)
+            }
+            None => {
+                let (slots, shift) = build_slots(&keys);
+                (keys.into(), slots.into(), shift)
+            }
+        };
+        let table = Self {
+            keys,
+            offsets: offsets.into(),
+            entries: entries.into(),
+            slots,
+            slot_shift,
+        };
+        table.debug_assert_csr_invariants();
+        table
+    }
+
+    /// The table with `appends` added: each `(key, entry)` goes to the end
+    /// of its key's bucket, a new bucket is created for a key the table
+    /// does not hold yet, and entries with equal keys keep their order in
+    /// `appends`, which must be sorted by key.
+    ///
+    /// One linear pass: runs of untouched buckets are copied wholesale and
+    /// their offsets shifted. When every key is already present, the key
+    /// array and the slot index are reused. The result equals
+    /// [`FrozenTable::from_buckets`] over the concatenated buckets.
+    pub fn merged(&self, appends: &[(u64, E)]) -> Self
     where
         E: Clone,
     {
-        let mut map = HashMap::with_capacity(self.keys.len());
-        for i in 0..self.keys.len() {
-            map.insert(self.keys[i], self.bucket_at(i).to_vec());
+        debug_assert!(
+            appends.windows(2).all(|w| w[0].0 <= w[1].0),
+            "appends must be sorted by key"
+        );
+        let mut keys = Vec::with_capacity(self.keys.len() + appends.len());
+        let mut offsets = Vec::with_capacity(self.offsets.len() + appends.len());
+        let mut entries = Vec::with_capacity(self.entries.len() + appends.len());
+        offsets.push(0);
+        let mut copied = 0; // old buckets already emitted
+        let mut grew = false;
+        for run in appends.chunk_by(|a, b| a.0 == b.0) {
+            let key = run[0].0;
+            let (pos, present) = match self.find(key) {
+                Some(i) => (i, true),
+                None => (self.keys.partition_point(|&k| k < key), false),
+            };
+            self.copy_buckets(copied..pos, &mut keys, &mut offsets, &mut entries);
+            keys.push(key);
+            if present {
+                entries.extend_from_slice(self.bucket_at(pos));
+            }
+            entries.extend(run.iter().map(|(_, entry)| entry.clone()));
+            offsets.push(entry_offset(entries.len()));
+            copied = pos + usize::from(present);
+            grew |= !present;
         }
-        map
+        self.copy_buckets(
+            copied..self.keys.len(),
+            &mut keys,
+            &mut offsets,
+            &mut entries,
+        );
+        Self::from_parts(keys, offsets, entries, (!grew).then_some(self))
+    }
+
+    /// The table with every entry passed through `f`: `None` drops the
+    /// entry, `Some(e)` keeps `e` in its place, and buckets left empty are
+    /// dropped. One linear pass; the key array and the slot index are
+    /// reused when no bucket empties. The result equals [`FrozenTable::from_buckets`] over the
+    /// mapped buckets, so when `f` renames entries monotonically (as a
+    /// compaction's id remap does) sorted buckets stay sorted.
+    pub fn retain_map(&self, mut f: impl FnMut(&E) -> Option<E>) -> Self {
+        let mut keys = Vec::with_capacity(self.keys.len());
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        let mut entries = Vec::with_capacity(self.entries.len());
+        offsets.push(0);
+        for i in 0..self.keys.len() {
+            let before = entries.len();
+            entries.extend(self.bucket_at(i).iter().filter_map(&mut f));
+            if entries.len() > before {
+                keys.push(self.keys[i]);
+                offsets.push(entry_offset(entries.len()));
+            }
+        }
+        let same_keys = keys.len() == self.keys.len();
+        Self::from_parts(keys, offsets, entries, same_keys.then_some(self))
+    }
+
+    /// Appends buckets `range` of this table to the CSR arrays being built,
+    /// shifting their offsets to the entries already written.
+    fn copy_buckets(
+        &self,
+        range: std::ops::Range<usize>,
+        keys: &mut Vec<u64>,
+        offsets: &mut Vec<u32>,
+        entries: &mut Vec<E>,
+    ) where
+        E: Clone,
+    {
+        if range.is_empty() {
+            return;
+        }
+        let (start, end) = (self.offsets[range.start], self.offsets[range.end]);
+        let shift = entry_offset(entries.len()) - start;
+        keys.extend_from_slice(&self.keys[range.clone()]);
+        offsets.extend(
+            self.offsets[range.start + 1..=range.end]
+                .iter()
+                .map(|&o| o + shift),
+        );
+        entries.extend_from_slice(&self.entries[start as usize..end as usize]);
     }
 
     /// Index of the bucket for `key`, if present. A probe of the flat hash
@@ -424,15 +537,54 @@ mod tests {
     }
 
     #[test]
-    fn freeze_thaw_roundtrip_is_lossless() {
+    fn refreezing_the_listed_buckets_is_lossless() {
         let table = sample_table();
-        let map = table.clone().into_buckets();
-        assert_eq!(map.len(), 3);
-        assert_eq!(map[&9], vec![7, 3, 5]);
-        assert_eq!(map[&2], vec![1]);
-        assert_eq!(map[&400], vec![9, 9, 2, 4]);
-        let refrozen = FrozenTable::from_buckets(map);
-        assert_eq!(refrozen, table);
+        let listed: Vec<(u64, Vec<u32>)> = table.buckets().map(|(k, b)| (k, b.to_vec())).collect();
+        assert_eq!(
+            listed,
+            vec![(2, vec![1]), (9, vec![7, 3, 5]), (400, vec![9, 9, 2, 4])]
+        );
+        assert_eq!(FrozenTable::from_buckets(listed), table);
+    }
+
+    #[test]
+    fn merge_appends_to_buckets_and_creates_new_ones() {
+        let table = sample_table();
+        // Known keys only: the key array and slot index carry over.
+        let grown = table.merged(&[(2, 8), (400, 6), (400, 1)]);
+        assert_eq!(grown.bucket(2), &[1, 8]);
+        assert_eq!(grown.bucket(9), &[7, 3, 5]);
+        assert_eq!(grown.bucket(400), &[9, 9, 2, 4, 6, 1]);
+        assert_eq!(grown.slots, table.slots);
+        // New keys before, between and after the old ones.
+        let wider = table.merged(&[(1, 0), (9, 4), (10, 2), (500, 3)]);
+        let expected = FrozenTable::from_buckets(vec![
+            (1, vec![0]),
+            (2, vec![1]),
+            (9, vec![7, 3, 5, 4]),
+            (10, vec![2]),
+            (400, vec![9, 9, 2, 4]),
+            (500, vec![3]),
+        ]);
+        assert_eq!(wider, expected);
+        assert_eq!(
+            FrozenTable::new().merged(&[(3, 1), (3, 2)]).bucket(3),
+            &[1, 2]
+        );
+        assert_eq!(table.merged(&[]), table);
+    }
+
+    #[test]
+    fn retain_map_drops_entries_and_emptied_buckets() {
+        let table = sample_table();
+        let kept = table.retain_map(|&e| (e != 1 && e != 9).then_some(e * 10));
+        let expected = FrozenTable::from_buckets(vec![(9, vec![70, 30, 50]), (400, vec![20, 40])]);
+        assert_eq!(kept, expected);
+        assert_eq!(kept.find(2), None);
+        let renamed = table.retain_map(|&e| Some(e + 1));
+        assert_eq!(renamed.bucket(400), &[10, 10, 3, 5]);
+        assert_eq!(renamed.slots, table.slots);
+        assert_eq!(table.retain_map(|_| None), FrozenTable::new());
     }
 
     #[test]
@@ -515,6 +667,5 @@ mod tests {
         assert_eq!(table.max_bucket_size(), 0);
         assert!(table.bucket(0).is_empty());
         assert_eq!(table.buckets().count(), 0);
-        assert!(table.clone().into_buckets().is_empty());
     }
 }

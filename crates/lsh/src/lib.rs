@@ -23,11 +23,13 @@
 //!   including the shared table-major row bank behind the single-pass
 //!   batched evaluation ([`family::LshHasher::hash_all`]);
 //! * the multi-table index ([`table::LshIndex`]) that stores the dataset
-//!   once per repetition and answers collision queries, with a frozen CSR
-//!   bucket layout ([`frozen::FrozenTable`]) for reads and the `HashMap`
-//!   staging form for incremental updates; its two halves also stand
-//!   alone, so several table sets ([`table::LshTables`]) can share one
-//!   [`bank::HasherBank`] and a query is hashed once for all of them;
+//!   once per repetition and answers collision queries, every table in one
+//!   representation, the frozen CSR bucket layout
+//!   ([`frozen::FrozenTable`]), which updates never modify: appends and
+//!   compactions build the next tables from the current ones in one linear
+//!   pass; its two halves also stand alone, so several table sets
+//!   ([`table::LshTables`]) can share one [`bank::HasherBank`] and a query
+//!   is hashed once for all of them;
 //! * reusable per-query scratch ([`scratch::QueryScratch`]) so the query
 //!   hot path is allocation-free in the steady state;
 //! * parameter selection helpers ([`params`]) mirroring the choices of

@@ -21,14 +21,14 @@ use fairnn_obs::{HistogramShard, LazyHistogram};
 use fairnn_space::PointId;
 use rand::Rng;
 use std::cell::RefCell;
-use std::collections::HashMap;
 
-/// Bucket-size distribution, recorded at [`LshTable::freeze`] time (one
-/// observation per non-empty bucket). The tail of this histogram is what
-/// drives worst-case query cost and the fair samplers' rejection rates.
+/// Bucket-size distribution of freshly built tables (one observation per
+/// non-empty bucket, recorded by [`LshTables::build`]). The tail of this
+/// histogram is what drives worst-case query cost and the fair samplers'
+/// rejection rates.
 static BUCKET_SIZE: LazyHistogram = LazyHistogram::new(
     "lsh_bucket_size",
-    "bucket sizes observed when tables freeze (entries per non-empty bucket)",
+    "bucket sizes of freshly built tables (entries per non-empty bucket)",
 );
 
 thread_local! {
@@ -39,202 +39,12 @@ thread_local! {
     static INDEX_SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::new());
 }
 
-/// A single hash table: bucket key → ids of the points in the bucket.
-///
-/// The table has two representations. While it is being built or mutated it
-/// is a `HashMap<u64, Vec<PointId>>` — the *staging* form, cheap to update.
-/// [`LshTable::freeze`] converts it into a [`FrozenTable`] — sorted keys,
-/// CSR offsets, one contiguous entry array — which is what queries should
-/// run against. Mutating a frozen table thaws it back to staging
-/// transparently (an `O(entries)` conversion, amortised over the following
-/// updates); [`LshIndex`] re-freezes on [`LshIndex::rebuild`] and exposes
-/// [`LshIndex::freeze`] for explicit compaction after a burst of updates.
-/// Freezing and thawing preserve per-bucket entry order bit-for-bit, which
-/// the fair samplers' determinism depends on.
-#[derive(Debug, Clone, Default)]
-pub struct LshTable {
-    staging: HashMap<u64, Vec<PointId>>,
-    frozen: Option<FrozenTable<PointId>>,
-}
-
-impl LshTable {
-    /// Creates an empty table (in staging form).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether the table is currently in its read-optimized frozen form.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen.is_some()
-    }
-
-    /// Converts the table to its read-optimized frozen form. No-op if
-    /// already frozen.
-    pub fn freeze(&mut self) {
-        if self.frozen.is_none() {
-            // fairnn-audit: allow(unordered-iter) — from_buckets key-sorts the drained pairs
-            let frozen = FrozenTable::from_buckets(self.staging.drain());
-            if fairnn_obs::enabled() {
-                // Shard locally, merge once: tables freeze on parallel
-                // build workers, and per-bucket atomic adds would serialize
-                // them on the histogram cache lines.
-                let mut sizes = HistogramShard::new();
-                for (_, bucket) in frozen.buckets() {
-                    sizes.record(bucket.len() as u64);
-                }
-                BUCKET_SIZE.merge_shard(&sizes);
-            }
-            self.frozen = Some(frozen);
-        }
-    }
-
-    /// Converts the table back to its mutable staging form. No-op if
-    /// already staged.
-    fn thaw(&mut self) {
-        if let Some(frozen) = self.frozen.take() {
-            self.staging = frozen.into_buckets();
-        }
-    }
-
-    /// The frozen representation, when active (for layout-aware callers).
-    pub fn as_frozen(&self) -> Option<&FrozenTable<PointId>> {
-        self.frozen.as_ref()
-    }
-
-    /// Inserts a point with the given bucket key (thaws a frozen table).
-    pub fn insert(&mut self, key: u64, id: PointId) {
-        self.thaw();
-        self.staging.entry(key).or_default().push(id);
-    }
-
-    /// Removes one occurrence of `id` from the bucket for `key`, preserving
-    /// the order of the remaining entries (fair samplers rely on bucket
-    /// order). Returns `true` when the id was present; empty buckets are
-    /// dropped so accounting stays tight. Thaws a frozen table.
-    pub fn remove(&mut self, key: u64, id: PointId) -> bool {
-        self.thaw();
-        let Some(bucket) = self.staging.get_mut(&key) else {
-            return false;
-        };
-        let Some(pos) = bucket.iter().position(|&x| x == id) else {
-            return false;
-        };
-        bucket.remove(pos);
-        if bucket.is_empty() {
-            self.staging.remove(&key);
-        }
-        true
-    }
-
-    /// Returns the bucket for `key` (empty slice if the bucket does not
-    /// exist).
-    #[inline]
-    pub fn bucket(&self, key: u64) -> &[PointId] {
-        match &self.frozen {
-            Some(frozen) => frozen.bucket(key),
-            None => self.staging.get(&key).map(Vec::as_slice).unwrap_or(&[]),
-        }
-    }
-
-    /// Number of non-empty buckets.
-    pub fn num_buckets(&self) -> usize {
-        match &self.frozen {
-            Some(frozen) => frozen.num_buckets(),
-            None => self.staging.len(),
-        }
-    }
-
-    /// Total number of stored point references.
-    pub fn num_entries(&self) -> usize {
-        match &self.frozen {
-            Some(frozen) => frozen.num_entries(),
-            // fairnn-audit: allow(unordered-iter) — a sum is order-independent
-            None => self.staging.values().map(Vec::len).sum(),
-        }
-    }
-
-    /// Size of the largest bucket (0 for an empty table).
-    pub fn max_bucket_size(&self) -> usize {
-        match &self.frozen {
-            Some(frozen) => frozen.max_bucket_size(),
-            // fairnn-audit: allow(unordered-iter) — a max is order-independent
-            None => self.staging.values().map(Vec::len).max().unwrap_or(0),
-        }
-    }
-
-    /// Iterator over `(key, bucket)` pairs, in ascending key order in
-    /// **both** representations: staging pairs are collected and sorted
-    /// before exposure, so no caller can observe hash-map order.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, &[PointId])> {
-        let mut staged: Vec<(u64, &[PointId])> = Vec::with_capacity(self.staging.len());
-        // fairnn-audit: allow(unordered-iter) — collected and key-sorted before exposure
-        for (key, bucket) in &self.staging {
-            staged.push((*key, bucket.as_slice()));
-        }
-        staged.sort_unstable_by_key(|(key, _)| *key);
-        staged
-            .into_iter()
-            .chain(self.frozen.iter().flat_map(FrozenTable::buckets))
-    }
-}
-
-impl fairnn_snapshot::Codec for LshTable {
-    /// The wire form is always the frozen CSR image, regardless of the
-    /// in-memory representation: a staging table is frozen on the fly (the
-    /// canonical key-sorted layout, per-bucket order preserved), so
-    /// `save → load → save` is byte-identical and a loaded table starts in
-    /// exactly the state an explicit [`LshTable::freeze`] would produce —
-    /// including that later incremental mutations thaw it transparently.
-    fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
-        match &self.frozen {
-            Some(frozen) => frozen.encode(enc),
-            None => {
-                // Write the canonical frozen wire form — four aligned v3
-                // arrays: keys, offsets, entries, slots (see `FrozenTable`'s
-                // `Codec` impl) — straight from the staging map,
-                // byte-identical to freezing first (the unit tests pin
-                // this), without cloning every bucket. The slot index is
-                // derived from the keys by the same `build_slots` the
-                // freeze path uses.
-                use fairnn_snapshot::SliceCodec;
-                // fairnn-audit: allow(unordered-iter) — collected and key-sorted below
-                let pairs = self.staging.iter().map(|(k, v)| (*k, v));
-                let mut buckets: Vec<(u64, &Vec<PointId>)> = pairs.collect();
-                buckets.sort_unstable_by_key(|(key, _)| *key);
-                let keys: Vec<u64> = buckets.iter().map(|(key, _)| *key).collect();
-                u64::encode_slice(&keys, enc);
-                enc.write_len(buckets.len() + 1);
-                enc.align64();
-                let mut offset = 0u32;
-                enc.write_u32(offset);
-                for (_, bucket) in &buckets {
-                    offset = offset
-                        .checked_add(u32::try_from(bucket.len()).expect("bucket exceeds u32"))
-                        .expect("table exceeds u32 entries");
-                    enc.write_u32(offset);
-                }
-                enc.write_len(offset as usize);
-                enc.align64();
-                for (_, bucket) in &buckets {
-                    for id in *bucket {
-                        id.encode(enc);
-                    }
-                }
-                let (slots, _) = crate::frozen::build_slots(&keys);
-                u32::encode_slice(&slots, enc);
-            }
-        }
-    }
-
-    fn decode(
-        dec: &mut fairnn_snapshot::Decoder<'_>,
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        Ok(Self {
-            staging: HashMap::new(),
-            frozen: Some(FrozenTable::decode(dec)?),
-        })
-    }
-}
+/// A single hash table: bucket key → ids of the points in the bucket, in
+/// the frozen CSR layout of [`FrozenTable`] (sorted keys, offsets, one
+/// contiguous entry array). Each bucket lists its ids in ascending order:
+/// builds insert points in id order, appends only ever add ids above every
+/// existing one, and compaction renames ids monotonically.
+pub type LshTable = FrozenTable<PointId>;
 
 /// The `L` tables of an LSH structure over dense point ids
 /// `0..num_points`, without the hash functions that key them.
@@ -242,6 +52,10 @@ impl fairnn_snapshot::Codec for LshTable {
 /// [`LshIndex`] pairs one of these with its own hashers. The sharded engine
 /// pairs one per shard with a single shared [`crate::HasherBank`], so the
 /// per-table query keys are computed once and looked up in every shard.
+///
+/// Tables are never mutated in place: [`LshTables::appended`] and
+/// [`LshTables::compacted`] build the next tables from these in one linear
+/// pass per table, so a reader holding the old ones is never disturbed.
 #[derive(Debug, Clone, Default)]
 pub struct LshTables {
     tables: Vec<LshTable>,
@@ -249,28 +63,28 @@ pub struct LshTables {
 }
 
 impl LshTables {
-    /// Builds the `num_tables` frozen tables from a point-major key buffer
+    /// Builds the `num_tables` tables from a point-major key buffer
     /// (`keys[i * num_tables + t]` is point `i`'s key in table `t`; see
-    /// [`crate::HasherBank::all_point_keys`]). Each table is filled by
-    /// inserting the points **in point order** — the exact order the serial
-    /// build used — so per-bucket entry order is preserved bit-for-bit;
-    /// tables are disjoint work items, so they build and freeze
-    /// concurrently.
+    /// [`crate::HasherBank::all_point_keys`]) by appending every point to
+    /// empty tables — the same merge a later insert runs, so each bucket
+    /// lists its points in point order. Tables are disjoint work items, so
+    /// they build concurrently.
     pub fn build(keys: &[u64], num_tables: usize, num_points: usize) -> Self {
-        assert_eq!(
-            keys.len(),
-            num_tables * num_points,
-            "one key per table per point"
-        );
-        let tables = fairnn_parallel::map_indexed(num_tables, |t| {
-            let mut table = LshTable::new();
-            for i in 0..num_points {
-                table.insert(keys[i * num_tables + t], PointId::from_index(i));
+        let empty = Self {
+            tables: vec![LshTable::new(); num_tables],
+            num_points: 0,
+        };
+        let built = empty.appended(keys, num_points);
+        if fairnn_obs::enabled() {
+            let mut sizes = HistogramShard::new();
+            for table in &built.tables {
+                for (_, bucket) in table.buckets() {
+                    sizes.record(bucket.len() as u64);
+                }
             }
-            table.freeze();
-            table
-        });
-        Self { tables, num_points }
+            BUCKET_SIZE.merge_shard(&sizes);
+        }
+        built
     }
 
     /// Number of tables `L`.
@@ -300,94 +114,79 @@ impl LshTables {
         self.tables.iter().map(LshTable::num_entries).sum()
     }
 
-    /// Freezes every table into its read-optimized form (see
-    /// [`LshTable::freeze`]), tables in parallel on the build workers.
-    pub fn freeze(&mut self) {
-        fairnn_parallel::for_each_mut(&mut self.tables, |_, table| table.freeze());
-    }
-
-    /// Whether every table is currently frozen.
-    pub fn is_frozen(&self) -> bool {
-        self.tables.iter().all(LshTable::is_frozen)
-    }
-
-    /// Appends one point, given its per-table bucket keys, to every table
-    /// under the next dense id, and returns that id.
+    /// These tables with `count` more points appended under the next dense
+    /// ids, given the new points' keys point-major (`keys[i * L + t]`).
+    /// Each table is rebuilt by one [`FrozenTable::merged`] pass, tables in
+    /// parallel; every new id lands at the end of its bucket, after all
+    /// older ids.
     ///
-    /// Hidden: engine-internal, like [`LshIndex::insert_point`].
+    /// Hidden: an engine-internal entry point, not part of the public
+    /// mutation API. Applications mutate through
+    /// `fairnn_engine::EngineWriter::commit`, which write-ahead-logs the
+    /// change and publishes a fresh generation; the `thaw-outside-writer`
+    /// audit rule rejects new call sites.
     #[doc(hidden)]
-    pub fn insert_point(&mut self, keys: &[u64]) -> PointId {
-        assert_eq!(keys.len(), self.tables.len(), "one key per table");
-        let id = PointId::from_index(self.num_points);
-        for (table, &key) in self.tables.iter_mut().zip(keys) {
-            table.insert(key, id);
+    pub fn appended(&self, keys: &[u64], count: usize) -> Self {
+        let num_tables = self.tables.len();
+        assert_eq!(
+            keys.len(),
+            num_tables * count,
+            "one key per table per point"
+        );
+        let first = self.num_points;
+        let tables = fairnn_parallel::map_indexed(num_tables, |t| {
+            let mut appends: Vec<(u64, PointId)> = (0..count)
+                .map(|i| (keys[i * num_tables + t], PointId::from_index(first + i)))
+                .collect();
+            // Ids are distinct, so this orders equal keys by id: point order.
+            appends.sort_unstable();
+            self.tables[t].merged(&appends)
+        });
+        Self {
+            tables,
+            num_points: first + count,
         }
-        self.num_points += 1;
-        id
     }
 
-    /// Removes `id` from every table, given the point's per-table bucket
-    /// keys. Returns `true` when at least one table contained the id;
-    /// `num_points` is *not* decremented (see [`LshIndex::remove_point`]).
-    ///
-    /// Hidden: engine-internal, like [`LshIndex::insert_point`].
-    #[doc(hidden)]
-    pub fn remove_point(&mut self, keys: &[u64], id: PointId) -> bool {
-        let mut removed = false;
-        for (table, &key) in self.tables.iter_mut().zip(keys) {
-            removed |= table.remove(key, id);
-        }
-        removed
-    }
-
-    /// Compacts the tables to the ids that survive the `new_id_of` remap
-    /// (old id → new dense id; [`u32::MAX`] marks ids that are gone)
+    /// These tables compacted to the ids that survive the `new_id_of`
+    /// remap (old id → new dense id; [`u32::MAX`] marks ids that are gone)
     /// **without re-running any hasher**: every surviving entry's bucket
-    /// key is already recorded in the tables, so compaction is a pure
-    /// per-table remap. Requires the tables to contain surviving ids only
-    /// (callers remove deleted points first, as
-    /// [`LshTables::remove_point`] does).
+    /// key is already recorded in the tables, so compaction is one
+    /// [`FrozenTable::retain_map`] pass per table, tables in parallel.
+    /// Buckets may still list tombstoned ids; the remap drops them.
     ///
-    /// The result is bit-identical to a fresh build over the surviving
-    /// points in new-id order: per-bucket entries are re-sorted by their
-    /// new ids, which is exactly the order a point-order build inserts them
-    /// in. Tables remap and freeze concurrently.
+    /// The remap must be monotone over the survivors (compaction keeps
+    /// their order). Buckets list ids in ascending order, so they stay
+    /// ascending and the result is bit-identical to a fresh build over the
+    /// surviving points in new-id order — no sort needed.
     ///
-    /// Hidden: engine-internal, like [`LshIndex::insert_point`].
+    /// Hidden: engine-internal, like [`LshTables::appended`].
     #[doc(hidden)]
-    pub fn compact_retain(&mut self, new_id_of: &[u32], new_num_points: usize) {
+    pub fn compacted(&self, new_id_of: &[u32], new_num_points: usize) -> Self {
         assert!(
             new_id_of.len() >= self.num_points,
             "remap covers {} ids for {} indexed points",
             new_id_of.len(),
             self.num_points
         );
-        let tables = std::mem::take(&mut self.tables);
-        self.tables = fairnn_parallel::map_indexed(tables.len(), |t| {
-            let mut staging: HashMap<u64, Vec<PointId>> =
-                HashMap::with_capacity(tables[t].num_buckets());
-            for (key, bucket) in tables[t].buckets() {
-                let mut ids: Vec<PointId> = bucket
-                    .iter()
-                    .filter_map(|id| {
-                        let new = new_id_of[id.index()];
-                        (new != u32::MAX).then_some(PointId(new))
-                    })
-                    .collect();
-                if ids.is_empty() {
-                    continue;
-                }
-                ids.sort_unstable();
-                staging.insert(key, ids);
-            }
-            let mut table = LshTable {
-                staging,
-                frozen: None,
-            };
-            table.freeze();
-            table
+        debug_assert!(
+            new_id_of
+                .iter()
+                .filter(|&&id| id != u32::MAX)
+                .zip(0..)
+                .all(|(&id, rank)| id == rank),
+            "the remap must number the survivors densely, in order"
+        );
+        let tables = fairnn_parallel::map_indexed(self.tables.len(), |t| {
+            self.tables[t].retain_map(|id| {
+                let new = new_id_of[id.index()];
+                (new != u32::MAX).then_some(PointId(new))
+            })
         });
-        self.num_points = new_num_points;
+        Self {
+            tables,
+            num_points: new_num_points,
+        }
     }
 
     /// Shared tail of every decoder holding tables: every bucket entry must
@@ -410,7 +209,7 @@ impl LshTables {
 }
 
 impl fairnn_snapshot::Codec for LshTables {
-    /// Every table in its frozen wire form, then the point count.
+    /// Every table in its CSR wire form, then the point count.
     fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
         self.tables.encode(enc);
         enc.write_u64(self.num_points as u64);
@@ -486,10 +285,9 @@ impl<H> LshIndex<H> {
     /// structures and by tests that need full control over the hashers).
     /// Every point's `L` bucket keys are computed with one batched
     /// [`LshHasher::hash_all`] evaluation — point chunks hashed and the
-    /// per-table CSR freezes run on parallel build workers (see
+    /// per-table CSR builds run on parallel build workers (see
     /// [`fairnn_parallel`]), with output bit-identical to the serial build
-    /// at any thread count — and the tables come out frozen into their
-    /// read-optimized form.
+    /// at any thread count.
     pub fn from_hashers<P>(hashers: Vec<H>, points: &[P], params: LshParams) -> Self
     where
         H: LshHasher<P> + Sync,
@@ -503,19 +301,6 @@ impl<H> LshIndex<H> {
             tables,
             params,
         }
-    }
-
-    /// Freezes every table into its read-optimized form (see
-    /// [`LshTable::freeze`]), tables in parallel on the build workers. Call
-    /// after a burst of incremental updates to restore the contiguous
-    /// bucket layout; build and [`LshIndex::rebuild`] freeze automatically.
-    pub fn freeze(&mut self) {
-        self.tables.freeze();
-    }
-
-    /// Whether every table is currently frozen.
-    pub fn is_frozen(&self) -> bool {
-        self.tables.is_frozen()
     }
 
     /// Per-table bucket keys of a query point.
@@ -557,54 +342,13 @@ impl<H> LshIndex<H> {
         })
     }
 
-    /// Appends one point to every table, assigning it the next dense id.
-    /// Returns the assigned id and the point's per-table bucket keys (one
-    /// hash pass, so callers keeping per-bucket state need not re-hash).
-    ///
-    /// An index can grow without rebuilding its tables, because each table
-    /// is just a key → ids map and the hashers are fixed at construction
-    /// time.
-    ///
-    /// Hidden: an engine-internal entry point, not part of the public
-    /// mutation API. Applications mutate through
-    /// `fairnn_engine::EngineWriter::commit`, which write-ahead-logs the
-    /// change and publishes a fresh generation; calling this directly
-    /// bypasses durability and thaws tables readers may be serving (the
-    /// `thaw-outside-writer` audit rule rejects new call sites).
-    #[doc(hidden)]
-    pub fn insert_point<P>(&mut self, point: &P) -> (PointId, Vec<u64>)
-    where
-        H: LshHasher<P>,
-    {
-        let keys = self.query_keys(point);
-        let id = self.tables.insert_point(&keys);
-        (id, keys)
-    }
-
-    /// Removes `id` from every table (the caller supplies the point so its
-    /// bucket keys can be recomputed). Returns `true` when at least one
-    /// table contained the id. `num_points` is *not* decremented: ids stay
-    /// dense and the vacated id is simply never handed out again until
-    /// [`LshIndex::rebuild`] compacts the index.
-    ///
-    /// Hidden: engine-internal, like [`LshIndex::insert_point`] — mutate
-    /// through `fairnn_engine::EngineWriter::commit` instead.
-    #[doc(hidden)]
-    pub fn remove_point<P>(&mut self, point: &P, id: PointId) -> bool
-    where
-        H: LshHasher<P>,
-    {
-        let keys = self.query_keys(point);
-        self.tables.remove_point(&keys, id)
-    }
-
     /// Rebuilds every table over `points` (point `i` gets id `PointId(i)`)
     /// while keeping the existing hashers, so the rebuild is a pure
     /// compaction: deterministic and local to this index. The rebuilt
-    /// tables come out frozen. Runs the same parallel two-phase build as
+    /// Runs the same parallel two-phase build as
     /// [`LshIndex::from_hashers`]. When the surviving points are a subset
-    /// of the currently indexed ones, prefer [`LshIndex::compact_retain`],
-    /// which skips the re-hash entirely.
+    /// of the currently indexed ones, [`LshTables::compacted`] gets the same
+    /// tables without the re-hash.
     pub fn rebuild<P>(&mut self, points: &[P])
     where
         H: LshHasher<P> + Sync,
@@ -612,18 +356,6 @@ impl<H> LshIndex<H> {
     {
         let keys = compute_point_keys(&self.hashers, points);
         self.tables = LshTables::build(&keys, self.hashers.len(), points.len());
-    }
-
-    /// Compacts the index to the points that survive the `new_id_of` remap
-    /// **without re-running the hasher bank** (see
-    /// [`LshTables::compact_retain`]); bit-identical to `rebuild` over the
-    /// surviving points in new-id order.
-    ///
-    /// Hidden: engine-internal, like [`LshIndex::insert_point`] — request
-    /// compaction through `WriteOp::Compact` on the engine writer instead.
-    #[doc(hidden)]
-    pub fn compact_retain(&mut self, new_id_of: &[u32], new_num_points: usize) {
-        self.tables.compact_retain(new_id_of, new_num_points);
     }
 
     /// All ids colliding with the query in at least one table, deduplicated
@@ -800,9 +532,8 @@ impl<H: crate::snapshot::HasherBankCodec> fairnn_snapshot::Codec for LshIndex<H>
 
 impl<H: crate::snapshot::HasherBankCodec> LshIndex<H> {
     /// Writes the index as a versioned, checksummed snapshot file. Tables
-    /// are stored in their frozen CSR form (staging tables are frozen into
-    /// the canonical image on the way out); the shared hasher bank is
-    /// written flat, row by row, exactly once.
+    /// are stored in their CSR form; the shared hasher bank is written
+    /// flat, row by row, exactly once.
     pub fn save<P: AsRef<std::path::Path>>(
         &self,
         path: P,
@@ -810,10 +541,9 @@ impl<H: crate::snapshot::HasherBankCodec> LshIndex<H> {
         fairnn_snapshot::save(fairnn_snapshot::SnapshotKind::LshIndex, self, path)
     }
 
-    /// Restores an index written by [`LshIndex::save`]. The loaded index is
-    /// fully frozen and behaves exactly like the saved one: queries produce
-    /// identical keys and buckets, and incremental mutations thaw the
-    /// affected tables exactly as they would after [`LshIndex::freeze`].
+    /// Restores an index written by [`LshIndex::save`]. The loaded index
+    /// behaves exactly like the saved one: queries produce identical keys
+    /// and buckets.
     pub fn load<P: AsRef<std::path::Path>>(
         path: P,
     ) -> Result<Self, fairnn_snapshot::SnapshotError> {
@@ -884,13 +614,18 @@ mod tests {
         LshIndex::build(&OneBitMinHash, params, sets, &mut rng)
     }
 
+    type TestIndex = LshIndex<ConcatenatedHasher<crate::minhash::OneBitMinHasher>>;
+
+    /// Appends `points` to the index's tables under the next dense ids.
+    fn append(index: &mut TestIndex, points: &[SparseSet]) {
+        let keys = compute_point_keys(&index.hashers, points);
+        index.tables = index.tables.appended(&keys, points.len());
+    }
+
     #[test]
     fn table_insert_and_lookup() {
-        let mut table = LshTable::new();
-        assert_eq!(table.num_buckets(), 0);
-        table.insert(7, PointId(0));
-        table.insert(7, PointId(1));
-        table.insert(9, PointId(2));
+        let tables = LshTables::build(&[7, 7, 9], 1, 3);
+        let table = tables.table(0);
         assert_eq!(table.bucket(7), &[PointId(0), PointId(1)]);
         assert_eq!(table.bucket(9), &[PointId(2)]);
         assert!(table.bucket(8).is_empty());
@@ -898,6 +633,28 @@ mod tests {
         assert_eq!(table.num_entries(), 3);
         assert_eq!(table.max_bucket_size(), 2);
         assert_eq!(table.buckets().count(), 2);
+        // Appends go to the end of their bucket under the next ids.
+        let grown = tables.appended(&[8, 7], 2);
+        assert_eq!(grown.num_points(), 5);
+        assert_eq!(
+            grown.table(0).bucket(7),
+            &[PointId(0), PointId(1), PointId(4)]
+        );
+        assert_eq!(grown.table(0).bucket(8), &[PointId(3)]);
+        assert_eq!(tables.table(0).num_entries(), 3, "the source is untouched");
+    }
+
+    #[test]
+    fn table_remove_preserves_order_and_drops_empty_buckets() {
+        let tables = LshTables::build(&[7, 7, 7, 9], 1, 4);
+        let compacted = tables.compacted(&[0, u32::MAX, 1, u32::MAX], 2);
+        assert_eq!(compacted.table(0).bucket(7), &[PointId(0), PointId(1)]);
+        assert_eq!(
+            compacted.table(0).num_buckets(),
+            1,
+            "emptied bucket must be dropped"
+        );
+        assert_eq!(compacted.num_points(), 2);
     }
 
     #[test]
@@ -984,52 +741,40 @@ mod tests {
     }
 
     #[test]
-    fn table_remove_preserves_order_and_drops_empty_buckets() {
-        let mut table = LshTable::new();
-        table.insert(7, PointId(0));
-        table.insert(7, PointId(1));
-        table.insert(7, PointId(2));
-        table.insert(9, PointId(3));
-        assert!(table.remove(7, PointId(1)));
-        assert_eq!(table.bucket(7), &[PointId(0), PointId(2)]);
-        assert!(
-            !table.remove(7, PointId(1)),
-            "double remove must be a no-op"
-        );
-        assert!(!table.remove(42, PointId(0)), "missing bucket");
-        assert!(table.remove(9, PointId(3)));
-        assert_eq!(table.num_buckets(), 1, "emptied bucket must be dropped");
-    }
-
-    #[test]
     fn incremental_insert_remove_and_rebuild() {
+        use fairnn_snapshot::{to_bytes, SnapshotKind};
         let sets = toy_sets();
         let (head, tail) = sets.split_at(sets.len() - 3);
-        let mut index = {
-            let params = ParamsBuilder::new(sets.len(), 0.5, 0.1).empirical(&OneBitMinHash);
+        let params = ParamsBuilder::new(sets.len(), 0.5, 0.1).empirical(&OneBitMinHash);
+        let build = |points: &[SparseSet]| {
             let mut rng = StdRng::seed_from_u64(5);
-            LshIndex::build(&OneBitMinHash, params, head, &mut rng)
+            LshIndex::build(&OneBitMinHash, params, points, &mut rng)
         };
-        // Appending the tail must reproduce the index built over everything.
-        for p in tail {
-            let (id, keys) = index.insert_point(p);
-            assert_eq!(id.index() + 1, index.num_points());
-            assert_eq!(keys, index.query_keys(p));
-            assert!(index.colliding_ids(p).contains(&id));
+        // Appending the tail reproduces the index built over everything,
+        // down to the snapshot bytes.
+        let mut index = build(head);
+        append(&mut index, tail);
+        assert_eq!(index.num_points(), sets.len());
+        assert_eq!(
+            to_bytes(SnapshotKind::LshIndex, &index),
+            to_bytes(SnapshotKind::LshIndex, &build(&sets))
+        );
+        for (i, p) in sets.iter().enumerate() {
+            assert!(index.colliding_ids(p).contains(&PointId::from_index(i)));
         }
-        assert_eq!(index.total_entries(), sets.len() * index.num_tables());
 
-        // Removing a point erases it from every table.
-        let victim = PointId(0);
-        assert!(index.remove_point(&sets[0], victim));
-        assert!(!index.colliding_ids(&sets[0]).contains(&victim));
-        assert!(!index.remove_point(&sets[0], victim), "already removed");
+        // Compacting point 0 away erases it from every table.
+        let new_id_of: Vec<u32> = (0..sets.len() as u32)
+            .map(|i| i.checked_sub(1).unwrap_or(u32::MAX))
+            .collect();
+        index.tables = index.tables.compacted(&new_id_of, sets.len() - 1);
         assert_eq!(index.total_entries(), (sets.len() - 1) * index.num_tables());
+        let compacted = to_bytes(SnapshotKind::LshIndex, &index);
 
-        // Rebuilding over a compacted slice re-densifies the ids.
+        // Rebuilding over the survivors gives the same tables.
         index.rebuild(&sets[1..]);
         assert_eq!(index.num_points(), sets.len() - 1);
-        assert_eq!(index.total_entries(), (sets.len() - 1) * index.num_tables());
+        assert_eq!(to_bytes(SnapshotKind::LshIndex, &index), compacted);
         for (i, s) in sets[1..].iter().enumerate() {
             assert!(index.colliding_ids(s).contains(&PointId::from_index(i)));
         }
@@ -1040,20 +785,15 @@ mod tests {
         let sets = toy_sets();
         let mut retained = build_index(&sets);
         let mut rebuilt = retained.clone();
-        // Drop every third point, as a shard compaction would after deletes.
+        // Drop every third point, as a shard compaction would after deletes
+        // (the deleted ids are still in their buckets until now).
         let keep: Vec<usize> = (0..sets.len()).filter(|i| i % 3 != 0).collect();
         let mut new_id_of = vec![u32::MAX; sets.len()];
         for (new, &old) in keep.iter().enumerate() {
             new_id_of[old] = new as u32;
         }
-        for (i, s) in sets.iter().enumerate() {
-            if i % 3 == 0 {
-                assert!(retained.remove_point(s, PointId::from_index(i)));
-                assert!(rebuilt.remove_point(s, PointId::from_index(i)));
-            }
-        }
         let survivors: Vec<SparseSet> = keep.iter().map(|&i| sets[i].clone()).collect();
-        retained.compact_retain(&new_id_of, survivors.len());
+        retained.tables = retained.tables.compacted(&new_id_of, survivors.len());
         rebuilt.rebuild(&survivors);
         assert_eq!(retained.num_points(), rebuilt.num_points());
         for (a, b) in retained.tables().iter().zip(rebuilt.tables()) {
@@ -1079,7 +819,6 @@ mod tests {
         let bytes = to_bytes(SnapshotKind::LshIndex, &index);
         let loaded: LshIndex<ConcatenatedHasher<crate::minhash::OneBitMinHasher>> =
             from_bytes(SnapshotKind::LshIndex, &bytes).expect("load");
-        assert!(loaded.is_frozen(), "loaded tables start frozen");
         assert_eq!(loaded.num_points(), index.num_points());
         assert_eq!(loaded.num_tables(), index.num_tables());
         for s in &sets {
@@ -1091,40 +830,25 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_of_staging_tables_equals_snapshot_after_freeze() {
-        use fairnn_snapshot::{to_bytes, SnapshotKind};
-        let sets = toy_sets();
-        let mut index = build_index(&sets);
-        // Thaw a table via an insert/remove pair: contents are unchanged but
-        // the representation is now the staging HashMap.
-        let extra = SparseSet::from_items(vec![1, 2, 3]);
-        let (id, _) = index.insert_point(&extra);
-        index.remove_point(&extra, id);
-        assert!(!index.is_frozen());
-        let staged = index.clone();
-        index.freeze();
-        // num_points differs (the insert bumped it in both copies), so the
-        // two snapshots are taken from identical logical states.
-        assert_eq!(
-            to_bytes(SnapshotKind::LshIndex, &staged),
-            to_bytes(SnapshotKind::LshIndex, &index),
-            "staging and frozen forms must snapshot identically"
-        );
-    }
-
-    #[test]
     fn mutating_a_loaded_index_matches_mutating_the_original() {
         use fairnn_snapshot::{from_bytes, to_bytes, SnapshotKind};
         let sets = toy_sets();
         let mut index = build_index(&sets);
         let bytes = to_bytes(SnapshotKind::LshIndex, &index);
-        let mut loaded: LshIndex<ConcatenatedHasher<crate::minhash::OneBitMinHasher>> =
-            from_bytes(SnapshotKind::LshIndex, &bytes).expect("load");
-        let extra = SparseSet::from_items((3000..3020).collect());
-        assert_eq!(loaded.insert_point(&extra), index.insert_point(&extra));
-        for s in sets.iter().chain(std::iter::once(&extra)) {
+        let mut loaded: TestIndex = from_bytes(SnapshotKind::LshIndex, &bytes).expect("load");
+        let extra = [
+            SparseSet::from_items((3000..3020).collect()),
+            sets[0].clone(),
+        ];
+        append(&mut loaded, &extra);
+        append(&mut index, &extra);
+        for s in sets.iter().chain(&extra) {
             assert_eq!(loaded.colliding_ids(s), index.colliding_ids(s));
         }
+        assert_eq!(
+            to_bytes(SnapshotKind::LshIndex, &loaded),
+            to_bytes(SnapshotKind::LshIndex, &index)
+        );
     }
 
     #[test]

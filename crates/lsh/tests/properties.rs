@@ -184,67 +184,102 @@ proptest! {
         }
     }
 
-    // ---- frozen CSR storage: bit-identical buckets, contents and order ----
+    // ---- CSR storage: merge and compaction kernels are canonical ----
 
     #[test]
-    fn frozen_table_matches_staging_buckets(
-        inserts in proptest::collection::vec((0u64..32, 0u32..100), 1..120),
+    fn merged_table_matches_from_buckets_and_encodes_canonically(
+        base in proptest::collection::vec((0u64..32, 0u32..1000), 0..80),
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0u64..48, 0u32..1000), 0..12),
+            1..5,
+        ),
     ) {
-        use fairnn_lsh::LshTable;
-        use std::collections::HashMap;
-        // Reference: the plain staging form.
-        let mut reference: HashMap<u64, Vec<PointId>> = HashMap::new();
-        let mut table = LshTable::new();
-        for &(key, id) in &inserts {
+        use fairnn_lsh::FrozenTable;
+        use std::collections::BTreeMap;
+        // Reference: bucket contents as plain vectors, concatenated in
+        // append order.
+        let mut reference: BTreeMap<u64, Vec<PointId>> = BTreeMap::new();
+        for &(key, id) in &base {
             reference.entry(key).or_default().push(PointId(id));
-            table.insert(key, PointId(id));
         }
-        prop_assert!(!table.is_frozen());
-        table.freeze();
-        prop_assert!(table.is_frozen());
-        // Identical buckets: contents *and* order, plus identical accounting.
-        for (key, bucket) in &reference {
-            prop_assert_eq!(table.bucket(*key), bucket.as_slice());
+        let mut table = FrozenTable::from_buckets(reference.clone());
+        for batch in &batches {
+            let mut appends: Vec<(u64, PointId)> =
+                batch.iter().map(|&(key, id)| (key, PointId(id))).collect();
+            // Stable: equal keys keep their batch order.
+            appends.sort_by_key(|&(key, _)| key);
+            for &(key, id) in &appends {
+                reference.entry(key).or_default().push(id);
+            }
+            table = table.merged(&appends);
+            let rebuilt = FrozenTable::from_buckets(reference.clone());
+            // Bucket for bucket, then every array including the slot index.
+            let got: Vec<(u64, Vec<PointId>)> =
+                table.buckets().map(|(k, b)| (k, b.to_vec())).collect();
+            let want: Vec<(u64, Vec<PointId>)> = reference.clone().into_iter().collect();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(&table, &rebuilt);
+            prop_assert_eq!(encode(&table), encode(&rebuilt));
         }
-        prop_assert_eq!(table.num_buckets(), reference.len());
-        prop_assert_eq!(
-            table.num_entries(),
-            reference.values().map(Vec::len).sum::<usize>()
-        );
-        prop_assert_eq!(
-            table.max_bucket_size(),
-            reference.values().map(Vec::len).max().unwrap_or(0)
-        );
-        // Thaw by mutating, then refreeze: still identical.
-        table.insert(1000, PointId(7));
-        prop_assert!(!table.is_frozen());
-        prop_assert!(table.remove(1000, PointId(7)));
-        table.freeze();
-        for (key, bucket) in &reference {
-            prop_assert_eq!(table.bucket(*key), bucket.as_slice());
-        }
+        // Compaction: drop odd ids, halve the rest (a monotone remap).
+        let compacted = table.retain_map(|id| (id.0 % 2 == 0).then_some(PointId(id.0 / 2)));
+        let survivors = reference.into_iter().filter_map(|(key, ids)| {
+            let kept: Vec<PointId> = ids
+                .into_iter()
+                .filter(|id| id.0 % 2 == 0)
+                .map(|id| PointId(id.0 / 2))
+                .collect();
+            (!kept.is_empty()).then_some((key, kept))
+        });
+        let rebuilt = FrozenTable::from_buckets(survivors);
+        prop_assert_eq!(encode(&compacted), encode(&rebuilt));
+        prop_assert_eq!(compacted, rebuilt);
     }
 
     #[test]
-    fn frozen_index_queries_match_staging_queries(
+    fn appended_and_compacted_tables_equal_fresh_builds(
         sets in proptest::collection::vec(arb_set(), 2..30),
+        split in 0usize..30,
+        dead in proptest::collection::vec(0u8..2, 30),
         seed in 0u64..500,
     ) {
-        // The same index queried in frozen form (as built) and after thawing
-        // every table via a no-op mutation must return identical results.
+        use fairnn_lsh::{HasherBank, LshTables};
+        // Tables appended in two steps equal the tables built in one, and
+        // compacting them equals building over the survivors.
         let params = LshParams::explicit(2, 5, 0.5, 0.1);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let frozen = LshIndex::build(&OneBitMinHash, params, &sets, &mut rng);
-        prop_assert!(frozen.is_frozen());
-        let mut staged = frozen.clone();
-        let probe = sets[0].clone();
-        let (id, _) = staged.insert_point(&probe);
-        staged.remove_point(&probe, id);
-        prop_assert!(!staged.is_frozen());
-        for s in &sets {
-            prop_assert_eq!(frozen.colliding_ids(s), staged.colliding_ids(s));
-            prop_assert_eq!(frozen.query_keys(s), staged.query_keys(s));
-            prop_assert_eq!(frozen.collision_count(s), staged.collision_count(s));
+        let bank = HasherBank::sample(&OneBitMinHash, params, &mut StdRng::seed_from_u64(seed));
+        let l = bank.num_tables();
+        let split = split.min(sets.len());
+        let keys = bank.all_point_keys(&sets);
+        let head = LshTables::build(&keys[..split * l], l, split);
+        let appended = head.appended(&keys[split * l..], sets.len() - split);
+        let built = LshTables::build(&keys, l, sets.len());
+        prop_assert_eq!(encode(&appended), encode(&built));
+
+        let mut new_id_of = vec![u32::MAX; sets.len()];
+        let mut survivors = Vec::new();
+        for (i, set) in sets.iter().enumerate() {
+            if dead[i] == 0 {
+                new_id_of[i] = survivors.len() as u32;
+                survivors.push(set.clone());
+            }
+        }
+        let compacted = appended.compacted(&new_id_of, survivors.len());
+        let rebuilt = LshTables::build(&bank.all_point_keys(&survivors), l, survivors.len());
+        prop_assert_eq!(encode(&compacted), encode(&rebuilt));
+        let mut query_keys = Vec::new();
+        for s in &survivors {
+            bank.query_keys_into(s, &mut query_keys);
+            for (t, &key) in query_keys.iter().enumerate() {
+                prop_assert_eq!(compacted.table(t).bucket(key), rebuilt.table(t).bucket(key));
+            }
         }
     }
+}
+
+/// The canonical wire bytes of a value.
+fn encode<T: fairnn_snapshot::Codec>(value: &T) -> Vec<u8> {
+    let mut enc = fairnn_snapshot::Encoder::new();
+    value.encode(&mut enc);
+    enc.into_bytes()
 }

@@ -70,7 +70,7 @@ fn main() {
 
     // 4. Incremental updates go through the writer: commits are
     //    write-ahead-logged, then published as a new immutable generation;
-    //    readers pin an epoch and never observe a thaw.
+    //    readers pin an epoch, which no later commit modifies.
     let receipt = writer
         .commit(WriteBatch::new().insert(query.clone()))
         .expect("insert commit");

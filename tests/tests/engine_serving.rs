@@ -568,11 +568,32 @@ impl WireClient {
     }
 }
 
+/// Per shard, the bucket bound `b_i` and the colliding near count `|A_i|`
+/// of `query`.
+fn bounds_and_near_counts(
+    index: &ShardedIndex<SparseSet, Hasher, Near>,
+    query: &SparseSet,
+) -> Vec<(usize, usize)> {
+    let mut keys = Vec::new();
+    index.bank().query_keys_into(query, &mut keys);
+    let mut stats = QueryStats::default();
+    index
+        .shards()
+        .iter()
+        .map(|shard| {
+            let bound = shard.colliding_bound_with_keys(&keys, &mut stats);
+            let near = shard.colliding_near_points_with_keys(query, &keys, &mut stats);
+            (bound, near.len())
+        })
+        .collect()
+}
+
 #[test]
 fn served_answers_pass_the_uniformity_battery_through_churn_and_recovery() {
     // The executor battery again, but every draw is a `POST /v1/query` on a
     // loopback server: on the bootstrapped engine, after a commit that
-    // inserts, deletes and compacts, and after drain → reopen (WAL
+    // inserts, deletes and compacts, after a delete-only commit that leaves
+    // a tombstoned neighbour in its buckets, and after drain → reopen (WAL
     // replay) → serve. Each phase uses its own batch numbers.
     let dataset = test_dataset(1);
     let near = SimilarityAtLeast::new(Jaccard, R);
@@ -600,6 +621,7 @@ fn served_answers_pass_the_uniformity_battery_through_churn_and_recovery() {
             .collect()
     };
 
+    let reader = writer.reader();
     let handle = serve(writer, ServerConfig::default(), ("127.0.0.1", 0)).expect("serve");
     let mut client = WireClient::connect(&handle);
     let support = support_of(&live);
@@ -639,14 +661,56 @@ fn served_answers_pass_the_uniformity_battery_through_churn_and_recovery() {
     assert_uniform_across_batches("served after churn", &support, 1_000_000, |b| {
         client.draw(&query, b)
     });
-    drop(client);
+
+    // Tombstones: a delete-only commit, no compaction. The deleted
+    // neighbour stays in its buckets, so its shard's bound b_i still
+    // counts it while |A_i| drops — the sampler now proposes positions
+    // that hold no live point and must reject them without bias.
+    let before = bounds_and_near_counts(reader.pin().index(), &query);
+    let gone = support
+        .iter()
+        .copied()
+        .find(|&id| id != qid && id.index() < dataset.len())
+        .expect("an original neighbour besides the query");
+    client.post("/v1/commit", &WriteBatch::<SparseSet>::new().delete(gone));
+    live[gone.index()] = None;
+    let tombstoned = reader.pin();
+    assert_eq!(tombstoned.generation(), 2);
+    assert_eq!(
+        tombstoned
+            .index()
+            .shards()
+            .iter()
+            .map(|s| s.tombstones())
+            .sum::<usize>(),
+        1
+    );
+    let after = bounds_and_near_counts(tombstoned.index(), &query);
+    let bound = |counts: &[(usize, usize)]| counts.iter().map(|c| c.0).collect::<Vec<_>>();
+    let near = |counts: &[(usize, usize)]| counts.iter().map(|c| c.1).sum::<usize>();
+    assert_eq!(
+        bound(&after),
+        bound(&before),
+        "a delete changed a bucket bound"
+    );
+    assert_eq!(near(&after) + 1, near(&before));
+    let support = support_of(&live);
+    assert_uniform_across_batches("served over tombstones", &support, 2_000_000, |b| {
+        client.draw(&query, b)
+    });
+    drop((client, tombstoned));
     assert!(handle.join().completed_within_deadline);
 
-    // Recovery: reopen replays the commit from the WAL, then serve again.
+    // Recovery: reopen replays both commits from the WAL (the delete
+    // leaves the same tombstone), then serve again.
     let reopened = EngineWriter::<SparseSet, Hasher, Near>::open(&dir).expect("reopen");
+    assert_eq!(
+        bounds_and_near_counts(reopened.reader().pin().index(), &query),
+        after
+    );
     let handle = serve(reopened, ServerConfig::default(), ("127.0.0.1", 0)).expect("serve");
     let mut client = WireClient::connect(&handle);
-    assert_uniform_across_batches("served after recovery", &support, 2_000_000, |b| {
+    assert_uniform_across_batches("served after recovery", &support, 3_000_000, |b| {
         client.draw(&query, b)
     });
     drop(client);

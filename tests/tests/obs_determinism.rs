@@ -4,7 +4,7 @@
 //! threads are byte-identical; this suite pins the same contract for the
 //! *metrics* the instrumented pipeline emits. Every value metric — counters
 //! (queries), value histograms
-//! (rejection rounds per draw, bucket sizes at freeze) and end-of-batch
+//! (rejection rounds per draw, bucket sizes at build) and end-of-batch
 //! gauges — is a commutative sum of per-item contributions, so its total
 //! must be a pure function of the work done, not of how the work was split
 //! across threads or the order per-thread shards merged back.
@@ -110,9 +110,9 @@ fn engine_pipeline_metrics_are_identical_at_1_2_8_threads() {
 
 #[test]
 fn freeze_metrics_are_identical_at_1_2_8_threads() {
-    // The bucket-size histogram is recorded shard-locally on the build
-    // workers at freeze time and merged once per table; the aggregate must
-    // not depend on the worker count.
+    // The bucket-size histogram is recorded once the tables are built on
+    // the build workers; the aggregate must not depend on the worker
+    // count.
     let _guard = KNOB.lock().unwrap();
     fairnn_obs::set_enabled(true);
     let data = golden_dataset();

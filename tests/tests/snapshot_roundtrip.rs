@@ -352,9 +352,10 @@ fn save_load_save_is_byte_identical_for_every_structure() {
 
 #[test]
 fn updates_after_load_behave_like_updates_after_freeze() {
-    // Staging mutations on a recovered engine must thaw and answer exactly
-    // like the same mutations applied to the writer it was saved from: the
-    // live path and checkpoint-recovery path share one apply routine.
+    // Commits on a recovered engine (whose tables borrow the checkpoint
+    // image) must answer exactly like the same commits applied to the
+    // writer it was saved from: the live path and checkpoint-recovery path
+    // share one apply routine.
     let data = golden_dataset();
     let dir_live = std::env::temp_dir().join(format!(
         "fairnn-roundtrip-writer-live-{}",
