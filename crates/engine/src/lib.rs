@@ -5,18 +5,21 @@
 //! index, one query at a time, one core. This crate turns them into a
 //! serving layer. The load-bearing observation is that a shard needs no
 //! estimate to be sampled fairly: the summed lengths `b_i` of its `L`
-//! query buckets never undercount its colliding near points `A_i`, so a
-//! two-level sampler that proposes shards by `b_i`, collects a shard on
-//! first use and from then on weighs it by `|A_i|` returns every point of
-//! `∪_i A_i` with the same probability in every round. It is exactly
-//! uniform and ends within `N + 1` rounds for `N` shards (see the `sharded`
-//! module docs).
+//! query buckets never undercount its distinct colliding points `D_i`, so
+//! a two-level sampler that proposes shards by `b_i`, walks a shard on
+//! first use and from then on weighs it by `|D_i|` returns every near point
+//! of `∪_i D_i` with the same probability in every round. A round
+//! evaluates only the one candidate it lands on and drops it when it is
+//! far, so each candidate is evaluated at most once and a draw pays for
+//! the far points it examines, as the paper's query does. It is exactly
+//! uniform and ends within `N + f + 1` rounds for `N` shards and `f` far
+//! candidates removed (see the `sharded` module docs).
 //!
 //! The pieces:
 //!
 //! * [`shard`] — one shard: shard-local LSH tables keyed by the index-wide
-//!   hasher bank, the bucket-length bound and the colliding near set of a
-//!   query, incremental insert/delete with shard-local compaction;
+//!   hasher bank, the bucket-length bound, the bucket walk and the
+//!   per-candidate predicate of a query, incremental insert/delete with shard-local compaction;
 //! * [`sharded`] — [`ShardedIndex`]: the partition, the one shared hasher
 //!   bank (each query is hashed once for all shards), the exactly uniform
 //!   two-level sampler (with its uniformity argument and round bound), and

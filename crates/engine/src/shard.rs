@@ -3,16 +3,24 @@
 //! A shard owns a subset of the points and indexes them in shard-local LSH
 //! tables keyed by the index-wide [`HasherBank`] (one bank, shared by every
 //! shard through an `Arc`, so a query is hashed once and its keys are
-//! looked up in every shard). For the sampler it answers two questions
-//! about a query's `L` keys: the bucket-length bound
-//! `b_i = Σ_t |B_t(q)|` ([`Shard::colliding_bound_with_keys`], read from
-//! the bucket offsets without walking an entry), and the colliding near set
-//! `A_i` itself ([`Shard::colliding_near_points_with_keys`]). Every member of
-//! `A_i` sits in at least one of those buckets, so `b_i ≥ |A_i|` always —
-//! the one fact the sampler in `sharded.rs` relies on.
+//! looked up in every shard). The sampler in `sharded.rs` asks it three
+//! things about a query's `L` keys, each a separate step so that no step
+//! repeats another's work:
+//!
+//! - [`Shard::locate_buckets_with_keys`] probes each table once, keeps the
+//!   bucket indices, and returns the bucket-length bound `b_i = Σ_t |B_t(q)|`
+//!   read from the bucket offsets without walking an entry;
+//! - [`Shard::walk_buckets`] walks those buckets and lists the distinct
+//!   live colliding points `D_i`, evaluating no predicate, so
+//!   `b_i ≥ |D_i|` always;
+//! - `Shard::is_near` evaluates one candidate: screen, then the exact
+//!   predicate.
+//!
+//! The colliding near set `A_i ⊆ D_i` is the walk filtered by the
+//! predicate ([`Shard::colliding_near_points_with_keys`]).
 //!
 //! Updates are incremental and never touch a table in place. A delete only
-//! tombstones the point: it stays in its buckets, where the collection
+//! tombstones the point: it stays in its buckets, where the walk
 //! skips it, and `b_i` keeps counting it (still an upper bound). Inserts
 //! build the shard's next tables from the current ones in one linear merge
 //! per table. Once tombstones exceed half the live points the shard
@@ -46,6 +54,10 @@ const SKETCH_K: usize = 64;
 /// Seed of that sketch. A constant, so the accumulator of any shard merges
 /// the folds of every other.
 const SKETCH_SEED: u64 = 0x5EED_5CE7;
+
+/// Bucket index of a table that has no bucket for the query's key (see
+/// [`Shard::locate_buckets_with_keys`]).
+pub(crate) const NO_BUCKET: u32 = u32::MAX;
 
 /// The shard compacts itself when tombstones exceed this fraction of the
 /// live point count.
@@ -186,31 +198,72 @@ where
     /// `hash_all` pass over all `K × L` rows of the bank. Every shard of an
     /// index holds the same bank, so these keys serve all of them: the
     /// sharded index hashes each query once and hands the keys to the
-    /// bucket bound and the near-point collection of every shard.
+    /// bucket lookups of every shard.
     pub fn query_keys_into(&self, query: &P, keys: &mut Vec<u64>) {
         self.bank.query_keys_into(query, keys);
     }
 }
 
 impl<P, H, N> Shard<P, H, N> {
-    /// The bucket-length bound `b_i = Σ_t |B_t(q)|` of the buckets with the
-    /// given per-table keys: the sum of their lengths, read from the bucket
-    /// offsets without walking an entry. It counts a point once per table
-    /// it collides in, so it is never below the number of distinct
-    /// colliding points, let alone the near ones `|A_i|` — the sampler's
-    /// proposal weight for a shard it has not collected yet.
-    pub fn colliding_bound_with_keys(&self, keys: &[u64], stats: &mut QueryStats) -> usize {
-        stats.buckets_inspected += keys.len();
-        keys.iter()
-            .zip(self.tables.tables())
-            .map(|(&key, table)| table.bucket(key).len())
-            .sum()
+    /// Resolves the query's per-table `keys` to this shard's bucket
+    /// indices, one per table (`u32::MAX` when the table has no bucket for
+    /// its key), and returns the bucket-length bound
+    /// `b_i = Σ_t |B_t(q)|`: the sum of the bucket lengths, read from the
+    /// bucket offsets without walking an entry. It counts a point once per
+    /// table it collides in, so it is never below the number of distinct
+    /// colliding points — the sampler's proposal weight for a shard it has
+    /// not walked yet. [`Shard::walk_buckets`] then reads the same buckets
+    /// without probing again.
+    pub fn locate_buckets_with_keys(&self, keys: &[u64], buckets: &mut [u32]) -> usize {
+        assert_eq!(buckets.len(), keys.len(), "one bucket index per key");
+        let mut bound = 0;
+        for ((&key, table), slot) in keys.iter().zip(self.tables.tables()).zip(buckets) {
+            *slot = match table.find(key) {
+                Some(b) => {
+                    bound += table.bucket_at(b).len();
+                    b as u32
+                }
+                None => NO_BUCKET,
+            };
+        }
+        bound
+    }
+
+    /// Appends to `out` the distinct live local ids in the given buckets
+    /// (one index per table, from [`Shard::locate_buckets_with_keys`]), in
+    /// walk order: the shard's colliding candidates `D_i`. Evaluates no
+    /// predicate. Counts one inspected bucket per table and one scanned
+    /// entry per bucket entry. Deduplication uses the thread-local
+    /// epoch-stamped visited buffer.
+    pub fn walk_buckets(&self, buckets: &[u32], out: &mut Vec<u32>, stats: &mut QueryStats) {
+        SHARD_SCRATCH.with(|cell| {
+            let visited = &mut cell.borrow_mut().visited;
+            visited.reset(self.points.len());
+            for (&bucket, table) in buckets.iter().zip(self.tables.tables()) {
+                stats.buckets_inspected += 1;
+                if bucket == NO_BUCKET {
+                    continue;
+                }
+                for &lid in table.bucket_at(bucket as usize) {
+                    stats.entries_scanned += 1;
+                    let l = lid.index();
+                    if self.alive[l] && visited.insert(l) {
+                        out.push(l as u32);
+                    }
+                }
+            }
+        })
+    }
+
+    /// The global id of local point `local`.
+    pub(crate) fn global_id(&self, local: u32) -> PointId {
+        self.global_ids[local as usize]
     }
 
     /// Folds every live entry of the buckets with the given per-table keys
     /// into `acc` (start from [`Shard::empty_sketch`]): a KMV estimate of the
     /// distinct colliding points. Off the sampling path — the sampler
-    /// proposes shards by [`Shard::colliding_bound_with_keys`] — and kept
+    /// proposes shards by [`Shard::locate_buckets_with_keys`] — and kept
     /// for tools that want the count-distinct estimate.
     pub fn merge_colliding_with_keys(
         &self,
@@ -233,50 +286,53 @@ impl<P, H, N> Shard<P, H, N>
 where
     N: Nearness<P>,
 {
+    /// The query's pre-screen row under this shard's predicate (`None`
+    /// when the predicate has none). Every shard of an index holds the same
+    /// predicate, so one row serves all of them.
+    pub(crate) fn query_screen_row(&self, query: &P) -> Option<ScreenRow> {
+        self.near.screen_row(query)
+    }
+
+    /// Whether local point `local` is near `query`: the admissible screen
+    /// first, when both `query_row` and the shard's rows exist, then the
+    /// exact predicate. Counts one distance computation.
+    pub(crate) fn is_near(
+        &self,
+        query: &P,
+        query_row: Option<&ScreenRow>,
+        local: u32,
+        stats: &mut QueryStats,
+    ) -> bool {
+        stats.distance_computations += 1;
+        let l = local as usize;
+        if let (Some(rows), Some(qrow)) = (self.screens.as_ref(), query_row) {
+            if !self.near.may_be_near(qrow, &rows[l]) {
+                return false; // admissible screen: certainly not near
+            }
+        }
+        self.near.is_near(query, &self.points[l])
+    }
+
     /// The distinct live near points of this shard colliding with `query`
     /// in the buckets of the given per-table keys, as global ids (the set
-    /// `A_i` the two-level sampler samples within). Deduplication uses the
-    /// thread-local epoch-stamped visited buffer, so only the returned
-    /// vector allocates.
+    /// `A_i`): [`Shard::walk_buckets`] filtered by the predicate, one
+    /// counted evaluation per candidate.
     pub fn colliding_near_points_with_keys(
         &self,
         query: &P,
         keys: &[u64],
         stats: &mut QueryStats,
     ) -> Vec<PointId> {
-        let query_row = self
-            .screens
-            .as_ref()
-            .and_then(|_| self.near.screen_row(query));
-        SHARD_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            scratch.visited.reset(self.points.len());
-            let mut found = Vec::new();
-            for (&key, table) in keys.iter().zip(self.tables.tables()) {
-                stats.buckets_inspected += 1;
-                let bucket = table.bucket(key);
-                for (pos, &lid) in bucket.iter().enumerate() {
-                    stats.entries_scanned += 1;
-                    let l = lid.index();
-                    if !self.alive[l] || !scratch.visited.insert(l) {
-                        continue;
-                    }
-                    if let Some(&ahead) = bucket.get(pos + 1) {
-                        fairnn_snapshot::prefetch_read(&self.points, ahead.index());
-                    }
-                    stats.distance_computations += 1;
-                    if let (Some(rows), Some(qrow)) = (self.screens.as_ref(), query_row.as_ref()) {
-                        if !self.near.may_be_near(qrow, &rows[l]) {
-                            continue; // admissible screen: certainly not near
-                        }
-                    }
-                    if self.near.is_near(query, &self.points[l]) {
-                        found.push(self.global_ids[l]);
-                    }
-                }
-            }
-            found
-        })
+        let mut buckets = vec![NO_BUCKET; keys.len()];
+        self.locate_buckets_with_keys(keys, &mut buckets);
+        let mut candidates = Vec::new();
+        self.walk_buckets(&buckets, &mut candidates, stats);
+        let query_row = self.query_screen_row(query);
+        candidates
+            .into_iter()
+            .filter(|&l| self.is_near(query, query_row.as_ref(), l, stats))
+            .map(|l| self.global_id(l))
+            .collect()
     }
 }
 
@@ -506,6 +562,18 @@ mod tests {
         keys
     }
 
+    /// The query's bucket indices in `shard` and their bound `b`.
+    fn located(shard: &TestShard, query: &SparseSet) -> (Vec<u32>, usize) {
+        let keys = keys(shard, query);
+        let mut buckets = vec![NO_BUCKET; keys.len()];
+        let bound = shard.locate_buckets_with_keys(&keys, &mut buckets);
+        (buckets, bound)
+    }
+
+    fn bound(shard: &TestShard, query: &SparseSet) -> usize {
+        located(shard, query).1
+    }
+
     fn colliding_near(
         shard: &TestShard,
         query: &SparseSet,
@@ -535,37 +603,41 @@ mod tests {
 
     #[test]
     fn bucket_bound_covers_the_colliding_near_set() {
-        // b_i ≥ (distinct colliding points) ≥ |A_i| for every query: on the
-        // built shard, after inserts and deletes (tombstoned ids still in
-        // their buckets) and after a compaction. The KMV fold is exact
-        // below k = 64 distinct ids, so it is the true distinct live
-        // colliding count here.
+        // b_i ≥ |D_i| ≥ |A_i| for every query, with |D_i| counted exactly
+        // by the walk: on the built shard, after inserts and deletes
+        // (tombstoned ids still in their buckets) and after a compaction.
         let sets = clustered_sets_of(40);
         let mut queries = sets.clone();
         let isolated = SparseSet::from_items(vec![88_000, 88_001]);
         queries.push(isolated.clone());
         let check = |shard: &TestShard, label: &str| {
             for (qi, query) in queries.iter().enumerate() {
-                let keys = keys(shard, query);
+                let (buckets, bound) = located(shard, query);
                 let mut stats = QueryStats::default();
-                let bound = shard.colliding_bound_with_keys(&keys, &mut stats);
-                let near = shard
-                    .colliding_near_points_with_keys(query, &keys, &mut stats)
-                    .len();
-                let mut acc = shard.empty_sketch();
-                shard.merge_colliding_with_keys(&keys, &mut acc, &mut stats);
-                let colliding = acc.estimate();
+                let mut walked = Vec::new();
+                shard.walk_buckets(&buckets, &mut walked, &mut stats);
+                assert_eq!(stats.entries_scanned, bound, "{label}, query {qi}");
+                assert_eq!(stats.distance_computations, 0, "the walk evaluated");
+                let colliding: Vec<PointId> = walked.iter().map(|&l| shard.global_id(l)).collect();
+                let mut distinct = colliding.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(distinct.len(), colliding.len(), "{label}: walk repeats");
+                assert!(colliding.iter().all(|&id| shard.contains(id)));
+                let near = colliding_near(shard, query, &mut stats);
+                assert!(near.iter().all(|id| colliding.contains(id)));
                 assert!(
-                    bound as f64 >= colliding && colliding >= near as f64,
-                    "{label}, query {qi}: b {bound}, colliding {colliding}, |A| {near}"
+                    bound >= colliding.len() && colliding.len() >= near.len(),
+                    "{label}, query {qi}: b {bound}, |D| {}, |A| {}",
+                    colliding.len(),
+                    near.len()
                 );
             }
         };
         let mut shard = build_shard(sets, 0);
         check(&shard, "built");
-        let mut stats = QueryStats::default();
         assert_eq!(
-            shard.colliding_bound_with_keys(&keys(&shard, &isolated), &mut stats),
+            bound(&shard, &isolated),
             0,
             "a query that collides with nothing has bound 0"
         );
@@ -597,7 +669,7 @@ mod tests {
         let mut stats = QueryStats::default();
         let near = colliding_near(&shard, &query, &mut stats);
         assert!(near.contains(&PointId(90)), "inserted twin not found");
-        let bound = shard.colliding_bound_with_keys(&keys(&shard, &query), &mut stats);
+        let bound = bound(&shard, &query);
         assert!(
             bound >= near.len(),
             "bound {bound} below |A| {}",
@@ -614,19 +686,16 @@ mod tests {
         let mut shard = build_shard(sets, 0);
         assert!(!shard.delete(PointId(99)), "unknown id must report false");
         // A delete only tombstones: the point stays in its buckets, so the
-        // bound still counts it while the collection and the fold skip it.
+        // bound still counts it while the walk and the fold skip it.
         let mut stats = QueryStats::default();
         let tables = Arc::clone(shard.tables());
-        let bound_before = shard.colliding_bound_with_keys(&keys(&shard, &query), &mut stats);
+        let bound_before = bound(&shard, &query);
         assert!(shard.delete(PointId(1)));
         assert!(
             Arc::ptr_eq(&tables, shard.tables()),
             "a delete rebuilt the tables"
         );
-        assert_eq!(
-            shard.colliding_bound_with_keys(&keys(&shard, &query), &mut stats),
-            bound_before
-        );
+        assert_eq!(bound(&shard, &query), bound_before);
         assert!(!colliding_near(&shard, &query, &mut stats).contains(&PointId(1)));
         // Delete the rest of the cluster; compaction triggers on the way.
         for j in 2..8u32 {
@@ -644,7 +713,7 @@ mod tests {
         );
         // Compaction dropped the deleted points from the buckets: only the
         // query's own point and the one tombstone since (id 7) remain.
-        let bound = shard.colliding_bound_with_keys(&keys(&shard, &query), &mut stats);
+        let bound = bound(&shard, &query);
         assert!(
             bound <= 3 * shard.num_tables(),
             "stale buckets: bound {bound}"

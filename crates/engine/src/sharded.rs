@@ -7,53 +7,68 @@
 //! `L`-table structure over all points. A query runs the two-level
 //! protocol:
 //!
-//! 1. hash the query once and give every shard the integer weight
-//!    `w_i = b_i = Σ_t |B_t(q)|`, the summed lengths of its `L` buckets
-//!    ([`Shard::colliding_bound_with_keys`]: read from the bucket offsets,
-//!    no entry walked). Every member of `A_i` sits in one of those
-//!    buckets, so `b_i ≥ |A_i|` always;
+//! 1. hash the query once, probe each shard's `L` tables once
+//!    ([`Shard::locate_buckets_with_keys`]: the bucket indices are kept),
+//!    and give every shard the integer weight `w_i = b_i = Σ_t |B_t(q)|`,
+//!    the summed lengths of its `L` buckets, read from the bucket offsets
+//!    with no entry walked;
 //! 2. draw one `u` uniform in `[0, W)`, `W = Σ_i w_i`, and find the shard
 //!    `i` whose slice `[o_i, o_i + w_i)` of `[0, W)` holds it;
-//! 3. if shard `i` has not been collected yet, collect `A_i` (cached for
-//!    the rest of the query) and lower its weight to `w_i = |A_i|`;
-//! 4. if `u − o_i < |A_i|`, return `A_i[u − o_i]`; otherwise go to 2.
+//! 3. if shard `i` has not been walked yet, walk its kept buckets into
+//!    `D_i`, the distinct live colliding points in walk order
+//!    ([`Shard::walk_buckets`], no predicate evaluated), and lower its
+//!    weight to `w_i = |D_i| ≤ b_i`;
+//! 4. `D_i` is split into a verified-near prefix `[0, v_i)` and an
+//!    unevaluated rest. With `j = u − o_i`: if `j < v_i`, return `D_i[j]`;
+//!    if `v_i ≤ j < |D_i|`, evaluate `D_i[j]` (screen, then the exact predicate) — when
+//!    near, swap it to position `v_i`, grow the prefix and return it; when
+//!    far, swap-remove it from `D_i`, so `w_i` and `W` drop by one;
+//! 5. otherwise (no return) go to 2.
 //!
-//! A draw with `W = 0` returns `None`: no shard has a colliding point.
+//! A draw with `W = 0` returns `None`: no shard has a colliding live point
+//! that is not known to be far.
 //!
 //! **Exactly uniform.** In every round each `x ∈ ∪_i A_i` owns exactly one
-//! value of `u` — position `o_i + j` when `x = A_i[j]`, which exists because
-//! `|A_i| ≤ w_i` before and after collection — so each point is returned
-//! with probability exactly `1/W` in that round, whatever happened in
-//! earlier rounds. The returned point is therefore uniform over `∪_i A_i`:
-//! there is no estimate whose error could bias it and no margin to tune.
+//! value of `u` — position `o_i + j` when `x = D_i[j]`, which exists
+//! because `|D_i| ≤ w_i` before the walk and `= w_i` after it, and because
+//! a near point is never removed from `D_i` — so each point is returned
+//! with probability exactly `1/W` in that round, whatever earlier rounds
+//! walked, verified or removed. The returned point is therefore uniform
+//! over `∪_i A_i`: there is no estimate whose error could bias it and no
+//! margin to tune.
 //!
-//! **At most `N + 1` rounds.** A round that lands in a collected shard
-//! always returns, because its weight is then `|A_i|`. So every round that
-//! returns nothing collects a shard that had not been collected, and a
-//! draw ends within `N + 1` rounds — `N` when it answers `None` — with no
-//! round budget and no fallback. Each shard is collected at most once per
-//! [`PreparedQuery`], however many draws it serves.
+//! **Work and rounds.** Each round evaluates at most one candidate, and
+//! each candidate is evaluated at most once per [`PreparedQuery`] (a far
+//! one leaves `D_i`, a near one joins the verified prefix); each shard is
+//! walked at most once per [`PreparedQuery`], however many draws it
+//! serves. A round that returns nothing either walks a shard for the first
+//! time or removes a far candidate, so a draw takes at most
+//! `N + f + 1` rounds, where `f` is the number of far candidates it
+//! removes — `N + f` when it answers `None`, which it does only after
+//! evaluating every candidate of every shard. No round budget, no
+//! fallback.
 //!
 //! Fresh query randomness on every call makes repeated queries independent,
 //! so the sharded sampler solves r-NNIS over the colliding near points —
 //! the property the uniformity battery checks.
 
 use crate::seed::stream_rng;
-use crate::shard::Shard;
+use crate::shard::{Shard, NO_BUCKET};
 use fairnn_core::predicate::Nearness;
 use fairnn_core::{NeighborSampler, QueryStats};
 use fairnn_data::partition;
 use fairnn_lsh::{ConcatenatedHasher, HasherBank, LshFamily, LshHasher, LshParams};
 use fairnn_obs::LazyHistogram;
-use fairnn_space::{Dataset, PointId};
+use fairnn_space::{Dataset, PointId, ScreenRow};
 use rand::Rng;
 use std::sync::Arc;
 
 /// Rounds spent per draw (one observation per [`PreparedQuery::sample`]
-/// call): at most `N + 1` for `N` shards, 0 when nothing collides.
+/// call): at most `N + f + 1` for `N` shards and `f` far candidates the
+/// draw removes, 0 when nothing collides.
 static REJECTION_ROUNDS: LazyHistogram = LazyHistogram::new(
     "engine_rejection_rounds",
-    "rounds spent per draw of the two-level protocol (at most shards + 1)",
+    "rounds spent per draw of the two-level protocol (at most shards + far candidates removed + 1)",
 );
 
 /// Configuration of a [`ShardedIndex`].
@@ -270,31 +285,40 @@ where
         all
     }
 
-    /// Prepares a query for (repeated) sampling: hashes it once, reads
-    /// every shard's bucket-length bound and lazily caches the per-shard
-    /// neighborhoods. Every cached quantity is a *deterministic* function
-    /// of the index and the query, so drawing many samples from one
-    /// [`PreparedQuery`] yields exactly the same output distribution as
-    /// calling [`ShardedIndex::sample`] repeatedly, while each shard is
-    /// collected at most once.
+    /// Prepares a query for (repeated) sampling: hashes it once, probes
+    /// every shard's `L` tables once for their bucket indices and bound
+    /// `b_i`, and computes the query's screen row. Shards are walked and
+    /// candidates evaluated lazily, as draws land on them. Every cached
+    /// quantity is a *deterministic* function of the index and the query,
+    /// so drawing many samples from one [`PreparedQuery`] yields exactly the
+    /// same output distribution as calling [`ShardedIndex::sample`]
+    /// repeatedly, while each shard is walked and each candidate evaluated
+    /// at most once.
     pub fn prepare<'a>(&'a self, query: &'a P) -> PreparedQuery<'a, P, H, N> {
         let mut stats = QueryStats::default();
         // One batched all-rows pass over the shared bank; the same keys
-        // give every shard's bound here and its neighborhood later.
+        // locate every shard's buckets.
         let keys = self.query_keys(query);
+        let l = keys.len();
+        let mut buckets = vec![NO_BUCKET; self.shards.len() * l];
         let weights: Vec<usize> = self
             .shards
             .iter()
-            .map(|s| s.colliding_bound_with_keys(&keys, &mut stats))
+            .enumerate()
+            .map(|(i, shard)| {
+                shard.locate_buckets_with_keys(&keys, &mut buckets[i * l..(i + 1) * l])
+            })
             .collect();
+        stats.buckets_inspected += self.shards.len() * l;
         let total = weights.iter().sum();
         PreparedQuery {
             index: self,
             query,
-            keys,
+            query_row: self.shards[0].query_screen_row(query),
+            buckets,
             weights,
             total,
-            cached: vec![None; self.shards.len()],
+            walked: self.shards.iter().map(|_| None).collect(),
             stats,
         }
     }
@@ -512,17 +536,27 @@ where
 pub struct PreparedQuery<'a, P, H, N> {
     index: &'a ShardedIndex<P, H, N>,
     query: &'a P,
-    /// The query's `L` bucket keys under the shared bank (hashed once, at
-    /// prepare time), valid in every shard.
-    keys: Vec<u64>,
+    /// The query's screen row, shared by every shard's evaluations.
+    query_row: Option<ScreenRow>,
+    /// `N × L` bucket indices found at prepare time (shard-major;
+    /// `u32::MAX` where a table has no bucket for the query's key).
+    buckets: Vec<u32>,
     /// Per-shard proposal weights: the bucket-length bound `b_i` until the
-    /// shard is collected, `|A_i|` from then on.
+    /// shard is walked, `|D_i|` from then on.
     weights: Vec<usize>,
     /// `W = Σ_i w_i`.
     total: usize,
-    /// Lazily collected per-shard neighborhoods `A_i`.
-    cached: Vec<Option<Vec<PointId>>>,
+    /// Per-shard candidates `D_i`, walked on first landing.
+    walked: Vec<Option<Candidates>>,
     stats: QueryStats,
+}
+
+/// A walked shard's remaining candidates `D_i` (local ids): the points in
+/// `ids[..verified]` are known near, the rest are not evaluated yet.
+#[derive(Debug)]
+struct Candidates {
+    ids: Vec<u32>,
+    verified: usize,
 }
 
 impl<P, H, N> PreparedQuery<'_, P, H, N>
@@ -536,27 +570,10 @@ where
         self.stats
     }
 
-    /// Shard `shard`'s neighborhood `A_i`, collected on first use, when
-    /// its weight drops from the bound `b_i` to `|A_i|`.
-    fn shard_neighborhood(&mut self, shard: usize) -> &[PointId] {
-        if self.cached[shard].is_none() {
-            let _span = fairnn_obs::span!("shard.sample", shard = shard);
-            let near = self.index.shards[shard].colliding_near_points_with_keys(
-                self.query,
-                &self.keys,
-                &mut self.stats,
-            );
-            // Every round's 1/W per point rests on this (module docs).
-            assert!(near.len() <= self.weights[shard], "b_i < |A_i|");
-            self.total -= self.weights[shard] - near.len();
-            self.weights[shard] = near.len();
-            self.cached[shard] = Some(near);
-        }
-        self.cached[shard].as_deref().expect("filled above")
-    }
-
     /// Draws one uniform sample from `∪_i A_i`, or `None` when it is empty
-    /// (steps 2–4 of the module docs; at most `N + 1` rounds).
+    /// (steps 2–5 of the module docs). Each round evaluates at most one
+    /// candidate; a draw takes at most `N + f + 1` rounds for the `f` far
+    /// candidates it removes.
     pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<PointId> {
         let rounds_before = self.stats.rounds;
         let out = self.sample_inner(rng);
@@ -573,11 +590,46 @@ where
                 u -= self.weights[pick];
                 pick += 1;
             }
-            if let Some(&id) = self.shard_neighborhood(pick).get(u) {
+            if let Some(id) = self.land(pick, u) {
                 return Some(id);
             }
         }
         None
+    }
+
+    /// One round landing on slot `j` of shard `i` (steps 3–4 of the module
+    /// docs): walks the shard on first landing, then returns a verified
+    /// point, or evaluates the one unverified candidate in the slot.
+    fn land(&mut self, i: usize, j: usize) -> Option<PointId> {
+        let shard = &self.index.shards[i];
+        let candidates = match &mut self.walked[i] {
+            Some(candidates) => candidates,
+            slot => {
+                let _span = fairnn_obs::span!("shard.sample", shard = i);
+                let l = self.index.bank.num_tables();
+                let mut ids = Vec::new();
+                shard.walk_buckets(&self.buckets[i * l..(i + 1) * l], &mut ids, &mut self.stats);
+                // Every round's 1/W per point rests on this (module docs).
+                assert!(ids.len() <= self.weights[i], "b_i < |D_i|");
+                self.total -= self.weights[i] - ids.len();
+                self.weights[i] = ids.len();
+                slot.insert(Candidates { ids, verified: 0 })
+            }
+        };
+        if j < candidates.verified {
+            return Some(shard.global_id(candidates.ids[j]));
+        }
+        let &local = candidates.ids.get(j)?;
+        if shard.is_near(self.query, self.query_row.as_ref(), local, &mut self.stats) {
+            candidates.ids.swap(j, candidates.verified);
+            candidates.verified += 1;
+            Some(shard.global_id(local))
+        } else {
+            candidates.ids.swap_remove(j);
+            self.weights[i] -= 1;
+            self.total -= 1;
+            None
+        }
     }
 }
 

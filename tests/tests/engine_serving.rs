@@ -1,8 +1,11 @@
 //! Integration tests of the `fairnn-engine` serving subsystem: the sharded
 //! two-level sampler against the same uniformity battery the unsharded
-//! samplers face (statically, through the batch executor, and through
-//! `POST /v1/query` before and after churn and WAL recovery), its
-//! `N + 1` round bound and the bucket-length bound it proposes by, the
+//! samplers face (statically, through the batch executor, through
+//! `POST /v1/query` before and after churn and WAL recovery, and on a
+//! far-heavy neighbourhood where most colliding points are decoys), the
+//! work bounds of lazy evaluation (each shard walked and each candidate
+//! evaluated at most once, at most `N + f + 1` rounds for `f` far
+//! candidates removed), the bucket-length bound it proposes by, the
 //! thread-count determinism contract, and the serving lifecycle (batching,
 //! incremental updates) on the shared workload fixtures.
 
@@ -300,25 +303,19 @@ fn sharded_neighborhood_is_the_colliding_near_set_of_one_unsharded_structure() {
     );
 }
 
-/// `b_i ≥ |A_i|`: every shard's bucket-length bound covers its colliding
-/// near set, for every query — the one fact exact uniformity rests on.
+/// `b_i ≥ |D_i| ≥ |A_i|`: every shard's bucket-length bound covers its
+/// colliding candidates, and so its colliding near set, for every query —
+/// the one fact exact uniformity rests on.
 fn assert_bucket_bound_covers_every_shard<H: LshHasher<SparseSet>>(
     label: &str,
     index: &ShardedIndex<SparseSet, H, Near>,
     queries: &[SparseSet],
 ) {
-    let mut keys = Vec::new();
     for (qi, query) in queries.iter().enumerate() {
-        index.bank().query_keys_into(query, &mut keys);
-        for (s, shard) in index.shards().iter().enumerate() {
-            let mut stats = QueryStats::default();
-            let bound = shard.colliding_bound_with_keys(&keys, &mut stats);
-            let near = shard
-                .colliding_near_points_with_keys(query, &keys, &mut stats)
-                .len();
+        for (s, (bound, candidates, near)) in shard_counts(index, query).into_iter().enumerate() {
             assert!(
-                bound >= near,
-                "{label}: query {qi}, shard {s}: b = {bound} < |A| = {near}"
+                bound >= candidates && candidates >= near,
+                "{label}: query {qi}, shard {s}: b = {bound}, |D| = {candidates}, |A| = {near}"
             );
         }
     }
@@ -346,13 +343,39 @@ fn bucket_bound_covers_the_colliding_near_set_through_churn_and_reopen() {
     );
 }
 
-/// Draws `draws` samples of `query` from one prepared cursor and checks
-/// the round bound: a draw takes at most `N + 1` rounds (at most `N` when
-/// it answers `None`, 0 when nothing collides), and the cursor collects
-/// each shard at most once — collecting shard `i` scans its `b_i` bucket
-/// entries, so the cursor's scans never exceed `Σ_i b_i`. Returns the
+/// Per shard, the bucket bound `b_i`, the exact candidate count `|D_i|`
+/// (distinct live colliding points, counted by the walk) and the colliding
+/// near count `|A_i|` of `query`.
+fn shard_counts<H: LshHasher<SparseSet>>(
+    index: &ShardedIndex<SparseSet, H, Near>,
+    query: &SparseSet,
+) -> Vec<(usize, usize, usize)> {
+    let mut keys = Vec::new();
+    index.bank().query_keys_into(query, &mut keys);
+    let mut stats = QueryStats::default();
+    index
+        .shards()
+        .iter()
+        .map(|shard| {
+            let mut buckets = vec![0; keys.len()];
+            let bound = shard.locate_buckets_with_keys(&keys, &mut buckets);
+            let mut candidates = Vec::new();
+            shard.walk_buckets(&buckets, &mut candidates, &mut stats);
+            let near = shard.colliding_near_points_with_keys(query, &keys, &mut stats);
+            (bound, candidates.len(), near.len())
+        })
+        .collect()
+}
+
+/// Draws `draws` samples of `query` from one prepared cursor and checks the
+/// work bounds of lazy evaluation: each shard is walked at most once (the
+/// cursor scans at most `Σ b_i` entries and inspects at most `2·N·L`
+/// buckets), each candidate is evaluated at most once (at most `Σ |D_i|`
+/// evaluations), and a draw that removes `f` far candidates takes at most
+/// `N + f + 1` rounds (`N + f` when it answers `None`, 0 when nothing
+/// collides). A `None` draw has evaluated every candidate. Returns the
 /// answers.
-fn assert_round_bound<H: LshHasher<SparseSet>>(
+fn assert_work_bounds<H: LshHasher<SparseSet>>(
     label: &str,
     index: &ShardedIndex<SparseSet, H, Near>,
     query: &SparseSet,
@@ -360,48 +383,59 @@ fn assert_round_bound<H: LshHasher<SparseSet>>(
     rng: &mut StdRng,
 ) -> Vec<Option<PointId>> {
     let shards = index.num_shards();
-    let mut keys = Vec::new();
-    index.bank().query_keys_into(query, &mut keys);
-    let mut scratch = QueryStats::default();
-    let bound: usize = index
-        .shards()
-        .iter()
-        .map(|s| s.colliding_bound_with_keys(&keys, &mut scratch))
-        .sum();
+    let counts = shard_counts(index, query);
+    let bound: usize = counts.iter().map(|c| c.0).sum();
+    let candidates: usize = counts.iter().map(|c| c.1).sum();
     let mut prepared = index.prepare(query);
-    let answers: Vec<Option<PointId>> = (0..draws)
-        .map(|d| {
-            let before = prepared.stats().rounds;
-            let id = prepared.sample(rng);
-            let rounds = prepared.stats().rounds - before;
-            let limit = if id.is_some() { shards + 1 } else { shards };
-            assert!(
-                rounds <= limit,
-                "{label}, draw {d}: {rounds} rounds > {limit} ({shards} shards, answer {id:?})"
+    let mut answers: Vec<Option<PointId>> = Vec::with_capacity(draws);
+    for d in 0..draws {
+        let before = prepared.stats();
+        let id = prepared.sample(rng);
+        let after = prepared.stats();
+        let rounds = after.rounds - before.rounds;
+        let evals = after.distance_computations - before.distance_computations;
+        // A draw's evaluations are its far removals, plus the returned
+        // point when no earlier draw of this cursor returned (verified) it.
+        let fresh = id.is_some() && !answers.contains(&id);
+        let far = evals - usize::from(fresh);
+        let limit = shards + far + usize::from(id.is_some());
+        assert!(
+            rounds <= limit,
+            "{label}, draw {d}: {rounds} rounds > {limit} ({shards} shards, {far} far removed, answer {id:?})"
+        );
+        if id.is_none() {
+            assert_eq!(
+                after.distance_computations, candidates,
+                "{label}, draw {d}: ⊥ before every candidate was evaluated"
             );
-            if bound == 0 {
-                assert_eq!(rounds, 0, "{label}: nothing collides, yet {rounds} rounds");
-            }
-            id
-        })
-        .collect();
+        }
+        if bound == 0 {
+            assert_eq!(rounds, 0, "{label}: nothing collides, yet {rounds} rounds");
+        }
+        answers.push(id);
+    }
     let stats = prepared.stats();
     assert!(
         stats.entries_scanned <= bound,
-        "{label}: scanned {} entries, more than Σ b_i = {bound}: a shard was collected twice",
+        "{label}: scanned {} entries, more than Σ b_i = {bound}: a shard was walked twice",
         stats.entries_scanned
+    );
+    assert!(
+        stats.distance_computations <= candidates,
+        "{label}: {} evaluations, more than Σ |D_i| = {candidates}: a candidate was evaluated twice",
+        stats.distance_computations
     );
     let l = index.params().l;
     assert!(
         stats.buckets_inspected <= 2 * shards * l,
-        "{label}: {} buckets inspected, over N·L for the bounds plus N·L for collection",
+        "{label}: {} buckets inspected, over N·L for the bounds plus N·L for the walks",
         stats.buckets_inspected
     );
     answers
 }
 
 #[test]
-fn every_draw_takes_at_most_shards_plus_one_rounds_and_collects_each_shard_once() {
+fn each_shard_is_walked_and_each_candidate_evaluated_at_most_once() {
     let golden = golden_dataset();
     let fixture = test_dataset(1);
     for shards in [1, 2, 4] {
@@ -423,7 +457,7 @@ fn every_draw_takes_at_most_shards_plus_one_rounds_and_collects_each_shard_once(
         let mut rng = StdRng::seed_from_u64(shards as u64);
         for (qi, query) in golden.points().iter().enumerate() {
             let label = format!("golden, {shards} shards, query {qi}");
-            let answers = assert_round_bound(&label, &golden_index, query, 20, &mut rng);
+            let answers = assert_work_bounds(&label, &golden_index, query, 20, &mut rng);
             let neighborhood = golden_index.neighborhood(query);
             for id in answers {
                 assert_eq!(id.is_some(), !neighborhood.is_empty(), "{label}");
@@ -431,29 +465,36 @@ fn every_draw_takes_at_most_shards_plus_one_rounds_and_collects_each_shard_once(
         }
         for (qi, query) in fixture.points().iter().enumerate() {
             let label = format!("fixture, {shards} shards, query {qi}");
-            assert_round_bound(&label, &fixture_index, query, 20, &mut rng);
+            assert_work_bounds(&label, &fixture_index, query, 20, &mut rng);
         }
 
         // Collides with the golden cluster (Jaccard ≈ 0.46 with every
-        // member) but is near none of it: ⊥ after 1..=N rounds.
+        // member) but is near none of it: ⊥ only after evaluating every
+        // candidate exactly once, within N + Σ |D_i| rounds.
         let mut items: Vec<u32> = (0..18).collect();
         items.extend(5000..5012);
         let far = SparseSet::from_items(items);
         assert!(golden_index.neighborhood(&far).is_empty());
+        let candidates: usize = shard_counts(&golden_index, &far).iter().map(|c| c.1).sum();
+        assert!(candidates > 0, "{shards} shards: the far query collides");
         let (id, stats) = golden_index.sample(&far, &mut rng);
         assert_eq!(id, None);
+        assert_eq!(
+            stats.distance_computations, candidates,
+            "{shards} shards: a colliding ⊥ draw evaluates every candidate once"
+        );
         assert!(
-            (1..=shards).contains(&stats.rounds),
+            (1..=shards + candidates).contains(&stats.rounds),
             "{shards} shards: colliding ⊥ draw took {} rounds",
             stats.rounds
         );
-        assert_round_bound("far", &golden_index, &far, 20, &mut rng);
+        assert_work_bounds("far", &golden_index, &far, 20, &mut rng);
 
         // Collides with nothing: ⊥ in 0 rounds.
         let isolated = SparseSet::from_items(vec![88_000, 88_001]);
         let (id, stats) = golden_index.sample(&isolated, &mut rng);
         assert_eq!((id, stats.rounds), (None, 0), "{shards} shards");
-        assert_round_bound("isolated", &golden_index, &isolated, 5, &mut rng);
+        assert_work_bounds("isolated", &golden_index, &isolated, 5, &mut rng);
     }
 }
 
@@ -531,6 +572,92 @@ fn executor_answers_pass_the_uniformity_battery_across_batches() {
     });
 }
 
+/// A far-heavy neighbourhood over 4 shards. The query is the set
+/// `0..30`. Near points share 27 of its items (Jaccard 0.82); decoys share
+/// 19 (Jaccard ≈ 0.46, just under `r = 0.5`), so they collide about as
+/// often as near points but are far. Shard `s` gets `plan[s]` = (near,
+/// decoys); isolated fillers even out the round-robin partition. Returns
+/// the query, the dataset and the plan.
+fn far_heavy_fixture() -> (SparseSet, Dataset<SparseSet>, [(usize, usize); 4]) {
+    const SHARDS: usize = 4;
+    let plan = [(5, 3), (2, 20), (1, 30), (0, 7)];
+    let query = SparseSet::from_items((0..30).collect());
+    let mut next_extra = 10_000u32;
+    let mut variant = |shared: usize, extra: usize, rotation: usize| {
+        let mut items: Vec<u32> = (0..30u32)
+            .cycle()
+            .skip(rotation % 30)
+            .take(shared)
+            .collect();
+        items.extend(next_extra..next_extra + extra as u32);
+        next_extra += extra as u32;
+        SparseSet::from_items(items)
+    };
+    let mut per_shard: Vec<Vec<SparseSet>> = Vec::new();
+    for (s, &(near, decoys)) in plan.iter().enumerate() {
+        let mut points: Vec<SparseSet> = (0..near).map(|j| variant(27, 3, 7 * s + j)).collect();
+        points.extend((0..decoys).map(|j| variant(19, 11, 3 * s + j)));
+        per_shard.push(points);
+    }
+    let rows = per_shard.iter().map(Vec::len).max().expect("4 shards");
+    let mut sets = Vec::with_capacity(rows * SHARDS);
+    for row in 0..rows {
+        for points in &per_shard {
+            sets.push(match points.get(row) {
+                Some(point) => point.clone(),
+                None => variant(0, 15, 0),
+            });
+        }
+    }
+    (query, Dataset::new(sets), plan)
+}
+
+#[test]
+fn far_heavy_neighbourhoods_pass_the_uniformity_battery() {
+    // Most colliding points are far, and near points and decoys are spread
+    // unevenly over the shards, so draws keep landing on decoys and
+    // swap-removing them. Every near point must stay exactly uniform: per
+    // batch through the executor, and over repeated draws from one cursor.
+    let (query, dataset, plan) = far_heavy_fixture();
+    let near = SimilarityAtLeast::new(Jaccard, 0.5);
+    let index = ShardedIndex::build(
+        &MinHash,
+        golden_params(dataset.len()),
+        &dataset,
+        near,
+        ShardedIndexConfig::with_shards(plan.len()).seeded(61),
+    );
+    let exact = ExactSampler::new(&dataset, near);
+    let support = index.neighborhood(&query);
+    assert_eq!(
+        support,
+        exact.neighborhood(&query),
+        "a near point never collides"
+    );
+    let counts = shard_counts(&index, &query);
+    for (s, (&(near_planned, _), &(_, candidates, near))) in plan.iter().zip(&counts).enumerate() {
+        assert_eq!(near, near_planned, "shard {s}");
+        assert!(candidates > near, "shard {s} holds no colliding decoy");
+    }
+    let candidates: usize = counts.iter().map(|c| c.1).sum();
+    assert!(
+        candidates >= 5 * support.len(),
+        "not far-heavy: {candidates} candidates for {} near points",
+        support.len()
+    );
+
+    assert_uniform_across_batches("far-heavy executor", &support, 0, |b| {
+        let request = QueryRequest::new(vec![query.clone()]).with_batch(b);
+        index.run_batch(&request)[0].id
+    });
+    let mut prepared = index.prepare(&query);
+    let mut rng = StdRng::seed_from_u64(62);
+    assert_uniform_across_batches("far-heavy cursor", &support, 0, |_| {
+        prepared.sample(&mut rng)
+    });
+    assert!(prepared.stats().distance_computations <= candidates);
+}
+
 /// One keep-alive client of a loopback `fairnn-server`.
 struct WireClient(TcpStream);
 
@@ -566,26 +693,6 @@ impl WireClient {
         let decoded = BatchResponse::decode(&mut Decoder::new(&response.body)).expect("decode");
         decoded.answers[0].id
     }
-}
-
-/// Per shard, the bucket bound `b_i` and the colliding near count `|A_i|`
-/// of `query`.
-fn bounds_and_near_counts(
-    index: &ShardedIndex<SparseSet, Hasher, Near>,
-    query: &SparseSet,
-) -> Vec<(usize, usize)> {
-    let mut keys = Vec::new();
-    index.bank().query_keys_into(query, &mut keys);
-    let mut stats = QueryStats::default();
-    index
-        .shards()
-        .iter()
-        .map(|shard| {
-            let bound = shard.colliding_bound_with_keys(&keys, &mut stats);
-            let near = shard.colliding_near_points_with_keys(query, &keys, &mut stats);
-            (bound, near.len())
-        })
-        .collect()
 }
 
 #[test]
@@ -666,7 +773,7 @@ fn served_answers_pass_the_uniformity_battery_through_churn_and_recovery() {
     // neighbour stays in its buckets, so its shard's bound b_i still
     // counts it while |A_i| drops — the sampler now proposes positions
     // that hold no live point and must reject them without bias.
-    let before = bounds_and_near_counts(reader.pin().index(), &query);
+    let before = shard_counts(reader.pin().index(), &query);
     let gone = support
         .iter()
         .copied()
@@ -685,9 +792,9 @@ fn served_answers_pass_the_uniformity_battery_through_churn_and_recovery() {
             .sum::<usize>(),
         1
     );
-    let after = bounds_and_near_counts(tombstoned.index(), &query);
-    let bound = |counts: &[(usize, usize)]| counts.iter().map(|c| c.0).collect::<Vec<_>>();
-    let near = |counts: &[(usize, usize)]| counts.iter().map(|c| c.1).sum::<usize>();
+    let after = shard_counts(tombstoned.index(), &query);
+    let bound = |counts: &[(usize, usize, usize)]| counts.iter().map(|c| c.0).collect::<Vec<_>>();
+    let near = |counts: &[(usize, usize, usize)]| counts.iter().map(|c| c.2).sum::<usize>();
     assert_eq!(
         bound(&after),
         bound(&before),
@@ -704,10 +811,7 @@ fn served_answers_pass_the_uniformity_battery_through_churn_and_recovery() {
     // Recovery: reopen replays both commits from the WAL (the delete
     // leaves the same tombstone), then serve again.
     let reopened = EngineWriter::<SparseSet, Hasher, Near>::open(&dir).expect("reopen");
-    assert_eq!(
-        bounds_and_near_counts(reopened.reader().pin().index(), &query),
-        after
-    );
+    assert_eq!(shard_counts(reopened.reader().pin().index(), &query), after);
     let handle = serve(reopened, ServerConfig::default(), ("127.0.0.1", 0)).expect("serve");
     let mut client = WireClient::connect(&handle);
     assert_uniform_across_batches("served after recovery", &support, 3_000_000, |b| {
