@@ -11,7 +11,9 @@
 //! disk-roundtrip counterparts of these tests, pinned to the same
 //! constants.
 
-use fairnn_core::{FairNnis, FairNns, NeighborSampler, RankSwapSampler, SimilarityAtLeast};
+use fairnn_core::{
+    FairNnis, FairNns, NeighborSampler, QueryStats, RankSwapSampler, SimilarityAtLeast,
+};
 use fairnn_engine::{EngineWriter, QueryRequest, ShardedIndex, ShardedIndexConfig};
 use fairnn_integration_tests::{
     golden_dataset, golden_ids as ids, golden_params as params, GOLDEN_ENGINE_FIRST,
@@ -22,6 +24,19 @@ use fairnn_space::{Jaccard, PointId, SparseSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Summed work counters of a golden run, pinned next to its ids so that a
+/// change to what is walked or evaluated shows up even when no sampled id
+/// moves. Fields: `entries_scanned`, `distance_computations`,
+/// `buckets_inspected`, `rounds`.
+fn counters(stats: QueryStats) -> [usize; 4] {
+    [
+        stats.entries_scanned,
+        stats.distance_computations,
+        stats.buckets_inspected,
+        stats.rounds,
+    ]
+}
+
 #[test]
 fn fair_nns_golden() {
     let data = golden_dataset();
@@ -31,12 +46,18 @@ fn fair_nns_golden() {
     let mut qrng = StdRng::seed_from_u64(5);
     // Cluster queries all share one neighborhood (one min-rank answer);
     // isolated queries return themselves — both shapes are pinned.
+    let mut work = QueryStats::default();
     let got: Vec<Option<PointId>> = [0u32, 3, 7, 10, 13, 16, 19, 22, 25, 28]
         .iter()
-        .map(|&qi| sampler.sample(&data.point(PointId(qi)).clone(), &mut qrng))
+        .map(|&qi| {
+            let id = sampler.sample(&data.point(PointId(qi)).clone(), &mut qrng);
+            work.accumulate(&sampler.last_query_stats());
+            id
+        })
         .collect();
-    println!("fair_nns_golden: {:?}", ids(&got));
+    println!("fair_nns_golden: {:?} {:?}", ids(&got), counters(work));
     assert_eq!(ids(&got), GOLDEN_FAIR_NNS);
+    assert_eq!(counters(work), [70, 10, 70, 0]);
 }
 
 #[test]
@@ -47,9 +68,17 @@ fn fair_nnis_golden() {
     let mut sampler = FairNnis::build(&MinHash, params(data.len()), &data, near, &mut rng);
     let query = data.point(PointId(0)).clone();
     let mut qrng = StdRng::seed_from_u64(99);
-    let got: Vec<Option<PointId>> = (0..20).map(|_| sampler.sample(&query, &mut qrng)).collect();
-    println!("fair_nnis_golden: {:?}", ids(&got));
+    let mut work = QueryStats::default();
+    let got: Vec<Option<PointId>> = (0..20)
+        .map(|_| {
+            let id = sampler.sample(&query, &mut qrng);
+            work.accumulate(&sampler.last_query_stats());
+            id
+        })
+        .collect();
+    println!("fair_nnis_golden: {:?} {:?}", ids(&got), counters(work));
     assert_eq!(ids(&got), GOLDEN_FAIR_NNIS);
+    assert_eq!(counters(work), [853, 81, 2338, 355]);
 }
 
 #[test]
@@ -78,9 +107,17 @@ fn sharded_index_golden() {
     );
     let query = data.point(PointId(0)).clone();
     let mut qrng = StdRng::seed_from_u64(11);
-    let got: Vec<Option<PointId>> = (0..20).map(|_| index.sample(&query, &mut qrng).0).collect();
-    println!("sharded_index_golden: {:?}", ids(&got));
+    let mut work = QueryStats::default();
+    let got: Vec<Option<PointId>> = (0..20)
+        .map(|_| {
+            let (id, stats) = index.sample(&query, &mut qrng);
+            work.accumulate(&stats);
+            id
+        })
+        .collect();
+    println!("sharded_index_golden: {:?} {:?}", ids(&got), counters(work));
     assert_eq!(ids(&got), GOLDEN_SHARDED);
+    assert_eq!(counters(work), [920, 20, 721, 53]);
 }
 
 #[test]
