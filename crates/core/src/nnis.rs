@@ -26,7 +26,7 @@
 //! independence. The expected query time is
 //! `O((n^ρ + b_S(q, cr)/(b_S(q, r)+1)) · polylog n)`.
 
-use crate::predicate::{build_screen_rows, Nearness};
+use crate::predicate::Nearness;
 use crate::rank::RankPermutation;
 use crate::sampler::{NeighborSampler, QueryStats};
 use fairnn_lsh::{
@@ -35,12 +35,8 @@ use fairnn_lsh::{
 use fairnn_sketch::{
     CardinalityEstimator, DistinctSketch, DistinctSketchParams, DistinctValueTable,
 };
-use fairnn_space::{Dataset, PointId, ScreenRow};
+use fairnn_space::{Dataset, PointId};
 use rand::Rng;
-
-/// Active screening state of one query: the per-point rows and the query's
-/// own row. `None` while the predicate has no pre-screen.
-type ActiveScreen<'a> = Option<(&'a [ScreenRow], &'a ScreenRow)>;
 
 /// Tuning knobs of the Section 4 query algorithm. The defaults follow the
 /// paper's asymptotic choices with explicit constants.
@@ -175,9 +171,6 @@ pub struct FairNnis<P, H, N> {
     tables: Vec<RankedTable>,
     ranks: RankPermutation,
     near: N,
-    /// Admissible per-point pre-screen rows of `near` (derived state,
-    /// rebuilt on load; `None` when the predicate has no screen).
-    screens: Option<Vec<ScreenRow>>,
     params: LshParams,
     config: FairNnisConfig,
     sketch_seed: u64,
@@ -281,15 +274,12 @@ where
                 .collect();
             RankedTable { buckets, sketches }
         });
-        let points = dataset.points().to_vec();
-        let screens = build_screen_rows(&near, &points);
         Self {
-            points,
+            points: dataset.points().to_vec(),
             hashers,
             tables,
             ranks,
             near,
-            screens,
             params,
             config,
             sketch_seed,
@@ -437,7 +427,6 @@ where
         points: &[P],
         near: &N,
         query: &P,
-        screen: ActiveScreen<'_>,
         bucket_idx: &[u32],
         lo: u32,
         hi: u32,
@@ -464,11 +453,6 @@ where
                 }
                 let is_near = memo.get_or_insert_with(id.index(), || {
                     stats.distance_computations += 1;
-                    if let Some((rows, qrow)) = screen {
-                        if !near.may_be_near(qrow, &rows[id.index()]) {
-                            return false;
-                        }
-                    }
                     near.is_near(query, &points[id.index()])
                 });
                 if is_near {
@@ -486,7 +470,6 @@ where
             hashers,
             tables,
             near,
-            screens,
             scratch,
             ..
         } = self;
@@ -494,18 +477,12 @@ where
         scratch.compute_keys(hashers, query);
         Self::resolve_buckets(tables, &scratch.keys, &mut scratch.indices);
         scratch.memo.reset(points.len());
-        let query_row = screens.as_ref().and_then(|_| near.screen_row(query));
-        let screen = match (screens.as_deref(), query_row.as_ref()) {
-            (Some(rows), Some(qrow)) => Some((rows, qrow)),
-            _ => None,
-        };
         let n = points.len() as u32;
         Self::collect_near_in_range(
             tables,
             points,
             near,
             query,
-            screen,
             &scratch.indices,
             0,
             n,
@@ -556,10 +533,7 @@ fn validate_ranked_table(
     Ok(())
 }
 
-impl<P, H, N> FairNnis<P, H, N>
-where
-    N: Nearness<P>,
-{
+impl<P, H, N> FairNnis<P, H, N> {
     /// Shared tail of the inline and sectioned decoders: every cross-field
     /// invariant of the wire format lives here, exactly once, so the two
     /// container forms cannot drift apart in what they accept.
@@ -609,14 +583,12 @@ where
         for table in &tables {
             validate_ranked_table(table, points.len(), &merged)?;
         }
-        let screens = build_screen_rows(&near, &points);
         Ok(Self {
             points,
             hashers,
             tables,
             ranks,
             near,
-            screens,
             params,
             config,
             sketch_seed,
@@ -633,7 +605,7 @@ impl<P, H, N> fairnn_snapshot::Codec for FairNnis<P, H, N>
 where
     P: fairnn_snapshot::Codec,
     H: fairnn_lsh::HasherBankCodec,
-    N: fairnn_snapshot::Codec + Nearness<P>,
+    N: fairnn_snapshot::Codec,
 {
     fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
         self.points.encode(enc);
@@ -775,7 +747,7 @@ impl<P, H, N> FairNnis<P, H, N>
 where
     P: fairnn_snapshot::Codec,
     H: fairnn_lsh::HasherBankCodec,
-    N: fairnn_snapshot::Codec + Nearness<P>,
+    N: fairnn_snapshot::Codec,
 {
     /// Writes the whole Section 4 structure — points, hasher bank, ranked
     /// CSR tables with their per-bucket sketches, rank permutation, and the
@@ -809,7 +781,6 @@ where
             hashers,
             tables,
             near,
-            screens,
             config,
             scratch,
             merged,
@@ -822,11 +793,6 @@ where
             self.stats = stats;
             return None;
         }
-        let query_row = screens.as_ref().and_then(|_| near.screen_row(query));
-        let screen = match (screens.as_deref(), query_row.as_ref()) {
-            (Some(rows), Some(qrow)) => Some((rows, qrow)),
-            _ => None,
-        };
         // One batched hash pass, then one bucket resolution: the keys and
         // per-table bucket indices feed the sketch merge *and* every
         // rejection round below (the query is never hashed again, and no
@@ -889,7 +855,6 @@ where
                     points,
                     near,
                     query,
-                    screen,
                     &scratch.indices,
                     lo,
                     hi,
@@ -930,7 +895,6 @@ where
                 points,
                 near,
                 query,
-                screen,
                 &scratch.indices,
                 0,
                 n as u32,

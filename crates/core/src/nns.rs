@@ -18,13 +18,13 @@
 //! The same structure supports sampling `k` points **without replacement**
 //! (Section 3.1): return the `k` near points of smallest rank.
 
-use crate::predicate::{build_screen_rows, Nearness};
+use crate::predicate::Nearness;
 use crate::rank::RankPermutation;
 use crate::sampler::{NeighborSampler, QueryStats};
 use fairnn_lsh::{
     ConcatenatedHasher, FrozenTable, LshFamily, LshHasher, LshIndex, LshParams, QueryScratch,
 };
-use fairnn_space::{Dataset, PointId, ScreenRow};
+use fairnn_space::{Dataset, PointId};
 use rand::Rng;
 
 /// The Section 3 fair r-NNS data structure.
@@ -46,9 +46,6 @@ pub struct FairNns<P, H, N> {
     buckets: Vec<FrozenTable<(u32, PointId)>>,
     ranks: RankPermutation,
     near: N,
-    /// Admissible per-point pre-screen rows of `near` (derived state,
-    /// rebuilt on load; `None` when the predicate has no screen).
-    screens: Option<Vec<ScreenRow>>,
     params: LshParams,
     stats: QueryStats,
     scratch: QueryScratch,
@@ -109,15 +106,12 @@ where
                 (key, sorted)
             }))
         });
-        let points = dataset.points().to_vec();
-        let screens = build_screen_rows(&near, &points);
         Self {
-            points,
+            points: dataset.points().to_vec(),
             hashers,
             buckets,
             ranks,
             near,
-            screens,
             params,
             stats: QueryStats::default(),
             scratch: QueryScratch::new(),
@@ -169,7 +163,6 @@ where
             hashers,
             buckets,
             near,
-            screens,
             scratch,
             ..
         } = self;
@@ -179,11 +172,10 @@ where
         scratch.memo.reset(points.len());
         let memo = &mut scratch.memo;
         // Warm the slot index of every table while the first probe is still
-        // in flight, and compute the query's screen row once.
+        // in flight.
         for (table, &key) in buckets.iter().zip(scratch.keys.iter()) {
             table.prefetch(key);
         }
-        let query_row = screens.as_ref().and_then(|_| near.screen_row(query));
         let mut best: Option<(u32, PointId)> = None;
         for (table, &key) in buckets.iter().zip(scratch.keys.iter()) {
             stats.buckets_inspected += 1;
@@ -203,11 +195,6 @@ where
                 }
                 let is_near = memo.get_or_insert_with(id.index(), || {
                     stats.distance_computations += 1;
-                    if let (Some(rows), Some(qrow)) = (screens.as_ref(), query_row.as_ref()) {
-                        if !near.may_be_near(qrow, &rows[id.index()]) {
-                            return false;
-                        }
-                    }
                     near.is_near(query, &points[id.index()])
                 });
                 if is_near {
@@ -230,7 +217,6 @@ where
             hashers,
             buckets,
             near,
-            screens,
             scratch,
             ..
         } = self;
@@ -241,7 +227,6 @@ where
         for (table, &key) in buckets.iter().zip(scratch.keys.iter()) {
             table.prefetch(key);
         }
-        let query_row = screens.as_ref().and_then(|_| near.screen_row(query));
         // Collect the k smallest-rank near points of each bucket, then merge.
         let mut candidates: Vec<(u32, PointId)> = Vec::new();
         for (table, &key) in buckets.iter().zip(scratch.keys.iter()) {
@@ -255,11 +240,6 @@ where
                 }
                 let is_near = memo.get_or_insert_with(id.index(), || {
                     stats.distance_computations += 1;
-                    if let (Some(rows), Some(qrow)) = (screens.as_ref(), query_row.as_ref()) {
-                        if !near.may_be_near(qrow, &rows[id.index()]) {
-                            return false;
-                        }
-                    }
                     near.is_near(query, &points[id.index()])
                 });
                 if is_near {
@@ -326,7 +306,7 @@ impl<P, H, N> fairnn_snapshot::Codec for FairNns<P, H, N>
 where
     P: fairnn_snapshot::Codec,
     H: fairnn_lsh::HasherBankCodec,
-    N: fairnn_snapshot::Codec + Nearness<P>,
+    N: fairnn_snapshot::Codec,
 {
     fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
         self.points.encode(enc);
@@ -381,14 +361,12 @@ where
                 }
             }
         }
-        let screens = build_screen_rows(&near, &points);
         Ok(Self {
             points,
             hashers,
             buckets,
             ranks,
             near,
-            screens,
             params,
             stats: QueryStats::default(),
             scratch: QueryScratch::new(),
@@ -400,7 +378,7 @@ impl<P, H, N> FairNns<P, H, N>
 where
     P: fairnn_snapshot::Codec,
     H: fairnn_lsh::HasherBankCodec,
-    N: fairnn_snapshot::Codec + Nearness<P>,
+    N: fairnn_snapshot::Codec,
 {
     /// Writes the whole structure — points, hasher bank, rank-sorted frozen
     /// buckets, rank permutation — as a versioned, checksummed snapshot.

@@ -8,7 +8,6 @@
 //! `fairnn-space`.
 
 use fairnn_space::metric::{Distance, Similarity};
-use fairnn_space::ScreenRow;
 
 /// Decides whether a dataset point belongs to the neighbourhood of a query.
 pub trait Nearness<P> {
@@ -17,29 +16,6 @@ pub trait Nearness<P> {
 
     /// The threshold value this predicate encodes (used for reporting).
     fn threshold(&self) -> f64;
-
-    /// Precomputed screening row of a point for
-    /// [`Nearness::may_be_near`], or `None` when this predicate has no
-    /// admissible pre-screen (the default). Samplers build one row per
-    /// indexed point and one per query.
-    fn screen_row(&self, _point: &P) -> Option<ScreenRow> {
-        None
-    }
-
-    /// Admissible candidate screen: may return `false` only when
-    /// `is_near(query, point)` is certainly false, so consulting it before
-    /// the exact predicate leaves every sampling decision bit-identical.
-    fn may_be_near(&self, _query_row: &ScreenRow, _point_row: &ScreenRow) -> bool {
-        true
-    }
-}
-
-/// Builds the per-point screen table of a predicate: `Some` with one row
-/// per point when the predicate has a pre-screen, `None` when it does not.
-/// Samplers call this once per build/load and keep the result alongside
-/// their point array.
-pub fn build_screen_rows<P, N: Nearness<P>>(near: &N, points: &[P]) -> Option<Vec<ScreenRow>> {
-    points.iter().map(|p| near.screen_row(p)).collect()
 }
 
 /// Neighbourhood defined by a similarity threshold: `S(q, p) ≥ r`.
@@ -68,14 +44,6 @@ impl<P, S: Similarity<P>> Nearness<P> for SimilarityAtLeast<S> {
 
     fn threshold(&self) -> f64 {
         self.threshold
-    }
-
-    fn screen_row(&self, point: &P) -> Option<ScreenRow> {
-        self.measure.screen_row(point)
-    }
-
-    fn may_be_near(&self, query_row: &ScreenRow, point_row: &ScreenRow) -> bool {
-        self.measure.may_reach(query_row, point_row, self.threshold)
     }
 }
 
@@ -137,15 +105,6 @@ impl<P, D: Distance<P>> Nearness<P> for DistanceAtMost<D> {
 
     fn threshold(&self) -> f64 {
         self.threshold
-    }
-
-    fn screen_row(&self, point: &P) -> Option<ScreenRow> {
-        self.metric.screen_row(point)
-    }
-
-    fn may_be_near(&self, query_row: &ScreenRow, point_row: &ScreenRow) -> bool {
-        self.metric
-            .may_be_within(query_row, point_row, self.threshold)
     }
 }
 

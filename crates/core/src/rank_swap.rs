@@ -87,7 +87,7 @@ impl<P, H, N> fairnn_snapshot::Codec for RankSwapSampler<P, H, N>
 where
     P: fairnn_snapshot::Codec,
     H: fairnn_lsh::HasherBankCodec,
-    N: fairnn_snapshot::Codec + Nearness<P>,
+    N: fairnn_snapshot::Codec,
 {
     fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
         self.inner.encode(enc);
@@ -106,7 +106,7 @@ impl<P, H, N> RankSwapSampler<P, H, N>
 where
     P: fairnn_snapshot::Codec,
     H: fairnn_lsh::HasherBankCodec,
-    N: fairnn_snapshot::Codec + Nearness<P>,
+    N: fairnn_snapshot::Codec,
 {
     /// Writes the sampler (including the *current* rank permutation — the
     /// swap state survives the round trip) as a snapshot file.

@@ -13,8 +13,7 @@
 //! - [`Shard::walk_buckets`] walks those buckets and lists the distinct
 //!   live colliding points `D_i`, evaluating no predicate, so
 //!   `b_i ≥ |D_i|` always;
-//! - `Shard::is_near` evaluates one candidate: screen, then the exact
-//!   predicate.
+//! - `Shard::is_near` evaluates one candidate with the exact predicate.
 //!
 //! The colliding near set `A_i ⊆ D_i` is the walk filtered by the
 //! predicate ([`Shard::colliding_near_points_with_keys`]).
@@ -30,11 +29,11 @@
 //! No update ever requires touching another shard, let alone a global
 //! rebuild.
 
-use fairnn_core::predicate::{build_screen_rows, Nearness};
+use fairnn_core::predicate::Nearness;
 use fairnn_core::QueryStats;
 use fairnn_lsh::{HasherBank, LshHasher, LshTables, QueryScratch};
 use fairnn_sketch::{BottomKSketch, CardinalityEstimator};
-use fairnn_space::{PointId, ScreenRow};
+use fairnn_space::PointId;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -81,16 +80,11 @@ pub struct Shard<P, H, N> {
     live: usize,
     tombstones: usize,
     near: N,
-    /// Admissible per-point pre-screen rows of `near`, parallel to `points`
-    /// (tombstoned slots keep a stale row that is never consulted). Derived
-    /// state: rebuilt on load and after compaction, extended on insert.
-    screens: Option<Vec<ScreenRow>>,
 }
 
 impl<P: Sync, H, N> Shard<P, H, N>
 where
     H: LshHasher<P> + Sync,
-    N: Nearness<P>,
 {
     /// Builds a shard over `points` (with their global ids), keying its
     /// tables by the index-wide `bank`.
@@ -98,7 +92,6 @@ where
         assert_eq!(points.len(), global_ids.len());
         let keys = bank.all_point_keys(&points);
         let tables = Arc::new(LshTables::build(&keys, bank.num_tables(), points.len()));
-        let screens = build_screen_rows(&near, &points);
         let shard = Self {
             bank,
             tables,
@@ -111,7 +104,6 @@ where
             live: points.len(),
             tombstones: 0,
             near,
-            screens,
             points,
             global_ids,
         };
@@ -286,31 +278,11 @@ impl<P, H, N> Shard<P, H, N>
 where
     N: Nearness<P>,
 {
-    /// The query's pre-screen row under this shard's predicate (`None`
-    /// when the predicate has none). Every shard of an index holds the same
-    /// predicate, so one row serves all of them.
-    pub(crate) fn query_screen_row(&self, query: &P) -> Option<ScreenRow> {
-        self.near.screen_row(query)
-    }
-
-    /// Whether local point `local` is near `query`: the admissible screen
-    /// first, when both `query_row` and the shard's rows exist, then the
-    /// exact predicate. Counts one distance computation.
-    pub(crate) fn is_near(
-        &self,
-        query: &P,
-        query_row: Option<&ScreenRow>,
-        local: u32,
-        stats: &mut QueryStats,
-    ) -> bool {
+    /// Whether local point `local` is near `query` under the exact
+    /// predicate. Counts one distance computation.
+    pub(crate) fn is_near(&self, query: &P, local: u32, stats: &mut QueryStats) -> bool {
         stats.distance_computations += 1;
-        let l = local as usize;
-        if let (Some(rows), Some(qrow)) = (self.screens.as_ref(), query_row) {
-            if !self.near.may_be_near(qrow, &rows[l]) {
-                return false; // admissible screen: certainly not near
-            }
-        }
-        self.near.is_near(query, &self.points[l])
+        self.near.is_near(query, &self.points[local as usize])
     }
 
     /// The distinct live near points of this shard colliding with `query`
@@ -327,10 +299,9 @@ where
         self.locate_buckets_with_keys(keys, &mut buckets);
         let mut candidates = Vec::new();
         self.walk_buckets(&buckets, &mut candidates, stats);
-        let query_row = self.query_screen_row(query);
         candidates
             .into_iter()
-            .filter(|&l| self.is_near(query, query_row.as_ref(), l, stats))
+            .filter(|&l| self.is_near(query, l, stats))
             .map(|l| self.global_id(l))
             .collect()
     }
@@ -339,7 +310,6 @@ where
 impl<P: Clone, H, N> Shard<P, H, N>
 where
     H: LshHasher<P>,
-    N: Nearness<P>,
 {
     /// Inserts new points with their global ids, then builds the shard's
     /// next tables from the current ones with the points appended: one
@@ -354,12 +324,6 @@ where
                 self.local_of.insert(global, lid).is_none(),
                 "global id {global} already present in shard"
             );
-            if self.screens.is_some() {
-                match self.near.screen_row(&point) {
-                    Some(row) => self.screens.as_mut().expect("checked above").push(row),
-                    None => self.screens = None,
-                }
-            }
             keys.extend(self.bank.point_keys(&point));
             self.points.push(point);
             self.global_ids.push(global);
@@ -424,7 +388,6 @@ where
             .collect();
         self.tombstones = 0;
         self.tables = Arc::new(self.tables.compacted(&new_id_of, self.points.len()));
-        self.screens = build_screen_rows(&self.near, &self.points);
         self.debug_assert_occupancy_invariants();
     }
 }
@@ -432,7 +395,7 @@ where
 impl<P, H, N> Shard<P, H, N>
 where
     P: fairnn_snapshot::Codec,
-    N: fairnn_snapshot::Codec + Nearness<P>,
+    N: fairnn_snapshot::Codec,
 {
     /// Persists the shard's LSH tables and its points with their global ids
     /// and tombstone flags. The hasher bank is the index's, written once in
@@ -496,7 +459,6 @@ where
             }
         }
         let tombstones = points.len() - live;
-        let screens = build_screen_rows(&near, &points);
         let shard = Self {
             bank,
             tables,
@@ -507,7 +469,6 @@ where
             live,
             tombstones,
             near,
-            screens,
         };
         shard.debug_assert_occupancy_invariants();
         Ok(shard)

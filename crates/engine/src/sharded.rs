@@ -20,9 +20,9 @@
 //!    weight to `w_i = |D_i| ≤ b_i`;
 //! 4. `D_i` is split into a verified-near prefix `[0, v_i)` and an
 //!    unevaluated rest. With `j = u − o_i`: if `j < v_i`, return `D_i[j]`;
-//!    if `v_i ≤ j < |D_i|`, evaluate `D_i[j]` (screen, then the exact predicate) — when
-//!    near, swap it to position `v_i`, grow the prefix and return it; when
-//!    far, swap-remove it from `D_i`, so `w_i` and `W` drop by one;
+//!    if `v_i ≤ j < |D_i|`, evaluate `D_i[j]` with the exact predicate —
+//!    when near, swap it to position `v_i`, grow the prefix and return it;
+//!    when far, swap-remove it from `D_i`, so `w_i` and `W` drop by one;
 //! 5. otherwise (no return) go to 2.
 //!
 //! A draw with `W = 0` returns `None`: no shard has a colliding live point
@@ -59,7 +59,7 @@ use fairnn_core::{NeighborSampler, QueryStats};
 use fairnn_data::partition;
 use fairnn_lsh::{ConcatenatedHasher, HasherBank, LshFamily, LshHasher, LshParams};
 use fairnn_obs::LazyHistogram;
-use fairnn_space::{Dataset, PointId, ScreenRow};
+use fairnn_space::{Dataset, PointId};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -287,13 +287,12 @@ where
 
     /// Prepares a query for (repeated) sampling: hashes it once, probes
     /// every shard's `L` tables once for their bucket indices and bound
-    /// `b_i`, and computes the query's screen row. Shards are walked and
-    /// candidates evaluated lazily, as draws land on them. Every cached
-    /// quantity is a *deterministic* function of the index and the query,
-    /// so drawing many samples from one [`PreparedQuery`] yields exactly the
-    /// same output distribution as calling [`ShardedIndex::sample`]
-    /// repeatedly, while each shard is walked and each candidate evaluated
-    /// at most once.
+    /// `b_i`. Shards are walked and candidates evaluated lazily, as draws
+    /// land on them. Every cached quantity is a *deterministic* function of
+    /// the index and the query, so drawing many samples from one
+    /// [`PreparedQuery`] yields exactly the same output distribution as
+    /// calling [`ShardedIndex::sample`] repeatedly, while each shard is
+    /// walked and each candidate evaluated at most once.
     pub fn prepare<'a>(&'a self, query: &'a P) -> PreparedQuery<'a, P, H, N> {
         let mut stats = QueryStats::default();
         // One batched all-rows pass over the shared bank; the same keys
@@ -314,7 +313,6 @@ where
         PreparedQuery {
             index: self,
             query,
-            query_row: self.shards[0].query_screen_row(query),
             buckets,
             weights,
             total,
@@ -536,8 +534,6 @@ where
 pub struct PreparedQuery<'a, P, H, N> {
     index: &'a ShardedIndex<P, H, N>,
     query: &'a P,
-    /// The query's screen row, shared by every shard's evaluations.
-    query_row: Option<ScreenRow>,
     /// `N × L` bucket indices found at prepare time (shard-major;
     /// `u32::MAX` where a table has no bucket for the query's key).
     buckets: Vec<u32>,
@@ -620,7 +616,7 @@ where
             return Some(shard.global_id(candidates.ids[j]));
         }
         let &local = candidates.ids.get(j)?;
-        if shard.is_near(self.query, self.query_row.as_ref(), local, &mut self.stats) {
+        if shard.is_near(self.query, local, &mut self.stats) {
             candidates.ids.swap(j, candidates.verified);
             candidates.verified += 1;
             Some(shard.global_id(local))

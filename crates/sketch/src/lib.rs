@@ -16,8 +16,7 @@
 //! * [`distinct`] — [`DistinctSketch`], the bottom-`t` sketch of \[11\] with
 //!   `Δ` independent rows and median-of-rows estimation;
 //! * [`bottomk`] — a single-row KMV (k-minimum-values) sketch, used in
-//!   ablation benchmarks as a simpler alternative;
-//! * [`hyperloglog`] — a HyperLogLog estimator, a second ablation baseline.
+//!   ablation benchmarks as a simpler alternative.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,12 +24,10 @@
 pub mod bottomk;
 pub mod distinct;
 pub mod hashing;
-pub mod hyperloglog;
 
 pub use bottomk::BottomKSketch;
 pub use distinct::{DistinctSketch, DistinctSketchParams, DistinctValueTable};
 pub use hashing::{splitmix64, MultiplyShift, PolynomialHash};
-pub use hyperloglog::HyperLogLog;
 
 /// Common interface of the cardinality estimators in this crate.
 ///

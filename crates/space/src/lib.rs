@@ -40,7 +40,6 @@
 pub mod dataset;
 pub mod metric;
 pub mod point;
-pub mod prefilter;
 pub mod snapshot;
 
 pub use dataset::Dataset;
@@ -48,4 +47,3 @@ pub use metric::{
     Cosine, Distance, Euclidean, Hamming, InnerProduct, Jaccard, Similarity, SquaredEuclidean,
 };
 pub use point::{BitVector, DenseVector, PointId, SparseSet};
-pub use prefilter::{ScreenRow, SetScreen, VectorScreen};

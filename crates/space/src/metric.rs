@@ -15,7 +15,6 @@
 //! similarities.
 
 use crate::point::{BitVector, DenseVector, SparseSet};
-use crate::prefilter::{ScreenRow, SetScreen, VectorScreen};
 
 /// A dissimilarity measure: lower values mean more similar points.
 pub trait Distance<P> {
@@ -25,19 +24,6 @@ pub trait Distance<P> {
     /// Returns `true` when `a` is within distance `r` of `b`.
     fn is_near(&self, a: &P, b: &P, r: f64) -> bool {
         self.distance(a, b) <= r
-    }
-
-    /// Precomputed screening row for [`Distance::may_be_within`], or `None`
-    /// when this metric has no admissible pre-screen (the default).
-    fn screen_row(&self, _point: &P) -> Option<ScreenRow> {
-        None
-    }
-
-    /// Admissible candidate screen over precomputed rows: may return
-    /// `false` only when `distance(a, b) <= r` is certainly false. The
-    /// default accepts everything.
-    fn may_be_within(&self, _a: &ScreenRow, _b: &ScreenRow, _r: f64) -> bool {
-        true
     }
 }
 
@@ -50,19 +36,6 @@ pub trait Similarity<P> {
     fn is_near(&self, a: &P, b: &P, r: f64) -> bool {
         self.similarity(a, b) >= r
     }
-
-    /// Precomputed screening row for [`Similarity::may_reach`], or `None`
-    /// when this measure has no admissible pre-screen (the default).
-    fn screen_row(&self, _point: &P) -> Option<ScreenRow> {
-        None
-    }
-
-    /// Admissible candidate screen over precomputed rows: may return
-    /// `false` only when `similarity(a, b) >= r` is certainly false. The
-    /// default accepts everything.
-    fn may_reach(&self, _a: &ScreenRow, _b: &ScreenRow, _r: f64) -> bool {
-        true
-    }
 }
 
 /// Euclidean (ℓ2) distance between dense vectors.
@@ -72,17 +45,6 @@ pub struct Euclidean;
 impl Distance<DenseVector> for Euclidean {
     fn distance(&self, a: &DenseVector, b: &DenseVector) -> f64 {
         a.distance(b)
-    }
-
-    fn screen_row(&self, point: &DenseVector) -> Option<ScreenRow> {
-        Some(ScreenRow::Vector(VectorScreen::of(point)))
-    }
-
-    fn may_be_within(&self, a: &ScreenRow, b: &ScreenRow, r: f64) -> bool {
-        match (a, b) {
-            (ScreenRow::Vector(a), ScreenRow::Vector(b)) => a.may_be_within(b, r),
-            _ => true,
-        }
     }
 }
 
@@ -94,17 +56,6 @@ pub struct SquaredEuclidean;
 impl Distance<DenseVector> for SquaredEuclidean {
     fn distance(&self, a: &DenseVector, b: &DenseVector) -> f64 {
         a.squared_distance(b)
-    }
-
-    fn screen_row(&self, point: &DenseVector) -> Option<ScreenRow> {
-        Some(ScreenRow::Vector(VectorScreen::of(point)))
-    }
-
-    fn may_be_within(&self, a: &ScreenRow, b: &ScreenRow, r: f64) -> bool {
-        match (a, b) {
-            (ScreenRow::Vector(a), ScreenRow::Vector(b)) => a.may_be_within_squared(b, r),
-            _ => true,
-        }
     }
 }
 
@@ -128,17 +79,6 @@ pub struct Jaccard;
 impl Similarity<SparseSet> for Jaccard {
     fn similarity(&self, a: &SparseSet, b: &SparseSet) -> f64 {
         a.jaccard(b)
-    }
-
-    fn screen_row(&self, point: &SparseSet) -> Option<ScreenRow> {
-        Some(ScreenRow::Set(SetScreen::of(point)))
-    }
-
-    fn may_reach(&self, a: &ScreenRow, b: &ScreenRow, r: f64) -> bool {
-        match (a, b) {
-            (ScreenRow::Set(a), ScreenRow::Set(b)) => a.may_reach_jaccard(b, r),
-            _ => true,
-        }
     }
 }
 

@@ -3,11 +3,10 @@
 //! permutation and the fair samplers together.
 
 use fairnn_core::{
-    DistanceAtMost, ExactSampler, FairNnis, FairNns, Nearness, NeighborSampler, RankPermutation,
-    SimilarityAtLeast,
+    ExactSampler, FairNnis, FairNns, NeighborSampler, RankPermutation, SimilarityAtLeast,
 };
 use fairnn_lsh::{LshIndex, LshParams, MinHash, OneBitMinHash, ParamsBuilder};
-use fairnn_space::{Dataset, DenseVector, Euclidean, Jaccard, PointId, SparseSet};
+use fairnn_space::{Dataset, Jaccard, PointId, SparseSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -82,44 +81,6 @@ proptest! {
             // The query point itself is always in its own neighbourhood, so
             // a sampler must never answer ⊥ for it (self-similarity is 1).
             prop_assert!(nnis.sample(&query, &mut rng).is_some());
-        }
-    }
-
-    #[test]
-    fn set_prefilter_is_admissible(
-        a_items in proptest::collection::vec(0u32..400, 1..40),
-        b_items in proptest::collection::vec(0u32..400, 1..40),
-        threshold in 0.05f64..0.95,
-    ) {
-        // The quantized candidate screen may only reject pairs the exact
-        // predicate also rejects (prefilter-pass ⊇ exact-pass) — that
-        // admissibility is what keeps sampling bit-identical with the
-        // screen enabled.
-        let near = SimilarityAtLeast::new(Jaccard, threshold);
-        let a = SparseSet::from_items(a_items);
-        let b = SparseSet::from_items(b_items);
-        let ra = near.screen_row(&a).expect("Jaccard has a screen");
-        let rb = near.screen_row(&b).expect("Jaccard has a screen");
-        if near.is_near(&a, &b) {
-            prop_assert!(near.may_be_near(&ra, &rb), "prefilter rejected a true accept");
-        }
-    }
-
-    #[test]
-    fn vector_prefilter_is_admissible(
-        coords in proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 1..12),
-        radius in 0.1f64..60.0,
-    ) {
-        // Same property for the 8-bit quantized Euclidean screen, over
-        // same-dimension vector pairs (each generated pair shares an axis).
-        let (a, b): (Vec<f64>, Vec<f64>) = coords.into_iter().unzip();
-        let near = DistanceAtMost::new(Euclidean, radius);
-        let a = DenseVector::new(a);
-        let b = DenseVector::new(b);
-        let ra = near.screen_row(&a).expect("Euclidean has a screen");
-        let rb = near.screen_row(&b).expect("Euclidean has a screen");
-        if near.is_near(&a, &b) {
-            prop_assert!(near.may_be_near(&ra, &rb), "prefilter rejected a true accept");
         }
     }
 
