@@ -15,8 +15,8 @@
 //!   the SplitMix64 mixer used for seeding;
 //! * [`distinct`] — [`DistinctSketch`], the bottom-`t` sketch of \[11\] with
 //!   `Δ` independent rows and median-of-rows estimation;
-//! * [`bottomk`] — a single-row KMV (k-minimum-values) sketch, used in
-//!   ablation benchmarks as a simpler alternative.
+//! * [`bottomk`] — a single-row KMV (k-minimum-values) sketch, a simpler
+//!   alternative.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
