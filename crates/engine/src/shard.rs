@@ -7,16 +7,24 @@
 //! things about a query's `L` keys, each a separate step so that no step
 //! repeats another's work:
 //!
-//! - [`Shard::locate_buckets_with_keys`] probes each table once, keeps the
-//!   bucket indices, and returns the bucket-length bound `b_i = Σ_t |B_t(q)|`
-//!   read from the bucket offsets without walking an entry;
-//! - [`Shard::walk_buckets`] walks those buckets and lists the distinct
-//!   live colliding points `D_i`, evaluating no predicate, so
+//! - [`Shard::locate_buckets_with_keys`] probes each table once, keeps each
+//!   bucket's entry range `(start, end)` (empty for a key with no bucket),
+//!   and returns the bucket-length bound `b_i = Σ_t (end − start)` without
+//!   walking an entry;
+//! - [`Shard::walk_buckets`] reads those entry ranges and lists the
+//!   distinct live colliding points `D_i`, evaluating no predicate, so
 //!   `b_i ≥ |D_i|` always;
 //! - `Shard::is_near` evaluates one candidate with the exact predicate.
 //!
 //! The colliding near set `A_i ⊆ D_i` is the walk filtered by the
 //! predicate ([`Shard::colliding_near_points_with_keys`]).
+//!
+//! Probe and walk are software-pipelined over the `L` tables (see
+//! `PIPELINE_DISTANCE`): each table's lookup is a chain of dependent
+//! cache misses (slot, then key and offsets, then entries), and prefetching
+//! a few tables ahead overlaps those chains. The prefetches are hints
+//! only; the walk order, `D_i` and every counter are those of a plain
+//! per-table walk.
 //!
 //! Updates are incremental and never touch a table in place. A delete only
 //! tombstones the point: it stays in its buckets, where the walk
@@ -54,9 +62,11 @@ const SKETCH_K: usize = 64;
 /// the folds of every other.
 const SKETCH_SEED: u64 = 0x5EED_5CE7;
 
-/// Bucket index of a table that has no bucket for the query's key (see
-/// [`Shard::locate_buckets_with_keys`]).
-pub(crate) const NO_BUCKET: u32 = u32::MAX;
+/// Pipeline distance `D` of the bucket probe and walk, in tables: the
+/// probe prefetches a table's home slot `2D` tables before it resolves the
+/// table and its bucket's key and offsets `D` tables before, and the walk
+/// prefetches a bucket's first entries `D` tables before it walks them.
+pub(crate) const PIPELINE_DISTANCE: usize = 8;
 
 /// The shard compacts itself when tombstones exceed this fraction of the
 /// live point count.
@@ -197,46 +207,67 @@ where
 }
 
 impl<P, H, N> Shard<P, H, N> {
-    /// Resolves the query's per-table `keys` to this shard's bucket
-    /// indices, one per table (`u32::MAX` when the table has no bucket for
-    /// its key), and returns the bucket-length bound
-    /// `b_i = Σ_t |B_t(q)|`: the sum of the bucket lengths, read from the
-    /// bucket offsets without walking an entry. It counts a point once per
-    /// table it collides in, so it is never below the number of distinct
-    /// colliding points — the sampler's proposal weight for a shard it has
-    /// not walked yet. [`Shard::walk_buckets`] then reads the same buckets
-    /// without probing again.
-    pub fn locate_buckets_with_keys(&self, keys: &[u64], buckets: &mut [u32]) -> usize {
-        assert_eq!(buckets.len(), keys.len(), "one bucket index per key");
+    /// Resolves the query's per-table `keys` to this shard's bucket entry
+    /// ranges, one `(start, end)` per table (the empty range when the
+    /// table has no bucket for its key), and returns the bucket-length
+    /// bound `b_i = Σ_t (end − start)`: the sum of the bucket lengths,
+    /// read from the bucket offsets without walking an entry. It counts a
+    /// point once per table it collides in, so it is never below the
+    /// number of distinct colliding points — the sampler's proposal weight
+    /// for a shard it has not walked yet. [`Shard::walk_buckets`] then
+    /// reads the same ranges without probing again.
+    ///
+    /// The probe is software-pipelined over the tables: table `t + 2D`
+    /// has its home slot prefetched, table `t + D` has that slot read and
+    /// the bucket's key and offsets prefetched, and table `t` is resolved
+    /// (`D` is `PIPELINE_DISTANCE`). The `L` chains of dependent misses
+    /// overlap instead of running one after another.
+    pub fn locate_buckets_with_keys(&self, keys: &[u64], ranges: &mut [(u32, u32)]) -> usize {
+        assert_eq!(ranges.len(), keys.len(), "one entry range per key");
+        let l = keys.len();
+        let tables = &self.tables.tables()[..l];
         let mut bound = 0;
-        for ((&key, table), slot) in keys.iter().zip(self.tables.tables()).zip(buckets) {
-            *slot = match table.find(key) {
-                Some(b) => {
-                    bound += table.bucket_at(b).len();
-                    b as u32
-                }
-                None => NO_BUCKET,
-            };
+        for ahead in 0..l + 2 * PIPELINE_DISTANCE {
+            if ahead < l {
+                tables[ahead].prefetch(keys[ahead]);
+            }
+            if let Some(t) = ahead.checked_sub(PIPELINE_DISTANCE).filter(|&t| t < l) {
+                tables[t].prefetch_probe(keys[t]);
+            }
+            if let Some(t) = ahead.checked_sub(2 * PIPELINE_DISTANCE) {
+                let (start, end) = tables[t].entry_range(keys[t]);
+                ranges[t] = (start, end);
+                bound += (end - start) as usize;
+            }
         }
         bound
     }
 
-    /// Appends to `out` the distinct live local ids in the given buckets
-    /// (one index per table, from [`Shard::locate_buckets_with_keys`]), in
-    /// walk order: the shard's colliding candidates `D_i`. Evaluates no
+    /// Appends to `out` the distinct live local ids in the given entry
+    /// ranges (one per table, from [`Shard::locate_buckets_with_keys`]),
+    /// in walk order: the shard's colliding candidates `D_i`. Evaluates no
     /// predicate. Counts one inspected bucket per table and one scanned
     /// entry per bucket entry. Deduplication uses the thread-local
-    /// epoch-stamped visited buffer.
-    pub fn walk_buckets(&self, buckets: &[u32], out: &mut Vec<u32>, stats: &mut QueryStats) {
+    /// epoch-stamped visited buffer. The entries of the range
+    /// `PIPELINE_DISTANCE` tables ahead are prefetched while the current
+    /// one is walked.
+    pub fn walk_buckets(&self, ranges: &[(u32, u32)], out: &mut Vec<u32>, stats: &mut QueryStats) {
+        let tables = self.tables.tables();
+        let prefetch_entries = |t: usize| {
+            if let (Some(&(start, end)), Some(table)) = (ranges.get(t), tables.get(t)) {
+                if start < end {
+                    fairnn_snapshot::prefetch_read(table.entries(), start as usize);
+                }
+            }
+        };
+        (0..PIPELINE_DISTANCE).for_each(&prefetch_entries);
         SHARD_SCRATCH.with(|cell| {
             let visited = &mut cell.borrow_mut().visited;
             visited.reset(self.points.len());
-            for (&bucket, table) in buckets.iter().zip(self.tables.tables()) {
+            for (t, (&(start, end), table)) in ranges.iter().zip(tables).enumerate() {
+                prefetch_entries(t + PIPELINE_DISTANCE);
                 stats.buckets_inspected += 1;
-                if bucket == NO_BUCKET {
-                    continue;
-                }
-                for &lid in table.bucket_at(bucket as usize) {
+                for &lid in &table.entries()[start as usize..end as usize] {
                     stats.entries_scanned += 1;
                     let l = lid.index();
                     if self.alive[l] && visited.insert(l) {
@@ -295,10 +326,10 @@ where
         keys: &[u64],
         stats: &mut QueryStats,
     ) -> Vec<PointId> {
-        let mut buckets = vec![NO_BUCKET; keys.len()];
-        self.locate_buckets_with_keys(keys, &mut buckets);
+        let mut ranges = vec![(0, 0); keys.len()];
+        self.locate_buckets_with_keys(keys, &mut ranges);
         let mut candidates = Vec::new();
-        self.walk_buckets(&buckets, &mut candidates, stats);
+        self.walk_buckets(&ranges, &mut candidates, stats);
         candidates
             .into_iter()
             .filter(|&l| self.is_near(query, l, stats))
@@ -523,12 +554,12 @@ mod tests {
         keys
     }
 
-    /// The query's bucket indices in `shard` and their bound `b`.
-    fn located(shard: &TestShard, query: &SparseSet) -> (Vec<u32>, usize) {
+    /// The query's bucket entry ranges in `shard` and their bound `b`.
+    fn located(shard: &TestShard, query: &SparseSet) -> (Vec<(u32, u32)>, usize) {
         let keys = keys(shard, query);
-        let mut buckets = vec![NO_BUCKET; keys.len()];
-        let bound = shard.locate_buckets_with_keys(&keys, &mut buckets);
-        (buckets, bound)
+        let mut ranges = vec![(0, 0); keys.len()];
+        let bound = shard.locate_buckets_with_keys(&keys, &mut ranges);
+        (ranges, bound)
     }
 
     fn bound(shard: &TestShard, query: &SparseSet) -> usize {
@@ -573,10 +604,10 @@ mod tests {
         queries.push(isolated.clone());
         let check = |shard: &TestShard, label: &str| {
             for (qi, query) in queries.iter().enumerate() {
-                let (buckets, bound) = located(shard, query);
+                let (ranges, bound) = located(shard, query);
                 let mut stats = QueryStats::default();
                 let mut walked = Vec::new();
-                shard.walk_buckets(&buckets, &mut walked, &mut stats);
+                shard.walk_buckets(&ranges, &mut walked, &mut stats);
                 assert_eq!(stats.entries_scanned, bound, "{label}, query {qi}");
                 assert_eq!(stats.distance_computations, 0, "the walk evaluated");
                 let colliding: Vec<PointId> = walked.iter().map(|&l| shard.global_id(l)).collect();
@@ -615,6 +646,79 @@ mod tests {
         check(&shard, "after churn");
         shard.force_compact();
         check(&shard, "after compaction");
+    }
+
+    /// The plain per-table walk the pipelined probe and walk must equal:
+    /// `FrozenTable::bucket` per key, live entries deduplicated by first
+    /// occurrence. Returns `D_i`, `b_i` and the walk's counters.
+    fn reference_walk(shard: &TestShard, keys: &[u64]) -> (Vec<u32>, usize, QueryStats) {
+        let mut stats = QueryStats::default();
+        let mut seen = std::collections::HashSet::new();
+        let (mut walked, mut bound) = (Vec::new(), 0);
+        for (&key, table) in keys.iter().zip(shard.tables.tables()) {
+            stats.buckets_inspected += 1;
+            let bucket = table.bucket(key);
+            bound += bucket.len();
+            for &lid in bucket {
+                stats.entries_scanned += 1;
+                if shard.alive[lid.index()] && seen.insert(lid) {
+                    walked.push(lid.0);
+                }
+            }
+        }
+        (walked, bound, stats)
+    }
+
+    #[test]
+    fn pipelined_probe_and_walk_equal_the_plain_walk() {
+        let d = PIPELINE_DISTANCE;
+        let sets = clustered_sets_of(40);
+        let mut queries = sets.clone();
+        queries.push(SparseSet::from_items(vec![88_000, 88_001]));
+        queries.push(SparseSet::from_items((0..12).chain(1000..1008).collect()));
+        for l in [1, d - 1, d, d + 1, 2 * d + 1] {
+            let params = fairnn_lsh::LshParams::explicit(2, l, 0.5, 0.05);
+            let bank = HasherBank::sample(&MinHash, params, &mut StdRng::seed_from_u64(l as u64));
+            let globals = (0..sets.len() as u32).map(PointId).collect();
+            let near = SimilarityAtLeast::new(Jaccard, 0.5);
+            let mut shard: TestShard = Shard::build(bank.clone(), sets.clone(), globals, near);
+            for j in [1u32, 2, 5, 41] {
+                assert!(shard.delete(PointId(j)));
+            }
+            assert_eq!(shard.tombstones(), 4, "the deletes compacted");
+            // The same shard decoded from an image: every table array a
+            // zero-copy borrow of the image bytes.
+            let mut enc = fairnn_snapshot::Encoder::new();
+            shard.encode(&mut enc);
+            let owner = fairnn_snapshot::ArcBytes::copy_from_slice(&enc.into_bytes()).unwrap();
+            let section = fairnn_snapshot::Section::with_owner(owner.as_slice(), &owner, 0);
+            let loaded = Shard::decode(&mut section.decoder(), bank).expect("decode");
+            let mut absent = 0;
+            for (label, shard) in [("built", &shard), ("loaded", &loaded)] {
+                for (qi, query) in queries.iter().enumerate() {
+                    let keys = keys(shard, query);
+                    let (expected, expected_bound, expected_stats) = reference_walk(shard, &keys);
+                    let mut ranges = vec![(0, 0); l];
+                    let bound = shard.locate_buckets_with_keys(&keys, &mut ranges);
+                    let mut stats = QueryStats::default();
+                    let mut walked = Vec::new();
+                    shard.walk_buckets(&ranges, &mut walked, &mut stats);
+                    let at = format!("L = {l}, {label}, query {qi}");
+                    assert_eq!(walked, expected, "D_i, {at}");
+                    assert_eq!(bound, expected_bound, "b_i, {at}");
+                    assert_eq!(
+                        stats.entries_scanned, expected_stats.entries_scanned,
+                        "{at}"
+                    );
+                    assert_eq!(
+                        stats.buckets_inspected, expected_stats.buckets_inspected,
+                        "{at}"
+                    );
+                    absent += ranges.iter().filter(|&&r| r == (0, 0)).count();
+                }
+            }
+            assert!(absent > 0, "L = {l}: no key without a bucket");
+        }
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! protocol:
 //!
 //! 1. hash the query once, probe each shard's `L` tables once
-//!    ([`Shard::locate_buckets_with_keys`]: the bucket indices are kept),
-//!    and give every shard the integer weight `w_i = b_i = Σ_t |B_t(q)|`,
-//!    the summed lengths of its `L` buckets, read from the bucket offsets
-//!    with no entry walked;
+//!    ([`Shard::locate_buckets_with_keys`]: each bucket's entry range is
+//!    kept), and give every shard the integer weight
+//!    `w_i = b_i = Σ_t |B_t(q)|`, the summed lengths of its `L` buckets,
+//!    read from the bucket offsets with no entry walked;
 //! 2. draw one `u` uniform in `[0, W)`, `W = Σ_i w_i`, and find the shard
 //!    `i` whose slice `[o_i, o_i + w_i)` of `[0, W)` holds it;
-//! 3. if shard `i` has not been walked yet, walk its kept buckets into
+//! 3. if shard `i` has not been walked yet, walk its kept entry ranges into
 //!    `D_i`, the distinct live colliding points in walk order
 //!    ([`Shard::walk_buckets`], no predicate evaluated), and lower its
 //!    weight to `w_i = |D_i| ≤ b_i`;
@@ -53,7 +53,7 @@
 //! the property the uniformity battery checks.
 
 use crate::seed::stream_rng;
-use crate::shard::{Shard, NO_BUCKET};
+use crate::shard::Shard;
 use fairnn_core::predicate::Nearness;
 use fairnn_core::{NeighborSampler, QueryStats};
 use fairnn_data::partition;
@@ -286,8 +286,8 @@ where
     }
 
     /// Prepares a query for (repeated) sampling: hashes it once, probes
-    /// every shard's `L` tables once for their bucket indices and bound
-    /// `b_i`. Shards are walked and candidates evaluated lazily, as draws
+    /// every shard's `L` tables once for their bucket entry ranges and
+    /// bound `b_i`. Shards are walked and candidates evaluated lazily, as draws
     /// land on them. Every cached quantity is a *deterministic* function of
     /// the index and the query, so drawing many samples from one
     /// [`PreparedQuery`] yields exactly the same output distribution as
@@ -299,7 +299,7 @@ where
         // locate every shard's buckets.
         let keys = self.query_keys(query);
         let l = keys.len();
-        let mut buckets = vec![NO_BUCKET; self.shards.len() * l];
+        let mut buckets = vec![(0, 0); self.shards.len() * l];
         let weights: Vec<usize> = self
             .shards
             .iter()
@@ -534,9 +534,10 @@ where
 pub struct PreparedQuery<'a, P, H, N> {
     index: &'a ShardedIndex<P, H, N>,
     query: &'a P,
-    /// `N × L` bucket indices found at prepare time (shard-major;
-    /// `u32::MAX` where a table has no bucket for the query's key).
-    buckets: Vec<u32>,
+    /// `N × L` bucket entry ranges `(start, end)` found at prepare time
+    /// (shard-major; empty where a table has no bucket for the query's
+    /// key).
+    buckets: Vec<(u32, u32)>,
     /// Per-shard proposal weights: the bucket-length bound `b_i` until the
     /// shard is walked, `|D_i|` from then on.
     weights: Vec<usize>,

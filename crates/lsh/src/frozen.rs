@@ -311,12 +311,46 @@ impl<E> FrozenTable<E> {
     }
 
     /// Issues a software prefetch for the cache line a lookup of `key`
-    /// probes first (its home slot of the key index), so candidate walks
-    /// can overlap the probe's memory latency with work on the previous
-    /// table. Purely a hint; a no-op off x86_64.
+    /// probes first (its home slot of the key index): the first stage of a
+    /// pipelined probe, issued a few tables ahead of the lookup so the
+    /// slot's miss overlaps work on the tables before it. Purely a hint; a
+    /// no-op off x86_64.
     #[inline]
     pub fn prefetch(&self, key: u64) {
         fairnn_snapshot::prefetch_read(&self.slots, first_slot(key, self.slot_shift));
+    }
+
+    /// The second stage of a pipelined probe: reads the home slot of `key`
+    /// (warmed by an earlier [`FrozenTable::prefetch`]) and, when it names
+    /// a bucket, prefetches that bucket's key and offsets, which a lookup
+    /// of `key` reads next. Observably a no-op.
+    #[inline]
+    pub fn prefetch_probe(&self, key: u64) {
+        match self.slots.get(first_slot(key, self.slot_shift)) {
+            Some(&bucket) if bucket != EMPTY_SLOT => {
+                fairnn_snapshot::prefetch_read(&self.keys, bucket as usize);
+                fairnn_snapshot::prefetch_read(&self.offsets, bucket as usize);
+            }
+            _ => {}
+        }
+    }
+
+    /// The entry range `(start, end)` of the bucket for `key`:
+    /// `entries()[start..end]` is [`FrozenTable::bucket`]`(key)`. A key
+    /// with no bucket gets the empty range `(0, 0)`.
+    #[inline]
+    pub fn entry_range(&self, key: u64) -> (u32, u32) {
+        match self.find(key) {
+            Some(i) => (self.offsets[i], self.offsets[i + 1]),
+            None => (0, 0),
+        }
+    }
+
+    /// The entry array: every bucket's entries, bucket after bucket (index
+    /// it with an [`FrozenTable::entry_range`]).
+    #[inline]
+    pub fn entries(&self) -> &[E] {
+        &self.entries
     }
 
     /// The bucket for `key` (empty slice if absent).
@@ -525,6 +559,23 @@ mod tests {
         assert_eq!(table.key_at(0), 2);
         assert_eq!(table.find(9), Some(1));
         assert_eq!(table.find(10), None);
+    }
+
+    #[test]
+    fn entry_ranges_index_the_entry_array() {
+        let table = sample_table();
+        for key in [2, 9, 400, 3, 10] {
+            table.prefetch(key);
+            table.prefetch_probe(key);
+            let (start, end) = table.entry_range(key);
+            assert_eq!(
+                &table.entries()[start as usize..end as usize],
+                table.bucket(key),
+                "key {key}"
+            );
+        }
+        assert_eq!(table.entry_range(3), (0, 0), "absent key");
+        assert_eq!(FrozenTable::<u32>::new().entry_range(7), (0, 0));
     }
 
     #[test]

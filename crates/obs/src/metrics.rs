@@ -141,8 +141,9 @@ impl Gauge {
 /// threads produce the exact totals of the serial run.
 #[derive(Debug)]
 pub struct Histogram {
+    /// Per-bucket counts; the observation count is their sum, so a record
+    /// is two atomic adds, not three.
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
 }
 
@@ -159,7 +160,6 @@ impl Histogram {
             // Inline-const repeat: each element is a fresh atomic
             // (`[AtomicU64::new(0); BUCKETS]` would need Copy).
             buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
@@ -168,7 +168,6 @@ impl Histogram {
     #[inline]
     pub fn record(&self, value: u64) {
         self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
@@ -181,14 +180,13 @@ impl Histogram {
             }
         }
         if shard.count != 0 {
-            self.count.fetch_add(shard.count, Ordering::Relaxed);
             self.sum.fetch_add(shard.sum, Ordering::Relaxed);
         }
     }
 
-    /// Number of recorded observations.
+    /// Number of recorded observations (the sum of the bucket counts).
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of all recorded values (wraps on overflow, like Prometheus).
@@ -248,7 +246,6 @@ impl Histogram {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
     }
 }

@@ -9,10 +9,13 @@
 //!
 //! The sink is deliberately lossy: the buffer keeps the most recent
 //! [`RING_CAPACITY`] events and overwrites the oldest, so tracing can stay
-//! on in a serving process without unbounded growth. Nothing here touches
-//! RNG state or reorders work — the integration suite proves the
-//! seed-pinned goldens stay byte-identical with tracing enabled.
+//! on in a serving process without unbounded growth. A closing span takes
+//! no lock: each thread buffers its events and moves them into the shared
+//! ring in batches. Nothing here touches RNG state or reorders work — the
+//! integration suite proves the seed-pinned goldens stay byte-identical
+//! with tracing enabled.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -36,7 +39,7 @@ pub fn set_tracing_enabled(on: bool) {
 }
 
 /// One completed span.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
     /// Span name (`"shard.sample"`, `"snapshot.load"`, …).
     pub name: &'static str,
@@ -52,16 +55,59 @@ pub struct SpanEvent {
 
 static RING: Mutex<VecDeque<SpanEvent>> = Mutex::new(VecDeque::new());
 
-fn push_event(event: SpanEvent) {
-    let mut ring = RING.lock().expect("span ring poisoned");
-    if ring.len() == RING_CAPACITY {
-        ring.pop_front();
+/// Events a thread buffers before it moves them into the shared ring under
+/// one lock, so a span's drop takes no lock on the way.
+const LOCAL_BATCH: usize = 64;
+
+/// A thread's not yet shared events; moved into the ring when full, when
+/// the thread drains, and when the thread exits.
+struct LocalEvents(Vec<SpanEvent>);
+
+impl Drop for LocalEvents {
+    fn drop(&mut self) {
+        move_to_ring(&mut self.0);
     }
-    ring.push_back(event);
 }
 
-/// Drains and returns all buffered span events, oldest first.
+thread_local! {
+    static LOCAL: RefCell<LocalEvents> = const { RefCell::new(LocalEvents(Vec::new())) };
+}
+
+fn move_to_ring(events: &mut Vec<SpanEvent>) {
+    if events.is_empty() {
+        return;
+    }
+    let mut ring = RING.lock().expect("span ring poisoned");
+    for event in events.drain(..) {
+        if ring.len() == RING_CAPACITY {
+            ring.pop_front();
+        }
+        ring.push_back(event);
+    }
+}
+
+fn push_event(event: SpanEvent) {
+    let pushed = LOCAL.try_with(|local| {
+        let events = &mut local.borrow_mut().0;
+        events.push(event);
+        if events.len() == LOCAL_BATCH {
+            move_to_ring(events);
+        }
+    });
+    // A span closing while its thread's buffer is torn down goes straight
+    // to the ring.
+    if pushed.is_err() {
+        move_to_ring(&mut vec![event]);
+    }
+}
+
+/// Drains and returns the buffered span events: the calling thread's, and
+/// those other threads have moved into the shared ring (a thread does so
+/// every 64 events and when it exits). Each thread's events come in the
+/// order they closed, oldest first; batches from different threads come
+/// in the order they reached the ring.
 pub fn drain_events() -> Vec<SpanEvent> {
+    let _ = LOCAL.try_with(|local| move_to_ring(&mut local.borrow_mut().0));
     RING.lock().expect("span ring poisoned").drain(..).collect()
 }
 
@@ -161,5 +207,19 @@ mod tests {
         assert_eq!(events.len(), RING_CAPACITY);
         assert_eq!(events[0].value, 10, "oldest events were overwritten");
         assert_eq!(events[RING_CAPACITY - 1].value, (RING_CAPACITY + 9) as u64);
+
+        // A thread's buffered events reach the ring when it exits.
+        set_tracing_enabled(true);
+        std::thread::spawn(|| {
+            for i in 0..3u64 {
+                let _span = crate::span!("worker.scope", i = i);
+            }
+        })
+        .join()
+        .expect("worker thread");
+        let events = drain_events();
+        set_tracing_enabled(false);
+        let values: Vec<u64> = events.iter().map(|e| e.value).collect();
+        assert_eq!(values, [0, 1, 2], "{events:?}");
     }
 }

@@ -357,10 +357,10 @@ fn shard_counts<H: LshHasher<SparseSet>>(
         .shards()
         .iter()
         .map(|shard| {
-            let mut buckets = vec![0; keys.len()];
-            let bound = shard.locate_buckets_with_keys(&keys, &mut buckets);
+            let mut ranges = vec![(0, 0); keys.len()];
+            let bound = shard.locate_buckets_with_keys(&keys, &mut ranges);
             let mut candidates = Vec::new();
-            shard.walk_buckets(&buckets, &mut candidates, &mut stats);
+            shard.walk_buckets(&ranges, &mut candidates, &mut stats);
             let near = shard.colliding_near_points_with_keys(query, &keys, &mut stats);
             (bound, candidates.len(), near.len())
         })
