@@ -23,7 +23,7 @@ use fairnn_integration_tests::{
     golden_dataset, golden_ids as ids, golden_params as params, GOLDEN_ENGINE_FIRST,
     GOLDEN_FAIR_NNIS, GOLDEN_FAIR_NNS, GOLDEN_RANK_SWAP, GOLDEN_SHARDED,
 };
-use fairnn_lsh::{ConcatenatedHasher, LshParams, MinHash, MinHasher};
+use fairnn_lsh::{ConcatenatedHasher, LshIndex, LshParams, MinHash, MinHasher};
 use fairnn_snapshot::{
     from_bytes, image_from_sections, to_bytes, Codec, SnapshotError, SnapshotImage, SnapshotKind,
     FORMAT_VERSION, HEADER_LEN,
@@ -347,6 +347,104 @@ fn save_load_save_is_byte_identical_for_every_structure() {
         to_bytes(SnapshotKind::Checkpoint, &back),
         bytes,
         "Checkpoint"
+    );
+}
+
+/// `(len, checksum64)` of a snapshot image: pins its exact bytes.
+fn fingerprint(bytes: &[u8]) -> (usize, u64) {
+    (bytes.len(), fairnn_snapshot::checksum64(bytes))
+}
+
+#[test]
+fn golden_images_keep_their_exact_bytes() {
+    // The on-disk format of every snapshot type, pinned byte for byte: a
+    // change to any encoder, to the section split or to the container
+    // shows up here even when it still round-trips.
+    let data = golden_dataset();
+    let p = params(data.len());
+
+    let lsh: LshIndex<Hasher> =
+        LshIndex::build(&MinHash, p, data.points(), &mut StdRng::seed_from_u64(4));
+    let nns: SetNns = FairNns::build(&MinHash, p, &data, near(), &mut StdRng::seed_from_u64(1));
+    let nnis: SetNnis = FairNnis::build(&MinHash, p, &data, near(), &mut StdRng::seed_from_u64(2));
+    let swap: SetRankSwap =
+        RankSwapSampler::build(&MinHash, p, &data, near(), &mut StdRng::seed_from_u64(3));
+    let sharded: SetSharded = ShardedIndex::build(
+        &MinHash,
+        p,
+        &data,
+        near(),
+        ShardedIndexConfig::with_shards(3).seeded(17),
+    );
+    let checkpoint = SetCheckpoint {
+        seq: 5,
+        index: sharded.clone(),
+    };
+    let images = [
+        ("LshIndex", to_bytes(SnapshotKind::LshIndex, &lsh)),
+        ("FairNns", to_bytes(SnapshotKind::FairNns, &nns)),
+        ("FairNnis", to_bytes(SnapshotKind::FairNnis, &nnis)),
+        ("RankSwap", to_bytes(SnapshotKind::RankSwap, &swap)),
+        (
+            "ShardedIndex",
+            to_bytes(SnapshotKind::ShardedIndex, &sharded),
+        ),
+        (
+            "Checkpoint",
+            to_bytes(SnapshotKind::Checkpoint, &checkpoint),
+        ),
+    ];
+    let pinned: [(usize, u64); 6] = [
+        (5824, 2669316511480132604),
+        (9128, 10996399986572805683),
+        (47120, 10857128152280634231),
+        (9192, 2708471707178093787),
+        (11218, 13788583550862459498),
+        (11346, 15735352977841990499),
+    ];
+    for ((name, image), want) in images.iter().zip(pinned) {
+        assert_eq!(fingerprint(image), want, "{name} image bytes changed");
+    }
+
+    // The checkpoint file an engine leaves behind after bootstrap →
+    // commit → checkpoint → commit → checkpoint.
+    let dir = std::env::temp_dir().join(format!(
+        "fairnn-roundtrip-golden-ckpt-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut writer: SetWriter = EngineWriter::bootstrap(
+        &MinHash,
+        p,
+        &data,
+        near(),
+        ShardedIndexConfig::with_shards(4).seeded(23),
+        &dir,
+    )
+    .expect("bootstrap");
+    let mut items: Vec<u32> = (0..25).collect();
+    items.push(100);
+    items.push(777);
+    writer
+        .commit(WriteBatch::new().insert(SparseSet::from_items(items.clone())))
+        .expect("first commit");
+    writer.checkpoint().expect("first checkpoint");
+    items.push(778);
+    writer
+        .commit(
+            WriteBatch::new()
+                .insert(SparseSet::from_items(items))
+                .delete(PointId(3)),
+        )
+        .expect("second commit");
+    writer.checkpoint().expect("second checkpoint");
+    let file = std::fs::read(dir.join(CHECKPOINT_FILE)).expect("read checkpoint");
+    drop(writer);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        fingerprint(&file),
+        (12676, 14941970163713253537),
+        "checkpoint.snap bytes changed"
     );
 }
 
