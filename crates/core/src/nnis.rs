@@ -35,6 +35,7 @@ use fairnn_lsh::{
 use fairnn_sketch::{
     CardinalityEstimator, DistinctSketch, DistinctSketchParams, DistinctValueTable,
 };
+use fairnn_snapshot::Codec;
 use fairnn_space::{Dataset, PointId};
 use rand::Rng;
 
@@ -534,9 +535,8 @@ fn validate_ranked_table(
 }
 
 impl<P, H, N> FairNnis<P, H, N> {
-    /// Shared tail of the inline and sectioned decoders: every cross-field
-    /// invariant of the wire format lives here, exactly once, so the two
-    /// container forms cannot drift apart in what they accept.
+    /// Tail of the sectioned decoder: every cross-field invariant of the
+    /// wire format lives here.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         points: Vec<P>,
@@ -601,52 +601,12 @@ impl<P, H, N> FairNnis<P, H, N> {
     }
 }
 
-impl<P, H, N> fairnn_snapshot::Codec for FairNnis<P, H, N>
+impl<P, H, N> fairnn_snapshot::SnapshotCodec for FairNnis<P, H, N>
 where
     P: fairnn_snapshot::Codec,
     H: fairnn_lsh::HasherBankCodec,
     N: fairnn_snapshot::Codec,
 {
-    fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
-        self.points.encode(enc);
-        H::encode_bank(&self.hashers, enc);
-        self.tables.encode(enc);
-        self.ranks.encode(enc);
-        self.near.encode(enc);
-        self.params.encode(enc);
-        self.config.encode(enc);
-        enc.write_u64(self.sketch_seed);
-        self.sketch_params.encode(enc);
-        self.sketch_values.encode(enc);
-    }
-
-    fn decode(
-        dec: &mut fairnn_snapshot::Decoder<'_>,
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        let points = Vec::<P>::decode(dec)?;
-        let hashers = H::decode_bank(dec)?;
-        let tables = Vec::<RankedTable>::decode(dec)?;
-        let ranks = RankPermutation::decode(dec)?;
-        let near = N::decode(dec)?;
-        let params = LshParams::decode(dec)?;
-        let config = FairNnisConfig::decode(dec)?;
-        let sketch_seed = dec.read_u64()?;
-        let sketch_params = DistinctSketchParams::decode(dec)?;
-        let sketch_values = DistinctValueTable::decode(dec)?;
-        Self::assemble(
-            points,
-            hashers,
-            tables,
-            ranks,
-            near,
-            params,
-            config,
-            sketch_seed,
-            sketch_params,
-            sketch_values,
-        )
-    }
-
     /// Sectioned container image: a head section (points, hasher bank, rank
     /// permutation, predicate and all scalar parameters), one section per
     /// ranked table, and one for the precomputed distinct-value table — so

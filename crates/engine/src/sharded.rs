@@ -59,6 +59,7 @@ use fairnn_core::{NeighborSampler, QueryStats};
 use fairnn_data::partition;
 use fairnn_lsh::{ConcatenatedHasher, HasherBank, LshFamily, LshHasher, LshParams};
 use fairnn_obs::LazyHistogram;
+use fairnn_snapshot::{Codec, Encoder, Section, SnapshotError};
 use fairnn_space::{Dataset, PointId};
 use rand::Rng;
 use std::sync::Arc;
@@ -238,8 +239,7 @@ impl<P, H, N> ShardedIndex<P, H, N> {
         &self.bank
     }
 
-    /// The shards themselves (read-only; for accounting, tests, and the
-    /// checkpointer's [`Arc::ptr_eq`] change detection).
+    /// The shards themselves (read-only; for accounting and tests).
     pub fn shards(&self) -> &[Arc<Shard<P, H, N>>] {
         &self.shards
     }
@@ -331,62 +331,38 @@ where
     }
 }
 
-impl<P, H, N> fairnn_snapshot::Codec for ShardedIndex<P, H, N>
+impl<P, H, N> fairnn_snapshot::SnapshotCodec for ShardedIndex<P, H, N>
 where
     P: fairnn_snapshot::Codec + Send + Sync,
     H: fairnn_lsh::HasherBankCodec + Send + Sync,
     N: fairnn_snapshot::Codec + Send + Sync + Nearness<P>,
 {
-    /// Persists the full topology: the global id → shard partition map,
-    /// the shared LSH parameters, the configuration (shard count and root
-    /// seed), the one hasher bank, then every shard (frozen tables and
-    /// points) — the same fields, in the same order, as the sectioned
-    /// image.
-    fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
-        self.shard_of.encode(enc);
-        self.params.encode(enc);
-        self.config.encode(enc);
-        self.bank.encode(enc);
-        enc.write_len(self.shards.len());
-        for shard in &self.shards {
-            shard.encode(enc);
-        }
-    }
-
-    fn decode(
-        dec: &mut fairnn_snapshot::Decoder<'_>,
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        let shard_of = Vec::<u32>::decode(dec)?;
-        let params = LshParams::decode(dec)?;
-        let config = ShardedIndexConfig::decode(dec)?;
-        let bank = Self::decode_bank(dec, params)?;
-        let num_shards = dec.read_len()?;
-        let mut shards = Vec::with_capacity(num_shards);
-        for _ in 0..num_shards {
-            shards.push(Arc::new(Shard::decode(dec, bank.clone())?));
-        }
-        Self::assemble(bank, shards, shard_of, params, config)
-    }
-
-    /// Sectioned container image: a head section (partition map, shared
-    /// parameters, configuration), the hasher bank section, then one
-    /// section per shard — encode, per-section checksums and the per-shard
-    /// decodes (each rebuilding its CSR key indexes) all run on parallel
-    /// build workers. Bytes are identical at every thread count.
+    /// Sectioned container image: a head section (global id → shard
+    /// partition map, shared LSH parameters, configuration, shard count),
+    /// the hasher bank section, then one section per shard (frozen tables
+    /// and points) — encode, per-section checksums and the per-shard
+    /// decodes all run on parallel build workers. Bytes are identical at
+    /// every thread count.
     fn encode_sections(&self) -> Vec<Vec<u8>> {
+        let mut head = Encoder::new();
+        self.shard_of.encode(&mut head);
+        self.params.encode(&mut head);
+        self.config.encode(&mut head);
+        head.write_u64(self.shards.len() as u64);
+        let mut bank = Encoder::new();
+        self.bank.encode(&mut bank);
         let mut sections = Vec::with_capacity(self.shards.len() + 2);
-        sections.push(self.head_section());
-        sections.push(self.bank_section());
+        sections.push(head.into_bytes());
+        sections.push(bank.into_bytes());
         sections.extend(fairnn_parallel::map_indexed(self.shards.len(), |s| {
-            self.shard_section(s)
+            let mut enc = Encoder::new();
+            self.shards[s].encode(&mut enc);
+            enc.into_bytes()
         }));
         sections
     }
 
-    fn decode_sections(
-        sections: &[fairnn_snapshot::Section<'_>],
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        use fairnn_snapshot::SnapshotError;
+    fn decode_sections(sections: &[Section<'_>]) -> Result<Self, SnapshotError> {
         let [head, bank_section, shard_sections @ ..] = sections else {
             return Err(SnapshotError::Corrupt(
                 "sharded index snapshot needs a head and a hasher bank section".into(),
@@ -407,9 +383,12 @@ where
                 shard_sections.len()
             )));
         }
+        // The bank must fit the stored parameters: exactly `L` tables and
+        // `K × L` rows, or a query would index past the shards' tables.
         let mut dec = bank_section.decoder();
-        let bank = Self::decode_bank(&mut dec, params)?;
+        let bank = HasherBank::<H>::decode(&mut dec)?;
         dec.finish()?;
+        bank.check_shape(params)?;
         let decoded = fairnn_parallel::map_indexed(shard_sections.len(), |s| {
             let mut dec = shard_sections[s].decoder();
             let shard = Shard::<P, H, N>::decode(&mut dec, bank.clone())?;
@@ -425,17 +404,16 @@ where
 }
 
 impl<P, H, N> ShardedIndex<P, H, N> {
-    /// Shared tail of the inline and sectioned decoders: cross-shard
-    /// validation and assembly. (Each shard's table count was checked
-    /// against the bank, and the bank against `params`, as they decoded.)
+    /// Tail of the sectioned decoder: cross-shard validation and assembly.
+    /// (Each shard's table count was checked against the bank, and the
+    /// bank against `params`, as they decoded.)
     fn assemble(
         bank: HasherBank<H>,
         shards: Vec<Arc<Shard<P, H, N>>>,
         shard_of: Vec<u32>,
         params: LshParams,
         config: ShardedIndexConfig,
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        use fairnn_snapshot::SnapshotError;
+    ) -> Result<Self, SnapshotError> {
         if shards.is_empty() {
             return Err(SnapshotError::Corrupt(
                 "sharded index needs at least one shard".into(),
@@ -466,55 +444,8 @@ where
     H: fairnn_lsh::HasherBankCodec + Send + Sync,
     N: fairnn_snapshot::Codec + Send + Sync + Nearness<P>,
 {
-    /// Decodes the hasher bank and checks it against the stored
-    /// parameters: exactly `L` tables and `K × L` rows, or a query would
-    /// index past the shards' tables.
-    fn decode_bank(
-        dec: &mut fairnn_snapshot::Decoder<'_>,
-        params: LshParams,
-    ) -> Result<HasherBank<H>, fairnn_snapshot::SnapshotError> {
-        use fairnn_snapshot::Codec;
-        let bank = HasherBank::<H>::decode(dec)?;
-        bank.check_shape(params)?;
-        Ok(bank)
-    }
-
-    /// The head section of the sectioned image: partition map, shared
-    /// parameters, configuration, shard count. Split out so the engine's
-    /// incremental checkpointer can re-encode it without re-encoding
-    /// unchanged shard sections.
-    pub(crate) fn head_section(&self) -> Vec<u8> {
-        use fairnn_snapshot::Codec;
-        let mut head = fairnn_snapshot::Encoder::new();
-        self.shard_of.encode(&mut head);
-        self.params.encode(&mut head);
-        self.config.encode(&mut head);
-        head.write_u64(self.shards.len() as u64);
-        head.into_bytes()
-    }
-
-    /// Section bytes of the shared hasher bank (written once per image;
-    /// the checkpointer reuses them while the bank is unchanged).
-    pub(crate) fn bank_section(&self) -> Vec<u8> {
-        use fairnn_snapshot::Codec;
-        let mut enc = fairnn_snapshot::Encoder::new();
-        self.bank.encode(&mut enc);
-        enc.into_bytes()
-    }
-
-    /// Section bytes of shard `s` (one entry of
-    /// [`fairnn_snapshot::Codec::encode_sections`]).
-    pub(crate) fn shard_section(&self, s: usize) -> Vec<u8> {
-        let mut enc = fairnn_snapshot::Encoder::new();
-        self.shards[s].encode(&mut enc);
-        enc.into_bytes()
-    }
-
     /// Writes the sharded index as a versioned, checksummed snapshot file.
-    pub fn save<Q: AsRef<std::path::Path>>(
-        &self,
-        path: Q,
-    ) -> Result<(), fairnn_snapshot::SnapshotError> {
+    pub fn save<Q: AsRef<std::path::Path>>(&self, path: Q) -> Result<(), SnapshotError> {
         fairnn_snapshot::save(fairnn_snapshot::SnapshotKind::ShardedIndex, self, path)
     }
 
@@ -522,9 +453,7 @@ where
     /// the restored index with the same RNG stream reproduces the saved
     /// index's draws bit for bit, and incremental insert/delete behave
     /// exactly as on the saved instance.
-    pub fn load<Q: AsRef<std::path::Path>>(
-        path: Q,
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
+    pub fn load<Q: AsRef<std::path::Path>>(path: Q) -> Result<Self, SnapshotError> {
         fairnn_snapshot::load(fairnn_snapshot::SnapshotKind::ShardedIndex, path)
     }
 }

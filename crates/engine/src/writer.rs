@@ -28,25 +28,20 @@
 //! torn final record (the crash happened mid-append) is detected by
 //! checksum, dropped, and physically truncated away on resume.
 //!
-//! [`EngineWriter::checkpoint`] cuts a fresh checkpoint *incrementally*:
-//! the hasher bank section and every shard section whose `Arc` is
-//! unchanged since the last checkpoint are reused byte-for-byte instead of
-//! re-encoded, so checkpoint cost scales with the number of shards touched
-//! since the last cut, not index size.
+//! [`EngineWriter::checkpoint`] writes the full image of the staging
+//! index, exactly as bootstrap does, and then resets the WAL. The writer
+//! keeps no encoded bytes and no shards of past checkpoints.
 
 use crate::api_types::{CommitReceipt, EngineError, WriteBatch, WriteOp};
 use crate::generation::{Generation, Shared};
 use crate::reader::EngineReader;
-use crate::shard::Shard;
 use crate::sharded::{ShardedIndex, ShardedIndexConfig};
 use fairnn_core::predicate::Nearness;
-use fairnn_lsh::{
-    ConcatenatedHasher, HasherBank, HasherBankCodec, LshFamily, LshHasher, LshParams,
-};
+use fairnn_lsh::{ConcatenatedHasher, HasherBankCodec, LshFamily, LshHasher, LshParams};
 use fairnn_obs::{LazyHistogram, Timer};
 use fairnn_snapshot::{
-    image_from_sections, read_wal, save_image, Codec, Decoder, Encoder, SnapshotError,
-    SnapshotKind, WalWriter,
+    read_wal, Codec, Decoder, Encoder, Section, SnapshotCodec, SnapshotError, SnapshotKind,
+    WalWriter,
 };
 use fairnn_space::{Dataset, PointId};
 use std::path::{Path, PathBuf};
@@ -79,27 +74,14 @@ pub struct Checkpoint<P, H, N> {
     pub index: ShardedIndex<P, H, N>,
 }
 
-impl<P, H, N> Codec for Checkpoint<P, H, N>
+impl<P, H, N> SnapshotCodec for Checkpoint<P, H, N>
 where
     P: Codec + Send + Sync,
     H: HasherBankCodec + Send + Sync,
     N: Codec + Send + Sync + Nearness<P>,
 {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.write_u64(self.seq);
-        self.index.encode(enc);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
-        let seq = dec.read_u64()?;
-        let index = ShardedIndex::decode(dec)?;
-        Ok(Self { seq, index })
-    }
-
     /// The sequence number gets its own leading section, so the index's
-    /// bank and shard sections keep their 64-byte image alignment — and so
-    /// the incremental checkpointer can reuse unchanged sections
-    /// byte-for-byte.
+    /// bank and shard sections keep their 64-byte image alignment.
     fn encode_sections(&self) -> Vec<Vec<u8>> {
         let mut head = Encoder::new();
         head.write_u64(self.seq);
@@ -108,7 +90,7 @@ where
         sections
     }
 
-    fn decode_sections(sections: &[fairnn_snapshot::Section<'_>]) -> Result<Self, SnapshotError> {
+    fn decode_sections(sections: &[Section<'_>]) -> Result<Self, SnapshotError> {
         let Some((head, index_sections)) = sections.split_first() else {
             return Err(SnapshotError::Corrupt(
                 "checkpoint snapshot has no head section".into(),
@@ -139,16 +121,6 @@ pub struct EngineWriter<P, H, N> {
     next_seq: u64,
     wal: WalWriter,
     dir: PathBuf,
-    /// Shard `Arc`s as of the last checkpoint — [`Arc::ptr_eq`] against
-    /// the staging shards detects which sections must be re-encoded.
-    last_ckpt_shards: Vec<Arc<Shard<P, H, N>>>,
-    /// The encoded shard sections of the last checkpoint, index-aligned
-    /// with `last_ckpt_shards`.
-    last_ckpt_sections: Vec<Vec<u8>>,
-    /// The hasher bank as of the last checkpoint and its encoded section,
-    /// reused while [`HasherBank::ptr_eq`] holds (the bank never changes
-    /// after the build, so in practice it is encoded once per process).
-    last_ckpt_bank: Option<(HasherBank<H>, Vec<u8>)>,
 }
 
 /// Applies a batch to an index, returning the global ids assigned to the
@@ -216,28 +188,21 @@ where
         std::fs::create_dir_all(&dir).map_err(SnapshotError::Io)?;
         let index = ShardedIndex::build(family, params, dataset, near, config);
 
-        // Durable before visible: checkpoint first, then the WAL, then
-        // publish generation 0.
-        let checkpoint = Checkpoint {
-            seq: 0,
-            index: index.clone(),
-        };
-        let sections = checkpoint.encode_sections();
-        let image = image_from_sections(SnapshotKind::Checkpoint, sections.clone());
-        save_image(&image, dir.join(CHECKPOINT_FILE))?;
+        // Durable before visible: checkpoint first, then the WAL (file and
+        // directory entry), then publish generation 0.
+        fairnn_snapshot::save(
+            SnapshotKind::Checkpoint,
+            &Checkpoint {
+                seq: 0,
+                index: index.clone(),
+            },
+            dir.join(CHECKPOINT_FILE),
+        )?;
         let wal = WalWriter::create(dir.join(WAL_FILE))?;
 
         let shared = Arc::new(Shared::new(Arc::new(Generation::now(0, index.clone()))));
-        // Prime the incremental-checkpoint cache from the sections just
-        // written: sections[0] is the checkpoint head, sections[1] the
-        // index head, sections[2] the hasher bank, shard sections follow.
-        let mut sections = sections.into_iter().skip(2);
-        let last_ckpt_bank = sections.next().map(|bytes| (index.bank().clone(), bytes));
         Ok(Self {
             shared,
-            last_ckpt_shards: index.shards().to_vec(),
-            last_ckpt_sections: sections.collect(),
-            last_ckpt_bank,
             staging: index,
             generation: 0,
             next_seq: 0,
@@ -297,12 +262,6 @@ where
             next_seq,
             wal,
             dir,
-            // Left empty: the first checkpoint after a recovery re-encodes
-            // the bank and every shard (the on-disk sections were not read
-            // back).
-            last_ckpt_shards: Vec::new(),
-            last_ckpt_sections: Vec::new(),
-            last_ckpt_bank: None,
         })
     }
 
@@ -350,46 +309,20 @@ where
 
     /// Cuts a durable checkpoint at the current state and resets the WAL.
     ///
-    /// Incremental: the hasher bank section and the shard sections
-    /// unchanged since the last checkpoint (same `Arc`, detected by
-    /// [`Arc::ptr_eq`]) are written back from the cached bytes instead of
-    /// re-encoded. Crash-safe at every step — the
-    /// checkpoint replaces the old one atomically (write-to-temp +
-    /// rename), and until the WAL reset lands, replay simply skips the
-    /// pre-checkpoint records.
+    /// Writes the full image of the staging index. Crash-safe at every
+    /// step: the checkpoint replaces the old one atomically and is fsynced
+    /// before the WAL is reset, and until that reset lands, replay simply
+    /// skips the pre-checkpoint records.
     pub fn checkpoint(&mut self) -> Result<(), EngineError> {
         let seq = self.next_seq;
-        let shards = self.staging.shards();
-
-        let mut head = Encoder::new();
-        head.write_u64(seq);
-        let mut sections = Vec::with_capacity(shards.len() + 3);
-        sections.push(head.into_bytes());
-        sections.push(self.staging.head_section());
-        let bank = self.staging.bank();
-        let bank_bytes = match &self.last_ckpt_bank {
-            Some((old, bytes)) if old.ptr_eq(bank) => bytes.clone(),
-            _ => self.staging.bank_section(),
-        };
-        sections.push(bank_bytes.clone());
-        for (s, shard) in shards.iter().enumerate() {
-            let cached = self
-                .last_ckpt_shards
-                .get(s)
-                .filter(|old| Arc::ptr_eq(old, shard))
-                .and_then(|_| self.last_ckpt_sections.get(s));
-            sections.push(match cached {
-                Some(bytes) => bytes.clone(),
-                None => self.staging.shard_section(s),
-            });
-        }
-
-        self.last_ckpt_shards = shards.to_vec();
-        self.last_ckpt_sections = sections[3..].to_vec();
-        self.last_ckpt_bank = Some((bank.clone(), bank_bytes));
-
-        let image = image_from_sections(SnapshotKind::Checkpoint, sections);
-        save_image(&image, self.dir.join(CHECKPOINT_FILE))?;
+        fairnn_snapshot::save(
+            SnapshotKind::Checkpoint,
+            &Checkpoint {
+                seq,
+                index: self.staging.clone(),
+            },
+            self.dir.join(CHECKPOINT_FILE),
+        )?;
         // Checkpoint durable — every logged record is now `< seq`, so the
         // log can restart empty. A crash before this create leaves stale
         // records that replay skips.
@@ -641,6 +574,38 @@ mod tests {
         // The pin on generation 0 still answers bit for bit.
         assert_eq!(base.run_batch(&request), before);
         drop((base, deleted, inserted));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_replaced_shard_is_freed_once_no_pin_holds_it() {
+        let (data, mut writer, dir) = bootstrap("free", 13);
+        let reader = writer.reader();
+        let pin = reader.pin();
+        let before: Vec<_> = pin.index().shards().iter().map(Arc::downgrade).collect();
+        drop(pin);
+
+        let receipt = writer
+            .commit(WriteBatch::new().insert(twin(&data, 600)))
+            .expect("insert commit");
+        let pin = reader.pin();
+        let rebuilt = pin
+            .index()
+            .shards()
+            .iter()
+            .position(|s| s.contains(receipt.assigned[0]))
+            .expect("the insert landed in a shard");
+        drop(pin);
+
+        // Only the published generation and the staging index hold shards:
+        // the one the insert replaced is gone, the others are shared.
+        for (s, weak) in before.iter().enumerate() {
+            assert_eq!(
+                weak.upgrade().is_some(),
+                s != rebuilt,
+                "shard {s} (rebuilt: {rebuilt})"
+            );
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

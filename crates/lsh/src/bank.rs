@@ -96,12 +96,6 @@ impl<H> HasherBank<H> {
         self.hashers.len()
     }
 
-    /// Whether both handles share one allocation (the checkpointer's
-    /// change detection).
-    pub fn ptr_eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.hashers, &other.hashers)
-    }
-
     /// Writes the per-table bucket keys of `query` into `keys` (resized to
     /// `L`), all `K × L` rows in one batched pass. Each call is one
     /// `lsh_hash_bank_ns` observation.
@@ -219,7 +213,6 @@ mod tests {
             bank.all_point_keys(&points),
             [index.query_keys(&points[0]), index.query_keys(&points[1])].concat()
         );
-        assert!(bank.ptr_eq(&bank.clone()));
     }
 
     #[test]

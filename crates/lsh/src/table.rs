@@ -18,6 +18,7 @@ use crate::frozen::FrozenTable;
 use crate::params::LshParams;
 use crate::scratch::QueryScratch;
 use fairnn_obs::{HistogramShard, LazyHistogram};
+use fairnn_snapshot::Codec;
 use fairnn_space::PointId;
 use rand::Rng;
 use std::cell::RefCell;
@@ -421,10 +422,8 @@ impl<H> LshIndex<H> {
 }
 
 impl<H> LshIndex<H> {
-    /// Shared tail of the inline and sectioned decoders: every cross-field
-    /// invariant of the wire format lives here (and in
-    /// [`LshTables::assemble`]), exactly once, so the two container forms
-    /// cannot drift apart in what they accept.
+    /// Tail of the sectioned decoder: every cross-field invariant of the
+    /// wire format lives here (and in [`LshTables::assemble`]).
     fn assemble(
         hashers: Vec<H>,
         tables: LshTables,
@@ -451,22 +450,7 @@ impl<H> LshIndex<H> {
     }
 }
 
-impl<H: crate::snapshot::HasherBankCodec> fairnn_snapshot::Codec for LshIndex<H> {
-    fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
-        H::encode_bank(&self.hashers, enc);
-        self.tables.encode(enc);
-        self.params.encode(enc);
-    }
-
-    fn decode(
-        dec: &mut fairnn_snapshot::Decoder<'_>,
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        let hashers = H::decode_bank(dec)?;
-        let tables = LshTables::decode(dec)?;
-        let params = LshParams::decode(dec)?;
-        Self::assemble(hashers, tables, params)
-    }
-
+impl<H: crate::snapshot::HasherBankCodec> fairnn_snapshot::SnapshotCodec for LshIndex<H> {
     /// Sectioned container image: section 0 holds the hasher bank and the
     /// scalar metadata, then one section per table — so table encodes, the
     /// per-section checksums and the per-table decodes (CSR validation +

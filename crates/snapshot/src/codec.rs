@@ -1,4 +1,5 @@
-//! The byte-level encoder/decoder pair and the [`Codec`] trait.
+//! The byte-level encoder/decoder pair, the [`Codec`] trait and the
+//! [`SnapshotCodec`] trait of whole snapshot images.
 //!
 //! Everything on disk is little-endian, independent of the host: writers use
 //! `to_le_bytes`, readers use `from_le_bytes`, so a snapshot produced on any
@@ -219,10 +220,11 @@ impl<'a> Decoder<'a> {
 }
 
 /// One independently checksummed slice of a snapshot image, as handed to
-/// [`Codec::decode_sections`]. Carries the backing [`ArcBytes`] buffer
-/// (and this section's offset within it) when the image was loaded through
-/// a [`crate::SnapshotImage`], which is what enables zero-copy decodes;
-/// sections built from a plain byte slice decode element-wise instead.
+/// [`SnapshotCodec::decode_sections`]. Carries the backing [`ArcBytes`]
+/// buffer (and this section's offset within it) when the image was loaded
+/// through a [`crate::SnapshotImage`], which is what enables zero-copy
+/// decodes; sections built from a plain byte slice decode element-wise
+/// instead.
 #[derive(Debug, Clone, Copy)]
 pub struct Section<'a> {
     bytes: &'a [u8],
@@ -402,31 +404,42 @@ pub trait Codec: Sized {
 
     /// Reads one value, validating structural invariants.
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError>;
+}
 
-    /// Splits this value's **container image** into independently decodable
-    /// sections (the container stores one length and checksum per section
-    /// and, since format v3, places each section payload at a 64-byte-
-    /// aligned image offset; see `crate::container`). The default is a single section
-    /// holding the plain [`Codec::encode`] bytes. Large structures override
-    /// this with one section per shard or per table, so encode, checksum
-    /// and decode all run on parallel build workers — with the emitted
-    /// bytes identical at every thread count, because sections are always
-    /// concatenated in order.
-    ///
-    /// Only the top-level value of a snapshot is sectioned; a value nested
-    /// inside another's encoding always uses the inline [`Codec::encode`]
-    /// form.
+/// The encoding of a value stored as a whole snapshot image: its container
+/// sections (the container stores one length and checksum per section and
+/// places each section payload at a 64-byte-aligned image offset; see
+/// `crate::container`). [`crate::to_bytes`], [`crate::from_bytes`],
+/// [`crate::save`], [`crate::load`] and [`crate::SnapshotImage::decode`]
+/// take any `SnapshotCodec`.
+///
+/// Every [`Codec`] type is one: a single section holding its
+/// [`Codec::encode`] bytes. Large structures instead implement this trait
+/// directly, and **not** [`Codec`], with one section per shard or per
+/// table, so encode, checksum and decode all run on parallel build workers
+/// (the emitted bytes are identical at every thread count, because sections
+/// are always concatenated in order). Having no [`Codec`] impl, a sectioned
+/// value cannot be nested inside another encoding: it exists only at the
+/// top level of an image.
+pub trait SnapshotCodec: Sized {
+    /// Splits this value's image into independently decodable sections.
+    fn encode_sections(&self) -> Vec<Vec<u8>>;
+
+    /// Reassembles a value from the sections written by
+    /// [`SnapshotCodec::encode_sections`]. Implementations must reject a
+    /// section count they did not produce, and every section must be fully
+    /// consumed. Sections loaded through a [`crate::SnapshotImage`] carry
+    /// their backing buffer, so [`SliceCodec`] columns decode zero-copy.
+    fn decode_sections(sections: &[Section<'_>]) -> Result<Self, SnapshotError>;
+}
+
+impl<T: Codec> SnapshotCodec for T {
     fn encode_sections(&self) -> Vec<Vec<u8>> {
         let mut enc = Encoder::new();
         self.encode(&mut enc);
         vec![enc.into_bytes()]
     }
 
-    /// Reassembles a value from the container sections written by
-    /// [`Codec::encode_sections`]. Implementations must reject a section
-    /// count they did not produce, and every section must be fully
-    /// consumed. Sections loaded through a [`crate::SnapshotImage`] carry
-    /// their backing buffer, so [`SliceCodec`] columns decode zero-copy.
     fn decode_sections(sections: &[Section<'_>]) -> Result<Self, SnapshotError> {
         let [payload] = sections else {
             return Err(SnapshotError::Corrupt(format!(

@@ -29,7 +29,7 @@
 //! **Why sections?** Version 1 stored one flat payload under one checksum,
 //! which forces serial verification and decoding. Version 2 lets a
 //! structure split its image into independently checksummed sections
-//! ([`Codec::encode_sections`]) — one per shard, one per LSH table — so
+//! ([`SnapshotCodec::encode_sections`]) — one per shard, one per LSH table — so
 //! encode, checksum and decode all run on parallel build workers. The
 //! bytes are identical at every thread count (sections are concatenated in
 //! a fixed order).
@@ -55,15 +55,17 @@
 //! the build that wrote them).
 
 use crate::bytes::{ArcBytes, SECTION_ALIGN};
-use crate::codec::{Codec, Decoder, Section};
+use crate::codec::{Decoder, Section, SnapshotCodec};
 use crate::error::SnapshotError;
 use fairnn_obs::{LazyCounter, LazyHistogram, Timer};
+use std::io::Write;
 use std::path::Path;
 
-/// Wall time of [`save`] end to end (encode + checksum + write + rename).
+/// Wall time of [`save`] end to end (encode + checksum + write + fsync +
+/// rename).
 static SAVE_NS: LazyHistogram = LazyHistogram::new(
     "snapshot_save_ns",
-    "wall time of snapshot save (encode, checksum, write, rename) in nanoseconds",
+    "wall time of snapshot save (encode, checksum, write, fsync, rename) in nanoseconds",
 );
 
 /// Wall time of [`load`] end to end (read + verify + decode).
@@ -169,21 +171,19 @@ fn align_up(offset: usize) -> Option<usize> {
 }
 
 /// Serializes `value` into a complete snapshot byte image (header +
-/// section directory + aligned section payloads). Sections are produced by
-/// [`Codec::encode_sections`] and checksummed on parallel build workers;
-/// the assembled image is identical at every thread count. Each section
-/// payload is placed at a 64-byte-aligned image offset (zero padding,
-/// excluded from the checksums); nothing follows the last section.
-pub fn to_bytes<T: Codec>(kind: SnapshotKind, value: &T) -> Vec<u8> {
+/// section directory + aligned section payloads) from the sections of
+/// [`SnapshotCodec::encode_sections`].
+pub fn to_bytes<T: SnapshotCodec>(kind: SnapshotKind, value: &T) -> Vec<u8> {
     image_from_sections(kind, value.encode_sections())
 }
 
-/// Assembles a complete snapshot image from already-encoded sections —
-/// the tail of [`to_bytes`], exposed so incremental writers (the engine's
-/// checkpointer) can reuse cached per-section bytes for sections whose
-/// source structure has not changed since the last image was cut. The
-/// output is byte-identical to [`to_bytes`] over a value whose
-/// `encode_sections` returns `sections`.
+/// Assembles a complete snapshot image from encoded sections: the tail of
+/// [`to_bytes`], byte-identical to it over a value whose `encode_sections`
+/// returns `sections`. Section checksums run on parallel build workers and
+/// the image is identical at every thread count. Each section payload is
+/// placed at a 64-byte-aligned image offset (zero padding, excluded from
+/// the checksums); nothing follows the last section. Corruption tests use
+/// it to splice sections of different values into one image.
 pub fn image_from_sections(kind: SnapshotKind, sections: Vec<Vec<u8>>) -> Vec<u8> {
     assert!(
         !sections.is_empty(),
@@ -411,9 +411,9 @@ fn parse_image(bytes: &[u8], expected: Option<SnapshotKind>) -> Result<ParsedIma
 /// Parses a snapshot byte image produced by [`to_bytes`], validating the
 /// full header chain and the section directory before decoding; section
 /// checksums are verified (in parallel) before the sections reach
-/// [`Codec::decode_sections`]. Decoding from a plain slice always copies;
-/// use a [`SnapshotImage`] for the zero-copy path.
-pub fn from_bytes<T: Codec>(kind: SnapshotKind, bytes: &[u8]) -> Result<T, SnapshotError> {
+/// [`SnapshotCodec::decode_sections`]. Decoding from a plain slice always
+/// copies; use a [`SnapshotImage`] for the zero-copy path.
+pub fn from_bytes<T: SnapshotCodec>(kind: SnapshotKind, bytes: &[u8]) -> Result<T, SnapshotError> {
     let image = parse_image(bytes, Some(kind))?;
     let mut sections = Vec::with_capacity(image.sections.len());
     for (offset, len) in &image.sections {
@@ -491,7 +491,7 @@ impl SnapshotImage {
     /// Decodes the image as a `T`, borrowing fixed-width columns from the
     /// backing buffer. Integrity was verified at construction; only the
     /// kind tag and structural invariants are checked here.
-    pub fn decode<T: Codec>(&self, kind: SnapshotKind) -> Result<T, SnapshotError> {
+    pub fn decode<T: SnapshotCodec>(&self, kind: SnapshotKind) -> Result<T, SnapshotError> {
         if self.kind_tag != kind.tag() {
             return Err(SnapshotError::KindMismatch {
                 found: self.kind_tag,
@@ -583,24 +583,20 @@ fn read_le_array<const N: usize>(bytes: &[u8], at: usize) -> Option<[u8; N]> {
     Some(out)
 }
 
-/// Writes `value` as a snapshot file at `path` (atomically replaced via a
-/// sibling temporary file, so readers never observe a half-written
-/// snapshot).
-pub fn save<T: Codec, P: AsRef<Path>>(
+/// Writes `value` as a snapshot file at `path`, atomically and durably.
+///
+/// The image goes to a sibling temporary file, which is fsynced before it
+/// is renamed over `path`; the directory is fsynced after the rename. So
+/// readers never observe a half-written snapshot, and once `save` returns
+/// the new file survives a power loss (the engine truncates its WAL right
+/// after a checkpoint save). A failed step removes the temporary file.
+pub fn save<T: SnapshotCodec, P: AsRef<Path>>(
     kind: SnapshotKind,
     value: &T,
     path: P,
 ) -> Result<(), SnapshotError> {
     let _timer = Timer::start(&SAVE_NS);
     let bytes = to_bytes(kind, value);
-    save_image(&bytes, path)
-}
-
-/// Atomically writes an already-assembled snapshot image (from
-/// [`to_bytes`] or [`image_from_sections`]) to `path` — the write+rename
-/// tail of [`save`], exposed for incremental writers that assemble their
-/// own images.
-pub fn save_image<P: AsRef<Path>>(bytes: &[u8], path: P) -> Result<(), SnapshotError> {
     let path = path.as_ref();
     BYTES_WRITTEN.add(bytes.len() as u64);
     // The temp name appends to the *full* file name (never replaces an
@@ -616,15 +612,36 @@ pub fn save_image<P: AsRef<Path>>(bytes: &[u8], path: P) -> Result<(), SnapshotE
     let mut tmp_name = file_name.to_os_string();
     tmp_name.push(format!(".tmp.{}", std::process::id()));
     let tmp = path.with_file_name(tmp_name);
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)?;
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(&bytes)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)
+    });
+    if let Err(err) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(err.into());
+    }
+    sync_parent_dir(path)?;
     Ok(())
+}
+
+/// Fsyncs the directory holding `path`, so a file created or renamed
+/// there survives a power loss.
+pub(crate) fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// Reads a snapshot file written by [`save`], through the zero-copy
 /// [`SnapshotImage`] path: one aligned read-to-end, up-front verification,
 /// and in-place column borrows for [`crate::SliceCodec`] data.
-pub fn load<T: Codec, P: AsRef<Path>>(kind: SnapshotKind, path: P) -> Result<T, SnapshotError> {
+pub fn load<T: SnapshotCodec, P: AsRef<Path>>(
+    kind: SnapshotKind,
+    path: P,
+) -> Result<T, SnapshotError> {
     let _timer = Timer::start(&LOAD_NS);
     let image = SnapshotImage::open(path)?;
     image.decode(kind)
@@ -633,7 +650,7 @@ pub fn load<T: Codec, P: AsRef<Path>>(kind: SnapshotKind, path: P) -> Result<T, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::Encoder;
+    use crate::codec::{Codec, Encoder};
 
     #[test]
     fn image_roundtrip() {
@@ -747,17 +764,7 @@ mod tests {
         tail: Vec<u64>,
     }
 
-    impl Codec for TwoPart {
-        fn encode(&self, enc: &mut Encoder) {
-            self.head.encode(enc);
-            self.tail.encode(enc);
-        }
-        fn decode(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
-            Ok(Self {
-                head: Vec::decode(dec)?,
-                tail: Vec::decode(dec)?,
-            })
-        }
+    impl SnapshotCodec for TwoPart {
         fn encode_sections(&self) -> Vec<Vec<u8>> {
             let mut head = Encoder::new();
             self.head.encode(&mut head);

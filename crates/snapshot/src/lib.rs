@@ -13,7 +13,10 @@
 //!
 //! * [`Codec`] — the canonical little-endian encode/decode contract the
 //!   structural crates (`fairnn-lsh`, `fairnn-sketch`, `fairnn-core`,
-//!   `fairnn-engine`) implement next to their types;
+//!   `fairnn-engine`) implement next to their types, and
+//!   [`SnapshotCodec`] — the section split of a whole image, which every
+//!   `Codec` type has as one section and the large indexes implement
+//!   instead of `Codec`;
 //! * [`Encoder`] / [`Decoder`] — the bounds-checked byte cursors;
 //! * the container format ([`to_bytes`] / [`from_bytes`] /
 //!   [`save`] / [`load`]): an 8-byte magic, a format version, a byte-order
@@ -21,7 +24,8 @@
 //!   FNV-1a checksum over the section directory — validated in that order
 //!   before any payload byte is decoded — and per-section lengths and
 //!   checksums, so large structures encode, verify and decode their
-//!   sections on parallel build workers ([`Codec::encode_sections`]);
+//!   sections on parallel build workers
+//!   ([`SnapshotCodec::encode_sections`]);
 //! * [`SnapshotError`] — a typed error for every rejection path (bad magic,
 //!   unsupported version, endianness, kind mismatch, checksum mismatch,
 //!   truncation, corrupt payload, trailing bytes). Loading never panics on
@@ -61,10 +65,12 @@ pub use bytes::{
     pod_bytes, prefetch_read, ArcBytes, ArcSlice, CountingAlloc, Pod, LARGE_ALLOC_THRESHOLD,
     SECTION_ALIGN,
 };
-pub use codec::{decode_pod_slice, encode_pod_slice, Codec, Decoder, Encoder, Section, SliceCodec};
+pub use codec::{
+    decode_pod_slice, encode_pod_slice, Codec, Decoder, Encoder, Section, SliceCodec, SnapshotCodec,
+};
 pub use container::{
-    checksum64, from_bytes, image_from_sections, load, repair_checksums, save, save_image,
-    to_bytes, SnapshotImage, SnapshotKind, ENDIAN_MARK, FORMAT_VERSION, HEADER_LEN, MAGIC,
+    checksum64, from_bytes, image_from_sections, load, repair_checksums, save, to_bytes,
+    SnapshotImage, SnapshotKind, ENDIAN_MARK, FORMAT_VERSION, HEADER_LEN, MAGIC,
 };
 pub use error::SnapshotError;
 pub use wal::{parse_wal, read_wal, WalReplay, WalWriter, WAL_HEADER_LEN, WAL_MAGIC, WAL_VERSION};

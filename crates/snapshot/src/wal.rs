@@ -31,7 +31,7 @@
 //! crate.
 
 use crate::codec::Decoder;
-use crate::container::checksum64;
+use crate::container::{checksum64, sync_parent_dir};
 use crate::error::SnapshotError;
 use fairnn_obs::{LazyCounter, LazyHistogram, Timer};
 use std::io::{Seek, SeekFrom, Write};
@@ -90,8 +90,9 @@ pub struct WalWriter {
 
 impl WalWriter {
     /// Creates (or truncates) the log at `path` and writes the file
-    /// header durably.
+    /// header durably, directory entry included.
     pub fn create<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
+        let path = path.as_ref();
         let mut file = std::fs::File::create(path)?;
         let mut header = Vec::with_capacity(WAL_HEADER_LEN);
         header.extend_from_slice(&WAL_MAGIC);
@@ -99,6 +100,7 @@ impl WalWriter {
         header.extend_from_slice(&0u32.to_le_bytes());
         file.write_all(&header)?;
         file.sync_data()?;
+        sync_parent_dir(path)?;
         Ok(Self {
             file,
             bytes: WAL_HEADER_LEN as u64,

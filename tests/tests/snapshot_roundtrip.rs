@@ -25,8 +25,8 @@ use fairnn_integration_tests::{
 };
 use fairnn_lsh::{ConcatenatedHasher, LshIndex, LshParams, MinHash, MinHasher};
 use fairnn_snapshot::{
-    from_bytes, image_from_sections, to_bytes, Codec, SnapshotError, SnapshotImage, SnapshotKind,
-    FORMAT_VERSION, HEADER_LEN,
+    from_bytes, image_from_sections, to_bytes, SnapshotCodec, SnapshotError, SnapshotImage,
+    SnapshotKind, FORMAT_VERSION, HEADER_LEN,
 };
 use fairnn_space::{Jaccard, PointId, SparseSet};
 use proptest::prelude::*;
@@ -199,7 +199,7 @@ fn reopened_engine_reproduces_the_golden_batch() {
 /// [`SnapshotImage`] path (one verified buffer, borrowed columns), decodes.
 fn via_image<T, S>(value: &T, name: &str, kind: SnapshotKind, save: S) -> T
 where
-    T: fairnn_snapshot::Codec,
+    T: fairnn_snapshot::SnapshotCodec,
     S: FnOnce(&T, &PathBuf),
 {
     let path = temp_path(name);
