@@ -29,10 +29,10 @@
 //! **Why sections?** Version 1 stored one flat payload under one checksum,
 //! which forces serial verification and decoding. Version 2 lets a
 //! structure split its image into independently checksummed sections
-//! ([`SnapshotCodec::encode_sections`]) — one per shard, one per LSH table — so
-//! encode, checksum and decode all run on parallel build workers. The
-//! bytes are identical at every thread count (sections are concatenated in
-//! a fixed order).
+//! ([`SnapshotCodec::encode_sections`]) — one per shard, one per LSH
+//! table — so encode, checksum and decode all run on parallel build
+//! workers. The bytes are identical at every thread count (sections are
+//! concatenated in a fixed order).
 //!
 //! **Why alignment?** Version 3 places every section payload at a 64-byte-
 //! aligned image offset, and the large fixed-width columns inside sections
