@@ -28,14 +28,17 @@
 //!
 //! Updates are incremental and never touch a table in place. A delete only
 //! tombstones the point: it stays in its buckets, where the walk
-//! skips it, and `b_i` keeps counting it (still an upper bound). Inserts
-//! build the shard's next tables from the current ones in one linear merge
-//! per table. Once tombstones exceed half the live points the shard
-//! compacts itself locally in one more linear pass (same bank, compacted
-//! ids). The tables sit behind an `Arc`, so a shard copied for the next
-//! generation shares them until an insert or a compaction replaces them.
-//! No update ever requires touching another shard, let alone a global
-//! rebuild.
+//! skips it, and `b_i` keeps counting it (still an upper bound). An insert
+//! only stages its point: it joins the point arrays, but not the tables.
+//! `Shard::merge_staged` then hashes every staged point and builds the
+//! shard's next tables from the current ones in one linear merge per
+//! table, however many points (and commits) were staged. The writer merges
+//! before an index becomes visible, and a compaction merges first. Once
+//! tombstones exceed half the live points the shard compacts itself
+//! locally in one more linear pass (same bank, compacted ids). The tables
+//! sit behind an `Arc`, so a shard copied for the next generation shares
+//! them until a merge or a compaction replaces them. No update ever
+//! requires touching another shard, let alone a global rebuild.
 
 use fairnn_core::predicate::Nearness;
 use fairnn_core::QueryStats;
@@ -139,6 +142,10 @@ impl<P, H, N> Shard<P, H, N> {
         if cfg!(debug_assertions) {
             debug_assert_eq!(self.global_ids.len(), self.points.len());
             debug_assert_eq!(self.alive.len(), self.points.len());
+            debug_assert!(
+                self.tables.num_points() <= self.points.len(),
+                "the tables cover ids past the point array"
+            );
             debug_assert_eq!(
                 self.live + self.tombstones,
                 self.points.len(),
@@ -342,34 +349,51 @@ impl<P: Clone, H, N> Shard<P, H, N>
 where
     H: LshHasher<P>,
 {
-    /// Inserts new points with their global ids, then builds the shard's
-    /// next tables from the current ones with the points appended: one
-    /// linear merge per table, however many points arrive. Crate-private:
-    /// mutations enter through the engine writer's `WriteBatch`.
-    pub(crate) fn insert(&mut self, new: Vec<(PointId, P)>) {
-        let first = self.points.len();
-        let mut keys = Vec::with_capacity(new.len() * self.num_tables());
-        for (global, point) in new {
-            let lid = self.points.len() as u32;
-            assert!(
-                self.local_of.insert(global, lid).is_none(),
-                "global id {global} already present in shard"
-            );
-            keys.extend(self.bank.point_keys(&point));
-            self.points.push(point);
-            self.global_ids.push(global);
-            self.alive.push(true);
-            self.live += 1;
-        }
-        let count = self.points.len() - first;
-        self.tables = Arc::new(self.tables.appended(&keys, count));
+    /// Stages a new point with its global id: it is appended to the
+    /// shard's points, global ids and alive flags and counts as live, but
+    /// no table covers it until [`Shard::merge_staged`]. Crate-private:
+    /// mutations enter through the engine writer's `WriteBatch`, which
+    /// merges before anything reads the shard.
+    pub(crate) fn insert(&mut self, global: PointId, point: P) {
+        let lid = self.points.len() as u32;
+        assert!(
+            self.local_of.insert(global, lid).is_none(),
+            "global id {global} already present in shard"
+        );
+        self.points.push(point);
+        self.global_ids.push(global);
+        self.alive.push(true);
+        self.live += 1;
         self.debug_assert_occupancy_invariants();
+    }
+
+    /// Number of staged points: those past the last id the tables cover.
+    pub(crate) fn staged_points(&self) -> usize {
+        self.points.len() - self.tables.num_points()
+    }
+
+    /// Hashes the staged points and builds the shard's next tables from
+    /// the current ones with them appended: one linear merge per table,
+    /// however many points were staged. The result is the table a merge
+    /// per staged batch would have built, since a bucket lists its ids in
+    /// ascending order either way. A no-op with nothing staged.
+    pub(crate) fn merge_staged(&mut self) {
+        let first = self.tables.num_points();
+        let count = self.points.len() - first;
+        if count > 0 {
+            let keys: Vec<u64> = self.points[first..]
+                .iter()
+                .flat_map(|point| self.bank.point_keys(point))
+                .collect();
+            self.tables = Arc::new(self.tables.appended(&keys, count));
+        }
     }
 
     /// Deletes the point with the given global id by tombstoning it; its
     /// bucket entries stay until the next compaction. Returns `false` when
-    /// the shard does not own it. May trigger a local compaction.
-    /// Crate-private like [`Shard::insert`].
+    /// the shard does not own it. May trigger a local compaction, which
+    /// merges the staged points first. Crate-private like
+    /// [`Shard::insert`].
     pub(crate) fn delete(&mut self, global: PointId) -> bool {
         let Some(lid) = self.local_of.remove(&global) else {
             return false;
@@ -384,8 +408,9 @@ where
         true
     }
 
-    /// Drops tombstoned points, re-densifies local ids and compacts the
-    /// tables. Strictly shard-local. The tables
+    /// Merges the staged points, then drops tombstoned points,
+    /// re-densifies local ids and compacts the tables. Strictly
+    /// shard-local. The tables
     /// are compacted by [`fairnn_lsh::LshTables::compacted`] — one linear
     /// pass per table that drops the tombstoned entries and renames the
     /// rest, so no point is re-run through the hasher bank — which is
@@ -398,6 +423,7 @@ where
     }
 
     fn compact(&mut self) {
+        self.merge_staged();
         let mut new_id_of = vec![u32::MAX; self.points.len()];
         let mut points = Vec::with_capacity(self.live);
         let mut global_ids = Vec::with_capacity(self.live);
@@ -638,7 +664,10 @@ mod tests {
             items.push(700 + j);
             (PointId(90 + j), SparseSet::from_items(items))
         });
-        shard.insert(twins.collect());
+        for (global, point) in twins {
+            shard.insert(global, point);
+        }
+        shard.merge_staged();
         for j in [1u32, 2, 5, 41] {
             assert!(shard.delete(PointId(j)));
         }
@@ -728,7 +757,8 @@ mod tests {
         let mut shard = build_shard(sets, 0);
         let mut twin_items: Vec<u32> = (0..24).collect();
         twin_items.push(500);
-        shard.insert(vec![(PointId(90), SparseSet::from_items(twin_items))]);
+        shard.insert(PointId(90), SparseSet::from_items(twin_items));
+        shard.merge_staged();
         assert_eq!(shard.live_points(), 17);
         assert!(shard.contains(PointId(90)));
         let mut stats = QueryStats::default();
@@ -808,7 +838,7 @@ mod tests {
     fn duplicate_global_id_rejected() {
         let sets = clustered_sets();
         let mut shard = build_shard(sets, 0);
-        shard.insert(vec![(PointId(3), SparseSet::from_items(vec![1, 2, 3]))]);
+        shard.insert(PointId(3), SparseSet::from_items(vec![1, 2, 3]));
     }
 
     #[test]

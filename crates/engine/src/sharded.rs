@@ -564,40 +564,12 @@ where
     H: LshHasher<P>,
     N: Nearness<P>,
 {
-    /// Inserts new points, each into the shard that is least loaded once
-    /// the points before it are placed (ties broken toward the lowest
-    /// shard index, so routing is deterministic), and returns their freshly
-    /// assigned global ids in order. Each shard that receives points
-    /// rebuilds its tables once, whatever their number; the other shards
-    /// stay shared with the previous generation. Crate-private: external
-    /// callers go through the engine writer's `WriteBatch`, which
-    /// write-ahead-logs the mutation and publishes a fresh generation.
-    pub(crate) fn insert(&mut self, points: impl IntoIterator<Item = P>) -> Vec<PointId> {
-        let mut loads: Vec<usize> = self.shards.iter().map(|s| s.live_points()).collect();
-        let mut routed: Vec<Vec<(PointId, P)>> = self.shards.iter().map(|_| Vec::new()).collect();
-        let mut assigned = Vec::new();
-        for point in points {
-            let id = PointId::from_index(self.shard_of.len());
-            let target = (0..loads.len())
-                .min_by_key(|&s| loads[s])
-                .expect("at least one shard");
-            loads[target] += 1;
-            self.shard_of.push(target as u32);
-            routed[target].push((id, point));
-            assigned.push(id);
-        }
-        for (shard, new) in self.shards.iter_mut().zip(routed) {
-            if !new.is_empty() {
-                Arc::make_mut(shard).insert(new);
-            }
-        }
-        assigned
-    }
-
     /// Deletes a point by global id; returns `false` for unknown or already
     /// deleted ids. Purely shard-local: the owning shard tombstones the
     /// point and keeps sharing its tables, unless the delete triggers that
-    /// shard's compaction. Crate-private like [`ShardedIndex::insert`].
+    /// shard's compaction. Crate-private: external callers go through the
+    /// engine writer's `WriteBatch`, which write-ahead-logs the mutation
+    /// and publishes a fresh generation.
     pub(crate) fn delete(&mut self, id: PointId) -> bool {
         let Some(&s) = self.shard_of.get(id.index()) else {
             return false;
@@ -622,6 +594,77 @@ where
                 Arc::make_mut(shard).force_compact();
             }
         }
+    }
+}
+
+/// A [`ShardedIndex`] whose inserts are staged: each inserted point is
+/// routed and stored in its shard, but no shard's tables cover it yet.
+///
+/// The writer applies batches to a staged index, during a commit and
+/// across a whole WAL replay, so a shard's tables take one merge for all
+/// the points it received. A staged index answers no query, has no
+/// encoding and is never published: it has no query or snapshot method,
+/// and the one way back to a [`ShardedIndex`] is
+/// [`StagedIndex::merged`], which brings every shard's tables up to date.
+#[derive(Debug)]
+pub(crate) struct StagedIndex<P, H, N> {
+    index: ShardedIndex<P, H, N>,
+}
+
+impl<P: Clone, H: Clone, N: Clone> StagedIndex<P, H, N>
+where
+    H: LshHasher<P>,
+    N: Nearness<P>,
+{
+    /// Starts staging on top of a merged index.
+    pub(crate) fn new(index: ShardedIndex<P, H, N>) -> Self {
+        Self { index }
+    }
+
+    /// Whether the (live) point with this global id is present, staged
+    /// points included.
+    pub(crate) fn contains(&self, id: PointId) -> bool {
+        self.index.contains(id)
+    }
+
+    /// Stages a new point in the shard that is least loaded, staged points
+    /// included (ties broken toward the lowest shard index, so routing is
+    /// deterministic), and returns its freshly assigned global id. Only
+    /// the receiving shard is copied; the others stay shared with the
+    /// previous generation.
+    pub(crate) fn insert(&mut self, point: P) -> PointId {
+        let index = &mut self.index;
+        let id = PointId::from_index(index.shard_of.len());
+        let target = (0..index.shards.len())
+            .min_by_key(|&s| index.shards[s].live_points())
+            .expect("at least one shard");
+        index.shard_of.push(target as u32);
+        Arc::make_mut(&mut index.shards[target]).insert(id, point);
+        id
+    }
+
+    /// [`ShardedIndex::delete`]; a compaction it triggers merges the
+    /// shard's staged points first.
+    pub(crate) fn delete(&mut self, id: PointId) -> bool {
+        self.index.delete(id)
+    }
+
+    /// [`ShardedIndex::compact`]; each compacted shard merges its staged
+    /// points first.
+    pub(crate) fn compact(&mut self) {
+        self.index.compact();
+    }
+
+    /// The index with every shard's staged points merged into its tables:
+    /// one linear merge per table of each shard that holds staged points.
+    /// The other shards stay shared.
+    pub(crate) fn merged(mut self) -> ShardedIndex<P, H, N> {
+        for shard in &mut self.index.shards {
+            if shard.staged_points() > 0 {
+                Arc::make_mut(shard).merge_staged();
+            }
+        }
+        self.index
     }
 }
 
@@ -844,12 +887,14 @@ mod tests {
 
     #[test]
     fn insert_routes_to_least_loaded_shard_and_is_sampleable() {
-        let (data, mut index) = build(4, 8);
+        let (data, index) = build(4, 8);
         let query = data.point(PointId(0)).clone();
         let mut items: Vec<u32> = (0..25).collect();
         items.push(100); // joins the cluster of query 0
         items.push(777);
-        let ids = index.insert([SparseSet::from_items(items)]);
+        let mut staged = StagedIndex::new(index);
+        let ids = vec![staged.insert(SparseSet::from_items(items))];
+        let index = staged.merged();
         assert_eq!(ids, vec![PointId::from_index(data.len())]);
         let id = ids[0];
         assert!(index.contains(id));
@@ -861,6 +906,76 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let seen_inserted = (0..2000).any(|_| index.sample(&query, &mut rng).0 == Some(id));
         assert!(seen_inserted, "inserted point never sampled");
+    }
+
+    /// Whether `T` implements [`SnapshotCodec`](fairnn_snapshot::SnapshotCodec),
+    /// decided at compile time: `(&Probe::<T>(PhantomData)).encodable()`
+    /// resolves to `Encodable` when the bound holds and, one autoref
+    /// later, to `NotEncodable` otherwise.
+    struct Probe<T>(std::marker::PhantomData<T>);
+    trait Encodable {
+        fn encodable(&self) -> bool {
+            true
+        }
+    }
+    impl<T: fairnn_snapshot::SnapshotCodec> Encodable for Probe<T> {}
+    trait NotEncodable {
+        fn encodable(&self) -> bool {
+            false
+        }
+    }
+    impl<T> NotEncodable for &Probe<T> {}
+
+    #[test]
+    fn staged_points_reach_readers_and_encoders_only_through_a_merge() {
+        use fairnn_snapshot::{to_bytes, SnapshotKind};
+        use std::marker::PhantomData;
+        // The type boundary: a staged index has no encoding, no query
+        // method, and `Generation::now` takes a `ShardedIndex` only, so
+        // the one way to publish, query or encode staged points is
+        // `StagedIndex::merged`.
+        type Staged = StagedIndex<
+            SparseSet,
+            ConcatenatedHasher<fairnn_lsh::MinHasher>,
+            SimilarityAtLeast<Jaccard>,
+        >;
+        assert!(Probe::<Index>(PhantomData).encodable());
+        assert!(!(&Probe::<Staged>(PhantomData)).encodable());
+
+        let (data, index) = build(4, 16);
+        let query = data.point(PointId(0)).clone();
+        let before = to_bytes(SnapshotKind::ShardedIndex, &index);
+        let twin = |j: u32| {
+            let mut items: Vec<u32> = (0..25).collect();
+            items.push(100);
+            items.push(900 + j);
+            SparseSet::from_items(items)
+        };
+        let mut staged = StagedIndex::new(index.clone());
+        let ids: Vec<PointId> = (0..6).map(|j| staged.insert(twin(j))).collect();
+        assert!(ids.iter().all(|&id| staged.contains(id)));
+        // Staged: the shards hold the points, their tables do not.
+        let shards = &staged.index.shards;
+        assert_eq!(shards.iter().map(|s| s.staged_points()).sum::<usize>(), 6);
+        // Copy-on-write: the index the staging started from is untouched.
+        assert_eq!(to_bytes(SnapshotKind::ShardedIndex, &index), before);
+
+        let merged = staged.merged();
+        assert!(merged.shards().iter().all(|s| s.staged_points() == 0));
+        let neighborhood = merged.neighborhood(&query);
+        assert!(ids.iter().all(|id| neighborhood.contains(id)));
+        // One merge over all six points builds the bytes of one merge per
+        // point.
+        let mut one_by_one = index;
+        for j in 0..6 {
+            let mut staged = StagedIndex::new(one_by_one);
+            staged.insert(twin(j));
+            one_by_one = staged.merged();
+        }
+        assert_eq!(
+            to_bytes(SnapshotKind::ShardedIndex, &merged),
+            to_bytes(SnapshotKind::ShardedIndex, &one_by_one)
+        );
     }
 
     #[test]

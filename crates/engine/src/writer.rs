@@ -6,27 +6,33 @@
 //! sectioned v3 container format) and a write-ahead log (`engine.wal`).
 //! The commit protocol for a [`WriteBatch`]:
 //!
-//! 1. **validate** — every `Delete` must reference a live id in the
-//!    staging index; an invalid batch is rejected whole, before anything
-//!    touches the log;
+//! 1. **validate** — every `Delete` must reference an id live in the
+//!    staging index, and no id may be deleted twice in one batch; an
+//!    invalid batch is rejected whole, before anything touches the log;
 //! 2. **log** — the batch is encoded (prefixed with its sequence number)
 //!    and appended to the WAL as one checksummed, fsynced record;
-//! 3. **apply** — the ops run against the private staging index (copy-on-
-//!    write at shard granularity: only touched shards are copied). A
-//!    delete only tombstones its point, so the shard keeps sharing its
-//!    tables with the published generation; the inserts of a batch are
-//!    routed first and each receiving shard then builds its next tables
-//!    from the current ones in one linear merge per table;
+//! 3. **apply** — the ops run, in order, against a staged copy of the
+//!    private staging index (copy-on-write at shard granularity: only
+//!    touched shards are copied). A delete only tombstones its point, so
+//!    the shard keeps sharing its tables with the published generation.
+//!    An insert only stages its point in the shard it is routed to. Then
+//!    each receiving shard hashes its staged points and builds its next
+//!    tables from the current ones in one linear merge per table;
 //! 4. **publish** — a clone of the staging index (an `Arc`-pointer copy
 //!    per shard plus one routing-table memcpy) becomes the next
 //!    [`Generation`], swapped into the shared cell for readers.
 //!
 //! Crash recovery ([`EngineWriter::open`]) loads the checkpoint and
-//! replays the WAL tail through the *same* `apply_batch` the live path
-//! uses, so a recovered index is bit-identical to the pre-crash one — a
-//! property the integration tests assert by re-encoding both sides. A
-//! torn final record (the crash happened mid-append) is detected by
-//! checksum, dropped, and physically truncated away on resume.
+//! replays the WAL tail through the *same* validation and `apply_batch`
+//! the live path uses; a record the live commit would have rejected fails
+//! the recovery. The replayed inserts stay staged across records, so each
+//! shard merges its tables once at the end of the replay (or earlier, when
+//! it compacts), not once per record. A merge of many staged points builds
+//! exactly the tables a merge per commit builds, so a recovered index is
+//! bit-identical to the pre-crash one — a property the integration tests
+//! assert by re-encoding both sides. A torn final record (the crash
+//! happened mid-append) is detected by checksum, dropped, and physically
+//! truncated away on resume.
 //!
 //! [`EngineWriter::checkpoint`] writes the full image of the staging
 //! index, exactly as bootstrap does, and then resets the WAL. The writer
@@ -35,7 +41,7 @@
 use crate::api_types::{CommitReceipt, EngineError, WriteBatch, WriteOp};
 use crate::generation::{Generation, Shared};
 use crate::reader::EngineReader;
-use crate::sharded::{ShardedIndex, ShardedIndexConfig};
+use crate::sharded::{ShardedIndex, ShardedIndexConfig, StagedIndex};
 use fairnn_core::predicate::Nearness;
 use fairnn_lsh::{ConcatenatedHasher, HasherBankCodec, LshFamily, LshHasher, LshParams};
 use fairnn_obs::{LazyHistogram, Timer};
@@ -44,15 +50,16 @@ use fairnn_snapshot::{
     WalWriter,
 };
 use fairnn_space::{Dataset, PointId};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Wall time of one generation publish: staging apply (table merges
-/// included) + clone + shared-cell swap (the WAL fsync is
-/// `snapshot_wal_fsync_ns`).
+/// Wall time of one generation publish: staging apply, the merge of the
+/// staged inserts into the tables, clone and shared-cell swap (the WAL
+/// fsync is `snapshot_wal_fsync_ns`).
 static PUBLISH_NS: LazyHistogram = LazyHistogram::new(
     "engine_generation_publish_ns",
-    "apply+publish time of one commit in nanoseconds",
+    "apply+merge+publish time of one commit in nanoseconds",
 );
 
 /// File name of the checkpoint inside an engine directory.
@@ -123,20 +130,50 @@ pub struct EngineWriter<P, H, N> {
     dir: PathBuf,
 }
 
-/// Applies a batch to an index, returning the global ids assigned to the
-/// batch's `Insert` ops in op order.
+/// Checks a batch against the state it applies to: every `Delete` must
+/// name a point live before the batch (so not one the batch inserts), and
+/// no point may be deleted twice in one batch. Every op of a valid batch
+/// therefore changes the state. Returns the first offending id.
 ///
-/// Ops apply in order. A `Delete` tombstones its point and touches no
-/// table. Each run of consecutive `Insert`s is routed as a whole and costs
-/// every shard it reaches one linear merge per table (one run, and so one
-/// merge, per batch unless the batch interleaves inserts with other ops).
-/// A `Compact` rebuilds the tables of the shards carrying tombstones.
+/// The live commit runs it before logging a batch and WAL replay before
+/// applying a record, so replay admits exactly the records a commit could
+/// have logged.
+fn validate_batch<P, H, N>(
+    staged: &StagedIndex<P, H, N>,
+    batch: &WriteBatch<P>,
+) -> Result<(), PointId>
+where
+    P: Clone,
+    H: LshHasher<P> + Clone,
+    N: Nearness<P> + Clone,
+{
+    let mut deleted = HashSet::new();
+    for op in batch.ops() {
+        if let WriteOp::Delete(id) = op {
+            if !staged.contains(*id) || !deleted.insert(*id) {
+                return Err(*id);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Applies a batch that passed [`validate_batch`] to a staged index,
+/// returning the global ids assigned to the batch's `Insert` ops in op
+/// order.
+///
+/// Ops apply in order. An `Insert` stages its point in the shard it is
+/// routed to; no table changes until the caller merges
+/// ([`StagedIndex::merged`]). A `Delete` tombstones its point and touches
+/// no table. A `Compact` merges and then rebuilds the tables of the shards
+/// carrying tombstones, as does a delete that trips a shard's automatic
+/// compaction.
 ///
 /// This is the **one** mutation path of the engine: the live commit and
 /// WAL replay both call it, which is what makes a replayed index
 /// bit-identical to the live one.
 pub(crate) fn apply_batch<P, H, N>(
-    index: &mut ShardedIndex<P, H, N>,
+    staged: &mut StagedIndex<P, H, N>,
     batch: &WriteBatch<P>,
 ) -> Vec<PointId>
 where
@@ -145,18 +182,14 @@ where
     N: Nearness<P> + Clone,
 {
     let mut assigned = Vec::new();
-    let both_inserts =
-        |a: &WriteOp<P>, b: &WriteOp<P>| matches!((a, b), (WriteOp::Insert(_), WriteOp::Insert(_)));
-    for run in batch.ops().chunk_by(both_inserts) {
-        match run {
-            [WriteOp::Delete(id)] => {
-                index.delete(*id);
+    for op in batch.ops() {
+        match op {
+            WriteOp::Insert(point) => assigned.push(staged.insert(point.clone())),
+            WriteOp::Delete(id) => {
+                let deleted = staged.delete(*id);
+                debug_assert!(deleted, "validate_batch admits live ids only");
             }
-            [WriteOp::Compact] => index.compact(),
-            inserts => assigned.extend(index.insert(inserts.iter().filter_map(|op| match op {
-                WriteOp::Insert(point) => Some(point.clone()),
-                _ => None,
-            }))),
+            WriteOp::Compact => staged.compact(),
         }
     }
     assigned
@@ -219,17 +252,21 @@ where
     N: Codec + Nearness<P> + Clone + Send + Sync,
 {
     /// Recovers an engine from its directory: loads the checkpoint,
-    /// replays the WAL tail through `apply_batch`, truncates any torn
-    /// final record, and publishes the recovered state.
+    /// replays the WAL tail through `apply_batch`, merges the staged
+    /// inserts once per shard, truncates any torn final record, and
+    /// publishes the recovered state.
     ///
     /// Records older than the checkpoint (left behind by a crash between
-    /// checkpoint save and WAL reset) are skipped; a gap in the sequence
-    /// numbers is corruption and fails the recovery.
+    /// checkpoint save and WAL reset) are skipped. A gap in the sequence
+    /// numbers is corruption and fails the recovery, as does a record the
+    /// live commit would have rejected (a delete of a point that is not
+    /// live, or a second delete of one point).
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, EngineError> {
         let dir = dir.as_ref().to_path_buf();
         let checkpoint: Checkpoint<P, H, N> =
             fairnn_snapshot::load(SnapshotKind::Checkpoint, dir.join(CHECKPOINT_FILE))?;
-        let Checkpoint { seq, mut index } = checkpoint;
+        let Checkpoint { seq, index } = checkpoint;
+        let mut staged = StagedIndex::new(index);
 
         let replay = read_wal(dir.join(WAL_FILE))?;
         let mut next_seq = seq;
@@ -246,9 +283,16 @@ where
                     "WAL skips from sequence {next_seq} to {record_seq}"
                 ))));
             }
-            apply_batch(&mut index, &batch);
+            validate_batch(&staged, &batch).map_err(|id| {
+                SnapshotError::Corrupt(format!(
+                    "WAL record {record_seq} deletes point {id}, which is not live \
+                     or is deleted twice in the record"
+                ))
+            })?;
+            apply_batch(&mut staged, &batch);
             next_seq += 1;
         }
+        let index = staged.merged();
         let wal = WalWriter::resume(dir.join(WAL_FILE), replay.valid_len)?;
 
         let shared = Arc::new(Shared::new(Arc::new(Generation::now(
@@ -266,22 +310,21 @@ where
     }
 
     /// Commits a batch: validates it, appends it to the WAL (fsynced),
-    /// applies it to the staging index and publishes the result as the
-    /// next generation. Atomic from every reader's point of view — a pin
-    /// taken at any moment sees either none of the batch or all of it.
+    /// applies it to the staging index, merges the staged inserts into
+    /// the tables of the shards that received them, and publishes the
+    /// result as the next generation. Atomic from every reader's point of
+    /// view — a pin taken at any moment sees either none of the batch or
+    /// all of it.
     ///
     /// `Delete` ops must reference ids live in the *current* state;
     /// deleting an id inserted earlier in the same batch is rejected
-    /// (split it into two commits). A rejected batch leaves the log and
-    /// the published generation untouched.
+    /// (split it into two commits), and so is a second delete of one id
+    /// within a batch. Both fail with [`EngineError::UnknownId`]. A
+    /// rejected batch leaves the log and the published generation
+    /// untouched.
     pub fn commit(&mut self, batch: WriteBatch<P>) -> Result<CommitReceipt, EngineError> {
-        for op in batch.ops() {
-            if let WriteOp::Delete(id) = op {
-                if !self.staging.contains(*id) {
-                    return Err(EngineError::UnknownId(*id));
-                }
-            }
-        }
+        let mut staged = StagedIndex::new(self.staging.clone());
+        validate_batch(&staged, &batch).map_err(EngineError::UnknownId)?;
 
         let seq = self.next_seq;
         let mut enc = Encoder::new();
@@ -290,7 +333,8 @@ where
         let wal_bytes = self.wal.append(&enc.into_bytes())?;
 
         let timer = Timer::start(&PUBLISH_NS);
-        let assigned = apply_batch(&mut self.staging, &batch);
+        let assigned = apply_batch(&mut staged, &batch);
+        self.staging = staged.merged();
         self.next_seq = seq + 1;
         self.generation = self.next_seq;
         self.shared.publish(Arc::new(Generation::now(
@@ -620,6 +664,122 @@ mod tests {
         assert!(matches!(err, EngineError::UnknownId(id) if id == bogus));
         assert_eq!(writer.wal_bytes(), wal_before, "rejected batch was logged");
         assert_eq!(writer.generation(), 0, "rejected batch was published");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_second_delete_of_one_id_in_a_batch_is_rejected_before_logging() {
+        let (data, mut writer, dir) = bootstrap("twice", 14);
+        let wal_before = writer.wal_bytes();
+        let err = writer
+            .commit(
+                WriteBatch::new()
+                    .delete(PointId(3))
+                    .insert(twin(&data, 778))
+                    .delete(PointId(3)),
+            )
+            .expect_err("a second delete of one id must be rejected");
+        assert!(matches!(err, EngineError::UnknownId(PointId(3))));
+        assert_eq!(writer.wal_bytes(), wal_before, "rejected batch was logged");
+        assert_eq!(writer.generation(), 0, "rejected batch was published");
+        assert!(writer.staging().contains(PointId(3)));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Appends `batch` to the engine directory's WAL as record `seq`,
+    /// bypassing the commit's validation.
+    fn append_record(dir: &Path, seq: u64, batch: &WriteBatch<SparseSet>) {
+        let path = dir.join(WAL_FILE);
+        let len = std::fs::metadata(&path).expect("stat wal").len();
+        let mut wal = WalWriter::resume(&path, len).expect("resume wal");
+        let mut enc = Encoder::new();
+        enc.write_u64(seq);
+        batch.encode(&mut enc);
+        wal.append(&enc.into_bytes()).expect("append record");
+    }
+
+    #[test]
+    fn replay_rejects_a_record_the_commit_would_reject() {
+        let bad = [
+            ("unknown", WriteBatch::new().delete(PointId(999_999))),
+            (
+                "twice",
+                WriteBatch::new().delete(PointId(3)).delete(PointId(3)),
+            ),
+            (
+                "both",
+                WriteBatch::new()
+                    .delete(PointId(999_999))
+                    .delete(PointId(3))
+                    .delete(PointId(3)),
+            ),
+        ];
+        for (tag, batch) in bad {
+            let (data, mut writer, dir) = bootstrap(&format!("replay-{tag}"), 15);
+            writer
+                .commit(WriteBatch::new().insert(twin(&data, 779)))
+                .expect("valid commit");
+            drop(writer);
+            append_record(&dir, 1, &batch);
+            let err = Writer::open(&dir).expect_err("replay admitted an invalid record");
+            assert!(
+                matches!(&err, EngineError::Snapshot(SnapshotError::Corrupt(msg))
+                    if msg.contains("WAL record 1 ")),
+                "{tag}: {err}"
+            );
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn replayed_delete_compacts_a_shard_with_staged_inserts() {
+        // Replay keeps inserts staged across records. Here a replayed
+        // delete trips the automatic compaction of a shard that holds
+        // staged inserts, so the compaction must merge them first, exactly
+        // as the live writer merged them at each commit.
+        let (data, mut writer, dir) = bootstrap("staged-compact", 16);
+        let first = writer
+            .commit(WriteBatch::new().insert(twin(&data, 800)))
+            .expect("insert commit")
+            .assigned[0];
+        let owner = |writer: &Writer| {
+            let shards = writer.staging().shards();
+            shards
+                .iter()
+                .position(|s| s.contains(first))
+                .expect("owned")
+        };
+        let s = owner(&writer);
+        let victims: Vec<PointId> = data
+            .ids()
+            .filter(|&id| writer.staging().shards()[s].contains(id))
+            .collect();
+        let mut compacted = false;
+        for (k, &victim) in victims.iter().enumerate() {
+            // Keep one more insert staged in the shard on replay.
+            let mut batch = WriteBatch::new().delete(victim);
+            if k == 1 {
+                batch = batch.insert(twin(&data, 801));
+            }
+            writer.commit(batch).expect("delete commit");
+            if writer.staging().shards()[s].tombstones() == 0 {
+                compacted = true;
+                break;
+            }
+        }
+        assert!(compacted, "no delete compacted shard {s}");
+        assert_eq!(owner(&writer), s);
+        writer
+            .commit(WriteBatch::new().insert(twin(&data, 802)))
+            .expect("insert after compaction");
+
+        let reopened = Writer::open(&dir).expect("open");
+        assert_eq!(reopened.next_seq(), writer.next_seq());
+        assert_eq!(
+            fairnn_snapshot::to_bytes(SnapshotKind::ShardedIndex, reopened.staging()),
+            fairnn_snapshot::to_bytes(SnapshotKind::ShardedIndex, writer.staging()),
+            "replay diverged from the live writer"
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 
