@@ -15,6 +15,8 @@
 //! (three scales are exercised: ½×, 1× and 2× the `--scale` value, clamped
 //! to the valid range; thread counts swept are 1, 2 and `--threads`.)
 
+#![forbid(unsafe_code)]
+
 use fairnn_bench::figures::{paper_lsh_params, SetShardedIndex};
 use fairnn_bench::{CommonArgs, SetWorkload, WorkloadKind};
 use fairnn_core::{FairNnis, SimilarityAtLeast};
@@ -25,7 +27,6 @@ use fairnn_space::{Jaccard, SparseSet};
 use fairnn_stats::{table::fmt_f64, TextTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 const R: f64 = 0.2;
 
@@ -63,9 +64,9 @@ fn timed_best<T>(mut f: impl FnMut() -> T) -> (T, f64) {
     let mut best = f64::INFINITY;
     let mut value = None;
     for _ in 0..RUNS_PER_ROW {
-        let start = Instant::now();
+        let start = fairnn_obs::monotonic_ns();
         value = Some(f());
-        best = best.min(start.elapsed().as_secs_f64());
+        best = best.min((fairnn_obs::monotonic_ns() - start) as f64 * 1e-9);
     }
     (value.expect("at least one run"), best)
 }

@@ -16,6 +16,8 @@
 //!         [--scale 0.25] [--repetitions 2000] [--queries 10] [--paper-scale]
 //!         [--threads 1] [--shards 1]`
 
+#![forbid(unsafe_code)]
+
 use fairnn_bench::figures::{run_engine_distribution, run_output_distribution};
 use fairnn_bench::{CommonArgs, SetWorkload, WorkloadKind};
 use fairnn_stats::{table::fmt_f64, TextTable};

@@ -12,6 +12,8 @@
 //! (`--queries` is reused as the number of independent builds; `--threads`
 //! distributes the builds over workers without changing the result.)
 
+#![forbid(unsafe_code)]
+
 use fairnn_bench::figures::run_adversarial_experiment_threaded;
 use fairnn_bench::CommonArgs;
 use fairnn_stats::{table::fmt_f64, Summary, TextTable};

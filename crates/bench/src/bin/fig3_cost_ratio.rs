@@ -11,6 +11,8 @@
 //! (`--threads` distributes the exact `(r, c)` grid over workers without
 //! changing the result.)
 
+#![forbid(unsafe_code)]
+
 use fairnn_bench::figures::run_cost_ratio_threaded;
 use fairnn_bench::{CommonArgs, SetWorkload, WorkloadKind};
 use fairnn_stats::{table::fmt_f64, TextTable};

@@ -13,6 +13,8 @@
 //! Usage: `cargo run -p fairnn-bench --release --bin table_query_cost --
 //!         [--scale 0.25] [--repetitions 20] [--queries 10] [--shards 1]`
 
+#![forbid(unsafe_code)]
+
 use fairnn_bench::figures::run_query_cost;
 use fairnn_bench::{CommonArgs, SetWorkload, WorkloadKind};
 use fairnn_stats::{table::fmt_f64, TextTable};

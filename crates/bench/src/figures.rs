@@ -16,7 +16,6 @@ use fairnn_space::{Dataset, Jaccard, PointId, Similarity, SparseSet};
 use fairnn_stats::{FrequencyHistogram, SimilarityProfile, Summary, UniformityReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 /// LSH parameters used throughout the set-similarity experiments, following
 /// the Section 6 recipe (1-bit MinHash, ≈5 expected far collisions at
@@ -116,7 +115,10 @@ where
         return items.iter().map(f).collect();
     }
     let chunk = items.len().div_ceil(threads).max(1);
-    // fairnn-audit: allow(raw-thread) — bench-only helper; `threads` is a per-call CLI argument, predates fairnn-parallel
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench-only helper; `threads` is a per-call CLI argument, predates fairnn-parallel"
+    )]
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk)
@@ -533,7 +535,7 @@ pub fn measure<P: Clone, S: NeighborSampler<P>>(
     let mut distances = 0f64;
     let mut failures = 0usize;
     let mut total = 0usize;
-    let start = Instant::now();
+    let start = fairnn_obs::monotonic_ns();
     for query in queries {
         for _ in 0..repetitions {
             total += 1;
@@ -545,7 +547,7 @@ pub fn measure<P: Clone, S: NeighborSampler<P>>(
             distances += stats.distance_computations as f64;
         }
     }
-    let elapsed = start.elapsed().as_secs_f64();
+    let elapsed = (fairnn_obs::monotonic_ns() - start) as f64 * 1e-9;
     let denom = total.max(1) as f64;
     SamplerCost {
         name: sampler.name(),

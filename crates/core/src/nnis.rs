@@ -422,7 +422,10 @@ where
     /// bucket indices are pre-resolved (no per-round binary searches), the
     /// distance predicate is memoized across the whole query, and every
     /// buffer is caller-provided, so rounds do not allocate.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "every per-query buffer is caller-provided so rounds do not allocate"
+    )]
     fn collect_near_in_range(
         tables: &[RankedTable],
         points: &[P],
@@ -537,7 +540,10 @@ fn validate_ranked_table(
 impl<P, H, N> FairNnis<P, H, N> {
     /// Tail of the sectioned decoder: every cross-field invariant of the
     /// wire format lives here.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per decoded field of the wire format"
+    )]
     fn assemble(
         points: Vec<P>,
         hashers: Vec<H>,

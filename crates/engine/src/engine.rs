@@ -170,6 +170,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "raw threads answer concurrently, as a server's workers would"
+    )]
     fn identical_seeds_give_identical_answers_across_thread_counts() {
         // The determinism regression: one thread per batch number, all
         // answering concurrently over one shared index, must reproduce the

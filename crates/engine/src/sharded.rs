@@ -147,6 +147,25 @@ const STREAM_BANK: u64 = 2 << 32;
 /// shard, and a mutation copies only the one shard it touches
 /// ([`Arc::make_mut`]) — readers pinned on an older generation keep their
 /// original shards untouched.
+///
+/// A published index is immutable to every other crate: its mutators
+/// (`delete`, `compact`, and the `Shard` and `StagedIndex` methods behind
+/// an insert) are `pub(crate)`, so the only way to change the points an
+/// engine serves is [`EngineWriter::commit`](crate::EngineWriter::commit),
+/// which write-ahead-logs the change and publishes a new generation:
+///
+/// ```compile_fail,E0624
+/// use fairnn_core::SimilarityAtLeast;
+/// use fairnn_engine::ShardedIndex;
+/// use fairnn_lsh::{ConcatenatedHasher, MinHasher};
+/// use fairnn_space::{Jaccard, PointId, SparseSet};
+///
+/// fn bypass_the_log(
+///     index: &mut ShardedIndex<SparseSet, ConcatenatedHasher<MinHasher>, SimilarityAtLeast<Jaccard>>,
+/// ) {
+///     index.delete(PointId::from_index(0));
+/// }
+/// ```
 #[derive(Debug, Clone)]
 pub struct ShardedIndex<P, H, N> {
     /// The hasher bank shared by every shard.

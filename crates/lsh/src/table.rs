@@ -121,12 +121,10 @@ impl LshTables {
     /// parallel; every new id lands at the end of its bucket, after all
     /// older ids.
     ///
-    /// Hidden: an engine-internal entry point, not part of the public
-    /// mutation API. Applications mutate through
-    /// `fairnn_engine::EngineWriter::commit`, which write-ahead-logs the
-    /// change and publishes a fresh generation; the `thaw-outside-writer`
-    /// audit rule rejects new call sites.
-    #[doc(hidden)]
+    /// A pure constructor: `self` is not modified, so tables another
+    /// reader holds stay valid. An engine's tables change only through
+    /// `fairnn_engine::EngineWriter::commit`, whose index mutators are
+    /// crate-private.
     pub fn appended(&self, keys: &[u64], count: usize) -> Self {
         let num_tables = self.tables.len();
         assert_eq!(
@@ -161,8 +159,7 @@ impl LshTables {
     /// ascending and the result is bit-identical to a fresh build over the
     /// surviving points in new-id order — no sort needed.
     ///
-    /// Hidden: engine-internal, like [`LshTables::appended`].
-    #[doc(hidden)]
+    /// A pure constructor, like [`LshTables::appended`].
     pub fn compacted(&self, new_id_of: &[u32], new_num_points: usize) -> Self {
         assert!(
             new_id_of.len() >= self.num_points,

@@ -1,14 +1,15 @@
-//! The injectable [`Clock`] seam: the one place in the workspace (outside
-//! the bench binaries) that may read `Instant::now()`/`SystemTime::now()`.
+//! The injectable [`Clock`] seam: the one place in the workspace that may
+//! read `Instant::now()`/`SystemTime::now()`.
 //!
 //! Every instrumented crate asks *this* module for time, through a
 //! process-global `&'static dyn Clock` that tests can swap for a
-//! [`ManualClock`]. The `direct-instant` rule in `fairnn-audit` denies raw
-//! wall-clock reads everywhere else, so reviewing the workspace's timing
-//! behaviour means reviewing this file.
+//! [`ManualClock`]. `clippy.toml` disallows the `Instant` and `SystemTime`
+//! types and their `now` everywhere else, so reviewing the workspace's
+//! timing behaviour means reviewing the `#[expect]`s in this file.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+#[expect(clippy::disallowed_types, reason = "the clock seam")]
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use crate::registry::LazyHistogram;
@@ -31,8 +32,14 @@ pub struct SystemClock;
 
 /// The `Instant` all monotonic readings are measured from, fixed at the
 /// first reading so the u64 nanosecond values stay small.
+#[expect(clippy::disallowed_types, reason = "the clock seam")]
 static ANCHOR: OnceLock<Instant> = OnceLock::new();
 
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the clock seam"
+)]
 impl Clock for SystemClock {
     fn monotonic_ns(&self) -> u64 {
         let anchor = *ANCHOR.get_or_init(Instant::now);

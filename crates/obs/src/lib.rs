@@ -1,5 +1,5 @@
 //! `fairnn-obs`: the workspace's observability core — lock-free metrics,
-//! scoped tracing spans, and the single audited timing seam.
+//! scoped tracing spans, and the single timing seam.
 //!
 //! The crate sits at the very bottom of the stack (it depends on nothing,
 //! std only) so every layer — `fairnn-parallel`, `fairnn-snapshot`,
@@ -23,9 +23,9 @@
 //!   the integration tests).
 //! * [`clock`] — the injectable [`Clock`] trait (monotonic + wall). This
 //!   crate is the only place in the workspace allowed to call
-//!   `Instant::now()`/`SystemTime::now()` (outside the bench binaries);
-//!   the `direct-instant` audit rule in `fairnn-audit` enforces exactly
-//!   that, which is what keeps timing reviewable in one spot.
+//!   `Instant::now()`/`SystemTime::now()`; `clippy.toml` disallows those
+//!   calls everywhere else, which is what keeps timing reviewable in one
+//!   spot.
 //!
 //! Everything is gated on a single process-global switch ([`set_enabled`]):
 //! disabled (the default), every instrument is one relaxed `AtomicBool`

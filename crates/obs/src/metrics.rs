@@ -493,6 +493,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "raw threads record concurrently into one histogram"
+    )]
     fn concurrent_histogram_totals_are_exact() {
         let h = std::sync::Arc::new(Histogram::new());
         std::thread::scope(|scope| {

@@ -171,6 +171,10 @@ mod tests {
     // The ring buffer and the tracing switch are process-global; keep the
     // assertions inside one test so parallel test threads cannot interleave.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a raw thread shows its buffered events reach the ring on exit"
+    )]
     fn spans_record_only_when_enabled_and_ring_is_bounded() {
         set_tracing_enabled(false);
         {

@@ -57,6 +57,7 @@ thread_local! {
 }
 
 /// Number of hardware threads (1 when the query fails).
+#[expect(clippy::disallowed_methods, reason = "the core-count knob")]
 pub fn available_parallelism() -> usize {
     thread::available_parallelism()
         .map(|n| n.get())
@@ -114,6 +115,7 @@ fn chunk_bounds(len: usize, min_per_chunk: usize) -> Vec<(usize, usize)> {
 ///
 /// `min_per_chunk` bounds the split so tiny inputs are not smeared across
 /// threads (spawn latency would dominate).
+#[expect(clippy::disallowed_methods, reason = "the thread substrate")]
 pub fn map_ranges<R, F>(len: usize, min_per_chunk: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -182,6 +184,7 @@ where
 /// contiguous chunks. The mutations commute by construction (each item is
 /// touched by exactly one worker), so the post-state is identical at every
 /// thread count.
+#[expect(clippy::disallowed_methods, reason = "the thread substrate")]
 pub fn for_each_mut<T, F>(items: &mut [T], f: F)
 where
     T: Send,

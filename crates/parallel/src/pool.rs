@@ -30,6 +30,7 @@ pub struct ThreadPool {
 
 impl ThreadPool {
     /// Spawns `threads >= 1` workers.
+    #[expect(clippy::disallowed_methods, reason = "the thread substrate")]
     pub fn new(threads: usize) -> Self {
         assert!(threads >= 1);
         let (sender, receiver) = mpsc::channel::<Job>();

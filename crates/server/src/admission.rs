@@ -11,6 +11,7 @@
 
 use fairnn_obs::{monotonic_ns, LazyGauge};
 use std::collections::BTreeMap;
+#[expect(clippy::disallowed_types, reason = "the network boundary")]
 use std::net::IpAddr;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Mutex;
@@ -95,11 +96,12 @@ impl Drop for OwnedPermit {
 /// A token bucket per client IP: `rate` tokens per second refill,
 /// `burst` capacity, one token per connection.
 ///
-/// Time comes from [`fairnn_obs::monotonic_ns`] — the audited clock
+/// Time comes from [`fairnn_obs::monotonic_ns`] — the one clock
 /// seam — so tests drive the buckets deterministically through a
 /// `ManualClock`. A `rate` of 0 disables limiting entirely (every
 /// `check` admits).
 #[derive(Debug)]
+#[expect(clippy::disallowed_types, reason = "the network boundary")]
 pub(crate) struct RateLimiter {
     rate_per_sec: u64,
     burst: u64,
@@ -127,6 +129,7 @@ impl RateLimiter {
 
     /// Spends one token for `ip` if available. Returns `Ok(())` or the
     /// suggested `Retry-After` backoff in whole seconds (≥ 1).
+    #[expect(clippy::disallowed_types, reason = "the network boundary")]
     pub(crate) fn check(&self, ip: IpAddr) -> Result<(), u64> {
         if self.rate_per_sec == 0 {
             return Ok(());
@@ -159,6 +162,7 @@ impl RateLimiter {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "the network boundary")]
 mod tests {
     use super::*;
     use std::net::Ipv4Addr;

@@ -1,9 +1,9 @@
 //! Overload-safe HTTP/1.1 serving for the fairnn generational engine.
 //!
 //! This crate is the network boundary of the workspace: the *only*
-//! place (enforced by the `net-outside-server` audit rule) where
-//! `std::net` appears outside the bench load generator. It fronts a
-//! [`fairnn_engine::EngineWriter`] with four routes:
+//! place where `std::net` appears outside test code and the bench load
+//! generator (`clippy.toml` disallows its types everywhere else). It
+//! fronts a [`fairnn_engine::EngineWriter`] with four routes:
 //!
 //! | Route | Body in | Body out |
 //! |---|---|---|

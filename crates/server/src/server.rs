@@ -32,6 +32,7 @@ use fairnn_obs::{monotonic_ns, LazyCounter};
 use fairnn_parallel::ThreadPool;
 use fairnn_snapshot::Codec;
 use std::io::{self, Read};
+#[expect(clippy::disallowed_types, reason = "the network boundary")]
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -63,6 +64,7 @@ static PANICS_TOTAL: LazyCounter = LazyCounter::new(
 /// process observability (the `/metrics` endpoint is pointless without
 /// it). Binds, then returns immediately; serving runs on `workers + 1`
 /// pool threads until the returned [`ServerHandle`] drains.
+#[expect(clippy::disallowed_types, reason = "the network boundary")]
 pub fn serve<P, H, N>(
     writer: EngineWriter<P, H, N>,
     config: ServerConfig,
@@ -103,6 +105,7 @@ where
 }
 
 /// The accept loop: admission decisions only, no request parsing.
+#[expect(clippy::disallowed_types, reason = "the network boundary")]
 fn accept_loop<P, H, N>(
     listener: TcpListener,
     state: Arc<AppState<P, H, N>>,
@@ -157,6 +160,7 @@ fn accept_loop<P, H, N>(
 /// Writes a rejection inline on the accept thread and closes. Failures
 /// are ignored — the peer being gone is exactly as good as a delivered
 /// rejection.
+#[expect(clippy::disallowed_types, reason = "the network boundary")]
 fn reject(mut stream: TcpStream, response: Response, write_timeout_ms: u64) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(write_timeout_ms.max(1))));
     let _ = response.write_to(&mut stream, true);
@@ -177,6 +181,7 @@ enum ReadOutcome {
 
 /// Serves one admitted connection until it closes; the permit rides
 /// along and releases the admission slot on every exit path.
+#[expect(clippy::disallowed_types, reason = "the network boundary")]
 fn handle_connection<P, H, N>(
     mut stream: TcpStream,
     state: Arc<AppState<P, H, N>>,
@@ -231,6 +236,7 @@ const READ_CHUNK: usize = 4096;
 /// Reads one request off the connection, enforcing the idle, head and
 /// body deadlines plus both size caps. `pending` carries pipelined
 /// leftover bytes between calls.
+#[expect(clippy::disallowed_types, reason = "the network boundary")]
 fn read_request<P, H, N>(
     stream: &mut TcpStream,
     pending: &mut Vec<u8>,
@@ -367,6 +373,7 @@ pub struct DrainReport {
 /// [`ServerHandle::join`], discarding the report), so a server can
 /// never outlive its handle.
 #[derive(Debug)]
+#[expect(clippy::disallowed_types, reason = "the network boundary")]
 pub struct ServerHandle {
     addr: SocketAddr,
     control: Arc<Control>,
@@ -377,6 +384,7 @@ pub struct ServerHandle {
 
 impl ServerHandle {
     /// The bound address (useful with port 0).
+    #[expect(clippy::disallowed_types, reason = "the network boundary")]
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }

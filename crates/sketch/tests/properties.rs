@@ -1,5 +1,11 @@
 //! Property-based tests of the cardinality estimators.
 
+#![expect(
+    clippy::iter_over_hash_type,
+    clippy::disallowed_methods,
+    reason = "the inputs are sets: a sketch of a set does not depend on insertion order"
+)]
+
 use fairnn_sketch::{BottomKSketch, CardinalityEstimator, DistinctSketch, DistinctSketchParams};
 use proptest::prelude::*;
 use std::collections::HashSet;

@@ -4,8 +4,10 @@
 //! assert against.
 //!
 //! Everything `unsafe` in the workspace lives behind this module's safe
-//! API (the `zero-copy-unsafe` audit rule denies the tokens everywhere
-//! else, and honors waivers only here). The exposed surface is safe:
+//! API: every other crate root forbids `unsafe_code`, `fairnn-snapshot`
+//! denies it outside this module, and every unsafe block or impl here
+//! carries a `// SAFETY:` comment (`clippy::undocumented_unsafe_blocks`).
+//! The exposed surface is safe:
 //!
 //! * [`ArcBytes`] — an immutable, atomically shared byte buffer whose
 //!   first byte is 64-byte aligned. A snapshot image read into one keeps
@@ -27,7 +29,11 @@
 //!   large allocations; the O(1)-allocation restart guarantee is asserted
 //!   with it.
 
-#![allow(unsafe_code)]
+#![expect(
+    unsafe_code,
+    reason = "the workspace's one byte-view module: aligned buffers, Pod views, prefetch, \
+              feature dispatch and the counting allocator"
+)]
 
 use crate::error::SnapshotError;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -53,11 +59,11 @@ struct AlignedBuf {
     len: usize,
 }
 
-// SAFETY: the buffer is plain bytes behind a unique pointer; `ArcBytes`
+// SAFETY: the buffer is plain bytes behind a unique pointer, with no
+// interior mutability, so it is freely shareable across threads; `ArcBytes`
 // only ever hands out shared `&[u8]` views once construction finishes.
-// fairnn-audit: allow(zero-copy-unsafe) — plain-byte buffer with no interior mutability is freely shareable across threads
 unsafe impl Send for AlignedBuf {}
-// fairnn-audit: allow(zero-copy-unsafe) — plain-byte buffer with no interior mutability is freely shareable across threads
+// SAFETY: as for `Send`: a plain-byte buffer with no interior mutability.
 unsafe impl Sync for AlignedBuf {}
 
 impl AlignedBuf {
@@ -71,7 +77,8 @@ impl AlignedBuf {
             )));
         };
         // SAFETY: `layout` has non-zero size by the `max(1)` above.
-        // fairnn-audit: allow(zero-copy-unsafe) — std::alloc is the only way to request an alignment above the element type's
+        // `std::alloc` is the only way to request an alignment above the
+        // element type's.
         let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
         if ptr.is_null() {
             std::alloc::handle_alloc_error(layout);
@@ -80,16 +87,15 @@ impl AlignedBuf {
     }
 
     fn as_slice(&self) -> &[u8] {
-        // SAFETY: `ptr` is valid for `len` initialized bytes for the life
-        // of `self`, and no `&mut` view exists after construction.
-        // fairnn-audit: allow(zero-copy-unsafe) — reconstitutes the slice this type's allocation invariant guarantees
+        // SAFETY: reconstitutes the slice this type's allocation invariant
+        // guarantees: `ptr` is valid for `len` initialized bytes for the
+        // life of `self`, and no `&mut` view exists after construction.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 
     fn as_mut_slice(&mut self) -> &mut [u8] {
         // SAFETY: `&mut self` proves unique access; `ptr` is valid for
-        // `len` initialized bytes.
-        // fairnn-audit: allow(zero-copy-unsafe) — unique access via &mut self; bounds are the allocation's own
+        // `len` initialized bytes, the allocation's own bounds.
         unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
     }
 }
@@ -98,9 +104,9 @@ impl Drop for AlignedBuf {
     fn drop(&mut self) {
         let capacity = self.len.max(1);
         if let Ok(layout) = Layout::from_size_align(capacity, SECTION_ALIGN) {
-            // SAFETY: `ptr` came from `alloc_zeroed` with exactly this
-            // layout (same `max(1)` capacity rounding).
-            // fairnn-audit: allow(zero-copy-unsafe) — releases the allocation acquired in `zeroed` with the identical layout
+            // SAFETY: releases the allocation acquired in `zeroed`: `ptr`
+            // came from `alloc_zeroed` with exactly this layout (same
+            // `max(1)` capacity rounding).
             unsafe { std::alloc::dealloc(self.ptr, layout) };
         }
     }
@@ -193,7 +199,9 @@ impl std::fmt::Debug for ArcBytes {
 /// integer/float types. Violating this makes the borrowed [`ArcSlice`]
 /// views undefined behavior. Implement via [`impl_pod!`](crate::impl_pod), which pins the
 /// size against the on-wire width at compile time.
-// fairnn-audit: allow(zero-copy-unsafe) — the unsafe marker trait is the contract the byte views rely on; implementors sign it via impl_pod!
+//
+// SAFETY: the unsafe marker trait is the contract the byte views rely on;
+// implementors sign it via `impl_pod!`.
 pub unsafe trait Pod: Copy + Send + Sync + 'static {}
 
 /// Implements [`Pod`] for a `#[repr(transparent)]` wrapper of a primitive.
@@ -209,23 +217,22 @@ macro_rules! impl_pod {
             assert!(std::mem::size_of::<$ty>() == std::mem::size_of::<$prim>());
             assert!(std::mem::align_of::<$ty>() == std::mem::align_of::<$prim>());
         };
-        // SAFETY: size/align pinned above; the invoking site pairs this
-        // with a `#[repr(transparent)]` wrapper of a primitive, which has
-        // no padding and accepts every bit pattern.
-        // fairnn-audit: allow(zero-copy-unsafe) — macro body; every expansion is next to a repr(transparent) primitive wrapper and size/align are pinned by the const assertions above
+        // SAFETY: size/align pinned by the const assertions above; the
+        // invoking site pairs this with a `#[repr(transparent)]` wrapper
+        // of a primitive, which has no padding and accepts every bit
+        // pattern.
         unsafe impl $crate::Pod for $ty {}
     };
 }
 
-// SAFETY: primitive integers/floats: fixed width, no padding, every bit
-// pattern valid.
-// fairnn-audit: allow(zero-copy-unsafe) — u8 is the canonical Pod type
+// SAFETY: u8 is the canonical Pod type: one byte, every bit pattern valid.
 unsafe impl Pod for u8 {}
-// fairnn-audit: allow(zero-copy-unsafe) — fixed-width primitive integer
+// SAFETY: fixed-width primitive integer: no padding, every bit pattern valid.
 unsafe impl Pod for u32 {}
-// fairnn-audit: allow(zero-copy-unsafe) — fixed-width primitive integer
+// SAFETY: fixed-width primitive integer: no padding, every bit pattern valid.
 unsafe impl Pod for u64 {}
-// fairnn-audit: allow(zero-copy-unsafe) — fixed-width primitive float; NaN payloads round-trip bit-exactly
+// SAFETY: fixed-width primitive float: no padding, every bit pattern valid;
+// NaN payloads round-trip bit-exactly.
 unsafe impl Pod for f64 {}
 
 /// The raw little-endian byte image of a `&[T]` — the encode-side
@@ -236,9 +243,9 @@ pub fn pod_bytes<T: Pod>(items: &[T]) -> Option<&[u8]> {
     if !cfg!(target_endian = "little") {
         return None;
     }
-    // SAFETY: `T: Pod` has no padding, so every byte of the slice is
-    // initialized; the length is the exact byte size of the elements.
-    // fairnn-audit: allow(zero-copy-unsafe) — Pod guarantees a fully initialized, padding-free byte image
+    // SAFETY: `T: Pod` guarantees a padding-free image, so every byte of
+    // the slice is initialized; the length is the exact byte size of the
+    // elements.
     Some(unsafe {
         std::slice::from_raw_parts(items.as_ptr().cast::<u8>(), std::mem::size_of_val(items))
     })
@@ -315,10 +322,10 @@ impl<T> ArcSlice<T> {
         match &self.repr {
             Repr::Owned(v) => v.as_slice(),
             Repr::Borrowed { owner, offset, len } => {
-                // SAFETY: the `Borrowed` construction invariant (see
+                // SAFETY: the `Borrowed` variant is only constructible
+                // through the checks in `borrowed`, whose invariant (see
                 // `Repr`) guarantees bounds, alignment and bit-validity;
                 // `owner` keeps the buffer alive for `&self`'s lifetime.
-                // fairnn-audit: allow(zero-copy-unsafe) — the Borrowed variant is only constructible through the checks in `borrowed`
                 unsafe {
                     let base = owner.as_slice().as_ptr().add(*offset);
                     std::slice::from_raw_parts(base.cast::<T>(), *len)
@@ -422,12 +429,12 @@ impl<T> From<Vec<T>> for ArcSlice<T> {
 pub fn prefetch_read<T>(slice: &[T], index: usize) {
     #[cfg(target_arch = "x86_64")]
     if let Some(element) = slice.get(index) {
-        // SAFETY: the pointer is derived from a live reference; PREFETCHT0
-        // performs no memory access an invalid address could fault on.
-        // fairnn-audit: allow(zero-copy-unsafe) — prefetch is a pure performance hint with no architectural effect
+        // SAFETY: prefetch is a pure performance hint with no
+        // architectural effect: PREFETCHT0 performs no memory access an
+        // invalid address could fault on, and the pointer is cast from a
+        // live reference.
         unsafe {
             std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-                // fairnn-audit: allow(zero-copy-unsafe) — pointer cast of a live reference, consumed only by the prefetch hint
                 (element as *const T).cast::<i8>(),
             );
         }
@@ -459,8 +466,8 @@ pub fn prefetch_read<T>(slice: &[T], index: usize) {
 /// The first expression must be a call to a **safe-bodied** function whose
 /// `#[target_feature(enable = …)]` list is covered by the features named
 /// here — that detection is the call's entire safety requirement, which is
-/// why the expansion's `unsafe` block (living in this module, where the
-/// `zero-copy-unsafe` audit rule blesses it) is sound. Both expressions
+/// why the expansion's `unsafe` block (written in this module, the one
+/// place `unsafe` is allowed) is sound. Both expressions
 /// must be semantically identical; the kernel equality tests enforce it.
 #[macro_export]
 macro_rules! dispatch_x86_feature {
@@ -468,12 +475,14 @@ macro_rules! dispatch_x86_feature {
         #[cfg(target_arch = "x86_64")]
         {
             if true $(&& std::arch::is_x86_feature_detected!($feat))+ {
+                #[expect(
+                    clippy::macro_metavars_in_unsafe,
+                    reason = "the macro's documented contract: callers pass a safe-bodied \
+                              target_feature call"
+                )]
                 // SAFETY: every feature the kernel's #[target_feature]
-                // attribute enables was just detected on this CPU. The
-                // metavar-in-unsafe expansion is this macro's documented
-                // contract: callers pass a safe-bodied target_feature call.
-                #[allow(clippy::macro_metavars_in_unsafe)]
-                // fairnn-audit: allow(zero-copy-unsafe) — macro body; the detection guard above is the target_feature call's entire safety requirement
+                // attribute enables was just detected on this CPU, and
+                // that detection is the call's entire safety requirement.
                 unsafe {
                     $fast
                 }
@@ -543,38 +552,35 @@ impl Default for CountingAlloc {
     }
 }
 
-// SAFETY: defers every allocation to `System` unchanged; the counters are
-// relaxed atomics with no allocation of their own.
-// fairnn-audit: allow(zero-copy-unsafe) — pass-through to the System allocator; only counts, never alters, requests
+// SAFETY: a pass-through to the System allocator that only counts, never
+// alters, requests: every allocation is deferred to `System` unchanged, and
+// the counters are relaxed atomics with no allocation of their own. The
+// `unsafe fn` signatures are the ones the GlobalAlloc trait requires.
 unsafe impl GlobalAlloc for CountingAlloc {
-    // fairnn-audit: allow(zero-copy-unsafe) — unsafe fn signature required by the GlobalAlloc trait
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         Self::record(layout.size());
-        // SAFETY: identical contract to the caller's.
-        // fairnn-audit: allow(zero-copy-unsafe) — forwards the caller's own layout to System
+        // SAFETY: forwards the caller's own layout to System, under the
+        // caller's contract.
         unsafe { System.alloc(layout) }
     }
 
-    // fairnn-audit: allow(zero-copy-unsafe) — unsafe fn signature required by the GlobalAlloc trait
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: identical contract to the caller's.
-        // fairnn-audit: allow(zero-copy-unsafe) — forwards the caller's own pointer and layout to System
+        // SAFETY: forwards the caller's own pointer and layout to System,
+        // under the caller's contract.
         unsafe { System.dealloc(ptr, layout) }
     }
 
-    // fairnn-audit: allow(zero-copy-unsafe) — unsafe fn signature required by the GlobalAlloc trait
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         Self::record(layout.size());
-        // SAFETY: identical contract to the caller's.
-        // fairnn-audit: allow(zero-copy-unsafe) — forwards the caller's own layout to System
+        // SAFETY: forwards the caller's own layout to System, under the
+        // caller's contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
-    // fairnn-audit: allow(zero-copy-unsafe) — unsafe fn signature required by the GlobalAlloc trait
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         Self::record(new_size);
-        // SAFETY: identical contract to the caller's.
-        // fairnn-audit: allow(zero-copy-unsafe) — forwards the caller's own pointer, layout and size to System
+        // SAFETY: forwards the caller's own pointer, layout and size to
+        // System, under the caller's contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

@@ -191,14 +191,21 @@ pub fn image_from_sections(kind: SnapshotKind, sections: Vec<Vec<u8>>) -> Vec<u8
     );
     let checksums = fairnn_parallel::map_indexed(sections.len(), |i| {
         let _timer = Timer::start(&SECTION_CHECKSUM_NS);
-        // fairnn-audit: allow(snapshot-index) — encode side: `i` ranges over `sections.len()` by construction
-        checksum64(&sections[i])
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "encode side: `i` ranges over `sections.len()` by construction"
+        )]
+        let section = &sections[i];
+        checksum64(section)
     });
 
     let mut directory = Vec::with_capacity(4 + sections.len() * 16);
+    #[expect(
+        clippy::expect_used,
+        reason = "encode side: >u32::MAX sections is a programming error, not snapshot input"
+    )]
     directory.extend_from_slice(
         &u32::try_from(sections.len())
-            // fairnn-audit: allow(snapshot-panic) — encode side: >u32::MAX sections is a programming error, not snapshot input
             .expect("section count fits u32")
             .to_le_bytes(),
     );
@@ -215,7 +222,10 @@ pub fn image_from_sections(kind: SnapshotKind, sections: Vec<Vec<u8>>) -> Vec<u8
     let mut offsets = Vec::with_capacity(sections.len());
     let mut cursor = HEADER_LEN + directory.len();
     for section in &sections {
-        // fairnn-audit: allow(snapshot-panic) — encode side: image sizes come from in-memory values, far from usize overflow
+        #[expect(
+            clippy::expect_used,
+            reason = "encode side: image sizes come from in-memory values, far from usize overflow"
+        )]
         let aligned = align_up(cursor).expect("image size fits usize");
         offsets.push(aligned);
         cursor = aligned + section.len();
@@ -391,7 +401,10 @@ fn parse_image(bytes: &[u8], expected: Option<SnapshotKind>) -> Result<ParsedIma
     // Per-section integrity, verified on parallel build workers.
     let section_sums = fairnn_parallel::map_indexed(count, |i| {
         let _timer = Timer::start(&SECTION_CHECKSUM_NS);
-        // fairnn-audit: allow(snapshot-index) — `i` ranges over `count == sections.len()` by construction
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`i` ranges over `count == sections.len()` by construction"
+        )]
         let (offset, len) = sections[i];
         let section = bytes.get(offset..offset + len).unwrap_or(&[]);
         checksum64(section)

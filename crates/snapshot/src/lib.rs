@@ -48,17 +48,36 @@
 //!
 //! This crate also hosts the workspace's **one blessed unsafe module**
 //! ([`mod@bytes`]): aligned buffers, pod byte views, the SIMD feature
-//! dispatcher and the software-prefetch shim. The `zero-copy-unsafe` rule
-//! in `fairnn-audit` denies `unsafe` everywhere else in the workspace and
-//! requires a written waiver on every use inside the module.
+//! dispatcher and the software-prefetch shim. Every other crate root
+//! forbids `unsafe_code`, and every unsafe block or impl inside the module
+//! carries a `// SAFETY:` comment.
+//!
+//! Decoders read untrusted bytes, so they return typed [`SnapshotError`]s
+//! instead of panicking: outside test code this crate denies `unwrap`,
+//! `expect`, `panic!` (and `unreachable!`, `todo!`, `unimplemented!`) and
+//! direct indexing.
 
-#![deny(unsafe_code)] // lifted to allow() inside `bytes`, the blessed module
+#![deny(unsafe_code)] // `bytes` expects it; the other modules forbid it
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::undocumented_unsafe_blocks
+)]
 #![warn(missing_docs)]
 
 pub mod bytes;
+#[forbid(unsafe_code)]
 mod codec;
+#[forbid(unsafe_code)]
 mod container;
+#[forbid(unsafe_code)]
 mod error;
+#[forbid(unsafe_code)]
 mod wal;
 
 pub use bytes::{

@@ -17,7 +17,6 @@ use std::fmt;
 /// copies of the points, mirroring the paper's accounting where a point is
 /// stored once and referenced with constant-size pointers (Section 2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[repr(transparent)]
 pub struct PointId(pub u32);
 
@@ -59,7 +58,6 @@ impl From<u32> for PointId {
 /// artists. Jaccard similarity between two `SparseSet`s is computed with a
 /// linear merge over the sorted id lists.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SparseSet {
     items: Vec<u32>,
 }
@@ -163,7 +161,6 @@ impl FromIterator<u32> for SparseSet {
 /// filter data structure assumes unit-length vectors; [`DenseVector::normalized`]
 /// produces that form and [`DenseVector::is_unit`] checks it.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DenseVector {
     values: Vec<f64>,
 }
@@ -268,7 +265,6 @@ impl FromIterator<f64> for DenseVector {
 /// Supports Hamming distance, the third metric the paper mentions the filter
 /// structure can be adapted to (Section 1.1).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BitVector {
     bits: Vec<u64>,
     len: usize,

@@ -9,7 +9,6 @@ use fairnn_data::setdata::small_test_config;
 use fairnn_engine::{EngineWriter, QueryRequest, ShardedIndexConfig, WriteBatch};
 use fairnn_lsh::{OneBitMinHash, ParamsBuilder};
 use fairnn_space::{Jaccard, PointId, Similarity};
-use std::time::Instant;
 
 fn main() {
     // 1. A small synthetic user/item dataset with planted interest clusters.
@@ -102,9 +101,10 @@ fn main() {
 
     // 6. Throughput of the batch executor on a hot-query batch.
     let hot = QueryRequest::new(vec![query; 2_000]).with_batch(1);
-    let start = Instant::now();
+    let start = fairnn_obs::monotonic_ns();
     let answers = reader.pin().run_batch(&hot).answers;
-    let qps = answers.len() as f64 / start.elapsed().as_secs_f64();
+    let secs = (fairnn_obs::monotonic_ns() - start) as f64 * 1e-9;
+    let qps = answers.len() as f64 / secs;
     assert!(answers.iter().all(|a| a.id.is_some()));
     println!("\nhot-query batch throughput: {qps:.0} q/s");
     drop(writer);

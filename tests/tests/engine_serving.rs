@@ -27,6 +27,10 @@ use fairnn_stats::{FrequencyHistogram, UniformityReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write;
+#[expect(
+    clippy::disallowed_types,
+    reason = "a wire client drives the server over loopback"
+)]
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -659,8 +663,16 @@ fn far_heavy_neighbourhoods_pass_the_uniformity_battery() {
 }
 
 /// One keep-alive client of a loopback `fairnn-server`.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a wire client drives the server over loopback"
+)]
 struct WireClient(TcpStream);
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "a wire client drives the server over loopback"
+)]
 impl WireClient {
     fn connect(handle: &ServerHandle) -> Self {
         let stream = TcpStream::connect(handle.addr()).expect("connect");
@@ -823,6 +835,10 @@ fn served_answers_pass_the_uniformity_battery_through_churn_and_recovery() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "eight raw threads pin and answer concurrently, as a server's workers would"
+)]
 fn eight_thread_run_reproduces_one_thread_run_bit_for_bit() {
     // The determinism regression test: same root seed, same requests, one
     // reader thread vs eight concurrent reader threads pinning the same

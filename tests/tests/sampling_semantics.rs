@@ -62,7 +62,7 @@ fn with_replacement_sampling_covers_the_neighborhood() {
         seen.len(),
         neighborhood.len()
     );
-    for id in &seen {
+    for id in &draws {
         assert!(neighborhood.contains(id));
     }
 }

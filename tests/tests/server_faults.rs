@@ -9,6 +9,12 @@
 //! afterwards*. Timeouts in the configs are generous multiples of the
 //! poll slice, so the suite is deterministic on a loaded 1-core CI box.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a wire-level fault suite: raw client sockets and wall-clock drain deadlines"
+)]
+
 use fairnn_core::SimilarityAtLeast;
 use fairnn_engine::{BatchResponse, EngineWriter, QueryRequest, ShardedIndexConfig, WriteBatch};
 use fairnn_integration_tests::{golden_dataset, golden_params};
