@@ -17,9 +17,6 @@ pub struct CommonArgs {
     /// Worker threads for the serving-engine paths (1 = the historical
     /// single-threaded behaviour).
     pub threads: usize,
-    /// Shards for the serving-engine paths (1 = the historical monolithic
-    /// index).
-    pub shards: usize,
 }
 
 impl Default for CommonArgs {
@@ -30,7 +27,6 @@ impl Default for CommonArgs {
             queries: 10,
             seed: 42,
             threads: 1,
-            shards: 1,
         }
     }
 }
@@ -69,11 +65,6 @@ impl CommonArgs {
                         out.threads = v;
                     }
                 }
-                "--shards" => {
-                    if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                        out.shards = v;
-                    }
-                }
                 "--paper-scale" => {
                     out.scale = 1.0;
                     out.repetitions = 26_000;
@@ -89,18 +80,17 @@ impl CommonArgs {
         assert!(out.repetitions > 0, "--repetitions must be positive");
         assert!(out.queries > 0, "--queries must be positive");
         assert!(out.threads > 0, "--threads must be positive");
-        assert!(out.shards > 0, "--shards must be positive");
         out
     }
 
-    /// A suffix like `", threads = 2, shards = 4"` for the binaries'
-    /// parameter headers — empty at the defaults so the historical output
-    /// is preserved byte for byte.
+    /// A suffix like `", threads = 2"` for the binaries' parameter
+    /// headers — empty at the default so the historical output is
+    /// preserved byte for byte.
     pub fn engine_suffix(&self) -> String {
-        if self.threads == 1 && self.shards == 1 {
+        if self.threads == 1 {
             String::new()
         } else {
-            format!(", threads = {}, shards = {}", self.threads, self.shards)
+            format!(", threads = {}", self.threads)
         }
     }
 
@@ -139,25 +129,21 @@ mod tests {
             "99",
             "--threads",
             "8",
-            "--shards",
-            "4",
         ]));
         assert_eq!(a.scale, 0.5);
         assert_eq!(a.repetitions, 123);
         assert_eq!(a.queries, 7);
         assert_eq!(a.seed, 99);
         assert_eq!(a.threads, 8);
-        assert_eq!(a.shards, 4);
     }
 
     #[test]
     fn engine_defaults_preserve_historical_behaviour() {
         let a = CommonArgs::default();
         assert_eq!(a.threads, 1);
-        assert_eq!(a.shards, 1);
         assert_eq!(a.engine_suffix(), "");
-        let b = CommonArgs::parse(to_args(&["--shards", "4"]));
-        assert_eq!(b.engine_suffix(), ", threads = 1, shards = 4");
+        let b = CommonArgs::parse(to_args(&["--threads", "4"]));
+        assert_eq!(b.engine_suffix(), ", threads = 4");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Deterministic parallel build: wall time vs build threads.
 //!
-//! The build path dominates every cold start, reshard and compaction. This
+//! The build path dominates every cold start, fold and compaction. This
 //! binary measures how construction scales on the `fairnn-parallel` build
 //! workers: for each of three dataset scales it builds the two heaviest
 //! structures — the Section 4 [`FairNnis`] sampler and the engine's
@@ -11,7 +11,7 @@
 //! the overhead, not a speedup.
 //!
 //! Usage: `cargo run --release -p fairnn-bench --bin build_scaling --
-//!         [--scale 0.1] [--seed 42] [--threads 4] [--shards 4]`
+//!         [--scale 0.1] [--seed 42] [--threads 4]`
 //! (three scales are exercised: ½×, 1× and 2× the `--scale` value, clamped
 //! to the valid range; thread counts swept are 1, 2 and `--threads`.)
 
@@ -76,8 +76,8 @@ fn main() {
     let cores = fairnn_parallel::available_parallelism();
     println!("Build scaling — deterministic parallel index construction");
     println!(
-        "base scale = {}, seed = {}, max threads = {}, shards = {}, {cores} hardware thread(s)\n",
-        args.scale, args.seed, args.threads, args.shards
+        "base scale = {}, seed = {}, max threads = {}, {cores} hardware thread(s)\n",
+        args.scale, args.seed, args.threads
     );
 
     let mut thread_counts = vec![1usize, 2, args.threads];
@@ -132,12 +132,12 @@ fn main() {
             });
         }
 
-        // The engine's sharded index (shards build concurrently too).
+        // The engine's index (its tables build concurrently too).
         let mut serial_image: Option<Vec<u8>> = None;
         let mut serial_s = 0.0;
         for &threads in &thread_counts {
             fairnn_parallel::set_build_threads(threads);
-            let config = ShardedIndexConfig::with_shards(args.shards).seeded(args.seed);
+            let config = ShardedIndexConfig::default().seeded(args.seed);
             let (index, build_s) = timed_best(|| -> SetShardedIndex {
                 ShardedIndex::build(&OneBitMinHash, params, dataset, near, config)
             });

@@ -8,13 +8,12 @@
 //! total-variation distance from uniform, and the similarity/frequency
 //! correlation.
 //!
-//! With `--shards N` (N > 1) the sharded two-level engine of
-//! `fairnn-engine` is additionally run through the same uniformity battery,
-//! distributing queries over `--threads` workers.
+//! The two-level engine of `fairnn-engine` is then run through the same
+//! uniformity battery, distributing queries over `--threads` workers.
 //!
 //! Usage: `cargo run -p fairnn-bench --release --bin fig1_fairness --
 //!         [--scale 0.25] [--repetitions 2000] [--queries 10] [--paper-scale]
-//!         [--threads 1] [--shards 1]`
+//!         [--threads 1]`
 
 #![forbid(unsafe_code)]
 
@@ -111,40 +110,27 @@ fn main() {
             result.mean_fair_correlation()
         );
 
-        // The sharded engine against the same battery (only when sharding
-        // was requested, so the default output stays identical).
-        if args.shards > 1 {
-            let engine = run_engine_distribution(
-                &workload,
-                r,
-                args.shards,
-                args.threads,
-                args.repetitions,
-                args.seed + 1,
-            );
-            let mut table = TextTable::new(
-                format!(
-                    "{} (r = {r}): sharded engine ({} shards) vs uniform",
-                    kind.name(),
-                    args.shards
-                ),
-                &["query", "b_r", "TV engine", "chi2 p", "consistent"],
-            );
-            for q in &engine.per_query {
-                table.add_row(vec![
-                    format!("{}", q.query),
-                    q.neighborhood_size.to_string(),
-                    fmt_f64(q.report.total_variation, 3),
-                    fmt_f64(q.report.chi_square_p_value(), 3),
-                    q.report.is_consistent_with_uniform(0.01).to_string(),
-                ]);
-            }
-            println!("{table}");
-            println!(
-                "engine summary: mean TV sharded = {:.3} (fair LSH above: {:.3})\n",
-                engine.mean_tv(),
-                result.mean_fair_tv()
-            );
+        // The engine's sampler against the same battery.
+        let engine =
+            run_engine_distribution(&workload, r, args.threads, args.repetitions, args.seed + 1);
+        let mut table = TextTable::new(
+            format!("{} (r = {r}): sharded engine vs uniform", kind.name()),
+            &["query", "b_r", "TV engine", "chi2 p", "consistent"],
+        );
+        for q in &engine.per_query {
+            table.add_row(vec![
+                format!("{}", q.query),
+                q.neighborhood_size.to_string(),
+                fmt_f64(q.report.total_variation, 3),
+                fmt_f64(q.report.chi_square_p_value(), 3),
+                q.report.is_consistent_with_uniform(0.01).to_string(),
+            ]);
         }
+        println!("{table}");
+        println!(
+            "engine summary: mean TV sharded = {:.3} (fair LSH above: {:.3})\n",
+            engine.mean_tv(),
+            result.mean_fair_tv()
+        );
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! Usage: `cargo run -p fairnn-bench --release --bin obs_overhead --
 //!         [--scale 0.25] [--repetitions 2000] [--seed 42]
-//!         [--threads 2] [--shards 1]`
+//!         [--threads 2]`
 //! (`--repetitions` is the batch size; `--threads` sets the build workers.)
 
 #![forbid(unsafe_code)]
@@ -50,8 +50,8 @@ fn main() -> ExitCode {
     let batch_size = args.repetitions;
     println!("Observability overhead — the batch executor with fairnn-obs off vs on");
     println!(
-        "scale = {}, batch = {batch_size}, seed = {}, threads = {}, shards = {}\n",
-        args.scale, args.seed, args.threads, args.shards
+        "scale = {}, batch = {batch_size}, seed = {}, threads = {}\n",
+        args.scale, args.seed, args.threads
     );
 
     let workload = SetWorkload::generate(WorkloadKind::LastFm, args.scale, args.queries, args.seed);
@@ -71,7 +71,7 @@ fn main() -> ExitCode {
         params,
         dataset,
         near,
-        ShardedIndexConfig::with_shards(args.shards).seeded(args.seed),
+        ShardedIndexConfig::default().seeded(args.seed),
     );
     fairnn_parallel::set_build_threads(0);
 

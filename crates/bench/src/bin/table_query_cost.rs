@@ -5,13 +5,11 @@
 //! comparison explicit by measuring, on the same workload, the per-query
 //! bucket entries read, similarity computations, wall-clock time and `⊥`
 //! rate of: the exact scan, standard LSH, naive fair LSH, the Section 3
-//! r-NNS structure and the Section 4 r-NNIS structure.
-//!
-//! With `--shards N` (N > 1) the sharded two-level engine is measured as an
-//! additional row.
+//! r-NNS structure, the Section 4 r-NNIS structure and the two-level
+//! sampler of the serving engine.
 //!
 //! Usage: `cargo run -p fairnn-bench --release --bin table_query_cost --
-//!         [--scale 0.25] [--repetitions 20] [--queries 10] [--shards 1]`
+//!         [--scale 0.25] [--repetitions 20] [--queries 10]`
 
 #![forbid(unsafe_code)]
 
@@ -43,7 +41,7 @@ fn main() {
             workload.dataset.len(),
             workload.queries.len()
         );
-        let costs = run_query_cost(&workload, r, args.repetitions, args.seed + 7, args.shards);
+        let costs = run_query_cost(&workload, r, args.repetitions, args.seed + 7);
         let mut table = TextTable::new(
             format!("{}: mean per-query work", kind.name()),
             &[

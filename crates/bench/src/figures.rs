@@ -200,12 +200,7 @@ pub type SetShardedSampler =
     ShardedSampler<SparseSet, ConcatenatedHasher<OneBitMinHasher>, SimilarityAtLeast<Jaccard>>;
 
 /// Builds the sharded index over a workload with the paper's LSH recipe.
-pub fn build_sharded_index(
-    workload: &SetWorkload,
-    r: f64,
-    shards: usize,
-    seed: u64,
-) -> SetShardedIndex {
+pub fn build_sharded_index(workload: &SetWorkload, r: f64, seed: u64) -> SetShardedIndex {
     let dataset = &workload.dataset;
     let params = paper_lsh_params(dataset.len(), r);
     let near = SimilarityAtLeast::new(Jaccard, r);
@@ -214,7 +209,7 @@ pub fn build_sharded_index(
         params,
         dataset,
         near,
-        ShardedIndexConfig::with_shards(shards).seeded(seed),
+        ShardedIndexConfig::default().seeded(seed),
     )
 }
 
@@ -234,8 +229,6 @@ pub struct EngineQueryReport {
 /// uniformity battery Figure 1 applies to the unsharded samplers.
 #[derive(Debug, Clone)]
 pub struct EngineDistributionResult {
-    /// Shard count the index was built with.
-    pub shards: usize,
     /// Per-query reports.
     pub per_query: Vec<EngineQueryReport>,
 }
@@ -263,14 +256,13 @@ impl EngineDistributionResult {
 pub fn run_engine_distribution(
     workload: &SetWorkload,
     r: f64,
-    shards: usize,
     threads: usize,
     repetitions: usize,
     seed: u64,
 ) -> EngineDistributionResult {
     assert!(threads >= 1, "need at least one thread");
     let dataset = &workload.dataset;
-    let index = build_sharded_index(workload, r, shards, seed);
+    let index = build_sharded_index(workload, r, seed);
 
     let usable: Vec<PointId> = workload
         .queries
@@ -297,7 +289,7 @@ pub fn run_engine_distribution(
 
     let per_query = parallel_map(&usable, threads, |&id| measure_one(id));
 
-    EngineDistributionResult { shards, per_query }
+    EngineDistributionResult { per_query }
 }
 
 // ---------------------------------------------------------------------------
@@ -476,15 +468,12 @@ pub struct SamplerCost {
 }
 
 /// Runs the query-cost comparison: every fair variant plus the baselines on
-/// the same workload and threshold. When `shards >= 2` the sharded
-/// two-level engine is measured as an additional row (with `shards = 1` the
-/// historical table is reproduced unchanged).
+/// the same workload and threshold, then the engine's two-level sampler.
 pub fn run_query_cost(
     workload: &SetWorkload,
     r: f64,
     repetitions: usize,
     seed: u64,
-    shards: usize,
 ) -> Vec<SamplerCost> {
     let dataset = &workload.dataset;
     let params = paper_lsh_params(dataset.len(), r);
@@ -509,16 +498,14 @@ pub fn run_query_cost(
     let mut nnis = FairNnis::build(&OneBitMinHash, params, dataset, near, &mut rng);
     results.push(measure(&mut nnis, &queries, repetitions, seed + 5));
 
-    if shards >= 2 {
-        let mut sharded = SetShardedSampler::build(
-            &OneBitMinHash,
-            params,
-            dataset,
-            near,
-            ShardedIndexConfig::with_shards(shards).seeded(seed),
-        );
-        results.push(measure(&mut sharded, &queries, repetitions, seed + 6));
-    }
+    let mut sharded = SetShardedSampler::build(
+        &OneBitMinHash,
+        params,
+        dataset,
+        near,
+        ShardedIndexConfig::default().seeded(seed),
+    );
+    results.push(measure(&mut sharded, &queries, repetitions, seed + 6));
 
     results
 }
@@ -623,15 +610,15 @@ mod tests {
     #[test]
     fn engine_distribution_is_deterministic_across_threads_and_uniformish() {
         let w = small_workload();
-        let serial = run_engine_distribution(&w, 0.2, 4, 1, 600, 13);
-        let threaded = run_engine_distribution(&w, 0.2, 4, 3, 600, 13);
+        let serial = run_engine_distribution(&w, 0.2, 1, 600, 13);
+        let threaded = run_engine_distribution(&w, 0.2, 3, 600, 13);
         assert!(!serial.per_query.is_empty());
         assert_eq!(serial.per_query.len(), threaded.per_query.len());
         for (a, b) in serial.per_query.iter().zip(&threaded.per_query) {
             assert_eq!(a.query, b.query);
             assert_eq!(a.report.total_variation, b.report.total_variation);
         }
-        // The sharded sampler must put no mass outside the true
+        // The engine's sampler must put no mass outside the true
         // neighbourhood and stay near uniform.
         for q in &serial.per_query {
             assert_eq!(q.report.out_of_support, 0.0, "query {}", q.query);
@@ -658,23 +645,15 @@ mod tests {
     }
 
     #[test]
-    fn query_cost_with_shards_appends_the_engine_row() {
-        let w = small_workload();
-        let costs = run_query_cost(&w, 0.2, 3, 5, 4);
-        assert_eq!(costs.len(), 6);
-        let sharded = costs.iter().find(|c| c.name == "sharded-engine").unwrap();
-        assert!(sharded.failure_rate <= 0.2);
-        assert!(sharded.mean_distance_computations > 0.0);
-    }
-
-    #[test]
     fn query_cost_reports_all_samplers() {
         let w = small_workload();
-        let costs = run_query_cost(&w, 0.2, 3, 5, 1);
-        assert_eq!(costs.len(), 5);
+        let costs = run_query_cost(&w, 0.2, 3, 5);
+        assert_eq!(costs.len(), 6);
         let names: Vec<&str> = costs.iter().map(|c| c.name).collect();
         assert!(names.contains(&"exact"));
         assert!(names.contains(&"fair-nnis"));
+        let engine = costs.iter().find(|c| c.name == "sharded-engine").unwrap();
+        assert!(engine.mean_distance_computations > 0.0);
         // The exact scan must inspect the whole dataset; LSH-based samplers
         // should not inspect more entries than exact times the table count.
         let exact = costs.iter().find(|c| c.name == "exact").unwrap();

@@ -23,8 +23,6 @@
 //!   show that *approximate neighbourhood* sampling is unfair;
 //! * [`vectors`] — dense unit-vector workloads with planted neighbours for
 //!   the Section 5 filter structure;
-//! * [`partition`] — deterministic shard-assignment helpers (round-robin,
-//!   contiguous, hashed) used by the `fairnn-engine` serving layer;
 //! * [`queries`] — query selection ("interesting" users);
 //! * [`rng`] and [`zipf`] — the random-variate plumbing (log-normal, Zipf)
 //!   implemented locally to stay inside the approved dependency set.
@@ -33,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod adversarial;
-pub mod partition;
 pub mod queries;
 pub mod rng;
 pub mod setdata;

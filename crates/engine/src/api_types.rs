@@ -179,9 +179,9 @@ pub enum WriteOp<P> {
     Insert(P),
     /// Delete the point with this global id.
     Delete(PointId),
-    /// Force-compact every shard carrying tombstones (off the query
-    /// path: compaction runs on the staging generation and readers keep
-    /// serving the published one).
+    /// Fold the delta into the base and compact the base, dropping every
+    /// tombstone (off the query path: compaction runs on the staging
+    /// generation and readers keep serving the published one).
     Compact,
 }
 

@@ -145,7 +145,7 @@ mod tests {
 
     #[test]
     fn batch_answers_line_up_with_queries() {
-        let (data, index) = build(ShardedIndexConfig::with_shards(3).seeded(21));
+        let (data, index) = build(ShardedIndexConfig::default().seeded(21));
         let near = SimilarityAtLeast::new(Jaccard, 0.5);
         let exact = ExactSampler::new(&data, near);
         let batch = mixed_batch(&data);
@@ -178,7 +178,7 @@ mod tests {
         // The determinism regression: one thread per batch number, all
         // answering concurrently over one shared index, must reproduce the
         // serial answers bit for bit.
-        let (data, index) = build(ShardedIndexConfig::with_shards(4).seeded(33));
+        let (data, index) = build(ShardedIndexConfig::default().seeded(33));
         let requests: Vec<QueryRequest<SparseSet>> = (0..8u64)
             .map(|b| QueryRequest::new(mixed_batch(&data)).with_batch(b))
             .collect();
@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn snapshot_mid_serving_continues_bit_for_bit() {
         use fairnn_snapshot::{from_bytes, to_bytes, SnapshotKind};
-        let (data, index) = build(ShardedIndexConfig::with_shards(3).seeded(31));
+        let (data, index) = build(ShardedIndexConfig::default().seeded(31));
         let batch = mixed_batch(&data);
         let _ = index.run_batch(&QueryRequest::new(batch.clone()));
         let _ = index.run_batch(&QueryRequest::new(batch.clone()).with_batch(1));

@@ -1,29 +1,35 @@
-//! Sharded, concurrent, batch query-serving subsystem for fair near-neighbor
+//! Concurrent, batch query-serving subsystem for fair near-neighbor
 //! sampling.
 //!
 //! The paper's samplers are single-shot data structures: one monolithic
 //! index, one query at a time, one core. This crate turns them into a
-//! serving layer. The load-bearing observation is that a shard needs no
-//! estimate to be sampled fairly: the summed lengths `b_i` of its `L`
-//! query buckets never undercount its distinct colliding points `D_i`, so
-//! a two-level sampler that proposes shards by `b_i`, walks a shard on
-//! first use and from then on weighs it by `|D_i|` returns every near point
-//! of `∪_i D_i` with the same probability in every round. A round
-//! evaluates only the one candidate it lands on and drops it when it is
-//! far, so each candidate is evaluated at most once and a draw pays for
-//! the far points it examines, as the paper's query does. It is exactly
-//! uniform and ends within `N + f + 1` rounds for `N` shards and `f` far
+//! serving layer that takes inserts and deletes. An index holds two parts
+//! keyed by one hasher bank: a base built over the dataset and a delta
+//! over the points inserted since the last fold, so a commit rebuilds only
+//! the small delta's tables while a query still probes each table of the
+//! paper's single `L`-table structure at most twice. The load-bearing
+//! observation is that a part needs no estimate to be sampled fairly: the
+//! summed lengths `b_i` of its `L` query buckets never undercount its
+//! distinct colliding points `D_i`, so a two-level sampler that proposes
+//! parts by `b_i`, walks a part on first use and from then on weighs it by
+//! `|D_i|` returns every near point of `∪_i D_i` with the same probability
+//! in every round. A round evaluates only the one candidate it lands on and
+//! drops it when it is far, so each candidate is evaluated at most once
+//! and a draw pays for the far points it examines, as the paper's query
+//! does. It is exactly uniform and ends within `f + 3` rounds for `f` far
 //! candidates removed (see the `sharded` module docs).
 //!
 //! The pieces:
 //!
-//! * [`shard`] — one shard: shard-local LSH tables keyed by the index-wide
-//!   hasher bank, the bucket-length bound, the bucket walk and the
-//!   per-candidate predicate of a query, incremental insert/delete with shard-local compaction;
-//! * [`sharded`] — [`ShardedIndex`]: the partition, the one shared hasher
-//!   bank (each query is hashed once for all shards), the exactly uniform
-//!   two-level sampler (with its uniformity argument and round bound), and
-//!   the [`ShardedSampler`] adapter into the `fairnn-core` sampler traits;
+//! * [`shard`] — one part: its LSH tables keyed by the index-wide hasher
+//!   bank, the bucket-length bound, the bucket walk and the per-candidate
+//!   predicate of a query, staged inserts, tombstoning deletes and
+//!   part-local compaction;
+//! * [`sharded`] — [`ShardedIndex`]: the base and the delta, the id map,
+//!   the fold, the one shared hasher bank (each query is hashed once for
+//!   both parts), the exactly uniform two-level sampler (with its
+//!   uniformity argument and round bound), and the [`ShardedSampler`]
+//!   adapter into the `fairnn-core` sampler traits;
 //! * [`engine`] — the batch executor [`ShardedIndex::run_batch_within`]:
 //!   per-position RNG streams split from the root seed, so an [`Answer`]
 //!   list is a pure function of the index, the seed and the request;
@@ -60,7 +66,7 @@
 //!     params,
 //!     &data,
 //!     SimilarityAtLeast::new(Jaccard, 0.5),
-//!     ShardedIndexConfig::with_shards(2).seeded(7),
+//!     ShardedIndexConfig::default().seeded(7),
 //!     &dir,
 //! )?;
 //! let reader = writer.reader();

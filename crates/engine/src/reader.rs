@@ -75,7 +75,7 @@ impl<P, H, N> EngineReader<P, H, N> {
 /// A pinned epoch: one immutable generation held for querying.
 ///
 /// Dropping the pin releases the generation (memory is reclaimed once no
-/// pin and not the writer's checkpoint cache references its shards).
+/// pin and not the writer's staging index references its parts).
 #[derive(Debug)]
 pub struct EpochPin<P, H, N> {
     generation: Arc<Generation<P, H, N>>,

@@ -1,9 +1,9 @@
 //! Deterministic RNG stream splitting.
 //!
 //! The engine's reproducibility contract is that a root seed fully
-//! determines every answer, *regardless of shard count scheduling or thread
-//! count*. That requires never sharing one RNG between concurrent units of
-//! work; instead every unit (a shard build, a batch, a query within a
+//! determines every answer, *regardless of scheduling or thread count*.
+//! That requires never sharing one RNG between concurrent units of work;
+//! instead every unit (the hasher bank, a batch, a query within a
 //! batch) gets its own stream derived from the root seed by hashing the
 //! stream id through SplitMix64 — the same mixer the sketches use for
 //! seeding. SplitMix64 is a bijection of `u64`, so for a fixed root

@@ -1,11 +1,12 @@
-//! One shard: a slice of the dataset with its own LSH tables.
+//! One part of the index: a set of points with its own `L` LSH tables.
 //!
-//! A shard owns a subset of the points and indexes them in shard-local LSH
-//! tables keyed by the index-wide [`HasherBank`] (one bank, shared by every
-//! shard through an `Arc`, so a query is hashed once and its keys are
-//! looked up in every shard). The sampler in `sharded.rs` asks it three
-//! things about a query's `L` keys, each a separate step so that no step
-//! repeats another's work:
+//! A [`ShardedIndex`](crate::ShardedIndex) holds two parts, both of this
+//! type: the **base**, built over every point at bootstrap, and the
+//! **delta**, over the points inserted since the last fold. Both are keyed
+//! by the index-wide [`HasherBank`] (one bank, shared through an `Arc`, so
+//! a query is hashed once and its keys are looked up in each part). The
+//! sampler in `sharded.rs` asks a part three things about a query's `L`
+//! keys, each a separate step so that no step repeats another's work:
 //!
 //! - [`Shard::locate_buckets_with_keys`] probes each table once, keeps each
 //!   bucket's entry range `(start, end)` (empty for a key with no bucket),
@@ -26,34 +27,35 @@
 //! only; the walk order, `D_i` and every counter are those of a plain
 //! per-table walk.
 //!
-//! Updates are incremental and never touch a table in place. A delete only
-//! tombstones the point: it stays in its buckets, where the walk
+//! Updates never touch a table in place, and a part knows its points only
+//! by local id: the index maps global ids to `(part, local id)`. A delete
+//! only tombstones the point: it stays in its buckets, where the walk
 //! skips it, and `b_i` keeps counting it (still an upper bound). An insert
 //! only stages its point: it joins the point arrays, but not the tables.
 //! `Shard::merge_staged` then hashes every staged point and builds the
-//! shard's next tables from the current ones in one linear merge per
-//! table, however many points (and commits) were staged. The writer merges
-//! before an index becomes visible, and a compaction merges first. Once
-//! tombstones exceed half the live points the shard compacts itself
-//! locally in one more linear pass (same bank, compacted ids). The tables
-//! sit behind an `Arc`, so a shard copied for the next generation shares
-//! them until a merge or a compaction replaces them. No update ever
-//! requires touching another shard, let alone a global rebuild.
+//! part's next tables from the current ones in one linear merge per
+//! table, however many points (and commits) were staged. Once tombstones
+//! exceed half the live points the part asks for a compaction
+//! (`Shard::needs_compaction`), one more linear pass per table (same bank,
+//! compacted ids); the index decides when it runs. The tables and the
+//! points sit behind `Arc`s, so a part copied for the next generation
+//! shares both until a merge, a compaction or a fold replaces them: a
+//! delete copies only the global ids and the alive flags.
 
 use fairnn_core::predicate::Nearness;
 use fairnn_core::QueryStats;
-use fairnn_lsh::{HasherBank, LshHasher, LshTables, QueryScratch};
+use fairnn_lsh::{HasherBank, LshHasher, LshTable, LshTables, QueryScratch};
 use fairnn_sketch::{BottomKSketch, CardinalityEstimator};
+use fairnn_snapshot::{Codec, Encoder, Section, SnapshotError};
 use fairnn_space::PointId;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 thread_local! {
-    /// Per-worker-thread query scratch. Shard query methods take `&self`
+    /// Per-worker-thread query scratch. Part query methods take `&self`
     /// (they run on shared generations from many threads), so the reusable
     /// epoch-stamped visited set lives in thread-local storage rather than
-    /// in the shard.
+    /// in the part.
     static SHARD_SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::new());
 }
 
@@ -61,7 +63,7 @@ thread_local! {
 /// `k` distinct ids, ~`1/√k` relative error above).
 const SKETCH_K: usize = 64;
 
-/// Seed of that sketch. A constant, so the accumulator of any shard merges
+/// Seed of that sketch. A constant, so the accumulator of any part merges
 /// the folds of every other.
 const SKETCH_SEED: u64 = 0x5EED_5CE7;
 
@@ -71,25 +73,32 @@ const SKETCH_SEED: u64 = 0x5EED_5CE7;
 /// prefetches a bucket's first entries `D` tables before it walks them.
 pub(crate) const PIPELINE_DISTANCE: usize = 8;
 
-/// The shard compacts itself when tombstones exceed this fraction of the
-/// live point count.
+/// A part asks for a compaction when its tombstones exceed this fraction
+/// of its live point count.
 const REBUILD_FRACTION: f64 = 0.5;
 
-/// A shard of the sharded index. Local point ids are dense `0..points.len()`
-/// (with tombstoned holes between compactions); every public method speaks
-/// global [`PointId`]s.
+/// Tables per image section of a part. A fixed range, never a function of
+/// the thread count, so the image bytes are the same on every machine,
+/// while the encode, checksum and decode of a large part still spread
+/// over the build workers and no one section holds a whole part.
+const TABLES_PER_SECTION: usize = 16;
+
+/// A part of the index (the base or the delta). Local point ids are dense
+/// `0..points.len()` (with tombstoned holes between compactions), and their
+/// global ids ascend with them.
 #[derive(Debug, Clone)]
 pub struct Shard<P, H, N> {
     /// The index-wide hasher bank (a shared handle, never serialized with
-    /// the shard).
+    /// the part).
     bank: HasherBank<H>,
-    /// The shard's tables, shared with every generation that has not
-    /// inserted into or compacted this shard since.
+    /// The part's tables, shared with every generation that has not
+    /// merged into or compacted this part since.
     tables: Arc<LshTables>,
-    points: Vec<P>,
+    /// The points by local id, shared like the tables.
+    points: Arc<Vec<P>>,
+    /// The global id of each local id, strictly ascending.
     global_ids: Vec<PointId>,
     alive: Vec<bool>,
-    local_of: HashMap<PointId, u32>,
     live: usize,
     tombstones: usize,
     near: N,
@@ -99,25 +108,25 @@ impl<P: Sync, H, N> Shard<P, H, N>
 where
     H: LshHasher<P> + Sync,
 {
-    /// Builds a shard over `points` (with their global ids), keying its
-    /// tables by the index-wide `bank`.
+    /// Builds a part over `points` with their strictly ascending global
+    /// ids, keying its tables by the index-wide `bank`. Hashing and the
+    /// table build run on the build workers.
     pub fn build(bank: HasherBank<H>, points: Vec<P>, global_ids: Vec<PointId>, near: N) -> Self {
         assert_eq!(points.len(), global_ids.len());
+        assert!(
+            global_ids.windows(2).all(|w| w[0] < w[1]),
+            "global ids must ascend"
+        );
         let keys = bank.all_point_keys(&points);
         let tables = Arc::new(LshTables::build(&keys, bank.num_tables(), points.len()));
         let shard = Self {
             bank,
             tables,
             alive: vec![true; points.len()],
-            local_of: global_ids
-                .iter()
-                .enumerate()
-                .map(|(i, &g)| (g, i as u32))
-                .collect(),
             live: points.len(),
             tombstones: 0,
             near,
-            points,
+            points: Arc::new(points),
             global_ids,
         };
         shard.debug_assert_occupancy_invariants();
@@ -132,12 +141,12 @@ impl<P, H, N> Shard<P, H, N> {
     }
 
     /// Debug-only check of the occupancy invariants every mutation must
-    /// preserve: the parallel point arrays agree in length, `live` and
-    /// `tombstones` partition them, and `local_of` maps exactly the live
-    /// points back to their dense local ids. Compiled away in release
-    /// builds; `build`, `insert`, `delete`, `compact` and the snapshot
-    /// decoder all end with this check so a broken invariant fails at the
-    /// mutation site rather than at some later query.
+    /// preserve: the parallel point arrays agree in length, the global ids
+    /// ascend, and `live` and `tombstones` partition the point array.
+    /// Compiled away in release builds; `build`, `insert`, `delete`,
+    /// `compact` and the snapshot decoder all end with this check so a
+    /// broken invariant fails at the mutation site rather than at some
+    /// later query.
     fn debug_assert_occupancy_invariants(&self) {
         if cfg!(debug_assertions) {
             debug_assert_eq!(self.global_ids.len(), self.points.len());
@@ -152,20 +161,10 @@ impl<P, H, N> Shard<P, H, N> {
                 "live + tombstones must partition the point array"
             );
             debug_assert_eq!(self.live, self.alive.iter().filter(|&&a| a).count());
-            debug_assert_eq!(
-                self.local_of.len(),
-                self.live,
-                "local_of must hold exactly the live points"
+            debug_assert!(
+                self.global_ids.windows(2).all(|w| w[0] < w[1]),
+                "global ids must ascend"
             );
-            for (l, &global) in self.global_ids.iter().enumerate() {
-                if self.alive[l] {
-                    debug_assert_eq!(
-                        self.local_of.get(&global).copied(),
-                        Some(l as u32),
-                        "live global id {global} must map to its dense local slot"
-                    );
-                }
-            }
         }
     }
 
@@ -179,23 +178,60 @@ impl<P, H, N> Shard<P, H, N> {
         self.tables.num_tables()
     }
 
-    /// Whether this shard owns the (live) point with the given global id.
+    /// Whether this part holds the (live) point with the given global id.
     pub fn contains(&self, global: PointId) -> bool {
-        self.local_of.contains_key(&global)
+        self.global_ids
+            .binary_search(&global)
+            .is_ok_and(|local| self.alive[local])
+    }
+
+    /// The live points as `(global id, local id)`, in local id order.
+    pub(crate) fn live_ids(&self) -> impl Iterator<Item = (PointId, u32)> + '_ {
+        (0..self.global_ids.len() as u32)
+            .filter(|&local| self.alive[local as usize])
+            .map(|local| (self.global_ids[local as usize], local))
+    }
+
+    /// The global ids of the local ids, tombstoned ones included.
+    pub(crate) fn global_ids(&self) -> &[PointId] {
+        &self.global_ids
     }
 
     /// An empty KMV sketch for [`Shard::merge_colliding_with_keys`]. Every
-    /// shard hands out the same seed and `k`, so one accumulator folds any
-    /// number of shards.
+    /// part hands out the same seed and `k`, so one accumulator folds any
+    /// number of parts.
     pub fn empty_sketch(&self) -> BottomKSketch {
         BottomKSketch::new(SKETCH_SEED, SKETCH_K)
     }
 
-    /// The shard's tables (pointer-compare two generations' shards with
+    /// The part's tables (pointer-compare two generations' parts with
     /// [`Arc::ptr_eq`] to see whether a commit rebuilt them).
     #[cfg(test)]
     pub(crate) fn tables(&self) -> &Arc<LshTables> {
         &self.tables
+    }
+
+    /// The part's points (pointer-compare like [`Shard::tables`]).
+    #[cfg(test)]
+    pub(crate) fn points(&self) -> &Arc<Vec<P>> {
+        &self.points
+    }
+}
+
+impl<P, H, N: Clone> Shard<P, H, N> {
+    /// A part with no points, keyed by the same bank and deciding nearness
+    /// by the same predicate: the delta of a fresh build or of a fold.
+    pub(crate) fn emptied(&self) -> Self {
+        Self {
+            bank: self.bank.clone(),
+            tables: Arc::new(LshTables::build(&[], self.bank.num_tables(), 0)),
+            points: Arc::default(),
+            global_ids: Vec::new(),
+            alive: Vec::new(),
+            live: 0,
+            tombstones: 0,
+            near: self.near.clone(),
+        }
     }
 }
 
@@ -204,24 +240,23 @@ where
     H: LshHasher<P>,
 {
     /// Writes the query's per-table bucket keys into `keys` — one batched
-    /// `hash_all` pass over all `K × L` rows of the bank. Every shard of an
-    /// index holds the same bank, so these keys serve all of them: the
-    /// sharded index hashes each query once and hands the keys to the
-    /// bucket lookups of every shard.
+    /// `hash_all` pass over all `K × L` rows of the bank. Both parts of an
+    /// index hold the same bank, so these keys serve both: the index
+    /// hashes each query once and hands the keys to the bucket lookups of
+    /// each part.
     pub fn query_keys_into(&self, query: &P, keys: &mut Vec<u64>) {
         self.bank.query_keys_into(query, keys);
     }
 }
-
 impl<P, H, N> Shard<P, H, N> {
-    /// Resolves the query's per-table `keys` to this shard's bucket entry
+    /// Resolves the query's per-table `keys` to this part's bucket entry
     /// ranges, one `(start, end)` per table (the empty range when the
     /// table has no bucket for its key), and returns the bucket-length
     /// bound `b_i = Σ_t (end − start)`: the sum of the bucket lengths,
     /// read from the bucket offsets without walking an entry. It counts a
     /// point once per table it collides in, so it is never below the
     /// number of distinct colliding points — the sampler's proposal weight
-    /// for a shard it has not walked yet. [`Shard::walk_buckets`] then
+    /// for a part it has not walked yet. [`Shard::walk_buckets`] then
     /// reads the same ranges without probing again.
     ///
     /// The probe is software-pipelined over the tables: table `t + 2D`
@@ -252,7 +287,7 @@ impl<P, H, N> Shard<P, H, N> {
 
     /// Appends to `out` the distinct live local ids in the given entry
     /// ranges (one per table, from [`Shard::locate_buckets_with_keys`]),
-    /// in walk order: the shard's colliding candidates `D_i`. Evaluates no
+    /// in walk order: the part's colliding candidates `D_i`. Evaluates no
     /// predicate. Counts one inspected bucket per table and one scanned
     /// entry per bucket entry. Deduplication uses the thread-local
     /// epoch-stamped visited buffer. The entries of the range
@@ -293,7 +328,7 @@ impl<P, H, N> Shard<P, H, N> {
     /// Folds every live entry of the buckets with the given per-table keys
     /// into `acc` (start from [`Shard::empty_sketch`]): a KMV estimate of the
     /// distinct colliding points. Off the sampling path — the sampler
-    /// proposes shards by [`Shard::locate_buckets_with_keys`] — and kept
+    /// proposes parts by [`Shard::locate_buckets_with_keys`] — and kept
     /// for tools that want the count-distinct estimate.
     pub fn merge_colliding_with_keys(
         &self,
@@ -323,7 +358,7 @@ where
         self.near.is_near(query, &self.points[local as usize])
     }
 
-    /// The distinct live near points of this shard colliding with `query`
+    /// The distinct live near points of this part colliding with `query`
     /// in the buckets of the given per-table keys, as global ids (the set
     /// `A_i`): [`Shard::walk_buckets`] filtered by the predicate, one
     /// counted evaluation per candidate.
@@ -349,22 +384,24 @@ impl<P: Clone, H, N> Shard<P, H, N>
 where
     H: LshHasher<P>,
 {
-    /// Stages a new point with its global id: it is appended to the
-    /// shard's points, global ids and alive flags and counts as live, but
-    /// no table covers it until [`Shard::merge_staged`]. Crate-private:
-    /// mutations enter through the engine writer's `WriteBatch`, which
-    /// merges before anything reads the shard.
-    pub(crate) fn insert(&mut self, global: PointId, point: P) {
-        let lid = self.points.len() as u32;
+    /// Stages a new point under a global id above every id the part has
+    /// held, and returns its local id: it is appended to the part's
+    /// points, global ids and alive flags and counts as live, but no table
+    /// covers it until [`Shard::merge_staged`]. Crate-private: mutations
+    /// enter through the engine writer's `WriteBatch`, which merges before
+    /// anything reads the part.
+    pub(crate) fn insert(&mut self, global: PointId, point: P) -> u32 {
         assert!(
-            self.local_of.insert(global, lid).is_none(),
-            "global id {global} already present in shard"
+            self.global_ids.last().is_none_or(|&last| global > last),
+            "global id {global} already present in the part, or below its last id"
         );
-        self.points.push(point);
+        let local = self.points.len() as u32;
+        Arc::make_mut(&mut self.points).push(point);
         self.global_ids.push(global);
         self.alive.push(true);
         self.live += 1;
         self.debug_assert_occupancy_invariants();
+        local
     }
 
     /// Number of staged points: those past the last id the tables cover.
@@ -372,7 +409,7 @@ where
         self.points.len() - self.tables.num_points()
     }
 
-    /// Hashes the staged points and builds the shard's next tables from
+    /// Hashes the staged points and builds the part's next tables from
     /// the current ones with them appended: one linear merge per table,
     /// however many points were staged. The result is the table a merge
     /// per staged batch would have built, since a bucket lists its ids in
@@ -389,142 +426,178 @@ where
         }
     }
 
-    /// Deletes the point with the given global id by tombstoning it; its
-    /// bucket entries stay until the next compaction. Returns `false` when
-    /// the shard does not own it. May trigger a local compaction, which
-    /// merges the staged points first. Crate-private like
-    /// [`Shard::insert`].
-    pub(crate) fn delete(&mut self, global: PointId) -> bool {
-        let Some(lid) = self.local_of.remove(&global) else {
-            return false;
-        };
-        self.alive[lid as usize] = false;
+    /// Tombstones the live point with local id `local`; its bucket entries
+    /// stay until the next compaction, which [`Shard::needs_compaction`]
+    /// asks for. Crate-private like [`Shard::insert`].
+    pub(crate) fn delete(&mut self, local: u32) {
+        let alive = &mut self.alive[local as usize];
+        assert!(*alive, "local id {local} is not live");
+        *alive = false;
         self.live -= 1;
         self.tombstones += 1;
-        if self.tombstones as f64 > REBUILD_FRACTION * self.live.max(1) as f64 {
-            self.compact();
-        }
         self.debug_assert_occupancy_invariants();
-        true
     }
 
-    /// Merges the staged points, then drops tombstoned points,
-    /// re-densifies local ids and compacts the tables. Strictly
-    /// shard-local. The tables
-    /// are compacted by [`fairnn_lsh::LshTables::compacted`] — one linear
-    /// pass per table that drops the tombstoned entries and renames the
-    /// rest, so no point is re-run through the hasher bank — which is
+    /// Whether the tombstones exceed [`REBUILD_FRACTION`] of the live
+    /// points.
+    pub(crate) fn needs_compaction(&self) -> bool {
+        self.tombstones as f64 > REBUILD_FRACTION * self.live.max(1) as f64
+    }
+
+    /// Merges the staged points, then drops tombstoned points and
+    /// re-densifies local ids, keeping their order. The tables are
+    /// compacted by [`fairnn_lsh::LshTables::compacted`] — one linear pass
+    /// per table that drops the tombstoned entries and renames the rest,
+    /// so no point is re-run through the hasher bank — which is
     /// bit-identical to a rebuild over the surviving points at a fraction
-    /// of the cost.
-    /// Compacts immediately regardless of the [`REBUILD_FRACTION`] trigger
-    /// (the writer's explicit `WriteOp::Compact` path).
-    pub(crate) fn force_compact(&mut self) {
-        self.compact();
-    }
-
-    fn compact(&mut self) {
+    /// of the cost. The caller re-maps the global ids of the part
+    /// ([`Shard::live_ids`]).
+    pub(crate) fn compact(&mut self) {
         self.merge_staged();
         let mut new_id_of = vec![u32::MAX; self.points.len()];
         let mut points = Vec::with_capacity(self.live);
         let mut global_ids = Vec::with_capacity(self.live);
-        for (i, point) in self.points.drain(..).enumerate() {
+        for (i, point) in self.points.iter().enumerate() {
             if self.alive[i] {
                 new_id_of[i] = points.len() as u32;
-                points.push(point);
+                points.push(point.clone());
                 global_ids.push(self.global_ids[i]);
             }
         }
-        self.points = points;
+        self.points = Arc::new(points);
         self.global_ids = global_ids;
         self.alive = vec![true; self.points.len()];
-        self.local_of = self
-            .global_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (g, i as u32))
-            .collect();
         self.tombstones = 0;
         self.tables = Arc::new(self.tables.compacted(&new_id_of, self.points.len()));
         self.debug_assert_occupancy_invariants();
     }
+
+    /// Stages every live point of `other` (a later part: its global ids
+    /// are above every id of this one) in this part, in `other`'s order,
+    /// and returns the local id each one got here. No table changes until
+    /// [`Shard::merge_staged`] or [`Shard::compact`].
+    pub(crate) fn stage_live_points_of(&mut self, other: &Self) -> Vec<(PointId, u32)> {
+        other
+            .live_ids()
+            .map(|(global, local)| {
+                let point = other.points[local as usize].clone();
+                (global, self.insert(global, point))
+            })
+            .collect()
+    }
+}
+
+/// Number of image sections a part with `num_tables` tables encodes to:
+/// one for its points, then one per range of [`TABLES_PER_SECTION`]
+/// tables.
+pub(crate) fn section_count(num_tables: usize) -> usize {
+    1 + num_tables.div_ceil(TABLES_PER_SECTION)
 }
 
 impl<P, H, N> Shard<P, H, N>
 where
-    P: fairnn_snapshot::Codec,
-    N: fairnn_snapshot::Codec,
+    P: Codec,
+    N: Codec,
 {
-    /// Persists the shard's LSH tables and its points with their global ids
-    /// and tombstone flags. The hasher bank is the index's, written once in
-    /// its own section; the `global → local` map and the live/tombstone
-    /// counters are derived state, rebuilt on load.
-    pub(crate) fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
-        use fairnn_snapshot::Codec;
-        self.tables.encode(enc);
-        self.points.encode(enc);
-        self.global_ids.encode(enc);
-        self.alive.encode(enc);
-        self.near.encode(enc);
+    /// Section `i` of the part's image ([`section_count`] of them).
+    /// Section 0 holds the points with their global ids and alive flags,
+    /// the predicate and the tables' point count; section `1 + j` holds
+    /// the tables of range `j`. The hasher bank is the index's, written
+    /// once in its own section; the live and tombstone counts are derived,
+    /// rebuilt on load.
+    pub(crate) fn encode_section(&self, i: usize) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        if let Some(range) = i.checked_sub(1) {
+            let tables = self.tables.tables();
+            let start = range * TABLES_PER_SECTION;
+            let end = tables.len().min(start + TABLES_PER_SECTION);
+            enc.write_len(end - start);
+            for table in &tables[start..end] {
+                table.encode(&mut enc);
+            }
+        } else {
+            self.points.encode(&mut enc);
+            self.global_ids.encode(&mut enc);
+            self.alive.encode(&mut enc);
+            self.near.encode(&mut enc);
+            enc.write_u64(self.tables.num_points() as u64);
+        }
+        enc.into_bytes()
     }
 
-    /// Restores a shard written by [`Shard::encode`], keyed by the index's
-    /// already-decoded `bank`. Fails with `Corrupt` when the shard's table
-    /// count differs from the bank's, which would otherwise index past the
-    /// tables at query time.
-    pub(crate) fn decode(
-        dec: &mut fairnn_snapshot::Decoder<'_>,
+    /// Restores a part from its [`section_count`] sections, keyed by the
+    /// index's already-decoded `bank`; the table ranges decode on the
+    /// build workers. Fails with `Corrupt` when a range holds other than
+    /// its share of the bank's `L` tables, which would otherwise index
+    /// past the tables at query time, or when the arrays disagree or the
+    /// global ids do not ascend.
+    pub(crate) fn decode_sections(
+        sections: &[Section<'_>],
         bank: HasherBank<H>,
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        use fairnn_snapshot::{Codec, SnapshotError};
-        let tables = Arc::new(LshTables::decode(dec)?);
-        if tables.num_tables() != bank.num_tables() {
+    ) -> Result<Self, SnapshotError> {
+        let l = bank.num_tables();
+        let [head, ranges @ ..] = sections else {
+            return Err(SnapshotError::Corrupt("a part has no sections".into()));
+        };
+        if sections.len() != section_count(l) {
             return Err(SnapshotError::Corrupt(format!(
-                "shard stores {} tables, the hasher bank keys {}",
-                tables.num_tables(),
-                bank.num_tables()
+                "a part over {l} tables needs {} sections, found {}",
+                section_count(l),
+                sections.len()
             )));
         }
-        let points = Vec::<P>::decode(dec)?;
-        let global_ids = Vec::<PointId>::decode(dec)?;
-        let alive = Vec::<bool>::decode(dec)?;
-        let near = N::decode(dec)?;
+        let decoded = fairnn_parallel::map_indexed(ranges.len(), |range| {
+            let mut dec = ranges[range].decoder();
+            let tables = Vec::<LshTable>::decode(&mut dec)?;
+            dec.finish()?;
+            let share = l.min((range + 1) * TABLES_PER_SECTION) - range * TABLES_PER_SECTION;
+            if tables.len() != share {
+                return Err(SnapshotError::Corrupt(format!(
+                    "table range {range} holds {} tables, the hasher bank keys {share} there",
+                    tables.len()
+                )));
+            }
+            Ok(tables)
+        });
+        let mut tables = Vec::with_capacity(l);
+        for range in decoded {
+            tables.extend(range?);
+        }
+        let mut dec = head.decoder();
+        let points = Vec::<P>::decode(&mut dec)?;
+        let global_ids = Vec::<PointId>::decode(&mut dec)?;
+        let alive = Vec::<bool>::decode(&mut dec)?;
+        let near = N::decode(&mut dec)?;
+        let num_points = usize::decode(&mut dec)?;
+        dec.finish()?;
         if points.len() != global_ids.len() || points.len() != alive.len() {
             return Err(SnapshotError::Corrupt(format!(
-                "shard arrays disagree: {} points, {} global ids, {} alive flags",
+                "part arrays disagree: {} points, {} global ids, {} alive flags",
                 points.len(),
                 global_ids.len(),
                 alive.len()
             )));
         }
-        if tables.num_points() != points.len() {
+        if num_points != points.len() {
             return Err(SnapshotError::Corrupt(format!(
-                "shard tables cover {} local ids for {} stored points",
-                tables.num_points(),
+                "part tables cover {num_points} local ids for {} stored points",
                 points.len()
             )));
         }
-        let mut local_of = HashMap::with_capacity(points.len());
-        let mut live = 0usize;
-        for (i, (&global, &is_alive)) in global_ids.iter().zip(alive.iter()).enumerate() {
-            if is_alive {
-                if local_of.insert(global, i as u32).is_some() {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "global id {global} owned by two live local slots"
-                    )));
-                }
-                live += 1;
-            }
+        if !global_ids.windows(2).all(|w| w[0] < w[1]) {
+            return Err(SnapshotError::Corrupt(
+                "part global ids do not ascend".into(),
+            ));
         }
-        let tombstones = points.len() - live;
+        let live = alive.iter().filter(|&&a| a).count();
         let shard = Self {
             bank,
-            tables,
-            points,
+            tables: Arc::new(LshTables::from_tables(tables, num_points)?),
+            tombstones: points.len() - live,
+            live,
+            points: Arc::new(points),
             global_ids,
             alive,
-            local_of,
-            live,
-            tombstones,
             near,
         };
         shard.debug_assert_occupancy_invariants();
@@ -600,6 +673,21 @@ mod tests {
         shard.colliding_near_points_with_keys(query, &keys(shard, query), stats)
     }
 
+    /// Deletes the point with global id `global` as the index does:
+    /// tombstones it and compacts once the part asks for it. Returns
+    /// `false` when the part does not hold it.
+    fn delete(shard: &mut TestShard, global: PointId) -> bool {
+        if !shard.contains(global) {
+            return false;
+        }
+        let local = shard.global_ids.binary_search(&global).expect("held");
+        shard.delete(local as u32);
+        if shard.needs_compaction() {
+            shard.compact();
+        }
+        true
+    }
+
     fn estimate(shard: &TestShard, query: &SparseSet, stats: &mut QueryStats) -> f64 {
         let mut acc = shard.empty_sketch();
         shard.merge_colliding_with_keys(&keys(shard, query), &mut acc, stats);
@@ -669,11 +757,11 @@ mod tests {
         }
         shard.merge_staged();
         for j in [1u32, 2, 5, 41] {
-            assert!(shard.delete(PointId(j)));
+            assert!(delete(&mut shard, PointId(j)));
         }
         assert_eq!(shard.tombstones(), 4);
         check(&shard, "after churn");
-        shard.force_compact();
+        shard.compact();
         check(&shard, "after compaction");
     }
 
@@ -712,16 +800,20 @@ mod tests {
             let near = SimilarityAtLeast::new(Jaccard, 0.5);
             let mut shard: TestShard = Shard::build(bank.clone(), sets.clone(), globals, near);
             for j in [1u32, 2, 5, 41] {
-                assert!(shard.delete(PointId(j)));
+                assert!(delete(&mut shard, PointId(j)));
             }
             assert_eq!(shard.tombstones(), 4, "the deletes compacted");
-            // The same shard decoded from an image: every table array a
-            // zero-copy borrow of the image bytes.
-            let mut enc = fairnn_snapshot::Encoder::new();
-            shard.encode(&mut enc);
-            let owner = fairnn_snapshot::ArcBytes::copy_from_slice(&enc.into_bytes()).unwrap();
-            let section = fairnn_snapshot::Section::with_owner(owner.as_slice(), &owner, 0);
-            let loaded = Shard::decode(&mut section.decoder(), bank).expect("decode");
+            // The same part decoded from its sections: every table array a
+            // zero-copy borrow of the section bytes.
+            let owners: Vec<fairnn_snapshot::ArcBytes> = (0..section_count(l))
+                .map(|i| fairnn_snapshot::ArcBytes::copy_from_slice(&shard.encode_section(i)))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            let sections: Vec<Section<'_>> = owners
+                .iter()
+                .map(|owner| Section::with_owner(owner.as_slice(), owner, 0))
+                .collect();
+            let loaded = Shard::decode_sections(&sections, bank).expect("decode");
             let mut absent = 0;
             for (label, shard) in [("built", &shard), ("loaded", &loaded)] {
                 for (qi, query) in queries.iter().enumerate() {
@@ -779,13 +871,16 @@ mod tests {
         let sets = clustered_sets();
         let query = sets[0].clone();
         let mut shard = build_shard(sets, 0);
-        assert!(!shard.delete(PointId(99)), "unknown id must report false");
+        assert!(
+            !delete(&mut shard, PointId(99)),
+            "unknown id must report false"
+        );
         // A delete only tombstones: the point stays in its buckets, so the
         // bound still counts it while the walk and the fold skip it.
         let mut stats = QueryStats::default();
         let tables = Arc::clone(shard.tables());
         let bound_before = bound(&shard, &query);
-        assert!(shard.delete(PointId(1)));
+        assert!(delete(&mut shard, PointId(1)));
         assert!(
             Arc::ptr_eq(&tables, shard.tables()),
             "a delete rebuilt the tables"
@@ -794,7 +889,7 @@ mod tests {
         assert!(!colliding_near(&shard, &query, &mut stats).contains(&PointId(1)));
         // Delete the rest of the cluster; compaction triggers on the way.
         for j in 2..8u32 {
-            assert!(shard.delete(PointId(j)));
+            assert!(delete(&mut shard, PointId(j)));
             assert!(!shard.contains(PointId(j)));
         }
         let mut stats = QueryStats::default();

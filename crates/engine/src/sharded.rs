@@ -1,20 +1,23 @@
-//! The sharded index and its exactly uniform two-level sampler.
+//! The two-part index and its exactly uniform two-level sampler.
 //!
-//! [`ShardedIndex`] partitions a [`Dataset`] across `N` [`Shard`]s (round
-//! robin, so shard sizes differ by at most one). All shards share one
-//! hasher bank, so `∪_i A_i` — the union of the shards' colliding near
-//! sets — is exactly the colliding near set of the paper's single
-//! `L`-table structure over all points. A query runs the two-level
-//! protocol:
+//! [`ShardedIndex`] holds its points in two [`Shard`]s: the **base**, one
+//! `L`-table set built over the whole dataset, and the **delta**, a second
+//! `L`-table set over the points inserted since the last fold. Both parts
+//! share one hasher bank, so `A_base ∪ A_delta` — the union of the parts'
+//! colliding near sets — is exactly the colliding near set of the paper's
+//! single `L`-table structure over all live points. Which part holds a
+//! point changes the cost of an answer, never its distribution. A query
+//! runs the two-level protocol:
 //!
-//! 1. hash the query once, probe each shard's `L` tables once
-//!    ([`Shard::locate_buckets_with_keys`]: each bucket's entry range is
-//!    kept), and give every shard the integer weight
+//! 1. hash the query once, probe the `L` tables of each part that holds a
+//!    live point once ([`Shard::locate_buckets_with_keys`]: each bucket's
+//!    entry range is kept), and give every part the integer weight
 //!    `w_i = b_i = Σ_t |B_t(q)|`, the summed lengths of its `L` buckets,
-//!    read from the bucket offsets with no entry walked;
-//! 2. draw one `u` uniform in `[0, W)`, `W = Σ_i w_i`, and find the shard
+//!    read from the bucket offsets with no entry walked (a part without a
+//!    live point is not probed and weighs 0);
+//! 2. draw one `u` uniform in `[0, W)`, `W = Σ_i w_i`, and find the part
 //!    `i` whose slice `[o_i, o_i + w_i)` of `[0, W)` holds it;
-//! 3. if shard `i` has not been walked yet, walk its kept entry ranges into
+//! 3. if part `i` has not been walked yet, walk its kept entry ranges into
 //!    `D_i`, the distinct live colliding points in walk order
 //!    ([`Shard::walk_buckets`], no predicate evaluated), and lower its
 //!    weight to `w_i = |D_i| ≤ b_i`;
@@ -25,7 +28,7 @@
 //!    when far, swap-remove it from `D_i`, so `w_i` and `W` drop by one;
 //! 5. otherwise (no return) go to 2.
 //!
-//! A draw with `W = 0` returns `None`: no shard has a colliding live point
+//! A draw with `W = 0` returns `None`: no part has a colliding live point
 //! that is not known to be far.
 //!
 //! **Exactly uniform.** In every round each `x ∈ ∪_i A_i` owns exactly one
@@ -39,24 +42,30 @@
 //!
 //! **Work and rounds.** Each round evaluates at most one candidate, and
 //! each candidate is evaluated at most once per [`PreparedQuery`] (a far
-//! one leaves `D_i`, a near one joins the verified prefix); each shard is
+//! one leaves `D_i`, a near one joins the verified prefix); each part is
 //! walked at most once per [`PreparedQuery`], however many draws it
-//! serves. A round that returns nothing either walks a shard for the first
-//! time or removes a far candidate, so a draw takes at most
-//! `N + f + 1` rounds, where `f` is the number of far candidates it
-//! removes — `N + f` when it answers `None`, which it does only after
-//! evaluating every candidate of every shard. No round budget, no
-//! fallback.
+//! serves. A round that returns nothing either walks one of the two parts
+//! for the first time or removes a far candidate, so a draw takes at most
+//! `f + 3` rounds, where `f` is the number of far candidates it removes —
+//! `f + 2` when it answers `None`, which it does only after evaluating
+//! every candidate of both parts. No round budget, no fallback.
+//!
+//! **Writes.** An insert stages into the delta, so a commit merges only the
+//! delta's tables, and a delete tombstones the point in whichever part
+//! holds it. Once the delta holds more than `1/FOLD_FRACTION` of the
+//! base's live points, a **fold** re-stages the delta's live points into
+//! the base, merges them in one linear pass per base table and leaves the
+//! delta empty. A `Compact`, and a compaction of the base, fold as well and
+//! then compact the base.
 //!
 //! Fresh query randomness on every call makes repeated queries independent,
-//! so the sharded sampler solves r-NNIS over the colliding near points —
-//! the property the uniformity battery checks.
+//! so the sampler solves r-NNIS over the colliding near points — the
+//! property the uniformity battery checks.
 
 use crate::seed::stream_rng;
-use crate::shard::Shard;
+use crate::shard::{self, Shard};
 use fairnn_core::predicate::Nearness;
 use fairnn_core::{NeighborSampler, QueryStats};
-use fairnn_data::partition;
 use fairnn_lsh::{ConcatenatedHasher, HasherBank, LshFamily, LshHasher, LshParams};
 use fairnn_obs::LazyHistogram;
 use fairnn_snapshot::{Codec, Encoder, Section, SnapshotError};
@@ -65,18 +74,16 @@ use rand::Rng;
 use std::sync::Arc;
 
 /// Rounds spent per draw (one observation per [`PreparedQuery::sample`]
-/// call): at most `N + f + 1` for `N` shards and `f` far candidates the
-/// draw removes, 0 when nothing collides.
+/// call): at most `f + 3` for the `f` far candidates the draw removes, 0
+/// when nothing collides.
 static REJECTION_ROUNDS: LazyHistogram = LazyHistogram::new(
     "engine_rejection_rounds",
-    "rounds spent per draw of the two-level protocol (at most shards + far candidates removed + 1)",
+    "rounds spent per draw of the two-level protocol (at most far candidates removed + 3)",
 );
 
 /// Configuration of a [`ShardedIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardedIndexConfig {
-    /// Number of shards `N ≥ 1`.
-    pub shards: usize,
     /// Root seed: determines the hasher bank and every batch's answer
     /// streams.
     pub seed: u64,
@@ -84,20 +91,16 @@ pub struct ShardedIndexConfig {
 
 impl Default for ShardedIndexConfig {
     fn default() -> Self {
-        Self {
-            shards: 4,
-            seed: 0x5EED,
-        }
+        Self { seed: 0x5EED }
     }
 }
 
 impl ShardedIndexConfig {
-    /// A config with the given shard count (default seed).
-    pub fn with_shards(shards: usize) -> Self {
-        Self {
-            shards,
-            ..Self::default()
-        }
+    /// The default config; the argument is ignored. An index has one base
+    /// and one delta whatever it is given.
+    #[deprecated(note = "an index always has one base and one delta; use `default()`")]
+    pub fn with_shards(_shards: usize) -> Self {
+        Self::default()
     }
 
     /// Replaces the root seed.
@@ -109,44 +112,66 @@ impl ShardedIndexConfig {
 
 impl fairnn_snapshot::Codec for ShardedIndexConfig {
     fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
-        enc.write_u64(self.shards as u64);
         enc.write_u64(self.seed);
     }
 
     fn decode(
         dec: &mut fairnn_snapshot::Decoder<'_>,
     ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        let shards = usize::decode(dec)?;
-        let seed = dec.read_u64()?;
-        if shards < 1 {
-            return Err(fairnn_snapshot::SnapshotError::Corrupt(
-                "sharded index needs at least one shard".into(),
-            ));
-        }
-        Ok(Self { shards, seed })
+        Ok(Self {
+            seed: dec.read_u64()?,
+        })
     }
 }
 
-/// Sentinel in the id→shard routing table for deleted / never-assigned ids.
+/// Position of the base in [`ShardedIndex::shards`].
+const BASE: usize = 0;
+/// Position of the delta in [`ShardedIndex::shards`].
+const DELTA: usize = 1;
+/// Number of parts.
+const PARTS: usize = 2;
+
+/// The delta folds into the base once it holds more than `1/FOLD_FRACTION`
+/// of the base's live points.
+const FOLD_FRACTION: usize = 8;
+
+/// Entry of the id map for a deleted id.
 const UNASSIGNED: u32 = u32::MAX;
+/// Flag of an id map entry whose point the delta holds; the other bits
+/// are the point's local id in its part.
+const IN_DELTA: u32 = 1 << 31;
+
+/// The id map entry of local id `local` in part `part`.
+fn slot(part: usize, local: u32) -> u32 {
+    assert!(local < IN_DELTA - 1, "local id {local} out of range");
+    local | (part as u32) << 31
+}
+
+/// The part and local id an id map entry names, `None` for a deleted id.
+fn part_and_local(slot: u32) -> Option<(usize, u32)> {
+    (slot != UNASSIGNED).then_some((usize::from(slot & IN_DELTA != 0), slot & !IN_DELTA))
+}
 
 /// The hasher bank's RNG stream (domain separation for
-/// [`crate::seed::split_seed`]). It is the stream shard 0 drew its own bank
-/// from when every shard had one, so a seed keeps shard 0's hashers.
+/// [`crate::seed::split_seed`]). It is the stream the first shard drew
+/// its own bank from when every shard had one, so a seed keeps those
+/// hashers.
 const STREAM_BANK: u64 = 2 << 32;
 
-/// A dataset partitioned across shards with a uniform two-level sampler.
+/// A dataset indexed as a base plus an insert delta, with a uniform
+/// two-level sampler.
 ///
-/// One `K × L` [`HasherBank`] keys the tables of every shard, so a query is
-/// hashed once and the same `L` keys are looked up in each shard: the
-/// union of the shards' colliding sets is exactly the colliding set of the
+/// One `K × L` [`HasherBank`] keys the tables of both parts, so a query is
+/// hashed once and the same `L` keys are looked up in each part: the union
+/// of the parts' colliding sets is exactly the colliding set of the
 /// paper's single `L`-table structure over all points.
 ///
-/// Shards are held behind [`Arc`]s: cloning the index (what the
-/// generational writer does to stage the next generation) shares every
-/// shard, and a mutation copies only the one shard it touches
-/// ([`Arc::make_mut`]) — readers pinned on an older generation keep their
-/// original shards untouched.
+/// Parts are held behind [`Arc`]s: cloning the index (what the
+/// generational writer does to stage the next generation) shares both
+/// parts, and a mutation copies only the part it touches
+/// ([`Arc::make_mut`]), sharing that part's tables and points unless it
+/// rebuilds them — readers pinned on an older generation keep their
+/// original parts untouched.
 ///
 /// A published index is immutable to every other crate: its mutators
 /// (`delete`, `compact`, and the `Shard` and `StagedIndex` methods behind
@@ -168,11 +193,14 @@ const STREAM_BANK: u64 = 2 << 32;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedIndex<P, H, N> {
-    /// The hasher bank shared by every shard.
+    /// The hasher bank shared by both parts.
     bank: HasherBank<H>,
-    shards: Vec<Arc<Shard<P, H, N>>>,
-    /// Global id → owning shard (dense; [`UNASSIGNED`] for deleted ids).
-    shard_of: Vec<u32>,
+    /// `[base, delta]`.
+    parts: [Arc<Shard<P, H, N>>; PARTS],
+    /// Global id → the part holding it and its local id there (see
+    /// [`slot`]), [`UNASSIGNED`] for deleted ids. Its length is the next
+    /// global id.
+    slot_of: Vec<u32>,
     params: LshParams,
     config: ShardedIndexConfig,
 }
@@ -182,12 +210,12 @@ where
     BH: LshHasher<P> + Send + Sync,
     N: Nearness<P>,
 {
-    /// Partitions `dataset` round-robin across `config.shards` shards, draws
-    /// the one `K × L` hasher bank from an RNG stream split off the root
-    /// seed, and builds each shard's tables keyed by that bank. Shards are
-    /// independent work items, so they build concurrently on the build
-    /// workers, and the result is bit-for-bit the serial build at any
-    /// thread count. Fully deterministic given `config.seed`.
+    /// Draws the one `K × L` hasher bank from an RNG stream split off the
+    /// root seed and builds the base over every point of `dataset`, keyed
+    /// by that bank; the delta starts empty. The base is built on the
+    /// calling thread, so its hashing and its table build each spread over
+    /// the build workers, and the result is bit-for-bit the serial build at
+    /// any thread count. Fully deterministic given `config.seed`.
     pub fn build<F>(
         family: &F,
         params: LshParams,
@@ -199,28 +227,14 @@ where
         F: LshFamily<P, Hasher = BH> + Sync,
         N: Clone + Send + Sync,
     {
-        assert!(config.shards >= 1, "need at least one shard");
         let bank = HasherBank::sample(family, params, &mut stream_rng(config.seed, STREAM_BANK));
-        let assignment = partition::round_robin(dataset.len(), config.shards);
-        let mut shard_of = vec![UNASSIGNED; dataset.len()];
-        for (s, indices) in assignment.iter().enumerate() {
-            for &i in indices {
-                shard_of[i] = s as u32;
-            }
-        }
-        let shards = fairnn_parallel::map_indexed(config.shards, |s| {
-            let indices = &assignment[s];
-            let points: Vec<P> = indices
-                .iter()
-                .map(|&i| dataset.points()[i].clone())
-                .collect();
-            let globals: Vec<PointId> = indices.iter().map(|&i| PointId::from_index(i)).collect();
-            Arc::new(Shard::build(bank.clone(), points, globals, near.clone()))
-        });
+        let ids = (0..dataset.len()).map(PointId::from_index).collect();
+        let base = Shard::build(bank.clone(), dataset.points().to_vec(), ids, near);
+        let delta = base.emptied();
         Self {
             bank,
-            shards,
-            shard_of,
+            parts: [Arc::new(base), Arc::new(delta)],
+            slot_of: (0..dataset.len() as u32).map(|i| slot(BASE, i)).collect(),
             params,
             config,
         }
@@ -228,14 +242,9 @@ where
 }
 
 impl<P, H, N> ShardedIndex<P, H, N> {
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total number of live points across shards.
+    /// Total number of live points in both parts.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.live_points()).sum()
+        self.parts.iter().map(|s| s.live_points()).sum()
     }
 
     /// Whether no live point remains.
@@ -253,19 +262,29 @@ impl<P, H, N> ShardedIndex<P, H, N> {
         self.config
     }
 
-    /// The hasher bank shared by every shard.
+    /// The hasher bank shared by both parts.
     pub fn bank(&self) -> &HasherBank<H> {
         &self.bank
     }
 
-    /// The shards themselves (read-only; for accounting and tests).
+    /// Both parts, `[base, delta]` (read-only; for accounting and tests).
     pub fn shards(&self) -> &[Arc<Shard<P, H, N>>] {
-        &self.shards
+        &self.parts
+    }
+
+    /// The base: the points of the build and of every fold.
+    pub fn base(&self) -> &Shard<P, H, N> {
+        &self.parts[BASE]
+    }
+
+    /// The delta: the points inserted since the last fold.
+    pub fn delta(&self) -> &Shard<P, H, N> {
+        &self.parts[DELTA]
     }
 
     /// Whether the (live) point with this global id is present.
     pub fn contains(&self, id: PointId) -> bool {
-        self.shard_of
+        self.slot_of
             .get(id.index())
             .is_some_and(|&s| s != UNASSIGNED)
     }
@@ -276,7 +295,7 @@ where
     H: LshHasher<P>,
 {
     /// The query's `L` bucket keys: one batched pass over the shared bank,
-    /// valid in every shard.
+    /// valid in both parts.
     fn query_keys(&self, query: &P) -> Vec<u64> {
         let mut keys = Vec::with_capacity(self.bank.num_tables());
         self.bank.query_keys_into(query, &mut keys);
@@ -289,53 +308,51 @@ where
     H: LshHasher<P>,
     N: Nearness<P>,
 {
-    /// The distinct colliding near points over all shards, sorted by id
-    /// (shards are disjoint, so this is a plain concatenation): exactly the
-    /// near points colliding with `query` in one unsharded `L`-table index
-    /// keyed by [`ShardedIndex::bank`].
+    /// The distinct colliding near points of both parts, sorted by id (the
+    /// parts are disjoint, so this is a plain concatenation): exactly the
+    /// near points colliding with `query` in one `L`-table index over all
+    /// live points keyed by [`ShardedIndex::bank`].
     pub fn neighborhood(&self, query: &P) -> Vec<PointId> {
         let mut stats = QueryStats::default();
         let keys = self.query_keys(query);
         let mut all = Vec::new();
-        for shard in &self.shards {
-            all.extend(shard.colliding_near_points_with_keys(query, &keys, &mut stats));
+        for part in &self.parts {
+            all.extend(part.colliding_near_points_with_keys(query, &keys, &mut stats));
         }
         all.sort_unstable();
         all
     }
 
-    /// Prepares a query for (repeated) sampling: hashes it once, probes
-    /// every shard's `L` tables once for their bucket entry ranges and
-    /// bound `b_i`. Shards are walked and candidates evaluated lazily, as draws
-    /// land on them. Every cached quantity is a *deterministic* function of
-    /// the index and the query, so drawing many samples from one
-    /// [`PreparedQuery`] yields exactly the same output distribution as
-    /// calling [`ShardedIndex::sample`] repeatedly, while each shard is
-    /// walked and each candidate evaluated at most once.
+    /// Prepares a query for (repeated) sampling: hashes it once and probes
+    /// the `L` tables of each part that holds a live point once for their
+    /// bucket entry ranges and bound `b_i`, so it inspects `L` buckets with
+    /// an empty delta and `2 L` otherwise. Parts are walked and candidates
+    /// evaluated lazily, as draws land on them. Every cached quantity is a
+    /// *deterministic* function of the index and the query, so drawing
+    /// many samples from one [`PreparedQuery`] yields exactly the same
+    /// output distribution as calling [`ShardedIndex::sample`] repeatedly,
+    /// while each part is walked and each candidate evaluated at most once.
     pub fn prepare<'a>(&'a self, query: &'a P) -> PreparedQuery<'a, P, H, N> {
         let mut stats = QueryStats::default();
-        // One batched all-rows pass over the shared bank; the same keys
-        // locate every shard's buckets.
         let keys = self.query_keys(query);
         let l = keys.len();
-        let mut buckets = vec![(0, 0); self.shards.len() * l];
-        let weights: Vec<usize> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                shard.locate_buckets_with_keys(&keys, &mut buckets[i * l..(i + 1) * l])
-            })
-            .collect();
-        stats.buckets_inspected += self.shards.len() * l;
-        let total = weights.iter().sum();
+        let mut buckets = vec![(0, 0); PARTS * l];
+        let mut weights = [0; PARTS];
+        for (i, part) in self.parts.iter().enumerate() {
+            // A part without a live point has no candidate: weight 0, so no
+            // draw lands on it and its tables are never read.
+            if part.live_points() > 0 {
+                weights[i] = part.locate_buckets_with_keys(&keys, &mut buckets[i * l..(i + 1) * l]);
+                stats.buckets_inspected += l;
+            }
+        }
         PreparedQuery {
             index: self,
             query,
             buckets,
             weights,
-            total,
-            walked: self.shards.iter().map(|_| None).collect(),
+            total: weights.iter().sum(),
+            walked: Default::default(),
             stats,
         }
     }
@@ -356,101 +373,103 @@ where
     H: fairnn_lsh::HasherBankCodec + Send + Sync,
     N: fairnn_snapshot::Codec + Send + Sync + Nearness<P>,
 {
-    /// Sectioned container image: a head section (global id → shard
-    /// partition map, shared LSH parameters, configuration, shard count),
-    /// the hasher bank section, then one section per shard (frozen tables
-    /// and points) — encode, per-section checksums and the per-shard
-    /// decodes all run on parallel build workers. Bytes are identical at
-    /// every thread count.
+    /// Sectioned container image: a head section (the id map, the shared
+    /// LSH parameters, the configuration), the hasher bank section, then
+    /// the sections of the base and of the delta — per part, one with its
+    /// points and one per fixed range of tables. Encode, per-section
+    /// checksums and decodes all run on parallel build workers. Bytes are
+    /// identical at every thread count.
     fn encode_sections(&self) -> Vec<Vec<u8>> {
         let mut head = Encoder::new();
-        self.shard_of.encode(&mut head);
+        self.slot_of.encode(&mut head);
         self.params.encode(&mut head);
         self.config.encode(&mut head);
-        head.write_u64(self.shards.len() as u64);
         let mut bank = Encoder::new();
         self.bank.encode(&mut bank);
-        let mut sections = Vec::with_capacity(self.shards.len() + 2);
-        sections.push(head.into_bytes());
-        sections.push(bank.into_bytes());
-        sections.extend(fairnn_parallel::map_indexed(self.shards.len(), |s| {
-            let mut enc = Encoder::new();
-            self.shards[s].encode(&mut enc);
-            enc.into_bytes()
+        let per_part = shard::section_count(self.bank.num_tables());
+        let mut sections = vec![head.into_bytes(), bank.into_bytes()];
+        sections.extend(fairnn_parallel::map_indexed(PARTS * per_part, |i| {
+            self.parts[i / per_part].encode_section(i % per_part)
         }));
         sections
     }
 
     fn decode_sections(sections: &[Section<'_>]) -> Result<Self, SnapshotError> {
-        let [head, bank_section, shard_sections @ ..] = sections else {
+        let [head, bank_section, part_sections @ ..] = sections else {
             return Err(SnapshotError::Corrupt(
-                "sharded index snapshot needs a head and a hasher bank section".into(),
+                "index snapshot needs a head and a hasher bank section".into(),
             ));
         };
         let mut dec = head.decoder();
-        let shard_of = Vec::<u32>::decode(&mut dec)?;
+        let slot_of = Vec::<u32>::decode(&mut dec)?;
         let params = LshParams::decode(&mut dec)?;
         let config = ShardedIndexConfig::decode(&mut dec)?;
-        // Cross-section count: a plain u64 (`read_len` bounds by this
-        // section's remaining bytes, which is not the right limit here).
-        let num_shards = usize::try_from(dec.read_u64()?)
-            .map_err(|_| SnapshotError::Corrupt("shard count does not fit usize".into()))?;
         dec.finish()?;
-        if num_shards != shard_sections.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "sharded head declares {num_shards} shards, directory holds {} shard sections",
-                shard_sections.len()
-            )));
-        }
         // The bank must fit the stored parameters: exactly `L` tables and
-        // `K × L` rows, or a query would index past the shards' tables.
+        // `K × L` rows, or a query would index past the parts' tables.
         let mut dec = bank_section.decoder();
         let bank = HasherBank::<H>::decode(&mut dec)?;
         dec.finish()?;
         bank.check_shape(params)?;
-        let decoded = fairnn_parallel::map_indexed(shard_sections.len(), |s| {
-            let mut dec = shard_sections[s].decoder();
-            let shard = Shard::<P, H, N>::decode(&mut dec, bank.clone())?;
-            dec.finish()?;
-            Ok::<Arc<Shard<P, H, N>>, SnapshotError>(Arc::new(shard))
-        });
-        let mut shards = Vec::with_capacity(num_shards);
-        for shard in decoded {
-            shards.push(shard?);
+        let per_part = shard::section_count(bank.num_tables());
+        if part_sections.len() != PARTS * per_part {
+            return Err(SnapshotError::Corrupt(format!(
+                "index snapshot holds {} part sections, its two parts need {}",
+                part_sections.len(),
+                PARTS * per_part
+            )));
         }
-        Self::assemble(bank, shards, shard_of, params, config)
+        let (base, delta) = part_sections.split_at(per_part);
+        let base = Shard::decode_sections(base, bank.clone())?;
+        let delta = Shard::decode_sections(delta, bank.clone())?;
+        Self::assemble(bank, [base, delta], slot_of, params, config)
     }
 }
 
 impl<P, H, N> ShardedIndex<P, H, N> {
-    /// Tail of the sectioned decoder: cross-shard validation and assembly.
-    /// (Each shard's table count was checked against the bank, and the
-    /// bank against `params`, as they decoded.)
+    /// Tail of the sectioned decoder: cross-part validation and assembly.
+    /// (Each part's table count was checked against the bank, and the bank
+    /// against `params`, as they decoded.) The stored id map must be the
+    /// one the parts' live points imply, and every id the delta has held
+    /// must be above every id the base has held, as inserts and folds
+    /// keep them.
     fn assemble(
         bank: HasherBank<H>,
-        shards: Vec<Arc<Shard<P, H, N>>>,
-        shard_of: Vec<u32>,
+        parts: [Shard<P, H, N>; PARTS],
+        slot_of: Vec<u32>,
         params: LshParams,
         config: ShardedIndexConfig,
     ) -> Result<Self, SnapshotError> {
-        if shards.is_empty() {
+        let mut implied = vec![UNASSIGNED; slot_of.len()];
+        for (part, shard) in parts.iter().enumerate() {
+            for (global, local) in shard.live_ids() {
+                match implied.get_mut(global.index()) {
+                    Some(entry) if *entry == UNASSIGNED => *entry = slot(part, local),
+                    _ => {
+                        return Err(SnapshotError::Corrupt(format!(
+                            "live point {global} is past the id map or held twice"
+                        )))
+                    }
+                }
+            }
+        }
+        if implied != slot_of {
             return Err(SnapshotError::Corrupt(
-                "sharded index needs at least one shard".into(),
+                "the id map disagrees with the parts' live points".into(),
             ));
         }
-        if let Some(&bad) = shard_of
-            .iter()
-            .find(|&&s| s != UNASSIGNED && s as usize >= shards.len())
-        {
-            return Err(SnapshotError::Corrupt(format!(
-                "routing table points at shard {bad} of {}",
-                shards.len()
-            )));
+        let [base, delta] = parts;
+        if let (Some(last), Some(first)) = (base.global_ids().last(), delta.global_ids().first()) {
+            if first <= last {
+                return Err(SnapshotError::Corrupt(format!(
+                    "the delta holds id {first}, not above the base's last id {last}"
+                )));
+            }
         }
         Ok(Self {
             bank,
-            shards,
-            shard_of,
+            parts: [Arc::new(base), Arc::new(delta)],
+            slot_of,
             params,
             config,
         })
@@ -463,7 +482,7 @@ where
     H: fairnn_lsh::HasherBankCodec + Send + Sync,
     N: fairnn_snapshot::Codec + Send + Sync + Nearness<P>,
 {
-    /// Writes the sharded index as a versioned, checksummed snapshot file.
+    /// Writes the index as a versioned, checksummed snapshot file.
     pub fn save<Q: AsRef<std::path::Path>>(&self, path: Q) -> Result<(), SnapshotError> {
         fairnn_snapshot::save(fairnn_snapshot::SnapshotKind::ShardedIndex, self, path)
     }
@@ -482,21 +501,21 @@ where
 pub struct PreparedQuery<'a, P, H, N> {
     index: &'a ShardedIndex<P, H, N>,
     query: &'a P,
-    /// `N × L` bucket entry ranges `(start, end)` found at prepare time
-    /// (shard-major; empty where a table has no bucket for the query's
-    /// key).
+    /// `2 × L` bucket entry ranges `(start, end)` found at prepare time
+    /// (part-major; empty where a table has no bucket for the query's key,
+    /// and for a part that was not probed).
     buckets: Vec<(u32, u32)>,
-    /// Per-shard proposal weights: the bucket-length bound `b_i` until the
-    /// shard is walked, `|D_i|` from then on.
-    weights: Vec<usize>,
+    /// Per-part proposal weights: the bucket-length bound `b_i` until the
+    /// part is walked, `|D_i|` from then on.
+    weights: [usize; PARTS],
     /// `W = Σ_i w_i`.
     total: usize,
-    /// Per-shard candidates `D_i`, walked on first landing.
-    walked: Vec<Option<Candidates>>,
+    /// Per-part candidates `D_i`, walked on first landing.
+    walked: [Option<Candidates>; PARTS],
     stats: QueryStats,
 }
 
-/// A walked shard's remaining candidates `D_i` (local ids): the points in
+/// A walked part's remaining candidates `D_i` (local ids): the points in
 /// `ids[..verified]` are known near, the rest are not evaluated yet.
 #[derive(Debug)]
 struct Candidates {
@@ -517,7 +536,7 @@ where
 
     /// Draws one uniform sample from `∪_i A_i`, or `None` when it is empty
     /// (steps 2–5 of the module docs). Each round evaluates at most one
-    /// candidate; a draw takes at most `N + f + 1` rounds for the `f` far
+    /// candidate; a draw takes at most `f + 3` rounds for the `f` far
     /// candidates it removes.
     pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<PointId> {
         let rounds_before = self.stats.rounds;
@@ -542,18 +561,18 @@ where
         None
     }
 
-    /// One round landing on slot `j` of shard `i` (steps 3–4 of the module
-    /// docs): walks the shard on first landing, then returns a verified
+    /// One round landing on slot `j` of part `i` (steps 3–4 of the module
+    /// docs): walks the part on first landing, then returns a verified
     /// point, or evaluates the one unverified candidate in the slot.
     fn land(&mut self, i: usize, j: usize) -> Option<PointId> {
-        let shard = &self.index.shards[i];
+        let part = &self.index.parts[i];
         let candidates = match &mut self.walked[i] {
             Some(candidates) => candidates,
             slot => {
                 let _span = fairnn_obs::span!("shard.sample", shard = i);
                 let l = self.index.bank.num_tables();
                 let mut ids = Vec::new();
-                shard.walk_buckets(&self.buckets[i * l..(i + 1) * l], &mut ids, &mut self.stats);
+                part.walk_buckets(&self.buckets[i * l..(i + 1) * l], &mut ids, &mut self.stats);
                 // Every round's 1/W per point rests on this (module docs).
                 assert!(ids.len() <= self.weights[i], "b_i < |D_i|");
                 self.total -= self.weights[i] - ids.len();
@@ -562,13 +581,13 @@ where
             }
         };
         if j < candidates.verified {
-            return Some(shard.global_id(candidates.ids[j]));
+            return Some(part.global_id(candidates.ids[j]));
         }
         let &local = candidates.ids.get(j)?;
-        if shard.is_near(self.query, local, &mut self.stats) {
+        if part.is_near(self.query, local, &mut self.stats) {
             candidates.ids.swap(j, candidates.verified);
             candidates.verified += 1;
-            Some(shard.global_id(local))
+            Some(part.global_id(local))
         } else {
             candidates.ids.swap_remove(j);
             self.weights[i] -= 1;
@@ -584,47 +603,86 @@ where
     N: Nearness<P>,
 {
     /// Deletes a point by global id; returns `false` for unknown or already
-    /// deleted ids. Purely shard-local: the owning shard tombstones the
-    /// point and keeps sharing its tables, unless the delete triggers that
-    /// shard's compaction. Crate-private: external callers go through the
-    /// engine writer's `WriteBatch`, which write-ahead-logs the mutation
-    /// and publishes a fresh generation.
+    /// deleted ids. The part holding the point tombstones it and keeps
+    /// sharing its tables and points. A delete that trips a part's
+    /// compaction compacts the delta on its own, or folds the delta into
+    /// the base and compacts the base ([`ShardedIndex::compact`]).
+    /// Crate-private: external callers go through the engine writer's
+    /// `WriteBatch`, which write-ahead-logs the mutation and publishes a
+    /// fresh generation.
     pub(crate) fn delete(&mut self, id: PointId) -> bool {
-        let Some(&s) = self.shard_of.get(id.index()) else {
+        let Some((part, local)) = self
+            .slot_of
+            .get(id.index())
+            .and_then(|&entry| part_and_local(entry))
+        else {
             return false;
         };
-        if s == UNASSIGNED {
-            return false;
+        self.slot_of[id.index()] = UNASSIGNED;
+        let shard = Arc::make_mut(&mut self.parts[part]);
+        shard.delete(local);
+        if shard.needs_compaction() {
+            if part == BASE {
+                self.compact();
+            } else {
+                shard.compact();
+                self.reslot(DELTA);
+            }
         }
-        let deleted = Arc::make_mut(&mut self.shards[s as usize]).delete(id);
-        debug_assert!(deleted, "routing table out of sync");
-        self.shard_of[id.index()] = UNASSIGNED;
-        deleted
+        true
     }
 
-    /// Force-compacts every shard that carries tombstones (drops them and
-    /// re-densifies local ids), without waiting for
-    /// the shard's tombstone-fraction trigger. Crate-private: reachable through
-    /// `WriteOp::Compact` on the writer, which runs it on the staging
-    /// generation — never on a published one.
+    /// Folds the delta into the base and compacts the base: afterwards the
+    /// base holds every live point under dense local ids and the delta is
+    /// empty. A no-op when the base holds no tombstone and the delta no
+    /// point. Crate-private: reachable through `WriteOp::Compact` on the
+    /// writer, which runs it on the staging generation — never on a
+    /// published one.
     pub(crate) fn compact(&mut self) {
-        for shard in &mut self.shards {
-            if shard.tombstones() > 0 {
-                Arc::make_mut(shard).force_compact();
-            }
+        let delta = &self.parts[DELTA];
+        let compact_base = self.parts[BASE].tombstones() > 0;
+        if compact_base || delta.live_points() + delta.tombstones() > 0 {
+            self.fold(compact_base);
+        }
+    }
+
+    /// Re-stages the delta's live points into the base, in the delta's
+    /// order, and leaves the delta empty. The base then merges them in one
+    /// linear pass per table, or, with `compact`, compacts (which merges
+    /// first).
+    fn fold(&mut self, compact: bool) {
+        let delta = Arc::clone(&self.parts[DELTA]);
+        let base = Arc::make_mut(&mut self.parts[BASE]);
+        for (global, local) in base.stage_live_points_of(&delta) {
+            self.slot_of[global.index()] = slot(BASE, local);
+        }
+        if compact {
+            base.compact();
+            self.reslot(BASE);
+        } else {
+            base.merge_staged();
+        }
+        self.parts[DELTA] = Arc::new(delta.emptied());
+    }
+
+    /// Rewrites the id map entries of `part`'s live points after a
+    /// compaction renumbered them.
+    fn reslot(&mut self, part: usize) {
+        for (global, local) in self.parts[part].live_ids() {
+            self.slot_of[global.index()] = slot(part, local);
         }
     }
 }
 
 /// A [`ShardedIndex`] whose inserts are staged: each inserted point is
-/// routed and stored in its shard, but no shard's tables cover it yet.
+/// stored in the delta, but the delta's tables do not cover it yet.
 ///
 /// The writer applies batches to a staged index, during a commit and
-/// across a whole WAL replay, so a shard's tables take one merge for all
+/// across a whole WAL replay, so the delta's tables take one merge for all
 /// the points it received. A staged index answers no query, has no
 /// encoding and is never published: it has no query or snapshot method,
 /// and the one way back to a [`ShardedIndex`] is
-/// [`StagedIndex::merged`], which brings every shard's tables up to date.
+/// [`StagedIndex::merged`], which brings the delta's tables up to date.
 #[derive(Debug)]
 pub(crate) struct StagedIndex<P, H, N> {
     index: ShardedIndex<P, H, N>,
@@ -646,41 +704,49 @@ where
         self.index.contains(id)
     }
 
-    /// Stages a new point in the shard that is least loaded, staged points
-    /// included (ties broken toward the lowest shard index, so routing is
-    /// deterministic), and returns its freshly assigned global id. Only
-    /// the receiving shard is copied; the others stay shared with the
-    /// previous generation.
+    /// Stages a new point in the delta and returns its freshly assigned
+    /// global id. Only the delta is copied, and the base stays shared with
+    /// the previous generation unless the insert makes the fold due.
     pub(crate) fn insert(&mut self, point: P) -> PointId {
         let index = &mut self.index;
-        let id = PointId::from_index(index.shard_of.len());
-        let target = (0..index.shards.len())
-            .min_by_key(|&s| index.shards[s].live_points())
-            .expect("at least one shard");
-        index.shard_of.push(target as u32);
-        Arc::make_mut(&mut index.shards[target]).insert(id, point);
+        let id = PointId::from_index(index.slot_of.len());
+        let local = Arc::make_mut(&mut index.parts[DELTA]).insert(id, point);
+        index.slot_of.push(slot(DELTA, local));
+        self.fold_if_due();
         id
     }
 
     /// [`ShardedIndex::delete`]; a compaction it triggers merges the
-    /// shard's staged points first.
+    /// staged points first. May make the fold due, as an insert may.
     pub(crate) fn delete(&mut self, id: PointId) -> bool {
-        self.index.delete(id)
+        let deleted = self.index.delete(id);
+        self.fold_if_due();
+        deleted
     }
 
-    /// [`ShardedIndex::compact`]; each compacted shard merges its staged
-    /// points first.
+    /// [`ShardedIndex::compact`]; the fold takes the staged points along.
     pub(crate) fn compact(&mut self) {
         self.index.compact();
     }
 
-    /// The index with every shard's staged points merged into its tables:
-    /// one linear merge per table of each shard that holds staged points.
-    /// The other shards stay shared.
+    /// Folds the delta into the base once it holds more than
+    /// `1/FOLD_FRACTION` of the base's live points. Checked after every
+    /// insert and delete, so the fold happens at the same op however the
+    /// ops are batched into commits: a WAL replay folds exactly where the
+    /// live writer did and recovers its index bit for bit.
+    fn fold_if_due(&mut self) {
+        let [base, delta] = &self.index.parts;
+        if delta.live_points() * FOLD_FRACTION > base.live_points() {
+            self.index.fold(false);
+        }
+    }
+
+    /// The index with the delta's staged points merged into its tables:
+    /// one linear merge per delta table. The base stays shared.
     pub(crate) fn merged(mut self) -> ShardedIndex<P, H, N> {
-        for shard in &mut self.index.shards {
-            if shard.staged_points() > 0 {
-                Arc::make_mut(shard).merge_staged();
+        for part in &mut self.index.parts {
+            if part.staged_points() > 0 {
+                Arc::make_mut(part).merge_staged();
             }
         }
         self.index
@@ -763,11 +829,12 @@ mod tests {
     use super::*;
     use fairnn_core::{ExactSampler, SimilarityAtLeast};
     use fairnn_lsh::{MinHash, ParamsBuilder};
+    use fairnn_snapshot::{to_bytes, SnapshotKind};
     use fairnn_space::{Jaccard, SparseSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn clustered_dataset() -> Dataset<SparseSet> {
+    fn clustered_sets() -> Vec<SparseSet> {
         let mut sets = Vec::new();
         for j in 0..10u32 {
             let mut items: Vec<u32> = (0..25).collect();
@@ -780,7 +847,11 @@ mod tests {
                 (1000 + j * 40..1000 + j * 40 + 15).collect(),
             ));
         }
-        Dataset::new(sets)
+        sets
+    }
+
+    fn clustered_dataset() -> Dataset<SparseSet> {
+        Dataset::new(clustered_sets())
     }
 
     type Index = ShardedIndex<
@@ -789,39 +860,60 @@ mod tests {
         SimilarityAtLeast<Jaccard>,
     >;
 
-    fn build(shards: usize, seed: u64) -> (Dataset<SparseSet>, Index) {
-        let data = clustered_dataset();
-        let params = ParamsBuilder::new(data.len(), 0.5, 0.05).empirical(&MinHash);
+    fn build_over(data: &Dataset<SparseSet>, seed: u64) -> Index {
+        // The parameters of the 30-point fixture, whatever `data` holds, so
+        // indexes over different point sets share one bank per seed.
+        let params = ParamsBuilder::new(30, 0.5, 0.05).empirical(&MinHash);
         let near = SimilarityAtLeast::new(Jaccard, 0.5);
-        let index = ShardedIndex::build(
-            &MinHash,
-            params,
-            &data,
-            near,
-            ShardedIndexConfig::with_shards(shards).seeded(seed),
-        );
+        let config = ShardedIndexConfig::default().seeded(seed);
+        ShardedIndex::build(&MinHash, params, data, near, config)
+    }
+
+    fn build(seed: u64) -> (Dataset<SparseSet>, Index) {
+        let data = clustered_dataset();
+        let index = build_over(&data, seed);
         (data, index)
+    }
+
+    /// A near twin of the cluster around point 0.
+    fn twin(j: u32) -> SparseSet {
+        let mut items: Vec<u32> = (0..25).collect();
+        items.push(100);
+        items.push(900 + j);
+        SparseSet::from_items(items)
+    }
+
+    /// `index` with `points` staged into the delta and merged, no fold.
+    fn with_delta(index: Index, points: impl IntoIterator<Item = SparseSet>) -> Index {
+        let mut staged = StagedIndex::new(index);
+        for point in points {
+            staged.insert(point);
+        }
+        staged.merged()
     }
 
     #[test]
     fn shards_partition_the_dataset() {
-        let (data, index) = build(4, 1);
-        assert_eq!(index.num_shards(), 4);
-        assert_eq!(index.len(), data.len());
+        let (data, index) = build(1);
+        let index = with_delta(index, (0..3).map(twin));
+        assert_eq!(index.shards().len(), 2);
+        assert_eq!(index.len(), data.len() + 3);
         assert!(!index.is_empty());
-        for id in data.ids() {
+        assert_eq!(index.base().live_points(), data.len());
+        assert_eq!(index.delta().live_points(), 3);
+        for id in (0..data.len() + 3).map(PointId::from_index) {
             assert!(index.contains(id));
             assert_eq!(
                 index.shards().iter().filter(|s| s.contains(id)).count(),
                 1,
-                "{id} owned by != 1 shard"
+                "{id} owned by != 1 part"
             );
         }
     }
 
     #[test]
     fn neighborhood_matches_exact_ground_truth() {
-        let (data, index) = build(4, 2);
+        let (data, index) = build(2);
         let near = SimilarityAtLeast::new(Jaccard, 0.5);
         let exact = ExactSampler::new(&data, near);
         for qi in 0..10u32 {
@@ -836,7 +928,7 @@ mod tests {
 
     #[test]
     fn sample_returns_only_near_points_and_none_off_support() {
-        let (data, index) = build(3, 3);
+        let (data, index) = build(3);
         let near = SimilarityAtLeast::new(Jaccard, 0.5);
         let exact = ExactSampler::new(&data, near);
         let mut rng = StdRng::seed_from_u64(5);
@@ -853,17 +945,17 @@ mod tests {
 
     #[test]
     fn repeated_queries_are_uniform_over_the_neighborhood() {
-        // The r-NNIS property of the two-level sampler: one build, repeated
-        // queries, empirical distribution uniform over the 10-member cluster.
-        let (data, index) = build(4, 4);
-        let near = SimilarityAtLeast::new(Jaccard, 0.5);
-        let exact = ExactSampler::new(&data, near);
+        // The r-NNIS property of the two-level sampler: repeated queries
+        // on one index whose neighbourhood spans base and delta, empirical
+        // distribution uniform over the 13 members.
+        let (data, index) = build(4);
+        let index = with_delta(index, (0..3).map(twin));
         let query = data.point(PointId(0)).clone();
-        let neighborhood = exact.neighborhood(&query);
-        assert_eq!(neighborhood.len(), 10);
+        let neighborhood = index.neighborhood(&query);
+        assert_eq!(neighborhood.len(), 13);
         let mut rng = StdRng::seed_from_u64(6);
-        let trials = 12_000;
-        let mut counts = vec![0usize; data.len()];
+        let trials = 13_000;
+        let mut counts = vec![0usize; index.slot_of.len()];
         for _ in 0..trials {
             let (id, _) = index.sample(&query, &mut rng);
             counts[id.expect("non-empty").index()] += 1;
@@ -871,8 +963,8 @@ mod tests {
         for &id in &neighborhood {
             let rate = counts[id.index()] as f64 / trials as f64;
             assert!(
-                (rate - 0.1).abs() < 0.02,
-                "member {id} sampled at rate {rate}, expected ~0.1"
+                (rate - 1.0 / 13.0).abs() < 0.02,
+                "member {id} sampled at rate {rate}, expected ~1/13"
             );
         }
     }
@@ -882,7 +974,7 @@ mod tests {
         // prepare() caches only deterministic per-query state, so bulk draws
         // from one cursor must be distributed like independent sample()
         // calls: uniform over the neighborhood.
-        let (data, index) = build(4, 5);
+        let (data, index) = build(5);
         let near = SimilarityAtLeast::new(Jaccard, 0.5);
         let exact = ExactSampler::new(&data, near);
         let query = data.point(PointId(0)).clone();
@@ -905,18 +997,21 @@ mod tests {
     }
 
     #[test]
-    fn insert_routes_to_least_loaded_shard_and_is_sampleable() {
-        let (data, index) = build(4, 8);
+    fn insert_stages_into_the_delta_and_is_sampleable() {
+        let (data, index) = build(8);
         let query = data.point(PointId(0)).clone();
-        let mut items: Vec<u32> = (0..25).collect();
-        items.push(100); // joins the cluster of query 0
-        items.push(777);
+        let base = Arc::clone(&index.parts[BASE]);
         let mut staged = StagedIndex::new(index);
-        let ids = vec![staged.insert(SparseSet::from_items(items))];
+        let ids = vec![staged.insert(twin(0))];
         let index = staged.merged();
         assert_eq!(ids, vec![PointId::from_index(data.len())]);
         let id = ids[0];
         assert!(index.contains(id));
+        assert!(index.delta().contains(id));
+        assert!(
+            Arc::ptr_eq(&base, &index.parts[BASE]),
+            "the base was copied"
+        );
         assert_eq!(index.len(), data.len() + 1);
         assert!(
             index.neighborhood(&query).contains(&id),
@@ -925,6 +1020,122 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let seen_inserted = (0..2000).any(|_| index.sample(&query, &mut rng).0 == Some(id));
         assert!(seen_inserted, "inserted point never sampled");
+    }
+
+    #[test]
+    fn prepare_probes_l_buckets_with_an_empty_delta_and_2l_otherwise() {
+        let (data, index) = build(18);
+        let l = index.params().l;
+        let query = data.point(PointId(0)).clone();
+        let probed = |index: &Index| index.prepare(&query).stats().buckets_inspected;
+        assert_eq!(probed(&index), l, "fresh build");
+        let index = with_delta(index, [twin(0)]);
+        assert_eq!(probed(&index), 2 * l, "one point in the delta");
+        // Deleting the delta's only point compacts the delta to nothing.
+        let mut staged = StagedIndex::new(index);
+        assert!(staged.delete(PointId::from_index(data.len())));
+        let index = staged.merged();
+        assert_eq!(index.delta().live_points() + index.delta().tombstones(), 0);
+        assert_eq!(probed(&index), l, "delta emptied by a delete");
+    }
+
+    #[test]
+    fn the_delta_folds_past_an_eighth_of_the_base_and_on_compact() {
+        let (data, index) = build(19);
+        let n = data.len();
+        let mut staged = StagedIndex::new(index);
+        // 30 base points: three staged points stay in the delta (3 × 8 ≤
+        // 30), a fourth folds them all (4 × 8 > 30).
+        for j in 0..3 {
+            staged.insert(twin(j));
+        }
+        assert_eq!(staged.index.delta().live_points(), 3);
+        staged.insert(twin(3));
+        let index = staged.merged();
+        assert_eq!(index.delta().live_points() + index.delta().tombstones(), 0);
+        assert_eq!(index.base().live_points(), n + 4);
+        assert!((0..n + 4).all(|i| index.base().contains(PointId::from_index(i))));
+
+        // A base delete can make the fold due as well: ten deletes leave
+        // 24 live base points, which still carry three delta points (3 × 8
+        // ≤ 24); the eleventh folds them (3 × 8 > 23).
+        let mut staged = StagedIndex::new(with_delta(index, (4..7).map(twin)));
+        for id in 10..20 {
+            assert!(staged.delete(PointId(id)));
+        }
+        assert_eq!(staged.index.delta().live_points(), 3);
+        for id in 20..30 {
+            assert!(staged.delete(PointId(id)));
+        }
+        let index = staged.merged();
+        assert_eq!(index.delta().live_points(), 0);
+
+        // `Compact` folds a delta of any size.
+        let mut staged = StagedIndex::new(with_delta(index, [twin(7)]));
+        assert_eq!(staged.index.delta().live_points(), 1);
+        staged.compact();
+        let index = staged.merged();
+        assert_eq!(index.delta().live_points(), 0);
+        assert_eq!(index.base().live_points(), n + 8 - 20);
+    }
+
+    #[test]
+    fn a_fold_leaves_every_neighborhood_unchanged() {
+        let (data, index) = build(20);
+        let mut staged = StagedIndex::new(with_delta(index, (0..3).map(twin)));
+        assert!(staged.delete(PointId(4)));
+        assert!(staged.delete(PointId::from_index(data.len() + 1)));
+        let before = staged.merged();
+        let mut after = before.clone();
+        after.fold(false);
+        assert_eq!(after.delta().live_points(), 0);
+        let queries = data.points().iter().cloned().chain((0..3).map(twin));
+        for (qi, query) in queries.enumerate() {
+            assert_eq!(
+                after.neighborhood(&query),
+                before.neighborhood(&query),
+                "query {qi}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_fold_builds_the_tables_of_a_fresh_build() {
+        let (data, index) = build(21);
+        let inserted: Vec<SparseSet> = (0..3).map(twin).collect();
+        let all = || data.points().iter().chain(&inserted).cloned();
+
+        // Without deletes the folded index is the fresh build over the
+        // same points in the same order, byte for byte.
+        let mut folded = with_delta(index.clone(), inserted.clone());
+        folded.fold(false);
+        let fresh = build_over(&Dataset::new(all().collect()), 21);
+        assert_eq!(
+            to_bytes(SnapshotKind::ShardedIndex, &folded),
+            to_bytes(SnapshotKind::ShardedIndex, &fresh)
+        );
+
+        // With deletes in both parts, a `Compact` folds and compacts: the
+        // base tables are those of a fresh build over the live points.
+        let mut staged = StagedIndex::new(with_delta(index, inserted.clone()));
+        let gone = [PointId(2), PointId(13), PointId::from_index(data.len())];
+        for id in gone {
+            assert!(staged.delete(id));
+        }
+        staged.compact();
+        let compacted = staged.merged();
+        let live = all()
+            .enumerate()
+            .filter(|&(i, _)| !gone.contains(&PointId::from_index(i)))
+            .map(|(_, point)| point);
+        let fresh = build_over(&Dataset::new(live.collect()), 21);
+        let sections = |index: &Index| -> Vec<Vec<u8>> {
+            let per_part = crate::shard::section_count(index.params().l);
+            (1..per_part)
+                .map(|i| index.base().encode_section(i))
+                .collect()
+        };
+        assert_eq!(sections(&compacted), sections(&fresh));
     }
 
     /// Whether `T` implements [`SnapshotCodec`](fairnn_snapshot::SnapshotCodec),
@@ -947,7 +1158,6 @@ mod tests {
 
     #[test]
     fn staged_points_reach_readers_and_encoders_only_through_a_merge() {
-        use fairnn_snapshot::{to_bytes, SnapshotKind};
         use std::marker::PhantomData;
         // The type boundary: a staged index has no encoding, no query
         // method, and `Generation::now` takes a `ShardedIndex` only, so
@@ -961,21 +1171,15 @@ mod tests {
         assert!(Probe::<Index>(PhantomData).encodable());
         assert!(!(&Probe::<Staged>(PhantomData)).encodable());
 
-        let (data, index) = build(4, 16);
+        let (data, index) = build(16);
         let query = data.point(PointId(0)).clone();
         let before = to_bytes(SnapshotKind::ShardedIndex, &index);
-        let twin = |j: u32| {
-            let mut items: Vec<u32> = (0..25).collect();
-            items.push(100);
-            items.push(900 + j);
-            SparseSet::from_items(items)
-        };
         let mut staged = StagedIndex::new(index.clone());
-        let ids: Vec<PointId> = (0..6).map(|j| staged.insert(twin(j))).collect();
+        let ids: Vec<PointId> = (0..3).map(|j| staged.insert(twin(j))).collect();
         assert!(ids.iter().all(|&id| staged.contains(id)));
-        // Staged: the shards hold the points, their tables do not.
-        let shards = &staged.index.shards;
-        assert_eq!(shards.iter().map(|s| s.staged_points()).sum::<usize>(), 6);
+        // Staged: the delta holds the points, its tables do not.
+        let parts = &staged.index.parts;
+        assert_eq!(parts.iter().map(|s| s.staged_points()).sum::<usize>(), 3);
         // Copy-on-write: the index the staging started from is untouched.
         assert_eq!(to_bytes(SnapshotKind::ShardedIndex, &index), before);
 
@@ -983,10 +1187,10 @@ mod tests {
         assert!(merged.shards().iter().all(|s| s.staged_points() == 0));
         let neighborhood = merged.neighborhood(&query);
         assert!(ids.iter().all(|id| neighborhood.contains(id)));
-        // One merge over all six points builds the bytes of one merge per
-        // point.
+        // One merge over all three points builds the bytes of one merge
+        // per point.
         let mut one_by_one = index;
-        for j in 0..6 {
+        for j in 0..3 {
             let mut staged = StagedIndex::new(one_by_one);
             staged.insert(twin(j));
             one_by_one = staged.merged();
@@ -999,16 +1203,17 @@ mod tests {
 
     #[test]
     fn delete_removes_points_until_neighborhood_empties() {
-        let (data, mut index) = build(4, 10);
+        let (data, index) = build(10);
+        let mut index = with_delta(index, [twin(0)]);
         let query = data.point(PointId(0)).clone();
         let members = index.neighborhood(&query);
-        assert_eq!(members.len(), 10);
+        assert_eq!(members.len(), 11);
         for &id in &members {
             assert!(index.delete(id));
             assert!(!index.contains(id));
             assert!(!index.delete(id), "double delete must fail");
         }
-        assert_eq!(index.len(), data.len() - members.len());
+        assert_eq!(index.len(), data.len() + 1 - members.len());
         let mut rng = StdRng::seed_from_u64(11);
         assert_eq!(index.sample(&query, &mut rng).0, None);
         assert!(index.neighborhood(&query).is_empty());
@@ -1017,14 +1222,14 @@ mod tests {
     #[test]
     fn sharded_sampler_implements_the_core_traits() {
         use fairnn_core::FairSampler;
-        let (data, index) = build(2, 12);
+        let (data, index) = build(12);
         let mut sampler = ShardedSampler::new(index);
         assert_eq!(sampler.name(), "sharded-engine");
         let query = data.point(PointId(1)).clone();
         let mut rng = StdRng::seed_from_u64(13);
         assert!(sampler.sample(&query, &mut rng).is_some());
         assert!(sampler.last_query_stats().rounds >= 1);
-        assert_eq!(sampler.index().num_shards(), 2);
+        assert_eq!(sampler.index().len(), data.len());
         // Through the object-safe trait as well.
         let boxed: &mut dyn FairSampler<SparseSet> = &mut sampler;
         assert!(boxed.sample_dyn(&query, &mut rng).is_some());
@@ -1033,7 +1238,9 @@ mod tests {
 
     #[test]
     fn one_shard_degenerates_gracefully() {
-        let (data, index) = build(1, 14);
+        // A fresh build: the base holds every point, the delta none.
+        let (data, index) = build(14);
+        assert_eq!(index.delta().live_points(), 0);
         let near = SimilarityAtLeast::new(Jaccard, 0.5);
         let exact = ExactSampler::new(&data, near);
         let query = data.point(PointId(5)).clone();

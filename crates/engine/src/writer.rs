@@ -12,31 +12,35 @@
 //! 2. **log** — the batch is encoded (prefixed with its sequence number)
 //!    and appended to the WAL as one checksummed, fsynced record;
 //! 3. **apply** — the ops run, in order, against a staged copy of the
-//!    private staging index (copy-on-write at shard granularity: only
-//!    touched shards are copied). A delete only tombstones its point, so
-//!    the shard keeps sharing its tables with the published generation.
-//!    An insert only stages its point in the shard it is routed to. Then
-//!    each receiving shard hashes its staged points and builds its next
+//!    private staging index (copy-on-write at part granularity: only
+//!    touched parts are copied, and a copied part still shares its tables
+//!    and points). A delete only tombstones its point, so its part keeps
+//!    sharing its tables with the published generation. An insert only
+//!    stages its point in the delta. An op after which the delta holds more
+//!    than an eighth of the base's live points folds the delta into the
+//!    base. Then the delta hashes its staged points and builds its next
 //!    tables from the current ones in one linear merge per table;
 //! 4. **publish** — a clone of the staging index (an `Arc`-pointer copy
-//!    per shard plus one routing-table memcpy) becomes the next
-//!    [`Generation`], swapped into the shared cell for readers.
+//!    per part plus one id-map memcpy) becomes the next [`Generation`],
+//!    swapped into the shared cell for readers.
 //!
 //! Crash recovery ([`EngineWriter::open`]) loads the checkpoint and
 //! replays the WAL tail through the *same* validation and `apply_batch`
 //! the live path uses; a record the live commit would have rejected fails
-//! the recovery. The replayed inserts stay staged across records, so each
-//! shard merges its tables once at the end of the replay (or earlier, when
-//! it compacts), not once per record. A merge of many staged points builds
-//! exactly the tables a merge per commit builds, so a recovered index is
-//! bit-identical to the pre-crash one — a property the integration tests
-//! assert by re-encoding both sides. A torn final record (the crash
+//! the recovery. The replayed inserts stay staged across records, so the
+//! delta merges its tables once at the end of the replay (or earlier, when
+//! it compacts or folds), not once per record. The fold check runs after
+//! every insert and delete, so a replay folds at exactly the op the live
+//! writer folded at, and a merge of many staged points builds exactly the
+//! tables a merge per commit builds, so a recovered index is bit-identical
+//! to the pre-crash one — a property the integration tests assert by
+//! re-encoding both sides. A torn final record (the crash
 //! happened mid-append) is detected by checksum, dropped, and physically
 //! truncated away on resume.
 //!
 //! [`EngineWriter::checkpoint`] writes the full image of the staging
 //! index, exactly as bootstrap does, and then resets the WAL. The writer
-//! keeps no encoded bytes and no shards of past checkpoints.
+//! keeps no encoded bytes and no parts of past checkpoints.
 
 use crate::api_types::{CommitReceipt, EngineError, WriteBatch, WriteOp};
 use crate::generation::{Generation, Shared};
@@ -162,12 +166,13 @@ where
 /// returning the global ids assigned to the batch's `Insert` ops in op
 /// order.
 ///
-/// Ops apply in order. An `Insert` stages its point in the shard it is
-/// routed to; no table changes until the caller merges
-/// ([`StagedIndex::merged`]). A `Delete` tombstones its point and touches
-/// no table. A `Compact` merges and then rebuilds the tables of the shards
-/// carrying tombstones, as does a delete that trips a shard's automatic
-/// compaction.
+/// Ops apply in order. An `Insert` stages its point in the delta; no table
+/// changes until the caller merges ([`StagedIndex::merged`]). A `Delete`
+/// tombstones its point and touches no table. A `Compact` folds the delta
+/// into the base and compacts the base, as does a delete that trips the
+/// base's automatic compaction; one that trips the delta's compacts the
+/// delta alone. An insert or a delete after which the delta holds more than
+/// an eighth of the base's live points folds the delta into the base.
 ///
 /// This is the **one** mutation path of the engine: the live commit and
 /// WAL replay both call it, which is what makes a replayed index
@@ -253,7 +258,7 @@ where
 {
     /// Recovers an engine from its directory: loads the checkpoint,
     /// replays the WAL tail through `apply_batch`, merges the staged
-    /// inserts once per shard, truncates any torn final record, and
+    /// inserts once, truncates any torn final record, and
     /// publishes the recovered state.
     ///
     /// Records older than the checkpoint (left behind by a crash between
@@ -311,7 +316,7 @@ where
 
     /// Commits a batch: validates it, appends it to the WAL (fsynced),
     /// applies it to the staging index, merges the staged inserts into
-    /// the tables of the shards that received them, and publishes the
+    /// the delta's tables, and publishes the
     /// result as the next generation. Atomic from every reader's point of
     /// view — a pin taken at any moment sees either none of the batch or
     /// all of it.
@@ -450,7 +455,7 @@ mod tests {
         let params = ParamsBuilder::new(data.len(), 0.5, 0.05).empirical(&MinHash);
         let near = SimilarityAtLeast::new(Jaccard, 0.5);
         let dir = scratch_dir(tag);
-        let config = ShardedIndexConfig::with_shards(3).seeded(seed);
+        let config = ShardedIndexConfig::default().seeded(seed);
         let writer =
             Writer::bootstrap(&MinHash, params, &data, near, config, &dir).expect("bootstrap");
         (data, writer, dir)
@@ -556,68 +561,62 @@ mod tests {
         let reader = writer.reader();
         let query = data.point(PointId(0)).clone();
         let request = QueryRequest::new(vec![query.clone(); 40]).with_batch(3);
-        let base = reader.pin();
-        let before = base.run_batch(&request);
-        let tables = |pin: &crate::EpochPin<_, _, _>| -> Vec<Arc<fairnn_lsh::LshTables>> {
-            let shards = pin.index().shards();
-            shards.iter().map(|s| Arc::clone(s.tables())).collect()
+        let first = reader.pin();
+        let before = first.run_batch(&request);
+        let base_of = |pin: &crate::EpochPin<_, _, _>| {
+            let base = pin.index().base();
+            (Arc::clone(base.tables()), Arc::clone(base.points()))
         };
+        let (tables, points) = base_of(&first);
 
-        // A delete-only commit tombstones: every shard's tables carry over.
+        // A delete-only commit tombstones: no table and no point is copied.
         writer
             .commit(WriteBatch::new().delete(PointId(3)))
             .expect("delete commit");
         let deleted = reader.pin();
-        for (s, (old, new)) in tables(&base).iter().zip(tables(&deleted)).enumerate() {
-            assert!(
-                Arc::ptr_eq(old, &new),
-                "shard {s}: a delete rebuilt its tables"
-            );
-        }
-        assert_eq!(
-            deleted
-                .index()
-                .shards()
-                .iter()
-                .map(|s| s.tombstones())
-                .sum::<usize>(),
-            1
+        let (after_tables, after_points) = base_of(&deleted);
+        assert!(
+            Arc::ptr_eq(&tables, &after_tables),
+            "a delete copied tables"
         );
+        assert!(
+            Arc::ptr_eq(&points, &after_points),
+            "a delete copied points"
+        );
+        assert!(Arc::ptr_eq(
+            first.index().delta().tables(),
+            deleted.index().delta().tables()
+        ));
+        assert_eq!(deleted.index().base().tombstones(), 1);
 
-        // An insert rebuilds the tables of the shard it lands in and shares
-        // every other shard whole.
+        // An insert lands in the delta and rebuilds only the delta's
+        // tables; the base is shared whole.
         let receipt = writer
             .commit(WriteBatch::new().insert(twin(&data, 500)))
             .expect("insert commit");
         let inserted = reader.pin();
         let id = receipt.assigned[0];
-        for (s, (old, new)) in deleted
-            .index()
-            .shards()
-            .iter()
-            .zip(inserted.index().shards())
-            .enumerate()
-        {
-            if new.contains(id) {
-                assert!(!Arc::ptr_eq(old.tables(), new.tables()), "shard {s}");
-                assert_eq!(new.tables().num_points(), old.tables().num_points() + 1);
-            } else {
-                assert!(Arc::ptr_eq(old, new), "shard {s} was copied");
-            }
-        }
-        assert_eq!(
-            inserted
-                .index()
-                .shards()
-                .iter()
-                .filter(|s| s.contains(id))
-                .count(),
-            1
+        assert!(inserted.index().delta().contains(id));
+        assert!(Arc::ptr_eq(
+            &deleted.index().shards()[0],
+            &inserted.index().shards()[0]
+        ));
+        let (after_tables, after_points) = base_of(&inserted);
+        assert!(
+            Arc::ptr_eq(&tables, &after_tables),
+            "an insert copied tables"
         );
+        assert!(
+            Arc::ptr_eq(&points, &after_points),
+            "an insert copied points"
+        );
+        let (old, new) = (deleted.index().delta(), inserted.index().delta());
+        assert!(!Arc::ptr_eq(old.tables(), new.tables()));
+        assert_eq!(new.tables().num_points(), old.tables().num_points() + 1);
 
         // The pin on generation 0 still answers bit for bit.
-        assert_eq!(base.run_batch(&request), before);
-        drop((base, deleted, inserted));
+        assert_eq!(first.run_batch(&request), before);
+        drop((first, deleted, inserted));
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -626,30 +625,18 @@ mod tests {
         let (data, mut writer, dir) = bootstrap("free", 13);
         let reader = writer.reader();
         let pin = reader.pin();
-        let before: Vec<_> = pin.index().shards().iter().map(Arc::downgrade).collect();
+        let [base, delta] = [0, 1].map(|part| Arc::downgrade(&pin.index().shards()[part]));
         drop(pin);
 
         let receipt = writer
             .commit(WriteBatch::new().insert(twin(&data, 600)))
             .expect("insert commit");
-        let pin = reader.pin();
-        let rebuilt = pin
-            .index()
-            .shards()
-            .iter()
-            .position(|s| s.contains(receipt.assigned[0]))
-            .expect("the insert landed in a shard");
-        drop(pin);
+        assert!(reader.pin().index().delta().contains(receipt.assigned[0]));
 
-        // Only the published generation and the staging index hold shards:
-        // the one the insert replaced is gone, the others are shared.
-        for (s, weak) in before.iter().enumerate() {
-            assert_eq!(
-                weak.upgrade().is_some(),
-                s != rebuilt,
-                "shard {s} (rebuilt: {rebuilt})"
-            );
-        }
+        // Only the published generation and the staging index hold parts:
+        // the delta the insert replaced is gone, the base is shared.
+        assert!(base.upgrade().is_some(), "the base was replaced");
+        assert!(delta.upgrade().is_none(), "the replaced delta is alive");
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -734,43 +721,34 @@ mod tests {
     #[test]
     fn replayed_delete_compacts_a_shard_with_staged_inserts() {
         // Replay keeps inserts staged across records. Here a replayed
-        // delete trips the automatic compaction of a shard that holds
-        // staged inserts, so the compaction must merge them first, exactly
-        // as the live writer merged them at each commit.
+        // delete trips the automatic compaction of the delta while it
+        // holds staged inserts, so the compaction must merge them first,
+        // exactly as the live writer merged them at each commit.
         let (data, mut writer, dir) = bootstrap("staged-compact", 16);
         let first = writer
-            .commit(WriteBatch::new().insert(twin(&data, 800)))
+            .commit(
+                WriteBatch::new()
+                    .insert(twin(&data, 800))
+                    .insert(twin(&data, 801)),
+            )
             .expect("insert commit")
-            .assigned[0];
-        let owner = |writer: &Writer| {
-            let shards = writer.staging().shards();
-            shards
-                .iter()
-                .position(|s| s.contains(first))
-                .expect("owned")
-        };
-        let s = owner(&writer);
-        let victims: Vec<PointId> = data
-            .ids()
-            .filter(|&id| writer.staging().shards()[s].contains(id))
-            .collect();
-        let mut compacted = false;
-        for (k, &victim) in victims.iter().enumerate() {
-            // Keep one more insert staged in the shard on replay.
-            let mut batch = WriteBatch::new().delete(victim);
-            if k == 1 {
-                batch = batch.insert(twin(&data, 801));
-            }
-            writer.commit(batch).expect("delete commit");
-            if writer.staging().shards()[s].tombstones() == 0 {
-                compacted = true;
-                break;
-            }
-        }
-        assert!(compacted, "no delete compacted shard {s}");
-        assert_eq!(owner(&writer), s);
+            .assigned;
         writer
             .commit(WriteBatch::new().insert(twin(&data, 802)))
+            .expect("insert commit");
+        writer
+            .commit(WriteBatch::new().delete(first[0]))
+            .expect("delete commit");
+        assert_eq!(writer.staging().delta().tombstones(), 1);
+        // One more insert staged in the delta on replay, then the delete
+        // that compacts it.
+        writer
+            .commit(WriteBatch::new().insert(twin(&data, 803)).delete(first[1]))
+            .expect("compacting commit");
+        let delta = writer.staging().delta();
+        assert_eq!((delta.tombstones(), delta.live_points()), (0, 2));
+        writer
+            .commit(WriteBatch::new().insert(twin(&data, 804)))
             .expect("insert after compaction");
 
         let reopened = Writer::open(&dir).expect("open");
@@ -797,6 +775,20 @@ mod tests {
         writer
             .commit(WriteBatch::new().delete(PointId(5)).compact())
             .expect("second commit");
+        // 30 live base points: the fourth insert passes an eighth of them
+        // and folds, and the fifth stays in the delta. Replay must fold at
+        // the same op.
+        let mut batch = WriteBatch::new();
+        for extra in 302..306 {
+            batch = batch.insert(twin(&data, extra));
+        }
+        writer.commit(batch).expect("folding commit");
+        writer
+            .commit(WriteBatch::new().insert(twin(&data, 306)))
+            .expect("delta commit");
+        let index = writer.staging();
+        assert_eq!(index.base().live_points(), 34);
+        assert_eq!(index.delta().live_points(), 1);
 
         let reopened = Writer::open(&dir).expect("open");
         assert_eq!(reopened.generation(), writer.generation());

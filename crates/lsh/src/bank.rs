@@ -3,9 +3,9 @@
 //! An `L`-table LSH structure is defined by its `L` (concatenated) hash
 //! functions; the tables are only their image over the data.
 //! [`HasherBank`] holds those functions behind an [`Arc`], so several table
-//! sets can be keyed by one bank. The sharded engine indexes every shard
-//! with the same bank: a query is then hashed once for all shards, and the
-//! union of the shards' colliding sets is exactly the colliding set of one
+//! sets can be keyed by one bank. The engine indexes its base and its delta
+//! with the same bank: a query is then hashed once for both, and the
+//! union of their colliding sets is exactly the colliding set of one
 //! `L`-table structure over all points (Sections 3–4 of the paper).
 
 use crate::concat::ConcatenatedHasher;

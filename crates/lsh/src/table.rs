@@ -50,9 +50,9 @@ pub type LshTable = FrozenTable<PointId>;
 /// The `L` tables of an LSH structure over dense point ids
 /// `0..num_points`, without the hash functions that key them.
 ///
-/// [`LshIndex`] pairs one of these with its own hashers. The sharded engine
-/// pairs one per shard with a single shared [`crate::HasherBank`], so the
-/// per-table query keys are computed once and looked up in every shard.
+/// [`LshIndex`] pairs one of these with its own hashers. The engine pairs
+/// two (its base and its delta) with a single shared [`crate::HasherBank`],
+/// so the per-table query keys are computed once and looked up in both.
 ///
 /// Tables are never mutated in place: [`LshTables::appended`] and
 /// [`LshTables::compacted`] build the next tables from these in one linear
@@ -187,9 +187,11 @@ impl LshTables {
         }
     }
 
-    /// Shared tail of every decoder holding tables: every bucket entry must
-    /// name an indexed point.
-    fn assemble(
+    /// Tables over `num_points` ids from decoded tables: the shared tail of
+    /// every decoder holding tables, including decoders that store the
+    /// tables in several sections. Fails with `Corrupt` unless every bucket
+    /// entry names an indexed point.
+    pub fn from_tables(
         tables: Vec<LshTable>,
         num_points: usize,
     ) -> Result<Self, fairnn_snapshot::SnapshotError> {
@@ -218,7 +220,7 @@ impl fairnn_snapshot::Codec for LshTables {
     ) -> Result<Self, fairnn_snapshot::SnapshotError> {
         let tables = Vec::<LshTable>::decode(dec)?;
         let num_points = usize::decode(dec)?;
-        Self::assemble(tables, num_points)
+        Self::from_tables(tables, num_points)
     }
 }
 
@@ -420,7 +422,7 @@ impl<H> LshIndex<H> {
 
 impl<H> LshIndex<H> {
     /// Tail of the sectioned decoder: every cross-field invariant of the
-    /// wire format lives here (and in [`LshTables::assemble`]).
+    /// wire format lives here (and in [`LshTables::from_tables`]).
     fn assemble(
         hashers: Vec<H>,
         tables: LshTables,
@@ -506,8 +508,8 @@ impl<H: crate::snapshot::HasherBankCodec> fairnn_snapshot::SnapshotCodec for Lsh
         for table in decoded {
             tables.push(table?);
         }
-        // All structural invariants live in the shared `assemble` tails.
-        Self::assemble(hashers, LshTables::assemble(tables, num_points)?, params)
+        // All structural invariants live in `assemble` and `from_tables`.
+        Self::assemble(hashers, LshTables::from_tables(tables, num_points)?, params)
     }
 }
 
@@ -766,7 +768,7 @@ mod tests {
         let sets = toy_sets();
         let mut retained = build_index(&sets);
         let mut rebuilt = retained.clone();
-        // Drop every third point, as a shard compaction would after deletes
+        // Drop every third point, as an engine compaction would after deletes
         // (the deleted ids are still in their buckets until now).
         let keep: Vec<usize> = (0..sets.len()).filter(|i| i % 3 != 0).collect();
         let mut new_id_of = vec![u32::MAX; sets.len()];

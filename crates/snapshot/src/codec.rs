@@ -415,8 +415,8 @@ pub trait Codec: Sized {
 ///
 /// Every [`Codec`] type is one: a single section holding its
 /// [`Codec::encode`] bytes. Large structures instead implement this trait
-/// directly, and **not** [`Codec`], with one section per shard or per
-/// table, so encode, checksum and decode all run on parallel build workers
+/// directly, and **not** [`Codec`], with one section per table or per
+/// table range, so encode, checksum and decode all run on parallel build workers
 /// (the emitted bytes are identical at every thread count, because sections
 /// are always concatenated in order). Having no [`Codec`] impl, a sectioned
 /// value cannot be nested inside another encoding: it exists only at the
@@ -572,7 +572,7 @@ impl<T: Codec> Codec for Vec<T> {
 }
 
 /// Transparent wrapper: an `Arc<T>` encodes exactly like its `T` (the
-/// generational engine shares frozen shards between generations through
+/// generational engine shares frozen parts between generations through
 /// `Arc`s without changing the wire format).
 impl<T: Codec> Codec for std::sync::Arc<T> {
     fn encode(&self, enc: &mut Encoder) {

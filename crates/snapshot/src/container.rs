@@ -29,8 +29,8 @@
 //! **Why sections?** Version 1 stored one flat payload under one checksum,
 //! which forces serial verification and decoding. Version 2 lets a
 //! structure split its image into independently checksummed sections
-//! ([`SnapshotCodec::encode_sections`]) — one per shard, one per LSH
-//! table — so encode, checksum and decode all run on parallel build
+//! ([`SnapshotCodec::encode_sections`]) — one per LSH table or range of
+//! tables — so encode, checksum and decode all run on parallel build
 //! workers. The bytes are identical at every thread count (sections are
 //! concatenated in a fixed order).
 //!
@@ -134,11 +134,11 @@ pub enum SnapshotKind {
     /// shard is keyed by its index's shared hasher bank); the tag stays
     /// assigned for the container's own tests.
     Shard = 5,
-    /// A `fairnn_engine::ShardedIndex` (all shards + partition map).
+    /// A `fairnn_engine::ShardedIndex` (base, delta and id map).
     ShardedIndex = 6,
     // Tag 7 stays unassigned: old engine images fail with `KindMismatch`.
     /// A `fairnn_engine::Checkpoint`: a WAL sequence number plus the
-    /// sharded index it was cut at (the durable base the write-ahead log
+    /// index it was cut at (the durable base the write-ahead log
     /// tail replays on top of).
     Checkpoint = 8,
 }

@@ -1,4 +1,4 @@
-//! Serving demo: the sharded, generational query engine end to end —
+//! Serving demo: the generational query engine end to end —
 //! bootstrap, batch queries on a pinned generation, incremental updates,
 //! deterministic replay, and a small timed batch.
 //!
@@ -23,8 +23,8 @@ fn main() {
         params.l
     );
 
-    // 2. Bootstrap the engine: 4 shards, a checkpoint and a write-ahead log
-    //    in a fresh directory. Readers pin the published generation.
+    // 2. Bootstrap the engine: a base over every point, an empty delta, a
+    //    checkpoint and a write-ahead log in a fresh directory. Readers pin the published generation.
     let dir = std::env::temp_dir().join(format!("fairnn-example-engine-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut writer = EngineWriter::bootstrap(
@@ -32,16 +32,16 @@ fn main() {
         params,
         &dataset,
         near,
-        ShardedIndexConfig::with_shards(4).seeded(7),
+        ShardedIndexConfig::default().seeded(7),
         &dir,
     )
     .expect("bootstrap engine directory");
     let reader = writer.reader();
     let pin = reader.pin();
     println!(
-        "engine: {} shards, {} live points, generation {}",
-        pin.index().num_shards(),
+        "engine: {} live points ({} in the base), generation {}",
         pin.index().len(),
+        pin.index().base().live_points(),
         pin.generation()
     );
 

@@ -128,7 +128,7 @@ fn sharded_index_builds_identically_at_every_thread_count() {
             params(data.len()),
             &data,
             near(),
-            ShardedIndexConfig::with_shards(3).seeded(17),
+            ShardedIndexConfig::default().seeded(17),
         )
     });
     let images: Vec<Vec<u8>> = indexes
@@ -167,7 +167,7 @@ fn query_engine_builds_and_answers_identically_at_every_thread_count() {
             params(data.len()),
             &data,
             near(),
-            ShardedIndexConfig::with_shards(4).seeded(23),
+            ShardedIndexConfig::default().seeded(23),
             &dir,
         )
         .expect("bootstrap");
@@ -196,7 +196,7 @@ fn snapshot_encode_and_decode_are_thread_count_independent() {
         params(data.len()),
         &data,
         near(),
-        ShardedIndexConfig::with_shards(3).seeded(17),
+        ShardedIndexConfig::default().seeded(17),
     );
     let images = sweep(|| to_bytes(SnapshotKind::ShardedIndex, &index));
     assert!(images.windows(2).all(|w| w[0] == w[1]));
@@ -232,7 +232,7 @@ fn compaction_stays_in_lockstep_across_thread_counts() {
             params(data.len()),
             &data,
             near(),
-            ShardedIndexConfig::with_shards(3).seeded(17),
+            ShardedIndexConfig::default().seeded(17),
             &dir,
         )
         .expect("bootstrap");

@@ -1,13 +1,14 @@
-//! Integration tests of the `fairnn-engine` serving subsystem: the sharded
-//! two-level sampler against the same uniformity battery the unsharded
-//! samplers face (statically, through the batch executor, through
-//! `POST /v1/query` before and after churn and WAL recovery, and on a
-//! far-heavy neighbourhood where most colliding points are decoys), the
-//! work bounds of lazy evaluation (each shard walked and each candidate
-//! evaluated at most once, at most `N + f + 1` rounds for `f` far
-//! candidates removed), the bucket-length bound it proposes by, the
-//! thread-count determinism contract, and the serving lifecycle (batching,
-//! incremental updates) on the shared workload fixtures.
+//! Integration tests of the `fairnn-engine` serving subsystem: the
+//! two-level sampler over the base and the delta against the same
+//! uniformity battery the single-structure samplers face (statically,
+//! through the batch executor, through `POST /v1/query` before and after
+//! churn and WAL recovery, and on a far-heavy neighbourhood where most
+//! colliding points are decoys), the work bounds of lazy evaluation (each
+//! part walked and each candidate evaluated at most once, at most `f + 3`
+//! rounds for `f` far candidates removed), the bucket-length bound it
+//! proposes by, the thread-count determinism contract, and the serving
+//! lifecycle (batching, incremental updates) on the shared workload
+//! fixtures.
 
 use fairnn_core::predicate::Nearness;
 use fairnn_core::{ExactSampler, NeighborSampler, QueryStats, SimilarityAtLeast};
@@ -40,7 +41,6 @@ type Near = SimilarityAtLeast<Jaccard>;
 const R: f64 = 0.3;
 
 fn build_index(
-    shards: usize,
     seed: u64,
 ) -> (
     fairnn_space::Dataset<SparseSet>,
@@ -54,9 +54,60 @@ fn build_index(
         params,
         &dataset,
         near,
-        ShardedIndexConfig::with_shards(shards).seeded(seed),
+        ShardedIndexConfig::default().seeded(seed),
     );
     (dataset, index)
+}
+
+/// An index whose base is bootstrapped over `base` and whose delta holds
+/// `delta`, committed as inserts through an engine writer (so global ids
+/// run over `base`, then `delta`). `delta` must stay under an eighth of
+/// `base`, or the commit folds it into the base.
+fn index_with_delta<F, BH>(
+    label: &str,
+    family: &F,
+    params: LshParams,
+    base: &Dataset<SparseSet>,
+    delta: &[SparseSet],
+    r: f64,
+    seed: u64,
+) -> ShardedIndex<SparseSet, ConcatenatedHasher<BH>, Near>
+where
+    F: LshFamily<SparseSet, Hasher = BH> + Sync,
+    BH: LshHasher<SparseSet> + Send + Sync,
+    ConcatenatedHasher<BH>: HasherBankCodec + LshHasher<SparseSet> + Clone + Send + Sync,
+{
+    let dir = std::env::temp_dir().join(format!("fairnn-delta-{label}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let near = SimilarityAtLeast::new(Jaccard, r);
+    let config = ShardedIndexConfig::default().seeded(seed);
+    let mut writer =
+        EngineWriter::bootstrap(family, params, base, near, config, &dir).expect("bootstrap");
+    let batch = delta.iter().fold(WriteBatch::new(), |batch, point| {
+        batch.insert(point.clone())
+    });
+    writer.commit(batch).expect("insert commit");
+    let index = writer.staging().clone();
+    drop(writer);
+    let _ = std::fs::remove_dir_all(dir);
+    assert_eq!(index.delta().live_points(), delta.len(), "{label}: folded");
+    index
+}
+
+/// The fixture index with its last 24 points in the delta (ids line up
+/// with `build_index`'s).
+fn split_fixture_index(label: &str, seed: u64) -> ShardedIndex<SparseSet, Hasher, Near> {
+    let dataset = test_dataset(1);
+    let (base, delta) = dataset.points().split_at(dataset.len() - 24);
+    index_with_delta(
+        label,
+        &OneBitMinHash,
+        test_params(dataset.len(), R),
+        &Dataset::new(base.to_vec()),
+        delta,
+        R,
+        seed,
+    )
 }
 
 /// Queries with a non-trivial neighbourhood on the fixture dataset.
@@ -70,11 +121,13 @@ fn interesting_queries(dataset: &fairnn_space::Dataset<SparseSet>) -> Vec<PointI
 
 #[test]
 fn sharded_sampler_passes_the_uniformity_battery() {
-    // The acceptance bar of the sharded engine: with 4 shards, the output
-    // distribution over B_S(q, r) must be statistically indistinguishable
-    // from uniform — the same battery (chi-square consistency + total
-    // variation) the unsharded fair samplers pass, on the same workload.
-    let (dataset, index) = build_index(4, 21);
+    // The acceptance bar of the engine: with the points split over the
+    // base and the delta, the output distribution over B_S(q, r) must be
+    // statistically indistinguishable from uniform — the same battery
+    // (chi-square consistency + total variation) the single-structure fair
+    // samplers pass, on the same workload.
+    let dataset = test_dataset(1);
+    let index = split_fixture_index("battery", 21);
     let near = SimilarityAtLeast::new(Jaccard, R);
     let exact = ExactSampler::new(&dataset, near);
     let queries = interesting_queries(&dataset);
@@ -107,11 +160,11 @@ fn sharded_sampler_passes_the_uniformity_battery() {
 
 #[test]
 fn sharded_tv_matches_the_unsharded_fair_sampler() {
-    // Head-to-head on the same queries and sample counts: the 4-shard
-    // two-level sampler must be as close to uniform as an unsharded fair
+    // Head-to-head on the same queries and sample counts: the two-level
+    // sampler must be as close to uniform as a single-structure fair
     // sampler drawing the same number of samples (both TVs are sampling
     // noise; allow a small gap).
-    let (dataset, index) = build_index(4, 22);
+    let (dataset, index) = build_index(22);
     let near = SimilarityAtLeast::new(Jaccard, R);
     let exact = ExactSampler::new(&dataset, near);
     let params = test_params(dataset.len(), R);
@@ -142,36 +195,40 @@ fn sharded_tv_matches_the_unsharded_fair_sampler() {
 
 #[test]
 fn sharded_neighborhood_preserves_recall() {
-    // Sharding must not lose recall: the union of per-shard colliding near
-    // points is a subset of the exact neighbourhood (no false positives by
-    // construction) and misses at most the 1% the 99%-recall parameters
-    // allow, for several shard counts including 1.
+    // Splitting the points over the base and the delta must not lose
+    // recall: the union of the parts' colliding near points is a subset of
+    // the exact neighbourhood (no false positives by construction) and
+    // misses at most the 1% the 99%-recall parameters allow, for several
+    // seeds, with an empty delta and with the last 24 points in the delta.
     let dataset = test_dataset(1);
     let near = SimilarityAtLeast::new(Jaccard, R);
     let exact = ExactSampler::new(&dataset, near);
-    for shards in [1usize, 2, 4, 7] {
-        let (_, index) = build_index(shards, 30 + shards as u64);
-        for &qid in &interesting_queries(&dataset) {
-            let query = dataset.point(qid).clone();
-            let truth = exact.neighborhood(&query);
-            let got = index.neighborhood(&query);
-            assert!(
-                got.iter().all(|id| truth.contains(id)),
-                "shards = {shards}, query {qid}: non-neighbour reported"
-            );
-            assert!(
-                got.len() as f64 >= 0.9 * truth.len() as f64,
-                "shards = {shards}, query {qid}: recall {}/{}",
-                got.len(),
-                truth.len()
-            );
+    for seed in [31, 32, 34, 37] {
+        let built = build_index(seed).1;
+        let split = split_fixture_index(&format!("recall-{seed}"), seed);
+        for (layout, index) in [("base only", &built), ("base + delta", &split)] {
+            for &qid in &interesting_queries(&dataset) {
+                let query = dataset.point(qid).clone();
+                let truth = exact.neighborhood(&query);
+                let got = index.neighborhood(&query);
+                assert!(
+                    got.iter().all(|id| truth.contains(id)),
+                    "seed {seed}, {layout}, query {qid}: non-neighbour reported"
+                );
+                assert!(
+                    got.len() as f64 >= 0.9 * truth.len() as f64,
+                    "seed {seed}, {layout}, query {qid}: recall {}/{}",
+                    got.len(),
+                    truth.len()
+                );
+            }
         }
     }
 }
 
 /// The paper-fidelity contract of the shared hasher bank: for every
-/// query, the sharded neighbourhood `∪ A_i` equals the near points
-/// colliding with it in *one* unsharded `L`-table index keyed by the same
+/// query, the two-part neighbourhood `A_base ∪ A_delta` equals the near
+/// points colliding with it in *one* `L`-table index keyed by the same
 /// bank over all live points (`live[i]` is a global id and its point).
 fn assert_matches_one_unsharded_structure<H>(
     label: &str,
@@ -197,11 +254,13 @@ fn assert_matches_one_unsharded_structure<H>(
     }
 }
 
-/// Runs `check` on a 4-shard engine bootstrapped over `dataset`, again
-/// after one commit that inserts near twins of the first points, deletes
-/// and compacts, and again after the engine directory is reopened (WAL
-/// replay). `check` gets the stage label, the index, the live
-/// `(global id, point)` pairs and every dataset point as a query.
+/// Runs `check` on an engine bootstrapped over `dataset`, again after one
+/// commit that inserts near twins of the first points, deletes and
+/// compacts (folding the twins into the base) and a second that inserts
+/// two more twins into the delta and deletes a base point, and again
+/// after the engine directory is reopened (WAL replay). `check` gets the
+/// stage label, the index, the live `(global id, point)` pairs and every
+/// dataset point as a query.
 fn check_through_churn_and_reopen<F, BH>(
     label: &str,
     family: &F,
@@ -228,7 +287,7 @@ fn check_through_churn_and_reopen<F, BH>(
         params,
         dataset,
         near,
-        ShardedIndexConfig::with_shards(4).seeded(41),
+        ShardedIndexConfig::default().seeded(41),
         &dir,
     )
     .expect("bootstrap");
@@ -239,13 +298,12 @@ fn check_through_churn_and_reopen<F, BH>(
         .collect();
     check(label, reader.pin().index(), &live, &queries);
 
-    let twins: Vec<SparseSet> = (0..3u32)
-        .map(|i| {
-            let mut items = dataset.point(PointId(i)).items().to_vec();
-            items.push(1_000_000 + i);
-            SparseSet::from_items(items)
-        })
-        .collect();
+    let twin = |i: u32| {
+        let mut items = dataset.point(PointId(i)).items().to_vec();
+        items.push(1_000_000 + i);
+        SparseSet::from_items(items)
+    };
+    let twins: Vec<SparseSet> = (0..3u32).map(twin).collect();
     let deleted = [PointId(1), PointId(4), PointId(5), PointId(9)];
     let mut batch = WriteBatch::new();
     for twin in &twins {
@@ -259,6 +317,20 @@ fn check_through_churn_and_reopen<F, BH>(
     live.extend(receipt.assigned.iter().copied().zip(twins));
     let pin = reader.pin();
     assert!(pin.index().shards().iter().all(|s| s.tombstones() == 0));
+    assert_eq!(pin.index().delta().live_points(), 0, "Compact folds");
+    let twins: Vec<SparseSet> = (3..5u32).map(twin).collect();
+    let receipt = writer
+        .commit(
+            WriteBatch::new()
+                .insert(twins[0].clone())
+                .insert(twins[1].clone())
+                .delete(PointId(7)),
+        )
+        .expect("delta commit");
+    live.retain(|(id, _)| *id != PointId(7));
+    live.extend(receipt.assigned.iter().copied().zip(twins));
+    let pin = reader.pin();
+    assert_eq!(pin.index().delta().live_points(), 2);
     check(
         &format!("{label} after churn"),
         pin.index(),
@@ -307,10 +379,10 @@ fn sharded_neighborhood_is_the_colliding_near_set_of_one_unsharded_structure() {
     );
 }
 
-/// `b_i ≥ |D_i| ≥ |A_i|`: every shard's bucket-length bound covers its
+/// `b_i ≥ |D_i| ≥ |A_i|`: each part's bucket-length bound covers its
 /// colliding candidates, and so its colliding near set, for every query —
 /// the one fact exact uniformity rests on.
-fn assert_bucket_bound_covers_every_shard<H: LshHasher<SparseSet>>(
+fn assert_bucket_bound_covers_every_part<H: LshHasher<SparseSet>>(
     label: &str,
     index: &ShardedIndex<SparseSet, H, Near>,
     queries: &[SparseSet],
@@ -319,7 +391,7 @@ fn assert_bucket_bound_covers_every_shard<H: LshHasher<SparseSet>>(
         for (s, (bound, candidates, near)) in shard_counts(index, query).into_iter().enumerate() {
             assert!(
                 bound >= candidates && candidates >= near,
-                "{label}: query {qi}, shard {s}: b = {bound}, |D| = {candidates}, |A| = {near}"
+                "{label}: query {qi}, part {s}: b = {bound}, |D| = {candidates}, |A| = {near}"
             );
         }
     }
@@ -334,7 +406,7 @@ fn bucket_bound_covers_the_colliding_near_set_through_churn_and_reopen() {
         golden_params(golden.len()),
         &golden,
         0.5,
-        |label, index, _, queries| assert_bucket_bound_covers_every_shard(label, index, queries),
+        |label, index, _, queries| assert_bucket_bound_covers_every_part(label, index, queries),
     );
     let fixture = test_dataset(1);
     check_through_churn_and_reopen(
@@ -343,11 +415,11 @@ fn bucket_bound_covers_the_colliding_near_set_through_churn_and_reopen() {
         test_params(fixture.len(), R),
         &fixture,
         R,
-        |label, index, _, queries| assert_bucket_bound_covers_every_shard(label, index, queries),
+        |label, index, _, queries| assert_bucket_bound_covers_every_part(label, index, queries),
     );
 }
 
-/// Per shard, the bucket bound `b_i`, the exact candidate count `|D_i|`
+/// Per part, the bucket bound `b_i`, the exact candidate count `|D_i|`
 /// (distinct live colliding points, counted by the walk) and the colliding
 /// near count `|A_i|` of `query`.
 fn shard_counts<H: LshHasher<SparseSet>>(
@@ -372,11 +444,11 @@ fn shard_counts<H: LshHasher<SparseSet>>(
 }
 
 /// Draws `draws` samples of `query` from one prepared cursor and checks the
-/// work bounds of lazy evaluation: each shard is walked at most once (the
-/// cursor scans at most `Σ b_i` entries and inspects at most `2·N·L`
-/// buckets), each candidate is evaluated at most once (at most `Σ |D_i|`
-/// evaluations), and a draw that removes `f` far candidates takes at most
-/// `N + f + 1` rounds (`N + f` when it answers `None`, 0 when nothing
+/// work bounds of lazy evaluation: each of the two parts is walked at most
+/// once (the cursor scans at most `Σ b_i` entries and inspects at most
+/// `2·2·L` buckets), each candidate is evaluated at most once (at most
+/// `Σ |D_i|` evaluations), and a draw that removes `f` far candidates takes
+/// at most `f + 3` rounds (`f + 2` when it answers `None`, 0 when nothing
 /// collides). A `None` draw has evaluated every candidate. Returns the
 /// answers.
 fn assert_work_bounds<H: LshHasher<SparseSet>>(
@@ -386,7 +458,7 @@ fn assert_work_bounds<H: LshHasher<SparseSet>>(
     draws: usize,
     rng: &mut StdRng,
 ) -> Vec<Option<PointId>> {
-    let shards = index.num_shards();
+    let parts = index.shards().len();
     let counts = shard_counts(index, query);
     let bound: usize = counts.iter().map(|c| c.0).sum();
     let candidates: usize = counts.iter().map(|c| c.1).sum();
@@ -402,10 +474,10 @@ fn assert_work_bounds<H: LshHasher<SparseSet>>(
         // point when no earlier draw of this cursor returned (verified) it.
         let fresh = id.is_some() && !answers.contains(&id);
         let far = evals - usize::from(fresh);
-        let limit = shards + far + usize::from(id.is_some());
+        let limit = parts + far + usize::from(id.is_some());
         assert!(
             rounds <= limit,
-            "{label}, draw {d}: {rounds} rounds > {limit} ({shards} shards, {far} far removed, answer {id:?})"
+            "{label}, draw {d}: {rounds} rounds > {limit} ({parts} parts, {far} far removed, answer {id:?})"
         );
         if id.is_none() {
             assert_eq!(
@@ -421,7 +493,7 @@ fn assert_work_bounds<H: LshHasher<SparseSet>>(
     let stats = prepared.stats();
     assert!(
         stats.entries_scanned <= bound,
-        "{label}: scanned {} entries, more than Σ b_i = {bound}: a shard was walked twice",
+        "{label}: scanned {} entries, more than Σ b_i = {bound}: a part was walked twice",
         stats.entries_scanned
     );
     assert!(
@@ -431,8 +503,8 @@ fn assert_work_bounds<H: LshHasher<SparseSet>>(
     );
     let l = index.params().l;
     assert!(
-        stats.buckets_inspected <= 2 * shards * l,
-        "{label}: {} buckets inspected, over N·L for the bounds plus N·L for the walks",
+        stats.buckets_inspected <= 2 * parts * l,
+        "{label}: {} buckets inspected, over 2·L for the bounds plus 2·L for the walks",
         stats.buckets_inspected
     );
     answers
@@ -442,63 +514,85 @@ fn assert_work_bounds<H: LshHasher<SparseSet>>(
 fn each_shard_is_walked_and_each_candidate_evaluated_at_most_once() {
     let golden = golden_dataset();
     let fixture = test_dataset(1);
-    for shards in [1, 2, 4] {
-        let config = ShardedIndexConfig::with_shards(shards).seeded(43);
-        let golden_index = ShardedIndex::build(
-            &MinHash,
-            golden_params(golden.len()),
-            &golden,
-            SimilarityAtLeast::new(Jaccard, 0.5),
-            config,
-        );
-        let fixture_index = ShardedIndex::build(
-            &OneBitMinHash,
-            test_params(fixture.len(), R),
-            &fixture,
-            SimilarityAtLeast::new(Jaccard, R),
-            config,
-        );
-        let mut rng = StdRng::seed_from_u64(shards as u64);
+    let golden_params = golden_params(golden.len());
+    // Each index twice: as built (empty delta), and with part of its points
+    // in the delta — three cluster members of the golden set, the last 24
+    // fixture points.
+    let cluster_tail = [7u32, 8, 9].map(|i| golden.point(PointId(i)).clone());
+    let golden_base: Vec<SparseSet> = golden
+        .ids()
+        .filter(|id| !(7..10).contains(&id.0))
+        .map(|id| golden.point(id).clone())
+        .collect();
+    let layouts = [
+        (
+            "base only",
+            ShardedIndex::build(
+                &MinHash,
+                golden_params,
+                &golden,
+                SimilarityAtLeast::new(Jaccard, 0.5),
+                ShardedIndexConfig::default().seeded(43),
+            ),
+            build_index(43).1,
+        ),
+        (
+            "base + delta",
+            index_with_delta(
+                "work-golden",
+                &MinHash,
+                golden_params,
+                &Dataset::new(golden_base),
+                &cluster_tail,
+                0.5,
+                43,
+            ),
+            split_fixture_index("work-fixture", 43),
+        ),
+    ];
+    for (seed, (layout, golden_index, fixture_index)) in layouts.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(seed as u64);
         for (qi, query) in golden.points().iter().enumerate() {
-            let label = format!("golden, {shards} shards, query {qi}");
-            let answers = assert_work_bounds(&label, &golden_index, query, 20, &mut rng);
+            let label = format!("golden, {layout}, query {qi}");
+            let answers = assert_work_bounds(&label, golden_index, query, 20, &mut rng);
             let neighborhood = golden_index.neighborhood(query);
             for id in answers {
                 assert_eq!(id.is_some(), !neighborhood.is_empty(), "{label}");
             }
         }
         for (qi, query) in fixture.points().iter().enumerate() {
-            let label = format!("fixture, {shards} shards, query {qi}");
-            assert_work_bounds(&label, &fixture_index, query, 20, &mut rng);
+            let label = format!("fixture, {layout}, query {qi}");
+            assert_work_bounds(&label, fixture_index, query, 20, &mut rng);
         }
 
         // Collides with the golden cluster (Jaccard ≈ 0.46 with every
         // member) but is near none of it: ⊥ only after evaluating every
-        // candidate exactly once, within N + Σ |D_i| rounds.
+        // candidate exactly once, within 2 + Σ |D_i| rounds.
         let mut items: Vec<u32> = (0..18).collect();
         items.extend(5000..5012);
         let far = SparseSet::from_items(items);
         assert!(golden_index.neighborhood(&far).is_empty());
-        let candidates: usize = shard_counts(&golden_index, &far).iter().map(|c| c.1).sum();
-        assert!(candidates > 0, "{shards} shards: the far query collides");
+        let counts = shard_counts(golden_index, &far);
+        let candidates: usize = counts.iter().map(|c| c.1).sum();
+        assert!(candidates > 0, "{layout}: the far query collides");
         let (id, stats) = golden_index.sample(&far, &mut rng);
         assert_eq!(id, None);
         assert_eq!(
             stats.distance_computations, candidates,
-            "{shards} shards: a colliding ⊥ draw evaluates every candidate once"
+            "{layout}: a colliding ⊥ draw evaluates every candidate once"
         );
         assert!(
-            (1..=shards + candidates).contains(&stats.rounds),
-            "{shards} shards: colliding ⊥ draw took {} rounds",
+            (1..=counts.len() + candidates).contains(&stats.rounds),
+            "{layout}: colliding ⊥ draw took {} rounds",
             stats.rounds
         );
-        assert_work_bounds("far", &golden_index, &far, 20, &mut rng);
+        assert_work_bounds("far", golden_index, &far, 20, &mut rng);
 
         // Collides with nothing: ⊥ in 0 rounds.
         let isolated = SparseSet::from_items(vec![88_000, 88_001]);
         let (id, stats) = golden_index.sample(&isolated, &mut rng);
-        assert_eq!((id, stats.rounds), (None, 0), "{shards} shards");
-        assert_work_bounds("isolated", &golden_index, &isolated, 5, &mut rng);
+        assert_eq!((id, stats.rounds), (None, 0), "{layout}");
+        assert_work_bounds("isolated", golden_index, &isolated, 5, &mut rng);
     }
 }
 
@@ -564,7 +658,7 @@ fn assert_uniform_across_batches(
 fn executor_answers_pass_the_uniformity_battery_across_batches() {
     // The battery above runs on a static sampler; this one runs it on the
     // batch executor every route serves through.
-    let (dataset, index) = build_index(4, 21);
+    let (dataset, index) = build_index(21);
     let near = SimilarityAtLeast::new(Jaccard, R);
     let exact = ExactSampler::new(&dataset, near);
     let qid = interesting_queries(&dataset)[0];
@@ -576,15 +670,17 @@ fn executor_answers_pass_the_uniformity_battery_across_batches() {
     });
 }
 
-/// A far-heavy neighbourhood over 4 shards. The query is the set
-/// `0..30`. Near points share 27 of its items (Jaccard 0.82); decoys share
-/// 19 (Jaccard ≈ 0.46, just under `r = 0.5`), so they collide about as
-/// often as near points but are far. Shard `s` gets `plan[s]` = (near,
-/// decoys); isolated fillers even out the round-robin partition. Returns
-/// the query, the dataset and the plan.
-fn far_heavy_fixture() -> (SparseSet, Dataset<SparseSet>, [(usize, usize); 4]) {
-    const SHARDS: usize = 4;
-    let plan = [(5, 3), (2, 20), (1, 30), (0, 7)];
+/// A far-heavy neighbourhood split unevenly over the base and the delta.
+/// The query is the set `0..30`. Near points share 27 of its items
+/// (Jaccard 0.82); decoys share 19 (Jaccard ≈ 0.46, just under
+/// `r = 0.5`), so they collide about as often as near points but are far.
+/// Part `i` gets `plan[i]` = (near, decoys): the base is bootstrapped with
+/// its share plus isolated fillers, which keep the delta under the eighth
+/// of the base that would fold it, and the delta's share is inserted by a
+/// commit. Returns the query, every point in global id order and the plan.
+fn far_heavy_fixture() -> (SparseSet, Vec<SparseSet>, [(usize, usize); 2]) {
+    const FILLERS: usize = 330;
+    let plan = [(5, 20), (3, 40)];
     let query = SparseSet::from_items((0..30).collect());
     let mut next_extra = 10_000u32;
     let mut variant = |shared: usize, extra: usize, rotation: usize| {
@@ -597,39 +693,36 @@ fn far_heavy_fixture() -> (SparseSet, Dataset<SparseSet>, [(usize, usize); 4]) {
         next_extra += extra as u32;
         SparseSet::from_items(items)
     };
-    let mut per_shard: Vec<Vec<SparseSet>> = Vec::new();
-    for (s, &(near, decoys)) in plan.iter().enumerate() {
-        let mut points: Vec<SparseSet> = (0..near).map(|j| variant(27, 3, 7 * s + j)).collect();
-        points.extend((0..decoys).map(|j| variant(19, 11, 3 * s + j)));
-        per_shard.push(points);
-    }
-    let rows = per_shard.iter().map(Vec::len).max().expect("4 shards");
-    let mut sets = Vec::with_capacity(rows * SHARDS);
-    for row in 0..rows {
-        for points in &per_shard {
-            sets.push(match points.get(row) {
-                Some(point) => point.clone(),
-                None => variant(0, 15, 0),
-            });
+    let mut points = Vec::new();
+    for (i, &(near, decoys)) in plan.iter().enumerate() {
+        points.extend((0..near).map(|j| variant(27, 3, 7 * i + j)));
+        points.extend((0..decoys).map(|j| variant(19, 11, 3 * i + j)));
+        if i == 0 {
+            points.extend((0..FILLERS).map(|_| variant(0, 15, 0)));
         }
     }
-    (query, Dataset::new(sets), plan)
+    (query, points, plan)
 }
 
 #[test]
 fn far_heavy_neighbourhoods_pass_the_uniformity_battery() {
     // Most colliding points are far, and near points and decoys are spread
-    // unevenly over the shards, so draws keep landing on decoys and
-    // swap-removing them. Every near point must stay exactly uniform: per
-    // batch through the executor, and over repeated draws from one cursor.
-    let (query, dataset, plan) = far_heavy_fixture();
+    // unevenly over the base and the delta, so draws keep landing on decoys
+    // and swap-removing them. Every near point must stay exactly uniform:
+    // per batch through the executor, and over repeated draws from one
+    // cursor.
+    let (query, points, plan) = far_heavy_fixture();
+    let in_base = plan[0].0 + plan[0].1 + 330;
+    let dataset = Dataset::new(points.clone());
     let near = SimilarityAtLeast::new(Jaccard, 0.5);
-    let index = ShardedIndex::build(
+    let index = index_with_delta(
+        "far-heavy",
         &MinHash,
         golden_params(dataset.len()),
-        &dataset,
-        near,
-        ShardedIndexConfig::with_shards(plan.len()).seeded(61),
+        &Dataset::new(points[..in_base].to_vec()),
+        &points[in_base..],
+        0.5,
+        61,
     );
     let exact = ExactSampler::new(&dataset, near);
     let support = index.neighborhood(&query);
@@ -639,9 +732,9 @@ fn far_heavy_neighbourhoods_pass_the_uniformity_battery() {
         "a near point never collides"
     );
     let counts = shard_counts(&index, &query);
-    for (s, (&(near_planned, _), &(_, candidates, near))) in plan.iter().zip(&counts).enumerate() {
-        assert_eq!(near, near_planned, "shard {s}");
-        assert!(candidates > near, "shard {s} holds no colliding decoy");
+    for (i, (&(near_planned, _), &(_, candidates, near))) in plan.iter().zip(&counts).enumerate() {
+        assert_eq!(near, near_planned, "part {i}");
+        assert!(candidates > near, "part {i} holds no colliding decoy");
     }
     let candidates: usize = counts.iter().map(|c| c.1).sum();
     assert!(
@@ -725,7 +818,7 @@ fn served_answers_pass_the_uniformity_battery_through_churn_and_recovery() {
         test_params(dataset.len(), R),
         &dataset,
         near,
-        ShardedIndexConfig::with_shards(4).seeded(21),
+        ShardedIndexConfig::default().seeded(21),
         &dir,
     )
     .expect("bootstrap");
@@ -747,8 +840,8 @@ fn served_answers_pass_the_uniformity_battery_through_churn_and_recovery() {
     assert_uniform_across_batches("served", &support, 0, |b| client.draw(&query, b));
 
     // Churn: two copies of the query join (identical points collide in
-    // every table of any shard), two other neighbours leave, and every
-    // shard with tombstones compacts.
+    // every table), two other neighbours leave, and the compaction folds
+    // the copies into the base.
     let leaving: Vec<PointId> = support
         .iter()
         .copied()
@@ -782,7 +875,7 @@ fn served_answers_pass_the_uniformity_battery_through_churn_and_recovery() {
     });
 
     // Tombstones: a delete-only commit, no compaction. The deleted
-    // neighbour stays in its buckets, so its shard's bound b_i still
+    // neighbour stays in its buckets, so its part's bound b_i still
     // counts it while |A_i| drops — the sampler now proposes positions
     // that hold no live point and must reject them without bias.
     let before = shard_counts(reader.pin().index(), &query);
@@ -852,7 +945,7 @@ fn eight_thread_run_reproduces_one_thread_run_bit_for_bit() {
         test_params(dataset.len(), R),
         &dataset,
         near,
-        ShardedIndexConfig::with_shards(4).seeded(77),
+        ShardedIndexConfig::default().seeded(77),
         &dir,
     )
     .expect("bootstrap");
@@ -910,7 +1003,7 @@ fn serving_lifecycle_batch_insert_delete() {
         test_params(dataset.len(), R),
         &dataset,
         near,
-        ShardedIndexConfig::with_shards(3).seeded(5),
+        ShardedIndexConfig::default().seeded(5),
         &dir,
     )
     .expect("bootstrap");
@@ -972,7 +1065,7 @@ fn sharded_sampler_slots_into_the_sampler_harness() {
         params,
         &dataset,
         near,
-        ShardedIndexConfig::with_shards(4).seeded(55),
+        ShardedIndexConfig::default().seeded(55),
     );
     let qid = interesting_queries(&dataset)[0];
     let query = dataset.point(qid).clone();

@@ -103,7 +103,7 @@ fn sharded_index_golden() {
         params(data.len()),
         &data,
         near,
-        ShardedIndexConfig::with_shards(3).seeded(17),
+        ShardedIndexConfig::default().seeded(17),
     );
     let query = data.point(PointId(0)).clone();
     let mut qrng = StdRng::seed_from_u64(11);
@@ -133,7 +133,7 @@ fn engine_batch_golden() {
         params(data.len()),
         &data,
         near,
-        ShardedIndexConfig::with_shards(4).seeded(23),
+        ShardedIndexConfig::default().seeded(23),
         &dir,
     )
     .expect("bootstrap");

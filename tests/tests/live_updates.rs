@@ -55,7 +55,7 @@ fn bootstrap(tag: &str, data: &Dataset<SparseSet>) -> (SetWriter, PathBuf) {
         golden_params(data.len()),
         data,
         near(),
-        ShardedIndexConfig::with_shards(3).seeded(17),
+        ShardedIndexConfig::default().seeded(17),
         &dir,
     )
     .expect("bootstrap");
@@ -326,8 +326,9 @@ proptest! {
             "batch partitioning changed the resulting structure"
         );
 
-        // Replay stages every record's inserts and merges once per shard
-        // (and at each compaction): both logs recover the live bytes.
+        // Replay stages every record's inserts and merges the delta once
+        // (and at each compaction or fold): both logs recover the live
+        // bytes.
         for (dir, writer) in [(&serial_dir, &serial), (&grouped_dir, &grouped)] {
             let reopened = SetWriter::open(dir).expect("reopen");
             prop_assert_eq!(reopened.next_seq(), writer.next_seq());

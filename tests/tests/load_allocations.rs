@@ -44,7 +44,7 @@ fn large_allocs_for_load(data: &Dataset<SparseSet>, name: &str) -> (u64, u64) {
             params,
             data,
             near,
-            ShardedIndexConfig::with_shards(2).seeded(7),
+            ShardedIndexConfig::default().seeded(7),
         ),
     };
 

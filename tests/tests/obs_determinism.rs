@@ -77,7 +77,7 @@ fn engine_pipeline_metrics_are_identical_at_1_2_8_threads() {
             params(data.len()),
             &data,
             near,
-            ShardedIndexConfig::with_shards(4).seeded(23),
+            ShardedIndexConfig::default().seeded(23),
         );
         // Two batches through the one executor: the build ran on
         // `threads` workers, the answers and their counters must not care.

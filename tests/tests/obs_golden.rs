@@ -67,7 +67,7 @@ fn sharded_index_golden_reproduces_under_instrumentation() {
         params(data.len()),
         &data,
         near,
-        ShardedIndexConfig::with_shards(3).seeded(17),
+        ShardedIndexConfig::default().seeded(17),
     );
     let query = data.point(PointId(0)).clone();
     let mut qrng = StdRng::seed_from_u64(11);
@@ -85,7 +85,7 @@ fn engine_batch_golden_reproduces_under_instrumentation() {
         params(data.len()),
         &data,
         near,
-        ShardedIndexConfig::with_shards(4).seeded(23),
+        ShardedIndexConfig::default().seeded(23),
     );
     // The one batch executor every route serves through, with every hook
     // live.

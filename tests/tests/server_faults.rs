@@ -32,7 +32,8 @@ type Near = SimilarityAtLeast<Jaccard>;
 type SetWriter = EngineWriter<SparseSet, Hasher, Near>;
 
 const SEED: u64 = 17;
-const SHARDS: usize = 2;
+/// The index's parts: the base and the delta.
+const PARTS: usize = 2;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir =
@@ -49,7 +50,7 @@ fn bootstrap(tag: &str) -> (SetWriter, PathBuf) {
         golden_params(data.len()),
         &data,
         SimilarityAtLeast::new(Jaccard, 0.5),
-        ShardedIndexConfig::with_shards(SHARDS).seeded(SEED),
+        ShardedIndexConfig::default().seeded(SEED),
         &dir,
     )
     .expect("bootstrap");
@@ -185,8 +186,8 @@ fn serves_queries_commits_and_health_over_the_wire() {
     // A query that collides with the cluster (Jaccard ≈ 0.46 with every
     // member) but is near none of it: the draw answers ⊥ only after
     // evaluating, and removing, every colliding candidate. Each round walks
-    // a shard or removes one far candidate, so it takes at most one round
-    // per shard plus one per evaluation.
+    // a part or removes one far candidate, so it takes at most one round
+    // per part plus one per evaluation.
     let mut items: Vec<u32> = (0..18).collect();
     items.extend(5000..5012);
     let far = QueryRequest::new(vec![SparseSet::from_items(items)]).with_batch(4);
@@ -202,9 +203,9 @@ fn serves_queries_commits_and_health_over_the_wire() {
         "the far query collides, yet nothing was evaluated"
     );
     assert!(
-        (1..=SHARDS + evals).contains(&rounds),
+        (1..=PARTS + evals).contains(&rounds),
         "a colliding ⊥ draw that evaluates {evals} candidates takes 1..={} rounds, took {rounds}",
-        SHARDS + evals
+        PARTS + evals
     );
 
     // /metrics renders the server's own instrumentation and the engine's

@@ -84,10 +84,10 @@ fn table_query_cost_runs_at_tiny_scale() {
 }
 
 #[test]
-fn fig1_fairness_reports_the_sharded_engine_when_sharded() {
-    let out = run_experiment("fig1_fairness", &["--shards", "3", "--threads", "2"]);
+fn fig1_fairness_reports_the_sharded_engine() {
+    let out = run_experiment("fig1_fairness", &["--threads", "2"]);
     assert!(
-        out.contains("sharded engine (3 shards)"),
+        out.contains("sharded engine vs uniform"),
         "missing engine battery table:\n{out}"
     );
     assert!(
@@ -101,10 +101,7 @@ fn obs_overhead_runs_at_tiny_scale() {
     // A batch of 8 keeps the measured rounds far below the 50 ms the budget
     // needs, so this checks that the binary runs and that instrumented
     // answers stay bit-identical; the timing budget itself is a CI step.
-    let out = run_experiment(
-        "obs_overhead",
-        &["--threads", "2", "--shards", "3", "--repetitions", "8"],
-    );
+    let out = run_experiment("obs_overhead", &["--threads", "2", "--repetitions", "8"]);
     assert!(
         out.contains("observability overhead"),
         "unexpected obs_overhead output:\n{out}"

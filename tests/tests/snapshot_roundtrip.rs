@@ -152,7 +152,7 @@ fn loaded_sharded_index_reproduces_the_golden_sequence() {
         params(data.len()),
         &data,
         near(),
-        ShardedIndexConfig::with_shards(3).seeded(17),
+        ShardedIndexConfig::default().seeded(17),
     );
     let loaded = file_roundtrip(
         &index,
@@ -181,7 +181,7 @@ fn reopened_engine_reproduces_the_golden_batch() {
         params(data.len()),
         &data,
         near(),
-        ShardedIndexConfig::with_shards(4).seeded(23),
+        ShardedIndexConfig::default().seeded(23),
         &dir,
     )
     .expect("bootstrap");
@@ -258,7 +258,7 @@ fn snapshot_image_decoded_structures_replay_every_golden_sequence() {
         p,
         &data,
         near(),
-        ShardedIndexConfig::with_shards(3).seeded(17),
+        ShardedIndexConfig::default().seeded(17),
     );
     let sharded = via_image(
         &sharded,
@@ -280,7 +280,7 @@ fn snapshot_image_decoded_structures_replay_every_golden_sequence() {
             p,
             &data,
             near(),
-            ShardedIndexConfig::with_shards(4).seeded(23),
+            ShardedIndexConfig::default().seeded(23),
         ),
     };
     let checkpoint = via_image(
@@ -327,7 +327,7 @@ fn save_load_save_is_byte_identical_for_every_structure() {
         p,
         &data,
         near(),
-        ShardedIndexConfig::with_shards(3).seeded(17),
+        ShardedIndexConfig::default().seeded(17),
     );
     let bytes = to_bytes(SnapshotKind::ShardedIndex, &sharded);
     let back: SetSharded = from_bytes(SnapshotKind::ShardedIndex, &bytes).expect("load");
@@ -374,7 +374,7 @@ fn golden_images_keep_their_exact_bytes() {
         p,
         &data,
         near(),
-        ShardedIndexConfig::with_shards(3).seeded(17),
+        ShardedIndexConfig::default().seeded(17),
     );
     let checkpoint = SetCheckpoint {
         seq: 5,
@@ -418,7 +418,7 @@ fn golden_images_keep_their_exact_bytes() {
         p,
         &data,
         near(),
-        ShardedIndexConfig::with_shards(4).seeded(23),
+        ShardedIndexConfig::default().seeded(23),
         &dir,
     )
     .expect("bootstrap");
@@ -470,7 +470,7 @@ fn updates_after_load_behave_like_updates_after_freeze() {
         params(data.len()),
         &data,
         near(),
-        ShardedIndexConfig::with_shards(4).seeded(23),
+        ShardedIndexConfig::default().seeded(23),
         &dir_live,
     )
     .expect("bootstrap");
@@ -555,7 +555,7 @@ fn small_nnis_snapshot() -> Vec<u8> {
         .clone()
 }
 
-/// A ShardedIndex snapshot image (partition map, hasher bank, shard tables).
+/// A ShardedIndex snapshot image (id map, hasher bank, base and delta).
 fn small_sharded_snapshot() -> Vec<u8> {
     static IMAGE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
     IMAGE
@@ -566,7 +566,7 @@ fn small_sharded_snapshot() -> Vec<u8> {
                 params(data.len()),
                 &data,
                 near(),
-                ShardedIndexConfig::with_shards(3).seeded(17),
+                ShardedIndexConfig::default().seeded(17),
             );
             to_bytes(SnapshotKind::ShardedIndex, &index)
         })
@@ -677,15 +677,16 @@ fn corrupted_truncated_and_version_bumped_snapshots_fail_typed() {
     assert!(load_small(&bytes).is_ok());
 }
 
-/// The sections of a 3-shard golden index built with `params`:
-/// `[head, hasher bank, shard 0, shard 1, shard 2]`.
+/// The sections of the golden index built with `params`: `[head, hasher
+/// bank, base points, base table ranges…, delta points, delta table
+/// ranges…]`.
 fn sharded_sections(params: LshParams) -> Vec<Vec<u8>> {
     let index: SetSharded = ShardedIndex::build(
         &MinHash,
         params,
         &golden_dataset(),
         near(),
-        ShardedIndexConfig::with_shards(3).seeded(17),
+        ShardedIndexConfig::default().seeded(17),
     );
     index.encode_sections()
 }
@@ -717,8 +718,9 @@ fn hasher_bank_that_does_not_fit_the_stored_parameters_fails_the_load() {
 
 #[test]
 fn shard_whose_table_count_is_not_l_fails_the_load() {
-    // Shard 1 taken from an index with L + 1 tables: its extra table would
-    // never be keyed, and a query would index past the bank's keys.
+    // The base's first table range taken from an index with L + 1 tables:
+    // its extra table would never be keyed, and a query would index past
+    // the bank's keys.
     let base = params(golden_dataset().len());
     let mut spliced = sharded_sections(base);
     spliced[3] = sharded_sections(LshParams {
@@ -796,7 +798,7 @@ proptest! {
         offset in 0usize..1 << 20,
         flip in 1u8..=255,
     ) {
-        // Same property for the sharded index's bank and shard tables.
+        // Same property for the index's bank and part tables.
         let mutated = flip_and_repair(&small_sharded_snapshot(), offset, flip);
         if let Ok(loaded) = from_bytes::<SetSharded>(SnapshotKind::ShardedIndex, &mutated) {
             let data = golden_dataset();
