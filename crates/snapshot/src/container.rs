@@ -106,8 +106,10 @@ pub const MAGIC: [u8; 8] = *b"FAIRNNSS";
 /// round budget, shard sketch size/threshold, compaction fraction), which
 /// became constants of the code; 5 = one hasher bank per sharded index, in
 /// its own section, instead of one inside every shard section; 6 = shard
-/// sections without the per-bucket KMV sketch maps and their seed.
-pub const FORMAT_VERSION: u32 = 6;
+/// sections without the per-bucket KMV sketch maps and their seed; 7 = a
+/// base and an insert delta instead of `N` shards, each a points section
+/// plus fixed table-range sections, under an id map of part and local id.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Byte-order marker: written little-endian, so a conforming file always
 /// reads back as this value.

@@ -75,10 +75,10 @@ pub const GOLDEN_FAIR_NNIS: [i64; 20] =
 /// Expected output of the pinned `RankSwapSampler` sequence (seeds 3/7).
 pub const GOLDEN_RANK_SWAP: [i64; 20] =
     [3, 3, 6, 1, 9, 3, 7, 8, 2, 9, 1, 9, 1, 9, 8, 6, 9, 3, 9, 6];
-/// Expected output of the pinned 3-shard `ShardedIndex` sequence (seeds 17/11).
-pub const GOLDEN_SHARDED: [i64; 20] = [5, 3, 3, 9, 6, 9, 0, 4, 4, 0, 8, 2, 2, 6, 0, 5, 5, 0, 8, 7];
-/// Expected answers of batch 0 on the pinned 4-shard engine (seed 23).
-pub const GOLDEN_ENGINE_FIRST: [i64; 10] = [5, 5, 9, 7, 9, 3, 0, 4, 1, 6];
+/// Expected output of the pinned `ShardedIndex` sequence (seeds 17/11).
+pub const GOLDEN_SHARDED: [i64; 20] = [8, 6, 7, 8, 1, 3, 3, 3, 6, 0, 9, 0, 9, 8, 4, 0, 6, 5, 1, 1];
+/// Expected answers of batch 0 on the pinned engine (seed 23).
+pub const GOLDEN_ENGINE_FIRST: [i64; 10] = [2, 7, 4, 4, 9, 3, 2, 0, 7, 2];
 
 #[cfg(test)]
 mod tests {

@@ -395,12 +395,12 @@ fn golden_images_keep_their_exact_bytes() {
         ),
     ];
     let pinned: [(usize, u64); 6] = [
-        (5824, 2669316511480132604),
-        (9128, 10996399986572805683),
-        (47120, 10857128152280634231),
-        (9192, 2708471707178093787),
-        (11218, 13788583550862459498),
-        (11346, 15735352977841990499),
+        (5824, 11761379297662545665),
+        (9128, 1534067846462235842),
+        (47120, 7437173185952924274),
+        (9192, 18077143122640209942),
+        (10640, 17695624578362605927),
+        (10704, 9530716678540193612),
     ];
     for ((name, image), want) in images.iter().zip(pinned) {
         assert_eq!(fingerprint(image), want, "{name} image bytes changed");
@@ -443,7 +443,7 @@ fn golden_images_keep_their_exact_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         fingerprint(&file),
-        (12676, 14941970163713253537),
+        (10896, 17185728265173714873),
         "checkpoint.snap bytes changed"
     );
 }
@@ -630,11 +630,12 @@ fn corrupted_truncated_and_version_bumped_snapshots_fail_typed() {
 
     // Old-version files — the flat v1 layout, the unaligned v2 sections,
     // v3 images still carrying the engine's tuning knobs, v4 images with a
-    // hasher bank inside every shard section and v5 images with per-bucket
-    // KMV sketch maps inside every shard section — get the same typed
-    // rejection (no migration shims), and the message tells the operator
-    // how to move forward: re-save with a current binary.
-    for found in [1u32, 2, 3, 4, 5] {
+    // hasher bank inside every shard section, v5 images with per-bucket
+    // KMV sketch maps inside every shard section and v6 images of `N`
+    // shards — get the same typed rejection (no migration shims), and the
+    // message tells the operator how to move forward: re-save with a
+    // current binary.
+    for found in [1u32, 2, 3, 4, 5, 6] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&found.to_le_bytes());
         let err = load_small(&old).expect_err("an old-version file must not load");
