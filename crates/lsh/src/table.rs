@@ -190,19 +190,20 @@ impl LshTables {
     /// Tables over `num_points` ids from decoded tables: the shared tail of
     /// every decoder holding tables, including decoders that store the
     /// tables in several sections. Fails with `Corrupt` unless every bucket
-    /// entry names an indexed point.
+    /// entry names an indexed point; the tables are checked on the build
+    /// workers.
     pub fn from_tables(
         tables: Vec<LshTable>,
         num_points: usize,
     ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        for table in &tables {
-            for (_, bucket) in table.buckets() {
-                if let Some(&id) = bucket.iter().find(|id| id.index() >= num_points) {
-                    return Err(fairnn_snapshot::SnapshotError::Corrupt(format!(
-                        "bucket entry {id} out of range for {num_points} points"
-                    )));
-                }
-            }
+        let out_of_range = fairnn_parallel::map_indexed(tables.len(), |t| {
+            let entries = tables[t].entries();
+            entries.iter().copied().find(|id| id.index() >= num_points)
+        });
+        if let Some(id) = out_of_range.into_iter().flatten().next() {
+            return Err(fairnn_snapshot::SnapshotError::Corrupt(format!(
+                "bucket entry {id} out of range for {num_points} points"
+            )));
         }
         Ok(Self { tables, num_points })
     }

@@ -6,16 +6,16 @@
 //! crate make that easy to uphold, because they only ever parallelize work
 //! whose result is a pure function of the input partition:
 //!
-//! * [`map_slices`] / [`map_indexed`] split a slice (or an index range)
-//!   into **contiguous chunks in order**, run one scoped worker per chunk
-//!   (`std::thread::scope`), and concatenate the results **in chunk
-//!   order** — so the output is exactly the serial output regardless of how
-//!   the OS schedules the workers;
+//! * [`map_slices`] splits a slice into **contiguous chunks in order**,
+//!   runs one scoped worker per chunk (`std::thread::scope`), and
+//!   concatenates the results **in chunk order**; [`map_indexed`] deals an
+//!   index range out to the workers round-robin and puts the results back
+//!   **in index order** — so the output is exactly the serial output
+//!   regardless of how the OS schedules the workers;
 //! * [`for_each_mut`] does the same over disjoint `&mut` chunks;
 //! * nested calls run serially (a thread spawned by one helper never spawns
 //!   more), so fan-out is bounded by one level and builders can compose
-//!   freely — a sharded build parallelizes across shards while each shard's
-//!   inner index build runs inline on its worker.
+//!   freely — a helper called inside another runs inline on its worker.
 //!
 //! How many workers the helpers use is controlled by the process-wide
 //! [`set_build_threads`] knob (default: [`available_parallelism`]). The
@@ -164,20 +164,31 @@ where
     })
 }
 
-/// Maps `f` over `0..len` — in parallel chunks — returning the results in
+/// Maps `f` over `0..len` on parallel workers, returning the results in
 /// index order. This is the per-item form of [`map_ranges`] for work keyed
-/// by an index (one LSH table, one shard, one snapshot section).
+/// by an index (one LSH table, one snapshot section). Of `k` workers,
+/// worker `w` takes the items `w, w + k, w + 2k, …`, so a run of costly
+/// items next to a run of cheap ones (the sections of a large part next to
+/// those of a small one) still spreads over every worker.
 pub fn map_indexed<R, F>(len: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let chunks = map_ranges(len, 1, |range| range.map(&f).collect::<Vec<R>>());
-    let mut out = Vec::with_capacity(len);
-    for chunk in chunks {
-        out.extend(chunk);
-    }
-    out
+    let workers = chunk_bounds(len, 1).len().max(1);
+    let lanes = map_ranges(workers, 1, |lanes| {
+        lanes
+            .map(|lane| (lane..len).step_by(workers).map(&f).collect::<Vec<R>>())
+            .collect::<Vec<_>>()
+    });
+    let mut lanes: Vec<_> = lanes.into_iter().flatten().map(Vec::into_iter).collect();
+    (0..len)
+        .map(|i| {
+            lanes[i % workers]
+                .next()
+                .expect("lane `i % workers` holds item `i`")
+        })
+        .collect()
 }
 
 /// Runs `f(index, &mut item)` for every item — in parallel over disjoint
