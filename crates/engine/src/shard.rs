@@ -473,17 +473,13 @@ where
     }
 
     /// Stages every live point of `other` (a later part: its global ids
-    /// are above every id of this one) in this part, in `other`'s order,
-    /// and returns the local id each one got here. No table changes until
-    /// [`Shard::merge_staged`] or [`Shard::compact`].
-    pub(crate) fn stage_live_points_of(&mut self, other: &Self) -> Vec<(PointId, u32)> {
-        other
-            .live_ids()
-            .map(|(global, local)| {
-                let point = other.points[local as usize].clone();
-                (global, self.insert(global, point))
-            })
-            .collect()
+    /// are above every id of this one) in this part, in `other`'s order.
+    /// No table changes until [`Shard::merge_staged`] or
+    /// [`Shard::compact`].
+    pub(crate) fn stage_live_points_of(&mut self, other: &Self) {
+        for (global, local) in other.live_ids() {
+            self.insert(global, other.points[local as usize].clone());
+        }
     }
 }
 

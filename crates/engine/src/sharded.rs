@@ -54,9 +54,9 @@
 //! delta's tables, and a delete tombstones the point in whichever part
 //! holds it. Once the delta holds more than `1/FOLD_FRACTION` of the
 //! base's live points, a **fold** re-stages the delta's live points into
-//! the base, merges them in one linear pass per base table and leaves the
-//! delta empty. A `Compact`, and a compaction of the base, fold as well and
-//! then compact the base.
+//! the base, merges them in one linear pass per base table, drops the
+//! base's tombstones in another and leaves the delta empty. A `Compact`,
+//! and a delete that trips the base's compaction, fold as well.
 //!
 //! Fresh query randomness on every call makes repeated queries independent,
 //! so the sampler solves r-NNIS over the colliding near points — the
@@ -606,10 +606,9 @@ where
     /// deleted ids. The part holding the point tombstones it and keeps
     /// sharing its tables and points. A delete that trips a part's
     /// compaction compacts the delta on its own, or folds the delta into
-    /// the base and compacts the base ([`ShardedIndex::compact`]).
-    /// Crate-private: external callers go through the engine writer's
-    /// `WriteBatch`, which write-ahead-logs the mutation and publishes a
-    /// fresh generation.
+    /// the base ([`ShardedIndex::fold`]). Crate-private: external callers
+    /// go through the engine writer's `WriteBatch`, which write-ahead-logs
+    /// the mutation and publishes a fresh generation.
     pub(crate) fn delete(&mut self, id: PointId) -> bool {
         let Some((part, local)) = self
             .slot_of
@@ -623,7 +622,7 @@ where
         shard.delete(local);
         if shard.needs_compaction() {
             if part == BASE {
-                self.compact();
+                self.fold();
             } else {
                 shard.compact();
                 self.reslot(DELTA);
@@ -632,41 +631,32 @@ where
         true
     }
 
-    /// Folds the delta into the base and compacts the base: afterwards the
-    /// base holds every live point under dense local ids and the delta is
-    /// empty. A no-op when the base holds no tombstone and the delta no
-    /// point. Crate-private: reachable through `WriteOp::Compact` on the
-    /// writer, which runs it on the staging generation — never on a
-    /// published one.
+    /// Folds unless the base holds no tombstone and the delta no point.
+    /// Crate-private: reachable through `WriteOp::Compact` on the writer,
+    /// which runs it on the staging generation — never on a published one.
     pub(crate) fn compact(&mut self) {
         let delta = &self.parts[DELTA];
-        let compact_base = self.parts[BASE].tombstones() > 0;
-        if compact_base || delta.live_points() + delta.tombstones() > 0 {
-            self.fold(compact_base);
+        if self.parts[BASE].tombstones() + delta.live_points() + delta.tombstones() > 0 {
+            self.fold();
         }
     }
 
     /// Re-stages the delta's live points into the base, in the delta's
-    /// order, and leaves the delta empty. The base then merges them in one
-    /// linear pass per table, or, with `compact`, compacts (which merges
-    /// first).
-    fn fold(&mut self, compact: bool) {
+    /// order, and compacts the base, which merges them in one linear pass
+    /// per table and drops its tombstones in another: afterwards the base
+    /// holds every live point under dense local ids, in the tables a fresh
+    /// build over them would have, and the delta is empty.
+    fn fold(&mut self) {
         let delta = Arc::clone(&self.parts[DELTA]);
         let base = Arc::make_mut(&mut self.parts[BASE]);
-        for (global, local) in base.stage_live_points_of(&delta) {
-            self.slot_of[global.index()] = slot(BASE, local);
-        }
-        if compact {
-            base.compact();
-            self.reslot(BASE);
-        } else {
-            base.merge_staged();
-        }
+        base.stage_live_points_of(&delta);
+        base.compact();
+        self.reslot(BASE);
         self.parts[DELTA] = Arc::new(delta.emptied());
     }
 
     /// Rewrites the id map entries of `part`'s live points after a
-    /// compaction renumbered them.
+    /// compaction or a fold renumbered them.
     fn reslot(&mut self, part: usize) {
         for (global, local) in self.parts[part].live_ids() {
             self.slot_of[global.index()] = slot(part, local);
@@ -737,7 +727,7 @@ where
     fn fold_if_due(&mut self) {
         let [base, delta] = &self.index.parts;
         if delta.live_points() * FOLD_FRACTION > base.live_points() {
-            self.index.fold(false);
+            self.index.fold();
         }
     }
 
@@ -1087,7 +1077,7 @@ mod tests {
         assert!(staged.delete(PointId::from_index(data.len() + 1)));
         let before = staged.merged();
         let mut after = before.clone();
-        after.fold(false);
+        after.fold();
         assert_eq!(after.delta().live_points(), 0);
         let queries = data.points().iter().cloned().chain((0..3).map(twin));
         for (qi, query) in queries.enumerate() {
@@ -1108,7 +1098,7 @@ mod tests {
         // Without deletes the folded index is the fresh build over the
         // same points in the same order, byte for byte.
         let mut folded = with_delta(index.clone(), inserted.clone());
-        folded.fold(false);
+        folded.fold();
         let fresh = build_over(&Dataset::new(all().collect()), 21);
         assert_eq!(
             to_bytes(SnapshotKind::ShardedIndex, &folded),
