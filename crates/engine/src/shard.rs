@@ -706,7 +706,7 @@ mod tests {
     #[test]
     fn bucket_bound_covers_the_colliding_near_set() {
         // b_i ≥ |D_i| ≥ |A_i| for every query, with |D_i| counted exactly
-        // by the walk: on the built shard, after inserts and deletes
+        // by the walk: on the built part, after inserts and deletes
         // (tombstoned ids still in their buckets) and after a compaction.
         let sets = clustered_sets_of(40);
         let mut queries = sets.clone();

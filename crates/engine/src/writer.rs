@@ -92,7 +92,7 @@ where
     N: Codec + Send + Sync + Nearness<P>,
 {
     /// The sequence number gets its own leading section, so the index's
-    /// bank and shard sections keep their 64-byte image alignment.
+    /// bank and part sections keep their 64-byte image alignment.
     fn encode_sections(&self) -> Vec<Vec<u8>> {
         let mut head = Encoder::new();
         head.write_u64(self.seq);
@@ -808,7 +808,7 @@ mod tests {
         writer.checkpoint().expect("first checkpoint");
         assert_eq!(writer.wal_bytes(), fairnn_snapshot::WAL_HEADER_LEN as u64);
 
-        // Touch (at most) one shard, then checkpoint incrementally.
+        // Insert once more, then checkpoint again.
         writer
             .commit(WriteBatch::new().insert(twin(&data, 401)))
             .expect("commit");

@@ -1,7 +1,7 @@
 //! Parallel build ≡ serial build, bit for bit.
 //!
 //! The build path — LSH hashing, per-table CSR freezes, rank-table sorts,
-//! bucket sketches, shard construction and snapshot encode/decode — runs on
+//! bucket sketches, engine index construction and snapshot encode/decode — runs on
 //! the `fairnn-parallel` build workers. The contract is the one the batch
 //! executor holds for queries: **output is a pure function of the
 //! inputs, identical at every thread count**. This suite pins it end to end:
@@ -187,7 +187,7 @@ fn query_engine_builds_and_answers_identically_at_every_thread_count() {
 
 #[test]
 fn snapshot_encode_and_decode_are_thread_count_independent() {
-    // The sectioned container encodes, checksums and decodes per-shard /
+    // The sectioned container encodes, checksums and decodes per-part /
     // per-table payloads on the build workers; the emitted bytes and the
     // restored structure must not depend on the worker count.
     let data = golden_dataset();
@@ -214,7 +214,7 @@ fn snapshot_encode_and_decode_are_thread_count_independent() {
 
 #[test]
 fn compaction_stays_in_lockstep_across_thread_counts() {
-    // Delete enough points to trigger shard compaction (the no-rehash
+    // Delete enough points to trigger the base's compaction (the no-rehash
     // `LshTables::compacted` path) under each thread count; the surviving structure
     // and its answers must agree bit for bit. Mutations go through the
     // generational writer, so this also pins the WAL-logged commit path.

@@ -504,7 +504,7 @@ fn updates_after_load_behave_like_updates_after_freeze() {
         );
     }
 
-    // Deletes (which may trigger shard compaction) stay in lockstep too.
+    // Deletes (which may trigger a compaction) stay in lockstep too.
     writer
         .commit(WriteBatch::new().delete(PointId(0)))
         .expect("live delete");
