@@ -645,6 +645,16 @@ mod tests {
     }
 
     #[test]
+    fn query_cost_with_shards_appends_the_engine_row() {
+        let w = small_workload();
+        let costs = run_query_cost(&w, 0.2, 3, 5);
+        assert_eq!(costs.len(), 6);
+        let engine = costs.iter().find(|c| c.name == "sharded-engine").unwrap();
+        assert!(engine.failure_rate <= 0.2);
+        assert!(engine.mean_distance_computations > 0.0);
+    }
+
+    #[test]
     fn query_cost_reports_all_samplers() {
         let w = small_workload();
         let costs = run_query_cost(&w, 0.2, 3, 5);
@@ -652,8 +662,6 @@ mod tests {
         let names: Vec<&str> = costs.iter().map(|c| c.name).collect();
         assert!(names.contains(&"exact"));
         assert!(names.contains(&"fair-nnis"));
-        let engine = costs.iter().find(|c| c.name == "sharded-engine").unwrap();
-        assert!(engine.mean_distance_computations > 0.0);
         // The exact scan must inspect the whole dataset; LSH-based samplers
         // should not inspect more entries than exact times the table count.
         let exact = costs.iter().find(|c| c.name == "exact").unwrap();
