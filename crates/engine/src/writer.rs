@@ -126,9 +126,8 @@ pub struct EngineWriter<P, H, N> {
     shared: Arc<Shared<P, H, N>>,
     /// The writer's private next-generation state; published by cloning.
     staging: ShardedIndex<P, H, N>,
-    /// Number of the currently published generation (== `next_seq`).
-    generation: u64,
-    /// Sequence number the next commit's WAL record will carry.
+    /// Sequence number the next commit's WAL record will carry, which is
+    /// also the number of the published generation.
     next_seq: u64,
     wal: WalWriter,
     dir: PathBuf,
@@ -242,7 +241,6 @@ where
         Ok(Self {
             shared,
             staging: index,
-            generation: 0,
             next_seq: 0,
             wal,
             dir,
@@ -307,7 +305,6 @@ where
         Ok(Self {
             shared,
             staging: index,
-            generation: next_seq,
             next_seq,
             wal,
             dir,
@@ -341,16 +338,15 @@ where
         let assigned = apply_batch(&mut staged, &batch);
         self.staging = staged.merged();
         self.next_seq = seq + 1;
-        self.generation = self.next_seq;
         self.shared.publish(Arc::new(Generation::now(
-            self.generation,
+            self.next_seq,
             self.staging.clone(),
         )));
         drop(timer);
 
         Ok(CommitReceipt {
             seq,
-            generation: self.generation,
+            generation: self.next_seq,
             assigned,
             wal_bytes,
         })
@@ -386,9 +382,10 @@ impl<P, H, N> EngineWriter<P, H, N> {
         EngineReader::new(Arc::clone(&self.shared))
     }
 
-    /// Number of the currently published generation.
+    /// Number of the currently published generation: the commits it
+    /// holds, so always [`EngineWriter::next_seq`].
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.next_seq
     }
 
     /// Sequence number the next commit will log.

@@ -12,7 +12,6 @@
 //!   index range out to the workers round-robin and puts the results back
 //!   **in index order** — so the output is exactly the serial output
 //!   regardless of how the OS schedules the workers;
-//! * [`for_each_mut`] does the same over disjoint `&mut` chunks;
 //! * nested calls run serially (a thread spawned by one helper never spawns
 //!   more), so fan-out is bounded by one level and builders can compose
 //!   freely — a helper called inside another runs inline on its worker.
@@ -191,43 +190,6 @@ where
         .collect()
 }
 
-/// Runs `f(index, &mut item)` for every item — in parallel over disjoint
-/// contiguous chunks. The mutations commute by construction (each item is
-/// touched by exactly one worker), so the post-state is identical at every
-/// thread count.
-#[expect(clippy::disallowed_methods, reason = "the thread substrate")]
-pub fn for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let bounds = chunk_bounds(items.len(), 1);
-    if bounds.len() <= 1 || in_parallel_region() {
-        let _timer = fairnn_obs::Timer::start(&CHUNK_NS);
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    thread::scope(|scope| {
-        let f = &f;
-        let mut rest = items;
-        let mut consumed = 0;
-        for (start, end) in bounds {
-            let (chunk, tail) = rest.split_at_mut(end - consumed);
-            rest = tail;
-            consumed = end;
-            scope.spawn(move || {
-                IN_PARALLEL_REGION.with(|flag| flag.set(true));
-                let _timer = fairnn_obs::Timer::start(&CHUNK_NS);
-                for (offset, item) in chunk.iter_mut().enumerate() {
-                    f(start + offset, item);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,22 +254,6 @@ mod tests {
         }
         set_build_threads(0);
         assert!(map_indexed(0, |i| i).is_empty());
-    }
-
-    #[test]
-    fn for_each_mut_touches_every_item_once() {
-        let _guard = KNOB.lock().unwrap();
-        for threads in [1, 4] {
-            set_build_threads(threads);
-            let mut items = vec![0usize; 101];
-            for_each_mut(&mut items, |i, slot| *slot += i + 1);
-            assert_eq!(
-                items,
-                (0..101).map(|i| i + 1).collect::<Vec<_>>(),
-                "threads = {threads}"
-            );
-        }
-        set_build_threads(0);
     }
 
     #[test]
