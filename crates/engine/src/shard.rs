@@ -48,6 +48,7 @@ use fairnn_lsh::{HasherBank, LshHasher, LshTable, LshTables, QueryScratch};
 use fairnn_sketch::{BottomKSketch, CardinalityEstimator};
 use fairnn_snapshot::{Codec, Encoder, Section, SnapshotError};
 use fairnn_space::PointId;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -180,9 +181,15 @@ impl<P, H, N> Shard<P, H, N> {
 
     /// Whether this part holds the (live) point with the given global id.
     pub fn contains(&self, global: PointId) -> bool {
-        self.global_ids
-            .binary_search(&global)
-            .is_ok_and(|local| self.alive[local])
+        self.local_id(global).is_some()
+    }
+
+    /// The local id of the live point with the given global id, found by
+    /// binary search over the ascending global ids; `None` when the part
+    /// does not hold it or it is tombstoned.
+    pub(crate) fn local_id(&self, global: PointId) -> Option<u32> {
+        let local = self.global_ids.binary_search(&global).ok()?;
+        self.alive[local].then_some(local as u32)
     }
 
     /// The live points as `(global id, local id)`, in local id order.
@@ -385,23 +392,21 @@ where
     H: LshHasher<P>,
 {
     /// Stages a new point under a global id above every id the part has
-    /// held, and returns its local id: it is appended to the part's
-    /// points, global ids and alive flags and counts as live, but no table
-    /// covers it until [`Shard::merge_staged`]. Crate-private: mutations
-    /// enter through the engine writer's `WriteBatch`, which merges before
-    /// anything reads the part.
-    pub(crate) fn insert(&mut self, global: PointId, point: P) -> u32 {
+    /// held: it is appended to the part's points, global ids and alive
+    /// flags and counts as live, but no table covers it until
+    /// [`Shard::merge_staged`]. Crate-private: mutations enter through the
+    /// engine writer's `WriteBatch`, which merges before anything reads the
+    /// part.
+    pub(crate) fn insert(&mut self, global: PointId, point: P) {
         assert!(
             self.global_ids.last().is_none_or(|&last| global > last),
             "global id {global} already present in the part, or below its last id"
         );
-        let local = self.points.len() as u32;
         Arc::make_mut(&mut self.points).push(point);
         self.global_ids.push(global);
         self.alive.push(true);
         self.live += 1;
         self.debug_assert_occupancy_invariants();
-        local
     }
 
     /// Number of staged points: those past the last id the tables cover.
@@ -444,42 +449,74 @@ where
         self.tombstones as f64 > REBUILD_FRACTION * self.live.max(1) as f64
     }
 
-    /// Merges the staged points, then drops tombstoned points and
-    /// re-densifies local ids, keeping their order. The tables are
-    /// compacted by [`fairnn_lsh::LshTables::compacted`] — one linear pass
-    /// per table that drops the tombstoned entries and renames the rest,
-    /// so no point is re-run through the hasher bank — which is
-    /// bit-identical to a rebuild over the surviving points at a fraction
-    /// of the cost. The caller re-maps the global ids of the part
-    /// ([`Shard::live_ids`]).
-    pub(crate) fn compact(&mut self) {
-        self.merge_staged();
-        let mut new_id_of = vec![u32::MAX; self.points.len()];
-        let mut points = Vec::with_capacity(self.live);
-        let mut global_ids = Vec::with_capacity(self.live);
-        for (i, point) in self.points.iter().enumerate() {
-            if self.alive[i] {
-                new_id_of[i] = points.len() as u32;
-                points.push(point.clone());
-                global_ids.push(self.global_ids[i]);
-            }
-        }
-        self.points = Arc::new(points);
-        self.global_ids = global_ids;
-        self.alive = vec![true; self.points.len()];
-        self.tombstones = 0;
-        self.tables = Arc::new(self.tables.compacted(&new_id_of, self.points.len()));
-        self.debug_assert_occupancy_invariants();
+    /// The part holding this part's live points and then `tail`'s (a
+    /// later part: its global ids are above every id of this one), under
+    /// dense local ids in that order and with no tombstone. Each live point
+    /// is cloned once. The tables come from one
+    /// [`fairnn_lsh::LshTables::compacted`] pass per table over both
+    /// parts' tables, which drops the tombstoned entries, renames the rest
+    /// and puts `tail`'s after this part's under each key. So no point a
+    /// table holds is run through the hasher bank again: only staged
+    /// points are hashed, by a merge into their own part's tables first.
+    /// The result is bit-identical to a fresh build over the live points
+    /// in their new order.
+    ///
+    /// Without a tail this compacts the part; with the delta as the tail
+    /// of the base it is the index's fold.
+    pub(crate) fn compacted(&self, tail: Option<&Self>) -> Self
+    where
+        H: Clone,
+        N: Clone,
+    {
+        let head = self.with_staged_merged();
+        let tail = tail.map(Self::with_staged_merged);
+        let sides: Vec<&Self> = std::iter::once(&*head).chain(tail.as_deref()).collect();
+        let live = sides.iter().map(|side| side.live).sum();
+        let mut points = Vec::with_capacity(live);
+        let mut global_ids = Vec::with_capacity(live);
+        let remaps: Vec<Vec<u32>> = sides
+            .iter()
+            .map(|side| {
+                let mut new_id_of = vec![u32::MAX; side.points.len()];
+                for (local, point) in side.points.iter().enumerate() {
+                    if side.alive[local] {
+                        new_id_of[local] = points.len() as u32;
+                        points.push(point.clone());
+                        global_ids.push(side.global_ids[local]);
+                    }
+                }
+                new_id_of
+            })
+            .collect();
+        let tail_tables = sides.get(1).map(|tail| (&*tail.tables, &remaps[1][..]));
+        let tables = head.tables.compacted(&remaps[0], tail_tables, points.len());
+        let part = Self {
+            bank: self.bank.clone(),
+            tables: Arc::new(tables),
+            alive: vec![true; points.len()],
+            live: points.len(),
+            tombstones: 0,
+            near: self.near.clone(),
+            points: Arc::new(points),
+            global_ids,
+        };
+        part.debug_assert_occupancy_invariants();
+        part
     }
 
-    /// Stages every live point of `other` (a later part: its global ids
-    /// are above every id of this one) in this part, in `other`'s order.
-    /// No table changes until [`Shard::merge_staged`] or
-    /// [`Shard::compact`].
-    pub(crate) fn stage_live_points_of(&mut self, other: &Self) {
-        for (global, local) in other.live_ids() {
-            self.insert(global, other.points[local as usize].clone());
+    /// This part with its staged points merged into its tables: itself
+    /// when nothing is staged, else a copy that shares the points.
+    fn with_staged_merged(&self) -> Cow<'_, Self>
+    where
+        H: Clone,
+        N: Clone,
+    {
+        if self.staged_points() == 0 {
+            return Cow::Borrowed(self);
         }
+        let mut merged = self.clone();
+        merged.merge_staged();
+        Cow::Owned(merged)
     }
 }
 
@@ -673,13 +710,12 @@ mod tests {
     /// tombstones it and compacts once the part asks for it. Returns
     /// `false` when the part does not hold it.
     fn delete(shard: &mut TestShard, global: PointId) -> bool {
-        if !shard.contains(global) {
+        let Some(local) = shard.local_id(global) else {
             return false;
-        }
-        let local = shard.global_ids.binary_search(&global).expect("held");
-        shard.delete(local as u32);
+        };
+        shard.delete(local);
         if shard.needs_compaction() {
-            shard.compact();
+            *shard = shard.compacted(None);
         }
         true
     }
@@ -757,7 +793,7 @@ mod tests {
         }
         assert_eq!(shard.tombstones(), 4);
         check(&shard, "after churn");
-        shard.compact();
+        shard = shard.compacted(None);
         check(&shard, "after compaction");
     }
 

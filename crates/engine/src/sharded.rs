@@ -624,7 +624,7 @@ where
             if part == BASE {
                 self.fold();
             } else {
-                shard.compact();
+                self.parts[DELTA] = Arc::new(shard.compacted(None));
                 self.reslot(DELTA);
             }
         }
@@ -641,18 +641,19 @@ where
         }
     }
 
-    /// Re-stages the delta's live points into the base, in the delta's
-    /// order, and compacts the base, which merges them in one linear pass
-    /// per table and drops its tombstones in another: afterwards the base
+    /// Builds the next base from the live points of the base and then of
+    /// the delta, with one linear pass per table over both parts' tables
+    /// ([`Shard::compacted`]), and empties the delta. Afterwards the base
     /// holds every live point under dense local ids, in the tables a fresh
-    /// build over them would have, and the delta is empty.
+    /// build over them would have. Neither part is modified: both may
+    /// still be shared with published generations.
     fn fold(&mut self) {
-        let delta = Arc::clone(&self.parts[DELTA]);
-        let base = Arc::make_mut(&mut self.parts[BASE]);
-        base.stage_live_points_of(&delta);
-        base.compact();
+        let [base, delta] = &self.parts;
+        self.parts = [
+            Arc::new(base.compacted(Some(delta))),
+            Arc::new(delta.emptied()),
+        ];
         self.reslot(BASE);
-        self.parts[DELTA] = Arc::new(delta.emptied());
     }
 
     /// Rewrites the id map entries of `part`'s live points after a
@@ -700,7 +701,9 @@ where
     pub(crate) fn insert(&mut self, point: P) -> PointId {
         let index = &mut self.index;
         let id = PointId::from_index(index.slot_of.len());
-        let local = Arc::make_mut(&mut index.parts[DELTA]).insert(id, point);
+        let delta = Arc::make_mut(&mut index.parts[DELTA]);
+        let local = delta.global_ids().len() as u32;
+        delta.insert(id, point);
         index.slot_of.push(slot(DELTA, local));
         self.fold_if_due();
         id
@@ -817,12 +820,15 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::writer::apply_batch;
+    use crate::WriteBatch;
     use fairnn_core::{ExactSampler, SimilarityAtLeast};
     use fairnn_lsh::{MinHash, ParamsBuilder};
     use fairnn_snapshot::{to_bytes, SnapshotKind};
     use fairnn_space::{Jaccard, SparseSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn clustered_sets() -> Vec<SparseSet> {
         let mut sets = Vec::new();
@@ -1126,6 +1132,83 @@ mod tests {
                 .collect()
         };
         assert_eq!(sections(&compacted), sections(&fresh));
+    }
+
+    /// Rows evaluated by every [`CountingHasher`] of this test binary.
+    static ROWS_HASHED: AtomicUsize = AtomicUsize::new(0);
+
+    /// A MinHash row that counts its evaluations.
+    #[derive(Debug, Clone)]
+    struct CountingHasher(fairnn_lsh::MinHasher);
+
+    impl LshHasher<SparseSet> for CountingHasher {
+        fn hash(&self, point: &SparseSet) -> u64 {
+            ROWS_HASHED.fetch_add(1, Ordering::Relaxed);
+            self.0.hash(point)
+        }
+    }
+
+    /// [`MinHash`], drawing [`CountingHasher`]s.
+    struct CountingMinHash;
+
+    impl fairnn_lsh::CollisionModel for CountingMinHash {
+        fn collision_probability(&self, x: f64) -> f64 {
+            MinHash.collision_probability(x)
+        }
+    }
+
+    impl LshFamily<SparseSet> for CountingMinHash {
+        type Hasher = CountingHasher;
+
+        fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> CountingHasher {
+            CountingHasher(MinHash.sample(rng))
+        }
+    }
+
+    type CountingIndex =
+        ShardedIndex<SparseSet, ConcatenatedHasher<CountingHasher>, SimilarityAtLeast<Jaccard>>;
+
+    /// Applies `batch` to `index` as a commit does and returns the number
+    /// of points it ran through the bank.
+    fn points_hashed_by_commit(index: &mut CountingIndex, batch: WriteBatch<SparseSet>) -> usize {
+        let rows = index.params().k * index.params().l;
+        let before = ROWS_HASHED.load(Ordering::Relaxed);
+        let mut staged = StagedIndex::new(index.clone());
+        apply_batch(&mut staged, &batch);
+        *index = staged.merged();
+        let hashed = ROWS_HASHED.load(Ordering::Relaxed) - before;
+        assert_eq!(hashed % rows, 0, "a point is hashed by all K x L rows");
+        hashed / rows
+    }
+
+    #[test]
+    fn a_folding_commit_hashes_only_the_deltas_staged_points() {
+        // A fold and a `Compact` build every table from the tables the
+        // parts already have, so a commit hashes the points it inserts and
+        // no other, whether it folds or not.
+        let data = clustered_dataset();
+        let params = LshParams::explicit(2, 6, 0.5, 0.05);
+        let near = SimilarityAtLeast::new(Jaccard, 0.5);
+        let config = ShardedIndexConfig::default().seeded(23);
+        let mut index = ShardedIndex::build(&CountingMinHash, params, &data, near, config);
+        let n = data.len();
+        let insert = |j| WriteBatch::new().insert(twin(j));
+        let commit = points_hashed_by_commit;
+        assert_eq!(commit(&mut index, insert(0).insert(twin(1))), 2);
+        assert_eq!(commit(&mut index, insert(2)), 1);
+        // 30 base points: the fourth delta point folds all four.
+        assert_eq!(commit(&mut index, insert(3)), 1, "the fold re-hashed");
+        assert_eq!((index.base().live_points(), index.delta().live_points()), (n + 4, 0));
+        assert_eq!(commit(&mut index, insert(4)), 1);
+        assert_eq!(
+            commit(&mut index, WriteBatch::new().delete(PointId(3)).compact()),
+            0,
+            "a Compact re-hashed"
+        );
+        assert_eq!(index.delta().live_points(), 0);
+        assert_eq!(index.base().tombstones(), 0);
+        assert_eq!(commit(&mut index, insert(5).compact()), 1);
+        assert_eq!(index.base().live_points(), n + 5);
     }
 
     /// Whether `T` implements [`SnapshotCodec`](fairnn_snapshot::SnapshotCodec),

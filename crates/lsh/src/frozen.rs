@@ -10,7 +10,8 @@
 //! A frozen table is never mutated in place. Updates build the next table
 //! from the current one in one linear pass: [`FrozenTable::merged`] appends
 //! a sorted batch of entries to their buckets (the engine's inserts), and
-//! [`FrozenTable::retain_map`] drops and renames entries (compaction). Both
+//! [`FrozenTable::compacted`] drops and renames entries and can put a
+//! second table's entries after them (compaction and the engine's fold). Both
 //! preserve the order of the entries they keep and produce exactly the
 //! table [`FrozenTable::from_buckets`] would build from the same bucket
 //! contents, so a table's bytes depend only on what it holds, never on the
@@ -244,26 +245,62 @@ impl<E> FrozenTable<E> {
         Self::from_parts(keys, offsets, entries, (!grew).then_some(self))
     }
 
-    /// The table with every entry passed through `f`: `None` drops the
-    /// entry, `Some(e)` keeps `e` in its place, and buckets left empty are
-    /// dropped. One linear pass; the key array and the slot index are
-    /// reused when no bucket empties. The result equals [`FrozenTable::from_buckets`] over the
-    /// mapped buckets, so when `f` renames entries monotonically (as a
-    /// compaction's id remap does) sorted buckets stay sorted.
-    pub fn retain_map(&self, mut f: impl FnMut(&E) -> Option<E>) -> Self {
-        let mut keys = Vec::with_capacity(self.keys.len());
-        let mut offsets = Vec::with_capacity(self.offsets.len());
-        let mut entries = Vec::with_capacity(self.entries.len());
+    /// The table with every entry passed through `map`, followed under
+    /// each key by the entries of `tail`'s bucket passed through the
+    /// tail's own mapping: a mapping returns `None` to drop an entry and
+    /// `Some(e)` to keep `e` in its place, and buckets left empty are
+    /// dropped. Without a tail this is a compaction (drop and rename);
+    /// with one it also merges two tables, as a fold does.
+    ///
+    /// One linear pass over both key arrays; the key array and the slot
+    /// index are reused when the result holds exactly this table's keys.
+    /// The result equals [`FrozenTable::from_buckets`] over the
+    /// concatenated mapped buckets, so when the mappings rename entries
+    /// monotonically and every tail entry lands above every entry of this
+    /// table (as a fold's id remaps do), sorted buckets stay sorted. Both
+    /// mappings are of one type: two remaps built by one function are.
+    pub fn compacted<F>(&self, mut map: F, tail: Option<(&Self, F)>) -> Self
+    where
+        F: FnMut(&E) -> Option<E>,
+    {
+        let empty;
+        let (tail, mut tail_map) = match tail {
+            Some((table, tail_map)) => (table, Some(tail_map)),
+            None => {
+                empty = Self::default();
+                (&empty, None)
+            }
+        };
+        let capacity = self.keys.len() + tail.keys.len();
+        let mut keys = Vec::with_capacity(capacity);
+        let mut offsets = Vec::with_capacity(capacity + 1);
+        let mut entries = Vec::with_capacity(self.entries.len() + tail.entries.len());
         offsets.push(0);
-        for i in 0..self.keys.len() {
+        let (mut i, mut j) = (0, 0); // next bucket of this table, of the tail
+        let mut new_key = false;
+        loop {
+            let (head_key, tail_key) = (self.keys.get(i).copied(), tail.keys.get(j).copied());
+            let Some(key) = head_key.into_iter().chain(tail_key).min() else {
+                break;
+            };
             let before = entries.len();
-            entries.extend(self.bucket_at(i).iter().filter_map(&mut f));
+            if head_key == Some(key) {
+                entries.extend(self.bucket_at(i).iter().filter_map(&mut map));
+                i += 1;
+            }
+            if tail_key == Some(key) {
+                if let Some(tail_map) = tail_map.as_mut() {
+                    entries.extend(tail.bucket_at(j).iter().filter_map(tail_map));
+                }
+                j += 1;
+            }
             if entries.len() > before {
-                keys.push(self.keys[i]);
+                new_key |= head_key != Some(key);
+                keys.push(key);
                 offsets.push(entry_offset(entries.len()));
             }
         }
-        let same_keys = keys.len() == self.keys.len();
+        let same_keys = !new_key && keys.len() == self.keys.len();
         Self::from_parts(keys, offsets, entries, same_keys.then_some(self))
     }
 
@@ -626,16 +663,48 @@ mod tests {
     }
 
     #[test]
-    fn retain_map_drops_entries_and_emptied_buckets() {
+    fn compacted_drops_entries_and_emptied_buckets() {
         let table = sample_table();
-        let kept = table.retain_map(|&e| (e != 1 && e != 9).then_some(e * 10));
+        let kept = table.compacted(|&e| (e != 1 && e != 9).then_some(e * 10), None);
         let expected = FrozenTable::from_buckets(vec![(9, vec![70, 30, 50]), (400, vec![20, 40])]);
         assert_eq!(kept, expected);
         assert_eq!(kept.find(2), None);
-        let renamed = table.retain_map(|&e| Some(e + 1));
+        let renamed = table.compacted(|&e| Some(e + 1), None);
         assert_eq!(renamed.bucket(400), &[10, 10, 3, 5]);
         assert_eq!(renamed.slots, table.slots);
-        assert_eq!(table.retain_map(|_| None), FrozenTable::new());
+        assert_eq!(table.compacted(|_| None, None), FrozenTable::new());
+    }
+
+    #[test]
+    fn compacted_puts_the_tail_after_each_bucket() {
+        let table = sample_table();
+        // Drops `gone` and adds `shift`: one function, so one mapping type
+        // for both sides.
+        let map = |gone: u32, shift: u32| move |&e: &u32| (e != gone).then_some(e + shift);
+        // The tail adds to a kept bucket (9), brings a new key (1), keeps a
+        // bucket the head empties (2), and empties its own new key (5).
+        let tail =
+            FrozenTable::from_buckets(vec![(1, vec![0]), (2, vec![2]), (5, vec![3]), (9, vec![1])]);
+        let merged = table.compacted(map(1, 0), Some((&tail, map(3, 100))));
+        let expected = FrozenTable::from_buckets(vec![
+            (1, vec![100]),
+            (2, vec![102]),
+            (9, vec![7, 3, 5, 101]),
+            (400, vec![9, 9, 2, 4]),
+        ]);
+        assert_eq!(merged, expected);
+        // Only known keys: the key array and the slot index carry over.
+        let tail = FrozenTable::from_buckets(vec![(400, vec![8])]);
+        let merged = table.compacted(map(3, 0), Some((&tail, map(3, 10))));
+        assert_eq!(merged.bucket(9), &[7, 5]);
+        assert_eq!(merged.bucket(400), &[9, 9, 2, 4, 18]);
+        assert_eq!(merged.slots, table.slots);
+        // An empty head gives the tail's own compaction.
+        let empty = FrozenTable::new();
+        assert_eq!(
+            empty.compacted(map(3, 0), Some((&table, map(3, 0)))),
+            table.compacted(map(3, 0), None)
+        );
     }
 
     #[test]

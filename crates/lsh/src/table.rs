@@ -148,38 +148,57 @@ impl LshTables {
     }
 
     /// These tables compacted to the ids that survive the `new_id_of`
-    /// remap (old id → new dense id; [`u32::MAX`] marks ids that are gone)
-    /// **without re-running any hasher**: every surviving entry's bucket
-    /// key is already recorded in the tables, so compaction is one
-    /// [`FrozenTable::retain_map`] pass per table, tables in parallel.
-    /// Buckets may still list tombstoned ids; the remap drops them.
+    /// remap (old id → new dense id; [`u32::MAX`] marks ids that are gone),
+    /// followed by the surviving ids of the optional `tail` tables under
+    /// their own remap, **without re-running any hasher**: every surviving
+    /// entry's bucket key is already recorded in the tables, so this is one
+    /// [`FrozenTable::compacted`] pass per table (and its tail table),
+    /// tables in parallel. Buckets may still list tombstoned ids; the
+    /// remaps drop them.
     ///
-    /// The remap must be monotone over the survivors (compaction keeps
-    /// their order). Buckets list ids in ascending order, so they stay
-    /// ascending and the result is bit-identical to a fresh build over the
-    /// surviving points in new-id order — no sort needed.
+    /// The survivors must be numbered densely in order: this table set's
+    /// first, then the tail's. Buckets list ids in ascending order, so they
+    /// stay ascending, and the result is bit-identical to a fresh build
+    /// over the surviving points in new-id order — no sort needed.
     ///
     /// A pure constructor, like [`LshTables::appended`].
-    pub fn compacted(&self, new_id_of: &[u32], new_num_points: usize) -> Self {
-        assert!(
-            new_id_of.len() >= self.num_points,
-            "remap covers {} ids for {} indexed points",
-            new_id_of.len(),
-            self.num_points
-        );
+    pub fn compacted(
+        &self,
+        new_id_of: &[u32],
+        tail: Option<(&Self, &[u32])>,
+        new_num_points: usize,
+    ) -> Self {
+        let sides = std::iter::once((self, new_id_of)).chain(tail);
+        for (tables, new_id_of) in sides.clone() {
+            assert_eq!(
+                tables.tables.len(),
+                self.tables.len(),
+                "table counts differ"
+            );
+            assert!(
+                new_id_of.len() >= tables.num_points,
+                "remap covers {} ids for {} indexed points",
+                new_id_of.len(),
+                tables.num_points
+            );
+        }
         debug_assert!(
-            new_id_of
-                .iter()
+            sides
+                .flat_map(|(_, new_id_of)| new_id_of)
                 .filter(|&&id| id != u32::MAX)
                 .zip(0..)
-                .all(|(&id, rank)| id == rank),
-            "the remap must number the survivors densely, in order"
+                .all(|(&id, rank)| id == rank && (id as usize) < new_num_points),
+            "the remaps must number the survivors densely, in order"
         );
-        let tables = fairnn_parallel::map_indexed(self.tables.len(), |t| {
-            self.tables[t].retain_map(|id| {
+        fn remap(new_id_of: &[u32]) -> impl FnMut(&PointId) -> Option<PointId> + '_ {
+            |id| {
                 let new = new_id_of[id.index()];
                 (new != u32::MAX).then_some(PointId(new))
-            })
+            }
+        }
+        let tables = fairnn_parallel::map_indexed(self.tables.len(), |t| {
+            let tail = tail.map(|(tables, new_id_of)| (&tables.tables[t], remap(new_id_of)));
+            self.tables[t].compacted(remap(new_id_of), tail)
         });
         Self {
             tables,
@@ -631,7 +650,7 @@ mod tests {
     #[test]
     fn table_remove_preserves_order_and_drops_empty_buckets() {
         let tables = LshTables::build(&[7, 7, 7, 9], 1, 4);
-        let compacted = tables.compacted(&[0, u32::MAX, 1, u32::MAX], 2);
+        let compacted = tables.compacted(&[0, u32::MAX, 1, u32::MAX], None, 2);
         assert_eq!(compacted.table(0).bucket(7), &[PointId(0), PointId(1)]);
         assert_eq!(
             compacted.table(0).num_buckets(),
@@ -751,7 +770,7 @@ mod tests {
         let new_id_of: Vec<u32> = (0..sets.len() as u32)
             .map(|i| i.checked_sub(1).unwrap_or(u32::MAX))
             .collect();
-        index.tables = index.tables.compacted(&new_id_of, sets.len() - 1);
+        index.tables = index.tables.compacted(&new_id_of, None, sets.len() - 1);
         assert_eq!(index.total_entries(), (sets.len() - 1) * index.num_tables());
         let compacted = to_bytes(SnapshotKind::LshIndex, &index);
 
@@ -777,7 +796,7 @@ mod tests {
             new_id_of[old] = new as u32;
         }
         let survivors: Vec<SparseSet> = keep.iter().map(|&i| sets[i].clone()).collect();
-        retained.tables = retained.tables.compacted(&new_id_of, survivors.len());
+        retained.tables = retained.tables.compacted(&new_id_of, None, survivors.len());
         rebuilt.rebuild(&survivors);
         assert_eq!(retained.num_points(), rebuilt.num_points());
         for (a, b) in retained.tables().iter().zip(rebuilt.tables()) {

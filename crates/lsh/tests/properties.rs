@@ -193,6 +193,7 @@ proptest! {
             proptest::collection::vec((0u64..48, 0u32..1000), 0..12),
             1..5,
         ),
+        tail in proptest::collection::vec((0u64..48, 0u32..1000), 0..40),
     ) {
         use fairnn_lsh::FrozenTable;
         use std::collections::BTreeMap;
@@ -222,18 +223,42 @@ proptest! {
             prop_assert_eq!(encode(&table), encode(&rebuilt));
         }
         // Compaction: drop odd ids, halve the rest (a monotone remap).
-        let compacted = table.retain_map(|id| (id.0 % 2 == 0).then_some(PointId(id.0 / 2)));
-        let survivors = reference.into_iter().filter_map(|(key, ids)| {
-            let kept: Vec<PointId> = ids
-                .into_iter()
-                .filter(|id| id.0 % 2 == 0)
-                .map(|id| PointId(id.0 / 2))
-                .collect();
-            (!kept.is_empty()).then_some((key, kept))
-        });
-        let rebuilt = FrozenTable::from_buckets(survivors);
+        // `remap(parity, shift)` keeps the ids of that parity, halved and
+        // shifted: one function, so both sides of a merge share its type.
+        let remap = |parity: u32, shift: u32| {
+            move |id: &PointId| (id.0 % 2 == parity).then_some(PointId(id.0 / 2 + shift))
+        };
+        let mapped = |buckets: &BTreeMap<u64, Vec<PointId>>, parity: u32, shift: u32| {
+            let mut map = remap(parity, shift);
+            buckets
+                .iter()
+                .map(|(&key, ids)| (key, ids.iter().filter_map(&mut map).collect::<Vec<_>>()))
+                .collect::<BTreeMap<u64, Vec<PointId>>>()
+        };
+        let non_empty = |buckets: BTreeMap<u64, Vec<PointId>>| {
+            buckets.into_iter().filter(|(_, ids)| !ids.is_empty())
+        };
+        let compacted = table.compacted(remap(0, 0), None);
+        let rebuilt = FrozenTable::from_buckets(non_empty(mapped(&reference, 0, 0)));
         prop_assert_eq!(encode(&compacted), encode(&rebuilt));
         prop_assert_eq!(compacted, rebuilt);
+
+        // Two-table merge: under each key the head's mapped entries, then
+        // the tail's (odd ids, shifted past every head id), emptied
+        // buckets dropped.
+        let mut tail_reference: BTreeMap<u64, Vec<PointId>> = BTreeMap::new();
+        for &(key, id) in &tail {
+            tail_reference.entry(key).or_default().push(PointId(id));
+        }
+        let tail_table = FrozenTable::from_buckets(tail_reference.clone());
+        let merged = table.compacted(remap(0, 0), Some((&tail_table, remap(1, 1000))));
+        let mut concatenated = mapped(&reference, 0, 0);
+        for (key, ids) in mapped(&tail_reference, 1, 1000) {
+            concatenated.entry(key).or_default().extend(ids);
+        }
+        let rebuilt = FrozenTable::from_buckets(non_empty(concatenated));
+        prop_assert_eq!(encode(&merged), encode(&rebuilt));
+        prop_assert_eq!(merged, rebuilt);
     }
 
     #[test]
@@ -264,9 +289,15 @@ proptest! {
                 survivors.push(set.clone());
             }
         }
-        let compacted = appended.compacted(&new_id_of, survivors.len());
+        let compacted = appended.compacted(&new_id_of, None, survivors.len());
         let rebuilt = LshTables::build(&bank.all_point_keys(&survivors), l, survivors.len());
         prop_assert_eq!(encode(&compacted), encode(&rebuilt));
+        // A fold: head and tail built apart, each over its own dense ids,
+        // then compacted together in one pass.
+        let tail = LshTables::build(&keys[split * l..], l, sets.len() - split);
+        let (head_ids, tail_ids) = new_id_of.split_at(split);
+        let folded = head.compacted(head_ids, Some((&tail, tail_ids)), survivors.len());
+        prop_assert_eq!(encode(&folded), encode(&rebuilt));
         let mut query_keys = Vec::new();
         for s in &survivors {
             bank.query_keys_into(s, &mut query_keys);
