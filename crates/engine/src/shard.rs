@@ -27,8 +27,9 @@
 //! only; the walk order, `D_i` and every counter are those of a plain
 //! per-table walk.
 //!
-//! Updates never touch a table in place, and a part knows its points only
-//! by local id: the index maps global ids to `(part, local id)`. A delete
+//! Updates never touch a table in place, and the tables know a point only
+//! by its local id. The global ids ascend with the local ids, so a binary
+//! search finds a global id's local id (`Shard::local_id`). A delete
 //! only tombstones the point: it stays in its buckets, where the walk
 //! skips it, and `b_i` keeps counting it (still an upper bound). An insert
 //! only stages its point: it joins the point arrays, but not the tables.
@@ -36,11 +37,15 @@
 //! part's next tables from the current ones in one linear merge per
 //! table, however many points (and commits) were staged. Once tombstones
 //! exceed half the live points the part asks for a compaction
-//! (`Shard::needs_compaction`), one more linear pass per table (same bank,
-//! compacted ids); the index decides when it runs. The tables and the
-//! points sit behind `Arc`s, so a part copied for the next generation
-//! shares both until a merge, a compaction or a fold replaces them: a
-//! delete copies only the global ids and the alive flags.
+//! (`Shard::needs_compaction`); the index decides when it runs.
+//! `Shard::compacted` builds the next part from the live points of this
+//! one and, in a fold, of a tail part (the delta after the base): each live
+//! point is cloned once, and the tables come from one linear pass per table
+//! over both parts' tables, with the same bank and no point hashed that a
+//! table already holds. The tables and the points sit behind `Arc`s, so a
+//! part copied for the next generation shares both until a merge, a
+//! compaction or a fold replaces them: a delete copies only the global ids
+//! and the alive flags.
 
 use fairnn_core::predicate::Nearness;
 use fairnn_core::QueryStats;
@@ -190,13 +195,6 @@ impl<P, H, N> Shard<P, H, N> {
     pub(crate) fn local_id(&self, global: PointId) -> Option<u32> {
         let local = self.global_ids.binary_search(&global).ok()?;
         self.alive[local].then_some(local as u32)
-    }
-
-    /// The live points as `(global id, local id)`, in local id order.
-    pub(crate) fn live_ids(&self) -> impl Iterator<Item = (PointId, u32)> + '_ {
-        (0..self.global_ids.len() as u32)
-            .filter(|&local| self.alive[local as usize])
-            .map(|local| (self.global_ids[local as usize], local))
     }
 
     /// The global ids of the local ids, tombstoned ones included.

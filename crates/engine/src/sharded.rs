@@ -50,13 +50,18 @@
 //! `f + 2` when it answers `None`, which it does only after evaluating
 //! every candidate of both parts. No round budget, no fallback.
 //!
-//! **Writes.** An insert stages into the delta, so a commit merges only the
-//! delta's tables, and a delete tombstones the point in whichever part
-//! holds it. Once the delta holds more than `1/FOLD_FRACTION` of the
-//! base's live points, a **fold** re-stages the delta's live points into
-//! the base, merges them in one linear pass per base table, drops the
-//! base's tombstones in another and leaves the delta empty. A `Compact`,
-//! and a delete that trips the base's compaction, fold as well.
+//! **Writes.** An insert stages into the delta under the next global id,
+//! so a commit merges only the delta's tables, and a delete tombstones the
+//! point in whichever part holds it. No map from global id to part is
+//! kept: each part's global ids ascend and the delta's are above the
+//! base's, so comparing an id with the delta's first id picks the part and
+//! a binary search there finds the point. Once the delta holds more than
+//! `1/FOLD_FRACTION` of the base's live points, a **fold** builds the next
+//! base from both parts ([`Shard::compacted`]): the live base points, then
+//! the live delta points, under tables built in one linear pass per table
+//! over the two parts' own tables, so no point a table holds is hashed
+//! again. The delta is left empty. A `Compact`, and a delete that trips
+//! the base's compaction, fold as well.
 //!
 //! Fresh query randomness on every call makes repeated queries independent,
 //! so the sampler solves r-NNIS over the colliding near points — the
@@ -135,23 +140,6 @@ const PARTS: usize = 2;
 /// of the base's live points.
 const FOLD_FRACTION: usize = 8;
 
-/// Entry of the id map for a deleted id.
-const UNASSIGNED: u32 = u32::MAX;
-/// Flag of an id map entry whose point the delta holds; the other bits
-/// are the point's local id in its part.
-const IN_DELTA: u32 = 1 << 31;
-
-/// The id map entry of local id `local` in part `part`.
-fn slot(part: usize, local: u32) -> u32 {
-    assert!(local < IN_DELTA - 1, "local id {local} out of range");
-    local | (part as u32) << 31
-}
-
-/// The part and local id an id map entry names, `None` for a deleted id.
-fn part_and_local(slot: u32) -> Option<(usize, u32)> {
-    (slot != UNASSIGNED).then_some((usize::from(slot & IN_DELTA != 0), slot & !IN_DELTA))
-}
-
 /// The hasher bank's RNG stream (domain separation for
 /// [`crate::seed::split_seed`]). It is the stream the first shard drew
 /// its own bank from when every shard had one, so a seed keeps those
@@ -195,12 +183,13 @@ const STREAM_BANK: u64 = 2 << 32;
 pub struct ShardedIndex<P, H, N> {
     /// The hasher bank shared by both parts.
     bank: HasherBank<H>,
-    /// `[base, delta]`.
+    /// `[base, delta]`. Each part lists the global ids of its points in
+    /// ascending order, and every id the delta holds is above every id the
+    /// base holds, so the ids alone say which part holds a point.
     parts: [Arc<Shard<P, H, N>>; PARTS],
-    /// Global id → the part holding it and its local id there (see
-    /// [`slot`]), [`UNASSIGNED`] for deleted ids. Its length is the next
-    /// global id.
-    slot_of: Vec<u32>,
+    /// The global id the next insert gets: above every id either part has
+    /// held, and never lowered, so an id a fold dropped is not reused.
+    next_id: PointId,
     params: LshParams,
     config: ShardedIndexConfig,
 }
@@ -234,7 +223,7 @@ where
         Self {
             bank,
             parts: [Arc::new(base), Arc::new(delta)],
-            slot_of: (0..dataset.len() as u32).map(|i| slot(BASE, i)).collect(),
+            next_id: PointId::from_index(dataset.len()),
             params,
             config,
         }
@@ -284,9 +273,19 @@ impl<P, H, N> ShardedIndex<P, H, N> {
 
     /// Whether the (live) point with this global id is present.
     pub fn contains(&self, id: PointId) -> bool {
-        self.slot_of
-            .get(id.index())
-            .is_some_and(|&s| s != UNASSIGNED)
+        self.locate(id).is_some()
+    }
+
+    /// The part holding the live point with this global id, and its local
+    /// id there. The delta holds the ids from its first one up, the base
+    /// those below; the local id is a binary search in that part.
+    fn locate(&self, id: PointId) -> Option<(usize, u32)> {
+        let in_delta = self.parts[DELTA]
+            .global_ids()
+            .first()
+            .is_some_and(|&first| id >= first);
+        let part = if in_delta { DELTA } else { BASE };
+        self.parts[part].local_id(id).map(|local| (part, local))
     }
 }
 
@@ -373,15 +372,15 @@ where
     H: fairnn_lsh::HasherBankCodec + Send + Sync,
     N: fairnn_snapshot::Codec + Send + Sync + Nearness<P>,
 {
-    /// Sectioned container image: a head section (the id map, the shared
-    /// LSH parameters, the configuration), the hasher bank section, then
-    /// the sections of the base and of the delta — per part, one with its
-    /// points and one per fixed range of tables. Encode, per-section
+    /// Sectioned container image: a head section (the next global id, the
+    /// shared LSH parameters, the configuration), the hasher bank section,
+    /// then the sections of the base and of the delta — per part, one with
+    /// its points and one per fixed range of tables. Encode, per-section
     /// checksums and decodes all run on parallel build workers. Bytes are
     /// identical at every thread count.
     fn encode_sections(&self) -> Vec<Vec<u8>> {
         let mut head = Encoder::new();
-        self.slot_of.encode(&mut head);
+        self.next_id.encode(&mut head);
         self.params.encode(&mut head);
         self.config.encode(&mut head);
         let mut bank = Encoder::new();
@@ -401,7 +400,7 @@ where
             ));
         };
         let mut dec = head.decoder();
-        let slot_of = Vec::<u32>::decode(&mut dec)?;
+        let next_id = PointId::decode(&mut dec)?;
         let params = LshParams::decode(&mut dec)?;
         let config = ShardedIndexConfig::decode(&mut dec)?;
         dec.finish()?;
@@ -422,54 +421,44 @@ where
         let (base, delta) = part_sections.split_at(per_part);
         let base = Shard::decode_sections(base, bank.clone())?;
         let delta = Shard::decode_sections(delta, bank.clone())?;
-        Self::assemble(bank, [base, delta], slot_of, params, config)
+        Self::assemble(bank, [base, delta], next_id, params, config)
     }
 }
 
 impl<P, H, N> ShardedIndex<P, H, N> {
     /// Tail of the sectioned decoder: cross-part validation and assembly.
-    /// (Each part's table count was checked against the bank, and the bank
-    /// against `params`, as they decoded.) The stored id map must be the
-    /// one the parts' live points imply, and every id the delta has held
-    /// must be above every id the base has held, as inserts and folds
-    /// keep them.
+    /// (Each part's table count was checked against the bank, the bank
+    /// against `params`, and each part's global ids for ascending order, as
+    /// they decoded.) Every id the delta has held must be above every id
+    /// the base has held, as inserts and folds keep them, and the next id
+    /// must be above both, or an insert would hand out an id a part holds.
     fn assemble(
         bank: HasherBank<H>,
         parts: [Shard<P, H, N>; PARTS],
-        slot_of: Vec<u32>,
+        next_id: PointId,
         params: LshParams,
         config: ShardedIndexConfig,
     ) -> Result<Self, SnapshotError> {
-        let mut implied = vec![UNASSIGNED; slot_of.len()];
-        for (part, shard) in parts.iter().enumerate() {
-            for (global, local) in shard.live_ids() {
-                match implied.get_mut(global.index()) {
-                    Some(entry) if *entry == UNASSIGNED => *entry = slot(part, local),
-                    _ => {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "live point {global} is past the id map or held twice"
-                        )))
-                    }
-                }
-            }
-        }
-        if implied != slot_of {
-            return Err(SnapshotError::Corrupt(
-                "the id map disagrees with the parts' live points".into(),
-            ));
-        }
         let [base, delta] = parts;
-        if let (Some(last), Some(first)) = (base.global_ids().last(), delta.global_ids().first()) {
+        let (base_last, delta_first) = (base.global_ids().last(), delta.global_ids().first());
+        if let (Some(last), Some(first)) = (base_last, delta_first) {
             if first <= last {
                 return Err(SnapshotError::Corrupt(format!(
                     "the delta holds id {first}, not above the base's last id {last}"
                 )));
             }
         }
+        if let Some(&last) = delta.global_ids().last().or(base_last) {
+            if next_id <= last {
+                return Err(SnapshotError::Corrupt(format!(
+                    "the next id {next_id} is not above the stored id {last}"
+                )));
+            }
+        }
         Ok(Self {
             bank,
             parts: [Arc::new(base), Arc::new(delta)],
-            slot_of,
+            next_id,
             params,
             config,
         })
@@ -610,14 +599,9 @@ where
     /// go through the engine writer's `WriteBatch`, which write-ahead-logs
     /// the mutation and publishes a fresh generation.
     pub(crate) fn delete(&mut self, id: PointId) -> bool {
-        let Some((part, local)) = self
-            .slot_of
-            .get(id.index())
-            .and_then(|&entry| part_and_local(entry))
-        else {
+        let Some((part, local)) = self.locate(id) else {
             return false;
         };
-        self.slot_of[id.index()] = UNASSIGNED;
         let shard = Arc::make_mut(&mut self.parts[part]);
         shard.delete(local);
         if shard.needs_compaction() {
@@ -625,7 +609,6 @@ where
                 self.fold();
             } else {
                 self.parts[DELTA] = Arc::new(shard.compacted(None));
-                self.reslot(DELTA);
             }
         }
         true
@@ -653,15 +636,6 @@ where
             Arc::new(base.compacted(Some(delta))),
             Arc::new(delta.emptied()),
         ];
-        self.reslot(BASE);
-    }
-
-    /// Rewrites the id map entries of `part`'s live points after a
-    /// compaction or a fold renumbered them.
-    fn reslot(&mut self, part: usize) {
-        for (global, local) in self.parts[part].live_ids() {
-            self.slot_of[global.index()] = slot(part, local);
-        }
     }
 }
 
@@ -700,11 +674,9 @@ where
     /// the previous generation unless the insert makes the fold due.
     pub(crate) fn insert(&mut self, point: P) -> PointId {
         let index = &mut self.index;
-        let id = PointId::from_index(index.slot_of.len());
-        let delta = Arc::make_mut(&mut index.parts[DELTA]);
-        let local = delta.global_ids().len() as u32;
-        delta.insert(id, point);
-        index.slot_of.push(slot(DELTA, local));
+        let id = index.next_id;
+        index.next_id = PointId::from_index(id.index() + 1);
+        Arc::make_mut(&mut index.parts[DELTA]).insert(id, point);
         self.fold_if_due();
         id
     }
@@ -824,7 +796,7 @@ mod tests {
     use crate::WriteBatch;
     use fairnn_core::{ExactSampler, SimilarityAtLeast};
     use fairnn_lsh::{MinHash, ParamsBuilder};
-    use fairnn_snapshot::{to_bytes, SnapshotKind};
+    use fairnn_snapshot::{from_bytes, to_bytes, SnapshotKind};
     use fairnn_space::{Jaccard, SparseSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -951,7 +923,7 @@ mod tests {
         assert_eq!(neighborhood.len(), 13);
         let mut rng = StdRng::seed_from_u64(6);
         let trials = 13_000;
-        let mut counts = vec![0usize; index.slot_of.len()];
+        let mut counts = vec![0usize; index.next_id.index()];
         for _ in 0..trials {
             let (id, _) = index.sample(&query, &mut rng);
             counts[id.expect("non-empty").index()] += 1;
@@ -1134,6 +1106,30 @@ mod tests {
         assert_eq!(sections(&compacted), sections(&fresh));
     }
 
+    #[test]
+    fn ids_are_never_reused_after_a_fold() {
+        // Deleting the last-inserted point and folding drops the highest id
+        // from both parts; the next insert still gets the next id, on the
+        // live index and on one decoded from its image.
+        let (data, index) = build(22);
+        let mut staged = StagedIndex::new(index);
+        let first = staged.insert(twin(0));
+        let last = staged.insert(twin(1));
+        assert!(staged.delete(last));
+        staged.compact();
+        let index = staged.merged();
+        assert_eq!(index.base().live_points(), data.len() + 1);
+        assert_eq!(index.delta().live_points(), 0);
+        assert!(index.contains(first) && !index.contains(last));
+        let next = PointId(last.0 + 1);
+        let image = to_bytes(SnapshotKind::ShardedIndex, &index);
+        let decoded: Index = from_bytes(SnapshotKind::ShardedIndex, &image).expect("decode");
+        for index in [index, decoded] {
+            let mut staged = StagedIndex::new(index);
+            assert_eq!(staged.insert(twin(2)), next);
+        }
+    }
+
     /// Rows evaluated by every [`CountingHasher`] of this test binary.
     static ROWS_HASHED: AtomicUsize = AtomicUsize::new(0);
 
@@ -1198,7 +1194,10 @@ mod tests {
         assert_eq!(commit(&mut index, insert(2)), 1);
         // 30 base points: the fourth delta point folds all four.
         assert_eq!(commit(&mut index, insert(3)), 1, "the fold re-hashed");
-        assert_eq!((index.base().live_points(), index.delta().live_points()), (n + 4, 0));
+        assert_eq!(
+            (index.base().live_points(), index.delta().live_points()),
+            (n + 4, 0)
+        );
         assert_eq!(commit(&mut index, insert(4)), 1);
         assert_eq!(
             commit(&mut index, WriteBatch::new().delete(PointId(3)).compact()),

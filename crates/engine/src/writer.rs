@@ -3,7 +3,8 @@
 //!
 //! One [`EngineWriter`] owns an engine directory holding exactly two
 //! files: a checkpoint (`checkpoint.snap`, a [`Checkpoint`] in the
-//! sectioned v3 container format) and a write-ahead log (`engine.wal`).
+//! sectioned snapshot container format) and a write-ahead log
+//! (`engine.wal`).
 //! The commit protocol for a [`WriteBatch`]:
 //!
 //! 1. **validate** — every `Delete` must reference an id live in the
@@ -18,11 +19,13 @@
 //!    sharing its tables with the published generation. An insert only
 //!    stages its point in the delta. An op after which the delta holds more
 //!    than an eighth of the base's live points folds the delta into the
-//!    base. Then the delta hashes its staged points and builds its next
-//!    tables from the current ones in one linear merge per table;
+//!    base: one linear pass per table over both parts' tables builds the
+//!    next base, and only the delta's staged points are hashed. Then the
+//!    delta hashes its staged points and builds its next tables from the
+//!    current ones in one linear merge per table;
 //! 4. **publish** — a clone of the staging index (an `Arc`-pointer copy
-//!    per part plus one id-map memcpy) becomes the next [`Generation`],
-//!    swapped into the shared cell for readers.
+//!    per part) becomes the next [`Generation`], swapped into the shared
+//!    cell for readers.
 //!
 //! Crash recovery ([`EngineWriter::open`]) loads the checkpoint and
 //! replays the WAL tail through the *same* validation and `apply_batch`

@@ -108,8 +108,9 @@ pub const MAGIC: [u8; 8] = *b"FAIRNNSS";
 /// its own section, instead of one inside every shard section; 6 = shard
 /// sections without the per-bucket KMV sketch maps and their seed; 7 = a
 /// base and an insert delta instead of `N` shards, each a points section
-/// plus fixed table-range sections, under an id map of part and local id.
-pub const FORMAT_VERSION: u32 = 7;
+/// plus fixed table-range sections, under an id map of part and local id;
+/// 8 = the same parts under the next global id instead of the id map.
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Byte-order marker: written little-endian, so a conforming file always
 /// reads back as this value.

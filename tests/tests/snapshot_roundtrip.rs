@@ -25,7 +25,7 @@ use fairnn_integration_tests::{
 };
 use fairnn_lsh::{ConcatenatedHasher, LshIndex, LshParams, MinHash, MinHasher};
 use fairnn_snapshot::{
-    from_bytes, image_from_sections, to_bytes, SnapshotCodec, SnapshotError, SnapshotImage,
+    from_bytes, image_from_sections, to_bytes, Codec, SnapshotCodec, SnapshotError, SnapshotImage,
     SnapshotKind, FORMAT_VERSION, HEADER_LEN,
 };
 use fairnn_space::{Jaccard, PointId, SparseSet};
@@ -394,13 +394,17 @@ fn golden_images_keep_their_exact_bytes() {
             to_bytes(SnapshotKind::Checkpoint, &checkpoint),
         ),
     ];
+    // Format version 8: every image's header carries the new version, and
+    // the index head holds the next global id (4 bytes) where v7 held the
+    // id map (8 + 4 bytes per id), so the two engine images are 128 bytes
+    // shorter after the 64-byte section alignment.
     let pinned: [(usize, u64); 6] = [
-        (5824, 11761379297662545665),
-        (9128, 1534067846462235842),
-        (47120, 7437173185952924274),
-        (9192, 18077143122640209942),
-        (10640, 17695624578362605927),
-        (10704, 9530716678540193612),
+        (5824, 11869160960308286974),
+        (9128, 9838338198267038465),
+        (47120, 16282451959750257705),
+        (9192, 397562864388969065),
+        (10512, 787083596940084347),
+        (10576, 2993370350640294681),
     ];
     for ((name, image), want) in images.iter().zip(pinned) {
         assert_eq!(fingerprint(image), want, "{name} image bytes changed");
@@ -443,7 +447,7 @@ fn golden_images_keep_their_exact_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         fingerprint(&file),
-        (10896, 17185728265173714873),
+        (10768, 16519926211947056991),
         "checkpoint.snap bytes changed"
     );
 }
@@ -631,11 +635,11 @@ fn corrupted_truncated_and_version_bumped_snapshots_fail_typed() {
     // Old-version files — the flat v1 layout, the unaligned v2 sections,
     // v3 images still carrying the engine's tuning knobs, v4 images with a
     // hasher bank inside every shard section, v5 images with per-bucket
-    // KMV sketch maps inside every shard section and v6 images of `N`
-    // shards — get the same typed rejection (no migration shims), and the
-    // message tells the operator how to move forward: re-save with a
-    // current binary.
-    for found in [1u32, 2, 3, 4, 5, 6] {
+    // KMV sketch maps inside every shard section, v6 images of `N` shards
+    // and v7 images with an id map in the index head — get the same typed
+    // rejection (no migration shims), and the message tells the operator
+    // how to move forward: re-save with a current binary.
+    for found in [1u32, 2, 3, 4, 5, 6, 7] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&found.to_le_bytes());
         let err = load_small(&old).expect_err("an old-version file must not load");
@@ -733,6 +737,33 @@ fn shard_whose_table_count_is_not_l_fails_the_load() {
         load_sections(spliced),
         Err(SnapshotError::Corrupt(_))
     ));
+}
+
+#[test]
+fn next_id_not_above_a_stored_id_fails_the_load() {
+    // The head section holds the next global id, then the parameters and
+    // the config. A head whose next id is not above every stored id would
+    // hand a held id to the next insert, so the load must refuse it.
+    let p = params(golden_dataset().len());
+    let n = golden_dataset().len() as u32;
+    let head = |next_id: u32| {
+        let mut enc = fairnn_snapshot::Encoder::new();
+        PointId(next_id).encode(&mut enc);
+        p.encode(&mut enc);
+        ShardedIndexConfig::default().seeded(17).encode(&mut enc);
+        enc.into_bytes()
+    };
+    let mut spliced = sharded_sections(p);
+    assert_eq!(spliced[0], head(n), "the head layout changed");
+    spliced[0] = head(n + 40);
+    assert!(load_sections(spliced.clone()).is_ok(), "ids may be skipped");
+    for next_id in [0, n - 1] {
+        spliced[0] = head(next_id);
+        assert!(
+            matches!(load_sections(spliced.clone()), Err(SnapshotError::Corrupt(msg)) if msg.contains("next id")),
+            "next id {next_id} loaded"
+        );
+    }
 }
 
 proptest! {
