@@ -53,7 +53,6 @@ use fairnn_lsh::{HasherBank, LshHasher, LshTable, LshTables, QueryScratch};
 use fairnn_sketch::{BottomKSketch, CardinalityEstimator};
 use fairnn_snapshot::{Codec, Encoder, Section, SnapshotError};
 use fairnn_space::PointId;
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -227,16 +226,25 @@ impl<P, H, N: Clone> Shard<P, H, N> {
     /// A part with no points, keyed by the same bank and deciding nearness
     /// by the same predicate: the delta of a fresh build or of a fold.
     pub(crate) fn emptied(&self) -> Self {
-        Self {
+        let tables = LshTables::build(&[], self.bank.num_tables(), 0);
+        self.refilled(tables, Vec::new(), Vec::new())
+    }
+
+    /// A part over `points`, all live, under `tables` and `global_ids`,
+    /// keyed by the same bank and deciding nearness by the same predicate.
+    fn refilled(&self, tables: LshTables, points: Vec<P>, global_ids: Vec<PointId>) -> Self {
+        let part = Self {
             bank: self.bank.clone(),
-            tables: Arc::new(LshTables::build(&[], self.bank.num_tables(), 0)),
-            points: Arc::default(),
-            global_ids: Vec::new(),
-            alive: Vec::new(),
-            live: 0,
+            tables: Arc::new(tables),
+            alive: vec![true; points.len()],
+            live: points.len(),
             tombstones: 0,
             near: self.near.clone(),
-        }
+            points: Arc::new(points),
+            global_ids,
+        };
+        part.debug_assert_occupancy_invariants();
+        part
     }
 }
 
@@ -453,68 +461,36 @@ where
     /// is cloned once. The tables come from one
     /// [`fairnn_lsh::LshTables::compacted`] pass per table over both
     /// parts' tables, which drops the tombstoned entries, renames the rest
-    /// and puts `tail`'s after this part's under each key. So no point a
-    /// table holds is run through the hasher bank again: only staged
-    /// points are hashed, by a merge into their own part's tables first.
-    /// The result is bit-identical to a fresh build over the live points
-    /// in their new order.
+    /// and puts `tail`'s after this part's under each key, so no point is
+    /// run through the hasher bank. Neither part may hold staged points
+    /// ([`Shard::merge_staged`] first). The result is bit-identical to a
+    /// fresh build over the live points in their new order.
     ///
     /// Without a tail this compacts the part; with the delta as the tail
     /// of the base it is the index's fold.
     pub(crate) fn compacted(&self, tail: Option<&Self>) -> Self
     where
-        H: Clone,
         N: Clone,
     {
-        let head = self.with_staged_merged();
-        let tail = tail.map(Self::with_staged_merged);
-        let sides: Vec<&Self> = std::iter::once(&*head).chain(tail.as_deref()).collect();
-        let live = sides.iter().map(|side| side.live).sum();
-        let mut points = Vec::with_capacity(live);
-        let mut global_ids = Vec::with_capacity(live);
-        let remaps: Vec<Vec<u32>> = sides
-            .iter()
-            .map(|side| {
-                let mut new_id_of = vec![u32::MAX; side.points.len()];
-                for (local, point) in side.points.iter().enumerate() {
-                    if side.alive[local] {
-                        new_id_of[local] = points.len() as u32;
-                        points.push(point.clone());
-                        global_ids.push(side.global_ids[local]);
-                    }
+        let mut points = Vec::with_capacity(self.live + tail.map_or(0, |tail| tail.live));
+        let mut global_ids = Vec::with_capacity(points.capacity());
+        let mut take_live = |part: &Self| {
+            assert_eq!(part.staged_points(), 0, "the staged points are not merged");
+            let mut new_id_of = vec![u32::MAX; part.points.len()];
+            for (local, point) in part.points.iter().enumerate() {
+                if part.alive[local] {
+                    new_id_of[local] = points.len() as u32;
+                    points.push(point.clone());
+                    global_ids.push(part.global_ids[local]);
                 }
-                new_id_of
-            })
-            .collect();
-        let tail_tables = sides.get(1).map(|tail| (&*tail.tables, &remaps[1][..]));
-        let tables = head.tables.compacted(&remaps[0], tail_tables, points.len());
-        let part = Self {
-            bank: self.bank.clone(),
-            tables: Arc::new(tables),
-            alive: vec![true; points.len()],
-            live: points.len(),
-            tombstones: 0,
-            near: self.near.clone(),
-            points: Arc::new(points),
-            global_ids,
+            }
+            new_id_of
         };
-        part.debug_assert_occupancy_invariants();
-        part
-    }
-
-    /// This part with its staged points merged into its tables: itself
-    /// when nothing is staged, else a copy that shares the points.
-    fn with_staged_merged(&self) -> Cow<'_, Self>
-    where
-        H: Clone,
-        N: Clone,
-    {
-        if self.staged_points() == 0 {
-            return Cow::Borrowed(self);
-        }
-        let mut merged = self.clone();
-        merged.merge_staged();
-        Cow::Owned(merged)
+        let new_id_of = take_live(self);
+        let tail = tail.map(|tail| (tail, take_live(tail)));
+        let tail_tables = tail.as_ref().map(|(tail, ids)| (&*tail.tables, &ids[..]));
+        let tables = self.tables.compacted(&new_id_of, tail_tables, points.len());
+        self.refilled(tables, points, global_ids)
     }
 }
 

@@ -57,7 +57,7 @@
 //! base's, so comparing an id with the delta's first id picks the part and
 //! a binary search there finds the point. Once the delta holds more than
 //! `1/FOLD_FRACTION` of the base's live points, a **fold** builds the next
-//! base from both parts ([`Shard::compacted`]): the live base points, then
+//! base from both parts (`Shard::compacted`): the live base points, then
 //! the live delta points, under tables built in one linear pass per table
 //! over the two parts' own tables, so no point a table holds is hashed
 //! again. The delta is left empty. A `Compact`, and a delete that trips
@@ -608,6 +608,7 @@ where
             if part == BASE {
                 self.fold();
             } else {
+                shard.merge_staged();
                 self.parts[DELTA] = Arc::new(shard.compacted(None));
             }
         }
@@ -626,11 +627,15 @@ where
 
     /// Builds the next base from the live points of the base and then of
     /// the delta, with one linear pass per table over both parts' tables
-    /// ([`Shard::compacted`]), and empties the delta. Afterwards the base
-    /// holds every live point under dense local ids, in the tables a fresh
-    /// build over them would have. Neither part is modified: both may
-    /// still be shared with published generations.
+    /// ([`Shard::compacted`]), and empties the delta. Only the delta's
+    /// staged points are hashed, by a merge into its own tables first.
+    /// Afterwards the base holds every live point under dense local ids, in
+    /// the tables a fresh build over them would have. The base is not
+    /// modified: it may still be shared with published generations.
     fn fold(&mut self) {
+        if self.parts[DELTA].staged_points() > 0 {
+            Arc::make_mut(&mut self.parts[DELTA]).merge_staged();
+        }
         let [base, delta] = &self.parts;
         self.parts = [
             Arc::new(base.compacted(Some(delta))),

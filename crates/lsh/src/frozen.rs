@@ -245,57 +245,44 @@ impl<E> FrozenTable<E> {
         Self::from_parts(keys, offsets, entries, (!grew).then_some(self))
     }
 
-    /// The table with every entry passed through `map`, followed under
-    /// each key by the entries of `tail`'s bucket passed through the
-    /// tail's own mapping: a mapping returns `None` to drop an entry and
-    /// `Some(e)` to keep `e` in its place, and buckets left empty are
-    /// dropped. Without a tail this is a compaction (drop and rename);
-    /// with one it also merges two tables, as a fold does.
+    /// The table with every entry passed through `map` (`None` drops it,
+    /// `Some(e)` keeps `e` in its place), each bucket followed by the
+    /// entries of `tail`'s bucket under the same key, passed through the
+    /// tail's own mapping of the same type; emptied buckets are dropped.
+    /// Without a tail this is a compaction, with one also a merge (a fold).
     ///
     /// One linear pass over both key arrays; the key array and the slot
-    /// index are reused when the result holds exactly this table's keys.
-    /// The result equals [`FrozenTable::from_buckets`] over the
-    /// concatenated mapped buckets, so when the mappings rename entries
-    /// monotonically and every tail entry lands above every entry of this
-    /// table (as a fold's id remaps do), sorted buckets stay sorted. Both
-    /// mappings are of one type: two remaps built by one function are.
+    /// index are reused when the keys are this table's. The result equals
+    /// [`FrozenTable::from_buckets`] over the concatenated mapped buckets,
+    /// so sorted buckets stay sorted when the mappings rename monotonically
+    /// and map the tail above this table (as a fold's id remaps do).
     pub fn compacted<F>(&self, mut map: F, tail: Option<(&Self, F)>) -> Self
     where
         F: FnMut(&E) -> Option<E>,
     {
-        let empty;
-        let (tail, mut tail_map) = match tail {
-            Some((table, tail_map)) => (table, Some(tail_map)),
-            None => {
-                empty = Self::default();
-                (&empty, None)
-            }
-        };
-        let capacity = self.keys.len() + tail.keys.len();
-        let mut keys = Vec::with_capacity(capacity);
-        let mut offsets = Vec::with_capacity(capacity + 1);
-        let mut entries = Vec::with_capacity(self.entries.len() + tail.entries.len());
+        let (tail, mut tail_map) = tail.unzip();
+        let tail_keys = tail.map_or(&[][..], |tail| &tail.keys[..]);
+        let mut keys = Vec::with_capacity(self.keys.len() + tail_keys.len());
+        let mut offsets = Vec::with_capacity(keys.capacity() + 1);
+        let tail_entries = tail.map_or(0, |tail| tail.entries.len());
+        let mut entries = Vec::with_capacity(self.entries.len() + tail_entries);
         offsets.push(0);
-        let (mut i, mut j) = (0, 0); // next bucket of this table, of the tail
-        let mut new_key = false;
-        loop {
-            let (head_key, tail_key) = (self.keys.get(i).copied(), tail.keys.get(j).copied());
-            let Some(key) = head_key.into_iter().chain(tail_key).min() else {
-                break;
-            };
+        let (mut i, mut j, mut new_key) = (0, 0, false); // i, j: next buckets
+        while let Some(&key) = self.keys.get(i).into_iter().chain(tail_keys.get(j)).min() {
             let before = entries.len();
-            if head_key == Some(key) {
+            let in_head = self.keys.get(i) == Some(&key);
+            if in_head {
                 entries.extend(self.bucket_at(i).iter().filter_map(&mut map));
                 i += 1;
             }
-            if tail_key == Some(key) {
-                if let Some(tail_map) = tail_map.as_mut() {
+            if let (Some(tail), Some(tail_map)) = (tail, tail_map.as_mut()) {
+                if tail_keys.get(j) == Some(&key) {
                     entries.extend(tail.bucket_at(j).iter().filter_map(tail_map));
+                    j += 1;
                 }
-                j += 1;
             }
             if entries.len() > before {
-                new_key |= head_key != Some(key);
+                new_key |= !in_head;
                 keys.push(key);
                 offsets.push(entry_offset(entries.len()));
             }

@@ -149,17 +149,15 @@ impl LshTables {
 
     /// These tables compacted to the ids that survive the `new_id_of`
     /// remap (old id → new dense id; [`u32::MAX`] marks ids that are gone),
-    /// followed by the surviving ids of the optional `tail` tables under
-    /// their own remap, **without re-running any hasher**: every surviving
-    /// entry's bucket key is already recorded in the tables, so this is one
-    /// [`FrozenTable::compacted`] pass per table (and its tail table),
-    /// tables in parallel. Buckets may still list tombstoned ids; the
-    /// remaps drop them.
+    /// followed by the survivors of the optional `tail` tables under their
+    /// own remap, **without re-running any hasher**: one
+    /// [`FrozenTable::compacted`] pass per table and its tail table, tables
+    /// in parallel. The remaps drop the tombstoned ids buckets still list.
     ///
-    /// The survivors must be numbered densely in order: this table set's
-    /// first, then the tail's. Buckets list ids in ascending order, so they
-    /// stay ascending, and the result is bit-identical to a fresh build
-    /// over the surviving points in new-id order — no sort needed.
+    /// The survivors must be numbered densely in order, these tables' first.
+    /// Buckets list ids in ascending order, so they stay ascending, and the
+    /// result is bit-identical to a fresh build over the surviving points
+    /// in new-id order — no sort needed.
     ///
     /// A pure constructor, like [`LshTables::appended`].
     pub fn compacted(
@@ -169,19 +167,12 @@ impl LshTables {
         new_num_points: usize,
     ) -> Self {
         let sides = std::iter::once((self, new_id_of)).chain(tail);
-        for (tables, new_id_of) in sides.clone() {
-            assert_eq!(
-                tables.tables.len(),
-                self.tables.len(),
-                "table counts differ"
-            );
-            assert!(
-                new_id_of.len() >= tables.num_points,
-                "remap covers {} ids for {} indexed points",
-                new_id_of.len(),
-                tables.num_points
-            );
-        }
+        assert!(
+            sides.clone().all(|(tables, new_id_of)| {
+                tables.tables.len() == self.tables.len() && new_id_of.len() >= tables.num_points
+            }),
+            "each side needs as many tables and a remap of every indexed id"
+        );
         debug_assert!(
             sides
                 .flat_map(|(_, new_id_of)| new_id_of)
