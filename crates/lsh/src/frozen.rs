@@ -663,38 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn compacted_puts_the_tail_after_each_bucket() {
-        let table = sample_table();
-        // Drops `gone` and adds `shift`: one function, so one mapping type
-        // for both sides.
-        let map = |gone: u32, shift: u32| move |&e: &u32| (e != gone).then_some(e + shift);
-        // The tail adds to a kept bucket (9), brings a new key (1), keeps a
-        // bucket the head empties (2), and empties its own new key (5).
-        let tail =
-            FrozenTable::from_buckets(vec![(1, vec![0]), (2, vec![2]), (5, vec![3]), (9, vec![1])]);
-        let merged = table.compacted(map(1, 0), Some((&tail, map(3, 100))));
-        let expected = FrozenTable::from_buckets(vec![
-            (1, vec![100]),
-            (2, vec![102]),
-            (9, vec![7, 3, 5, 101]),
-            (400, vec![9, 9, 2, 4]),
-        ]);
-        assert_eq!(merged, expected);
-        // Only known keys: the key array and the slot index carry over.
-        let tail = FrozenTable::from_buckets(vec![(400, vec![8])]);
-        let merged = table.compacted(map(3, 0), Some((&tail, map(3, 10))));
-        assert_eq!(merged.bucket(9), &[7, 5]);
-        assert_eq!(merged.bucket(400), &[9, 9, 2, 4, 18]);
-        assert_eq!(merged.slots, table.slots);
-        // An empty head gives the tail's own compaction.
-        let empty = FrozenTable::new();
-        assert_eq!(
-            empty.compacted(map(3, 0), Some((&table, map(3, 0)))),
-            table.compacted(map(3, 0), None)
-        );
-    }
-
-    #[test]
     fn snapshot_decode_from_an_owning_buffer_is_zero_copy() {
         use fairnn_snapshot::{ArcBytes, Codec, Section};
         let table = sample_table();
