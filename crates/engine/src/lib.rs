@@ -25,9 +25,9 @@
 //!   bank, the bucket-length bound, the bucket walk and the per-candidate
 //!   predicate of a query, staged inserts, tombstoning deletes and
 //!   part-local compaction;
-//! * [`sharded`] — [`ShardedIndex`]: the base and the delta, the id map,
-//!   the fold, the one shared hasher bank (each query is hashed once for
-//!   both parts), the exactly uniform two-level sampler (with its
+//! * [`sharded`] — [`ShardedIndex`]: the base and the delta, the next
+//!   global id, the fold, the one shared hasher bank (each query is hashed
+//!   once for both parts), the exactly uniform two-level sampler (with its
 //!   uniformity argument and round bound), and the [`ShardedSampler`]
 //!   adapter into the `fairnn-core` sampler traits;
 //! * [`engine`] — the batch executor [`ShardedIndex::run_batch_within`]:

@@ -137,7 +137,7 @@ pub enum SnapshotKind {
     /// shard is keyed by its index's shared hasher bank); the tag stays
     /// assigned for the container's own tests.
     Shard = 5,
-    /// A `fairnn_engine::ShardedIndex` (base, delta and id map).
+    /// A `fairnn_engine::ShardedIndex` (base, delta and next global id).
     ShardedIndex = 6,
     // Tag 7 stays unassigned: old engine images fail with `KindMismatch`.
     /// A `fairnn_engine::Checkpoint`: a WAL sequence number plus the

@@ -559,7 +559,7 @@ fn small_nnis_snapshot() -> Vec<u8> {
         .clone()
 }
 
-/// A ShardedIndex snapshot image (id map, hasher bank, base and delta).
+/// A ShardedIndex snapshot image (next global id, hasher bank, base and delta).
 fn small_sharded_snapshot() -> Vec<u8> {
     static IMAGE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
     IMAGE
