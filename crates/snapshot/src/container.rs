@@ -58,7 +58,7 @@ use crate::bytes::{ArcBytes, SECTION_ALIGN};
 use crate::codec::{Decoder, Section, SnapshotCodec};
 use crate::error::SnapshotError;
 use fairnn_obs::{LazyCounter, LazyHistogram, Timer};
-use std::io::Write;
+use std::io::{BufWriter, IntoInnerError, Read, Write};
 use std::path::Path;
 
 /// Wall time of [`save`] end to end (encode + checksum + write + fsync +
@@ -182,74 +182,110 @@ pub fn to_bytes<T: SnapshotCodec>(kind: SnapshotKind, value: &T) -> Vec<u8> {
 
 /// Assembles a complete snapshot image from encoded sections: the tail of
 /// [`to_bytes`], byte-identical to it over a value whose `encode_sections`
-/// returns `sections`. Section checksums run on parallel build workers and
-/// the image is identical at every thread count. Each section payload is
-/// placed at a 64-byte-aligned image offset (zero padding, excluded from
-/// the checksums); nothing follows the last section. Corruption tests use
-/// it to splice sections of different values into one image.
+/// returns `sections`. Corruption tests use it to splice sections of
+/// different values into one image.
 pub fn image_from_sections(kind: SnapshotKind, sections: Vec<Vec<u8>>) -> Vec<u8> {
-    assert!(
-        !sections.is_empty(),
-        "a snapshot needs at least one section"
-    );
-    let checksums = fairnn_parallel::map_indexed(sections.len(), |i| {
-        let _timer = Timer::start(&SECTION_CHECKSUM_NS);
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "encode side: `i` ranges over `sections.len()` by construction"
-        )]
-        let section = &sections[i];
-        checksum64(section)
-    });
-
-    let mut directory = Vec::with_capacity(4 + sections.len() * 16);
+    let image = ImageWriter::new(kind, sections);
+    let mut out = Vec::with_capacity(image.len);
     #[expect(
         clippy::expect_used,
-        reason = "encode side: >u32::MAX sections is a programming error, not snapshot input"
+        reason = "encode side: writing into a `Vec` cannot fail"
     )]
-    directory.extend_from_slice(
-        &u32::try_from(sections.len())
-            .expect("section count fits u32")
-            .to_le_bytes(),
-    );
-    for (section, checksum) in sections.iter().zip(&checksums) {
-        directory.extend_from_slice(&(section.len() as u64).to_le_bytes());
-        directory.extend_from_slice(&checksum.to_le_bytes());
-    }
+    image.write_to(&mut out).expect("a Vec accepts every write");
+    debug_assert_eq!(out.len(), image.len);
+    out
+}
 
-    // Aligned placement: each section starts at the next 64-byte image
-    // offset after the directory (or the previous section); the image ends
-    // exactly where the last section does. Offsets here are absolute
-    // (from the magic), which is what makes an aligned-buffer load see
-    // aligned section payloads.
-    let mut offsets = Vec::with_capacity(sections.len());
-    let mut cursor = HEADER_LEN + directory.len();
-    for section in &sections {
+/// The one writer of a snapshot image, behind both [`to_bytes`] and
+/// [`save`]: the header and section directory, then each section after the
+/// zero padding that places it at a 64-byte-aligned image offset. Nothing
+/// follows the last section. The section checksums are computed up front
+/// on parallel build workers, so the image is identical at every thread
+/// count and [`ImageWriter::write_to`] only copies bytes out.
+struct ImageWriter {
+    /// Header and section directory.
+    head: Vec<u8>,
+    /// Each section's payload with the zero padding written before it.
+    sections: Vec<(usize, Vec<u8>)>,
+    /// Total image length in bytes.
+    len: usize,
+}
+
+impl ImageWriter {
+    fn new(kind: SnapshotKind, sections: Vec<Vec<u8>>) -> Self {
+        assert!(
+            !sections.is_empty(),
+            "a snapshot needs at least one section"
+        );
+        let checksums = fairnn_parallel::map_indexed(sections.len(), |i| {
+            let _timer = Timer::start(&SECTION_CHECKSUM_NS);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "encode side: `i` ranges over `sections.len()` by construction"
+            )]
+            let section = &sections[i];
+            checksum64(section)
+        });
+
+        let mut directory = Vec::with_capacity(4 + sections.len() * 16);
         #[expect(
             clippy::expect_used,
-            reason = "encode side: image sizes come from in-memory values, far from usize overflow"
+            reason = "encode side: >u32::MAX sections is a programming error, not snapshot input"
         )]
-        let aligned = align_up(cursor).expect("image size fits usize");
-        offsets.push(aligned);
-        cursor = aligned + section.len();
-    }
-    let payload_len = cursor - HEADER_LEN;
+        directory.extend_from_slice(
+            &u32::try_from(sections.len())
+                .expect("section count fits u32")
+                .to_le_bytes(),
+        );
+        for (section, checksum) in sections.iter().zip(&checksums) {
+            directory.extend_from_slice(&(section.len() as u64).to_le_bytes());
+            directory.extend_from_slice(&checksum.to_le_bytes());
+        }
 
-    let mut out = Vec::with_capacity(cursor);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&ENDIAN_MARK.to_le_bytes());
-    out.extend_from_slice(&kind.tag().to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.extend_from_slice(&(payload_len as u64).to_le_bytes());
-    out.extend_from_slice(&checksum64(&directory).to_le_bytes());
-    out.extend_from_slice(&directory);
-    for (offset, section) in offsets.iter().zip(&sections) {
-        out.resize(*offset, 0); // zero padding up to the aligned offset
-        out.extend_from_slice(section);
+        // Aligned placement: each section starts at the next 64-byte image
+        // offset after the directory (or the previous section); the image
+        // ends exactly where the last section does. Offsets here are
+        // absolute (from the magic), which is what makes an aligned-buffer
+        // load see aligned section payloads.
+        let mut placed = Vec::with_capacity(sections.len());
+        let mut cursor = HEADER_LEN + directory.len();
+        for section in sections {
+            #[expect(
+                clippy::expect_used,
+                reason = "encode side: image sizes come from in-memory values, far from usize overflow"
+            )]
+            let aligned = align_up(cursor).expect("image size fits usize");
+            let padding = aligned - cursor;
+            cursor = aligned + section.len();
+            placed.push((padding, section));
+        }
+
+        let mut head = Vec::with_capacity(HEADER_LEN + directory.len());
+        head.extend_from_slice(&MAGIC);
+        head.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        head.extend_from_slice(&ENDIAN_MARK.to_le_bytes());
+        head.extend_from_slice(&kind.tag().to_le_bytes());
+        head.extend_from_slice(&0u32.to_le_bytes());
+        head.extend_from_slice(&((cursor - HEADER_LEN) as u64).to_le_bytes());
+        head.extend_from_slice(&checksum64(&directory).to_le_bytes());
+        head.extend_from_slice(&directory);
+        Self {
+            head,
+            sections: placed,
+            len: cursor,
+        }
     }
-    debug_assert_eq!(out.len(), cursor);
-    out
+
+    /// Writes the image to `out`, section by section: no second copy of
+    /// the image is ever assembled.
+    fn write_to<W: Write>(&self, out: &mut W) -> std::io::Result<()> {
+        out.write_all(&self.head)?;
+        for (padding, section) in &self.sections {
+            std::io::copy(&mut std::io::repeat(0).take(*padding as u64), out)?;
+            out.write_all(section)?;
+        }
+        Ok(())
+    }
 }
 
 /// A parsed-and-verified snapshot image: the kind tag plus each section's
@@ -601,8 +637,9 @@ fn read_le_array<const N: usize>(bytes: &[u8], at: usize) -> Option<[u8; N]> {
 
 /// Writes `value` as a snapshot file at `path`, atomically and durably.
 ///
-/// The image goes to a sibling temporary file, which is fsynced before it
-/// is renamed over `path`; the directory is fsynced after the rename. So
+/// The image streams section by section into a sibling temporary file (the
+/// bytes of [`to_bytes`], through the same writer, without assembling them
+/// in memory), which is fsynced before it is renamed over `path`; the directory is fsynced after the rename. So
 /// readers never observe a half-written snapshot, and once `save` returns
 /// the new file survives a power loss (the engine truncates its WAL right
 /// after a checkpoint save). A failed step removes the temporary file.
@@ -612,9 +649,8 @@ pub fn save<T: SnapshotCodec, P: AsRef<Path>>(
     path: P,
 ) -> Result<(), SnapshotError> {
     let _timer = Timer::start(&SAVE_NS);
-    let bytes = to_bytes(kind, value);
+    let image = ImageWriter::new(kind, value.encode_sections());
     let path = path.as_ref();
-    BYTES_WRITTEN.add(bytes.len() as u64);
     // The temp name appends to the *full* file name (never replaces an
     // extension — sibling snapshots sharing a stem must not collide) and
     // carries the pid so concurrent saves from different processes do not
@@ -628,8 +664,10 @@ pub fn save<T: SnapshotCodec, P: AsRef<Path>>(
     let mut tmp_name = file_name.to_os_string();
     tmp_name.push(format!(".tmp.{}", std::process::id()));
     let tmp = path.with_file_name(tmp_name);
-    let written = std::fs::File::create(&tmp).and_then(|mut file| {
-        file.write_all(&bytes)?;
+    let written = std::fs::File::create(&tmp).and_then(|file| {
+        let mut out = BufWriter::new(file);
+        image.write_to(&mut out)?;
+        let file = out.into_inner().map_err(IntoInnerError::into_error)?;
         file.sync_all()?;
         std::fs::rename(&tmp, path)
     });
@@ -637,6 +675,7 @@ pub fn save<T: SnapshotCodec, P: AsRef<Path>>(
         let _ = std::fs::remove_file(&tmp);
         return Err(err.into());
     }
+    BYTES_WRITTEN.add(image.len as u64);
     sync_parent_dir(path)?;
     Ok(())
 }
@@ -1079,6 +1118,59 @@ mod tests {
             SnapshotImage::open(&path),
             Err(SnapshotError::Io(_))
         ));
+    }
+
+    /// A value of many sections of uneven lengths, so zero padding sits
+    /// between them, and one section longer than a `BufWriter`'s buffer.
+    #[derive(Debug, PartialEq)]
+    struct Parts(Vec<Vec<u64>>);
+
+    impl SnapshotCodec for Parts {
+        fn encode_sections(&self) -> Vec<Vec<u8>> {
+            self.0
+                .iter()
+                .map(|part| {
+                    let mut enc = Encoder::new();
+                    part.encode(&mut enc);
+                    enc.into_bytes()
+                })
+                .collect()
+        }
+        fn decode_sections(sections: &[Section<'_>]) -> Result<Self, SnapshotError> {
+            let mut parts = Vec::with_capacity(sections.len());
+            for section in sections {
+                let mut dec = section.decoder();
+                parts.push(Vec::decode(&mut dec)?);
+                dec.finish()?;
+            }
+            Ok(Self(parts))
+        }
+    }
+
+    #[test]
+    fn save_streams_exactly_the_bytes_of_to_bytes() {
+        let value = Parts(
+            (0..9u64)
+                .map(|i| (0..i * 5 + i % 3).collect())
+                .chain([(0..3000).collect()])
+                .collect(),
+        );
+        let bytes = to_bytes(SnapshotKind::Shard, &value);
+        assert_ne!(
+            (HEADER_LEN + 4 + 10 * 16) % SECTION_ALIGN,
+            0,
+            "the test image must carry padding"
+        );
+        let path = std::env::temp_dir().join(format!(
+            "fairnn-snapshot-stream-test-{}.snap",
+            std::process::id()
+        ));
+        save(SnapshotKind::Shard, &value, &path).unwrap();
+        let file = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(file, bytes, "save must write exactly the bytes of to_bytes");
+        let back: Parts = from_bytes(SnapshotKind::Shard, &file).unwrap();
+        assert_eq!(back, value);
     }
 
     #[test]
