@@ -1,7 +1,7 @@
 //! The on-disk container: header, section directory, checksums, and the
 //! save/load entry points.
 //!
-//! Layout of format version 6 (the aligned layout of version 3; all
+//! Layout of format version 9 (the aligned layout of version 3; all
 //! integers little-endian):
 //!
 //! ```text
@@ -14,7 +14,7 @@
 //!     16     4  kind tag         which structure the payload holds
 //!     20     4  reserved         zero; room for future flags
 //!     24     8  payload length   bytes following the header (incl. padding)
-//!     32     8  checksum         FNV-1a 64 over the section directory
+//!     32     8  checksum         checksum64 over the section directory
 //!     40     4  section count    ≥ 1           ┐
 //!     44    16  len + checksum   of section 0  │ the section directory
 //!      …    16  len + checksum   of section k  ┘ (covered by the header
@@ -91,7 +91,7 @@ static BYTES_READ: LazyCounter = LazyCounter::new(
 /// sections are balanced.
 static SECTION_CHECKSUM_NS: LazyHistogram = LazyHistogram::new(
     "snapshot_section_checksum_ns",
-    "per-section FNV-1a checksum time (encode and verify) in nanoseconds",
+    "per-section checksum64 time (encode and verify) in nanoseconds",
 );
 
 /// Magic bytes at offset 0 of every snapshot.
@@ -109,8 +109,10 @@ pub const MAGIC: [u8; 8] = *b"FAIRNNSS";
 /// sections without the per-bucket KMV sketch maps and their seed; 7 = a
 /// base and an insert delta instead of `N` shards, each a points section
 /// plus fixed table-range sections, under an id map of part and local id;
-/// 8 = the same parts under the next global id instead of the id map.
-pub const FORMAT_VERSION: u32 = 8;
+/// 8 = the same parts under the next global id instead of the id map; 9 =
+/// the same layout under the word-wise [`checksum64`] instead of a
+/// byte-serial FNV-1a.
+pub const FORMAT_VERSION: u32 = 9;
 
 /// Byte-order marker: written little-endian, so a conforming file always
 /// reads back as this value.
@@ -153,16 +155,68 @@ impl SnapshotKind {
     }
 }
 
-/// FNV-1a 64-bit hash — the payload checksum. Simple, fast, and entirely
-/// deterministic across platforms; a snapshot is trusted storage, so the
+/// Lanes of [`checksum64`]: word `i` of the input feeds lane `i % LANES`.
+const LANES: usize = 4;
+
+/// Bytes the lanes consume per step: one little-endian `u64` word each.
+const BLOCK: usize = LANES * 8;
+
+/// Odd multiplier of a lane step (the 64-bit golden ratio).
+const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Initial lane states (the first hexadecimal digits of π): distinct, so
+/// the lanes are not interchangeable.
+const LANE_SEEDS: [u64; LANES] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+
+/// One lane step: xor in the word, multiply by an odd constant, then fold
+/// the high half down. For a fixed word it is a bijection of the state, so
+/// a change confined to one word always changes the lane; the fold carries
+/// a high-bit difference down, so two flipped bits in two words of one
+/// lane cannot cancel (with the multiply alone, two bit-63 flips do).
+#[inline(always)]
+fn lane_step(state: u64, word: u64) -> u64 {
+    let z = (state ^ word).wrapping_mul(MUL);
+    z ^ (z >> 32)
+}
+
+/// The checksum of the image header, the section directory, every section
+/// and every WAL record: a word-wise hash, entirely deterministic across
+/// platforms. Four independent lanes read the input as little-endian `u64`
+/// words (word `i` feeds lane `i % 4`), so the multiplies of consecutive
+/// words overlap; the final combine folds in the lanes, the zero-padded
+/// byte tail and the length. Every lane step and every combine step is a
+/// bijection of the running state, so any change confined to one word (or
+/// to the tail) is always caught. A snapshot is trusted storage, so the
 /// checksum guards against truncation and bit rot, not adversaries.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut lanes = LANE_SEEDS;
+    let (blocks, rest) = bytes.as_chunks::<BLOCK>();
+    for block in blocks {
+        let (words, _) = block.as_chunks::<8>();
+        for (lane, word) in lanes.iter_mut().zip(words) {
+            *lane = lane_step(*lane, u64::from_le_bytes(*word));
+        }
     }
-    hash
+    let (words, tail) = rest.as_chunks::<8>();
+    for (lane, word) in lanes.iter_mut().zip(words) {
+        *lane = lane_step(*lane, u64::from_le_bytes(*word));
+    }
+    let mut last = [0u8; 8];
+    for (dst, src) in last.iter_mut().zip(tail) {
+        *dst = *src;
+    }
+    let len = bytes.len() as u64;
+    let mut hash = len;
+    for lane in lanes {
+        hash = lane_step(hash, lane);
+    }
+    hash = lane_step(hash, u64::from_le_bytes(last));
+    lane_step(hash, len)
 }
 
 /// Rounds `offset` up to the next [`SECTION_ALIGN`]-byte boundary, or
@@ -1173,17 +1227,97 @@ mod tests {
         assert_eq!(back, value);
     }
 
+    /// The known-answer input: `len` bytes of a fixed scrambled pattern.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(151).wrapping_add(7))
+            .collect()
+    }
+
+    /// Flips bit `bit` of little-endian word `word`.
+    fn flip_word_bit(bytes: &mut [u8], word: usize, bit: usize) {
+        bytes[word * 8 + bit / 8] ^= 1 << (bit % 8);
+    }
+
     #[test]
-    fn checksum_is_stable() {
-        // Pin the FNV-1a constants: a silent change would invalidate every
-        // existing snapshot while still "round-tripping" in-process.
-        assert_eq!(checksum64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(checksum64(b"fairnn"), {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for &b in b"fairnn" {
-                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3);
+    fn checksum_known_answers() {
+        // Pins the function on every platform: a silent change would
+        // invalidate every existing snapshot and WAL while still
+        // round-tripping in-process. Covers the empty input, a bare tail,
+        // one word, a partial and a full lane block, and several blocks.
+        let pinned: [(usize, u64); 8] = [
+            (0, 0x357b_138f_0f49_1117),
+            (1, 0x9842_2df8_64ce_7d26),
+            (7, 0x0ea3_dab3_d2d0_e44e),
+            (8, 0xcaef_494f_adac_2961),
+            (31, 0x9e76_cb79_80d9_5cfe),
+            (32, 0xee2c_17a3_a44a_1347),
+            (33, 0xb00f_6713_1c12_6869),
+            (100, 0xed3e_a954_1376_f6e0),
+        ];
+        for (len, want) in pinned {
+            assert_eq!(checksum64(&pattern(len)), want, "length {len}");
+        }
+    }
+
+    #[test]
+    fn checksum_catches_every_single_bit_flip() {
+        // Every lane step and combine step is a bijection of the state, so
+        // a change confined to one word or to the tail is always caught:
+        // at every length, whichever lane or tail byte the flip lands in.
+        for len in 0..=100 {
+            for bytes in [pattern(len), vec![0; len]] {
+                let sum = checksum64(&bytes);
+                for i in 0..len {
+                    for bit in 0..8 {
+                        let mut flipped = bytes.clone();
+                        flipped[i] ^= 1 << bit;
+                        assert_ne!(
+                            checksum64(&flipped),
+                            sum,
+                            "length {len}, byte {i}, bit {bit}"
+                        );
+                    }
+                }
             }
-            h
-        });
+        }
+    }
+
+    #[test]
+    fn checksum_catches_every_pair_of_flips_in_one_lane() {
+        // Words 0 and 4 feed lane 0 in consecutive steps. With a plain
+        // xor-multiply step two bit-63 flips cancel; the fold of the high
+        // half into the low one must leave no pair undetected.
+        for bytes in [pattern(64), vec![0; 64], vec![0xFF; 64]] {
+            let sum = checksum64(&bytes);
+            for a in 0..64 {
+                for b in 0..64 {
+                    let mut flipped = bytes.clone();
+                    flip_word_bit(&mut flipped, 0, a);
+                    flip_word_bit(&mut flipped, 4, b);
+                    assert_ne!(checksum64(&flipped), sum, "word 0 bit {a}, word 4 bit {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_folds_in_the_length() {
+        // The byte tail is zero-padded into a word, so only the folded-in
+        // length tells a trailing zero byte (or a cut at a word boundary)
+        // from the input without it.
+        for len in 0..=100 {
+            for bytes in [pattern(len), vec![0; len]] {
+                let mut longer = bytes.clone();
+                longer.push(0);
+                assert_ne!(checksum64(&longer), checksum64(&bytes), "length {len} + 0");
+            }
+        }
+        for bytes in [pattern(100), vec![0; 100]] {
+            let sum = checksum64(&bytes);
+            for cut in (0..bytes.len()).step_by(8) {
+                assert_ne!(checksum64(&bytes[..cut]), sum, "cut at {cut}");
+            }
+        }
     }
 }

@@ -17,7 +17,8 @@ pub enum SnapshotError {
         /// The first bytes actually found.
         found: [u8; 8],
     },
-    /// The file was written by a different (incompatible) format version.
+    /// The file (a snapshot or a write-ahead log) was written by a
+    /// different (incompatible) format version.
     UnsupportedVersion {
         /// Version recorded in the header.
         found: u32,
@@ -70,9 +71,11 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "snapshot format version {found} is not supported (this build reads version {supported}); \
-                 upgrade the file by rebuilding the structure from its raw data and re-saving it \
-                 with this build (versions are deliberate breaks — there are no migration shims)"
+                "format version {found} is not supported (this build reads version {supported}); \
+                 upgrade a snapshot by rebuilding the structure from its raw data and re-saving it \
+                 with this build, and a write-ahead log by replaying it and taking a checkpoint \
+                 with the build that wrote it, then deleting it (versions are deliberate breaks — \
+                 there are no migration shims)"
             ),
             SnapshotError::EndiannessMismatch { found } => write!(
                 f,

@@ -20,8 +20,8 @@
 //! * [`Encoder`] / [`Decoder`] — the bounds-checked byte cursors;
 //! * the container format ([`to_bytes`] / [`from_bytes`] /
 //!   [`save`] / [`load`]): an 8-byte magic, a format version, a byte-order
-//!   marker, a structure [`SnapshotKind`] tag, the payload length, an
-//!   FNV-1a checksum over the section directory — validated in that order
+//!   marker, a structure [`SnapshotKind`] tag, the payload length, the
+//!   word-wise [`checksum64`] of the section directory — validated in that order
 //!   before any payload byte is decoded — and per-section lengths and
 //!   checksums, so large structures encode, verify and decode their
 //!   sections on parallel build workers

@@ -16,7 +16,7 @@
 //!      8     4  wal version      (this build reads exactly WAL_VERSION)
 //!     12     4  reserved         zero; room for future flags
 //!     16     …  records, back to back:
-//!               [u32 payload len][u64 FNV-1a checksum][payload]
+//!               [u32 payload len][u64 checksum64 of payload][payload]
 //! ```
 //!
 //! Records are append-only and each `append` is followed by an
@@ -67,9 +67,11 @@ pub const WAL_MAGIC: [u8; 8] = *b"FAIRNNWL";
 
 /// The single WAL format version this build writes and reads. Version
 /// bumps are deliberate breaks, exactly like the snapshot container: a
-/// reader accepts one version and rejects everything else with a hint to
-/// checkpoint with the build that wrote the log.
-pub const WAL_VERSION: u32 = 1;
+/// reader accepts one version and rejects everything else with a typed
+/// [`SnapshotError::UnsupportedVersion`] whose message says to checkpoint
+/// with the build that wrote the log. Version history: 1 = FNV-1a record
+/// checksums; 2 = the word-wise [`checksum64`] of snapshot format 9.
+pub const WAL_VERSION: u32 = 2;
 
 /// File-header size in bytes.
 pub const WAL_HEADER_LEN: usize = 16;
@@ -199,10 +201,10 @@ pub fn parse_wal(bytes: &[u8]) -> Result<WalReplay, SnapshotError> {
     let mut dec = Decoder::new(tail);
     let version = dec.read_u32()?;
     if version != WAL_VERSION {
-        return Err(SnapshotError::Corrupt(format!(
-            "wal version {version} unsupported; this build reads version {WAL_VERSION} \
-             (checkpoint with the build that wrote the log, then delete it)"
-        )));
+        return Err(SnapshotError::UnsupportedVersion {
+            found: version,
+            supported: WAL_VERSION,
+        });
     }
     let _reserved = dec.read_u32()?;
 
@@ -369,8 +371,35 @@ mod tests {
         wrong_version.extend_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
             parse_wal(&wrong_version),
-            Err(SnapshotError::Corrupt(msg)) if msg.contains("version")
+            Err(SnapshotError::UnsupportedVersion { found, supported })
+                if found == WAL_VERSION + 1 && supported == WAL_VERSION
         ));
+    }
+
+    #[test]
+    fn v1_logs_are_rejected_with_the_typed_version_error() {
+        // A v1 log (FNV-1a record checksums) with one intact record: the
+        // header check fires before any record is read.
+        let path = temp_path("v1");
+        let mut wal = WalWriter::create(&path).unwrap();
+        wal.append(b"a v1 record").unwrap();
+        drop(wal);
+        let mut bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let err = parse_wal(&bytes).expect_err("a v1 log must not replay");
+        assert!(matches!(
+            err,
+            SnapshotError::UnsupportedVersion {
+                found: 1,
+                supported: WAL_VERSION
+            }
+        ));
+        let msg = err.to_string();
+        assert!(
+            msg.contains("version 1") && msg.contains("checkpoint with the build that wrote"),
+            "the error must name the version and the upgrade path: {msg}"
+        );
     }
 
     #[test]

@@ -350,9 +350,16 @@ fn save_load_save_is_byte_identical_for_every_structure() {
     );
 }
 
-/// `(len, checksum64)` of a snapshot image: pins its exact bytes.
+/// `(len, FNV-1a 64)` of a snapshot image: pins its exact bytes. The hash
+/// is a local copy, so the pins do not depend on the container's own
+/// checksum.
 fn fingerprint(bytes: &[u8]) -> (usize, u64) {
-    (bytes.len(), fairnn_snapshot::checksum64(bytes))
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    (bytes.len(), hash)
 }
 
 #[test]
@@ -394,17 +401,16 @@ fn golden_images_keep_their_exact_bytes() {
             to_bytes(SnapshotKind::Checkpoint, &checkpoint),
         ),
     ];
-    // Format version 8: every image's header carries the new version, and
-    // the index head holds the next global id (4 bytes) where v7 held the
-    // id map (8 + 4 bytes per id), so the two engine images are 128 bytes
-    // shorter after the 64-byte section alignment.
+    // Format version 9: every image's header carries the new version, and
+    // the header and directory hold word-wise checksums where v8 held
+    // FNV-1a ones. No length moved.
     let pinned: [(usize, u64); 6] = [
-        (5824, 11869160960308286974),
-        (9128, 9838338198267038465),
-        (47120, 16282451959750257705),
-        (9192, 397562864388969065),
-        (10512, 787083596940084347),
-        (10576, 2993370350640294681),
+        (5824, 17366208141797614038),
+        (9128, 5449211680334514937),
+        (47120, 15371704500341006183),
+        (9192, 5561416136239658966),
+        (10512, 10733694054870338735),
+        (10576, 13028154918750176413),
     ];
     for ((name, image), want) in images.iter().zip(pinned) {
         assert_eq!(fingerprint(image), want, "{name} image bytes changed");
@@ -447,7 +453,7 @@ fn golden_images_keep_their_exact_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         fingerprint(&file),
-        (10768, 16519926211947056991),
+        (10768, 6324613020616732002),
         "checkpoint.snap bytes changed"
     );
 }
@@ -635,11 +641,12 @@ fn corrupted_truncated_and_version_bumped_snapshots_fail_typed() {
     // Old-version files — the flat v1 layout, the unaligned v2 sections,
     // v3 images still carrying the engine's tuning knobs, v4 images with a
     // hasher bank inside every shard section, v5 images with per-bucket
-    // KMV sketch maps inside every shard section, v6 images of `N` shards
-    // and v7 images with an id map in the index head — get the same typed
-    // rejection (no migration shims), and the message tells the operator
-    // how to move forward: re-save with a current binary.
-    for found in [1u32, 2, 3, 4, 5, 6, 7] {
+    // KMV sketch maps inside every shard section, v6 images of `N` shards,
+    // v7 images with an id map in the index head and v8 images under
+    // FNV-1a checksums — get the same typed rejection (no migration shims),
+    // and the message tells the operator how to move forward: re-save with
+    // a current binary.
+    for found in [1u32, 2, 3, 4, 5, 6, 7, 8] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&found.to_le_bytes());
         let err = load_small(&old).expect_err("an old-version file must not load");
