@@ -693,10 +693,11 @@ fn read_le_array<const N: usize>(bytes: &[u8], at: usize) -> Option<[u8; N]> {
 ///
 /// The image streams section by section into a sibling temporary file (the
 /// bytes of [`to_bytes`], through the same writer, without assembling them
-/// in memory), which is fsynced before it is renamed over `path`; the directory is fsynced after the rename. So
-/// readers never observe a half-written snapshot, and once `save` returns
-/// the new file survives a power loss (the engine truncates its WAL right
-/// after a checkpoint save). A failed step removes the temporary file.
+/// in memory), which is fsynced before it is renamed over `path`; the
+/// directory is fsynced after the rename. So readers never observe a
+/// half-written snapshot, and once `save` returns the new file survives a
+/// power loss (the engine truncates its WAL right after a checkpoint save).
+/// A failed step removes the temporary file.
 pub fn save<T: SnapshotCodec, P: AsRef<Path>>(
     kind: SnapshotKind,
     value: &T,
