@@ -33,19 +33,20 @@
 //! only tombstones the point: it stays in its buckets, where the walk
 //! skips it, and `b_i` keeps counting it (still an upper bound). An insert
 //! only stages its point: it joins the point arrays, but not the tables.
-//! `Shard::merge_staged` then hashes every staged point and builds the
-//! part's next tables from the current ones in one linear merge per
-//! table, however many points (and commits) were staged. Once tombstones
-//! exceed half the live points the part asks for a compaction
+//! Every table update is one [`LshTables::updated`] pass per table, the
+//! one update kernel. `Shard::merge_staged` hashes every staged point and
+//! appends it, however many points (and commits) were staged. Once
+//! tombstones exceed half the live points the part asks for a compaction
 //! (`Shard::needs_compaction`); the index decides when it runs.
 //! `Shard::compacted` builds the next part from the live points of this
 //! one and, in a fold, of a tail part (the delta after the base): each live
-//! point is cloned once, and the tables come from one linear pass per table
-//! over both parts' tables, with the same bank and no point hashed that a
-//! table already holds. The tables and the points sit behind `Arc`s, so a
-//! part copied for the next generation shares both until a merge, a
-//! compaction or a fold replaces them: a delete copies only the global ids
-//! and the alive flags.
+//! point is cloned once. The pass keeps this part's surviving entries under
+//! their new ids and appends the tail's live entries, read from the tail's
+//! tables, plus the staged points of either part, hashed once there. No
+//! point a table already holds is hashed again. The tables and the points
+//! sit behind `Arc`s, so a part copied for the next generation shares both
+//! until a merge, a compaction or a fold replaces them: a delete copies
+//! only the global ids and the alive flags.
 
 use fairnn_core::predicate::Nearness;
 use fairnn_core::QueryStats;
@@ -421,19 +422,25 @@ where
     }
 
     /// Hashes the staged points and builds the part's next tables from
-    /// the current ones with them appended: one linear merge per table,
-    /// however many points were staged. The result is the table a merge
-    /// per staged batch would have built, since a bucket lists its ids in
-    /// ascending order either way. A no-op with nothing staged.
+    /// the current ones with them appended: one [`LshTables::updated`]
+    /// pass per table, however many points were staged. The result is the
+    /// table a merge per staged batch would have built, since a bucket
+    /// lists its ids in ascending order either way. A no-op with nothing
+    /// staged.
     pub(crate) fn merge_staged(&mut self) {
         let first = self.tables.num_points();
-        let count = self.points.len() - first;
-        if count > 0 {
+        if first < self.points.len() {
             let keys: Vec<u64> = self.points[first..]
                 .iter()
                 .flat_map(|point| self.bank.point_keys(point))
                 .collect();
-            self.tables = Arc::new(self.tables.appended(&keys, count));
+            let l = self.bank.num_tables();
+            let ids = move || (first..).map(PointId::from_index);
+            self.tables = Arc::new(self.tables.updated(
+                None,
+                |t, out| out.extend(LshTables::point_entries(&keys, l, t, ids())),
+                self.points.len(),
+            ));
         }
     }
 
@@ -458,13 +465,13 @@ where
     /// The part holding this part's live points and then `tail`'s (a
     /// later part: its global ids are above every id of this one), under
     /// dense local ids in that order and with no tombstone. Each live point
-    /// is cloned once. The tables come from one
-    /// [`fairnn_lsh::LshTables::compacted`] pass per table over both
-    /// parts' tables, which drops the tombstoned entries, renames the rest
-    /// and puts `tail`'s after this part's under each key, so no point is
-    /// run through the hasher bank. Neither part may hold staged points
-    /// ([`Shard::merge_staged`] first). The result is bit-identical to a
-    /// fresh build over the live points in their new order.
+    /// is cloned once. The tables come from one [`LshTables::updated`]
+    /// pass per table of this part: it keeps the surviving entries under
+    /// their new ids (as they are when nothing is tombstoned) and appends
+    /// the tail's live entries, read from the tail's tables, and the live
+    /// staged points of both parts, the only points hashed. The result is
+    /// bit-identical to a fresh build over the live points in their new
+    /// order.
     ///
     /// Without a tail this compacts the part; with the delta as the tail
     /// of the base it is the index's fold.
@@ -474,12 +481,17 @@ where
     {
         let mut points = Vec::with_capacity(self.live + tail.map_or(0, |tail| tail.live));
         let mut global_ids = Vec::with_capacity(points.capacity());
+        let (mut staged_keys, mut staged_ids) = (Vec::new(), Vec::new());
         let mut take_live = |part: &Self| {
-            assert_eq!(part.staged_points(), 0, "the staged points are not merged");
             let mut new_id_of = vec![u32::MAX; part.points.len()];
             for (local, point) in part.points.iter().enumerate() {
                 if part.alive[local] {
                     new_id_of[local] = points.len() as u32;
+                    if local >= part.tables.num_points() {
+                        // Staged: no table holds it, so it is hashed here.
+                        staged_keys.extend(self.bank.point_keys(point));
+                        staged_ids.push(PointId(new_id_of[local]));
+                    }
                     points.push(point.clone());
                     global_ids.push(part.global_ids[local]);
                 }
@@ -487,9 +499,21 @@ where
             new_id_of
         };
         let new_id_of = take_live(self);
-        let tail = tail.map(|tail| (tail, take_live(tail)));
-        let tail_tables = tail.as_ref().map(|(tail, ids)| (&*tail.tables, &ids[..]));
-        let tables = self.tables.compacted(&new_id_of, tail_tables, points.len());
+        let tail = tail.map(|tail| (&*tail.tables, take_live(tail)));
+        let l = self.bank.num_tables();
+        let appends = |t: usize, out: &mut Vec<(u64, PointId)>| {
+            if let Some((tables, ids)) = &tail {
+                for (key, bucket) in tables.table(t).buckets() {
+                    let new_ids = bucket.iter().map(|lid| ids[lid.index()]);
+                    let live = new_ids.filter(|&id| id != u32::MAX);
+                    out.extend(live.map(|id| (key, PointId(id))));
+                }
+            }
+            let staged = staged_ids.iter().copied();
+            out.extend(LshTables::point_entries(&staged_keys, l, t, staged));
+        };
+        let remap = (self.tombstones > 0).then_some(&new_id_of[..]);
+        let tables = self.tables.updated(remap, appends, points.len());
         self.refilled(tables, points, global_ids)
     }
 }

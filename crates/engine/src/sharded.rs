@@ -58,10 +58,11 @@
 //! a binary search there finds the point. Once the delta holds more than
 //! `1/FOLD_FRACTION` of the base's live points, a **fold** builds the next
 //! base from both parts (`Shard::compacted`): the live base points, then
-//! the live delta points, under tables built in one linear pass per table
-//! over the two parts' own tables, so no point a table holds is hashed
-//! again. The delta is left empty. A `Compact`, and a delete that trips
-//! the base's compaction, fold as well.
+//! the live delta points. Each base table takes one pass of the table
+//! update kernel: the base's surviving entries, then the delta's live
+//! entries appended, read from the delta's tables, plus its staged points,
+//! the only points hashed. The delta is left empty. A `Compact`, and a
+//! delete that trips the base's compaction, fold as well.
 //!
 //! Fresh query randomness on every call makes repeated queries independent,
 //! so the sampler solves r-NNIS over the colliding near points — the
@@ -608,7 +609,6 @@ where
             if part == BASE {
                 self.fold();
             } else {
-                shard.merge_staged();
                 self.parts[DELTA] = Arc::new(shard.compacted(None));
             }
         }
@@ -626,16 +626,13 @@ where
     }
 
     /// Builds the next base from the live points of the base and then of
-    /// the delta, with one linear pass per table over both parts' tables
-    /// ([`Shard::compacted`]), and empties the delta. Only the delta's
-    /// staged points are hashed, by a merge into its own tables first.
-    /// Afterwards the base holds every live point under dense local ids, in
-    /// the tables a fresh build over them would have. The base is not
-    /// modified: it may still be shared with published generations.
+    /// the delta, with one update pass per base table that appends the
+    /// delta's live entries ([`Shard::compacted`]), and empties the delta.
+    /// Only the delta's staged points are hashed. Afterwards the base holds
+    /// every live point under dense local ids, in the tables a fresh build
+    /// over them would have. The base is not modified: it may still be
+    /// shared with published generations.
     fn fold(&mut self) {
-        if self.parts[DELTA].staged_points() > 0 {
-            Arc::make_mut(&mut self.parts[DELTA]).merge_staged();
-        }
         let [base, delta] = &self.parts;
         self.parts = [
             Arc::new(base.compacted(Some(delta))),
@@ -686,8 +683,8 @@ where
         id
     }
 
-    /// [`ShardedIndex::delete`]; a compaction it triggers merges the
-    /// staged points first. May make the fold due, as an insert may.
+    /// [`ShardedIndex::delete`]; a compaction it triggers takes the staged
+    /// points along. May make the fold due, as an insert may.
     pub(crate) fn delete(&mut self, id: PointId) -> bool {
         let deleted = self.index.delete(id);
         self.fold_if_due();
@@ -712,12 +709,13 @@ where
     }
 
     /// The index with the delta's staged points merged into its tables:
-    /// one linear merge per delta table. The base stays shared.
+    /// one linear merge per delta table. Only the delta holds staged
+    /// points ([`StagedIndex::insert`] stages there), so the base stays
+    /// shared.
     pub(crate) fn merged(mut self) -> ShardedIndex<P, H, N> {
-        for part in &mut self.index.parts {
-            if part.staged_points() > 0 {
-                Arc::make_mut(part).merge_staged();
-            }
+        let delta = &mut self.index.parts[DELTA];
+        if delta.staged_points() > 0 {
+            Arc::make_mut(delta).merge_staged();
         }
         self.index
     }

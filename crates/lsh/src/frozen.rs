@@ -7,13 +7,14 @@
 //! the right layout for the query hot path, which does nothing but "find
 //! bucket, scan bucket" `L` times per query.
 //!
-//! A frozen table is never mutated in place. Updates build the next table
-//! from the current one in one linear pass: [`FrozenTable::merged`] appends
-//! a sorted batch of entries to their buckets (the engine's inserts), and
-//! [`FrozenTable::compacted`] drops and renames entries and can put a
-//! second table's entries after them (compaction and the engine's fold). Both
-//! preserve the order of the entries they keep and produce exactly the
-//! table [`FrozenTable::from_buckets`] would build from the same bucket
+//! A frozen table is never mutated in place. Every update builds the next
+//! table from the current one in one linear pass of one kernel,
+//! [`FrozenTable::updated`]: it keeps each bucket's entries through an
+//! optional id remap (none is the identity; a dropped entry goes away) and
+//! then appends a sorted batch of entries under their keys. An insert is
+//! the identity plus appends, a compaction a remap without appends, and the
+//! engine's fold both at once. The result is exactly the table
+//! [`FrozenTable::from_buckets`] would build from the same bucket
 //! contents, so a table's bytes depend only on what it holds, never on the
 //! history of updates that produced it. Every fair-sampling guarantee in
 //! this workspace is defined over bucket contents and their order
@@ -25,6 +26,7 @@
 //! parallel sketch array.
 
 use fairnn_snapshot::{ArcSlice, SliceCodec};
+use std::ops::Range;
 
 /// Sentinel for an empty slot of the open-addressing key index.
 const EMPTY_SLOT: u32 = u32::MAX;
@@ -88,7 +90,7 @@ fn slot_capacity(num_keys: usize) -> usize {
 
 /// Builds the open-addressing key index of a sorted, distinct key array.
 /// Deterministic in the keys alone, so every construction path — fresh
-/// build, merge, compaction — yields the same slot array for the same keys,
+/// build or update — yields the same slot array for the same keys,
 /// which is what keeps the encoding canonical.
 fn build_slots(keys: &[u64]) -> (Vec<u32>, u32) {
     let capacity = slot_capacity(keys.len());
@@ -103,6 +105,62 @@ fn build_slots(keys: &[u64]) -> (Vec<u32>, u32) {
         slots[slot] = i as u32;
     }
     (slots, slot_shift)
+}
+
+/// The CSR arrays of a table being built, bucket by bucket in increasing
+/// key order.
+struct Csr<E> {
+    keys: Vec<u64>,
+    offsets: Vec<u32>,
+    entries: Vec<E>,
+}
+
+impl<E> Csr<E> {
+    fn with_capacity(buckets: usize, entries: usize) -> Self {
+        let mut offsets = Vec::with_capacity(buckets + 1);
+        offsets.push(0);
+        Self {
+            keys: Vec::with_capacity(buckets),
+            offsets,
+            entries: Vec::with_capacity(entries),
+        }
+    }
+
+    /// Closes the bucket of `key` over the entries written since the last
+    /// bucket was closed; a bucket with no entry is dropped.
+    fn close(&mut self, key: u64) {
+        let end = entry_offset(self.entries.len());
+        if self.offsets.last() != Some(&end) {
+            self.keys.push(key);
+            self.offsets.push(end);
+        }
+    }
+
+    /// The table over these arrays. `same_keys` is a table known to hold
+    /// exactly these keys: its key array and slot index are shared (a
+    /// copy when owned, a reference-count bump when borrowed from an
+    /// image) instead of rebuilt.
+    fn finish(self, same_keys: Option<&FrozenTable<E>>) -> FrozenTable<E> {
+        let (keys, slots, slot_shift) = match same_keys {
+            Some(source) => {
+                debug_assert_eq!(&source.keys[..], &self.keys[..]);
+                (source.keys.clone(), source.slots.clone(), source.slot_shift)
+            }
+            None => {
+                let (slots, shift) = build_slots(&self.keys);
+                (self.keys.into(), slots.into(), shift)
+            }
+        };
+        let table = FrozenTable {
+            keys,
+            offsets: self.offsets.into(),
+            entries: self.entries.into(),
+            slots,
+            slot_shift,
+        };
+        table.debug_assert_csr_invariants();
+        table
+    }
 }
 
 impl<E> FrozenTable<E> {
@@ -121,23 +179,20 @@ impl<E> FrozenTable<E> {
             "bucket keys must be distinct"
         );
         let total: usize = pairs.iter().map(|(_, bucket)| bucket.len()).sum();
-        let mut keys = Vec::with_capacity(pairs.len());
-        let mut offsets = Vec::with_capacity(pairs.len() + 1);
-        let mut entries = Vec::with_capacity(total);
-        offsets.push(0);
+        let mut csr = Csr::with_capacity(pairs.len(), total);
         for (key, bucket) in pairs {
-            keys.push(key);
-            entries.extend(bucket);
-            offsets.push(entry_offset(entries.len()));
+            csr.keys.push(key);
+            csr.entries.extend(bucket);
+            csr.offsets.push(entry_offset(csr.entries.len()));
         }
-        Self::from_parts(keys, offsets, entries, None)
+        csr.finish(None)
     }
 
     /// Debug-only check of the CSR structural invariants every lookup
     /// relies on: strictly increasing keys, `offsets` one longer than
     /// `keys`, starting at 0, non-decreasing, and ending exactly at
     /// `entries.len()`. Compiled away in release builds; every construction
-    /// path (build, merge, compaction and the snapshot decoder) calls it so
+    /// path (build, update and the snapshot decoder) calls it so
     /// a violated invariant fails at the build site, not at some later
     /// query.
     fn debug_assert_csr_invariants(&self) {
@@ -166,154 +221,83 @@ impl<E> FrozenTable<E> {
         );
     }
 
-    /// Assembles a table from its CSR arrays. `same_keys` is a table known
-    /// to hold exactly `keys`: its key array and slot index are shared
-    /// (a copy when owned, a reference-count bump when borrowed from an
-    /// image) instead of rebuilt.
-    fn from_parts(
-        keys: Vec<u64>,
-        offsets: Vec<u32>,
-        entries: Vec<E>,
-        same_keys: Option<&Self>,
-    ) -> Self {
-        let (keys, slots, slot_shift) = match same_keys {
-            Some(source) => {
-                debug_assert_eq!(&source.keys[..], &keys[..]);
-                (source.keys.clone(), source.slots.clone(), source.slot_shift)
-            }
-            None => {
-                let (slots, shift) = build_slots(&keys);
-                (keys.into(), slots.into(), shift)
-            }
-        };
-        let table = Self {
-            keys,
-            offsets: offsets.into(),
-            entries: entries.into(),
-            slots,
-            slot_shift,
-        };
-        table.debug_assert_csr_invariants();
-        table
-    }
-
-    /// The table with `appends` added: each `(key, entry)` goes to the end
-    /// of its key's bucket, a new bucket is created for a key the table
-    /// does not hold yet, and entries with equal keys keep their order in
-    /// `appends`, which must be sorted by key.
+    /// The table with each bucket's entries kept through `remap` and then
+    /// `appends` added. `remap` maps an entry to the entry that replaces it
+    /// (`None` drops it); no remap keeps every entry as it is. Each
+    /// `(key, entry)` of `appends`, which must be sorted by key, goes to the
+    /// end of its key's bucket, after the kept entries, and entries with
+    /// equal keys keep their order in `appends`. A bucket left empty is
+    /// dropped, and a key the table does not hold yet gets a new bucket.
     ///
-    /// One linear pass: runs of untouched buckets are copied wholesale and
-    /// their offsets shifted. When every key is already present, the key
-    /// array and the slot index are reused. The result equals
-    /// [`FrozenTable::from_buckets`] over the concatenated buckets.
-    pub fn merged(&self, appends: &[(u64, E)]) -> Self
+    /// One linear pass. Without a remap, each maximal run of buckets that
+    /// no append touches is copied wholesale with its offsets shifted. When
+    /// no key is added or emptied, the key array and the slot index are
+    /// reused. The result equals [`FrozenTable::from_buckets`] over the
+    /// kept and appended buckets, so sorted buckets stay sorted when the
+    /// remap renames monotonically and the appends sort above every kept
+    /// entry (as an engine fold's do).
+    pub fn updated<F>(&self, mut remap: Option<F>, appends: &[(u64, E)]) -> Self
     where
         E: Clone,
+        F: FnMut(&E) -> Option<E>,
     {
         debug_assert!(
             appends.windows(2).all(|w| w[0].0 <= w[1].0),
             "appends must be sorted by key"
         );
-        let mut keys = Vec::with_capacity(self.keys.len() + appends.len());
-        let mut offsets = Vec::with_capacity(self.offsets.len() + appends.len());
-        let mut entries = Vec::with_capacity(self.entries.len() + appends.len());
-        offsets.push(0);
-        let mut copied = 0; // old buckets already emitted
-        let mut grew = false;
+        let mut csr = Csr::with_capacity(
+            self.keys.len() + appends.len(),
+            self.entries.len() + appends.len(),
+        );
+        let (mut kept, mut new_key) = (0, false); // kept: head buckets passed
         for run in appends.chunk_by(|a, b| a.0 == b.0) {
             let key = run[0].0;
             let (pos, present) = match self.find(key) {
                 Some(i) => (i, true),
                 None => (self.keys.partition_point(|&k| k < key), false),
             };
-            self.copy_buckets(copied..pos, &mut keys, &mut offsets, &mut entries);
-            keys.push(key);
+            self.keep_buckets(kept..pos, remap.as_mut(), &mut csr);
             if present {
-                entries.extend_from_slice(self.bucket_at(pos));
-            }
-            entries.extend(run.iter().map(|(_, entry)| entry.clone()));
-            offsets.push(entry_offset(entries.len()));
-            copied = pos + usize::from(present);
-            grew |= !present;
-        }
-        self.copy_buckets(
-            copied..self.keys.len(),
-            &mut keys,
-            &mut offsets,
-            &mut entries,
-        );
-        Self::from_parts(keys, offsets, entries, (!grew).then_some(self))
-    }
-
-    /// The table with every entry passed through `map` (`None` drops it,
-    /// `Some(e)` keeps `e` in its place), each bucket followed by the
-    /// entries of `tail`'s bucket under the same key, passed through the
-    /// tail's own mapping of the same type; emptied buckets are dropped.
-    /// Without a tail this is a compaction, with one also a merge (a fold).
-    ///
-    /// One linear pass over both key arrays; the key array and the slot
-    /// index are reused when the keys are this table's. The result equals
-    /// [`FrozenTable::from_buckets`] over the concatenated mapped buckets,
-    /// so sorted buckets stay sorted when the mappings rename monotonically
-    /// and map the tail above this table (as a fold's id remaps do).
-    pub fn compacted<F>(&self, mut map: F, tail: Option<(&Self, F)>) -> Self
-    where
-        F: FnMut(&E) -> Option<E>,
-    {
-        let (tail, mut tail_map) = tail.unzip();
-        let tail_keys = tail.map_or(&[][..], |tail| &tail.keys[..]);
-        let mut keys = Vec::with_capacity(self.keys.len() + tail_keys.len());
-        let mut offsets = Vec::with_capacity(keys.capacity() + 1);
-        let tail_entries = tail.map_or(0, |tail| tail.entries.len());
-        let mut entries = Vec::with_capacity(self.entries.len() + tail_entries);
-        offsets.push(0);
-        let (mut i, mut j, mut new_key) = (0, 0, false); // i, j: next buckets
-        while let Some(&key) = self.keys.get(i).into_iter().chain(tail_keys.get(j)).min() {
-            let before = entries.len();
-            let in_head = self.keys.get(i) == Some(&key);
-            if in_head {
-                entries.extend(self.bucket_at(i).iter().filter_map(&mut map));
-                i += 1;
-            }
-            if let (Some(tail), Some(tail_map)) = (tail, tail_map.as_mut()) {
-                if tail_keys.get(j) == Some(&key) {
-                    entries.extend(tail.bucket_at(j).iter().filter_map(tail_map));
-                    j += 1;
+                let bucket = self.bucket_at(pos).iter();
+                match remap.as_mut() {
+                    Some(remap) => csr.entries.extend(bucket.filter_map(remap)),
+                    None => csr.entries.extend(bucket.cloned()),
                 }
             }
-            if entries.len() > before {
-                new_key |= !in_head;
-                keys.push(key);
-                offsets.push(entry_offset(entries.len()));
-            }
+            csr.entries.extend(run.iter().map(|e| e.1.clone()));
+            csr.close(key);
+            kept = pos + usize::from(present);
+            new_key |= !present;
         }
-        let same_keys = !new_key && keys.len() == self.keys.len();
-        Self::from_parts(keys, offsets, entries, same_keys.then_some(self))
+        self.keep_buckets(kept..self.keys.len(), remap.as_mut(), &mut csr);
+        let same_keys = !new_key && csr.keys.len() == self.keys.len();
+        csr.finish(same_keys.then_some(self))
     }
 
-    /// Appends buckets `range` of this table to the CSR arrays being built,
-    /// shifting their offsets to the entries already written.
-    fn copy_buckets(
-        &self,
-        range: std::ops::Range<usize>,
-        keys: &mut Vec<u64>,
-        offsets: &mut Vec<u32>,
-        entries: &mut Vec<E>,
-    ) where
+    /// Keeps buckets `range` of this table in `csr`: without a remap one
+    /// copy of the whole run with its offsets shifted to the entries
+    /// already written, else bucket by bucket through the remap, emptied
+    /// buckets dropped.
+    fn keep_buckets<F>(&self, range: Range<usize>, remap: Option<&mut F>, csr: &mut Csr<E>)
+    where
         E: Clone,
+        F: FnMut(&E) -> Option<E>,
     {
-        if range.is_empty() {
+        let Some(remap) = remap else {
+            let (start, end) = (self.offsets[range.start], self.offsets[range.end]);
+            let shift = entry_offset(csr.entries.len()) - start;
+            csr.keys.extend_from_slice(&self.keys[range.clone()]);
+            let ends = &self.offsets[range.start + 1..=range.end];
+            csr.offsets.extend(ends.iter().map(|&o| o + shift));
+            csr.entries
+                .extend_from_slice(&self.entries[start as usize..end as usize]);
             return;
+        };
+        for i in range {
+            csr.entries
+                .extend(self.bucket_at(i).iter().filter_map(&mut *remap));
+            csr.close(self.keys[i]);
         }
-        let (start, end) = (self.offsets[range.start], self.offsets[range.end]);
-        let shift = entry_offset(entries.len()) - start;
-        keys.extend_from_slice(&self.keys[range.clone()]);
-        offsets.extend(
-            self.offsets[range.start + 1..=range.end]
-                .iter()
-                .map(|&o| o + shift),
-        );
-        entries.extend_from_slice(&self.entries[start as usize..end as usize]);
     }
 
     /// Index of the bucket for `key`, if present. A probe of the flat hash
@@ -622,17 +606,20 @@ mod tests {
         assert_eq!(FrozenTable::from_buckets(listed), table);
     }
 
+    /// No remap: every entry is kept as it is.
+    const IDENTITY: Option<fn(&u32) -> Option<u32>> = None;
+
     #[test]
     fn merge_appends_to_buckets_and_creates_new_ones() {
         let table = sample_table();
         // Known keys only: the key array and slot index carry over.
-        let grown = table.merged(&[(2, 8), (400, 6), (400, 1)]);
+        let grown = table.updated(IDENTITY, &[(2, 8), (400, 6), (400, 1)]);
         assert_eq!(grown.bucket(2), &[1, 8]);
         assert_eq!(grown.bucket(9), &[7, 3, 5]);
         assert_eq!(grown.bucket(400), &[9, 9, 2, 4, 6, 1]);
         assert_eq!(grown.slots, table.slots);
         // New keys before, between and after the old ones.
-        let wider = table.merged(&[(1, 0), (9, 4), (10, 2), (500, 3)]);
+        let wider = table.updated(IDENTITY, &[(1, 0), (9, 4), (10, 2), (500, 3)]);
         let expected = FrozenTable::from_buckets(vec![
             (1, vec![0]),
             (2, vec![1]),
@@ -643,23 +630,25 @@ mod tests {
         ]);
         assert_eq!(wider, expected);
         assert_eq!(
-            FrozenTable::new().merged(&[(3, 1), (3, 2)]).bucket(3),
+            FrozenTable::new()
+                .updated(IDENTITY, &[(3, 1), (3, 2)])
+                .bucket(3),
             &[1, 2]
         );
-        assert_eq!(table.merged(&[]), table);
+        assert_eq!(table.updated(IDENTITY, &[]), table);
     }
 
     #[test]
     fn compacted_drops_entries_and_emptied_buckets() {
         let table = sample_table();
-        let kept = table.compacted(|&e| (e != 1 && e != 9).then_some(e * 10), None);
+        let kept = table.updated(Some(|&e: &u32| (e != 1 && e != 9).then_some(e * 10)), &[]);
         let expected = FrozenTable::from_buckets(vec![(9, vec![70, 30, 50]), (400, vec![20, 40])]);
         assert_eq!(kept, expected);
         assert_eq!(kept.find(2), None);
-        let renamed = table.compacted(|&e| Some(e + 1), None);
+        let renamed = table.updated(Some(|&e: &u32| Some(e + 1)), &[]);
         assert_eq!(renamed.bucket(400), &[10, 10, 3, 5]);
         assert_eq!(renamed.slots, table.slots);
-        assert_eq!(table.compacted(|_| None, None), FrozenTable::new());
+        assert_eq!(table.updated(Some(|_: &u32| None), &[]), FrozenTable::new());
     }
 
     #[test]

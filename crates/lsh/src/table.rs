@@ -54,9 +54,9 @@ pub type LshTable = FrozenTable<PointId>;
 /// two (its base and its delta) with a single shared [`crate::HasherBank`],
 /// so the per-table query keys are computed once and looked up in both.
 ///
-/// Tables are never mutated in place: [`LshTables::appended`] and
-/// [`LshTables::compacted`] build the next tables from these in one linear
-/// pass per table, so a reader holding the old ones is never disturbed.
+/// Tables are never mutated in place: [`LshTables::updated`] builds the
+/// next tables from these in one linear pass per table, so a reader
+/// holding the old ones is never disturbed.
 #[derive(Debug, Clone, Default)]
 pub struct LshTables {
     tables: Vec<LshTable>,
@@ -66,16 +66,24 @@ pub struct LshTables {
 impl LshTables {
     /// Builds the `num_tables` tables from a point-major key buffer
     /// (`keys[i * num_tables + t]` is point `i`'s key in table `t`; see
-    /// [`crate::HasherBank::all_point_keys`]) by appending every point to
-    /// empty tables — the same merge a later insert runs, so each bucket
-    /// lists its points in point order. Tables are disjoint work items, so
-    /// they build concurrently.
+    /// [`crate::HasherBank::all_point_keys`]) by one [`LshTables::updated`]
+    /// that appends every point to empty tables — the same pass a later
+    /// insert runs, so each bucket lists its points in point order.
     pub fn build(keys: &[u64], num_tables: usize, num_points: usize) -> Self {
+        assert_eq!(
+            keys.len(),
+            num_tables * num_points,
+            "one key per table per point"
+        );
         let empty = Self {
             tables: vec![LshTable::new(); num_tables],
             num_points: 0,
         };
-        let built = empty.appended(keys, num_points);
+        let built = empty.updated(
+            None,
+            |t, out| out.extend(Self::point_entries(keys, num_tables, t, (0..).map(PointId))),
+            num_points,
+        );
         if fairnn_obs::enabled() {
             let mut sizes = HistogramShard::new();
             for table in &built.tables {
@@ -115,86 +123,72 @@ impl LshTables {
         self.tables.iter().map(LshTable::num_entries).sum()
     }
 
-    /// These tables with `count` more points appended under the next dense
-    /// ids, given the new points' keys point-major (`keys[i * L + t]`).
-    /// Each table is rebuilt by one [`FrozenTable::merged`] pass, tables in
-    /// parallel; every new id lands at the end of its bucket, after all
-    /// older ids.
+    /// These tables over `num_points` ids: the entries of each table kept
+    /// through the `new_id_of` remap (old id → new id; [`u32::MAX`] marks
+    /// an id that is gone; `None` keeps every id as it is), then the
+    /// `(key, id)` pairs `appends(t, out)` pushes for table `t` added to
+    /// their buckets in ascending id order. One [`FrozenTable::updated`]
+    /// pass per table, tables in parallel. An insert appends the new ids
+    /// ([`LshTables::point_entries`]), a compaction remaps the survivors to
+    /// dense ids, and the engine's fold does both.
+    ///
+    /// Buckets list ids in ascending order and stay so when the remap
+    /// numbers the survivors densely in order and every appended id is
+    /// above them, so the result is bit-identical to a fresh build over
+    /// the same points in new-id order, **without re-running any hasher**
+    /// for the entries these tables hold.
     ///
     /// A pure constructor: `self` is not modified, so tables another
     /// reader holds stay valid. An engine's tables change only through
     /// `fairnn_engine::EngineWriter::commit`, whose index mutators are
     /// crate-private.
-    pub fn appended(&self, keys: &[u64], count: usize) -> Self {
-        let num_tables = self.tables.len();
-        assert_eq!(
-            keys.len(),
-            num_tables * count,
-            "one key per table per point"
-        );
-        let first = self.num_points;
-        let tables = fairnn_parallel::map_indexed(num_tables, |t| {
-            let mut appends: Vec<(u64, PointId)> = (0..count)
-                .map(|i| (keys[i * num_tables + t], PointId::from_index(first + i)))
-                .collect();
-            // Ids are distinct, so this orders equal keys by id: point order.
-            appends.sort_unstable();
-            self.tables[t].merged(&appends)
-        });
-        Self {
-            tables,
-            num_points: first + count,
-        }
-    }
-
-    /// These tables compacted to the ids that survive the `new_id_of`
-    /// remap (old id → new dense id; [`u32::MAX`] marks ids that are gone),
-    /// followed by the survivors of the optional `tail` tables under their
-    /// own remap, **without re-running any hasher**: one
-    /// [`FrozenTable::compacted`] pass per table and its tail table, tables
-    /// in parallel. The remaps drop the tombstoned ids buckets still list.
-    ///
-    /// The survivors must be numbered densely in order, these tables' first.
-    /// Buckets list ids in ascending order, so they stay ascending, and the
-    /// result is bit-identical to a fresh build over the surviving points
-    /// in new-id order — no sort needed.
-    ///
-    /// A pure constructor, like [`LshTables::appended`].
-    pub fn compacted(
-        &self,
-        new_id_of: &[u32],
-        tail: Option<(&Self, &[u32])>,
-        new_num_points: usize,
-    ) -> Self {
-        let sides = std::iter::once((self, new_id_of)).chain(tail);
-        assert!(
-            sides.clone().all(|(tables, new_id_of)| {
-                tables.tables.len() == self.tables.len() && new_id_of.len() >= tables.num_points
-            }),
-            "each side needs as many tables and a remap of every indexed id"
-        );
-        debug_assert!(
-            sides
-                .flat_map(|(_, new_id_of)| new_id_of)
-                .filter(|&&id| id != u32::MAX)
-                .zip(0..)
-                .all(|(&id, rank)| id == rank && (id as usize) < new_num_points),
-            "the remaps must number the survivors densely, in order"
-        );
-        fn remap(new_id_of: &[u32]) -> impl FnMut(&PointId) -> Option<PointId> + '_ {
-            |id| {
-                let new = new_id_of[id.index()];
-                (new != u32::MAX).then_some(PointId(new))
-            }
+    pub fn updated<A>(&self, new_id_of: Option<&[u32]>, appends: A, num_points: usize) -> Self
+    where
+        A: Fn(usize, &mut Vec<(u64, PointId)>) + Sync,
+    {
+        if let Some(new_id_of) = new_id_of {
+            assert!(
+                new_id_of.len() >= self.num_points,
+                "the remap must cover every indexed id"
+            );
+            debug_assert!(
+                new_id_of
+                    .iter()
+                    .filter(|&&id| id != u32::MAX)
+                    .zip(0..)
+                    .all(|(&id, rank)| id == rank && (id as usize) < num_points),
+                "the remap must number the survivors densely, in order"
+            );
         }
         let tables = fairnn_parallel::map_indexed(self.tables.len(), |t| {
-            let tail = tail.map(|(tables, new_id_of)| (&tables.tables[t], remap(new_id_of)));
-            self.tables[t].compacted(remap(new_id_of), tail)
+            let mut added = Vec::new();
+            appends(t, &mut added);
+            // Ids are distinct, so this orders equal keys by id.
+            added.sort_unstable();
+            debug_assert!(added.iter().all(|(_, id)| id.index() < num_points));
+            let remap = new_id_of.map(|new_id_of| {
+                move |id: &PointId| {
+                    let new = new_id_of[id.index()];
+                    (new != u32::MAX).then_some(PointId(new))
+                }
+            });
+            self.tables[t].updated(remap, &added)
         });
-        Self {
-            tables,
-            num_points: new_num_points,
-        }
+        Self { tables, num_points }
+    }
+
+    /// The `(key, id)` entries of table `t` for points given by their
+    /// point-major keys (`keys[i * num_tables + t]`, as
+    /// [`crate::HasherBank::all_point_keys`] returns them), point `i` under
+    /// the `i`-th of `ids`: the appends of an insert for
+    /// [`LshTables::updated`].
+    pub fn point_entries<'a>(
+        keys: &'a [u64],
+        num_tables: usize,
+        t: usize,
+        ids: impl IntoIterator<Item = PointId> + 'a,
+    ) -> impl Iterator<Item = (u64, PointId)> + 'a {
+        keys.iter().skip(t).step_by(num_tables).copied().zip(ids)
     }
 
     /// Tables over `num_points` ids from decoded tables: the shared tail of
@@ -358,8 +352,8 @@ impl<H> LshIndex<H> {
     /// compaction: deterministic and local to this index. The rebuilt
     /// Runs the same parallel two-phase build as
     /// [`LshIndex::from_hashers`]. When the surviving points are a subset
-    /// of the currently indexed ones, [`LshTables::compacted`] gets the same
-    /// tables without the re-hash.
+    /// of the currently indexed ones, [`LshTables::updated`] with an id
+    /// remap gets the same tables without the re-hash.
     pub fn rebuild<P>(&mut self, points: &[P])
     where
         H: LshHasher<P> + Sync,
@@ -613,7 +607,24 @@ mod tests {
     /// Appends `points` to the index's tables under the next dense ids.
     fn append(index: &mut TestIndex, points: &[SparseSet]) {
         let keys = compute_point_keys(&index.hashers, points);
-        index.tables = index.tables.appended(&keys, points.len());
+        let (l, first) = (index.num_tables(), index.num_points());
+        index.tables = index.tables.updated(
+            None,
+            |t, out| {
+                out.extend(LshTables::point_entries(
+                    &keys,
+                    l,
+                    t,
+                    (first..).map(PointId::from_index),
+                ))
+            },
+            first + points.len(),
+        );
+    }
+
+    /// Compacts the tables to the ids that survive `new_id_of`.
+    fn compacted(tables: &LshTables, new_id_of: &[u32], num_points: usize) -> LshTables {
+        tables.updated(Some(new_id_of), |_, _| {}, num_points)
     }
 
     #[test]
@@ -628,7 +639,11 @@ mod tests {
         assert_eq!(table.max_bucket_size(), 2);
         assert_eq!(table.buckets().count(), 2);
         // Appends go to the end of their bucket under the next ids.
-        let grown = tables.appended(&[8, 7], 2);
+        let grown = tables.updated(
+            None,
+            |t, out| out.extend(LshTables::point_entries(&[8, 7], 1, t, (3..).map(PointId))),
+            5,
+        );
         assert_eq!(grown.num_points(), 5);
         assert_eq!(
             grown.table(0).bucket(7),
@@ -641,7 +656,7 @@ mod tests {
     #[test]
     fn table_remove_preserves_order_and_drops_empty_buckets() {
         let tables = LshTables::build(&[7, 7, 7, 9], 1, 4);
-        let compacted = tables.compacted(&[0, u32::MAX, 1, u32::MAX], None, 2);
+        let compacted = compacted(&tables, &[0, u32::MAX, 1, u32::MAX], 2);
         assert_eq!(compacted.table(0).bucket(7), &[PointId(0), PointId(1)]);
         assert_eq!(
             compacted.table(0).num_buckets(),
@@ -761,7 +776,7 @@ mod tests {
         let new_id_of: Vec<u32> = (0..sets.len() as u32)
             .map(|i| i.checked_sub(1).unwrap_or(u32::MAX))
             .collect();
-        index.tables = index.tables.compacted(&new_id_of, None, sets.len() - 1);
+        index.tables = compacted(&index.tables, &new_id_of, sets.len() - 1);
         assert_eq!(index.total_entries(), (sets.len() - 1) * index.num_tables());
         let compacted = to_bytes(SnapshotKind::LshIndex, &index);
 
@@ -787,7 +802,7 @@ mod tests {
             new_id_of[old] = new as u32;
         }
         let survivors: Vec<SparseSet> = keep.iter().map(|&i| sets[i].clone()).collect();
-        retained.tables = retained.tables.compacted(&new_id_of, None, survivors.len());
+        retained.tables = compacted(&retained.tables, &new_id_of, survivors.len());
         rebuilt.rebuild(&survivors);
         assert_eq!(retained.num_points(), rebuilt.num_points());
         for (a, b) in retained.tables().iter().zip(rebuilt.tables()) {

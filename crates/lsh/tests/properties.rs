@@ -184,7 +184,7 @@ proptest! {
         }
     }
 
-    // ---- CSR storage: merge and compaction kernels are canonical ----
+    // ---- CSR storage: the one update kernel is canonical ----
 
     #[test]
     fn merged_table_matches_from_buckets_and_encodes_canonically(
@@ -197,6 +197,8 @@ proptest! {
     ) {
         use fairnn_lsh::FrozenTable;
         use std::collections::BTreeMap;
+        // No remap: every entry is kept as it is.
+        const IDENTITY: Option<fn(&PointId) -> Option<PointId>> = None;
         // Reference: bucket contents as plain vectors, concatenated in
         // append order.
         let mut reference: BTreeMap<u64, Vec<PointId>> = BTreeMap::new();
@@ -212,7 +214,7 @@ proptest! {
             for &(key, id) in &appends {
                 reference.entry(key).or_default().push(id);
             }
-            table = table.merged(&appends);
+            table = table.updated(IDENTITY, &appends);
             let rebuilt = FrozenTable::from_buckets(reference.clone());
             // Bucket for bucket, then every array including the slot index.
             let got: Vec<(u64, Vec<PointId>)> =
@@ -224,7 +226,7 @@ proptest! {
         }
         // Compaction: drop odd ids, halve the rest (a monotone remap).
         // `remap(parity, shift)` keeps the ids of that parity, halved and
-        // shifted: one function, so both sides of a merge share its type.
+        // shifted.
         let remap = |parity: u32, shift: u32| {
             move |id: &PointId| (id.0 % 2 == parity).then_some(PointId(id.0 / 2 + shift))
         };
@@ -238,20 +240,25 @@ proptest! {
         let non_empty = |buckets: BTreeMap<u64, Vec<PointId>>| {
             buckets.into_iter().filter(|(_, ids)| !ids.is_empty())
         };
-        let compacted = table.compacted(remap(0, 0), None);
+        let compacted = table.updated(Some(remap(0, 0)), &[]);
         let rebuilt = FrozenTable::from_buckets(non_empty(mapped(&reference, 0, 0)));
         prop_assert_eq!(encode(&compacted), encode(&rebuilt));
         prop_assert_eq!(compacted, rebuilt);
 
         // Two-table merge: under each key the head's mapped entries, then
-        // the tail's (odd ids, shifted past every head id), emptied
-        // buckets dropped.
+        // the tail table's (odd ids, shifted past every head id) as
+        // appends, emptied buckets dropped.
         let mut tail_reference: BTreeMap<u64, Vec<PointId>> = BTreeMap::new();
         for &(key, id) in &tail {
             tail_reference.entry(key).or_default().push(PointId(id));
         }
         let tail_table = FrozenTable::from_buckets(tail_reference.clone());
-        let merged = table.compacted(remap(0, 0), Some((&tail_table, remap(1, 1000))));
+        let tail_map = remap(1, 1000);
+        let tail_appends: Vec<(u64, PointId)> = tail_table
+            .buckets()
+            .flat_map(|(key, ids)| ids.iter().filter_map(tail_map).map(move |id| (key, id)))
+            .collect();
+        let merged = table.updated(Some(remap(0, 0)), &tail_appends);
         let mut concatenated = mapped(&reference, 0, 0);
         for (key, ids) in mapped(&tail_reference, 1, 1000) {
             concatenated.entry(key).or_default().extend(ids);
@@ -259,12 +266,28 @@ proptest! {
         let rebuilt = FrozenTable::from_buckets(non_empty(concatenated));
         prop_assert_eq!(encode(&merged), encode(&rebuilt));
         prop_assert_eq!(merged, rebuilt);
+
+        // One call that drops and renames head entries (odd ids kept) and
+        // appends a raw sorted batch: keys the head lacks, keys whose head
+        // bucket the remap empties, and keys it keeps entries under.
+        let mut appends: Vec<(u64, PointId)> =
+            tail.iter().map(|&(key, id)| (key, PointId(id + 2000))).collect();
+        appends.sort_by_key(|&(key, _)| key);
+        let updated = table.updated(Some(remap(1, 0)), &appends);
+        let mut expected = mapped(&reference, 1, 0);
+        for &(key, id) in &appends {
+            expected.entry(key).or_default().push(id);
+        }
+        let rebuilt = FrozenTable::from_buckets(non_empty(expected));
+        prop_assert_eq!(encode(&updated), encode(&rebuilt));
+        prop_assert_eq!(updated, rebuilt);
     }
 
     #[test]
     fn appended_and_compacted_tables_equal_fresh_builds(
         sets in proptest::collection::vec(arb_set(), 2..30),
         split in 0usize..30,
+        staged in 0usize..30,
         dead in proptest::collection::vec(0u8..2, 30),
         seed in 0u64..500,
     ) {
@@ -277,7 +300,11 @@ proptest! {
         let split = split.min(sets.len());
         let keys = bank.all_point_keys(&sets);
         let head = LshTables::build(&keys[..split * l], l, split);
-        let appended = head.appended(&keys[split * l..], sets.len() - split);
+        let appended = head.updated(
+            None,
+            |t, out| out.extend(LshTables::point_entries(&keys[split * l..], l, t, (split..).map(PointId::from_index))),
+            sets.len(),
+        );
         let built = LshTables::build(&keys, l, sets.len());
         prop_assert_eq!(encode(&appended), encode(&built));
 
@@ -289,15 +316,36 @@ proptest! {
                 survivors.push(set.clone());
             }
         }
-        let compacted = appended.compacted(&new_id_of, None, survivors.len());
+        let compacted = appended.updated(Some(&new_id_of), |_, _| {}, survivors.len());
         let rebuilt = LshTables::build(&bank.all_point_keys(&survivors), l, survivors.len());
         prop_assert_eq!(encode(&compacted), encode(&rebuilt));
         // A fold: head and tail built apart, each over its own dense ids,
-        // then compacted together in one pass.
-        let tail = LshTables::build(&keys[split * l..], l, sets.len() - split);
-        let (head_ids, tail_ids) = new_id_of.split_at(split);
-        let folded = head.compacted(head_ids, Some((&tail, tail_ids)), survivors.len());
+        // then folded in one pass. The tail's tables cover its points up
+        // to `cover`; the points past it are staged, given by their keys.
+        let fold = |cover: usize| {
+            let tail = LshTables::build(&keys[split * l..cover * l], l, cover - split);
+            let tail_ids = &new_id_of[split..cover];
+            let staged: Vec<usize> =
+                (cover..sets.len()).filter(|&i| new_id_of[i] != u32::MAX).collect();
+            let staged_keys: Vec<u64> =
+                staged.iter().flat_map(|&i| keys[i * l..(i + 1) * l].iter().copied()).collect();
+            let staged_ids = || staged.iter().map(|&i| PointId(new_id_of[i]));
+            head.updated(
+                Some(&new_id_of[..split]),
+                |t, out| {
+                    for (key, ids) in tail.table(t).buckets() {
+                        let live = ids.iter().map(|id| tail_ids[id.index()]);
+                        out.extend(live.filter(|&id| id != u32::MAX).map(|id| (key, PointId(id))));
+                    }
+                    out.extend(LshTables::point_entries(&staged_keys, l, t, staged_ids()));
+                },
+                survivors.len(),
+            )
+        };
+        let folded = fold(sets.len());
         prop_assert_eq!(encode(&folded), encode(&rebuilt));
+        let folded_with_staged = fold(sets.len() - staged.min(sets.len() - split));
+        prop_assert_eq!(encode(&folded_with_staged), encode(&rebuilt));
         let mut query_keys = Vec::new();
         for s in &survivors {
             bank.query_keys_into(s, &mut query_keys);

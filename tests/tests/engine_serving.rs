@@ -598,19 +598,33 @@ fn each_shard_is_walked_and_each_candidate_evaluated_at_most_once() {
 
 /// The uniformity battery across batch numbers. `draw(b)` answers the
 /// query once with batch number `b`, one position per request; the batch
-/// numbers run from `first_batch` over `1500 · |support|` (at least 1 000)
-/// consecutive values, enough for the pair test over support². The
-/// answers must stay inside `support` and be uniform over it, and answers
-/// of consecutive batch numbers must be independent: the disjoint pairs
-/// `(2k, 2k + 1)` must be uniform over support².
+/// numbers run from `first_batch` over consecutive values, as many as
+/// [`assert_uniform_pairs`] draws. Answers of consecutive batch numbers
+/// must be independent: the disjoint pairs `(2k, 2k + 1)` are the pairs.
 fn assert_uniform_across_batches(
     label: &str,
     support: &[PointId],
     first_batch: u64,
-    draw: impl FnMut(u64) -> Option<PointId>,
+    mut draw: impl FnMut(u64) -> Option<PointId>,
 ) {
-    let batches = (1500 * support.len()).max(1000) as u64;
-    let draws: Vec<Option<PointId>> = (first_batch..first_batch + batches).map(draw).collect();
+    assert_uniform_pairs(label, support, |k| {
+        let b = first_batch + 2 * k;
+        [draw(b), draw(b + 1)]
+    });
+}
+
+/// The uniformity battery over pairs of answers. `pair(k)` draws the
+/// `k`-th pair, for `k` from 0 until `1500 · |support|` answers (at least
+/// 1 000) are drawn, enough for the pair test over support². The answers
+/// must stay inside `support` and be uniform over it, and the two answers
+/// of a pair must be independent: the pairs must be uniform over support².
+fn assert_uniform_pairs(
+    label: &str,
+    support: &[PointId],
+    pair: impl FnMut(u64) -> [Option<PointId>; 2],
+) {
+    let draws = (1500 * support.len()).max(1000) as u64;
+    let draws: Vec<Option<PointId>> = (0..draws / 2).flat_map(pair).collect();
     let mut hist = FrequencyHistogram::new();
     for &id in &draws {
         hist.record(id);
@@ -628,7 +642,8 @@ fn assert_uniform_across_batches(
         report.total_variation
     );
 
-    // Disjoint pairs (2k, 2k + 1), each encoded as one id over support².
+    // The pairs (answers 2k and 2k + 1), each encoded as one id over
+    // support².
     let n = support
         .iter()
         .map(|id| id.0)
@@ -670,6 +685,27 @@ fn executor_answers_pass_the_uniformity_battery_across_batches() {
     });
 }
 
+#[test]
+fn positions_of_one_batch_pass_the_pair_test() {
+    // One request asks the same query at positions 0 and 1, answered from
+    // the streams of `(batch seed, 0)` and `(batch seed, 1)`: the two
+    // answers must be independent, batch after batch.
+    let (dataset, index) = build_index(21);
+    let near = SimilarityAtLeast::new(Jaccard, R);
+    let exact = ExactSampler::new(&dataset, near);
+    let qid = interesting_queries(&dataset)[0];
+    let query = dataset.point(qid).clone();
+    let support = exact.neighborhood(&query);
+    assert_uniform_pairs("positions 0 and 1", &support, |b| {
+        let request = QueryRequest::new(vec![query.clone(), query.clone()]).with_batch(b);
+        let answers = index.run_batch(&request);
+        [answers[0].id, answers[1].id]
+    });
+}
+
+/// Isolated fillers of the far-heavy base.
+const FILLERS: usize = 330;
+
 /// A far-heavy neighbourhood split unevenly over the base and the delta.
 /// The query is the set `0..30`. Near points share 27 of its items
 /// (Jaccard 0.82); decoys share 19 (Jaccard ≈ 0.46, just under
@@ -679,7 +715,6 @@ fn executor_answers_pass_the_uniformity_battery_across_batches() {
 /// of the base that would fold it, and the delta's share is inserted by a
 /// commit. Returns the query, every point in global id order and the plan.
 fn far_heavy_fixture() -> (SparseSet, Vec<SparseSet>, [(usize, usize); 2]) {
-    const FILLERS: usize = 330;
     let plan = [(5, 20), (3, 40)];
     let query = SparseSet::from_items((0..30).collect());
     let mut next_extra = 10_000u32;
@@ -704,6 +739,26 @@ fn far_heavy_fixture() -> (SparseSet, Vec<SparseSet>, [(usize, usize); 2]) {
     (query, points, plan)
 }
 
+/// The [`far_heavy_fixture`] points in an index: the base bootstrapped
+/// over its share and the fillers, the delta's share committed as
+/// inserts. `label` names the engine directory.
+fn far_heavy_index(
+    label: &str,
+    points: &[SparseSet],
+    plan: [(usize, usize); 2],
+) -> ShardedIndex<SparseSet, ConcatenatedHasher<fairnn_lsh::MinHasher>, Near> {
+    let in_base = plan[0].0 + plan[0].1 + FILLERS;
+    index_with_delta(
+        label,
+        &MinHash,
+        golden_params(points.len()),
+        &Dataset::new(points[..in_base].to_vec()),
+        &points[in_base..],
+        0.5,
+        61,
+    )
+}
+
 #[test]
 fn far_heavy_neighbourhoods_pass_the_uniformity_battery() {
     // Most colliding points are far, and near points and decoys are spread
@@ -712,18 +767,9 @@ fn far_heavy_neighbourhoods_pass_the_uniformity_battery() {
     // per batch through the executor, and over repeated draws from one
     // cursor.
     let (query, points, plan) = far_heavy_fixture();
-    let in_base = plan[0].0 + plan[0].1 + 330;
     let dataset = Dataset::new(points.clone());
     let near = SimilarityAtLeast::new(Jaccard, 0.5);
-    let index = index_with_delta(
-        "far-heavy",
-        &MinHash,
-        golden_params(dataset.len()),
-        &Dataset::new(points[..in_base].to_vec()),
-        &points[in_base..],
-        0.5,
-        61,
-    );
+    let index = far_heavy_index("far-heavy", &points, plan);
     let exact = ExactSampler::new(&dataset, near);
     let support = index.neighborhood(&query);
     assert_eq!(
@@ -753,6 +799,24 @@ fn far_heavy_neighbourhoods_pass_the_uniformity_battery() {
         prepared.sample(&mut rng)
     });
     assert!(prepared.stats().distance_computations <= candidates);
+}
+
+#[test]
+fn consecutive_draws_from_one_cursor_pass_the_pair_test() {
+    // A cursor carries its verified prefix and swap-removals from draw to
+    // draw, which is where a lazy sampler could leak state. The far-heavy
+    // battery pairs the draws (2k, 2k + 1) of its cursor; this one draws
+    // the same sequence and pairs (2k + 1, 2k + 2), so every two
+    // consecutive draws of that cursor are pair-tested.
+    let (query, points, plan) = far_heavy_fixture();
+    let index = far_heavy_index("far-heavy-cursor", &points, plan);
+    let support = index.neighborhood(&query);
+    let mut prepared = index.prepare(&query);
+    let mut rng = StdRng::seed_from_u64(62);
+    prepared.sample(&mut rng);
+    assert_uniform_pairs("far-heavy cursor, shifted pairs", &support, |_| {
+        [prepared.sample(&mut rng), prepared.sample(&mut rng)]
+    });
 }
 
 /// One keep-alive client of a loopback `fairnn-server`.
