@@ -73,7 +73,7 @@ use crate::shard::{self, Shard};
 use fairnn_core::predicate::Nearness;
 use fairnn_core::{NeighborSampler, QueryStats};
 use fairnn_lsh::{ConcatenatedHasher, HasherBank, LshFamily, LshHasher, LshParams};
-use fairnn_obs::LazyHistogram;
+use fairnn_obs::{LazyHistogram, Timer};
 use fairnn_snapshot::{Codec, Encoder, Section, SnapshotError};
 use fairnn_space::{Dataset, PointId};
 use rand::Rng;
@@ -85,6 +85,14 @@ use std::sync::Arc;
 static REJECTION_ROUNDS: LazyHistogram = LazyHistogram::new(
     "engine_rejection_rounds",
     "rounds spent per draw of the two-level protocol (at most far candidates removed + 3)",
+);
+
+/// Wall time of one fold ([`ShardedIndex::fold`]), whichever path runs
+/// it: a `Compact` commit, an insert or delete that makes it due, or the
+/// replay of either on reopen.
+static FOLD_NS: LazyHistogram = LazyHistogram::new(
+    "engine_fold_ns",
+    "wall time of one fold of the delta into the base in nanoseconds",
 );
 
 /// Configuration of a [`ShardedIndex`].
@@ -633,6 +641,7 @@ where
     /// over them would have. The base is not modified: it may still be
     /// shared with published generations.
     fn fold(&mut self) {
+        let _timer = Timer::start(&FOLD_NS);
         let [base, delta] = &self.parts;
         self.parts = [
             Arc::new(base.compacted(Some(delta))),

@@ -107,6 +107,16 @@ fn build_slots(keys: &[u64]) -> (Vec<u32>, u32) {
     (slots, slot_shift)
 }
 
+/// A run of consecutive buckets of a table, bound to plain slices: bucket
+/// `i` holds key `keys[i]` and ends at offset `ends[i]`, and `entries` are
+/// the run's entries, the first at offset `first`.
+struct Run<'a, E> {
+    keys: &'a [u64],
+    ends: &'a [u32],
+    entries: &'a [E],
+    first: u32,
+}
+
 /// The CSR arrays of a table being built, bucket by bucket in increasing
 /// key order.
 struct Csr<E> {
@@ -134,6 +144,56 @@ impl<E> Csr<E> {
             self.keys.push(key);
             self.offsets.push(end);
         }
+    }
+
+    /// Keeps the buckets of `run`: its keys and entries are written with
+    /// each bucket end shifted to the entries already written, which is
+    /// the whole job without a remap. Under a remap it is one pass over
+    /// the run's entries, in which a dropped entry (rare: a tombstone)
+    /// takes one off the end of its bucket, then one pass over the buckets
+    /// that takes the running count of earlier drops off each end and
+    /// moves later buckets down over the emptied ones. Neither pass
+    /// branches on a bucket's size, and nothing is allocated.
+    fn keep<F>(&mut self, run: Run<'_, E>, remap: Option<&mut F>)
+    where
+        E: Clone,
+        F: FnMut(&E) -> Option<E>,
+    {
+        // Under a remap the output may trail the input, so the shift wraps.
+        let shift = entry_offset(self.entries.len()).wrapping_sub(run.first);
+        let at = self.keys.len();
+        self.keys.extend_from_slice(run.keys);
+        self.offsets
+            .extend(run.ends.iter().map(|&end| end.wrapping_add(shift)));
+        let Some(remap) = remap else {
+            self.entries.extend_from_slice(run.entries);
+            return;
+        };
+        // A dropped entry takes one off its own bucket's end…
+        let ends = &mut self.offsets[at + 1..];
+        for (pos, entry) in (run.first..).zip(run.entries) {
+            match remap(entry) {
+                Some(entry) => self.entries.push(entry),
+                None => {
+                    let bucket = run.ends.partition_point(|&end| end <= pos);
+                    ends[bucket] = ends[bucket].wrapping_sub(1);
+                }
+            }
+        }
+        // …and the running count of drops before a bucket off the rest.
+        // An emptied bucket is overwritten by the next kept one.
+        let (mut dropped, mut kept) = (0, at);
+        for (i, &input_end) in (at..).zip(run.ends) {
+            let end = self.offsets[i + 1];
+            let own = input_end.wrapping_add(shift).wrapping_sub(end);
+            let end = end.wrapping_sub(dropped);
+            dropped += own;
+            self.keys[kept] = self.keys[i];
+            self.offsets[kept + 1] = end;
+            kept += usize::from(end != self.offsets[kept]);
+        }
+        self.keys.truncate(kept);
+        self.offsets.truncate(kept + 1);
     }
 
     /// The table over these arrays. `same_keys` is a table known to hold
@@ -229,10 +289,13 @@ impl<E> FrozenTable<E> {
     /// equal keys keep their order in `appends`. A bucket left empty is
     /// dropped, and a key the table does not hold yet gets a new bucket.
     ///
-    /// One linear pass. Without a remap, each maximal run of buckets that
-    /// no append touches is copied wholesale with its offsets shifted. When
-    /// no key is added or emptied, the key array and the slot index are
-    /// reused. The result equals [`FrozenTable::from_buckets`] over the
+    /// One linear pass over slices bound once. Each maximal run of buckets
+    /// that no append touches is copied wholesale with its offsets
+    /// shifted; under a remap the run's entries then go through the remap
+    /// in one pass, and each bucket end is derived from the running count
+    /// of dropped entries instead of closing bucket by bucket. When no key
+    /// is added or emptied, the key array and the slot index are reused.
+    /// The result equals [`FrozenTable::from_buckets`] over the
     /// kept and appended buckets, so sorted buckets stay sorted when the
     /// remap renames monotonically and the appends sort above every kept
     /// entry (as an engine fold's do).
@@ -245,59 +308,39 @@ impl<E> FrozenTable<E> {
             appends.windows(2).all(|w| w[0].0 <= w[1].0),
             "appends must be sorted by key"
         );
-        let mut csr = Csr::with_capacity(
-            self.keys.len() + appends.len(),
-            self.entries.len() + appends.len(),
-        );
-        let (mut kept, mut new_key) = (0, false); // kept: head buckets passed
-        for run in appends.chunk_by(|a, b| a.0 == b.0) {
-            let key = run[0].0;
-            let (pos, present) = match self.find(key) {
-                Some(i) => (i, true),
-                None => (self.keys.partition_point(|&k| k < key), false),
-            };
-            self.keep_buckets(kept..pos, remap.as_mut(), &mut csr);
-            if present {
-                let bucket = self.bucket_at(pos).iter();
-                match remap.as_mut() {
-                    Some(remap) => csr.entries.extend(bucket.filter_map(remap)),
-                    None => csr.entries.extend(bucket.cloned()),
-                }
+        let (keys, offsets, entries) = (&self.keys[..], &self.offsets[..], &self.entries[..]);
+        let run = |range: Range<usize>| {
+            let (first, last) = (offsets[range.start], offsets[range.end]);
+            Run {
+                keys: &keys[range.clone()],
+                ends: &offsets[range.start + 1..=range.end],
+                entries: &entries[first as usize..last as usize],
+                first,
             }
-            csr.entries.extend(run.iter().map(|e| e.1.clone()));
+        };
+        let mut csr = Csr::with_capacity(keys.len() + appends.len(), entries.len() + appends.len());
+        let (mut kept, mut new_key) = (0, false); // kept: head buckets passed
+        for appended in appends.chunk_by(|a, b| a.0 == b.0) {
+            let key = appended[0].0;
+            let pos = kept + keys[kept..].partition_point(|&k| k < key);
+            let present = keys.get(pos) == Some(&key);
+            let end = pos + usize::from(present);
+            if kept < end {
+                csr.keep(run(kept..end), remap.as_mut());
+            }
+            // Reopen the key's bucket, if it kept an entry, for the appends.
+            if csr.keys.last() == Some(&key) {
+                csr.keys.pop();
+                csr.offsets.pop();
+            }
+            csr.entries.extend(appended.iter().map(|e| e.1.clone()));
             csr.close(key);
-            kept = pos + usize::from(present);
+            kept = end;
             new_key |= !present;
         }
-        self.keep_buckets(kept..self.keys.len(), remap.as_mut(), &mut csr);
-        let same_keys = !new_key && csr.keys.len() == self.keys.len();
+        csr.keep(run(kept..keys.len()), remap.as_mut());
+        let same_keys = !new_key && csr.keys.len() == keys.len();
         csr.finish(same_keys.then_some(self))
-    }
-
-    /// Keeps buckets `range` of this table in `csr`: without a remap one
-    /// copy of the whole run with its offsets shifted to the entries
-    /// already written, else bucket by bucket through the remap, emptied
-    /// buckets dropped.
-    fn keep_buckets<F>(&self, range: Range<usize>, remap: Option<&mut F>, csr: &mut Csr<E>)
-    where
-        E: Clone,
-        F: FnMut(&E) -> Option<E>,
-    {
-        let Some(remap) = remap else {
-            let (start, end) = (self.offsets[range.start], self.offsets[range.end]);
-            let shift = entry_offset(csr.entries.len()) - start;
-            csr.keys.extend_from_slice(&self.keys[range.clone()]);
-            let ends = &self.offsets[range.start + 1..=range.end];
-            csr.offsets.extend(ends.iter().map(|&o| o + shift));
-            csr.entries
-                .extend_from_slice(&self.entries[start as usize..end as usize]);
-            return;
-        };
-        for i in range {
-            csr.entries
-                .extend(self.bucket_at(i).iter().filter_map(&mut *remap));
-            csr.close(self.keys[i]);
-        }
     }
 
     /// Index of the bucket for `key`, if present. A probe of the flat hash
@@ -456,19 +499,35 @@ impl<E: fairnn_snapshot::SliceCodec> fairnn_snapshot::Codec for FrozenTable<E> {
                 "frozen table offsets must start at 0".into(),
             ));
         }
-        if !offsets.windows(2).all(|w| w[0] <= w[1]) {
+        // One pass over keys and offsets, accumulating the two order
+        // checks instead of branching on each pair; the error reported is
+        // still the first check that fails, in the order they are listed.
+        let (mut decreasing, mut unordered) = (false, false);
+        let later_keys = keys.get(1..).unwrap_or_default();
+        for ((start, end), (key, next)) in offsets
+            .iter()
+            .zip(&offsets[1..])
+            .zip(keys.iter().zip(later_keys))
+        {
+            decreasing |= start > end;
+            unordered |= key >= next;
+        }
+        if let &[.., start, end] = &offsets[..] {
+            decreasing |= start > end; // the last bucket, which has no next key
+        }
+        if decreasing {
             return Err(SnapshotError::Corrupt(
                 "frozen table offsets are not non-decreasing".into(),
             ));
         }
-        if *offsets.last().expect("offsets non-empty") as usize != entries.len() {
+        let total = offsets[keys.len()];
+        if total as usize != entries.len() {
             return Err(SnapshotError::Corrupt(format!(
-                "frozen table final offset {} does not match {} entries",
-                offsets.last().expect("offsets non-empty"),
+                "frozen table final offset {total} does not match {} entries",
                 entries.len()
             )));
         }
-        if !keys.windows(2).all(|w| w[0] < w[1]) {
+        if unordered {
             return Err(SnapshotError::Corrupt(
                 "frozen table keys are not strictly increasing".into(),
             ));
@@ -489,16 +548,32 @@ impl<E: fairnn_snapshot::SliceCodec> fairnn_snapshot::Codec for FrozenTable<E> {
             )));
         }
         let slot_shift = 64 - slots.len().trailing_zeros();
-        let mut occupied = 0usize;
-        for &slot in slots.iter() {
-            if slot != EMPTY_SLOT {
-                occupied += 1;
-                if slot as usize >= keys.len() {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "frozen table slot names bucket {slot} of {}",
-                        keys.len()
-                    )));
-                }
+        // Occupied slots, counted, and those naming no bucket, without a
+        // branch per slot: `EMPTY_SLOT + 1` wraps to 0, so `slot + 1`
+        // exceeds the key count exactly for an occupied slot past the
+        // last bucket. `u32` counts per block of 2^16 slots keep the
+        // vector lanes narrow.
+        let num_keys = u32::try_from(keys.len()).unwrap_or(u32::MAX);
+        let (mut occupied, mut past_the_end) = (0, 0);
+        for block in slots.chunks(1 << 16) {
+            let (held, past) = block.iter().fold((0u32, 0u32), |(held, past), &slot| {
+                (
+                    held + u32::from(slot != EMPTY_SLOT),
+                    past + u32::from(slot.wrapping_add(1) > num_keys),
+                )
+            });
+            occupied += held as usize;
+            past_the_end += past as usize;
+        }
+        if past_the_end > 0 {
+            if let Some(slot) = slots
+                .iter()
+                .find(|&&slot| slot != EMPTY_SLOT && slot >= num_keys)
+            {
+                return Err(SnapshotError::Corrupt(format!(
+                    "frozen table slot names bucket {slot} of {}",
+                    keys.len()
+                )));
             }
         }
         if occupied != keys.len() {
@@ -652,6 +727,19 @@ mod tests {
     }
 
     #[test]
+    fn a_remap_drops_buckets_that_were_empty_and_no_remap_keeps_them() {
+        let table = FrozenTable::from_buckets(vec![(1, vec![]), (5, vec![3, 4]), (7, vec![])]);
+        let renamed = table.updated(Some(|&e: &u32| Some(e + 1)), &[]);
+        assert_eq!(renamed, FrozenTable::from_buckets(vec![(5, vec![4, 5])]));
+        let appended = table.updated(Some(|&e: &u32| (e != 4).then_some(e)), &[(9, 2)]);
+        assert_eq!(
+            appended,
+            FrozenTable::from_buckets(vec![(5, vec![3]), (9, vec![2])])
+        );
+        assert_eq!(table.updated(IDENTITY, &[]), table);
+    }
+
+    #[test]
     fn snapshot_decode_from_an_owning_buffer_is_zero_copy() {
         use fairnn_snapshot::{ArcBytes, Codec, Section};
         let table = sample_table();
@@ -721,6 +809,58 @@ mod tests {
             decode(&unreachable),
             Err(SnapshotError::Corrupt(msg)) if msg.contains("cannot reach")
         ));
+    }
+
+    #[test]
+    fn corrupt_csr_arrays_are_rejected() {
+        use fairnn_snapshot::{Codec, Decoder, Encoder, SliceCodec, SnapshotError};
+        let table = sample_table();
+        // The sample's own keys [2, 9, 400], offsets [0, 1, 4, 8], eight
+        // entries and slot index, with one array swapped out.
+        let decode = |keys: &[u64], offsets: &[u32]| {
+            let mut enc = Encoder::new();
+            u64::encode_slice(keys, &mut enc);
+            u32::encode_slice(offsets, &mut enc);
+            u32::encode_slice(&table.entries, &mut enc);
+            u32::encode_slice(&table.slots, &mut enc);
+            FrozenTable::<u32>::decode(&mut Decoder::new(&enc.into_bytes()))
+        };
+        let rejected = |keys: &[u64], offsets: &[u32], needle: &str| {
+            let result = decode(keys, offsets);
+            assert!(
+                matches!(&result, Err(SnapshotError::Corrupt(msg)) if msg.contains(needle)),
+                "keys {keys:?}, offsets {offsets:?}: expected {needle:?}, got {result:?}"
+            );
+        };
+        let keys = &table.keys[..];
+        assert_eq!(decode(keys, &table.offsets).expect("intact"), table);
+
+        rejected(keys, &[0, 1, 4], "expected one more than keys");
+        rejected(keys, &[1, 1, 4, 8], "offsets must start at 0");
+        rejected(keys, &[0, 4, 1, 8], "offsets are not non-decreasing");
+        rejected(
+            keys,
+            &[0, 1, 4, 7],
+            "final offset 7 does not match 8 entries",
+        );
+        rejected(
+            &[2, 9, 9],
+            &table.offsets,
+            "keys are not strictly increasing",
+        );
+        rejected(
+            &[9, 2, 400],
+            &table.offsets,
+            "keys are not strictly increasing",
+        );
+        // A decreasing offset is named before a bad final offset or key
+        // order, as the checks run in that order.
+        rejected(
+            &[2, 2, 400],
+            &[0, 4, 1, 7],
+            "offsets are not non-decreasing",
+        );
+        rejected(&[2, 2, 400], &[0, 1, 4, 7], "final offset 7");
     }
 
     #[test]

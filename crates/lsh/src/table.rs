@@ -201,7 +201,13 @@ impl LshTables {
         num_points: usize,
     ) -> Result<Self, fairnn_snapshot::SnapshotError> {
         let out_of_range = fairnn_parallel::map_indexed(tables.len(), |t| {
+            // The largest entry, without a branch per entry; the first one
+            // out of range is looked for only when there is one.
             let entries = tables[t].entries();
+            let largest = entries.iter().map(|id| id.0).max()?;
+            if (largest as usize) < num_points {
+                return None;
+            }
             entries.iter().copied().find(|id| id.index() >= num_points)
         });
         if let Some(id) = out_of_range.into_iter().flatten().next() {
@@ -573,6 +579,39 @@ mod tests {
     use fairnn_space::{Dataset, Jaccard, SparseSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn out_of_range_bucket_entries_are_rejected() {
+        let table = |buckets: Vec<(u64, Vec<u32>)>| {
+            LshTable::from_buckets(
+                buckets
+                    .into_iter()
+                    .map(|(key, ids)| (key, ids.into_iter().map(PointId).collect())),
+            )
+        };
+        let tables = || {
+            vec![
+                table(vec![]),
+                table(vec![(3, vec![0, 4]), (8, vec![1])]),
+                table(vec![(1, vec![2, 7]), (2, vec![9, 3])]),
+            ]
+        };
+        assert!(LshTables::from_tables(tables(), 10).is_ok());
+        // The largest entry itself past the end.
+        let rejected = LshTables::from_tables(tables(), 9);
+        assert!(
+            matches!(&rejected, Err(fairnn_snapshot::SnapshotError::Corrupt(msg))
+                if msg == "bucket entry p9 out of range for 9 points"),
+            "{rejected:?}"
+        );
+        // The first entry past the end is named, not the largest.
+        let rejected = LshTables::from_tables(tables(), 5);
+        assert!(
+            matches!(&rejected, Err(fairnn_snapshot::SnapshotError::Corrupt(msg))
+                if msg == "bucket entry p7 out of range for 5 points"),
+            "{rejected:?}"
+        );
+    }
 
     fn toy_sets() -> Vec<SparseSet> {
         // Three clusters of mutually similar sets plus isolated points.

@@ -281,6 +281,51 @@ proptest! {
         let rebuilt = FrozenTable::from_buckets(non_empty(expected));
         prop_assert_eq!(encode(&updated), encode(&rebuilt));
         prop_assert_eq!(updated, rebuilt);
+
+        // Remaps that empty chosen buckets: every id of `dropped` goes away
+        // and the rest are renamed, in one call with `appends`.
+        let check = |dropped: &[PointId], appends: &[(u64, PointId)]| {
+            let remap = |id: &PointId| (!dropped.contains(id)).then_some(PointId(id.0 + 1));
+            let updated = table.updated(Some(remap), appends);
+            let mut expected: BTreeMap<u64, Vec<PointId>> = reference
+                .iter()
+                .map(|(&key, ids)| (key, ids.iter().filter_map(remap).collect()))
+                .collect();
+            for &(key, id) in appends {
+                expected.entry(key).or_default().push(id);
+            }
+            let rebuilt = FrozenTable::from_buckets(non_empty(expected));
+            prop_assert_eq!(encode(&updated), encode(&rebuilt));
+            prop_assert_eq!(updated, rebuilt);
+        };
+        let buckets: Vec<(u64, Vec<PointId>)> = reference.clone().into_iter().collect();
+        let every: Vec<PointId> = buckets.iter().flat_map(|(_, ids)| ids.clone()).collect();
+        // Everything dropped, with and without appends.
+        check(&every, &[]);
+        check(&every, &[(7, PointId(3000)), (40, PointId(3001))]);
+        if let (Some((first, first_ids)), Some((last, last_ids))) =
+            (buckets.first(), buckets.last())
+        {
+            let (first, last) = (*first, *last);
+            // The first bucket emptied, then the last, each with and
+            // without an append elsewhere.
+            check(first_ids, &[]);
+            check(first_ids, &[(last, PointId(3000))]);
+            check(last_ids, &[]);
+            check(last_ids, &[(first, PointId(3000))]);
+            // Every bucket strictly between two appended keys emptied.
+            let middle: Vec<PointId> = buckets[1..buckets.len().saturating_sub(1).max(1)]
+                .iter()
+                .flat_map(|(_, ids)| ids.clone())
+                .collect();
+            check(&middle, &[(first, PointId(3000)), (last, PointId(3001))]);
+            // An emptied key refilled by an append in the same call: the
+            // first, the last and a middle one.
+            check(first_ids, &[(first, PointId(3000))]);
+            check(last_ids, &[(last, PointId(3000)), (last, PointId(3001))]);
+            let (key, ids) = &buckets[buckets.len() / 2];
+            check(ids, &[(first, PointId(3000)), (*key, PointId(3001)), (last + 1, PointId(3002))]);
+        }
     }
 
     #[test]

@@ -48,12 +48,12 @@ impl Codec for SparseSet {
         }
     }
 
+    /// Takes the items' bytes at once and converts them in one pass.
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
-        let len = dec.read_len()?;
-        let mut items = Vec::with_capacity(len);
-        for _ in 0..len {
-            items.push(dec.read_u32()?);
-        }
+        let items: Vec<u32> = take_items(dec, 4)?
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect();
         if !items.windows(2).all(|w| w[0] < w[1]) {
             return Err(SnapshotError::Corrupt(
                 "sparse set items are not strictly increasing".into(),
@@ -72,14 +72,21 @@ impl Codec for DenseVector {
         }
     }
 
+    /// Takes the values' bytes at once and converts them in one pass.
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
-        let len = dec.read_len()?;
-        let mut values = Vec::with_capacity(len);
-        for _ in 0..len {
-            values.push(dec.read_f64()?);
-        }
+        let values = take_items(dec, 8)?
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+            .collect();
         Ok(DenseVector::new(values))
     }
+}
+
+/// Reads a length prefix and takes the bytes of that many `width`-byte
+/// items in one piece: `Truncated` when they run past the input.
+fn take_items<'a>(dec: &mut Decoder<'a>, width: usize) -> Result<&'a [u8], SnapshotError> {
+    let len = dec.read_len()?;
+    dec.take(len.saturating_mul(width))
 }
 
 /// Implements a zero-byte [`Codec`] for a stateless unit-struct measure.
@@ -148,6 +155,53 @@ mod tests {
             SparseSet::decode(&mut Decoder::new(&bytes)),
             Err(SnapshotError::Corrupt(_))
         ));
+    }
+
+    /// A payload whose length prefix claims `len` items but holds only
+    /// `bytes` bytes after it.
+    fn overlong(len: usize, bytes: usize) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.write_len(len);
+        enc.write_bytes(&vec![0x11; bytes]);
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn length_prefixes_past_the_input_are_rejected() {
+        // Fewer items than bytes, so the prefix passes `read_len`, but the
+        // items run past the input: three `u32`s or `f64`s in 8 bytes.
+        for payload in [overlong(3, 8), overlong(1, 3)] {
+            let set = SparseSet::decode(&mut Decoder::new(&payload));
+            assert!(
+                matches!(set, Err(SnapshotError::Truncated { .. })),
+                "{set:?}"
+            );
+        }
+        for payload in [overlong(3, 8), overlong(1, 7)] {
+            let vector = DenseVector::decode(&mut Decoder::new(&payload));
+            assert!(
+                matches!(vector, Err(SnapshotError::Truncated { .. })),
+                "{vector:?}"
+            );
+        }
+        // More items than bytes: rejected at the prefix.
+        let payload = overlong(9, 8);
+        assert!(matches!(
+            SparseSet::decode(&mut Decoder::new(&payload)),
+            Err(SnapshotError::Corrupt(msg)) if msg.contains("length prefix 9")
+        ));
+        assert!(matches!(
+            DenseVector::decode(&mut Decoder::new(&payload)),
+            Err(SnapshotError::Corrupt(msg)) if msg.contains("length prefix 9")
+        ));
+        // Exactly enough bytes decodes, and leaves nothing behind.
+        let payload = overlong(2, 16);
+        let mut dec = Decoder::new(&payload);
+        assert_eq!(
+            DenseVector::decode(&mut dec).expect("decode").values(),
+            &[f64::from_bits(0x1111_1111_1111_1111); 2]
+        );
+        dec.finish().expect("fully consumed");
     }
 
     #[test]
