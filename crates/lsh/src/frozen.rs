@@ -149,11 +149,12 @@ impl<E> Csr<E> {
     /// Keeps the buckets of `run`: its keys and entries are written with
     /// each bucket end shifted to the entries already written, which is
     /// the whole job without a remap. Under a remap it is one pass over
-    /// the run's entries, in which a dropped entry (rare: a tombstone)
-    /// takes one off the end of its bucket, then one pass over the buckets
-    /// that takes the running count of earlier drops off each end and
-    /// moves later buckets down over the emptied ones. Neither pass
-    /// branches on a bucket's size, and nothing is allocated.
+    /// the run's entries, in which a dropped entry takes one off the end
+    /// of its bucket (found by a cursor that only moves forward), then one
+    /// pass over the buckets that takes the running count of earlier drops
+    /// off each end and moves later buckets down over the emptied ones.
+    /// The cost is linear in buckets plus entries at any drop rate, no
+    /// step branches on a bucket's size, and nothing is allocated.
     fn keep<F>(&mut self, run: Run<'_, E>, remap: Option<&mut F>)
     where
         E: Clone,
@@ -171,11 +172,16 @@ impl<E> Csr<E> {
         };
         // A dropped entry takes one off its own bucket's end…
         let ends = &mut self.offsets[at + 1..];
+        let mut bucket = 0;
         for (pos, entry) in (run.first..).zip(run.entries) {
             match remap(entry) {
                 Some(entry) => self.entries.push(entry),
                 None => {
-                    let bucket = run.ends.partition_point(|&end| end <= pos);
+                    // Drops come in increasing position: the cursor only
+                    // moves forward, over each bucket at most once.
+                    while run.ends[bucket] <= pos {
+                        bucket += 1;
+                    }
                     ends[bucket] = ends[bucket].wrapping_sub(1);
                 }
             }
@@ -582,20 +588,31 @@ impl<E: fairnn_snapshot::SliceCodec> fairnn_snapshot::Codec for FrozenTable<E> {
                 keys.len()
             )));
         }
+        // Reachability, per block of keys: those found in their home slot
+        // (most of them) are passed without a branch, and only the others,
+        // collected in key order, walk their probe sequence.
         let mask = slots.len() - 1;
-        for (i, &key) in keys.iter().enumerate() {
-            let mut slot = first_slot(key, slot_shift);
-            loop {
-                let bucket = slots[slot];
-                if bucket == i as u32 {
-                    break;
+        let mut displaced = [0u32; 64];
+        for (first, block) in (0u32..).step_by(64).zip(keys.chunks(64)) {
+            let mut count = 0;
+            for (i, &key) in (first..).zip(block) {
+                displaced[count] = i;
+                count += usize::from(slots[first_slot(key, slot_shift)] != i);
+            }
+            for &i in &displaced[..count] {
+                let mut slot = first_slot(keys[i as usize], slot_shift);
+                loop {
+                    let bucket = slots[slot];
+                    if bucket == i {
+                        break;
+                    }
+                    if bucket == EMPTY_SLOT {
+                        return Err(SnapshotError::Corrupt(format!(
+                            "frozen table slot index cannot reach bucket {i}"
+                        )));
+                    }
+                    slot = (slot + 1) & mask;
                 }
-                if bucket == EMPTY_SLOT {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "frozen table slot index cannot reach bucket {i}"
-                    )));
-                }
-                slot = (slot + 1) & mask;
             }
         }
         let table = Self {
@@ -809,6 +826,36 @@ mod tests {
             decode(&unreachable),
             Err(SnapshotError::Corrupt(msg)) if msg.contains("cannot reach")
         ));
+    }
+
+    #[test]
+    fn the_first_unreachable_bucket_is_named_across_blocks_of_keys() {
+        use fairnn_snapshot::{Codec, Decoder, Encoder, SliceCodec, SnapshotError};
+        let table = FrozenTable::from_buckets((0..200u64).map(|i| (i * 7919, vec![i as u32])));
+        let decode_without = |missing: &[u32]| {
+            // Each missing bucket's slot is given to bucket 0, so capacity,
+            // range and occupancy all hold and only reachability fails.
+            let slots: Vec<u32> = table
+                .slots
+                .iter()
+                .map(|&b| if missing.contains(&b) { 0 } else { b })
+                .collect();
+            let mut enc = Encoder::new();
+            u64::encode_slice(&table.keys, &mut enc);
+            u32::encode_slice(&table.offsets, &mut enc);
+            u32::encode_slice(&table.entries, &mut enc);
+            u32::encode_slice(&slots, &mut enc);
+            FrozenTable::<u32>::decode(&mut Decoder::new(&enc.into_bytes()))
+        };
+        assert_eq!(decode_without(&[]).expect("intact"), table);
+        for (missing, named) in [(&[150][..], 150), (&[150, 70], 70), (&[199, 64, 63], 63)] {
+            let result = decode_without(missing);
+            let needle = format!("cannot reach bucket {named}");
+            assert!(
+                matches!(&result, Err(SnapshotError::Corrupt(msg)) if msg.contains(&needle)),
+                "missing {missing:?}: expected {needle:?}, got {result:?}"
+            );
+        }
     }
 
     #[test]
