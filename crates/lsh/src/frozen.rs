@@ -148,11 +148,12 @@ impl<E> Csr<E> {
 
     /// Keeps the buckets of `run`: its keys and entries are written with
     /// each bucket end shifted to the entries already written, which is
-    /// the whole job without a remap. Under a remap it is one pass over
-    /// the run's entries, in which a dropped entry takes one off the end
-    /// of its bucket (found by a cursor that only moves forward), then one
-    /// pass over the buckets that takes the running count of earlier drops
-    /// off each end and moves later buckets down over the emptied ones.
+    /// the whole job without a remap. Under a remap the run's entries are
+    /// copied wholesale too and compacted in place in one pass, in which a
+    /// dropped entry takes one off the end of its bucket (found by a
+    /// cursor that only moves forward), then one pass over the buckets
+    /// that takes the running count of earlier drops off each end and
+    /// moves later buckets down over the emptied ones.
     /// The cost is linear in buckets plus entries at any drop rate, no
     /// step branches on a bucket's size, and nothing is allocated.
     fn keep<F>(&mut self, run: Run<'_, E>, remap: Option<&mut F>)
@@ -170,12 +171,20 @@ impl<E> Csr<E> {
             self.entries.extend_from_slice(run.entries);
             return;
         };
-        // A dropped entry takes one off its own bucket's end…
+        // The run's entries are copied wholesale and compacted in place: a
+        // kept entry is written over the next free one, and a dropped entry
+        // takes one off its own bucket's end…
+        let base = self.entries.len();
+        self.entries.extend_from_slice(run.entries);
+        let tail = &mut self.entries[base..];
         let ends = &mut self.offsets[at + 1..];
-        let mut bucket = 0;
-        for (pos, entry) in (run.first..).zip(run.entries) {
-            match remap(entry) {
-                Some(entry) => self.entries.push(entry),
+        let (mut bucket, mut written) = (0, 0);
+        for (read, pos) in (0..tail.len()).zip(run.first..) {
+            match remap(&tail[read]) {
+                Some(entry) => {
+                    tail[written] = entry;
+                    written += 1;
+                }
                 None => {
                     // Drops come in increasing position: the cursor only
                     // moves forward, over each bucket at most once.
@@ -186,6 +195,7 @@ impl<E> Csr<E> {
                 }
             }
         }
+        self.entries.truncate(base + written);
         // …and the running count of drops before a bucket off the rest.
         // An emptied bucket is overwritten by the next kept one.
         let (mut dropped, mut kept) = (0, at);
