@@ -186,12 +186,80 @@ impl<H: HasherBankCodec> fairnn_snapshot::Codec for HasherBank<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minhash::{MinHash, MinHasher};
+    use crate::minhash::{MinHash, MinHasher, OneBitMinHasher};
     use crate::params::ParamsBuilder;
+    use crate::sketch::{SketchToken, MAX_BINS};
     use crate::LshIndex;
     use fairnn_space::SparseSet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Sketched banks of both MinHash families for `params`, fixed by
+    /// `seed`.
+    fn sketched_banks(
+        params: LshParams,
+        seed: u64,
+    ) -> (
+        HasherBank<ConcatenatedHasher<MinHasher>>,
+        HasherBank<ConcatenatedHasher<OneBitMinHasher>>,
+    ) {
+        let (k, l) = (params.k, params.l);
+        (
+            HasherBank::new(ConcatenatedHasher::sketched_bank(
+                seed,
+                l,
+                k,
+                SketchToken::Full,
+            )),
+            HasherBank::new(ConcatenatedHasher::sketched_bank(
+                seed,
+                l,
+                k,
+                SketchToken::OneBit,
+            )),
+        )
+    }
+
+    /// `bank`'s batched keys against each table's own `hash`, the bin by
+    /// bin scalar reference of a sketched bank.
+    fn assert_keys_match_each_table<H: LshHasher<SparseSet> + Sync>(
+        bank: &HasherBank<H>,
+        points: &[SparseSet],
+    ) {
+        let mut keys = Vec::new();
+        for p in points {
+            bank.query_keys_into(p, &mut keys);
+            let reference: Vec<u64> = bank.hashers().iter().map(|h| h.hash(p)).collect();
+            assert_eq!(keys, reference);
+            assert_eq!(bank.point_keys(p), keys);
+        }
+        let each: Vec<u64> = points.iter().flat_map(|p| bank.point_keys(p)).collect();
+        assert_eq!(bank.all_point_keys(points), each);
+    }
+
+    /// The empty set, one item, a few, and more items than `bins`.
+    fn sample_points(bins: usize) -> Vec<SparseSet> {
+        vec![
+            SparseSet::new(),
+            SparseSet::from_items(vec![7]),
+            SparseSet::from_items(vec![1, 2, 3]),
+            SparseSet::from_items(vec![2, 3, 4, 9]),
+            SparseSet::from_items((0..bins as u32 + 5).collect()),
+        ]
+    }
+
+    #[test]
+    fn sketched_bank_keys_match_each_tables_reference() {
+        // A sketched bank's batched keys (the sweep) equal each table's
+        // hash evaluated bin by bin from the definition: a table's hash is
+        // its slot of `hash_all`.
+        let params = LshParams::explicit(3, 7, 0.5, 0.1);
+        let (full, one_bit) = sketched_banks(params, 5);
+        let points = sample_points(21);
+        assert_keys_match_each_table(&full, &points);
+        assert_keys_match_each_table(&one_bit, &points);
+        assert!(one_bit.hashers()[0].rows().is_empty());
+    }
 
     #[test]
     fn sampled_bank_keys_like_an_index_drawn_from_the_same_stream() {
@@ -213,6 +281,160 @@ mod tests {
             bank.all_point_keys(&points),
             [index.query_keys(&points[0]), index.query_keys(&points[1])].concat()
         );
+    }
+
+    #[test]
+    fn a_bank_too_wide_for_a_sketch_keys_like_an_index_drawn_from_the_same_stream() {
+        // Past `MAX_BINS` bins the bank is drawn row by row: the same draws,
+        // in the same order, as `LshIndex::build` makes.
+        let params = LshParams::explicit(2, MAX_BINS / 2 + 1, 0.5, 0.05);
+        let bank = HasherBank::sample(&MinHash, params, &mut StdRng::seed_from_u64(4));
+        assert!(bank.hashers()[0].sketch().is_none());
+        let points = vec![
+            SparseSet::from_items(vec![1, 2, 3]),
+            SparseSet::from_items(vec![2, 3, 4, 9]),
+        ];
+        let index = LshIndex::build(&MinHash, params, &points, &mut StdRng::seed_from_u64(4));
+        for p in &points {
+            assert_eq!(bank.point_keys(p), index.query_keys(p));
+        }
+    }
+
+    /// The share of `(table, seed)` pairs over `seeds` sketched banks of
+    /// `K × L` bins in which `a` and `b` collide.
+    fn table_collision_rate(
+        k: usize,
+        l: usize,
+        token: SketchToken,
+        a: &SparseSet,
+        b: &SparseSet,
+        seeds: u64,
+    ) -> f64 {
+        let mut collisions = 0usize;
+        for seed in 0..seeds {
+            let bank: HasherBank<ConcatenatedHasher<MinHasher>> =
+                HasherBank::new(ConcatenatedHasher::sketched_bank(seed, l, k, token));
+            let (ka, kb) = (bank.point_keys(a), bank.point_keys(b));
+            collisions += ka.iter().zip(&kb).filter(|(x, y)| x == y).count();
+        }
+        collisions as f64 / (seeds as usize * l) as f64
+    }
+
+    #[test]
+    fn sketch_bin_collision_rate_tracks_jaccard() {
+        // One bin per table: a bin's full token collides with probability
+        // J, its one bit with probability (1 + J) / 2, as one MinHash row.
+        let a = SparseSet::from_items((0..30).collect());
+        let b = SparseSet::from_items((15..45).collect());
+        let j = a.jaccard(&b); // 15 / 45 = 1/3
+        let full = table_collision_rate(1, 40, SketchToken::Full, &a, &b, 200);
+        assert!(
+            (full - j).abs() < 0.05,
+            "full-token rate {full}, Jaccard {j}"
+        );
+        let bit = table_collision_rate(1, 40, SketchToken::OneBit, &a, &b, 200);
+        let expected = (1.0 + j) / 2.0;
+        assert!(
+            (bit - expected).abs() < 0.05,
+            "one-bit rate {bit}, expected {expected}"
+        );
+    }
+
+    #[test]
+    fn a_sketched_table_of_k_bins_collides_at_about_j_to_the_k() {
+        let a = SparseSet::from_items((0..30).collect());
+        let b = SparseSet::from_items((10..40).collect()); // J = 0.5
+        let j: f64 = a.jaccard(&b);
+        for (k, token, p) in [
+            (3, SketchToken::Full, j),
+            (3, SketchToken::OneBit, (1.0 + j) / 2.0),
+        ] {
+            let rate = table_collision_rate(k, 40, token, &a, &b, 200);
+            let expected = p.powi(k as i32);
+            assert!(
+                (rate - expected).abs() < 0.04,
+                "{token:?}, K = {k}: rate {rate}, expected {expected}"
+            );
+        }
+        // Far apart, a K = 10 one-bit table (the paper's Last.FM K) almost
+        // never collides: 0.55^10 < 0.003 at J = 0.1.
+        let c = SparseSet::from_items((0..20).chain(200..240).collect());
+        let d = SparseSet::from_items((14..20).chain(400..420).collect());
+        let rate = table_collision_rate(10, 76, SketchToken::OneBit, &c, &d, 100);
+        assert!(rate < 0.01, "K = 10 one-bit rate {rate}");
+    }
+
+    /// The canonical wire bytes of a bank.
+    fn encode<H: HasherBankCodec>(bank: &HasherBank<H>) -> Vec<u8> {
+        let mut enc = fairnn_snapshot::Encoder::new();
+        fairnn_snapshot::Codec::encode(bank, &mut enc);
+        enc.into_bytes()
+    }
+
+    fn decode<H: HasherBankCodec>(bytes: &[u8]) -> Result<HasherBank<H>, SnapshotError> {
+        let mut dec = fairnn_snapshot::Decoder::new(bytes);
+        let bank = <HasherBank<H> as fairnn_snapshot::Codec>::decode(&mut dec)?;
+        dec.finish()?;
+        Ok(bank)
+    }
+
+    #[test]
+    fn a_sketched_bank_round_trips_as_its_seed() {
+        let params = LshParams::explicit(4, 100, 0.5, 0.1);
+        let (full, one_bit) = sketched_banks(params, 9);
+        let bytes = encode(&full);
+        // Tag, L, K, seed: no rows.
+        assert_eq!(bytes.len(), 1 + 3 * 8);
+        let back: HasherBank<ConcatenatedHasher<MinHasher>> = decode(&bytes).expect("decode");
+        assert_eq!(encode(&back), bytes);
+        back.check_shape(params).expect("shape");
+        let point = SparseSet::from_items(vec![3, 1, 4, 15, 92, 65]);
+        assert_eq!(back.point_keys(&point), full.point_keys(&point));
+        let back: HasherBank<ConcatenatedHasher<OneBitMinHasher>> =
+            decode(&encode(&one_bit)).expect("decode");
+        assert_eq!(back.point_keys(&point), one_bit.point_keys(&point));
+        assert_eq!(
+            back.hashers()[0].sketch().map(|s| s.token_kind()),
+            Some(SketchToken::OneBit)
+        );
+    }
+
+    #[test]
+    fn a_bad_sketch_layout_fails_with_a_typed_error() {
+        let params = LshParams::explicit(4, 100, 0.5, 0.1);
+        let bytes = encode(&sketched_banks(params, 9).0);
+        // A layout tag no encoder writes.
+        let mut bad_tag = bytes.clone();
+        bad_tag[0] = 3;
+        let err = decode::<ConcatenatedHasher<MinHasher>>(&bad_tag).expect_err("bad tag");
+        assert!(
+            matches!(err, SnapshotError::Corrupt(ref m) if m.contains("layout tag 3")),
+            "{err}"
+        );
+        // A seed field cut short.
+        let err = decode::<ConcatenatedHasher<MinHasher>>(&bytes[..bytes.len() - 3])
+            .expect_err("short seed");
+        assert!(matches!(err, SnapshotError::Truncated { .. }), "{err}");
+        // A sketch layout for rows without a sketch.
+        let err = decode::<ConcatenatedHasher<crate::SimHasher>>(&bytes).expect_err("no sketch");
+        assert!(
+            matches!(err, SnapshotError::Corrupt(ref m) if m.contains("no sketch")),
+            "{err}"
+        );
+        // More bins than a sketch holds, or none.
+        for (tables, arity) in [(MAX_BINS / 4 + 1, 4u64), (0, 4), (100, 0)] {
+            let mut enc = fairnn_snapshot::Encoder::new();
+            enc.write_u8(bytes[0]);
+            enc.write_u64(tables as u64);
+            enc.write_u64(arity);
+            enc.write_u64(9);
+            let err =
+                decode::<ConcatenatedHasher<MinHasher>>(&enc.into_bytes()).expect_err("bin count");
+            assert!(
+                matches!(err, SnapshotError::Corrupt(ref m) if m.contains("sketched bank")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! re-check distances).
 
 use crate::family::{CollisionModel, LshFamily, LshHasher};
+use crate::sketch::{BankSketch, SketchToken, MAX_BINS};
 use rand::Rng;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -32,11 +33,17 @@ thread_local! {
 /// [`ConcatenatedHasher::bank`]); when a whole slice of such siblings is
 /// evaluated through [`LshHasher::hash_all`], all `K × L` rows are hashed in
 /// one pass over the point.
+///
+/// A *sketched* bank ([`ConcatenatedHasher::sketched_bank`]) has no rows:
+/// its `L` tables share one [`BankSketch`] of `K × L` bins, and table `t`
+/// concatenates bins `t·K .. t·K + K`.
 #[derive(Debug, Clone)]
 pub struct ConcatenatedHasher<H> {
     rows: Arc<[H]>,
+    /// The table's first row (or bin, in a sketched bank).
     start: usize,
     arity: usize,
+    sketch: Option<Arc<BankSketch>>,
 }
 
 impl<H> ConcatenatedHasher<H> {
@@ -48,6 +55,7 @@ impl<H> ConcatenatedHasher<H> {
             rows: rows.into(),
             start: 0,
             arity,
+            sketch: None,
         }
     }
 
@@ -68,6 +76,24 @@ impl<H> ConcatenatedHasher<H> {
                 rows: Arc::clone(&shared),
                 start: table * arity,
                 arity,
+                sketch: None,
+            })
+            .collect()
+    }
+
+    /// The `tables` table hashers of one sketched bank of `tables × arity`
+    /// bins fixed by `seed` ([`crate::sketch`]), keeping `token` of each
+    /// bin. Panics unless `1 ≤ tables × arity ≤ MAX_BINS`.
+    pub fn sketched_bank(seed: u64, tables: usize, arity: usize, token: SketchToken) -> Vec<Self> {
+        assert!(arity >= 1, "concatenation needs at least one hasher");
+        let bins = tables.saturating_mul(arity);
+        let sketch = Arc::new(BankSketch::new(seed, bins, token));
+        (0..tables)
+            .map(|table| Self {
+                rows: Arc::new([]),
+                start: table * arity,
+                arity,
+                sketch: Some(Arc::clone(&sketch)),
             })
             .collect()
     }
@@ -77,9 +103,16 @@ impl<H> ConcatenatedHasher<H> {
         self.arity
     }
 
-    /// The individual row hashers.
+    /// The individual row hashers (none in a sketched bank).
     pub fn rows(&self) -> &[H] {
-        &self.rows[self.start..self.start + self.arity]
+        self.rows
+            .get(self.start..self.start + self.arity)
+            .unwrap_or(&[])
+    }
+
+    /// The sketch of a sketched bank's table, `None` for drawn rows.
+    pub fn sketch(&self) -> Option<&BankSketch> {
+        self.sketch.as_deref()
     }
 
     /// When every hasher in `tables` views consecutive chunks of one shared
@@ -89,7 +122,10 @@ impl<H> ConcatenatedHasher<H> {
         let first = tables.first()?;
         let mut expected_start = 0;
         for table in tables {
-            if !Arc::ptr_eq(&table.rows, &first.rows) || table.start != expected_start {
+            if table.sketch.is_some()
+                || !Arc::ptr_eq(&table.rows, &first.rows)
+                || table.start != expected_start
+            {
                 return None;
             }
             expected_start += table.arity;
@@ -97,39 +133,87 @@ impl<H> ConcatenatedHasher<H> {
         Some(&first.rows[..expected_start])
     }
 
-    /// Folds a table's row tokens into its 64-bit bucket key — a polynomial
-    /// in a fixed odd base. Equal row-token vectors always produce equal
-    /// keys; distinct vectors collide only if the fold collides.
-    #[inline]
-    fn fold(tokens: impl IntoIterator<Item = u64>) -> u64 {
-        let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
-        for token in tokens {
-            acc = acc
-                .wrapping_mul(0x0000_0100_0000_01B3)
-                .wrapping_add(token.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17))
-                .wrapping_add(1);
-        }
-        acc
+    /// When every hasher in `tables` is a table of one sketched bank,
+    /// returns that bank's sketch.
+    fn shared_sketch(tables: &[Self]) -> Option<&BankSketch> {
+        let sketch = tables.first()?.sketch.as_ref()?;
+        tables
+            .iter()
+            .all(|t| t.sketch.as_ref().is_some_and(|s| Arc::ptr_eq(s, sketch)))
+            .then_some(&**sketch)
+    }
+
+    /// The bins of this table in its sketched bank.
+    fn bins(&self) -> std::ops::Range<usize> {
+        self.start..self.start + self.arity
+    }
+}
+
+/// Folds a table's row tokens into its 64-bit bucket key — a polynomial in
+/// a fixed odd base. Equal row-token vectors always produce equal keys;
+/// distinct vectors collide only if the fold collides.
+#[inline]
+pub(crate) fn fold(tokens: impl IntoIterator<Item = u64>) -> u64 {
+    let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
+    for token in tokens {
+        acc = acc
+            .wrapping_mul(0x0000_0100_0000_01B3)
+            .wrapping_add(token.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17))
+            .wrapping_add(1);
+    }
+    acc
+}
+
+impl<H> ConcatenatedHasher<H> {
+    /// The items of `point` for a sketched bank. Only [`HasherBank::sample`]
+    /// and the bank decoder make sketched banks, and both only for a family
+    /// with a sketch.
+    ///
+    /// [`HasherBank::sample`]: crate::HasherBank::sample
+    fn sketch_items<P>(point: &P) -> &[u32]
+    where
+        H: LshHasher<P>,
+    {
+        let family = <H as LshHasher<P>>::SKETCH
+            .expect("sketched banks are drawn only for families with a sketch");
+        (family.items)(point)
     }
 }
 
 impl<P, H: LshHasher<P>> LshHasher<P> for ConcatenatedHasher<H> {
+    /// The table's bucket key. A sketched bank's table is evaluated bin by
+    /// bin over its own `K` bins only ([`BankSketch::bin_keys`]), which is
+    /// the definition the bank-wide sweep of [`LshHasher::hash_all`] must
+    /// match.
     fn hash(&self, point: &P) -> u64 {
-        Self::fold(self.rows().iter().map(|row| row.hash(point)))
+        match &self.sketch {
+            Some(sketch) => sketch.table_key(Self::sketch_items(point), self.bins()),
+            None => fold(self.rows().iter().map(|row| row.hash(point))),
+        }
     }
 
     /// Batched bucket keys: `out[t] = tables[t].hash(point)`.
     ///
-    /// When the tables share one contiguous bank (the
-    /// [`ConcatenatedHasher::bank`] layout), all `K × L` row hashes are
-    /// computed by a *single* `H::hash_all` pass over the point and then
-    /// folded per table; otherwise each table gets its own single-pass
+    /// When the tables are tables of one sketched bank, one sweep of the
+    /// point's items over all `K × L` bins ([`BankSketch::with_tokens`])
+    /// gives every table's tokens. When they share one contiguous bank
+    /// (the [`ConcatenatedHasher::bank`] layout), all `K × L` row hashes
+    /// are computed by a *single* `H::hash_all` pass over the point and
+    /// then folded per table; otherwise each table gets its own single-pass
     /// evaluation of its `K` rows. Either way the keys are bit-identical to
-    /// the per-row [`LshHasher::hash`] path, and the intermediate tokens
+    /// the per-table [`LshHasher::hash`] path, and the intermediate tokens
     /// live in a reusable thread-local buffer, so steady-state queries do
     /// not allocate.
     fn hash_all(tables: &[Self], point: &P, out: &mut [u64]) {
         debug_assert_eq!(tables.len(), out.len(), "one output slot per table");
+        if let Some(sketch) = Self::shared_sketch(tables) {
+            sketch.with_tokens(Self::sketch_items(point), |tokens| {
+                for (table, slot) in tables.iter().zip(out.iter_mut()) {
+                    *slot = tokens.table_key(sketch, table.bins());
+                }
+            });
+            return;
+        }
         // Take the buffer out of the thread-local instead of holding the
         // borrow across the `H::hash_all` calls: if `H` is itself a
         // `ConcatenatedHasher` (nested concatenation), the inner call then
@@ -142,7 +226,7 @@ impl<P, H: LshHasher<P>> LshHasher<P> for ConcatenatedHasher<H> {
             H::hash_all(flat, point, &mut tokens);
             let mut offset = 0;
             for (table, slot) in tables.iter().zip(out.iter_mut()) {
-                *slot = Self::fold(tokens[offset..offset + table.arity].iter().copied());
+                *slot = fold(tokens[offset..offset + table.arity].iter().copied());
                 offset += table.arity;
             }
         } else {
@@ -151,7 +235,7 @@ impl<P, H: LshHasher<P>> LshHasher<P> for ConcatenatedHasher<H> {
                 tokens.clear();
                 tokens.resize(rows.len(), 0);
                 H::hash_all(rows, point, &mut tokens);
-                *slot = Self::fold(tokens.iter().copied());
+                *slot = fold(tokens.iter().copied());
             }
         }
         ROW_TOKENS.with(|cell| *cell.borrow_mut() = tokens);
@@ -161,16 +245,38 @@ impl<P, H: LshHasher<P>> LshHasher<P> for ConcatenatedHasher<H> {
 /// Bank layout tags of the [`crate::snapshot::HasherBankCodec`] encoding.
 const BANK_SHARED: u8 = 1;
 const BANK_INDEPENDENT: u8 = 0;
+/// A sketched bank: `L`, `K` and the sketch's seed, no rows.
+const BANK_SKETCH: u8 = 2;
 
 impl<H: crate::snapshot::RowCodec> crate::snapshot::HasherBankCodec for ConcatenatedHasher<H> {
-    /// Writes the table hashers either as one flat shared bank (the layout
-    /// [`ConcatenatedHasher::bank`] produces — each row written exactly
-    /// once, in bulk via [`crate::snapshot::RowCodec`]) or, for
-    /// independently built hashers, as one row vector per table.
+    /// Writes the table hashers as a sketched bank's seed (the layout
+    /// [`ConcatenatedHasher::sketched_bank`] produces: `L`, `K` and the
+    /// seed, 16 bytes past the tag for the whole bank), as one flat shared
+    /// bank (the layout [`ConcatenatedHasher::bank`] produces — each row
+    /// written exactly once, in bulk via [`crate::snapshot::RowCodec`])
+    /// or, for independently built hashers, as one row vector per table.
+    /// Tables of a sketched bank are encoded whole and in order, as a
+    /// [`crate::HasherBank`] holds them.
     fn encode_bank(tables: &[Self], enc: &mut fairnn_snapshot::Encoder) {
         let uniform_arity = tables
             .first()
             .is_some_and(|first| tables.iter().all(|t| t.arity == first.arity));
+        if tables.iter().any(|t| t.sketch.is_some()) {
+            let sketch = Self::shared_sketch(tables).filter(|sketch| {
+                uniform_arity
+                    && sketch.bins() == tables.len() * tables[0].arity
+                    && tables
+                        .iter()
+                        .enumerate()
+                        .all(|(t, table)| table.start == t * table.arity)
+            });
+            let sketch = sketch.expect("a sketched bank is encoded whole, in table order");
+            enc.write_u8(BANK_SKETCH);
+            enc.write_u64(tables.len() as u64);
+            enc.write_u64(tables[0].arity as u64);
+            enc.write_u64(sketch.seed());
+            return;
+        }
         match Self::flat_bank(tables) {
             Some(flat) if uniform_arity => {
                 enc.write_u8(BANK_SHARED);
@@ -200,9 +306,29 @@ impl<H: crate::snapshot::RowCodec> crate::snapshot::HasherBankCodec for Concaten
     ) -> Result<Vec<Self>, fairnn_snapshot::SnapshotError> {
         use fairnn_snapshot::{Codec, SnapshotError};
         let layout = dec.read_u8()?;
-        let num_tables = dec.read_len()?;
+        if layout == BANK_SKETCH {
+            // A table count, not the length of what follows: no rows do.
+            let num_tables = usize::decode(dec)?;
+            let arity = usize::decode(dec)?;
+            let seed = dec.read_u64()?;
+            let Some(token) = H::SKETCH_TOKEN else {
+                return Err(SnapshotError::Corrupt(
+                    "hasher bank layout tag 2 is a sketched bank, and these rows have no sketch"
+                        .into(),
+                ));
+            };
+            let bins = num_tables.saturating_mul(arity);
+            if num_tables < 1 || arity < 1 || bins > MAX_BINS {
+                return Err(SnapshotError::Corrupt(format!(
+                    "a sketched bank of {num_tables} tables x {arity} bins is not 1 to \
+                     {MAX_BINS} bins"
+                )));
+            }
+            return Ok(Self::sketched_bank(seed, num_tables, arity, token));
+        }
         match layout {
             BANK_SHARED => {
+                let num_tables = dec.read_len()?;
                 let arity = usize::decode(dec)?;
                 if arity < 1 {
                     return Err(SnapshotError::Corrupt(
@@ -224,6 +350,7 @@ impl<H: crate::snapshot::RowCodec> crate::snapshot::HasherBankCodec for Concaten
                 Ok(Self::bank(rows, arity))
             }
             BANK_INDEPENDENT => {
+                let num_tables = dec.read_len()?;
                 let mut tables = Vec::with_capacity(num_tables.min(dec.remaining()));
                 for _ in 0..num_tables {
                     let arity = usize::decode(dec)?;

@@ -7,6 +7,7 @@
 //! parameter selection (`K`, `L`) is computed from, exactly as in the
 //! paper's Section 6 setup.
 
+use crate::sketch::SketchFamily;
 use rand::Rng;
 
 /// A single locality-sensitive hash function.
@@ -15,6 +16,11 @@ use rand::Rng;
 /// of several hashers are combined into a single token by
 /// [`crate::ConcatenatedHasher`].
 pub trait LshHasher<P> {
+    /// How a bank of this family is drawn and evaluated as one sketch
+    /// ([`crate::sketch`]) when [`crate::HasherBank::sample`] draws it, or
+    /// `None`, the default: such banks are `K × L` independent rows.
+    const SKETCH: Option<SketchFamily<P>> = None;
+
     /// Hashes one point to its token.
     fn hash(&self, point: &P) -> u64;
 

@@ -48,6 +48,7 @@ pub mod params;
 pub mod pstable;
 pub mod scratch;
 pub mod simhash;
+pub mod sketch;
 pub mod snapshot;
 pub mod table;
 

@@ -13,6 +13,7 @@
 //! implementations.
 
 use crate::family::{CollisionModel, LshFamily, LshHasher};
+use crate::sketch::{SketchFamily, SketchToken};
 use fairnn_sketch::hashing::{splitmix64, MultiplyShift};
 use fairnn_space::SparseSet;
 use rand::Rng;
@@ -273,6 +274,8 @@ fn decode_coefficient_rows(
 }
 
 impl crate::snapshot::RowCodec for MinHasher {
+    const SKETCH_TOKEN: Option<SketchToken> = Some(SketchToken::Full);
+
     fn encode_rows(rows: &[Self], enc: &mut fairnn_snapshot::Encoder) {
         encode_coefficient_rows(rows.iter().map(|r| r.perm), enc);
     }
@@ -289,6 +292,11 @@ impl crate::snapshot::RowCodec for MinHasher {
 }
 
 impl LshHasher<SparseSet> for MinHasher {
+    const SKETCH: Option<SketchFamily<SparseSet>> = Some(SketchFamily {
+        token: SketchToken::Full,
+        items: SparseSet::items,
+    });
+
     fn hash(&self, point: &SparseSet) -> u64 {
         self.min_value(point)
     }
@@ -352,6 +360,8 @@ impl fairnn_snapshot::Codec for OneBitMinHasher {
 }
 
 impl crate::snapshot::RowCodec for OneBitMinHasher {
+    const SKETCH_TOKEN: Option<SketchToken> = Some(SketchToken::OneBit);
+
     fn encode_rows(rows: &[Self], enc: &mut fairnn_snapshot::Encoder) {
         encode_coefficient_rows(rows.iter().map(|r| r.inner.perm), enc);
     }
@@ -370,6 +380,11 @@ impl crate::snapshot::RowCodec for OneBitMinHasher {
 }
 
 impl LshHasher<SparseSet> for OneBitMinHasher {
+    const SKETCH: Option<SketchFamily<SparseSet>> = Some(SketchFamily {
+        token: SketchToken::OneBit,
+        items: SparseSet::items,
+    });
+
     fn hash(&self, point: &SparseSet) -> u64 {
         self.inner.min_value(point) & 1
     }

@@ -45,6 +45,11 @@ pub trait HasherBankCodec: Sized {
 /// [`fairnn_snapshot::ArcSlice`] view before materializing the in-memory
 /// bank in a single pass.
 pub trait RowCodec: Codec {
+    /// The token a sketched bank of these rows keeps, or `None`, the
+    /// default, when the family has no sketch: a bank image of the sketch
+    /// layout then fails to decode.
+    const SKETCH_TOKEN: Option<crate::sketch::SketchToken> = None;
+
     /// Encodes `rows` (the flat table-major bank, each row exactly once).
     fn encode_rows(rows: &[Self], enc: &mut Encoder) {
         for row in rows {
