@@ -11,6 +11,7 @@
 use crate::concat::ConcatenatedHasher;
 use crate::family::{LshFamily, LshHasher};
 use crate::params::LshParams;
+use crate::sketch::MAX_BINS;
 use crate::snapshot::HasherBankCodec;
 use fairnn_obs::{LazyHistogram, Timer};
 use fairnn_snapshot::SnapshotError;
@@ -130,17 +131,35 @@ impl<H> HasherBank<H> {
 }
 
 impl<BH> HasherBank<ConcatenatedHasher<BH>> {
-    /// Draws the standard `K × L` bank: `L` concatenations of `K` draws
+    /// Draws the engine's `K × L` bank. For a family with a sketch
+    /// ([`LshHasher::SKETCH`]: MinHash and 1-bit MinHash) and
+    /// `K × L ≤ MAX_BINS`, it is one sketched bank
+    /// ([`ConcatenatedHasher::sketched_bank`]) fixed by a single `u64`
+    /// drawn from `rng`. Otherwise it is `L` concatenations of `K` draws
     /// from `family`, in one shared table-major row bank
     /// ([`ConcatenatedHasher::bank`]) — the same draws, in the same order,
     /// as [`crate::LshIndex::build`] makes from the same `rng`.
+    ///
+    /// [`MAX_BINS`]: crate::sketch::MAX_BINS
     pub fn sample<P, F, R>(family: &F, params: LshParams, rng: &mut R) -> Self
     where
+        BH: LshHasher<P>,
         F: LshFamily<P, Hasher = BH>,
         R: Rng + ?Sized,
     {
-        let rows = family.sample_many(rng, params.k * params.l);
-        Self::new(ConcatenatedHasher::bank(rows, params.k))
+        let bins = params.k * params.l;
+        match BH::SKETCH {
+            Some(sketch) if bins <= MAX_BINS => Self::new(ConcatenatedHasher::sketched_bank(
+                rng.random(),
+                params.l,
+                params.k,
+                sketch.token,
+            )),
+            _ => Self::new(ConcatenatedHasher::bank(
+                family.sample_many(rng, bins),
+                params.k,
+            )),
+        }
     }
 }
 
@@ -186,9 +205,9 @@ impl<H: HasherBankCodec> fairnn_snapshot::Codec for HasherBank<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minhash::{MinHash, MinHasher, OneBitMinHasher};
+    use crate::minhash::{MinHash, MinHasher, OneBitMinHash, OneBitMinHasher};
     use crate::params::ParamsBuilder;
-    use crate::sketch::{SketchToken, MAX_BINS};
+    use crate::sketch::SketchToken;
     use crate::LshIndex;
     use fairnn_space::SparseSet;
     use rand::rngs::StdRng;
@@ -262,25 +281,18 @@ mod tests {
     }
 
     #[test]
-    fn sampled_bank_keys_like_an_index_drawn_from_the_same_stream() {
+    fn sampled_bank_keys_match_each_tables_reference() {
+        // The engine's bank is one sketch, keyed as each table's reference.
         let params = ParamsBuilder::new(50, 0.5, 0.05).empirical(&MinHash);
-        let bank = HasherBank::sample(&MinHash, params, &mut StdRng::seed_from_u64(4));
-        let points = vec![
-            SparseSet::from_items(vec![1, 2, 3]),
-            SparseSet::from_items(vec![2, 3, 4, 9]),
-        ];
-        let index = LshIndex::build(&MinHash, params, &points, &mut StdRng::seed_from_u64(4));
-        assert_eq!(bank.num_tables(), params.l);
-        let mut keys = Vec::new();
-        for p in &points {
-            bank.query_keys_into(p, &mut keys);
-            assert_eq!(keys, index.query_keys(p));
-            assert_eq!(bank.point_keys(p), keys);
-        }
-        assert_eq!(
-            bank.all_point_keys(&points),
-            [index.query_keys(&points[0]), index.query_keys(&points[1])].concat()
-        );
+        let full = HasherBank::sample(&MinHash, params, &mut StdRng::seed_from_u64(4));
+        let one_bit = HasherBank::sample(&OneBitMinHash, params, &mut StdRng::seed_from_u64(4));
+        assert_eq!(full.num_tables(), params.l);
+        let sketch = full.hashers()[0].sketch().expect("a sketched bank");
+        assert_eq!(sketch.bins(), params.k * params.l);
+        assert_eq!(sketch.token_kind(), SketchToken::Full);
+        let points = sample_points(params.k * params.l);
+        assert_keys_match_each_table(&full, &points);
+        assert_keys_match_each_table(&one_bit, &points);
     }
 
     #[test]

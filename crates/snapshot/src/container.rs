@@ -1,7 +1,7 @@
 //! The on-disk container: header, section directory, checksums, and the
 //! save/load entry points.
 //!
-//! Layout of format version 9 (the aligned layout of version 3; all
+//! Layout of format version 10 (the aligned layout of version 3; all
 //! integers little-endian):
 //!
 //! ```text
@@ -111,8 +111,9 @@ pub const MAGIC: [u8; 8] = *b"FAIRNNSS";
 /// plus fixed table-range sections, under an id map of part and local id;
 /// 8 = the same parts under the next global id instead of the id map; 9 =
 /// the same layout under the word-wise [`checksum64`] instead of a
-/// byte-serial FNV-1a.
-pub const FORMAT_VERSION: u32 = 9;
+/// byte-serial FNV-1a; 10 = the engine's hasher bank as one sketch, stored
+/// as its seed (bank layout tag 2) instead of `K × L` coefficient pairs.
+pub const FORMAT_VERSION: u32 = 10;
 
 /// Byte-order marker: written little-endian, so a conforming file always
 /// reads back as this value.

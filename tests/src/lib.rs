@@ -78,7 +78,7 @@ pub const GOLDEN_RANK_SWAP: [i64; 20] =
 /// Expected output of the pinned `ShardedIndex` sequence (seeds 17/11).
 pub const GOLDEN_SHARDED: [i64; 20] = [8, 6, 7, 8, 1, 3, 3, 3, 6, 0, 9, 0, 9, 8, 4, 0, 6, 5, 1, 1];
 /// Expected answers of batch 0 on the pinned engine (seed 23).
-pub const GOLDEN_ENGINE_FIRST: [i64; 10] = [2, 7, 4, 4, 9, 3, 2, 0, 7, 2];
+pub const GOLDEN_ENGINE_FIRST: [i64; 10] = [2, 9, 4, 3, 8, 3, 2, 0, 5, 2];
 
 #[cfg(test)]
 mod tests {

@@ -117,7 +117,7 @@ fn sharded_index_golden() {
         .collect();
     println!("sharded_index_golden: {:?} {:?}", ids(&got), counters(work));
     assert_eq!(ids(&got), GOLDEN_SHARDED);
-    assert_eq!(counters(work), [1280, 20, 280, 37]);
+    assert_eq!(counters(work), [1340, 20, 280, 37]);
 }
 
 #[test]

@@ -401,16 +401,17 @@ fn golden_images_keep_their_exact_bytes() {
             to_bytes(SnapshotKind::Checkpoint, &checkpoint),
         ),
     ];
-    // Format version 9: every image's header carries the new version, and
-    // the header and directory hold word-wise checksums where v8 held
-    // FNV-1a ones. No length moved.
+    // Format version 10: every image's header carries the new version. The
+    // engine's bank is its sketch's seed where v9 held K x L coefficient
+    // pairs, so the ShardedIndex and Checkpoint images are 192 bytes
+    // shorter; the paper samplers' images keep their lengths.
     let pinned: [(usize, u64); 6] = [
-        (5824, 17366208141797614038),
-        (9128, 5449211680334514937),
-        (47120, 15371704500341006183),
-        (9192, 5561416136239658966),
-        (10512, 10733694054870338735),
-        (10576, 13028154918750176413),
+        (5824, 1343770598048048933),
+        (9128, 5640709752834026898),
+        (47120, 9764535560634379540),
+        (9192, 13084176567638480305),
+        (10320, 18163616684142636890),
+        (10384, 18118917546239219952),
     ];
     for ((name, image), want) in images.iter().zip(pinned) {
         assert_eq!(fingerprint(image), want, "{name} image bytes changed");
@@ -453,7 +454,7 @@ fn golden_images_keep_their_exact_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         fingerprint(&file),
-        (10768, 6324613020616732002),
+        (10704, 8894834592289663234),
         "checkpoint.snap bytes changed"
     );
 }
@@ -642,11 +643,12 @@ fn corrupted_truncated_and_version_bumped_snapshots_fail_typed() {
     // v3 images still carrying the engine's tuning knobs, v4 images with a
     // hasher bank inside every shard section, v5 images with per-bucket
     // KMV sketch maps inside every shard section, v6 images of `N` shards,
-    // v7 images with an id map in the index head and v8 images under
-    // FNV-1a checksums — get the same typed rejection (no migration shims),
+    // v7 images with an id map in the index head, v8 images under FNV-1a
+    // checksums and v9 images with the engine's bank as K x L coefficient
+    // pairs — get the same typed rejection (no migration shims),
     // and the message tells the operator how to move forward: re-save with
     // a current binary.
-    for found in [1u32, 2, 3, 4, 5, 6, 7, 8] {
+    for found in [1u32, 2, 3, 4, 5, 6, 7, 8, 9] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&found.to_le_bytes());
         let err = load_small(&old).expect_err("an old-version file must not load");
