@@ -7,6 +7,20 @@
 //! with the same bank: a query is then hashed once for both, and the
 //! union of their colliding sets is exactly the colliding set of one
 //! `L`-table structure over all points (Sections 3–4 of the paper).
+//!
+//! **Which family evaluates a bank.** [`HasherBank::sample`], which draws
+//! the engine's bank, draws one sketch ([`crate::sketch`]) for MinHash and
+//! 1-bit MinHash: each item of a point is hashed once and swept over the
+//! `K × L` bins, where `K × L` independent rows cost `|q| · K · L` hash
+//! evaluations. The engine's draw is uniform over whatever colliding near
+//! set its tables produce and does not rely on the tables being
+//! independent; what it needs from the family is recall, which
+//! `tests/tests/sketch_recall.rs` measures against per-row MinHash. The
+//! paper's own structures ([`crate::LshIndex`] and the samplers built on
+//! it) keep Section 6's `K × L` independent MinHash rows, because they
+//! reproduce the paper's experiments with the paper's family. Families
+//! without a sketch (SimHash, p-stable), and banks of more than
+//! [`crate::sketch::MAX_BINS`] bins, are drawn row by row everywhere.
 
 use crate::concat::ConcatenatedHasher;
 use crate::family::{LshFamily, LshHasher};

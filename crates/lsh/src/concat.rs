@@ -147,6 +147,20 @@ impl<H> ConcatenatedHasher<H> {
     fn bins(&self) -> std::ops::Range<usize> {
         self.start..self.start + self.arity
     }
+
+    /// The items of `point` for a sketched bank. Only [`HasherBank::sample`]
+    /// and the bank decoder make sketched banks, and both only for a family
+    /// with a sketch.
+    ///
+    /// [`HasherBank::sample`]: crate::HasherBank::sample
+    fn sketch_items<P>(point: &P) -> &[u32]
+    where
+        H: LshHasher<P>,
+    {
+        let family = <H as LshHasher<P>>::SKETCH
+            .expect("sketched banks are drawn only for families with a sketch");
+        (family.items)(point)
+    }
 }
 
 /// Folds a table's row tokens into its 64-bit bucket key — a polynomial in
@@ -164,25 +178,9 @@ pub(crate) fn fold(tokens: impl IntoIterator<Item = u64>) -> u64 {
     acc
 }
 
-impl<H> ConcatenatedHasher<H> {
-    /// The items of `point` for a sketched bank. Only [`HasherBank::sample`]
-    /// and the bank decoder make sketched banks, and both only for a family
-    /// with a sketch.
-    ///
-    /// [`HasherBank::sample`]: crate::HasherBank::sample
-    fn sketch_items<P>(point: &P) -> &[u32]
-    where
-        H: LshHasher<P>,
-    {
-        let family = <H as LshHasher<P>>::SKETCH
-            .expect("sketched banks are drawn only for families with a sketch");
-        (family.items)(point)
-    }
-}
-
 impl<P, H: LshHasher<P>> LshHasher<P> for ConcatenatedHasher<H> {
     /// The table's bucket key. A sketched bank's table is evaluated bin by
-    /// bin over its own `K` bins only ([`BankSketch::bin_keys`]), which is
+    /// bin over its own `K` bins only (`BankSketch::table_key`), which is
     /// the definition the bank-wide sweep of [`LshHasher::hash_all`] must
     /// match.
     fn hash(&self, point: &P) -> u64 {
@@ -195,7 +193,7 @@ impl<P, H: LshHasher<P>> LshHasher<P> for ConcatenatedHasher<H> {
     /// Batched bucket keys: `out[t] = tables[t].hash(point)`.
     ///
     /// When the tables are tables of one sketched bank, one sweep of the
-    /// point's items over all `K × L` bins ([`BankSketch::with_tokens`])
+    /// point's items over all `K × L` bins (`BankSketch::with_tokens`)
     /// gives every table's tokens. When they share one contiguous bank
     /// (the [`ConcatenatedHasher::bank`] layout), all `K × L` row hashes
     /// are computed by a *single* `H::hash_all` pass over the point and
@@ -251,7 +249,7 @@ const BANK_SKETCH: u8 = 2;
 impl<H: crate::snapshot::RowCodec> crate::snapshot::HasherBankCodec for ConcatenatedHasher<H> {
     /// Writes the table hashers as a sketched bank's seed (the layout
     /// [`ConcatenatedHasher::sketched_bank`] produces: `L`, `K` and the
-    /// seed, 16 bytes past the tag for the whole bank), as one flat shared
+    /// seed, 24 bytes past the tag for the whole bank), as one flat shared
     /// bank (the layout [`ConcatenatedHasher::bank`] produces — each row
     /// written exactly once, in bulk via [`crate::snapshot::RowCodec`])
     /// or, for independently built hashers, as one row vector per table.
@@ -306,27 +304,28 @@ impl<H: crate::snapshot::RowCodec> crate::snapshot::HasherBankCodec for Concaten
     ) -> Result<Vec<Self>, fairnn_snapshot::SnapshotError> {
         use fairnn_snapshot::{Codec, SnapshotError};
         let layout = dec.read_u8()?;
-        if layout == BANK_SKETCH {
-            // A table count, not the length of what follows: no rows do.
-            let num_tables = usize::decode(dec)?;
-            let arity = usize::decode(dec)?;
-            let seed = dec.read_u64()?;
-            let Some(token) = H::SKETCH_TOKEN else {
-                return Err(SnapshotError::Corrupt(
-                    "hasher bank layout tag 2 is a sketched bank, and these rows have no sketch"
-                        .into(),
-                ));
-            };
-            let bins = num_tables.saturating_mul(arity);
-            if num_tables < 1 || arity < 1 || bins > MAX_BINS {
-                return Err(SnapshotError::Corrupt(format!(
-                    "a sketched bank of {num_tables} tables x {arity} bins is not 1 to \
-                     {MAX_BINS} bins"
-                )));
-            }
-            return Ok(Self::sketched_bank(seed, num_tables, arity, token));
-        }
         match layout {
+            BANK_SKETCH => {
+                // A table count, not the length of what follows: no rows do.
+                let num_tables = usize::decode(dec)?;
+                let arity = usize::decode(dec)?;
+                let seed = dec.read_u64()?;
+                let Some(token) = H::SKETCH_TOKEN else {
+                    return Err(SnapshotError::Corrupt(
+                        "hasher bank layout tag 2 is a sketched bank, and these rows have no \
+                         sketch"
+                            .into(),
+                    ));
+                };
+                let bins = num_tables.saturating_mul(arity);
+                if num_tables < 1 || arity < 1 || bins > MAX_BINS {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "a sketched bank of {num_tables} tables x {arity} bins is not 1 to \
+                         {MAX_BINS} bins"
+                    )));
+                }
+                Ok(Self::sketched_bank(seed, num_tables, arity, token))
+            }
             BANK_SHARED => {
                 let num_tables = dec.read_len()?;
                 let arity = usize::decode(dec)?;

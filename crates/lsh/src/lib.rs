@@ -21,7 +21,9 @@
 //!   quantisation) for Euclidean distance;
 //! * AND-concatenation over `K` rows ([`concat::ConcatenatedHasher`]),
 //!   including the shared table-major row bank behind the single-pass
-//!   batched evaluation ([`family::LshHasher::hash_all`]);
+//!   batched evaluation ([`family::LshHasher::hash_all`]), and the
+//!   engine's bank drawn as one sketch of `K × L` MinHash bins
+//!   ([`sketch::BankSketch`]) instead of `K × L` rows;
 //! * the multi-table index ([`table::LshIndex`]) that stores the dataset
 //!   once per repetition and answers collision queries, every table in one
 //!   representation, the frozen CSR bucket layout

@@ -11,6 +11,18 @@
 //! Random permutations are approximated by multiply-shift hash functions
 //! over the item universe, the standard practice for MinHash
 //! implementations.
+//!
+//! The rows here are Section 6's family: [`crate::LshIndex`] and the paper
+//! samplers draw `K × L` independent [`MinHasher`] or [`OneBitMinHasher`]
+//! rows and evaluate them in one blocked pass per point
+//! ([`LshHasher::hash_all`]), so they reproduce the paper's experiments.
+//! The engine's bank, drawn by [`crate::HasherBank::sample`], keeps these
+//! types but holds no rows: it is one sketch of `K × L` bins
+//! ([`crate::sketch`]), with the full token of a bin for [`MinHash`] and
+//! its lowest bit for [`OneBitMinHash`], because the engine needs the
+//! family's recall, not independent tables, and the sketch hashes each item
+//! once instead of `K × L` times. Each hasher says so through
+//! [`LshHasher::SKETCH`] and [`crate::snapshot::RowCodec::SKETCH_TOKEN`].
 
 use crate::family::{CollisionModel, LshFamily, LshHasher};
 use crate::sketch::{SketchFamily, SketchToken};

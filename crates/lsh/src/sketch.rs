@@ -22,7 +22,7 @@
 //! winner of a bin over `A ∪ B` is uniform over the union and two sets
 //! collide in a bin with probability `J(A, B)`, like one MinHash row. Table
 //! `t` concatenates bins `t·K .. t·K + K`. A bin's token is a mix of its
-//! key and its index ([`BankSketch::token`]); the one-bit variant keeps its
+//! key and its index (`BankSketch::token`); the one-bit variant keeps its
 //! lowest bit. A table's key folds its `K` tokens, or its `K` bits packed
 //! 64 to a word.
 //!
@@ -101,7 +101,7 @@ pub struct BankSketch {
 /// bin in 16-bin masks for [`SketchToken::OneBit`] (bin `i` is bit `i % 16`
 /// of mask `i / 16`).
 #[derive(Debug, Default)]
-pub struct BinTokens {
+pub(crate) struct BinTokens {
     tokens: Vec<u32>,
     masks: Vec<u16>,
     /// The scalar sweep's bin keys.
@@ -122,7 +122,7 @@ struct Place {
 impl BankSketch {
     /// The sketch of `bins` bins fixed by `seed`. Panics unless
     /// `1 ≤ bins ≤ MAX_BINS`.
-    pub fn new(seed: u64, bins: usize, token: SketchToken) -> Self {
+    pub(crate) fn new(seed: u64, bins: usize, token: SketchToken) -> Self {
         assert!(
             (1..=MAX_BINS).contains(&bins),
             "a sketch holds 1 to {MAX_BINS} bins, not {bins}"
@@ -206,13 +206,13 @@ impl BankSketch {
     /// reached the bin) and its index. [`SketchToken::OneBit`] keeps its
     /// lowest bit.
     #[inline]
-    pub fn token(&self, key: u32, bin: usize) -> u32 {
+    fn token(&self, key: u32, bin: usize) -> u32 {
         fmix32(key ^ (bin as u32).wrapping_mul(BIN_SALT))
     }
 
     /// The key of each bin of `bins` over `items`, each the minimum of its
     /// items' keys (`BankSketch::key`), bin by bin.
-    pub fn bin_keys<'a>(
+    fn bin_keys<'a>(
         &'a self,
         items: &'a [u32],
         bins: Range<usize>,
@@ -229,7 +229,7 @@ impl BankSketch {
     /// The key of the table over `bins`, evaluated bin by bin from the
     /// definition: the reference every sweep must match, and one table's
     /// hash.
-    pub fn table_key(&self, items: &[u32], bins: Range<usize>) -> u64 {
+    pub(crate) fn table_key(&self, items: &[u32], bins: Range<usize>) -> u64 {
         let tokens = self
             .bin_keys(items, bins.clone())
             .zip(bins)
@@ -248,7 +248,7 @@ impl BankSketch {
 
     /// Sweeps `items` over every bin and hands `f` the bins' tokens (in a
     /// per-thread buffer; nothing is allocated in the steady state).
-    pub fn with_tokens<R>(&self, items: &[u32], f: impl FnOnce(&BinTokens) -> R) -> R {
+    pub(crate) fn with_tokens<R>(&self, items: &[u32], f: impl FnOnce(&BinTokens) -> R) -> R {
         let mut tokens = BIN_TOKENS.take();
         self.sweep(items, &mut tokens);
         let out = f(&tokens);
@@ -277,7 +277,7 @@ impl BankSketch {
 impl BinTokens {
     /// The key of the table over `bins` of `sketch`: equal to
     /// [`BankSketch::table_key`] over the items of the sweep.
-    pub fn table_key(&self, sketch: &BankSketch, bins: Range<usize>) -> u64 {
+    pub(crate) fn table_key(&self, sketch: &BankSketch, bins: Range<usize>) -> u64 {
         match sketch.token {
             SketchToken::Full => fold(self.tokens[bins].iter().map(|&t| u64::from(t))),
             SketchToken::OneBit => fold(
