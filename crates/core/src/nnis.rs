@@ -344,7 +344,7 @@ where
     /// instead of re-running `L` binary searches per round.
     fn resolve_buckets(tables: &[RankedTable], keys: &[u64], indices: &mut Vec<u32>) {
         indices.clear();
-        // Warm each table's slot-index cache line before the probes run.
+        // Warm each table's directory cell before the probes run.
         for (table, &key) in tables.iter().zip(keys.iter()) {
             table.buckets.prefetch(key);
         }

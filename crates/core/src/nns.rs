@@ -171,8 +171,8 @@ where
         scratch.compute_keys(hashers, query);
         scratch.memo.reset(points.len());
         let memo = &mut scratch.memo;
-        // Warm the slot index of every table while the first probe is still
-        // in flight.
+        // Warm the directory cell of every table while the first probe is
+        // still in flight.
         for (table, &key) in buckets.iter().zip(scratch.keys.iter()) {
             table.prefetch(key);
         }

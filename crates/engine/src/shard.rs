@@ -22,7 +22,7 @@
 //!
 //! Probe and walk are software-pipelined over the `L` tables (see
 //! `PIPELINE_DISTANCE`): each table's lookup is a chain of dependent
-//! cache misses (slot, then key and offsets, then entries), and prefetching
+//! cache misses (directory cell, then key and offsets, then entries), and prefetching
 //! a few tables ahead overlaps those chains. The prefetches are hints
 //! only; the walk order, `D_i` and every counter are those of a plain
 //! per-table walk.
@@ -74,7 +74,7 @@ const SKETCH_K: usize = 64;
 const SKETCH_SEED: u64 = 0x5EED_5CE7;
 
 /// Pipeline distance `D` of the bucket probe and walk, in tables: the
-/// probe prefetches a table's home slot `2D` tables before it resolves the
+/// probe prefetches a table's directory cell `2D` tables before it resolves the
 /// table and its bucket's key and offsets `D` tables before, and the walk
 /// prefetches a bucket's first entries `D` tables before it walks them.
 pub(crate) const PIPELINE_DISTANCE: usize = 8;
@@ -274,9 +274,9 @@ impl<P, H, N> Shard<P, H, N> {
     /// reads the same ranges without probing again.
     ///
     /// The probe is software-pipelined over the tables: table `t + 2D`
-    /// has its home slot prefetched, table `t + D` has that slot read and
-    /// the bucket's key and offsets prefetched, and table `t` is resolved
-    /// (`D` is `PIPELINE_DISTANCE`). The `L` chains of dependent misses
+    /// has its directory cell prefetched, table `t + D` has that cell read
+    /// and the cell's first key and offset prefetched, and table `t` is
+    /// resolved (`D` is `PIPELINE_DISTANCE`). The `L` chains of dependent misses
     /// overlap instead of running one after another.
     pub fn locate_buckets_with_keys(&self, keys: &[u64], ranges: &mut [(u32, u32)]) -> usize {
         assert_eq!(ranges.len(), keys.len(), "one entry range per key");

@@ -1,11 +1,12 @@
 //! Read-optimized, frozen bucket storage.
 //!
 //! [`FrozenTable`] is the one representation of an LSH table: a sorted key
-//! array, a CSR-style offset array, and one contiguous entry array. Lookups
-//! are a probe of a flat key index over a dense `u64` array (cache-friendly,
-//! no map metadata) and a bucket is a contiguous slice of one allocation —
-//! the right layout for the query hot path, which does nothing but "find
-//! bucket, scan bucket" `L` times per query.
+//! array, a CSR-style offset array, one contiguous entry array, and a radix
+//! directory over the sorted keys. A lookup reads two adjacent directory
+//! counts and searches the about one key between them, all over dense
+//! arrays (cache-friendly, no map metadata), and a bucket is a contiguous
+//! slice of one allocation — the right layout for the query hot path,
+//! which does nothing but "find bucket, scan bucket" `L` times per query.
 //!
 //! A frozen table is never mutated in place. Every update builds the next
 //! table from the current one in one linear pass of one kernel,
@@ -28,51 +29,40 @@
 use fairnn_snapshot::{ArcSlice, SliceCodec};
 use std::ops::Range;
 
-/// Sentinel for an empty slot of the open-addressing key index.
-const EMPTY_SLOT: u32 = u32::MAX;
-
 /// A frozen (read-optimized) bucket table: sorted keys, CSR offsets, one
-/// contiguous entry array, plus a flat open-addressing index from key to
-/// bucket position (Fibonacci hashing + linear probing over a power-of-two
-/// slot array) so a lookup costs a couple of dependent loads instead of a
-/// branchy binary search. See the module docs for the layout rationale.
+/// contiguous entry array, plus a radix directory that narrows a key to
+/// the about one sorted key sharing its top bits, so a lookup costs two
+/// adjacent loads and a search of that short run. See the module docs for
+/// the layout rationale.
 ///
 /// Every array is an [`ArcSlice`]: owned when built in memory, a zero-copy
 /// borrow of the snapshot image when decoded from a
-/// [`fairnn_snapshot::SnapshotImage`]. The slot index is persisted alongside
+/// [`fairnn_snapshot::SnapshotImage`]. The directory is persisted alongside
 /// the CSR triplet (and fully validated on decode), so loading a table
-/// performs no per-entry work at all.
+/// allocates nothing per table and does no per-entry work.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrozenTable<E> {
     keys: ArcSlice<u64>,
     /// `offsets[i]..offsets[i + 1]` is the entry range of bucket `i`.
     offsets: ArcSlice<u32>,
     entries: ArcSlice<E>,
-    /// Open-addressing slots holding bucket indices ([`EMPTY_SLOT`] = free);
-    /// `slots.len()` is a power of two of at least `2 × keys.len()`.
-    slots: ArcSlice<u32>,
-    /// Right-shift applied to the Fibonacci-multiplied key to obtain a slot.
-    slot_shift: u32,
+    /// The radix directory: `2^b + 1` counts, `dir[c]` the number of keys
+    /// whose top `b` bits are below `c`, so the keys in cell `c` are
+    /// `keys[dir[c]..dir[c + 1]]`. `2^b` is the largest power of two of at
+    /// most `keys.len()` (1 for no key), so `b` and the whole directory
+    /// depend on the keys alone, which keeps the encoding canonical.
+    dir: ArcSlice<u32>,
 }
 
 impl<E> Default for FrozenTable<E> {
     fn default() -> Self {
-        let (slots, slot_shift) = build_slots(&[]);
         Self {
             keys: ArcSlice::default(),
             offsets: ArcSlice::from_vec(vec![0]),
             entries: ArcSlice::default(),
-            slots: ArcSlice::from_vec(slots),
-            slot_shift,
+            dir: ArcSlice::from_vec(directory(&[])),
         }
     }
-}
-
-/// First probe slot of `key` in a table with `1 << (64 - shift)` slots.
-#[inline]
-fn first_slot(key: u64, shift: u32) -> usize {
-    // Fibonacci hashing: multiply by 2^64 / φ and keep the top bits.
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
 }
 
 /// An entry count as a CSR offset.
@@ -81,32 +71,34 @@ fn entry_offset(len: usize) -> u32 {
     u32::try_from(len).expect("table exceeds u32 entries")
 }
 
-/// Capacity of the open-addressing slot array for `num_keys` buckets
-/// (load factor ≤ 1/2, minimum 4).
+/// The `b` of a directory over `num_keys` keys: `2^b` is the largest power
+/// of two of at most `num_keys`, and 1 for no key.
+fn cell_bits(num_keys: usize) -> u32 {
+    num_keys.checked_ilog2().unwrap_or(0)
+}
+
+/// The directory cell of `key` among `2^bits`: its top `bits` bits. Two
+/// shifts, so that `bits = 0` gives cell 0 instead of a shift by 64.
 #[inline]
-fn slot_capacity(num_keys: usize) -> usize {
-    (num_keys * 2).next_power_of_two().max(4)
+fn cell(key: u64, bits: u32) -> usize {
+    (key >> 1 >> (63 - bits)) as usize
 }
 
-/// Builds the open-addressing key index of a sorted, distinct key array.
-/// Deterministic in the keys alone, so every construction path — fresh
-/// build or update — yields the same slot array for the same keys,
-/// which is what keeps the encoding canonical.
-fn build_slots(keys: &[u64]) -> (Vec<u32>, u32) {
-    let capacity = slot_capacity(keys.len());
-    let slot_shift = 64 - capacity.trailing_zeros();
-    let mut slots = vec![EMPTY_SLOT; capacity];
-    let mask = capacity - 1;
-    for (i, &key) in keys.iter().enumerate() {
-        let mut slot = first_slot(key, slot_shift);
-        while slots[slot] != EMPTY_SLOT {
-            slot = (slot + 1) & mask;
-        }
-        slots[slot] = i as u32;
+/// The radix directory of a sorted key array, by one counting pass over
+/// the keys and a running sum over the cells.
+fn directory(keys: &[u64]) -> Vec<u32> {
+    let bits = cell_bits(keys.len());
+    let mut dir = vec![0u32; (1 << bits) + 1];
+    for &key in keys {
+        dir[cell(key, bits) + 1] += 1;
     }
-    (slots, slot_shift)
+    let mut below = 0;
+    for count in &mut dir {
+        below += *count;
+        *count = below;
+    }
+    dir
 }
-
 /// A run of consecutive buckets of a table, bound to plain slices: bucket
 /// `i` holds key `keys[i]` and ends at offset `ends[i]`, and `entries` are
 /// the run's entries, the first at offset `first`.
@@ -213,26 +205,25 @@ impl<E> Csr<E> {
     }
 
     /// The table over these arrays. `same_keys` is a table known to hold
-    /// exactly these keys: its key array and slot index are shared (a
-    /// copy when owned, a reference-count bump when borrowed from an
-    /// image) instead of rebuilt.
+    /// exactly these keys: its key array and directory are shared (a copy
+    /// when owned, a reference-count bump when borrowed from an image)
+    /// instead of rebuilt.
     fn finish(self, same_keys: Option<&FrozenTable<E>>) -> FrozenTable<E> {
-        let (keys, slots, slot_shift) = match same_keys {
+        let (keys, dir) = match same_keys {
             Some(source) => {
                 debug_assert_eq!(&source.keys[..], &self.keys[..]);
-                (source.keys.clone(), source.slots.clone(), source.slot_shift)
+                (source.keys.clone(), source.dir.clone())
             }
             None => {
-                let (slots, shift) = build_slots(&self.keys);
-                (self.keys.into(), slots.into(), shift)
+                let dir = directory(&self.keys);
+                (self.keys.into(), dir.into())
             }
         };
         let table = FrozenTable {
             keys,
             offsets: self.offsets.into(),
             entries: self.entries.into(),
-            slots,
-            slot_shift,
+            dir,
         };
         table.debug_assert_csr_invariants();
         table
@@ -310,7 +301,7 @@ impl<E> FrozenTable<E> {
     /// shifted; under a remap the run's entries then go through the remap
     /// in one pass, and each bucket end is derived from the running count
     /// of dropped entries instead of closing bucket by bucket. When no key
-    /// is added or emptied, the key array and the slot index are reused.
+    /// is added or emptied, the key array and the directory are reused.
     /// The result equals [`FrozenTable::from_buckets`] over the
     /// kept and appended buckets, so sorted buckets stay sorted when the
     /// remap renames monotonically and the appends sort above every kept
@@ -359,47 +350,43 @@ impl<E> FrozenTable<E> {
         csr.finish(same_keys.then_some(self))
     }
 
-    /// Index of the bucket for `key`, if present. A probe of the flat hash
-    /// index — `O(1)` with a couple of loads — rather than a binary search.
+    /// The directory cell of `key` in this table.
+    #[inline]
+    fn cell_of(&self, key: u64) -> usize {
+        cell(key, (self.dir.len() - 1).trailing_zeros())
+    }
+
+    /// Index of the bucket for `key`, if present: the directory cell's two
+    /// counts bound the keys sharing its top bits (about one), and a binary
+    /// search of that run finds it. Keys that clump into one cell cost a
+    /// binary search of the cell, never a wrong answer.
     #[inline]
     pub fn find(&self, key: u64) -> Option<usize> {
-        let mask = self.slots.len().wrapping_sub(1);
-        let mut slot = first_slot(key, self.slot_shift);
-        loop {
-            let bucket = *self.slots.get(slot)?;
-            if bucket == EMPTY_SLOT {
-                return None;
-            }
-            if self.keys[bucket as usize] == key {
-                return Some(bucket as usize);
-            }
-            slot = (slot + 1) & mask;
-        }
+        let c = self.cell_of(key);
+        let start = self.dir[c] as usize;
+        let run = &self.keys[start..self.dir[c + 1] as usize];
+        run.binary_search(&key).ok().map(|i| start + i)
     }
 
     /// Issues a software prefetch for the cache line a lookup of `key`
-    /// probes first (its home slot of the key index): the first stage of a
-    /// pipelined probe, issued a few tables ahead of the lookup so the
-    /// slot's miss overlaps work on the tables before it. Purely a hint; a
-    /// no-op off x86_64.
+    /// reads first (its directory cell): the first stage of a pipelined
+    /// probe, issued a few tables ahead of the lookup so the cell's miss
+    /// overlaps work on the tables before it. Purely a hint; a no-op off
+    /// x86_64.
     #[inline]
     pub fn prefetch(&self, key: u64) {
-        fairnn_snapshot::prefetch_read(&self.slots, first_slot(key, self.slot_shift));
+        fairnn_snapshot::prefetch_read(&self.dir, self.cell_of(key));
     }
 
-    /// The second stage of a pipelined probe: reads the home slot of `key`
-    /// (warmed by an earlier [`FrozenTable::prefetch`]) and, when it names
-    /// a bucket, prefetches that bucket's key and offsets, which a lookup
-    /// of `key` reads next. Observably a no-op.
+    /// The second stage of a pipelined probe: reads the directory cell of
+    /// `key` (warmed by an earlier [`FrozenTable::prefetch`]) and
+    /// prefetches the first key and offset of that cell, which a lookup of
+    /// `key` reads next. Observably a no-op.
     #[inline]
     pub fn prefetch_probe(&self, key: u64) {
-        match self.slots.get(first_slot(key, self.slot_shift)) {
-            Some(&bucket) if bucket != EMPTY_SLOT => {
-                fairnn_snapshot::prefetch_read(&self.keys, bucket as usize);
-                fairnn_snapshot::prefetch_read(&self.offsets, bucket as usize);
-            }
-            _ => {}
-        }
+        let start = self.dir[self.cell_of(key)] as usize;
+        fairnn_snapshot::prefetch_read(&self.keys, start);
+        fairnn_snapshot::prefetch_read(&self.offsets, start);
     }
 
     /// The entry range `(start, end)` of the bucket for `key`:
@@ -483,16 +470,16 @@ impl<E> FrozenTable<E> {
 
 impl<E: fairnn_snapshot::SliceCodec> fairnn_snapshot::Codec for FrozenTable<E> {
     /// Persists the CSR triplet `(keys, offsets, entries)` **and** the
-    /// open-addressing slot index, each as a v3 aligned array
+    /// radix directory, each as a v3 aligned array
     /// ([`fairnn_snapshot::SliceCodec`]). When decoded from a snapshot
-    /// image every array is a zero-copy borrow, and because the slot index
-    /// travels with the data (validated below) the load performs no
-    /// per-entry hashing or copying at all.
+    /// image every array is a zero-copy borrow, and because the directory
+    /// travels with the data (validated below) the load allocates no
+    /// per-table array and does no per-entry work.
     fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
         u64::encode_slice(&self.keys, enc);
         u32::encode_slice(&self.offsets, enc);
         E::encode_slice(&self.entries, enc);
-        u32::encode_slice(&self.slots, enc);
+        u32::encode_slice(&self.dir, enc);
     }
 
     fn decode(
@@ -502,7 +489,7 @@ impl<E: fairnn_snapshot::SliceCodec> fairnn_snapshot::Codec for FrozenTable<E> {
         let keys = u64::decode_slice(dec)?;
         let offsets = u32::decode_slice(dec)?;
         let entries = E::decode_slice(dec)?;
-        let slots = u32::decode_slice(dec)?;
+        let dir = u32::decode_slice(dec)?;
         if offsets.len() != keys.len() + 1 {
             return Err(SnapshotError::Corrupt(format!(
                 "frozen table has {} keys but {} offsets (expected one more than keys)",
@@ -515,21 +502,57 @@ impl<E: fairnn_snapshot::SliceCodec> fairnn_snapshot::Codec for FrozenTable<E> {
                 "frozen table offsets must start at 0".into(),
             ));
         }
-        // One pass over keys and offsets, accumulating the two order
-        // checks instead of branching on each pair; the error reported is
-        // still the first check that fails, in the order they are listed.
-        let (mut decreasing, mut unordered) = (false, false);
-        let later_keys = keys.get(1..).unwrap_or_default();
-        for ((start, end), (key, next)) in offsets
+        // The directory's shape. With the per-key check below, a stored
+        // directory that passes is exactly the one `directory` derives: a
+        // monotone count from 0 to the key count under which every key
+        // lies in its own cell. A lookup then trusts it blindly.
+        let bits = cell_bits(keys.len());
+        let cells = 1usize << bits;
+        if dir.len() != cells + 1 {
+            return Err(SnapshotError::Corrupt(format!(
+                "frozen table directory has {} counts but {} keys require {}",
+                dir.len(),
+                keys.len(),
+                cells + 1
+            )));
+        }
+        if dir[0] != 0 {
+            return Err(SnapshotError::Corrupt(
+                "frozen table directory must start at 0".into(),
+            ));
+        }
+        if dir[cells] as usize != keys.len() {
+            return Err(SnapshotError::Corrupt(format!(
+                "frozen table directory ends at {} but the table has {} keys",
+                dir[cells],
+                keys.len()
+            )));
+        }
+        let falling = dir
             .iter()
-            .zip(&offsets[1..])
-            .zip(keys.iter().zip(later_keys))
+            .zip(&dir[1..])
+            .fold(false, |f, (a, b)| f | (a > b));
+        if falling {
+            return Err(SnapshotError::Corrupt(
+                "frozen table directory is not non-decreasing".into(),
+            ));
+        }
+        // One pass over keys, offsets and their directory cells,
+        // accumulating every check instead of branching on each element;
+        // the error reported is still the first check that fails, in the
+        // order they are listed. The key count fits a `u32`: it is the
+        // directory's last count.
+        let (mut decreasing, mut unordered, mut misplaced) = (false, false, false);
+        let mut previous = 0;
+        for ((i, &key), (start, end)) in (0u32..)
+            .zip(&keys[..])
+            .zip(offsets.iter().zip(&offsets[1..]))
         {
             decreasing |= start > end;
-            unordered |= key >= next;
-        }
-        if let &[.., start, end] = &offsets[..] {
-            decreasing |= start > end; // the last bucket, which has no next key
+            unordered |= (i > 0) & (key <= previous);
+            let c = cell(key, bits);
+            misplaced |= (i < dir[c]) | (i >= dir[c + 1]);
+            previous = key;
         }
         if decreasing {
             return Err(SnapshotError::Corrupt(
@@ -548,89 +571,16 @@ impl<E: fairnn_snapshot::SliceCodec> fairnn_snapshot::Codec for FrozenTable<E> {
                 "frozen table keys are not strictly increasing".into(),
             ));
         }
-        // Slot-index validation. The stored index must be exactly the one
-        // `build_slots` derives: correct capacity (this also fixes the
-        // shift), every occupied slot naming a real bucket, no bucket
-        // missing or duplicated, and every key reachable by its probe
-        // sequence. After these checks a lookup can trust the index
-        // blindly — including that probe loops terminate (load factor
-        // ≤ 1/2 guarantees an empty slot on every probe path).
-        if slots.len() != slot_capacity(keys.len()) {
-            return Err(SnapshotError::Corrupt(format!(
-                "frozen table slot index has {} slots but {} keys require {}",
-                slots.len(),
-                keys.len(),
-                slot_capacity(keys.len())
-            )));
-        }
-        let slot_shift = 64 - slots.len().trailing_zeros();
-        // Occupied slots, counted, and those naming no bucket, without a
-        // branch per slot: `EMPTY_SLOT + 1` wraps to 0, so `slot + 1`
-        // exceeds the key count exactly for an occupied slot past the
-        // last bucket. `u32` counts per block of 2^16 slots keep the
-        // vector lanes narrow.
-        let num_keys = u32::try_from(keys.len()).unwrap_or(u32::MAX);
-        let (mut occupied, mut past_the_end) = (0, 0);
-        for block in slots.chunks(1 << 16) {
-            let (held, past) = block.iter().fold((0u32, 0u32), |(held, past), &slot| {
-                (
-                    held + u32::from(slot != EMPTY_SLOT),
-                    past + u32::from(slot.wrapping_add(1) > num_keys),
-                )
-            });
-            occupied += held as usize;
-            past_the_end += past as usize;
-        }
-        if past_the_end > 0 {
-            if let Some(slot) = slots
-                .iter()
-                .find(|&&slot| slot != EMPTY_SLOT && slot >= num_keys)
-            {
-                return Err(SnapshotError::Corrupt(format!(
-                    "frozen table slot names bucket {slot} of {}",
-                    keys.len()
-                )));
-            }
-        }
-        if occupied != keys.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "frozen table slot index holds {occupied} entries for {} keys",
-                keys.len()
-            )));
-        }
-        // Reachability, per block of keys: those found in their home slot
-        // (most of them) are passed without a branch, and only the others,
-        // collected in key order, walk their probe sequence.
-        let mask = slots.len() - 1;
-        let mut displaced = [0u32; 64];
-        for (first, block) in (0u32..).step_by(64).zip(keys.chunks(64)) {
-            let mut count = 0;
-            for (i, &key) in (first..).zip(block) {
-                displaced[count] = i;
-                count += usize::from(slots[first_slot(key, slot_shift)] != i);
-            }
-            for &i in &displaced[..count] {
-                let mut slot = first_slot(keys[i as usize], slot_shift);
-                loop {
-                    let bucket = slots[slot];
-                    if bucket == i {
-                        break;
-                    }
-                    if bucket == EMPTY_SLOT {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "frozen table slot index cannot reach bucket {i}"
-                        )));
-                    }
-                    slot = (slot + 1) & mask;
-                }
-            }
+        if misplaced {
+            return Err(SnapshotError::Corrupt(
+                "frozen table directory puts a key outside its own cell".into(),
+            ));
         }
         let table = Self {
             keys,
             offsets,
             entries,
-            slots,
-            slot_shift,
+            dir,
         };
         table.debug_assert_csr_invariants();
         Ok(table)
@@ -714,12 +664,12 @@ mod tests {
     #[test]
     fn merge_appends_to_buckets_and_creates_new_ones() {
         let table = sample_table();
-        // Known keys only: the key array and slot index carry over.
+        // Known keys only: the key array and directory carry over.
         let grown = table.updated(IDENTITY, &[(2, 8), (400, 6), (400, 1)]);
         assert_eq!(grown.bucket(2), &[1, 8]);
         assert_eq!(grown.bucket(9), &[7, 3, 5]);
         assert_eq!(grown.bucket(400), &[9, 9, 2, 4, 6, 1]);
-        assert_eq!(grown.slots, table.slots);
+        assert_eq!(grown.dir, table.dir);
         // New keys before, between and after the old ones.
         let wider = table.updated(IDENTITY, &[(1, 0), (9, 4), (10, 2), (500, 3)]);
         let expected = FrozenTable::from_buckets(vec![
@@ -749,7 +699,7 @@ mod tests {
         assert_eq!(kept.find(2), None);
         let renamed = table.updated(Some(|&e: &u32| Some(e + 1)), &[]);
         assert_eq!(renamed.bucket(400), &[10, 10, 3, 5]);
-        assert_eq!(renamed.slots, table.slots);
+        assert_eq!(renamed.dir, table.dir);
         assert_eq!(table.updated(Some(|_: &u32| None), &[]), FrozenTable::new());
     }
 
@@ -787,83 +737,61 @@ mod tests {
             loaded.entries.is_borrowed(),
             "entries must borrow the image"
         );
-        assert!(loaded.slots.is_borrowed(), "slots must borrow the image");
+        assert!(loaded.dir.is_borrowed(), "dir must borrow the image");
         assert_eq!(loaded.bucket(9), &[7, 3, 5]);
         assert_eq!(loaded.find(400), Some(2));
     }
 
     #[test]
-    fn corrupt_slot_indexes_are_rejected() {
-        use fairnn_snapshot::{Codec, Decoder, Encoder, SliceCodec, SnapshotError};
+    fn directories_count_the_keys_below_each_cell() {
+        // Three keys get 2 cells; small keys all share cell 0, and a
+        // search within it still finds each one.
         let table = sample_table();
-        let encode_with_slots = |slots: &[u32]| {
-            let mut enc = Encoder::new();
-            u64::encode_slice(&table.keys, &mut enc);
-            u32::encode_slice(&table.offsets, &mut enc);
-            u32::encode_slice(&table.entries, &mut enc);
-            u32::encode_slice(slots, &mut enc);
-            enc.into_bytes()
-        };
-        let decode = |bytes: &[u8]| FrozenTable::<u32>::decode(&mut Decoder::new(bytes));
-
-        // Three keys need capacity 8.
-        let wrong_capacity = encode_with_slots(&[EMPTY_SLOT; 4]);
-        assert!(matches!(
-            decode(&wrong_capacity),
-            Err(SnapshotError::Corrupt(msg)) if msg.contains("slot index has")
-        ));
-
-        let mut out_of_range = vec![EMPTY_SLOT; 8];
-        out_of_range[0] = 7; // only buckets 0..3 exist
-        let out_of_range = encode_with_slots(&out_of_range);
-        assert!(matches!(
-            decode(&out_of_range),
-            Err(SnapshotError::Corrupt(msg)) if msg.contains("names bucket")
-        ));
-
-        let under_occupied = encode_with_slots(&[EMPTY_SLOT; 8]);
-        assert!(matches!(
-            decode(&under_occupied),
-            Err(SnapshotError::Corrupt(msg)) if msg.contains("holds 0 entries")
-        ));
-
-        // Right capacity and occupancy, but bucket 2 never appears, so its
-        // key is unreachable by its probe sequence.
-        let mut unreachable = vec![EMPTY_SLOT; 8];
-        (unreachable[0], unreachable[1], unreachable[2]) = (0, 0, 1);
-        let unreachable = encode_with_slots(&unreachable);
-        assert!(matches!(
-            decode(&unreachable),
-            Err(SnapshotError::Corrupt(msg)) if msg.contains("cannot reach")
-        ));
+        assert_eq!(&table.dir[..], &[0, 3, 3]);
+        for (i, key) in [2, 9, 400].into_iter().enumerate() {
+            assert_eq!(table.find(key), Some(i));
+        }
+        // Keys spread over the top bits get a cell each, empty ones too.
+        let spread = FrozenTable::from_buckets([0u64, 1, 3, 7].map(|k| (k << 61, vec![k as u32])));
+        assert_eq!(&spread.dir[..], &[0, 2, 3, 3, 4]);
+        assert_eq!(spread.find(7 << 61), Some(3));
+        assert_eq!(spread.find(5 << 61), None);
+        // No key and one key index no bits: one cell, no shift by 64.
+        assert_eq!(&FrozenTable::<u32>::new().dir[..], &[0, 0]);
+        let single = FrozenTable::from_buckets([(u64::MAX, vec![1u32])]);
+        assert_eq!(&single.dir[..], &[0, 1]);
+        assert_eq!(single.find(u64::MAX), Some(0));
+        assert_eq!(single.find(0), None);
     }
 
     #[test]
-    fn the_first_unreachable_bucket_is_named_across_blocks_of_keys() {
+    fn corrupt_directories_are_rejected() {
         use fairnn_snapshot::{Codec, Decoder, Encoder, SliceCodec, SnapshotError};
-        let table = FrozenTable::from_buckets((0..200u64).map(|i| (i * 7919, vec![i as u32])));
-        let decode_without = |missing: &[u32]| {
-            // Each missing bucket's slot is given to bucket 0, so capacity,
-            // range and occupancy all hold and only reachability fails.
-            let slots: Vec<u32> = table
-                .slots
-                .iter()
-                .map(|&b| if missing.contains(&b) { 0 } else { b })
-                .collect();
+        let table = sample_table();
+        let decode = |dir: &[u32]| {
             let mut enc = Encoder::new();
             u64::encode_slice(&table.keys, &mut enc);
             u32::encode_slice(&table.offsets, &mut enc);
             u32::encode_slice(&table.entries, &mut enc);
-            u32::encode_slice(&slots, &mut enc);
+            u32::encode_slice(dir, &mut enc);
             FrozenTable::<u32>::decode(&mut Decoder::new(&enc.into_bytes()))
         };
-        assert_eq!(decode_without(&[]).expect("intact"), table);
-        for (missing, named) in [(&[150][..], 150), (&[150, 70], 70), (&[199, 64, 63], 63)] {
-            let result = decode_without(missing);
-            let needle = format!("cannot reach bucket {named}");
+        assert_eq!(decode(&[0, 3, 3]).expect("intact"), table);
+        // Three keys need 2 cells, so 3 counts ending at 3.
+        for (dir, needle) in [
+            (&[0, 3][..], "has 2 counts but 3 keys require 3"),
+            (&[0, 1, 2, 3], "has 4 counts"),
+            (&[1, 3, 3], "directory must start at 0"),
+            (&[0, 2, 2], "ends at 2 but the table has 3 keys"),
+            (&[0, 4, 3], "directory is not non-decreasing"),
+            // Monotone from 0 to 3, but key 400 (cell 0) is put in cell 1.
+            (&[0, 2, 3], "outside its own cell"),
+            (&[0, 0, 3], "outside its own cell"),
+        ] {
+            let result = decode(dir);
             assert!(
-                matches!(&result, Err(SnapshotError::Corrupt(msg)) if msg.contains(&needle)),
-                "missing {missing:?}: expected {needle:?}, got {result:?}"
+                matches!(&result, Err(SnapshotError::Corrupt(msg)) if msg.contains(needle)),
+                "dir {dir:?}: expected {needle:?}, got {result:?}"
             );
         }
     }
@@ -873,13 +801,13 @@ mod tests {
         use fairnn_snapshot::{Codec, Decoder, Encoder, SliceCodec, SnapshotError};
         let table = sample_table();
         // The sample's own keys [2, 9, 400], offsets [0, 1, 4, 8], eight
-        // entries and slot index, with one array swapped out.
+        // entries and directory, with one array swapped out.
         let decode = |keys: &[u64], offsets: &[u32]| {
             let mut enc = Encoder::new();
             u64::encode_slice(keys, &mut enc);
             u32::encode_slice(offsets, &mut enc);
             u32::encode_slice(&table.entries, &mut enc);
-            u32::encode_slice(&table.slots, &mut enc);
+            u32::encode_slice(&table.dir, &mut enc);
             FrozenTable::<u32>::decode(&mut Decoder::new(&enc.into_bytes()))
         };
         let rejected = |keys: &[u64], offsets: &[u32], needle: &str| {

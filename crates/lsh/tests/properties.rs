@@ -184,6 +184,22 @@ proptest! {
         }
     }
 
+    // ---- CSR storage: a lookup goes through the radix directory ----
+
+    #[test]
+    fn lookups_match_a_reference_map_before_and_after_a_round_trip(
+        random in proptest::collection::vec(0u64..=u64::MAX, 0..64),
+        clumped in proptest::collection::vec(0u64..1024, 0..64),
+        probes in proptest::collection::vec(0u64..=u64::MAX, 0..8),
+    ) {
+        // Random keys spread over the directory's cells. Small keys and
+        // `k << 8` runs share all their top bits, so they land in one cell.
+        let runs: Vec<u64> = clumped.iter().map(|&k| k << 8).collect();
+        for keys in [&random, &clumped, &runs] {
+            check_lookups(keys, &probes);
+        }
+    }
+
     // ---- CSR storage: the one update kernel is canonical ----
 
     #[test]
@@ -216,7 +232,7 @@ proptest! {
             }
             table = table.updated(IDENTITY, &appends);
             let rebuilt = FrozenTable::from_buckets(reference.clone());
-            // Bucket for bucket, then every array including the slot index.
+            // Bucket for bucket, then every array including the directory.
             let got: Vec<(u64, Vec<PointId>)> =
                 table.buckets().map(|(k, b)| (k, b.to_vec())).collect();
             let want: Vec<(u64, Vec<PointId>)> = reference.clone().into_iter().collect();
@@ -397,6 +413,53 @@ proptest! {
             for (t, &key) in query_keys.iter().enumerate() {
                 prop_assert_eq!(compacted.table(t).bucket(key), rebuilt.table(t).bucket(key));
             }
+        }
+    }
+}
+
+#[test]
+fn lookups_match_a_reference_map_on_tiny_and_clumped_tables() {
+    // The empty and one-key tables index no key bits (one cell), which
+    // must not become a shift by 64; the unit tests' keys share a cell.
+    let probes = [0, 1, 2, 9, 400, 1 << 63, u64::MAX];
+    for keys in [&[][..], &[0], &[u64::MAX], &[1 << 63], &[2, 9, 400]] {
+        check_lookups(keys, &probes);
+    }
+}
+
+/// Checks `find`, `bucket` and `entry_range` of the table
+/// [`FrozenTable::from_buckets`] builds over `keys` against a `BTreeMap`
+/// reference, for each key, its neighbours and `probes`, both on the table
+/// and on its encode/decode round trip.
+///
+/// [`FrozenTable::from_buckets`]: fairnn_lsh::FrozenTable::from_buckets
+fn check_lookups(keys: &[u64], probes: &[u64]) {
+    use fairnn_lsh::FrozenTable;
+    use fairnn_snapshot::{Codec, Decoder};
+    use std::collections::BTreeMap;
+    let reference: BTreeMap<u64, Vec<PointId>> = (0u32..)
+        .zip(keys)
+        .map(|(i, &key)| (key, vec![PointId(i); i as usize % 3 + 1]))
+        .collect();
+    let table = FrozenTable::from_buckets(reference.clone());
+    let decoded =
+        FrozenTable::<PointId>::decode(&mut Decoder::new(&encode(&table))).expect("decodes");
+    assert_eq!(decoded, table);
+    let lookups: Vec<u64> = keys
+        .iter()
+        .flat_map(|&key| [key.wrapping_sub(1), key, key.wrapping_add(1)])
+        .chain(probes.iter().copied())
+        .collect();
+    for table in [&table, &decoded] {
+        for &key in &lookups {
+            let want = reference.get(&key).map_or(&[][..], Vec::as_slice);
+            let position = reference.range(..key).count();
+            let found = reference.contains_key(&key).then_some(position);
+            assert_eq!(table.find(key), found, "find({key:#x})");
+            assert_eq!(table.bucket(key), want, "bucket({key:#x})");
+            let (start, end) = table.entry_range(key);
+            let range = &table.entries()[start as usize..end as usize];
+            assert_eq!(range, want, "entry_range({key:#x})");
         }
     }
 }

@@ -215,7 +215,7 @@ fn snapshot_encode_and_decode_are_thread_count_independent() {
 #[test]
 fn compaction_stays_in_lockstep_across_thread_counts() {
     // Delete enough points to trigger the base's compaction (the no-rehash
-    // `LshTables::compacted` path) under each thread count; the surviving structure
+    // `LshTables::updated` path) under each thread count; the surviving structure
     // and its answers must agree bit for bit. Mutations go through the
     // generational writer, so this also pins the WAL-logged commit path.
     let data = golden_dataset();
