@@ -1,7 +1,7 @@
 //! The on-disk container: header, section directory, checksums, and the
 //! save/load entry points.
 //!
-//! Layout of format version 10 (the aligned layout of version 3; all
+//! Layout of format version 11 (the aligned layout of version 3; all
 //! integers little-endian):
 //!
 //! ```text
@@ -112,8 +112,10 @@ pub const MAGIC: [u8; 8] = *b"FAIRNNSS";
 /// 8 = the same parts under the next global id instead of the id map; 9 =
 /// the same layout under the word-wise [`checksum64`] instead of a
 /// byte-serial FNV-1a; 10 = the engine's hasher bank as one sketch, stored
-/// as its seed (bank layout tag 2) instead of `K × L` coefficient pairs.
-pub const FORMAT_VERSION: u32 = 10;
+/// as its seed (bank layout tag 2) instead of `K × L` coefficient pairs;
+/// 11 = every frozen table with a radix directory over its sorted keys
+/// instead of an open-addressing slot index.
+pub const FORMAT_VERSION: u32 = 11;
 
 /// Byte-order marker: written little-endian, so a conforming file always
 /// reads back as this value.

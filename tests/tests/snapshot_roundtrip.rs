@@ -401,17 +401,17 @@ fn golden_images_keep_their_exact_bytes() {
             to_bytes(SnapshotKind::Checkpoint, &checkpoint),
         ),
     ];
-    // Format version 10: every image's header carries the new version. The
-    // engine's bank is its sketch's seed where v9 held K x L coefficient
-    // pairs, so the ShardedIndex and Checkpoint images are 192 bytes
-    // shorter; the paper samplers' images keep their lengths.
+    // Format version 11: every image's header carries the new version.
+    // Each frozen table holds a radix directory of at most 4 bytes a key
+    // where v10 held a slot index of at least 8, so every image is shorter
+    // (956 to 1 344 bytes here) while bucket contents stay as they were.
     let pinned: [(usize, u64); 6] = [
-        (5824, 1343770598048048933),
-        (9128, 5640709752834026898),
-        (47120, 9764535560634379540),
-        (9192, 13084176567638480305),
-        (10320, 18163616684142636890),
-        (10384, 18118917546239219952),
+        (4868, 395615578108856877),
+        (7788, 6309366798774512637),
+        (45776, 4685161941178448885),
+        (7852, 7912542209463337509),
+        (9032, 6956576913895467278),
+        (9096, 12764723279811952946),
     ];
     for ((name, image), want) in images.iter().zip(pinned) {
         assert_eq!(fingerprint(image), want, "{name} image bytes changed");
@@ -454,7 +454,7 @@ fn golden_images_keep_their_exact_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         fingerprint(&file),
-        (10704, 8894834592289663234),
+        (9416, 12344433516261459368),
         "checkpoint.snap bytes changed"
     );
 }
@@ -644,11 +644,12 @@ fn corrupted_truncated_and_version_bumped_snapshots_fail_typed() {
     // hasher bank inside every shard section, v5 images with per-bucket
     // KMV sketch maps inside every shard section, v6 images of `N` shards,
     // v7 images with an id map in the index head, v8 images under FNV-1a
-    // checksums and v9 images with the engine's bank as K x L coefficient
-    // pairs — get the same typed rejection (no migration shims),
+    // checksums, v9 images with the engine's bank as K x L coefficient
+    // pairs and v10 images with an open-addressing slot index in every
+    // frozen table — get the same typed rejection (no migration shims),
     // and the message tells the operator how to move forward: re-save with
     // a current binary.
-    for found in [1u32, 2, 3, 4, 5, 6, 7, 8, 9] {
+    for found in [1u32, 2, 3, 4, 5, 6, 7, 8, 9, 10] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&found.to_le_bytes());
         let err = load_small(&old).expect_err("an old-version file must not load");
