@@ -99,6 +99,7 @@ fn directory(keys: &[u64]) -> Vec<u32> {
     }
     dir
 }
+
 /// A run of consecutive buckets of a table, bound to plain slices: bucket
 /// `i` holds key `keys[i]` and ends at offset `ends[i]`, and `entries` are
 /// the run's entries, the first at offset `first`.
