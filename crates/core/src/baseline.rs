@@ -16,6 +16,17 @@
 //!   random. Fair, but the query pays for the full neighbourhood
 //!   (`Θ̃(b_S(q, r) n^ρ + b_S(q, cr))` in the worst case, as discussed in
 //!   Section 2.2).
+//!
+//! Run at the far threshold `cr`, the naive fair query is also Section 6.2's
+//! *approximate neighbourhood* sampler ([`ApproximateNeighborhoodSampler`]):
+//! Har-Peled and Mahabadi's relaxed fairness notion samples uniformly from a
+//! set `S'` that holds every r-near point but may also hold points up to
+//! `cr`, and the LSH implementation the paper evaluates takes
+//! `S' = S(q, cr) ∩ (∪_i S_{i, ℓ_i(q)})`, the colliding points that are not
+//! far. Section 6.2 builds a dataset (`fairnn_data::adversarial`) on which
+//! this notion is badly unfair: a point whose neighbourhood is a tight
+//! cluster is sampled with probability `O(1/n)`, an isolated point at the
+//! same distance with constant probability (Figure 2).
 
 use crate::predicate::Nearness;
 use crate::sampler::{NeighborSampler, QueryStats};
@@ -226,6 +237,10 @@ where
 
 /// The naive fair LSH query of Section 6: collect every near point in the
 /// buckets, deduplicate, and sample uniformly.
+///
+/// Under a predicate at the far threshold `cr` (e.g.
+/// `SimilarityAtLeast::new(Jaccard, 0.5)` for the Section 6.2 instance) it
+/// samples the approximate neighbourhood `S'`; see the module docs.
 #[derive(Debug, Clone)]
 pub struct NaiveFairLsh<P, H, N> {
     points: Vec<P>,
@@ -262,6 +277,11 @@ where
     }
 }
 
+/// Section 6.2's approximate-neighbourhood sampler: [`NaiveFairLsh`] built
+/// with a predicate at the far threshold `cr`, so it samples uniformly from
+/// the colliding points that are not far (see the module docs).
+pub type ApproximateNeighborhoodSampler<P, H, N> = NaiveFairLsh<P, H, N>;
+
 impl<P, H, N> NaiveFairLsh<P, H, N> {
     /// The underlying LSH index.
     pub fn index(&self) -> &LshIndex<H> {
@@ -284,35 +304,28 @@ where
     }
 
     /// Collects the deduplicated colliding near points into
-    /// `self.scratch.candidates`: one batched hash pass for the keys, an
-    /// epoch-stamped visited buffer for cross-table deduplication (no
-    /// `O(n)` allocation per query), and a reused candidate vector.
+    /// `self.scratch.candidates`, in walk order: the index's deduplicated
+    /// colliding set ([`LshIndex::colliding_ids_into`], allocation-free),
+    /// filtered by the predicate. Every distinct colliding point is
+    /// evaluated once.
     fn fill_near_candidates(&mut self, query: &P) {
-        let mut stats = QueryStats::default();
         let Self {
             points,
             index,
             near,
             scratch,
-            ..
+            stats,
         } = self;
-        index.query_keys_into(query, &mut scratch.keys);
-        scratch.visited.reset(points.len());
-        scratch.candidates.clear();
-        for (t, &key) in scratch.keys.iter().enumerate() {
-            stats.buckets_inspected += 1;
-            for &id in index.table(t).bucket(key) {
-                stats.entries_scanned += 1;
-                if !scratch.visited.insert(id.index()) {
-                    continue;
-                }
-                stats.distance_computations += 1;
-                if near.is_near(query, &points[id.index()]) {
-                    scratch.candidates.push(id);
-                }
-            }
-        }
-        self.stats = stats;
+        let entries_scanned = index.colliding_ids_into(query, scratch);
+        *stats = QueryStats {
+            entries_scanned,
+            distance_computations: scratch.candidates.len(),
+            buckets_inspected: index.num_tables(),
+            rounds: 0,
+        };
+        scratch
+            .candidates
+            .retain(|id| near.is_near(query, &points[id.index()]));
     }
 }
 
@@ -345,8 +358,8 @@ where
 mod tests {
     use super::*;
     use crate::predicate::SimilarityAtLeast;
-    use fairnn_lsh::{MinHash, ParamsBuilder};
-    use fairnn_space::{Jaccard, SparseSet};
+    use fairnn_lsh::{MinHash, OneBitMinHash, ParamsBuilder};
+    use fairnn_space::{Jaccard, Similarity, SparseSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -503,5 +516,80 @@ mod tests {
         );
         let query = SparseSet::from_items(vec![77_777, 77_778]);
         assert!(naive.sample(&query, &mut rng).is_none());
+    }
+
+    // Section 6.2's approximate-neighbourhood sampler: the naive fair
+    // query under a predicate at the far threshold.
+
+    fn small_instance() -> Dataset<SparseSet> {
+        let mut sets = Vec::new();
+        // A point with an isolated neighbourhood at similarity 0.5.
+        sets.push(SparseSet::from_items((16..=30).collect()));
+        // A tight cluster of near-identical points at similarity ~0.5-0.6.
+        for drop in 0..10u32 {
+            let items: Vec<u32> = (1..=18).filter(|&x| x != drop + 1).collect();
+            sets.push(SparseSet::from_items(items));
+        }
+        Dataset::new(sets)
+    }
+
+    #[test]
+    fn neighborhood_only_contains_points_within_far_threshold() {
+        let data = small_instance();
+        let query = SparseSet::from_items((1..=30).collect());
+        let params = ParamsBuilder::new(data.len(), 0.9, 0.45).empirical(&OneBitMinHash);
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut sampler = NaiveFairLsh::build(
+            &OneBitMinHash,
+            params,
+            &data,
+            SimilarityAtLeast::new(Jaccard, 0.45),
+            &mut rng,
+        );
+        let neighborhood = sampler.near_candidates(&query);
+        for id in &neighborhood {
+            let sim = Jaccard.similarity(&query, data.point(*id));
+            assert!(sim >= 0.45, "similarity {sim} below the far threshold");
+        }
+        assert!(sampler.index().num_tables() >= 1);
+        assert!(sampler.last_query_stats().entries_scanned > 0);
+    }
+
+    #[test]
+    fn sample_returns_members_of_the_approximate_neighborhood_or_none() {
+        let data = small_instance();
+        let query = SparseSet::from_items((1..=30).collect());
+        let params = ParamsBuilder::new(data.len(), 0.9, 0.45).empirical(&OneBitMinHash);
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut sampler = NaiveFairLsh::build(
+            &OneBitMinHash,
+            params,
+            &data,
+            SimilarityAtLeast::new(Jaccard, 0.45),
+            &mut rng,
+        );
+        let allowed = sampler.near_candidates(&query);
+        for _ in 0..200 {
+            match sampler.sample(&query, &mut rng) {
+                Some(id) => assert!(allowed.contains(&id)),
+                None => assert!(allowed.is_empty()),
+            }
+        }
+    }
+
+    #[test]
+    fn far_query_returns_none() {
+        let data = small_instance();
+        let params = ParamsBuilder::new(data.len(), 0.9, 0.45).empirical(&OneBitMinHash);
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut sampler = NaiveFairLsh::build(
+            &OneBitMinHash,
+            params,
+            &data,
+            SimilarityAtLeast::new(Jaccard, 0.45),
+            &mut rng,
+        );
+        let query = SparseSet::from_items(vec![500, 501, 502]);
+        assert!(sampler.sample(&query, &mut rng).is_none());
     }
 }

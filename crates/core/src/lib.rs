@@ -52,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod approximate;
 pub mod baseline;
 pub mod filter;
 pub mod nnis;
@@ -62,10 +61,9 @@ pub mod rank;
 pub mod rank_swap;
 pub mod sampler;
 
-pub use approximate::ApproximateNeighborhoodSampler;
-pub use baseline::{ExactSampler, NaiveFairLsh, StandardLsh};
+pub use baseline::{ApproximateNeighborhoodSampler, ExactSampler, NaiveFairLsh, StandardLsh};
 pub use filter::{FilterConfig, FilterNnis, TensorFilter};
-pub use nnis::{FairNnis, FairNnisConfig};
+pub use nnis::FairNnis;
 pub use nns::FairNns;
 pub use predicate::{DistanceAtMost, Nearness, SimilarityAtLeast};
 pub use rank::RankPermutation;

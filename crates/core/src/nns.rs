@@ -17,15 +17,27 @@
 //!
 //! The same structure supports sampling `k` points **without replacement**
 //! (Section 3.1): return the `k` near points of smallest rank.
+//!
+//! [`FairNns`] is also the LSH layer of the other paper samplers: the
+//! Appendix A [`crate::RankSwapSampler`] re-ranks it after every query, and
+//! the Section 4 [`crate::FairNnis`] adds one count-distinct sketch per
+//! bucket. The rank sort, the snapshot sections and their validation exist
+//! here once for all three.
 
 use crate::predicate::Nearness;
 use crate::rank::RankPermutation;
 use crate::sampler::{NeighborSampler, QueryStats};
 use fairnn_lsh::{
-    ConcatenatedHasher, FrozenTable, LshFamily, LshHasher, LshIndex, LshParams, QueryScratch,
+    ConcatenatedHasher, FrozenTable, HasherBank, HasherBankCodec, LshFamily, LshHasher, LshIndex,
+    LshParams, QueryScratch,
 };
+use fairnn_snapshot::{Codec, Decoder, Encoder, Section, SnapshotError};
 use fairnn_space::{Dataset, PointId};
 use rand::Rng;
+
+/// One LSH table of the ranked layout: bucket key → `(rank, id)` pairs
+/// sorted by rank.
+pub(crate) type RankedTable = FrozenTable<(u32, PointId)>;
 
 /// The Section 3 fair r-NNS data structure.
 ///
@@ -40,15 +52,15 @@ use rand::Rng;
 /// steady-state query performs no heap allocation.
 #[derive(Debug, Clone)]
 pub struct FairNns<P, H, N> {
-    points: Vec<P>,
-    hashers: Vec<H>,
-    /// For every table, bucket key → `(rank, id)` pairs sorted by rank.
-    buckets: Vec<FrozenTable<(u32, PointId)>>,
+    pub(crate) points: Vec<P>,
+    pub(crate) bank: HasherBank<H>,
+    /// Table `t` is keyed by `bank.hashers()[t]`.
+    pub(crate) buckets: Vec<RankedTable>,
     ranks: RankPermutation,
-    near: N,
+    pub(crate) near: N,
     params: LshParams,
-    stats: QueryStats,
-    scratch: QueryScratch,
+    pub(crate) stats: QueryStats,
+    pub(crate) scratch: QueryScratch,
 }
 
 impl<P: Clone + Sync, BH, N> FairNns<P, ConcatenatedHasher<BH>, N>
@@ -81,7 +93,7 @@ where
 {
     /// Builds the structure from an existing LSH index and rank permutation
     /// (used by tests that need to control the randomness and by the
-    /// Appendix A rank-swap sampler, which shares the layout).
+    /// samplers that share the layout).
     pub fn from_index(
         index: LshIndex<H>,
         dataset: &Dataset<P>,
@@ -94,7 +106,7 @@ where
             "rank permutation size must match the dataset"
         );
         let params = index.params();
-        let (hashers, tables) = index.into_parts();
+        let (bank, tables) = index.into_parts();
         // Per-table rank sort + CSR freeze are disjoint work items: they run
         // on parallel build workers, in table order, so the result is
         // bit-identical to the serial construction.
@@ -108,7 +120,7 @@ where
         });
         Self {
             points: dataset.points().to_vec(),
-            hashers,
+            bank,
             buckets,
             ranks,
             near,
@@ -160,7 +172,7 @@ where
     pub fn min_rank_near_neighbor(&mut self, query: &P) -> Option<(u32, PointId)> {
         let Self {
             points,
-            hashers,
+            bank,
             buckets,
             near,
             scratch,
@@ -168,7 +180,7 @@ where
         } = self;
         let mut stats = QueryStats::default();
         // All K × L row hashes in one batched pass, into the reused buffer.
-        scratch.compute_keys(hashers, query);
+        bank.query_keys_into(query, &mut scratch.keys);
         scratch.memo.reset(points.len());
         let memo = &mut scratch.memo;
         // Warm the directory cell of every table while the first probe is
@@ -214,14 +226,14 @@ where
     pub fn sample_without_replacement(&mut self, query: &P, k: usize) -> Vec<PointId> {
         let Self {
             points,
-            hashers,
+            bank,
             buckets,
             near,
             scratch,
             ..
         } = self;
         let mut stats = QueryStats::default();
-        scratch.compute_keys(hashers, query);
+        bank.query_keys_into(query, &mut scratch.keys);
         scratch.memo.reset(points.len());
         let memo = &mut scratch.memo;
         for (table, &key) in buckets.iter().zip(scratch.keys.iter()) {
@@ -274,10 +286,9 @@ where
     ) -> PointId {
         let Self {
             points,
-            hashers,
+            bank,
             buckets,
             ranks,
-            scratch,
             ..
         } = self;
         let y = ranks.reshuffle_upwards(x, rng);
@@ -288,8 +299,8 @@ where
         // or y. The frozen layout supports this in place: a bucket is a
         // contiguous slice whose *contents* may be rearranged freely.
         for p in [x, y] {
-            scratch.compute_keys(hashers, &points[p.index()]);
-            for (table, &key) in buckets.iter_mut().zip(scratch.keys.iter()) {
+            let keys = bank.point_keys(&points[p.index()]);
+            for (table, &key) in buckets.iter_mut().zip(&keys) {
                 if let Some(bucket) = table.bucket_mut(key) {
                     for entry in bucket.iter_mut() {
                         entry.0 = ranks.rank(entry.1);
@@ -302,38 +313,82 @@ where
     }
 }
 
-impl<P, H, N> fairnn_snapshot::Codec for FairNns<P, H, N>
-where
-    P: fairnn_snapshot::Codec,
-    H: fairnn_lsh::HasherBankCodec,
-    N: fairnn_snapshot::Codec,
-{
-    fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
-        self.points.encode(enc);
-        H::encode_bank(&self.hashers, enc);
-        self.buckets.encode(enc);
-        self.ranks.encode(enc);
-        self.near.encode(enc);
-        self.params.encode(enc);
-    }
-
-    fn decode(
-        dec: &mut fairnn_snapshot::Decoder<'_>,
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        use fairnn_snapshot::SnapshotError;
-        let points = Vec::<P>::decode(dec)?;
-        let hashers = H::decode_bank(dec)?;
-        let buckets = Vec::<FrozenTable<(u32, PointId)>>::decode(dec)?;
-        let ranks = RankPermutation::decode(dec)?;
-        let near = N::decode(dec)?;
-        let params = LshParams::decode(dec)?;
-        if buckets.len() != hashers.len() {
+/// The bucket checks of a decoded ranked table, run on the build workers:
+/// every entry names an indexed point under the rank the permutation gives
+/// it, and every bucket is strictly rank-sorted. The min-rank scan
+/// early-exits on the first near point and the Section 4 rank-range query
+/// binary-searches the ranks, so an entry whose stored rank is not its
+/// point's rank, or an unsorted bucket, would silently bias sampling rather
+/// than fail: both are part of the format.
+fn validate_ranked_table(
+    table: &RankedTable,
+    ranks: &RankPermutation,
+) -> Result<(), SnapshotError> {
+    for (_, bucket) in table.buckets() {
+        let misranked = bucket
+            .iter()
+            .find(|&&(rank, id)| id.index() >= ranks.len() || ranks.rank(id) != rank);
+        if let Some(&(rank, id)) = misranked {
             return Err(SnapshotError::Corrupt(format!(
-                "fair-nns stores {} bucket tables for {} hashers",
-                buckets.len(),
-                hashers.len()
+                "bucket entry (rank {rank}, {id}) does not match the rank permutation over {} \
+                 points",
+                ranks.len()
             )));
         }
+        if !bucket.windows(2).all(|w| w[0] < w[1]) {
+            return Err(SnapshotError::Corrupt(
+                "bucket entries are not strictly rank-sorted".into(),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// One section per item, encoded on the build workers in item order.
+pub(crate) fn encode_each(len: usize, encode: impl Fn(usize, &mut Encoder) + Sync) -> Vec<Vec<u8>> {
+    fairnn_parallel::map_indexed(len, |i| {
+        let mut enc = Encoder::new();
+        encode(i, &mut enc);
+        enc.into_bytes()
+    })
+}
+
+/// Decodes one value from each of `sections` on the build workers; each
+/// section must be consumed whole.
+pub(crate) fn decode_each<T: Send>(
+    sections: &[Section<'_>],
+    decode: impl Fn(usize, &mut Decoder<'_>) -> Result<T, SnapshotError> + Sync,
+) -> Result<Vec<T>, SnapshotError> {
+    fairnn_parallel::map_indexed(sections.len(), |i| {
+        let mut dec = sections[i].decoder();
+        let value = decode(i, &mut dec)?;
+        dec.finish()?;
+        Ok(value)
+    })
+    .into_iter()
+    .collect()
+}
+
+impl<P: Codec, H: HasherBankCodec, N: Codec> FairNns<P, H, N> {
+    /// Decodes the sections [`SnapshotCodec::encode_sections`] writes from
+    /// the front of `sections` and returns the ones after them, which the
+    /// structures that extend this one ([`crate::FairNnis`]) append.
+    ///
+    /// [`SnapshotCodec::encode_sections`]: fairnn_snapshot::SnapshotCodec::encode_sections
+    pub(crate) fn decode_prefix<'s, 'a>(
+        sections: &'s [Section<'a>],
+    ) -> Result<(Self, &'s [Section<'a>]), SnapshotError> {
+        let [head, bank_section, rest @ ..] = sections else {
+            return Err(SnapshotError::Corrupt(
+                "ranked snapshot needs a head and a hasher bank section".into(),
+            ));
+        };
+        let mut dec = head.decoder();
+        let points = Vec::<P>::decode(&mut dec)?;
+        let ranks = RankPermutation::decode(&mut dec)?;
+        let near = N::decode(&mut dec)?;
+        let params = LshParams::decode(&mut dec)?;
+        dec.finish()?;
         if ranks.len() != points.len() {
             return Err(SnapshotError::Corrupt(format!(
                 "rank permutation over {} points does not match {} stored points",
@@ -341,45 +396,71 @@ where
                 points.len()
             )));
         }
-        for table in &buckets {
-            for (_, bucket) in table.buckets() {
-                for &(rank, id) in bucket {
-                    if id.index() >= points.len() || rank as usize >= points.len() {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "bucket entry (rank {rank}, {id}) out of range for {} points",
-                            points.len()
-                        )));
-                    }
-                }
-                // The min-rank scan early-exits on the first near point;
-                // unsorted entries would silently bias sampling rather than
-                // fail, so the sort invariant is part of the format.
-                if !bucket.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(SnapshotError::Corrupt(
-                        "bucket entries are not strictly rank-sorted".into(),
-                    ));
-                }
-            }
-        }
-        Ok(Self {
+        let mut dec = bank_section.decoder();
+        let bank = HasherBank::<H>::decode(&mut dec)?;
+        dec.finish()?;
+        bank.check_shape(params)?;
+        let Some((table_sections, rest)) = rest.split_at_checked(bank.num_tables()) else {
+            return Err(SnapshotError::Corrupt(format!(
+                "ranked snapshot holds {} sections after its bank, its {} tables need more",
+                rest.len(),
+                bank.num_tables()
+            )));
+        };
+        let buckets = decode_each(table_sections, |_, dec| {
+            let table = RankedTable::decode(dec)?;
+            validate_ranked_table(&table, &ranks)?;
+            Ok(table)
+        })?;
+        let nns = Self {
             points,
-            hashers,
+            bank,
             buckets,
             ranks,
             near,
             params,
             stats: QueryStats::default(),
             scratch: QueryScratch::new(),
-        })
+        };
+        Ok((nns, rest))
     }
 }
 
-impl<P, H, N> FairNns<P, H, N>
-where
-    P: fairnn_snapshot::Codec,
-    H: fairnn_lsh::HasherBankCodec,
-    N: fairnn_snapshot::Codec,
-{
+impl<P: Codec, H: HasherBankCodec, N: Codec> fairnn_snapshot::SnapshotCodec for FairNns<P, H, N> {
+    /// Sectioned container image: a head section (points, rank
+    /// permutation, predicate, parameters), the hasher bank section, then
+    /// one section per rank-sorted table — so the per-table encode,
+    /// checksum and decode-with-validation run on parallel build workers.
+    /// Bytes are identical at every thread count.
+    fn encode_sections(&self) -> Vec<Vec<u8>> {
+        let mut head = Encoder::new();
+        self.points.encode(&mut head);
+        self.ranks.encode(&mut head);
+        self.near.encode(&mut head);
+        self.params.encode(&mut head);
+        let mut bank = Encoder::new();
+        self.bank.encode(&mut bank);
+        let mut sections = vec![head.into_bytes(), bank.into_bytes()];
+        // Capture only the tables (not `self`), so the parallel encode needs
+        // no `Sync` bounds on the point/hasher/predicate types.
+        let buckets = &self.buckets;
+        sections.extend(encode_each(buckets.len(), |t, enc| buckets[t].encode(enc)));
+        sections
+    }
+
+    fn decode_sections(sections: &[Section<'_>]) -> Result<Self, SnapshotError> {
+        let (nns, rest) = Self::decode_prefix(sections)?;
+        if !rest.is_empty() {
+            return Err(SnapshotError::Corrupt(format!(
+                "fair-nns snapshot holds {} sections past its tables",
+                rest.len()
+            )));
+        }
+        Ok(nns)
+    }
+}
+
+impl<P: Codec, H: HasherBankCodec, N: Codec> FairNns<P, H, N> {
     /// Writes the whole structure — points, hasher bank, rank-sorted frozen
     /// buckets, rank permutation — as a versioned, checksummed snapshot.
     pub fn save<Q: AsRef<std::path::Path>>(

@@ -20,7 +20,8 @@ use crate::nns::FairNns;
 use crate::predicate::Nearness;
 use crate::rank::RankPermutation;
 use crate::sampler::{NeighborSampler, QueryStats};
-use fairnn_lsh::{ConcatenatedHasher, LshFamily, LshHasher, LshIndex, LshParams};
+use fairnn_lsh::{ConcatenatedHasher, HasherBankCodec, LshFamily, LshHasher, LshIndex, LshParams};
+use fairnn_snapshot::{Codec, Section, SnapshotCodec, SnapshotError};
 use fairnn_space::{Dataset, PointId};
 use rand::Rng;
 
@@ -83,44 +84,27 @@ impl<P, H, N> RankSwapSampler<P, H, N> {
     }
 }
 
-impl<P, H, N> fairnn_snapshot::Codec for RankSwapSampler<P, H, N>
-where
-    P: fairnn_snapshot::Codec,
-    H: fairnn_lsh::HasherBankCodec,
-    N: fairnn_snapshot::Codec,
-{
-    fn encode(&self, enc: &mut fairnn_snapshot::Encoder) {
-        self.inner.encode(enc);
+impl<P: Codec, H: HasherBankCodec, N: Codec> SnapshotCodec for RankSwapSampler<P, H, N> {
+    /// The image of the wrapped [`FairNns`], current rank permutation and
+    /// all.
+    fn encode_sections(&self) -> Vec<Vec<u8>> {
+        self.inner.encode_sections()
     }
 
-    fn decode(
-        dec: &mut fairnn_snapshot::Decoder<'_>,
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        Ok(Self {
-            inner: FairNns::decode(dec)?,
-        })
+    fn decode_sections(sections: &[Section<'_>]) -> Result<Self, SnapshotError> {
+        FairNns::decode_sections(sections).map(|inner| Self { inner })
     }
 }
 
-impl<P, H, N> RankSwapSampler<P, H, N>
-where
-    P: fairnn_snapshot::Codec,
-    H: fairnn_lsh::HasherBankCodec,
-    N: fairnn_snapshot::Codec,
-{
+impl<P: Codec, H: HasherBankCodec, N: Codec> RankSwapSampler<P, H, N> {
     /// Writes the sampler (including the *current* rank permutation — the
     /// swap state survives the round trip) as a snapshot file.
-    pub fn save<Q: AsRef<std::path::Path>>(
-        &self,
-        path: Q,
-    ) -> Result<(), fairnn_snapshot::SnapshotError> {
+    pub fn save<Q: AsRef<std::path::Path>>(&self, path: Q) -> Result<(), SnapshotError> {
         fairnn_snapshot::save(fairnn_snapshot::SnapshotKind::RankSwap, self, path)
     }
 
     /// Restores a sampler written by [`RankSwapSampler::save`].
-    pub fn load<Q: AsRef<std::path::Path>>(
-        path: Q,
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
+    pub fn load<Q: AsRef<std::path::Path>>(path: Q) -> Result<Self, SnapshotError> {
         fairnn_snapshot::load(fairnn_snapshot::SnapshotKind::RankSwap, path)
     }
 }

@@ -33,8 +33,13 @@ use rand::Rng;
 use std::sync::Arc;
 
 /// Wall time of one batched `K x L` hash-bank evaluation of a query — one
-/// observation per hashed query, so mean(= sum/count) is the hash-bank
-/// ns/point figure and the count is the number of query hashes.
+/// observation per [`HasherBank::query_keys_into`] call, so mean(=
+/// sum/count) is the hash-bank ns/point figure and the count is the number
+/// of query hashes. Every structure hashes its queries through that call:
+/// the engine's `prepare`, `sample` and `neighborhood`, [`crate::LshIndex`]
+/// (and the `fairnn-core` baselines built on it), and the paper samplers
+/// (`FairNns`, `RankSwapSampler`, `FairNnis`). Point hashes for builds,
+/// inserts and rank swaps are not counted.
 static HASH_BANK_NS: LazyHistogram = LazyHistogram::new(
     "lsh_hash_bank_ns",
     "batched K x L hash-bank evaluation time per point in nanoseconds",
@@ -42,7 +47,7 @@ static HASH_BANK_NS: LazyHistogram = LazyHistogram::new(
 
 /// Writes the per-table bucket keys of `query` into `keys` (resized to
 /// `hashers.len()`) in one batched pass, timed into `lsh_hash_bank_ns`.
-pub(crate) fn hash_query_into<P, H: LshHasher<P>>(hashers: &[H], query: &P, keys: &mut Vec<u64>) {
+fn hash_query_into<P, H: LshHasher<P>>(hashers: &[H], query: &P, keys: &mut Vec<u64>) {
     let _timer = Timer::start(&HASH_BANK_NS);
     keys.clear();
     keys.resize(hashers.len(), 0);
@@ -54,7 +59,7 @@ pub(crate) fn hash_query_into<P, H: LshHasher<P>>(hashers: &[H], query: &P, keys
 /// [`LshHasher::hash_all`] evaluation per point, with disjoint point chunks
 /// hashed on parallel build workers. Chunks are concatenated in point
 /// order, so the buffer is bit-identical at every thread count.
-pub(crate) fn compute_point_keys<P, H>(hashers: &[H], points: &[P]) -> Vec<u64>
+fn compute_point_keys<P, H>(hashers: &[H], points: &[P]) -> Vec<u64>
 where
     H: LshHasher<P> + Sync,
     P: Sync,

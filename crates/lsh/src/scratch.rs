@@ -133,8 +133,7 @@ impl DistanceMemo {
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
     /// Per-table bucket keys of the current query (filled by
-    /// [`crate::LshIndex::query_keys_into`] /
-    /// [`crate::LshHasher::hash_all`]).
+    /// [`crate::HasherBank::query_keys_into`]).
     pub keys: Vec<u64>,
     /// Cross-table deduplication of scanned point ids.
     pub visited: VisitedSet,
@@ -153,17 +152,6 @@ impl QueryScratch {
     /// Empty scratch; buffers grow to steady-state size on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Computes the bucket keys of `point` under every hasher in `hashers`
-    /// into the reused `keys` buffer — one batched
-    /// [`crate::LshHasher::hash_all`] pass, sized to `hashers.len()`. The
-    /// samplers that hold bare hasher slices (rather than an
-    /// [`crate::LshIndex`]) share this as their keys-computation step.
-    pub fn compute_keys<P, H: crate::LshHasher<P>>(&mut self, hashers: &[H], point: &P) {
-        self.keys.clear();
-        self.keys.resize(hashers.len(), 0);
-        H::hash_all(hashers, point, &mut self.keys);
     }
 }
 

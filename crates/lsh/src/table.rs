@@ -11,7 +11,7 @@
 //! bucket. To support this, the index exposes its tables, buckets and
 //! per-table query keys rather than only a flat "candidates" list.
 
-use crate::bank::{compute_point_keys, hash_query_into};
+use crate::bank::HasherBank;
 use crate::concat::ConcatenatedHasher;
 use crate::family::{LshFamily, LshHasher};
 use crate::frozen::FrozenTable;
@@ -50,9 +50,9 @@ pub type LshTable = FrozenTable<PointId>;
 /// The `L` tables of an LSH structure over dense point ids
 /// `0..num_points`, without the hash functions that key them.
 ///
-/// [`LshIndex`] pairs one of these with its own hashers. The engine pairs
-/// two (its base and its delta) with a single shared [`crate::HasherBank`],
-/// so the per-table query keys are computed once and looked up in both.
+/// [`LshIndex`] pairs one of these with its own [`HasherBank`]. The engine
+/// pairs two (its base and its delta) with a single shared bank, so the
+/// per-table query keys are computed once and looked up in both.
 ///
 /// Tables are never mutated in place: [`LshTables::updated`] builds the
 /// next tables from these in one linear pass per table, so a reader
@@ -241,7 +241,7 @@ impl fairnn_snapshot::Codec for LshTables {
 /// `LshIndex<ConcatenatedHasher<F::Hasher>>` produced by [`LshIndex::build`].
 #[derive(Debug, Clone)]
 pub struct LshIndex<H> {
-    hashers: Vec<H>,
+    bank: HasherBank<H>,
     tables: LshTables,
     params: LshParams,
 }
@@ -264,7 +264,7 @@ impl<H> LshIndex<H> {
 
     /// The per-table hashers.
     pub fn hashers(&self) -> &[H] {
-        &self.hashers
+        self.bank.hashers()
     }
 
     /// The tables themselves (index `i` corresponds to hasher `i`).
@@ -283,11 +283,11 @@ impl<H> LshIndex<H> {
         self.tables.total_entries()
     }
 
-    /// Decomposes the index into its hashers and tables. Used by the fair
-    /// samplers in `fairnn-core`, which re-organise the bucket contents
-    /// (e.g. sort them by rank) while keeping the same hash functions.
-    pub fn into_parts(self) -> (Vec<H>, Vec<LshTable>) {
-        (self.hashers, self.tables.tables)
+    /// Decomposes the index into its hasher bank and tables. Used by the
+    /// fair samplers in `fairnn-core`, which re-organise the bucket contents
+    /// (sort them by rank) while keeping the same hash functions.
+    pub fn into_parts(self) -> (HasherBank<H>, Vec<LshTable>) {
+        (self.bank, self.tables.tables)
     }
 }
 
@@ -304,11 +304,11 @@ impl<H> LshIndex<H> {
         H: LshHasher<P> + Sync,
         P: Sync,
     {
-        assert!(!hashers.is_empty(), "index needs at least one hasher");
-        let keys = compute_point_keys(&hashers, points);
-        let tables = LshTables::build(&keys, hashers.len(), points.len());
+        let bank = HasherBank::new(hashers);
+        let keys = bank.all_point_keys(points);
+        let tables = LshTables::build(&keys, bank.num_tables(), points.len());
         Self {
-            hashers,
+            bank,
             tables,
             params,
         }
@@ -319,9 +319,7 @@ impl<H> LshIndex<H> {
     where
         H: LshHasher<P>,
     {
-        let mut keys = vec![0u64; self.hashers.len()];
-        H::hash_all(&self.hashers, query, &mut keys);
-        keys
+        self.bank.point_keys(query)
     }
 
     /// Writes the per-table bucket keys of `query` into `keys` (resized to
@@ -332,7 +330,7 @@ impl<H> LshIndex<H> {
     where
         H: LshHasher<P>,
     {
-        hash_query_into(&self.hashers, query, keys);
+        self.bank.query_keys_into(query, keys);
     }
 
     /// The buckets a query collides with, one (possibly empty) slice per
@@ -365,8 +363,8 @@ impl<H> LshIndex<H> {
         H: LshHasher<P> + Sync,
         P: Sync,
     {
-        let keys = compute_point_keys(&self.hashers, points);
-        self.tables = LshTables::build(&keys, self.hashers.len(), points.len());
+        let keys = self.bank.all_point_keys(points);
+        self.tables = LshTables::build(&keys, self.bank.num_tables(), points.len());
     }
 
     /// All ids colliding with the query in at least one table, deduplicated
@@ -385,12 +383,14 @@ impl<H> LshIndex<H> {
         })
     }
 
-    /// Collects the deduplicated colliding ids into `scratch.candidates`
-    /// without allocating in the steady state: bucket keys land in
+    /// Collects the deduplicated colliding ids into `scratch.candidates`,
+    /// in the order a walk over the tables and their buckets first meets
+    /// them, without allocating in the steady state: bucket keys land in
     /// `scratch.keys` (one batched hash pass), deduplication uses the
     /// epoch-stamped `scratch.visited` (no `O(n)` clear), and the result
-    /// reuses `scratch.candidates`.
-    pub fn colliding_ids_into<P>(&self, query: &P, scratch: &mut QueryScratch)
+    /// reuses `scratch.candidates`. Returns the number of bucket entries
+    /// the walk scanned, duplicates included.
+    pub fn colliding_ids_into<P>(&self, query: &P, scratch: &mut QueryScratch) -> usize
     where
         H: LshHasher<P>,
     {
@@ -403,13 +403,13 @@ impl<H> LshIndex<H> {
         self.query_keys_into(query, keys);
         visited.reset(self.num_points());
         candidates.clear();
+        let mut scanned = 0;
         for (table, &key) in self.tables().iter().zip(keys.iter()) {
-            for &id in table.bucket(key) {
-                if visited.insert(id.index()) {
-                    candidates.push(id);
-                }
-            }
+            let bucket = table.bucket(key);
+            scanned += bucket.len();
+            candidates.extend(bucket.iter().filter(|id| visited.insert(id.index())));
         }
+        scanned
     }
 
     /// Total number of colliding entries including duplicates — the number
@@ -431,35 +431,6 @@ impl<H> LshIndex<H> {
     }
 }
 
-impl<H> LshIndex<H> {
-    /// Tail of the sectioned decoder: every cross-field invariant of the
-    /// wire format lives here (and in [`LshTables::from_tables`]).
-    fn assemble(
-        hashers: Vec<H>,
-        tables: LshTables,
-        params: LshParams,
-    ) -> Result<Self, fairnn_snapshot::SnapshotError> {
-        use fairnn_snapshot::SnapshotError;
-        if hashers.is_empty() {
-            return Err(SnapshotError::Corrupt(
-                "an LSH index needs at least one hasher".into(),
-            ));
-        }
-        if tables.num_tables() != hashers.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "index stores {} tables for {} hashers",
-                tables.num_tables(),
-                hashers.len()
-            )));
-        }
-        Ok(Self {
-            hashers,
-            tables,
-            params,
-        })
-    }
-}
-
 impl<H: crate::snapshot::HasherBankCodec> fairnn_snapshot::SnapshotCodec for LshIndex<H> {
     /// Sectioned container image: section 0 holds the hasher bank and the
     /// scalar metadata, then one section per table — so table encodes, the
@@ -468,7 +439,7 @@ impl<H: crate::snapshot::HasherBankCodec> fairnn_snapshot::SnapshotCodec for Lsh
     /// build workers. The bytes are identical at every thread count.
     fn encode_sections(&self) -> Vec<Vec<u8>> {
         let mut head = fairnn_snapshot::Encoder::new();
-        H::encode_bank(&self.hashers, &mut head);
+        self.bank.encode(&mut head);
         head.write_u64(self.num_points() as u64);
         self.params.encode(&mut head);
         head.write_u64(self.num_tables() as u64);
@@ -495,7 +466,7 @@ impl<H: crate::snapshot::HasherBankCodec> fairnn_snapshot::SnapshotCodec for Lsh
             ));
         };
         let mut dec = head.decoder();
-        let hashers = H::decode_bank(&mut dec)?;
+        let bank = HasherBank::<H>::decode(&mut dec)?;
         let num_points = usize::decode(&mut dec)?;
         let params = LshParams::decode(&mut dec)?;
         // Cross-section count: a plain u64, *not* `read_len` (the bound of
@@ -503,10 +474,13 @@ impl<H: crate::snapshot::HasherBankCodec> fairnn_snapshot::SnapshotCodec for Lsh
         let num_tables = usize::try_from(dec.read_u64()?)
             .map_err(|_| SnapshotError::Corrupt("table count does not fit usize".into()))?;
         dec.finish()?;
-        if num_tables != table_sections.len() {
+        bank.check_shape(params)?;
+        if num_tables != table_sections.len() || num_tables != bank.num_tables() {
             return Err(SnapshotError::Corrupt(format!(
-                "index head declares {num_tables} tables, directory holds {} table sections",
-                table_sections.len()
+                "index head declares {num_tables} tables, the directory holds {} table \
+                 sections and the bank keys {}",
+                table_sections.len(),
+                bank.num_tables()
             )));
         }
         let decoded = fairnn_parallel::map_indexed(table_sections.len(), |t| {
@@ -519,8 +493,11 @@ impl<H: crate::snapshot::HasherBankCodec> fairnn_snapshot::SnapshotCodec for Lsh
         for table in decoded {
             tables.push(table?);
         }
-        // All structural invariants live in `assemble` and `from_tables`.
-        Self::assemble(hashers, LshTables::from_tables(tables, num_points)?, params)
+        Ok(Self {
+            bank,
+            tables: LshTables::from_tables(tables, num_points)?,
+            params,
+        })
     }
 }
 
@@ -645,7 +622,7 @@ mod tests {
 
     /// Appends `points` to the index's tables under the next dense ids.
     fn append(index: &mut TestIndex, points: &[SparseSet]) {
-        let keys = compute_point_keys(&index.hashers, points);
+        let keys = index.bank.all_point_keys(points);
         let (l, first) = (index.num_tables(), index.num_points());
         index.tables = index.tables.updated(
             None,
