@@ -1,7 +1,7 @@
 //! The on-disk container: header, section directory, checksums, and the
 //! save/load entry points.
 //!
-//! Layout of format version 11 (the aligned layout of version 3; all
+//! Layout of format version 12 (the aligned layout of version 3; all
 //! integers little-endian):
 //!
 //! ```text
@@ -114,8 +114,12 @@ pub const MAGIC: [u8; 8] = *b"FAIRNNSS";
 /// byte-serial FNV-1a; 10 = the engine's hasher bank as one sketch, stored
 /// as its seed (bank layout tag 2) instead of `K × L` coefficient pairs;
 /// 11 = every frozen table with a radix directory over its sorted keys
-/// instead of an open-addressing slot index.
-pub const FORMAT_VERSION: u32 = 11;
+/// instead of an open-addressing slot index; 12 = the paper samplers in
+/// one sectioned layout (a `FairNns` head, its hasher bank and one section
+/// per rank-sorted table, which `RankSwapSampler` stores as is and
+/// `FairNnis` follows with its sketch seed, per-table sketches and value
+/// table) without `FairNnis`'s stored configuration and sketch parameters.
+pub const FORMAT_VERSION: u32 = 12;
 
 /// Byte-order marker: written little-endian, so a conforming file always
 /// reads back as this value.
