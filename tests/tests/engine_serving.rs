@@ -5,8 +5,9 @@
 //! churn and WAL recovery, and on a far-heavy neighbourhood where most
 //! colliding points are decoys), the work bounds of lazy evaluation (each
 //! part walked and each candidate evaluated at most once, at most `f + 3`
-//! rounds for `f` far candidates removed), the bucket-length bound it
-//! proposes by, the thread-count determinism contract, and the serving
+//! rounds for `f` far candidates removed), the paper's mean cost of a
+//! fresh draw (`f/(m + 1) + 1` evaluations over `f` far and `m` near
+//! candidates), the bucket-length bound it proposes by, the thread-count determinism contract, and the serving
 //! lifecycle (batching, incremental updates) on the shared workload
 //! fixtures.
 
@@ -817,6 +818,50 @@ fn consecutive_draws_from_one_cursor_pass_the_pair_test() {
     assert_uniform_pairs("far-heavy cursor, shifted pairs", &support, |_| {
         [prepared.sample(&mut rng), prepared.sample(&mut rng)]
     });
+}
+
+#[test]
+fn a_fresh_cursor_draw_costs_what_the_paper_bounds() {
+    // The paper bounds a draw's evaluations by O(b(q, cr)/(b(q, r) + 1)).
+    // A fresh cursor over f far and m >= 1 near distinct colliding points
+    // evaluates candidates in uniformly random order until the first near
+    // one: X far ones, X negative-hypergeometric with mean f/(m + 1) and
+    // variance f(f + m + 1)m/((m + 1)^2 (m + 2)), plus the near one it
+    // returns. One query per batch through the executor makes every draw a
+    // fresh cursor.
+    let (query, points, plan) = far_heavy_fixture();
+    let index = far_heavy_index("far-heavy-cost", &points, plan);
+    let counts = shard_counts(&index, &query);
+    let near: usize = counts.iter().map(|c| c.2).sum();
+    let far: usize = counts.iter().map(|c| c.1 - c.2).sum();
+    assert!(near >= 1 && far >= 5 * near, "{far} far, {near} near");
+    let (f, m) = (far as f64, near as f64);
+    let expected = f / (m + 1.0) + 1.0;
+    let variance = f * (f + m + 1.0) * m / ((m + 1.0).powi(2) * (m + 2.0));
+
+    const BATCHES: u64 = 100_000;
+    let evaluations: usize = (0..BATCHES)
+        .map(|b| {
+            let request = QueryRequest::new(vec![query.clone()]).with_batch(b);
+            let answer = &index.run_batch(&request)[0];
+            assert!(answer.id.is_some(), "batch {b}: ⊥ over {near} near points");
+            answer.stats.distance_computations
+        })
+        .sum();
+    let mean = evaluations as f64 / BATCHES as f64;
+
+    // Bernstein's inequality for draws within f of their mean:
+    // P(|mean - expected| >= t) <= 2 exp(-B t^2 / (2 variance + 2 f t / 3)).
+    // `t` solves B t^2 = ln(2 / 1e-6) (2 variance + 2 f t / 3), so a correct
+    // sampler fails this check with probability at most 1e-6.
+    let (b, log) = (BATCHES as f64, (2.0 / 1e-6f64).ln());
+    let linear = 2.0 * f * log / 3.0;
+    let t = (linear + (linear * linear + 8.0 * b * variance * log).sqrt()) / (2.0 * b);
+    assert!(
+        (mean - expected).abs() < t,
+        "{mean} evaluations per draw, expected f/(m + 1) + 1 = {expected} ± {t} \
+         ({far} far, {near} near)"
+    );
 }
 
 /// One keep-alive client of a loopback `fairnn-server`.

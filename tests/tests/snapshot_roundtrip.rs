@@ -14,7 +14,9 @@
 //!    checksum-repaired payload corruption, which exercises the decoders
 //!    themselves) and require an error or a clean decode, never a panic.
 
-use fairnn_core::{FairNnis, FairNns, NeighborSampler, RankSwapSampler, SimilarityAtLeast};
+use fairnn_core::{
+    FairNnis, FairNns, NeighborSampler, RankPermutation, RankSwapSampler, SimilarityAtLeast,
+};
 use fairnn_engine::{
     Checkpoint, EngineWriter, QueryRequest, ShardedIndex, ShardedIndexConfig, WriteBatch,
     CHECKPOINT_FILE, WAL_FILE,
@@ -733,6 +735,101 @@ fn hasher_bank_that_does_not_fit_the_stored_parameters_fails_the_load() {
         load_sections(spliced),
         Err(SnapshotError::Corrupt(_))
     ));
+}
+
+/// Loads an image of `kind` assembled from `sections`.
+fn load_image<T: SnapshotCodec>(
+    kind: SnapshotKind,
+    sections: Vec<Vec<u8>>,
+) -> Result<T, SnapshotError> {
+    from_bytes(kind, &image_from_sections(kind, sections))
+}
+
+/// Splices the bank section (section 1) of a `K + 1` build of `build` into
+/// the sections of a `K` build: the load must fail with `Corrupt`.
+fn assert_rejects_a_wider_bank<T: SnapshotCodec>(
+    kind: SnapshotKind,
+    build: impl Fn(LshParams) -> T,
+) {
+    let base = params(golden_dataset().len());
+    let mut spliced = build(base).encode_sections();
+    assert!(load_image::<T>(kind, spliced.clone()).is_ok(), "{kind:?}");
+    spliced[1] = build(LshParams {
+        k: base.k + 1,
+        ..base
+    })
+    .encode_sections()[1]
+        .clone();
+    let err = load_image::<T>(kind, spliced).err();
+    assert!(
+        matches!(&err, Some(SnapshotError::Corrupt(msg)) if msg.contains("hasher bank")),
+        "{kind:?}: {err:?}"
+    );
+}
+
+#[test]
+fn paper_sampler_bank_that_does_not_fit_the_stored_parameters_fails_the_load() {
+    // The same splice for the ranked layout, whose section 1 is the bank
+    // in FairNns, RankSwapSampler and FairNnis images alike.
+    let data = golden_dataset();
+    let rng = || StdRng::seed_from_u64(3);
+    assert_rejects_a_wider_bank(SnapshotKind::FairNns, |p| -> SetNns {
+        FairNns::build(&MinHash, p, &data, near(), &mut rng())
+    });
+    assert_rejects_a_wider_bank(SnapshotKind::RankSwap, |p| -> SetRankSwap {
+        RankSwapSampler::build(&MinHash, p, &data, near(), &mut rng())
+    });
+    assert_rejects_a_wider_bank(SnapshotKind::FairNnis, |p| -> SetNnis {
+        FairNnis::build(&MinHash, p, &data, near(), &mut rng())
+    });
+}
+
+#[test]
+fn a_stored_rank_that_is_not_its_points_rank_fails_the_load() {
+    // An entry (r, id) of a rank-sorted bucket moved to rank r + 1, still
+    // below the next entry's rank: the bucket stays sorted and every rank
+    // stays below n, but the min-rank scan would now order `id` by a rank
+    // the permutation gives another point. The decoder must compare each
+    // stored rank with the permutation.
+    let data = golden_dataset();
+    let mut rng = StdRng::seed_from_u64(1);
+    let index: LshIndex<Hasher> =
+        LshIndex::build(&MinHash, params(data.len()), data.points(), &mut rng);
+    let ranks = RankPermutation::random(data.len(), &mut rng);
+    let ((rank, id), (next_rank, next_id)) = index
+        .tables()
+        .iter()
+        .flat_map(|table| table.buckets())
+        .find_map(|(_, ids)| {
+            let mut entries: Vec<(u32, PointId)> =
+                ids.iter().map(|&id| (ranks.rank(id), id)).collect();
+            entries.sort_unstable();
+            entries
+                .windows(2)
+                .find(|w| w[1].0 > w[0].0 + 1)
+                .map(|w| (w[0], w[1]))
+        })
+        .expect("a bucket with a gap between two ranks");
+    let sampler: SetNns = FairNns::from_index(index, &data, ranks, near());
+    let bytes = to_bytes(SnapshotKind::FairNns, &sampler);
+    // The two entries as the image stores them: rank, id, rank, id.
+    let pair: Vec<u8> = [rank, id.0, next_rank, next_id.0]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let at = bytes
+        .windows(pair.len())
+        .position(|w| w == pair.as_slice())
+        .expect("the entry pair in the image");
+    let mut moved = bytes.clone();
+    moved[at..at + 4].copy_from_slice(&(rank + 1).to_le_bytes());
+    fairnn_snapshot::repair_checksums(&mut moved);
+    assert!(load_small(&bytes).is_ok());
+    let err = load_small(&moved).err();
+    assert!(
+        matches!(&err, Some(SnapshotError::Corrupt(msg)) if msg.contains("rank permutation")),
+        "{err:?}"
+    );
 }
 
 #[test]
