@@ -2,13 +2,18 @@
 //!
 //! Answers the same request through `ShardedIndex::run_batch` (the loop
 //! every route serves through) with `fairnn-obs` metrics and span tracing
-//! fully disabled and fully enabled, and compares the best-of-rounds
-//! throughput of the two. The answers must be bit-identical (instrumentation
-//! must not perturb RNG streams), and the instrumented executor may be at
-//! most [`MAX_OVERHEAD_PCT`] slower. The budget is enforced only when the
-//! rounds took at least [`MIN_MEASURED_S`] of wall time in total; shorter
-//! runs are scheduler noise on a shared runner and are reported as skipped.
-//! The process exits non-zero when the budget is exceeded.
+//! fully disabled and fully enabled, in [`PAIRS`] back-to-back pairs of one
+//! plain and one instrumented round, alternating which side goes first. A
+//! pair's overhead is the throughput its instrumented round lost against
+//! its plain round, and the verdict is the median over the pairs: host
+//! noise that slows one round moves one pair, and a drift in host speed
+//! over the run favours neither side. The answers must be bit-identical
+//! (instrumentation must not perturb RNG streams), and the instrumented
+//! executor may be at most [`MAX_OVERHEAD_PCT`] slower. The budget is
+//! enforced only when the rounds took at least [`MIN_MEASURED_S`] of wall
+//! time in total; shorter runs are scheduler noise on a shared runner and
+//! are reported as skipped. The process exits non-zero when the budget is
+//! exceeded.
 //!
 //! This is the one absolute performance budget the end-to-end benchmark in
 //! `servebench/` does not measure.
@@ -37,8 +42,8 @@ const MAX_OVERHEAD_PCT: f64 = 3.0;
 /// Overhead measured over less total wall time than this does not gate.
 const MIN_MEASURED_S: f64 = 0.05;
 
-/// Plain/instrumented round pairs; the best round of each side is compared.
-const ROUNDS: usize = 3;
+/// Plain/instrumented round pairs; the median pair overhead is judged.
+const PAIRS: usize = 101;
 
 fn set_instrumented(on: bool) {
     fairnn_obs::set_enabled(on);
@@ -87,37 +92,46 @@ fn main() -> ExitCode {
     let _ = index.run_batch(&request);
     set_instrumented(false);
 
-    let mut plain_best_qps = 0.0f64;
-    let mut instr_best_qps = 0.0f64;
-    let mut measured_s = 0.0f64;
-    for _ in 0..ROUNDS {
+    let run = |instrumented: bool| {
+        set_instrumented(instrumented);
         let start = fairnn_obs::monotonic_ns();
-        let plain_answers = index.run_batch(&request);
-        let plain_secs = (fairnn_obs::monotonic_ns() - start) as f64 * 1e-9;
-
-        set_instrumented(true);
-        let start = fairnn_obs::monotonic_ns();
-        let instr_answers = index.run_batch(&request);
-        let instr_secs = (fairnn_obs::monotonic_ns() - start) as f64 * 1e-9;
+        let answers = index.run_batch(&request);
+        let secs = (fairnn_obs::monotonic_ns() - start) as f64 * 1e-9;
         set_instrumented(false);
-
+        (answers, secs)
+    };
+    let mut overheads = Vec::with_capacity(PAIRS);
+    let (mut plain_s, mut instr_s) = (0.0f64, 0.0f64);
+    for pair in 0..PAIRS {
+        let ((plain_answers, plain_secs), (instr_answers, instr_secs)) = if pair % 2 == 0 {
+            let plain = run(false);
+            (plain, run(true))
+        } else {
+            let instr = run(true);
+            (run(false), instr)
+        };
         assert_eq!(
             plain_answers, instr_answers,
             "instrumentation perturbed the engine output: identical seeds must \
              yield identical answers with metrics and tracing enabled"
         );
-        plain_best_qps = plain_best_qps.max(batch_size as f64 / plain_secs);
-        instr_best_qps = instr_best_qps.max(batch_size as f64 / instr_secs);
-        measured_s += plain_secs + instr_secs;
+        overheads.push((1.0 - plain_secs / instr_secs) * 100.0);
+        plain_s += plain_secs;
+        instr_s += instr_secs;
     }
-    let overhead_pct = (1.0 - instr_best_qps / plain_best_qps) * 100.0;
+    overheads.sort_by(f64::total_cmp);
+    let overhead_pct = overheads[PAIRS / 2];
+    let measured_s = plain_s + instr_s;
+    let qps = |secs: f64| fmt_f64((PAIRS * batch_size) as f64 / secs, 0);
     println!(
         "observability overhead (metrics + tracing on): uninstrumented {} q/s, \
-         instrumented {} q/s, overhead {}% (answers bit-identical over {ROUNDS} rounds, \
-         {} s measured)",
-        fmt_f64(plain_best_qps, 0),
-        fmt_f64(instr_best_qps, 0),
+         instrumented {} q/s, median overhead {}% over {PAIRS} pairs (quartiles {}% and \
+         {}%; answers bit-identical, {} s measured)",
+        qps(plain_s),
+        qps(instr_s),
         fmt_f64(overhead_pct, 2),
+        fmt_f64(overheads[PAIRS / 4], 2),
+        fmt_f64(overheads[3 * PAIRS / 4], 2),
         fmt_f64(measured_s, 3),
     );
 
