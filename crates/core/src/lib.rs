@@ -8,9 +8,15 @@
 //! |---|---|---|
 //! | Section 3, Theorem 1 | [`FairNns`] | r-near neighbor sampling (r-NNS): uniform sample from `B_S(q, r)` |
 //! | Section 3.1 / Appendix A, Theorem 5 | [`RankSwapSampler`] | r-NNIS restricted to a single repeated query, via rank re-randomisation |
-//! | Section 4, Theorem 2 | [`FairNnis`] | r-near neighbor *independent* sampling (r-NNIS) |
+//! | Section 4, Theorem 2 | [`FairNnis`] | r-near neighbor *independent* sampling (r-NNIS): the [`FairNns`] structure plus one count-distinct sketch per large bucket |
 //! | Section 5 / Appendix B, Theorems 3–4 | [`FilterNnis`] | α-NNIS under inner product in nearly-linear space |
-//! | Section 2.2 / Section 6 baselines | [`StandardLsh`], [`NaiveFairLsh`], [`ExactSampler`], [`ApproximateNeighborhoodSampler`] | the comparison points of the experimental evaluation |
+//! | Section 2.2 / Section 6 baselines | [`StandardLsh`], [`NaiveFairLsh`], [`ExactSampler`] | the comparison points of the experimental evaluation |
+//! | Section 6.2 | [`ApproximateNeighborhoodSampler`], an alias of [`NaiveFairLsh`] | the approximate-neighbourhood notion: the naive fair query at the far threshold `cr` |
+//!
+//! The three paper samplers share one LSH layer: [`RankSwapSampler`] and
+//! [`FairNnis`] each wrap a [`FairNns`], which holds the hasher bank, the
+//! rank permutation and the rank-sorted tables, and whose snapshot sections
+//! begin both of their images.
 //!
 //! All samplers implement the common [`NeighborSampler`] trait, so the
 //! examples, experiments and tests can swap them freely. Every structure is

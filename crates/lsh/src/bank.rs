@@ -3,7 +3,10 @@
 //! An `L`-table LSH structure is defined by its `L` (concatenated) hash
 //! functions; the tables are only their image over the data.
 //! [`HasherBank`] holds those functions behind an [`Arc`], so several table
-//! sets can be keyed by one bank. The engine indexes its base and its delta
+//! sets can be keyed by one bank. Every LSH structure holds its hashers as
+//! one: [`crate::LshIndex`], the paper samplers of `fairnn-core` and the
+//! engine, and each decoder checks the bank against its stored parameters
+//! with [`HasherBank::check_shape`]. The engine indexes its base and its delta
 //! with the same bank: a query is then hashed once for both, and the
 //! union of their colliding sets is exactly the colliding set of one
 //! `L`-table structure over all points (Sections 3–4 of the paper).
